@@ -10,12 +10,13 @@ process with ``src`` on PYTHONPATH and BLAS threads pinned to 1, one
 child at a time.  The seed goes to every command as ``--seed``.
 
 ``--trace 0`` repeats the workload's commands (one pass) until
-``--seconds`` would be exceeded and reports the median pass wall time,
-the median set-up time, the median peak child RSS and the residual
-headroom.  ``--trace 1`` alternates untraced passes with passes run
-through ``tracer.py`` and reports per-layer metrics, the tracing
-overhead, and fails the run if any traced report stream differs from the
-untraced one (``wall_time_ms`` aside).  ``--workload all`` does both for
+``--seconds`` would be exceeded and reports the wall time of a pass (the
+sum over commands of each command's median calibrated time), the median
+set-up time, the median peak child RSS and the residual headroom.
+``--trace 1`` alternates untraced passes with passes run through
+``tracer.py`` and reports per-layer metrics, the tracing overhead, and
+fails the run if any traced report stream differs from the untraced one
+(``wall_time_ms`` aside).  ``--workload all`` does both for
 every workload.
 
 Correctness is checked outside the timed region.  Each ``run`` record
@@ -133,6 +134,12 @@ class Outcome:
     rss_mb: float
     stdout: str
     stderr: str
+    #: ``CAL_REF_S`` over the calibration time around this child.
+    speed: float = 1.0
+
+    @property
+    def calibrated_s(self) -> float:
+        return self.seconds * self.speed
 
 
 def spawn(argv: list[str], workdir: Path) -> Outcome:
@@ -159,8 +166,33 @@ def yblab_argv(cmd: Command, seed: int) -> list[str]:
     return list(cmd.argv) + ["--seed", str(seed)]
 
 
-def run_pass(commands, seed: int, workdir: Path, traced: bool = False) -> dict:
-    """One pass: each command once, in order.  Wall time is the sum of children."""
+class Calibrator:
+    """Spawns timed children, each between two runs of ``calibrate()``.
+
+    Other tenants of a shared machine slow every process by up to ~40 %
+    for seconds to tens of seconds at a time.  A child's speed factor is
+    ``CAL_REF_S`` over the mean of the calibrations just before and just
+    after it, so its time multiplied by the factor reads as seconds at the
+    reference machine speed.  The calibration after one child is the one
+    before the next, so each child costs one calibration; the first child
+    has only the one after it.  Calibrations always follow a child
+    process: run back to back they read systematically slower.
+    """
+
+    def __init__(self):
+        self.last: float | None = None
+
+    def spawn(self, argv: list[str], workdir: Path) -> Outcome:
+        outcome = spawn(argv, workdir)
+        after = calibrate()
+        outcome.speed = 2 * CAL_REF_S / ((self.last or after) + after)
+        self.last = after
+        return outcome
+
+
+def run_pass(commands, seed: int, workdir: Path, clock: Calibrator,
+             traced: bool = False) -> dict:
+    """One pass: each command once, in order, each child timed by ``clock``."""
     outcomes, stats = [], []
     for k, cmd in enumerate(commands):
         if traced:
@@ -169,22 +201,20 @@ def run_pass(commands, seed: int, workdir: Path, traced: bool = False) -> dict:
             head = [sys.executable, str(BENCH_DIR / "tracer.py"), str(stats_path)]
         else:
             head = [sys.executable, "-m", "yblab.cli"]
-        outcomes.append(spawn(head + yblab_argv(cmd, seed), workdir))
+        outcomes.append(clock.spawn(head + yblab_argv(cmd, seed), workdir))
         if traced:
             stats.append(json.loads(stats_path.read_text()) if stats_path.exists() else {})
-    return {"wall_s": sum(o.seconds for o in outcomes),
-            "rss_mb": max(o.rss_mb for o in outcomes),
+    return {"rss_mb": max(o.rss_mb for o in outcomes),
             "outcomes": outcomes, "stats": stats}
 
 
-def measure_setup(commands, seed: int, workdir: Path) -> tuple[list[float], bool]:
+def measure_setup(commands, seed: int, workdir: Path,
+                  clock: Calibrator) -> tuple[list[float], bool]:
     """Calibrated times to start python, import yblab.cli and build the config."""
     argv = [sys.executable, "-c", SETUP_CODE] + yblab_argv(commands[0], seed)
     spawn(argv, workdir)  # warm the bytecode and file caches
-    runs, factors = calibrated_calls(lambda: spawn(argv, workdir),
-                                     lambda calls, elapsed: calls >= SETUP_REPS)
-    return ([o.seconds * f for o, f in zip(runs, factors)],
-            all(o.returncode == 0 for o in runs))
+    runs = [clock.spawn(argv, workdir) for _ in range(SETUP_REPS)]
+    return [o.calibrated_s for o in runs], all(o.returncode == 0 for o in runs)
 
 
 # --- correctness ----------------------------------------------------------
@@ -213,9 +243,17 @@ def rel_diff(a: complex, b: complex) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
-def score_run(cmd: Command, outcome: Outcome) -> tuple[int, list[float]]:
-    """Failed items and per-item headrooms of one ``yblab run`` invocation."""
-    headrooms = []
+def exit_problem(outcome: Outcome) -> str | None:
+    if TRACEBACK in outcome.stderr:
+        return f"traceback: {outcome.stderr.strip().splitlines()[-1][:200]}"
+    if outcome.returncode != 0:
+        return f"exit code {outcome.returncode}"
+    return None
+
+
+def score_run(cmd: Command, outcome: Outcome) -> tuple[int, list[float], list[str]]:
+    """Failed items, per-item headrooms and failure notes of one ``yblab run``."""
+    headrooms, notes = [], []
     for record in normalized(outcome.stdout):
         if not isinstance(record, dict) or "check" not in record:
             continue
@@ -224,10 +262,19 @@ def score_run(cmd: Command, outcome: Outcome) -> tuple[int, list[float]]:
         if record.get("pass") is True and isinstance(residual, (int, float)) \
                 and residual <= tolerance:
             headrooms.append(headroom(tolerance, residual))
+        else:
+            notes.append(f"{record['check']} sample {record.get('sample_index')}: "
+                         f"residual {residual} against tolerance {tolerance:g}"
+                         + (f", {record['error']}" if "error" in record else ""))
     failed = max(cmd.items - len(headrooms), 0)
-    if outcome.returncode != 0 or TRACEBACK in outcome.stderr:
+    if failed > len(notes):
+        notes.append(f"{failed - len(notes)} of {cmd.items} records missing")
+    problem = exit_problem(outcome)
+    if problem:
         failed = max(failed, 1)
-    return failed, headrooms
+        if not (problem == "exit code 1" and notes):  # yblab exits 1 on a failed sample
+            notes.append(problem)
+    return failed, headrooms, notes
 
 
 def _complex(pair) -> complex:
@@ -259,25 +306,27 @@ def reference_value(cmd: Command, echo: dict, seed: int, workdir: Path) -> compl
 
 
 def score_compute(cmd: Command, outcome: Outcome, seed: int,
-                  workdir: Path) -> tuple[int, list[float]]:
-    """Failed items (0 or 1) and headroom of one ``yblab compute`` invocation."""
-    if outcome.returncode != 0 or TRACEBACK in outcome.stderr:
-        return 1, []
+                  workdir: Path) -> tuple[int, list[float], list[str]]:
+    """Failed items (0 or 1), headroom and failure notes of one ``yblab compute``."""
+    problem = exit_problem(outcome)
+    if problem:
+        return 1, [], [problem]
     try:
         echo = json.loads(outcome.stdout.splitlines()[-1])
         value = _complex(echo[echo["method"]])
         reference = reference_value(cmd, echo, seed, workdir)
-    except (IndexError, KeyError, TypeError, ValueError, RuntimeError):
-        return 1, []
+    except (IndexError, KeyError, TypeError, ValueError, RuntimeError) as exc:
+        return 1, [], [f"no value to compare: {type(exc).__name__}: {exc}"]
     tolerance = PINNED_TOL[COMPUTE_CHECK[cmd.argv[1]]]
     residual = rel_diff(value, reference)
     if not residual <= tolerance:
-        return 1, []
-    return 0, [headroom(tolerance, residual)]
+        return 1, [], [f"{value} against reference {reference}: relative difference "
+                       f"{residual:.3g} above tolerance {tolerance:g}"]
+    return 0, [headroom(tolerance, residual)], []
 
 
 def score_command(cmd: Command, outcome: Outcome, seed: int,
-                  workdir: Path) -> tuple[int, list[float]]:
+                  workdir: Path) -> tuple[int, list[float], list[str]]:
     if cmd.argv[0] == "run":
         return score_run(cmd, outcome)
     return score_compute(cmd, outcome, seed, workdir)
@@ -294,14 +343,19 @@ def score_passes(commands, passes: list[dict], seed: int, workdir: Path) -> dict
     verdicts = [score_command(cmd, o, seed, workdir) for cmd, o in zip(commands, first)]
     reference = [(o.returncode, normalized(o.stdout)) for o in first]
     failed, identical = 0, True
-    for p in passes:
-        for cmd, o, ref, (bad, _) in zip(commands, p["outcomes"], reference, verdicts):
+    notes = [f"{' '.join(cmd.argv)} --seed {seed}: {note}"
+             for cmd, (_, _, ns) in zip(commands, verdicts) for note in ns]
+    for k, p in enumerate(passes):
+        for cmd, o, ref, (bad, _, _) in zip(commands, p["outcomes"], reference, verdicts):
             same = (o.returncode, normalized(o.stdout)) == ref
             identical &= same
             failed += bad if same else cmd.items
-    headrooms = [h for _, hs in verdicts for h in hs]
+            if not same:
+                notes.append(f"{' '.join(cmd.argv)} --seed {seed}: "
+                             f"pass {k} printed another report stream than pass 0")
+    headrooms = [h for _, hs, _ in verdicts for h in hs]
     return {"attempted": len(passes) * sum(c.items for c in commands), "failed": failed,
-            "identical": identical,
+            "identical": identical, "failures": notes,
             "headroom_decades": min(headrooms) if headrooms else 0.0}
 
 
@@ -422,63 +476,58 @@ def calibrate() -> float:
     return time.perf_counter() - t0
 
 
-def calibrated_calls(body, done) -> tuple[list, list[float]]:
-    """Call ``body`` until ``done(calls, elapsed)``; return results and speed factors.
-
-    Other tenants of a shared machine slow every process by up to ~40 %
-    for tens of seconds at a time.  ``calibrate()`` runs right after each
-    call, and the call's factor is ``CAL_REF_S`` over that calibration, so
-    a time multiplied by its factor reads as seconds at the reference
-    machine speed.  Calibrations always follow a child process: run back
-    to back they read systematically slower.
-    """
+def repeat(body, seconds: float) -> list:
+    """Call ``body`` until another call of the mean length would pass ``seconds``."""
     t0 = time.perf_counter()
-    results, factors = [], []
+    results = []
     while True:
         results.append(body())
-        factors.append(CAL_REF_S / calibrate())
-        if done(len(results), time.perf_counter() - t0):
-            return results, factors
+        elapsed = time.perf_counter() - t0
+        if elapsed * (len(results) + 1) / len(results) > seconds:
+            return results
 
 
-def fits(seconds: float):
-    """Stop rule: stop once another call of the mean length would pass ``seconds``."""
-    return lambda calls, elapsed: elapsed * (calls + 1) / calls > seconds
+def command_medians(passes: list[dict]) -> float:
+    """Sum over commands of the median calibrated time of that command.
+
+    Each command is calibrated on its own: a pass of several commands
+    lasts seconds, longer than the machine keeps one speed.
+    """
+    per_command = zip(*(p["outcomes"] for p in passes))
+    return sum(statistics.median(o.calibrated_s for o in runs) for runs in per_command)
 
 
 def run_workload(name: str, seed: int, seconds: float, trace: bool,
                  workdir: Path) -> dict:
     commands = WORKLOADS[name]
     record = {"workload": name, "seed": seed, "trace": int(trace)}
+    clock = Calibrator()
     if trace:
-        pairs, factors = calibrated_calls(
-            lambda: (run_pass(commands, seed, workdir), run_pass(commands, seed, workdir, True)),
-            fits(seconds))
+        pairs = repeat(lambda: (run_pass(commands, seed, workdir, clock),
+                                run_pass(commands, seed, workdir, clock, True)), seconds)
         plain = [p for p, _ in pairs]
         traced = [t for _, t in pairs]
         score = score_passes(commands, plain + traced, seed, workdir)
         metrics = median_dict([layer_metrics(t["stats"]) for t in traced])
-        metrics["trace.overhead_s"] = statistics.median(
-            (t["wall_s"] - p["wall_s"]) * f for (p, t), f in zip(pairs, factors))
+        metrics["trace.overhead_s"] = command_medians(traced) - command_medians(plain)
         units = LAYER_UNITS
-        record["untraced_wall_s"] = [p["wall_s"] for p in plain]
-        record["traced_wall_s"] = [t["wall_s"] for t in traced]
         setup_ok = True
     else:
-        setup, setup_ok = measure_setup(commands, seed, workdir)
-        plain, factors = calibrated_calls(lambda: run_pass(commands, seed, workdir),
-                                          fits(seconds))
+        setup, setup_ok = measure_setup(commands, seed, workdir, clock)
+        plain = repeat(lambda: run_pass(commands, seed, workdir, clock), seconds)
+        traced = []
         score = score_passes(commands, plain, seed, workdir)
-        metrics = {"wall_s": statistics.median(p["wall_s"] * f
-                                               for p, f in zip(plain, factors)),
+        metrics = {"wall_s": command_medians(plain),
                    "setup_s": statistics.median(setup),
                    "peak_rss_mb": statistics.median(p["rss_mb"] for p in plain)}
         units = END_TO_END_UNITS
-        record["raw_wall_s"] = [p["wall_s"] for p in plain]
         record["headroom_decades"] = score["headroom_decades"]
-    record.update(speed_factors=factors, attempted=score["attempted"], failed=score["failed"],
+    # One row per pass, one column per command; untraced passes first.
+    record["raw_s"] = [[o.seconds for o in p["outcomes"]] for p in plain + traced]
+    record["speed"] = [[o.speed for o in p["outcomes"]] for p in plain + traced]
+    record.update(attempted=score["attempted"], failed=score["failed"],
                   fail_ratio=score["failed"] / score["attempted"],
-                  identical_streams=score["identical"],
+                  identical_streams=score["identical"], failures=score["failures"],
                   correct=score["failed"] == 0 and score["identical"] and setup_ok,
                   metrics={k: {"value": metrics[k], "unit": units[k]} for k in units})
     return record
@@ -548,6 +597,8 @@ def main(argv=None) -> int:
         shutil.rmtree(workdir, ignore_errors=True)
     for result in results:
         print_result(result)
+        for note in result["failures"]:
+            print(f"perfbench: {result['workload']}: failed: {note}", file=sys.stderr)
     if len(results) == 1:
         metrics = results[0]["metrics"]
     else:

@@ -71,17 +71,19 @@ def test_crashing_command_counts_as_failed_items(tmp_path):
     # |nome| = 0.89 is accepted by the config but the theta sampler raises.
     cmd = run.Command(("run", "--L", "3", "--nome", "0.89,0", "--checks", "dybe",
                        "--samples", "2"), items=2)
-    result = run.run_pass([cmd], seed=1, workdir=tmp_path)
+    result = run.run_pass([cmd], 1, tmp_path, run.Calibrator())
     score = run.score_passes([cmd], [result], seed=1, workdir=tmp_path)
     assert result["outcomes"][0].returncode != 0
     assert score["attempted"] == 2
     assert score["failed"] == 2
+    assert any("2 of 2 records missing" in note for note in score["failures"])
+    assert any("traceback: RuntimeError" in note for note in score["failures"])
 
 
 def test_changed_stream_fails_the_identity_rule(tmp_path):
     cmd = run.Command(("compute", "z", "--L", "2", "--method", "contour"))
-    first = run.run_pass([cmd], seed=3, workdir=tmp_path)
-    other = run.run_pass([cmd], seed=4, workdir=tmp_path)
+    first = run.run_pass([cmd], 3, tmp_path, run.Calibrator())
+    other = run.run_pass([cmd], 4, tmp_path, run.Calibrator())
     same = run.score_passes([cmd], [first, first], seed=3, workdir=tmp_path)
     assert (same["failed"], same["identical"]) == (0, True)
     changed = run.score_passes([cmd], [first, other], seed=3, workdir=tmp_path)
@@ -90,7 +92,7 @@ def test_changed_stream_fails_the_identity_rule(tmp_path):
 
 def test_bruteforce_output_is_checked_against_the_oracle(tmp_path):
     cmd = run.Command(("compute", "z", "--L", "3", "--method", "bruteforce"))
-    result = run.run_pass([cmd], seed=5, workdir=tmp_path)
+    result = run.run_pass([cmd], 5, tmp_path, run.Calibrator())
     score = run.score_passes([cmd], [result], seed=5, workdir=tmp_path)
     assert (score["attempted"], score["failed"]) == (1, 0)
     assert score["headroom_decades"] > 3
