@@ -2,7 +2,7 @@
 
 Builds elliptic and six-vertex R-matrices on small spin chains, computes
 domain-wall partition functions and Bethe-vector scalar products by
-dense contraction, evaluates their multiple-contour-integral
+direct contraction, evaluates their multiple-contour-integral
 representations by residue summation, and verifies the operator
 identities, functional equations, and partial differential equations
 connecting them, all to explicit numerical tolerances.
@@ -10,8 +10,8 @@ connecting them, all to explicit numerical tolerances.
 
 from .errors import (ConfigError, CoincidentPoints, DegreeMismatch, DynamicalPole,
                      GridDegenerate, InterpolationIllConditioned, NomeTooLarge,
-                     NonConvergent, RegimeMismatch, SingularCoefficient, SingularR,
-                     SizeMismatch, YbLabError)
+                     NonConvergent, RegimeMismatch, SamplingExhausted,
+                     SingularCoefficient, SingularR, SizeMismatch, YbLabError)
 from .special_fn import (EllipticParams, Regime, f_weight, f_weight_deriv0,
                          theta1, trig_weights)
 from .yb_core import (ChainOperator, ModelContext, TolerancePolicy, monodromy_blocks,

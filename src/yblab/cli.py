@@ -422,34 +422,46 @@ def run_suite(cfg: RunConfig, out=None) -> int:
         tolerance = cfg.tolerances.get(name, cd.tolerance)
         rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence([cfg.seed, REGISTRY_INDEX[name]])))
-        state = cd.prepare(ctx, rng) if cd.prepare else None
-        draws = [cd.draw(ctx, rng, state) for _ in range(cfg.samples)]
+
+        def make_record(k, params, residual, error, t0):
+            rec = {"check": name, "seed": cfg.seed, "sample_index": k,
+                   "params": _jsonable({k2: v for k2, v in params.items()
+                                        if k2 != "coeffs"}),
+                   "tolerance": tolerance,
+                   "residual": residual,
+                   "pass": residual is not None and residual <= tolerance}
+            if error is not None:
+                rec["error"] = f"{type(error).__name__}: {error}"
+            rec["wall_time_ms"] = (time.perf_counter() - t0) * 1e3
+            return rec
+
+        # a failed prepare or draw ends the check with one error record
+        # at the index of the sample it could not produce
+        draws, state, setup_error = [], None, None
+        t_setup = time.perf_counter()
+        try:
+            state = cd.prepare(ctx, rng) if cd.prepare else None
+            for _ in range(cfg.samples):
+                t_setup = time.perf_counter()
+                draws.append(cd.draw(ctx, rng, state))
+        except YbLabError as exc:
+            setup_error = exc
 
         def one(indexed):
             k, params = indexed
             t0 = time.perf_counter()
-            error = None
             try:
-                residual = float(cd.evaluate(ctx, params, state))
+                return make_record(k, params, float(cd.evaluate(ctx, params, state)), None, t0)
             except YbLabError as exc:
-                residual = None
-                error = f"{type(exc).__name__}: {exc}"
-            record = {"check": name, "seed": cfg.seed, "sample_index": k,
-                      "params": _jsonable({k2: v for k2, v in params.items()
-                                           if k2 != "coeffs"}),
-                      "tolerance": tolerance,
-                      "residual": residual,
-                      "pass": residual is not None and residual <= tolerance}
-            if error is not None:
-                record["error"] = error
-            record["wall_time_ms"] = (time.perf_counter() - t0) * 1e3
-            return record
+                return make_record(k, params, None, exc, t0)
 
         if cfg.threads > 1:
             with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
                 records = list(pool.map(one, enumerate(draws)))
         else:
             records = [one(item) for item in enumerate(draws)]
+        if setup_error is not None:
+            records.append(make_record(len(draws), {}, None, setup_error, t_setup))
         for record in records:
             all_pass &= record["pass"]
             print(json.dumps(record), file=out, flush=True)

@@ -26,6 +26,10 @@ class DynamicalPole(YbLabError):
     """A dynamical argument landed on (or too near) a zero of the weight function."""
 
 
+class SamplingExhausted(YbLabError):
+    """Admissible-point sampling hit its try cap without enough points."""
+
+
 class SizeMismatch(YbLabError):
     """Spectral-set cardinality incompatible with the model."""
 

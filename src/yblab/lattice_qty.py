@@ -1,8 +1,10 @@
 """Brute-force lattice quantities.
 
 Everything here is computed by literal contraction of monodromy blocks
-on the dense chain space.  These are the reference oracles against which
-the closed-form residue evaluators are checked.
+on the chain space: the partition function and scalar products apply
+the blocks to vectors, matrix-free, and the extremal-state checks use
+the dense blocks.  These are the reference oracles against which the
+closed-form residue evaluators are checked.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import RegimeMismatch, SizeMismatch
-from .yb_core import ModelContext, monodromy_blocks
+from .yb_core import ModelContext, apply_block, monodromy_blocks
 
 
 @dataclass(frozen=True)
@@ -72,16 +74,20 @@ class BoundaryVectors:
 def dwbc_partition(X, theta: complex, ctx: ModelContext) -> complex:
     """Domain-wall partition function by direct contraction.
 
-    Applies the creation blocks B(lam_j, theta + j*gamma), j = 1..L in
-    order, to the all-up state and projects on the all-down state.  The
+    Applies the ordered product of creation blocks B(lam_j, theta +
+    j*gamma), j = 1..L, to the all-up state (matrix-free, rightmost
+    block first) and projects on the all-down state.  The
     dynamical argument is tied to the slot j, not to the value occupying
     it, which is what makes the result symmetric in the spectral set.
     """
     lams = as_values(X)
     if len(lams) != ctx.L:
         raise SizeMismatch(f"need exactly L = {ctx.L} spectral points, got {len(lams)}")
-    # shares the exact code path with projecting creation_string
-    return complex(creation_string(lams, theta, ctx)[-1, 0])
+    vec = np.zeros(ctx.dim, dtype=complex)
+    vec[0] = 1.0
+    for j in range(ctx.L, 0, -1):
+        vec = apply_block("B", lams[j - 1], theta + j * ctx.gamma, ctx, vec)
+    return complex(vec[-1])
 
 
 def creation_string(lams: Sequence[complex], theta: complex,
@@ -109,9 +115,9 @@ def scalar_product_bf(XB, YC, ctx: ModelContext) -> complex:
     vec = np.zeros(ctx.dim, dtype=complex)
     vec[0] = 1.0
     for lam in reversed(xb):
-        vec = monodromy_blocks(lam, 0.0, ctx)[1].apply(vec)
+        vec = apply_block("B", lam, 0.0, ctx, vec)
     for lam in yc:
-        vec = monodromy_blocks(lam, 0.0, ctx)[2].apply(vec)
+        vec = apply_block("C", lam, 0.0, ctx, vec)
     return complex(vec[0])
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import SamplingExhausted
 from .special_fn import Regime
 from .yb_core import ModelContext, TolerancePolicy
 
@@ -37,14 +38,15 @@ def sample_spectral(ctx: ModelContext, rng: np.random.Generator, count: int,
     """Draw spectral points with pairwise-admissible differences.
 
     Candidates are rejected until |f(p - q)| > MIN_WEIGHT against every
-    previously accepted point and every point in ``avoid``.
+    previously accepted point and every point in ``avoid``; raises
+    :class:`SamplingExhausted` after ``max_tries`` candidates.
     """
     points: list[complex] = []
     tries = 0
     while len(points) < count:
         tries += 1
         if tries > max_tries:
-            raise RuntimeError("admissible-point sampling did not terminate")
+            raise SamplingExhausted("admissible-point sampling did not terminate")
         cand = draw_point(rng)
         others = points + list(avoid)
         if all(abs(ctx.f(cand - o)) > MIN_WEIGHT for o in others):
@@ -60,7 +62,8 @@ def sample_theta(ctx: ModelContext, rng: np.random.Generator,
     ``shifts`` is the range of integer multiples k for which
     ``theta + k*gamma`` will actually be used; each must satisfy
     |f(theta + k*gamma)| > MIN_WEIGHT.  Trigonometric contexts do not
-    use the dynamical parameter; zero is returned at once.
+    use the dynamical parameter; zero is returned at once.  Raises
+    :class:`SamplingExhausted` after ``max_tries`` candidates.
     """
     if not ctx.is_elliptic:
         return 0j
@@ -70,7 +73,7 @@ def sample_theta(ctx: ModelContext, rng: np.random.Generator,
         cand = draw_point(rng)
         if all(abs(ctx.f(cand + k * ctx.gamma)) > MIN_WEIGHT for k in shifts):
             return cand
-    raise RuntimeError("admissible theta sampling did not terminate")
+    raise SamplingExhausted("admissible theta sampling did not terminate")
 
 
 def sample_mu(rng: np.random.Generator, count: int) -> tuple[complex, ...]:

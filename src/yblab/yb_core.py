@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -163,50 +163,107 @@ def r_matrix(lam: complex, theta: complex, ctx: ModelContext) -> np.ndarray:
                      [0, 0, 0, a]], dtype=complex)
 
 
-def _dyn_embed(vertex_of_weight: Callable[[int], np.ndarray],
-               pair: tuple[int, int],
-               shift_sites: Sequence[int],
-               n_sites: int) -> np.ndarray:
-    """Embed a two-site vertex operator into the ``n_sites`` product space.
+@functools.lru_cache(maxsize=4096)
+def vertex_table(lam: complex, theta: complex, n_shift: int,
+                 ctx: ModelContext) -> np.ndarray:
+    """Nonzero amplitudes of the vertex matrix on each dynamical weight sector.
 
-    ``vertex_of_weight(w)`` must return the 4x4 block evaluated with the
-    dynamical argument shifted for spin-weight ``w``, where ``w`` is the
-    signed spin sum (+1 up, -1 down) of ``shift_sites`` in the *input*
-    basis state.  With an empty ``shift_sites`` this is a plain embedding.
+    Sector ``s`` (``s`` of the ``n_shift`` shift sites down) has spin
+    weight ``w = n_shift - 2*s`` and uses ``r_matrix(lam, theta -
+    gamma*w)``.  Row 0 of the returned ``(2, 4*(n_shift + 1))`` table
+    holds the diagonal amplitudes, row 1 the amplitude from the partner
+    state with the two site spins exchanged (zero on uu and dd); entry
+    ``4*s + k`` belongs to sector ``s`` and pair state ``k``.  By the ice
+    rule these are all the nonzero entries of :func:`r_matrix`.  Tables
+    are read-only and cached on the arguments.
+
+    Memory bound: a table holds ``128 * (n_shift + 1)`` bytes and
+    ``n_shift <= L <= 10`` (the widest factor is the RLL check's
+    auxiliary factor, shifted by every chain site), so an entry is at
+    most 1408 array bytes plus its key and bookkeeping.  Filled with such
+    entries, the 4096-entry cache measured 7.1 MB (tracemalloc), the
+    worst case, reached only at L = 10; at L = 4 it is at most 3.8 MB.
+    One monodromy needs L tables, so the cache keeps the tables of the
+    last 409 monodromies at L = 10 and of 1024 at L = 4.
     """
-    i, j = pair
-    dim = 1 << n_sites
-    out = np.zeros((dim, dim), dtype=complex)
-    bit_i = n_sites - 1 - i
-    bit_j = n_sites - 1 - j
-    shift_bits = tuple(n_sites - 1 - k for k in shift_sites)
-    cache: dict[int, np.ndarray] = {}
-    clear_mask = ~((1 << bit_i) | (1 << bit_j))
-    for col in range(dim):
-        w = 0
-        for b in shift_bits:
-            w += 1 - 2 * ((col >> b) & 1)
-        block = cache.get(w)
-        if block is None:
-            block = cache[w] = vertex_of_weight(w)
-        col_in = 2 * ((col >> bit_i) & 1) + ((col >> bit_j) & 1)
-        base = col & clear_mask
-        for si in (0, 1):
-            for sj in (0, 1):
-                amp = block[2 * si + sj, col_in]
-                if amp != 0.0:
-                    out[base | (si << bit_i) | (sj << bit_j), col] = amp
-    return out
+    table = np.zeros((2, 4 * (n_shift + 1)), dtype=complex)
+    for s in range(n_shift + 1):
+        w = n_shift - 2 * s
+        try:
+            r = r_matrix(lam, theta - ctx.gamma * w, ctx)
+        except DynamicalPole as exc:
+            raise DynamicalPole(f"weight sector {w:+d}: {exc}") from exc
+        table[0, 4 * s:4 * s + 4] = r.diagonal()
+        table[1, 4 * s + 1] = r[1, 2]
+        table[1, 4 * s + 2] = r[2, 1]
+    table.setflags(write=False)
+    return table
 
 
-def _embed(lam: complex, theta: complex, ctx: ModelContext,
-           pair: tuple[int, int], shift_sites: Sequence[int],
-           n_sites: int) -> np.ndarray:
-    if not ctx.is_elliptic:
-        shift_sites = ()
-    g = ctx.gamma
-    return _dyn_embed(lambda w: r_matrix(lam, theta - g * w, ctx),
-                      pair, shift_sites, n_sites)
+@functools.lru_cache(maxsize=64)
+def _layout(n_sites: int, pair: tuple[int, int],
+            shift_sites: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Partner state and vertex-table column of every basis state.
+
+    The partner exchanges the spins of the two ``pair`` sites; the
+    column is ``4*s + k`` with ``s`` the number of down spins on
+    ``shift_sites`` (a vectorized popcount) and ``k`` the pair state.
+    A layout takes ``2**(n_sites + 4)`` bytes, at most 64 KB (the RLL
+    space at L = 10), so the 64 cached layouts stay within 4 MB.
+    """
+    idx = np.arange(1 << n_sites)
+    bit_i, bit_j = (n_sites - 1 - k for k in pair)
+    si = (idx >> bit_i) & 1
+    sj = (idx >> bit_j) & 1
+    flip = si ^ sj
+    partner = idx ^ (flip << bit_i) ^ (flip << bit_j)
+    downs = np.zeros_like(idx)
+    for k in shift_sites:
+        downs += (idx >> (n_sites - 1 - k)) & 1
+    column = 4 * downs + 2 * si + sj
+    partner.setflags(write=False)
+    column.setflags(write=False)
+    return partner, column
+
+
+Factor = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def site_factor(lam: complex, theta: complex, ctx: ModelContext,
+                pair: tuple[int, int], shift_sites: Sequence[int],
+                n_sites: int) -> Factor:
+    """Vertex operator on sites ``pair`` of an ``n_sites`` product space.
+
+    The dynamical argument is ``theta - gamma*w`` with ``w`` the signed
+    spin sum (+1 up, -1 down) of ``shift_sites`` in the input basis
+    state; the shift sites never include the pair, so the partner state
+    lies in the same sector.  Shifts are inert in the trigonometric
+    regime.  The factor is a (vertex table, partner, column) triple for
+    :func:`apply_factors`.
+    """
+    if ctx.is_elliptic:
+        shift_sites, theta = tuple(shift_sites), complex(theta)
+    else:  # one table serves every theta: the vertex ignores it
+        shift_sites, theta = (), 0j
+    table = vertex_table(complex(lam), theta, len(shift_sites), ctx)
+    return (table,) + _layout(n_sites, tuple(pair), shift_sites)
+
+
+def apply_factors(x: np.ndarray, factors: Sequence[Factor]) -> np.ndarray:
+    """Apply the ordered product of ``factors`` to the columns of ``x``.
+
+    ``factors`` is listed left to right as in the operator product, so
+    the last one acts first.  Each factor has at most two nonzeros per
+    column, and acts as ``y = d*x + o*x[partner]`` with ``d`` and ``o``
+    gathered from its vertex table: O(2^n) per factor and column.  Dense
+    operators are this applied to the identity.
+    """
+    for table, partner, column in reversed(factors):
+        d, o = table[:, column]
+        if x.ndim == 2:
+            d, o = d[:, None], o[:, None]
+        x = d * x + o * x[partner]
+    return x
 
 
 def verify_dybe(l1: complex, l2: complex, l3: complex, theta: complex,
@@ -218,17 +275,41 @@ def verify_dybe(l1: complex, l2: complex, l3: complex, theta: complex,
     shifts are inert and this reduces to the ordinary Yang-Baxter
     equation.
     """
-    emb = lambda lam, t, pair, shift: _embed(lam, t, ctx, pair, shift, 3)
-    lhs = emb(l1 - l2, theta, (0, 1), (2,)) \
-        @ emb(l1 - l3, theta, (0, 2), ()) \
-        @ emb(l2 - l3, theta, (1, 2), (0,))
-    rhs = emb(l2 - l3, theta, (1, 2), ()) \
-        @ emb(l1 - l3, theta, (0, 2), (1,)) \
-        @ emb(l1 - l2, theta, (0, 1), ())
+    emb = lambda lam, pair, shift: site_factor(lam, theta, ctx, pair, shift, 3)
+    eye = np.eye(8, dtype=complex)
+    lhs = apply_factors(eye, [emb(l1 - l2, (0, 1), (2,)),
+                              emb(l1 - l3, (0, 2), ()),
+                              emb(l2 - l3, (1, 2), (0,))])
+    rhs = apply_factors(eye, [emb(l2 - l3, (1, 2), ()),
+                              emb(l1 - l3, (0, 2), (1,)),
+                              emb(l1 - l2, (0, 1), ())])
     return ctx.tol.residual(lhs, rhs)
 
 
-@functools.lru_cache(maxsize=512)
+def _monodromy(lam: complex, theta: complex, ctx: ModelContext, aux: int,
+               chain: Sequence[int], extra_shift: tuple[int, ...],
+               n_sites: int) -> list[Factor]:
+    """Site factors of the monodromy on auxiliary site ``aux``, left to right.
+
+    The factor at chain site ``k`` has spectral argument ``lam - mu_k``
+    and is shifted by ``extra_shift`` plus the chain sites after it.
+    """
+    chain = tuple(chain)
+    factors = []
+    for k, site in enumerate(chain):
+        try:
+            factors.append(site_factor(lam - ctx.mu[k], theta, ctx, (aux, site),
+                                       extra_shift + chain[k + 1:], n_sites))
+        except DynamicalPole as exc:
+            raise DynamicalPole(f"site {k + 1}, {exc}") from exc
+    return factors
+
+
+def _chain_monodromy(lam: complex, theta: complex, ctx: ModelContext) -> list[Factor]:
+    return _monodromy(complex(lam), complex(theta), ctx, 0,
+                      range(1, ctx.L + 1), (), ctx.L + 1)
+
+
 def monodromy_blocks(lam: complex, theta: complex, ctx: ModelContext
                      ) -> tuple[ChainOperator, ChainOperator, ChainOperator, ChainOperator]:
     """Auxiliary-space blocks (A, B, C, D) of the monodromy matrix.
@@ -239,30 +320,34 @@ def monodromy_blocks(lam: complex, theta: complex, ctx: ModelContext
     per input basis state.  Blocks are taken in the auxiliary space:
     A = (up|T|up), B = (up|T|down), C = (down|T|up), D = (down|T|down).
 
-    Results are memoized on (lam, theta, ctx); callers must treat the
-    returned operators as read-only.
+    The dense blocks are the site factors applied to the identity; only
+    the vertex tables are cached.  The returned matrices are read-only.
+    Use :func:`apply_block` where only the action on vectors is needed.
     """
-    lam = complex(lam)
-    theta = complex(theta)
-    L = ctx.L
-    n_sites = L + 1  # site 0 is auxiliary
-    g = ctx.gamma
-    total = np.eye(1 << n_sites, dtype=complex)
-    for site in range(1, L + 1):
-        lam_i = lam - ctx.mu[site - 1]
-        shift = range(site + 1, L + 1) if ctx.is_elliptic else ()
+    n = 1 << (ctx.L + 1)
+    total = apply_factors(np.eye(n, dtype=complex), _chain_monodromy(lam, theta, ctx))
+    d = ctx.dim
+    blocks = tuple(ChainOperator(total[r:r + d, c:c + d]) for r in (0, d) for c in (0, d))
+    for block in blocks:
+        block.matrix.setflags(write=False)
+    return blocks
 
-        def vertex(w: int, _lam=lam_i, _site=site):
-            try:
-                return r_matrix(_lam, theta - g * w, ctx)
-            except DynamicalPole as exc:
-                raise DynamicalPole(
-                    f"site {_site}, weight sector {w:+d}: {exc}") from exc
 
-        total = total @ _dyn_embed(vertex, (0, site), shift, n_sites)
-    d = 1 << L
-    return (ChainOperator(total[:d, :d]), ChainOperator(total[:d, d:]),
-            ChainOperator(total[d:, :d]), ChainOperator(total[d:, d:]))
+def apply_block(block: str, lam: complex, theta: complex, ctx: ModelContext,
+                vec: np.ndarray) -> np.ndarray:
+    """One auxiliary block ("A", "B", "C" or "D") of the monodromy applied to ``vec``.
+
+    Matrix-free: ``vec`` (a chain vector, or chain vectors as columns)
+    is placed in the auxiliary input half and the site factors are
+    applied to it, O(L 2^L) per vector.  Agrees with the matching block
+    of :func:`monodromy_blocks` to rounding.
+    """
+    row, col = divmod("ABCD".index(block), 2)
+    d = ctx.dim
+    vec = np.asarray(vec, dtype=complex)
+    x = np.zeros((2 * d,) + vec.shape[1:], dtype=complex)
+    x[col * d:(col + 1) * d] = vec
+    return apply_factors(x, _chain_monodromy(lam, theta, ctx))[row * d:(row + 1) * d]
 
 
 def verify_rll(l1: complex, l2: complex, theta: complex,
@@ -272,25 +357,15 @@ def verify_rll(l1: complex, l2: complex, theta: complex,
     Built on auxiliary_a x auxiliary_b x chain.  The operator-valued
     dynamical arguments (total chain weight for the vertex factor, one
     auxiliary weight for the inner monodromy) are evaluated
-    sector-by-sector through the same per-column mechanism used for the
-    monodromy itself.
+    sector-by-sector by the same site factors as the monodromy itself.
     """
-    L = ctx.L
-    n_sites = L + 2  # 0, 1 auxiliary; 2..L+1 chain
-    g = ctx.gamma
-    chain = list(range(2, L + 2))
-
-    def mono(aux: int, lam: complex, extra_shift: tuple[int, ...]) -> np.ndarray:
-        total = np.eye(1 << n_sites, dtype=complex)
-        for k in range(L):
-            shift = extra_shift + tuple(chain[k + 1:]) if ctx.is_elliptic else ()
-            total = total @ _embed(lam - ctx.mu[k], theta, ctx,
-                                   (aux, chain[k]), shift, n_sites)
-        return total
-
-    r_ab = lambda shift: _embed(l1 - l2, theta, ctx, (0, 1), shift, n_sites)
-    lhs = r_ab(tuple(chain)) @ mono(0, l1, ()) @ mono(1, l2, (0,))
-    rhs = mono(1, l2, ()) @ mono(0, l1, (1,)) @ r_ab(())
+    n_sites = ctx.L + 2  # 0, 1 auxiliary; 2..L+1 chain
+    chain = tuple(range(2, ctx.L + 2))
+    mono = lambda aux, lam, extra: _monodromy(lam, theta, ctx, aux, chain, extra, n_sites)
+    r_ab = lambda shift: [site_factor(l1 - l2, theta, ctx, (0, 1), shift, n_sites)]
+    eye = np.eye(1 << n_sites, dtype=complex)
+    lhs = apply_factors(eye, r_ab(chain) + mono(0, l1, ()) + mono(1, l2, (0,)))
+    rhs = apply_factors(eye, mono(1, l2, ()) + mono(0, l1, (1,)) + r_ab(()))
     return ctx.tol.residual(lhs, rhs)
 
 

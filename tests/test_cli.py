@@ -1,7 +1,8 @@
+import dataclasses
 import json
 
 import yblab.cli as cli
-from yblab.errors import DynamicalPole
+from yblab.errors import DynamicalPole, GridDegenerate
 
 
 def run_cli(args, capsys):
@@ -113,6 +114,37 @@ def test_run_error_records_do_not_abort(monkeypatch, capsys):
     assert samples[0]["error"].startswith("DynamicalPole")
     assert samples[0]["pass"] is False and samples[0]["residual"] is None
     assert samples[1]["pass"] is True
+
+
+def test_run_sampler_exhaustion_becomes_error_record(capsys):
+    # near the nome cap no admissible theta exists; the draw gives up
+    code, out, err = run_cli(["run", "--L", "3", "--nome", "0.89,0", "--samples", "2",
+                              "--checks", "dybe,dia-realization", "--seed", "1"], capsys)
+    assert code == 1
+    assert "Traceback" not in out + err
+    records = parse_records(out)  # every stdout line is JSON
+    dybe = [r for r in records if r.get("check") == "dybe"]
+    assert len(dybe) == 1
+    assert dybe[0]["sample_index"] == 0 and dybe[0]["residual"] is None
+    assert dybe[0]["pass"] is False
+    assert dybe[0]["error"].startswith("SamplingExhausted")
+    later = [r for r in records if r.get("check") == "dia-realization"]
+    assert len(later) == 2 and all(r["pass"] for r in later)
+
+
+def test_run_prepare_failure_becomes_error_record(monkeypatch, capsys):
+    def fail(ctx, rng):
+        raise GridDegenerate("synthetic degenerate grid")
+
+    original = cli.REGISTRY["dybe"]
+    monkeypatch.setitem(cli.REGISTRY, "dybe", dataclasses.replace(original, prepare=fail))
+    code, out, _ = run_cli(["run", "--checks", "dybe,dia-realization", "--samples", "2",
+                            "--seed", "1"], capsys)
+    assert code == 1
+    records = [r for r in parse_records(out) if "check" in r]
+    assert [r["check"] for r in records] == ["dybe"] + ["dia-realization"] * 2
+    assert records[0]["error"] == "GridDegenerate: synthetic degenerate grid"
+    assert records[0]["pass"] is False and records[0]["residual"] is None
 
 
 def test_run_all_trig_checks_small(capsys):
