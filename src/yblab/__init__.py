@@ -10,17 +10,17 @@ connecting them, all to explicit numerical tolerances.
 
 from .errors import (ConfigError, CoincidentPoints, DegreeMismatch, DynamicalPole,
                      GridDegenerate, InterpolationIllConditioned, NomeTooLarge,
-                     NonConvergent, RegimeMismatch, SamplingExhausted,
+                     NonConvergent, NonFinite, RegimeMismatch, SamplingExhausted,
                      SingularCoefficient, SingularR, SizeMismatch, YbLabError)
-from .special_fn import (EllipticParams, Regime, f_weight, f_weight_deriv0,
-                         theta1, trig_weights)
+from .special_fn import (EllipticParams, Regime, f_weight, f_weight_deriv0, six_vertex,
+                         theta1)
 from .yb_core import (ChainOperator, ModelContext, TolerancePolicy, monodromy_blocks,
-                      r_matrix, verify_dybe, verify_rll, weight_operator)
-from .lattice_qty import (BoundaryVectors, SpectralSet, check_hw_actions,
-                          dwbc_partition, hw_action_residuals, scalar_product_bf)
+                      r_matrix, verify_dybe, verify_rll)
+from .lattice_qty import (check_hw_actions, dwbc_partition, hw_action_residuals,
+                          scalar_product_bf)
 from .feq import (FxCoefficients, SnadCoefficients, fx_coefficients, fx_residual,
-                  project, snad_coefficients, snad_residuals, verify_identity)
-from .residue_int import ResidueAssignment, sn_contour, z_contour
+                  snad_coefficients, snad_residuals, verify_identity)
+from .residue_int import sn_contour, z_contour
 from .pde import (MultiPoly, OmegaActions, PdeVars, dia_apply, dia_realized,
                   fzt_residual, interpolate_zbar, omega_actions, omega_leading_apply)
 

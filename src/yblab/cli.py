@@ -12,18 +12,18 @@ Exit codes: 0 all checks passed, 1 any failure, 2 configuration error.
 
 Randomness: numpy PCG64.  The generator for check ``c`` is seeded with
 ``SeedSequence([seed, REGISTRY_INDEX[c]])`` and consumed sample by
-sample on the coordinating thread, so a given (config, seed) pair
-produces identical parameter draws and hence identical residuals,
-independently of --threads.
+sample, so a given (config, seed) pair produces identical parameter
+draws and hence identical residuals.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
@@ -31,7 +31,7 @@ import numpy as np
 import yaml
 
 from . import feq, pde, sampling
-from .errors import ConfigError, YbLabError
+from .errors import ConfigError, NonFinite, YbLabError
 from .special_fn import Regime
 from .yb_core import ModelContext, TolerancePolicy
 from .lattice_qty import dwbc_partition, scalar_product_bf, check_hw_actions
@@ -48,7 +48,6 @@ class RunConfig:
     ctx: ModelContext
     seed: int
     samples: int
-    threads: int
     checks: list[str]
     tolerances: dict[str, float] = field(default_factory=dict)
     mu_is_random: bool = False
@@ -75,9 +74,25 @@ def _parse_complex(value: Any, where: str) -> complex:
     raise ConfigError(f"{where}: expected a number, 're,im' string, or [re, im] pair")
 
 
+def _parse_float(value: Any, where: str) -> float:
+    try:
+        out = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    if not math.isfinite(out):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    return out
+
+
 def _parse_point_list(text: str, where: str) -> tuple[complex, ...]:
     items = [s for s in text.split(";") if s.strip()]
     return tuple(_parse_complex(s.strip(), where) for s in items)
+
+
+def _reject_unknown(section: dict, known: tuple[str, ...], where: str) -> None:
+    for key in section:
+        if key not in known:
+            raise ConfigError(f"{where}: unknown key {key!r}; known: {', '.join(known)}")
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -93,12 +108,15 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(raw, dict):
             raise ConfigError("config: top level must be a mapping")
 
+    _reject_unknown(raw, ("model", "run", "tolerances"), "config")
     model = raw.get("model", {})
     if not isinstance(model, dict):
         raise ConfigError("model: must be a mapping")
+    _reject_unknown(model, ("L", "gamma", "mu", "regime", "tolerance"), "model")
     run = raw.get("run", {})
     if not isinstance(run, dict):
         raise ConfigError("run: must be a mapping")
+    _reject_unknown(run, ("seed", "samples", "checks"), "run")
 
     L = args.L if args.L is not None else model.get("L", 3)
     if not isinstance(L, int) or not (1 <= L <= 10):
@@ -118,6 +136,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         ell = regime_cfg["elliptic"] or {}
         if not isinstance(ell, dict):
             raise ConfigError("model.regime.elliptic: must be a mapping")
+        _reject_unknown(ell, ("nome",), "model.regime.elliptic")
         regime = Regime.elliptic(_parse_complex(ell.get("nome", [0.2, 0.0]),
                                                 "model.regime.elliptic.nome"))
     else:
@@ -126,8 +145,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     tol_cfg = model.get("tolerance", {})
     if not isinstance(tol_cfg, dict):
         raise ConfigError("model.tolerance: must be a mapping")
-    tol = TolerancePolicy(rel_tol=float(tol_cfg.get("rel_tol", 1e-9)),
-                          abs_floor=float(tol_cfg.get("abs_floor", 1e-300)))
+    _reject_unknown(tol_cfg, ("rel_tol", "abs_floor"), "model.tolerance")
+    tol = TolerancePolicy(
+        rel_tol=_parse_float(tol_cfg.get("rel_tol", 1e-9), "model.tolerance.rel_tol"),
+        abs_floor=_parse_float(tol_cfg.get("abs_floor", 1e-300), "model.tolerance.abs_floor"))
 
     seed = args.seed if args.seed is not None else run.get("seed", 0)
     if not isinstance(seed, int) or seed < 0 or seed >= 2 ** 64:
@@ -151,15 +172,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
     try:
         ctx = ModelContext(L=L, gamma=gamma, mu=mu, regime=regime, tol=tol)
-    except (ValueError, YbLabError) as exc:
+    except (ValueError, OverflowError, YbLabError) as exc:
         raise ConfigError(f"model: {exc}")
 
     samples = args.samples if args.samples is not None else run.get("samples", 20)
     if not isinstance(samples, int) or samples < 1:
         raise ConfigError(f"run.samples: expected a positive integer, got {samples!r}")
-    threads = args.threads if args.threads is not None else run.get("threads", 1)
-    if not isinstance(threads, int) or threads < 1:
-        raise ConfigError(f"run.threads: expected a positive integer, got {threads!r}")
 
     if args.checks:
         checks = [c.strip() for c in args.checks.split(",") if c.strip()]
@@ -183,10 +201,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     for name, value in tol_over.items():
         if name not in REGISTRY:
             raise ConfigError(f"tolerances: unknown check {name!r}")
-        tolerances[name] = float(value)
+        tolerances[name] = _parse_float(value, f"tolerances.{name}")
 
-    return RunConfig(ctx=ctx, seed=seed, samples=samples, threads=threads,
-                     checks=checks, tolerances=tolerances, mu_is_random=mu_is_random)
+    return RunConfig(ctx=ctx, seed=seed, samples=samples, checks=checks,
+                     tolerances=tolerances, mu_is_random=mu_is_random)
 
 
 # --- check registry ------------------------------------------------------
@@ -386,12 +404,11 @@ REGISTRY_INDEX = {name: k for k, name in enumerate(REGISTRY)}
 # --- report stream -------------------------------------------------------
 
 def _jsonable(value: Any) -> Any:
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    if isinstance(value, (np.complexfloating,)):
-        return [float(value.real), float(value.imag)]
-    if isinstance(value, (np.floating, np.integer)):
-        return float(value)
+    """JSON-ready copy of ``value``; a non-finite number becomes ``None``."""
+    if isinstance(value, (complex, np.complexfloating)):
+        return [_jsonable(float(value.real)), _jsonable(float(value.imag))]
+    if isinstance(value, (float, np.floating, np.integer)):
+        return float(value) if math.isfinite(value) else None
     if isinstance(value, np.ndarray):
         return [_jsonable(v) for v in value.tolist()]
     if isinstance(value, (list, tuple)):
@@ -416,7 +433,7 @@ def run_suite(cfg: RunConfig, out=None) -> int:
     all_pass = True
     header = {"record": "model", "seed": cfg.seed, "model": _model_echo(cfg),
               "checks": cfg.checks, "samples": cfg.samples}
-    print(json.dumps(header), file=out, flush=True)
+    print(json.dumps(header, allow_nan=False), file=out, flush=True)
     for name in cfg.checks:
         cd = REGISTRY[name]
         tolerance = cfg.tolerances.get(name, cd.tolerance)
@@ -444,27 +461,25 @@ def run_suite(cfg: RunConfig, out=None) -> int:
             for _ in range(cfg.samples):
                 t_setup = time.perf_counter()
                 draws.append(cd.draw(ctx, rng, state))
-        except YbLabError as exc:
+        except (YbLabError, OverflowError) as exc:
             setup_error = exc
 
-        def one(indexed):
-            k, params = indexed
+        def one(k, params):
             t0 = time.perf_counter()
             try:
-                return make_record(k, params, float(cd.evaluate(ctx, params, state)), None, t0)
-            except YbLabError as exc:
+                residual = float(cd.evaluate(ctx, params, state))
+                if not math.isfinite(residual):
+                    raise NonFinite(f"residual is {residual}")
+                return make_record(k, params, residual, None, t0)
+            except (YbLabError, OverflowError) as exc:
                 return make_record(k, params, None, exc, t0)
 
-        if cfg.threads > 1:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                records = list(pool.map(one, enumerate(draws)))
-        else:
-            records = [one(item) for item in enumerate(draws)]
+        records = [one(k, params) for k, params in enumerate(draws)]
         if setup_error is not None:
             records.append(make_record(len(draws), {}, None, setup_error, t_setup))
         for record in records:
             all_pass &= record["pass"]
-            print(json.dumps(record), file=out, flush=True)
+            print(json.dumps(record, allow_nan=False), file=out, flush=True)
         n_ok = sum(r["pass"] for r in records)
         print(f"[{name}] {n_ok}/{len(records)} passed (tolerance {tolerance:g})",
               file=sys.stderr)
@@ -472,6 +487,25 @@ def run_suite(cfg: RunConfig, out=None) -> int:
 
 
 # --- compute subcommand --------------------------------------------------
+
+def _emit_compute(echo: dict, method: str, ctx: ModelContext,
+                  bruteforce: Callable[[], complex], contour: Callable[[], complex]) -> int:
+    """Evaluate the requested routes into ``echo`` and print it; non-finite is an error."""
+    values = {}
+    if method in ("bruteforce", "both"):
+        values["bruteforce"] = bruteforce()
+    if method in ("contour", "both"):
+        values["contour"] = contour()
+    for route, value in values.items():
+        if not cmath.isfinite(value):
+            raise NonFinite(f"{route} value is {value}")
+        echo[route] = _jsonable(value)
+    if method == "both":
+        vb, vc = values["bruteforce"], values["contour"]
+        echo["rel_diff"] = abs(vb - vc) / max(abs(vb), abs(vc), ctx.tol.abs_floor)
+    print(json.dumps(echo, allow_nan=False))
+    return 0
+
 
 def _compute_z(cfg: RunConfig, args) -> int:
     ctx = cfg.ctx
@@ -485,16 +519,9 @@ def _compute_z(cfg: RunConfig, args) -> int:
         else sampling.sample_theta(ctx, rng, range(-(ctx.L + 2), 2 * ctx.L + 3))
     echo = {"record": "compute-z", "model": _model_echo(cfg), "method": args.method,
             "points": _jsonable(list(points)), "theta": _jsonable(theta)}
-    if args.method in ("bruteforce", "both"):
-        echo["bruteforce"] = _jsonable(dwbc_partition(points, theta, ctx))
-    if args.method in ("contour", "both"):
-        echo["contour"] = _jsonable(z_contour(points, theta, ctx))
-    if args.method == "both":
-        zb = complex(*echo["bruteforce"])
-        zc = complex(*echo["contour"])
-        echo["rel_diff"] = abs(zb - zc) / max(abs(zb), abs(zc), ctx.tol.abs_floor)
-    print(json.dumps(echo))
-    return 0
+    return _emit_compute(echo, args.method, ctx,
+                         lambda: dwbc_partition(points, theta, ctx),
+                         lambda: z_contour(points, theta, ctx))
 
 
 def _compute_sn(cfg: RunConfig, args) -> int:
@@ -516,16 +543,9 @@ def _compute_sn(cfg: RunConfig, args) -> int:
         xb, yc = pts[:n], pts[n:]
     echo = {"record": "compute-sn", "model": _model_echo(cfg), "method": args.method,
             "xb": _jsonable(list(xb)), "yc": _jsonable(list(yc))}
-    if args.method in ("bruteforce", "both"):
-        echo["bruteforce"] = _jsonable(scalar_product_bf(xb, yc, ctx))
-    if args.method in ("contour", "both"):
-        echo["contour"] = _jsonable(sn_contour(xb, yc, ctx))
-    if args.method == "both":
-        sb = complex(*echo["bruteforce"])
-        sc = complex(*echo["contour"])
-        echo["rel_diff"] = abs(sb - sc) / max(abs(sb), abs(sc), ctx.tol.abs_floor)
-    print(json.dumps(echo))
-    return 0
+    return _emit_compute(echo, args.method, ctx,
+                         lambda: scalar_product_bf(xb, yc, ctx),
+                         lambda: sn_contour(xb, yc, ctx))
 
 
 # --- entry point ----------------------------------------------------------
@@ -553,7 +573,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--checks", help="comma-separated check names "
                        f"(known: {', '.join(REGISTRY)})")
     p_run.add_argument("--samples", type=int, help="samples per check")
-    p_run.add_argument("--threads", type=int, help="worker threads (1 = bit-stable)")
     p_run.add_argument("--out", help="write the report stream to this file")
 
     p_cmp = sub.add_parser("compute", help="evaluate a lattice quantity")
@@ -578,7 +597,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     # flags that run doesn't define
-    for name in ("checks", "samples", "threads"):
+    for name in ("checks", "samples"):
         if not hasattr(args, name):
             setattr(args, name, None)
     try:
@@ -594,7 +613,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except YbLabError as exc:
+    except (YbLabError, OverflowError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

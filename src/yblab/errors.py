@@ -30,6 +30,10 @@ class SamplingExhausted(YbLabError):
     """Admissible-point sampling hit its try cap without enough points."""
 
 
+class NonFinite(YbLabError, ValueError):
+    """A computed operator or residual is not finite (overflow or NaN)."""
+
+
 class SizeMismatch(YbLabError):
     """Spectral-set cardinality incompatible with the model."""
 

@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import RegimeMismatch, SingularCoefficient, SizeMismatch
 from .lattice_qty import as_values, creation_string
-from .special_fn import trig_weights
-from .yb_core import ChainOperator, ModelContext, monodromy_blocks
+from .special_fn import six_vertex
+from .yb_core import ModelContext, monodromy_blocks
 
 #: Relative floor for coefficient denominators.
 DENOM_RTOL = 1e-12
@@ -91,9 +91,7 @@ def fx_coefficients(l0: complex, X, theta: complex,
             n.append(complex(coeff))
         return FxCoefficients(complex(m0), tuple(n))
 
-    a = lambda z: trig_weights(z, g)[0]
-    b = lambda z: trig_weights(z, g)[1]
-    c = trig_weights(0.0, g)[2]
+    a, b, c = six_vertex(g)
     m0 = np.prod([b(l0 - m) for m in ctx.mu])
     n0 = -np.prod([a(l0 - m) for m in ctx.mu])
     for lam in lams:
@@ -152,10 +150,7 @@ def snad_coefficients(l0: complex, XB, YC, ctx: ModelContext) -> SnadCoefficient
     n = len(xb)
     if len(yc) != n:
         raise SizeMismatch(f"|XB| = {n} differs from |YC| = {len(yc)}")
-    g = ctx.gamma
-    a = lambda z: trig_weights(z, g)[0]
-    b = lambda z: trig_weights(z, g)[1]
-    c = trig_weights(0.0, g)[2]
+    a, b, c = six_vertex(ctx.gamma)
 
     def ratio(z, what):
         return a(z) / _guard(b(z), abs(c), what)
@@ -213,11 +208,6 @@ def snad_residuals(l0: complex, XB, YC, ctx: ModelContext,
             residual(coeffs.jt0, coeffs.ktb, coeffs.ktc))
 
 
-def project(op: ChainOperator, bra: np.ndarray, ket: np.ndarray) -> complex:
-    """Scalar projection <bra| op |ket> with plain-transpose bras."""
-    return complex(np.asarray(bra) @ op.matrix @ np.asarray(ket))
-
-
 # --- operator identities -------------------------------------------------
 
 IDENTITY_KINDS = ("ab", "bb", "abn", "tay", "tdy")
@@ -234,15 +224,11 @@ def verify_ab(l1: complex, l2: complex, ctx: ModelContext) -> float:
     """Six-vertex exchange of a diagonal block through one creation block."""
     if ctx.is_elliptic:
         raise RegimeMismatch("the theta-free exchange rule is trigonometric")
-    a, b, c = (lambda z: trig_weights(z, ctx.gamma)[0],
-               lambda z: trig_weights(z, ctx.gamma)[1],
-               trig_weights(0.0, ctx.gamma)[2])
+    a, b, c = six_vertex(ctx.gamma)
     d = l2 - l1
     _guard(b(d), abs(c), "b(lam_2 - lam_1)")
-    a1 = monodromy_blocks(l1, 0.0, ctx)[0].matrix
-    a2 = monodromy_blocks(l2, 0.0, ctx)[0].matrix
-    b1 = monodromy_blocks(l1, 0.0, ctx)[1].matrix
-    b2 = monodromy_blocks(l2, 0.0, ctx)[1].matrix
+    a1, b1 = (blk.matrix for blk in monodromy_blocks(l1, 0.0, ctx)[:2])
+    a2, b2 = (blk.matrix for blk in monodromy_blocks(l2, 0.0, ctx)[:2])
     lhs = a1 @ b2
     rhs = (a(d) / b(d)) * b2 @ a1 - (c / b(d)) * b1 @ a2
     return ctx.tol.residual(lhs, rhs)
@@ -316,10 +302,7 @@ def _tay_tdy(l0: complex, xb, yc, ctx: ModelContext, use_d: bool) -> float:
     n = len(xb)
     if len(yc) != n:
         raise SizeMismatch(f"|XB| = {n} differs from |YC| = {len(yc)}")
-    g = ctx.gamma
-    a = lambda z: trig_weights(z, g)[0]
-    b = lambda z: trig_weights(z, g)[1]
-    c = trig_weights(0.0, g)[2]
+    a, b, c = six_vertex(ctx.gamma)
     dim = ctx.dim
     blk = 3 if use_d else 0
     diag = lambda lam: monodromy_blocks(lam, 0.0, ctx)[blk].matrix

@@ -9,8 +9,7 @@ closed-form residue evaluators are checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -18,57 +17,9 @@ from .errors import RegimeMismatch, SizeMismatch
 from .yb_core import ModelContext, apply_block, monodromy_blocks
 
 
-@dataclass(frozen=True)
-class SpectralSet:
-    """Ordered set of spectral parameters with removal/prepend operations."""
-
-    values: tuple[complex, ...]
-    label: str = "X"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(complex(v) for v in self.values))
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self) -> Iterator[complex]:
-        return iter(self.values)
-
-    def __getitem__(self, k: int) -> complex:
-        return self.values[k]
-
-    def remove(self, k: int) -> "SpectralSet":
-        """Drop the k-th entry (0-based), keeping order."""
-        return SpectralSet(self.values[:k] + self.values[k + 1:], self.label)
-
-    def prepend(self, value: complex) -> "SpectralSet":
-        return SpectralSet((complex(value),) + self.values, self.label)
-
-    def permuted(self, perm: Sequence[int]) -> "SpectralSet":
-        return SpectralSet(tuple(self.values[p] for p in perm), self.label)
-
-
-def as_values(points: "SpectralSet | Iterable[complex]") -> tuple[complex, ...]:
-    """Coerce a SpectralSet or plain sequence to a tuple of complex values."""
-    if isinstance(points, SpectralSet):
-        return points.values
+def as_values(points: Iterable[complex]) -> tuple[complex, ...]:
+    """Coerce a sequence of spectral points to a tuple of complex values."""
     return tuple(complex(v) for v in points)
-
-
-@dataclass(frozen=True)
-class BoundaryVectors:
-    """All-up and all-down chain states (unit basis vectors)."""
-
-    ket0: np.ndarray
-    ket0bar: np.ndarray
-
-    @classmethod
-    def for_context(cls, ctx: ModelContext) -> "BoundaryVectors":
-        up = np.zeros(ctx.dim, dtype=complex)
-        up[0] = 1.0
-        down = np.zeros(ctx.dim, dtype=complex)
-        down[-1] = 1.0
-        return cls(up, down)
 
 
 def dwbc_partition(X, theta: complex, ctx: ModelContext) -> complex:

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import (CoincidentPoints, DegreeMismatch, GridDegenerate,
                      InterpolationIllConditioned, RegimeMismatch, SingularCoefficient)
 from .lattice_qty import as_values, dwbc_partition
-from .special_fn import trig_weights
+from .special_fn import six_vertex
 from .yb_core import ModelContext
 
 #: Deterministic spectral-parameter candidates for pencil-extraction nodes.
@@ -173,13 +173,6 @@ def dia_realized(p: MultiPoly, i: int, alpha_value: complex,
     return complex(total)
 
 
-def _six_vertex_abc(gamma: complex):
-    a = lambda z: trig_weights(z, gamma)[0]
-    b = lambda z: trig_weights(z, gamma)[1]
-    c = trig_weights(0.0, gamma)[2]
-    return a, b, c
-
-
 def fzt_coefficients(l0: complex, X, ctx: ModelContext
                      ) -> tuple[complex, tuple[complex, ...]]:
     """Merged-form six-vertex swap-equation coefficients.
@@ -191,7 +184,7 @@ def fzt_coefficients(l0: complex, X, ctx: ModelContext
     if ctx.is_elliptic:
         raise RegimeMismatch("the merged swap equation is trigonometric")
     lams = as_values(X)
-    a, b, c = _six_vertex_abc(ctx.gamma)
+    a, b, c = six_vertex(ctx.gamma)
     head = np.prod([b(l0 - m) for m in ctx.mu]) \
         - np.prod([a(l0 - m) for m in ctx.mu]) \
         * np.prod([a(l - l0) / b(l - l0) for l in lams])

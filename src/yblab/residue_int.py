@@ -21,35 +21,17 @@ spectral points, so the product of both is exactly one.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import CoincidentPoints, RegimeMismatch, SingularR, SizeMismatch
 from .lattice_qty import as_values
-from .special_fn import trig_weights
+from .special_fn import six_vertex
 from .yb_core import ModelContext
 
 #: Minimum pairwise separation before points count as coincident.
 COINCIDENCE_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class ResidueAssignment:
-    """Injective map: integration-variable index -> enclosed-pole index."""
-
-    sigma: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(set(self.sigma)) != len(self.sigma):
-            raise ValueError("assignment must be injective")
-
-
-def iter_assignments(n: int) -> Iterator[ResidueAssignment]:
-    """All injective assignments of n variables to n poles (permutations)."""
-    for perm in itertools.permutations(range(n)):
-        yield ResidueAssignment(perm)
 
 
 def _require_distinct(points: Sequence[complex], what: str) -> None:
@@ -79,8 +61,7 @@ def z_contour(X, theta: complex, ctx: ModelContext) -> complex:
     elliptic = ctx.is_elliptic
     pref = f(g) ** L
     total = 0j
-    for assignment in iter_assignments(L):
-        sigma = assignment.sigma
+    for sigma in itertools.permutations(range(L)):
         w = [lams[sigma[i]] for i in range(L)]
         term = pref
         for i in range(L):
@@ -125,18 +106,15 @@ def sn_contour(XB, YC, ctx: ModelContext) -> complex:
         raise SizeMismatch(f"n = {n} exceeds L = {ctx.L}")
     _require_distinct(list(xb) + list(ctx.mu), "sn_contour (creation side vs mu)")
     _require_distinct(list(yc) + list(ctx.mu), "sn_contour (annihilation side vs mu)")
-    g = ctx.gamma
     L = ctx.L
     mu = ctx.mu
-    a = lambda z: trig_weights(z, g)[0]
-    b = lambda z: trig_weights(z, g)[1]
-    c = trig_weights(0.0, g)[2]
+    a, b, c = six_vertex(ctx.gamma)
     pref = (-1) ** (L * n + n * (n + 1) // 2) * c ** (2 * n)
     total = 0j
-    for asg in iter_assignments(n):
-        w = [yc[asg.sigma[i]] for i in range(n)]
-        for asg_bar in iter_assignments(n):
-            wb = [xb[asg_bar.sigma[i]] for i in range(n)]
+    for sigma in itertools.permutations(range(n)):
+        w = [yc[sigma[i]] for i in range(n)]
+        for sigma_bar in itertools.permutations(range(n)):
+            wb = [xb[sigma_bar[i]] for i in range(n)]
             num = 1.0 + 0j
             for i in range(n):
                 for j in range(i + 1, n):
@@ -154,7 +132,7 @@ def sn_contour(XB, YC, ctx: ModelContext) -> complex:
                 if abs(r_i) < 1e-12 * (abs(r_plus) + abs(r_minus)):
                     raise SingularR(
                         f"reciprocal factor {i + 1} vanishes at the assignment "
-                        f"{asg.sigma}|{asg_bar.sigma}; resample the spectral points")
+                        f"{sigma}|{sigma_bar}; resample the spectral points")
                 lam_plus = np.prod([a(wb[i] - mu[k]) * b(mu[k] - w[i])
                                     for k in range(i, L)])
                 lam_minus = np.prod([a(w[i] - mu[k]) * b(mu[k] - wb[i])
@@ -168,9 +146,9 @@ def sn_contour(XB, YC, ctx: ModelContext) -> complex:
             den = 1.0 + 0j
             for i in range(n):
                 for j in range(n):
-                    if j != asg.sigma[i]:
+                    if j != sigma[i]:
                         den *= b(w[i] - yc[j])
-                    if j != asg_bar.sigma[i]:
+                    if j != sigma_bar[i]:
                         den *= b(wb[i] - xb[j])
             total += pref * num / den0 * ratio_prod / den
     return complex(total)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import NomeTooLarge, NonConvergent
 
@@ -138,6 +139,11 @@ def f_weight_deriv0(regime: Regime) -> complex:
     )
 
 
-def trig_weights(lam: complex, gamma: complex) -> tuple[complex, complex, complex]:
-    """Six-vertex weight triple ``(sinh(lam+gamma), sinh(lam), sinh(gamma))``."""
-    return cmath.sinh(lam + gamma), cmath.sinh(lam), cmath.sinh(gamma)
+def six_vertex(gamma: complex) -> tuple[Callable[[complex], complex],
+                                        Callable[[complex], complex], complex]:
+    """Six-vertex weights ``(a, b, c)`` at crossing parameter ``gamma``.
+
+    ``a(z) = sinh(z + gamma)``, ``b(z) = sinh(z)`` and the constant
+    ``c = sinh(gamma)``; the only place these weights are built.
+    """
+    return (lambda z: cmath.sinh(z + gamma)), cmath.sinh, cmath.sinh(gamma)

@@ -23,8 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DynamicalPole
-from .special_fn import Regime, f_weight, trig_weights
+from .errors import DynamicalPole, NonFinite
+from .special_fn import Regime, f_weight, six_vertex
 
 #: Relative floor below which a dynamical denominator counts as a pole.
 POLE_RTOL = 1e-12
@@ -103,24 +103,12 @@ class ChainOperator:
         if m.shape[0] & (m.shape[0] - 1):
             raise ValueError(f"dimension {m.shape[0]} is not a power of two")
         if not np.all(np.isfinite(m.view(float))):
-            raise ValueError("chain operator has non-finite entries")
+            raise NonFinite("chain operator has non-finite entries")
         object.__setattr__(self, "matrix", m)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def __matmul__(self, other) -> "ChainOperator":
-        return ChainOperator(self.matrix @ np.asarray(getattr(other, "matrix", other)))
-
-    def __rmul__(self, scalar: complex) -> "ChainOperator":
-        return ChainOperator(scalar * self.matrix)
-
-    def __add__(self, other) -> "ChainOperator":
-        return ChainOperator(self.matrix + other.matrix)
-
-    def __sub__(self, other) -> "ChainOperator":
-        return ChainOperator(self.matrix - other.matrix)
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         return self.matrix @ np.asarray(vec, dtype=complex)
@@ -142,21 +130,23 @@ def r_matrix(lam: complex, theta: complex, ctx: ModelContext) -> np.ndarray:
     (sinh(lam+gamma), sinh(lam), sinh(gamma)); ``theta`` is ignored.
     """
     if not ctx.is_elliptic:
-        a, b, c = trig_weights(lam, ctx.gamma)
+        a_of, b_of, c = six_vertex(ctx.gamma)
+        a, b = a_of(lam), b_of(lam)
         return np.array([[a, 0, 0, 0],
                          [0, b, c, 0],
                          [0, c, b, 0],
                          [0, 0, 0, a]], dtype=complex)
     f = ctx.f
     g = ctx.gamma
-    ft = f(theta)
-    if abs(ft) <= POLE_RTOL * max(abs(f(theta - g)), abs(f(theta + g)), abs(f(g))):
+    ft, ft_minus, ft_plus, fg = f(theta), f(theta - g), f(theta + g), f(g)
+    if abs(ft) <= POLE_RTOL * max(abs(ft_minus), abs(ft_plus), abs(fg)):
         raise DynamicalPole(f"f(theta) ~ 0 at theta = {theta}")
     a = f(lam + g)
-    bp = f(lam) * f(theta - g) / ft
-    bm = f(lam) * f(theta + g) / ft
-    cp = f(g) * f(theta - lam) / ft
-    cm = f(g) * f(theta + lam) / ft
+    fl = f(lam)
+    bp = fl * ft_minus / ft
+    bm = fl * ft_plus / ft
+    cp = fg * f(theta - lam) / ft
+    cm = fg * f(theta + lam) / ft
     return np.array([[a, 0, 0, 0],
                      [0, bp, cp, 0],
                      [0, cm, bm, 0],
@@ -368,9 +358,3 @@ def verify_rll(l1: complex, l2: complex, theta: complex,
     rhs = apply_factors(eye, mono(1, l2, ()) + mono(0, l1, (1,)) + r_ab(()))
     return ctx.tol.residual(lhs, rhs)
 
-
-def weight_operator(ctx: ModelContext) -> ChainOperator:
-    """Diagonal spin-weight operator: (number up - number down) per basis state."""
-    L = ctx.L
-    diag = np.array([L - 2 * bin(s).count("1") for s in range(ctx.dim)], dtype=complex)
-    return ChainOperator(np.diag(diag))

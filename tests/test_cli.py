@@ -1,6 +1,8 @@
 import dataclasses
 import json
 
+import pytest
+
 import yblab.cli as cli
 from yblab.errors import DynamicalPole, GridDegenerate
 
@@ -11,10 +13,15 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 def parse_records(out):
     lines = [ln for ln in out.splitlines() if ln.strip()]
-    # every line must parse on its own: the stream is valid even truncated
-    return [json.loads(ln) for ln in lines]
+    # every line must parse on its own, strictly (no NaN or Infinity): the
+    # stream is valid JSON even truncated
+    return [json.loads(ln, parse_constant=_reject_constant) for ln in lines]
 
 
 def test_run_happy_path(capsys):
@@ -51,15 +58,6 @@ def test_run_deterministic_across_invocations(capsys):
     assert res1 == res2 and len(res1) == 6
 
 
-def test_run_thread_count_does_not_change_values(capsys):
-    base = ["run", "--checks", "dybe", "--samples", "4", "--seed", "11"]
-    _, out1, _ = run_cli(base, capsys)
-    _, out2, _ = run_cli(base + ["--threads", "3"], capsys)
-    res1 = [r["residual"] for r in parse_records(out1) if "residual" in r]
-    res2 = [r["residual"] for r in parse_records(out2) if "residual" in r]
-    assert res1 == res2
-
-
 def test_run_unknown_check_is_config_error(capsys):
     code, _, err = run_cli(["run", "--checks", "nonsense"], capsys)
     assert code == 2
@@ -70,6 +68,62 @@ def test_run_trig_only_check_on_elliptic_model(capsys):
     code, _, err = run_cli(["run", "--checks", "snad", "--samples", "1"], capsys)
     assert code == 2
     assert "trigonometric" in err
+
+
+def test_run_threads_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--checks", "dybe", "--samples", "1", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, where, key", [
+    ("modle:\n  L: 2\n", "config", "modle"),
+    ("model:\n  gama: [0.4, 0.0]\n", "model", "gama"),
+    ("model:\n  tolerance:\n    rel_tl: 1.0e-9\n", "model.tolerance", "rel_tl"),
+    ("model:\n  regime:\n    elliptic:\n      nom: [0.2, 0.0]\n",
+     "model.regime.elliptic", "nom"),
+    ("run:\n  sample: 50\n", "run", "sample"),
+    ("run:\n  threads: 4\n", "run", "threads"),
+])
+def test_run_unknown_config_key_is_config_error(tmp_path, capsys, text, where, key):
+    cfg = tmp_path / "typo.yaml"
+    cfg.write_text(text)
+    code, out, err = run_cli(["run", "--config", str(cfg), "--checks", "dybe"], capsys)
+    assert code == 2 and out == ""
+    assert f"configuration error: {where}: unknown key {key!r}" in err
+
+
+@pytest.mark.parametrize("regime", [[], ["--trig"]])
+def test_run_overflowing_gamma_is_config_error(capsys, regime):
+    code, out, err = run_cli(["run", "--L", "2", "--gamma", "800,0", "--checks", "dybe"]
+                             + regime, capsys)
+    assert code == 2 and out == ""
+    assert "configuration error: model: " in err
+
+
+@pytest.mark.parametrize("gamma, checks", [("120,0", ["rll"]),
+                                           ("200,0", ["rll", "hw-actions"])])
+def test_run_non_finite_values_become_error_records(capsys, gamma, checks):
+    # sinh(gamma) this large overflows the products inside the checks
+    code, out, err = run_cli(["run", "--trig", "--L", "4", "--gamma", gamma,
+                              "--checks", ",".join(checks), "--samples", "1",
+                              "--seed", "1"], capsys)
+    assert code == 1
+    assert "Traceback" not in out + err
+    records = [r for r in parse_records(out) if "check" in r]
+    assert [r["check"] for r in records] == checks  # one record per sample
+    for rec in records:
+        assert rec["residual"] is None and rec["pass"] is False
+        assert rec["error"].startswith("NonFinite")
+
+
+def test_run_non_finite_tolerance_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "nan.yaml"
+    cfg.write_text("tolerances:\n  dybe: .nan\n")
+    code, out, err = run_cli(["run", "--config", str(cfg), "--checks", "dybe"], capsys)
+    assert code == 2 and out == ""
+    assert "tolerances.dybe: expected a finite number" in err
 
 
 def test_run_mu_length_mismatch(tmp_path, capsys):
@@ -206,6 +260,15 @@ def test_compute_sn_empty_is_one(capsys):
     record = json.loads(out)
     assert record["bruteforce"] == [1.0, 0.0]
     assert record["contour"] == [1.0, 0.0]
+
+
+@pytest.mark.parametrize("gamma, error", [("200,0", "NonFinite"),
+                                           ("400,0", "OverflowError")])
+def test_compute_non_finite_value_is_an_error(capsys, gamma, error):
+    code, out, err = run_cli(["compute", "z", "--trig", "--L", "3", "--gamma", gamma,
+                              "--seed", "1"], capsys)
+    assert code == 1 and out == ""
+    assert f"error: {error}: " in err
 
 
 def test_compute_sn_rejects_elliptic(capsys):

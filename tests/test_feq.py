@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from yblab.errors import RegimeMismatch
-from yblab.feq import (fx_coefficients, fx_residual, project, snad_coefficients,
+from yblab.feq import (fx_coefficients, fx_residual, snad_coefficients,
                        snad_residuals, verify_ab, verify_abn, verify_bb,
                        verify_identity, verify_tay, verify_tdy)
-from yblab.lattice_qty import (BoundaryVectors, creation_string, dwbc_partition,
-                               scalar_product_bf)
+from yblab.lattice_qty import creation_string, dwbc_partition, scalar_product_bf
 from yblab.sampling import random_context, sample_spectral, sample_theta
 from yblab.special_fn import Regime
-from yblab.yb_core import ChainOperator, ModelContext, monodromy_blocks
+from yblab.yb_core import ModelContext, monodromy_blocks
 
 
 def bf_z(ctx):
@@ -213,41 +212,15 @@ def test_identity_unknown_kind(ell_ctx2):
 
 # --- projection -------------------------------------------------------------
 
-def test_project_identity_is_one(trig_ctx2):
-    bv = BoundaryVectors.for_context(trig_ctx2)
-    one = project(ChainOperator(np.eye(trig_ctx2.dim)), bv.ket0, bv.ket0)
-    assert one == 1
-
-
-def test_project_creation_string_is_partition_fn(ell_ctx2, rng):
-    bv = BoundaryVectors.for_context(ell_ctx2)
-    lams = sample_spectral(ell_ctx2, rng, 2)
-    theta = sample_theta(ell_ctx2, rng, range(-2, 6))
-    string = ChainOperator(creation_string(lams, theta, ell_ctx2))
-    # dense product vs matrix-free vector application: equal to rounding
-    projected = project(string, bv.ket0bar, bv.ket0)
-    z = dwbc_partition(lams, theta, ell_ctx2)
-    assert abs(projected - z) <= 1e-13 * abs(z)
-
-
-def test_project_single_creation_block_vanishes(ell_ctx2, rng):
-    # weight mismatch: the diagonal projection of one lowering operator
-    bv = BoundaryVectors.for_context(ell_ctx2)
-    theta = sample_theta(ell_ctx2, rng, range(-2, 3))
-    b_block = monodromy_blocks(0.3 + 0.1j, theta, ell_ctx2)[1]
-    assert project(b_block, bv.ket0, bv.ket0) == 0
-
-
 def test_projected_degree_iterate_reduces_to_swap_equation(ell_ctx2, rng):
     """Projecting the degree-(L+1) exchange iterate term by term must land
     exactly on the swap-equation coefficients times partition functions."""
     ctx = ell_ctx2
     f, g, L = ctx.f, ctx.gamma, ctx.L
-    bv = BoundaryVectors.for_context(ctx)
     pts = sample_spectral(ctx, rng, L + 1)
     l0, lams = pts[0], pts[1:]
     theta = sample_theta(ctx, rng, range(-6, 8))
-    pi = lambda mat: bv.ket0bar @ mat @ bv.ket0
+    pi = lambda m: m[-1, 0]  # <all down| m |all up>
 
     # left action of the diagonal block reduces the degree by one
     lhs = pi(monodromy_blocks(l0, theta + g, ctx)[0].matrix

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from yblab.errors import RegimeMismatch, SizeMismatch
-from yblab.lattice_qty import (BoundaryVectors, SpectralSet, check_hw_actions,
-                               creation_string, dwbc_partition,
+from yblab.lattice_qty import (check_hw_actions, creation_string, dwbc_partition,
                                hw_action_residuals, scalar_product_bf)
 from yblab.sampling import random_context, sample_spectral, sample_theta
 from yblab.special_fn import Regime
@@ -21,22 +20,6 @@ FROZEN_L2_VALUE = -0.055372791794088334 + 0.007614543408206397j
 FROZEN_L3_POINT = ((0.31 + 0.12j, -0.45 + 0.05j, 0.62 - 0.21j),
                    (0.17 - 0.08j, -0.23 + 0.11j, 0.05 + 0.19j))
 FROZEN_L3_VALUE = 0.00702612279470128 + 0.0011493587780595938j
-
-
-def test_spectral_set_operations():
-    s = SpectralSet((1 + 0j, 2 + 0j, 3 + 0j))
-    assert len(s) == 3
-    assert s.remove(1).values == (1 + 0j, 3 + 0j)
-    assert s.prepend(0).values == (0j, 1 + 0j, 2 + 0j, 3 + 0j)
-    assert s.permuted([2, 0, 1]).values == (3 + 0j, 1 + 0j, 2 + 0j)
-
-
-def test_boundary_vectors_orthogonal():
-    ctx = random_context(3, np.random.default_rng(0))
-    bv = BoundaryVectors.for_context(ctx)
-    assert bv.ket0 @ bv.ket0 == 1
-    assert bv.ket0bar @ bv.ket0bar == 1
-    assert bv.ket0bar @ bv.ket0 == 0
 
 
 def test_dwbc_single_site_closed_form(rng):

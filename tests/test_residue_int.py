@@ -5,16 +5,8 @@ import pytest
 from yblab.errors import CoincidentPoints, RegimeMismatch, SingularR
 from yblab.feq import fx_residual
 from yblab.lattice_qty import dwbc_partition, scalar_product_bf
-from yblab.residue_int import ResidueAssignment, iter_assignments, sn_contour, z_contour
+from yblab.residue_int import sn_contour, z_contour
 from yblab.sampling import random_context, sample_spectral, sample_theta
-
-
-def test_assignments_are_injective_permutations():
-    asgs = list(iter_assignments(3))
-    assert len(asgs) == 6
-    assert len({a.sigma for a in asgs}) == 6
-    with pytest.raises(ValueError):
-        ResidueAssignment((0, 0, 1))
 
 
 def test_z_contour_single_variable_closed_form(rng):
@@ -75,12 +67,6 @@ def test_sn_contour_equals_brute_force(n, L, rng):
         sc = sn_contour(xb, yc, ctx)
         sb = scalar_product_bf(xb, yc, ctx)
         assert abs(sc - sb) <= 1e-6 * max(abs(sc), abs(sb))
-
-
-def test_sn_contour_term_count_matches_assignments():
-    # the double sum runs over (n!)^2 injective assignments
-    assert len(list(iter_assignments(2))) ** 2 == 4
-    assert len(list(iter_assignments(3))) ** 2 == 36
 
 
 def test_sn_contour_rejects_elliptic(rng):

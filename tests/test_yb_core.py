@@ -5,8 +5,7 @@ from yblab.errors import DynamicalPole
 from yblab.sampling import random_context, sample_spectral, sample_theta
 from yblab.special_fn import Regime, f_weight
 from yblab.yb_core import (ChainOperator, ModelContext, TolerancePolicy,
-                           monodromy_blocks, r_matrix, verify_dybe, verify_rll,
-                           weight_operator)
+                           monodromy_blocks, r_matrix, verify_dybe, verify_rll)
 
 H = np.diag([1.0, -1.0])
 
@@ -135,19 +134,6 @@ def test_monodromy_weight_grading(rng):
     for block, shift in zip(blocks, (0, -2, 2, 0)):
         off = block.matrix[delta != shift]
         assert np.max(np.abs(off)) < 1e-14
-
-
-def test_weight_operator_small_cases():
-    ctx1 = random_context(1, np.random.default_rng(4))
-    assert np.array_equal(weight_operator(ctx1).matrix, np.diag([1.0 + 0j, -1.0]))
-    ctx3 = random_context(3, np.random.default_rng(5))
-    w = weight_operator(ctx3)
-    up = np.zeros(8, dtype=complex)
-    up[0] = 1.0
-    down = np.zeros(8, dtype=complex)
-    down[-1] = 1.0
-    assert np.array_equal(w.apply(up), 3.0 * up)
-    assert np.array_equal(w.apply(down), -3.0 * down)
 
 
 def test_chain_operator_rejects_nonfinite():
