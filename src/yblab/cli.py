@@ -31,11 +31,11 @@ import numpy as np
 import yaml
 
 from . import feq, pde, sampling
-from .errors import ConfigError, NonFinite, YbLabError
+from .errors import CoincidentPoints, ConfigError, NomeTooLarge, NonFinite, YbLabError
 from .special_fn import Regime
 from .yb_core import ModelContext, TolerancePolicy
 from .lattice_qty import dwbc_partition, scalar_product_bf, check_hw_actions
-from .residue_int import sn_contour, z_contour
+from .residue_int import require_distinct, sn_contour, z_contour
 from .yb_core import verify_dybe, verify_rll
 
 MODEL_SEED_KEY = 1000
@@ -53,7 +53,7 @@ class RunConfig:
     mu_is_random: bool = False
 
 
-def _parse_complex(value: Any, where: str) -> complex:
+def _read_complex(value: Any, where: str) -> complex:
     if isinstance(value, (int, float)):
         return complex(value)
     if isinstance(value, str):
@@ -74,6 +74,13 @@ def _parse_complex(value: Any, where: str) -> complex:
     raise ConfigError(f"{where}: expected a number, 're,im' string, or [re, im] pair")
 
 
+def _parse_complex(value: Any, where: str) -> complex:
+    out = _read_complex(value, where)
+    if not cmath.isfinite(out):
+        raise ConfigError(f"{where}: expected finite parts, got {value!r}")
+    return out
+
+
 def _parse_float(value: Any, where: str) -> float:
     try:
         out = float(value)
@@ -87,6 +94,13 @@ def _parse_float(value: Any, where: str) -> float:
 def _parse_point_list(text: str, where: str) -> tuple[complex, ...]:
     items = [s for s in text.split(";") if s.strip()]
     return tuple(_parse_complex(s.strip(), where) for s in items)
+
+
+def _parse_regime_nome(value: Any, where: str) -> Regime:
+    try:
+        return Regime.elliptic(_parse_complex(value, where))
+    except NomeTooLarge as exc:
+        raise ConfigError(f"{where}: {exc}")
 
 
 def _reject_unknown(section: dict, known: tuple[str, ...], where: str) -> None:
@@ -129,7 +143,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if args.trig:
         regime = Regime.trigonometric()
     elif args.nome:
-        regime = Regime.elliptic(_parse_complex(args.nome, "--nome"))
+        regime = _parse_regime_nome(args.nome, "--nome")
     elif regime_cfg == "trig" or regime_cfg == {"trig": True}:
         regime = Regime.trigonometric()
     elif isinstance(regime_cfg, dict) and "elliptic" in regime_cfg:
@@ -137,8 +151,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(ell, dict):
             raise ConfigError("model.regime.elliptic: must be a mapping")
         _reject_unknown(ell, ("nome",), "model.regime.elliptic")
-        regime = Regime.elliptic(_parse_complex(ell.get("nome", [0.2, 0.0]),
-                                                "model.regime.elliptic.nome"))
+        regime = _parse_regime_nome(ell.get("nome", [0.2, 0.0]),
+                                    "model.regime.elliptic.nome")
     else:
         raise ConfigError("model.regime: expected 'trig' or {elliptic: {nome: ...}}")
 
@@ -169,6 +183,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("model.mu: expected 'random' or a list of complex values")
     if len(mu) != L:
         raise ConfigError(f"model.mu: length {len(mu)} does not match model.L = {L}")
+    try:
+        require_distinct(mu, "--mu" if args.mu else "model.mu")
+    except CoincidentPoints as exc:
+        raise ConfigError(str(exc))
 
     try:
         ctx = ModelContext(L=L, gamma=gamma, mu=mu, regime=regime, tol=tol)
@@ -535,10 +553,16 @@ def _compute_sn(cfg: RunConfig, args) -> int:
             raise ConfigError("compute sn: provide both --xb and --yc, or neither")
         xb = _parse_point_list(args.xb, "--xb")
         yc = _parse_point_list(args.yc, "--yc")
+        if len(xb) != len(yc):
+            raise ConfigError(f"--xb, --yc: {len(xb)} and {len(yc)} points; "
+                              f"need as many of each")
+        n, where = len(xb), "--xb, --yc"
     else:
         n = args.n if args.n is not None else min(ctx.L, 2)
-        if n < 0:
-            raise ConfigError("--n: must be non-negative")
+        where = "--n"
+    if not 0 <= n <= ctx.L:
+        raise ConfigError(f"{where}: need 0..L = 0..{ctx.L} points per side, got {n}")
+    if not args.xb:
         pts = sampling.sample_spectral(ctx, rng, 2 * n, avoid=ctx.mu)
         xb, yc = pts[:n], pts[n:]
     echo = {"record": "compute-sn", "model": _model_echo(cfg), "method": args.method,

@@ -2,11 +2,18 @@
 
 Each oracle recomputes a quantity through a structurally different route
 than the library (explicit configuration sums, finite differences,
-direct weight tables) so agreement is evidence, not tautology.
+direct weight tables, residue sums term by term) so agreement is
+evidence, not tautology.
 """
 
 import cmath
 import itertools
+
+import numpy as np
+
+from yblab.errors import SingularR
+from yblab.lattice_qty import as_values
+from yblab.special_fn import six_vertex
 
 
 def six_vertex_vertex_weight(a_out, s_out, a_in, s_in, lam, gamma):
@@ -66,3 +73,108 @@ def dwbc_enumeration(lams, mu, gamma):
 
 def central_difference(fn, x, h=1e-6):
     return (fn(x + h) - fn(x - h)) / (2 * h)
+
+
+def z_residue_permutations(X, theta, ctx):
+    """Domain-wall partition function as the literal sum of its L! residues.
+
+    Every factor of every term is evaluated at its assignment, one
+    permutation at a time; the reference for ``residue_int.z_contour``.
+    Returns the sum and the sum of the terms' magnitudes, which sets the
+    scale of the rounding error of any summation order.  Inputs are not
+    validated.
+    """
+    lams = as_values(X)
+    L = ctx.L
+    f = ctx.f
+    g = ctx.gamma
+    elliptic = ctx.is_elliptic
+    pref = f(g) ** L
+    total = 0j
+    magnitude = 0.0
+    for sigma in itertools.permutations(range(L)):
+        w = [lams[sigma[i]] for i in range(L)]
+        term = pref
+        for i in range(L):
+            for j in range(i + 1, L):
+                term *= f(w[j] - w[i] + g) * f(w[j] - w[i])
+        if elliptic:
+            for j in range(L):
+                term *= f(theta + (j + 1) * g - w[j] + ctx.mu[j]) \
+                    / f(theta + (j + 1) * g)
+        for i in range(L):
+            for j in range(L):
+                if j < i:
+                    term *= f(ctx.mu[j] - w[i])
+                elif j > i:
+                    term *= f(w[i] - ctx.mu[j] + g)
+        den = 1.0 + 0j
+        for i in range(L):
+            for j in range(L):
+                if j != sigma[i]:
+                    den *= f(w[i] - lams[j])
+        total += term / den
+        magnitude += abs(term / den)
+    return complex(total), magnitude
+
+
+def sn_residue_permutations(XB, YC, ctx):
+    """Off-shell scalar product as the literal sum of its (n!)^2 residues.
+
+    The reference for ``residue_int.sn_contour``; returns the sum and the
+    sum of the terms' magnitudes, and raises ``SingularR`` when a
+    reciprocal factor vanishes at some assignment.  Inputs are not
+    validated.
+    """
+    xb = as_values(XB)
+    yc = as_values(YC)
+    n = len(xb)
+    L = ctx.L
+    mu = ctx.mu
+    a, b, c = six_vertex(ctx.gamma)
+    pref = (-1) ** (L * n + n * (n + 1) // 2) * c ** (2 * n)
+    total = 0j
+    magnitude = 0.0
+    for sigma in itertools.permutations(range(n)):
+        w = [yc[sigma[i]] for i in range(n)]
+        for sigma_bar in itertools.permutations(range(n)):
+            wb = [xb[sigma_bar[i]] for i in range(n)]
+            num = 1.0 + 0j
+            for i in range(n):
+                for j in range(i + 1, n):
+                    num *= b(w[i] - w[j]) ** 2 * b(wb[i] - wb[j]) ** 2 \
+                        * a(w[j] - mu[i]) * a(wb[j] - mu[i])
+            den0 = np.prod([b(w[i] - mu[i]) * b(wb[i] - mu[i]) for i in range(n)]) \
+                if n else 1.0
+            ratio_prod = 1.0 + 0j
+            for i in range(n):
+                r_plus = np.prod([a(w[k] - mu[i]) / b(w[k] - mu[i])
+                                  for k in range(i, n)])
+                r_minus = np.prod([a(wb[k] - mu[i]) / b(wb[k] - mu[i])
+                                   for k in range(i, n)])
+                r_i = r_plus - r_minus
+                if abs(r_i) < 1e-12 * (abs(r_plus) + abs(r_minus)):
+                    raise SingularR(
+                        f"reciprocal factor {i + 1} vanishes at the assignment "
+                        f"{sigma}|{sigma_bar}; resample the spectral points")
+                lam_plus = np.prod([a(wb[i] - mu[k]) * b(mu[k] - w[i])
+                                    for k in range(i, L)])
+                lam_minus = np.prod([a(w[i] - mu[k]) * b(mu[k] - wb[i])
+                                     for k in range(i, L)])
+                for k in range(i + 1, n):
+                    lam_plus *= (a(w[i] - w[k]) / b(w[i] - w[k])) \
+                        * (a(wb[k] - wb[i]) / b(wb[k] - wb[i]))
+                    lam_minus *= (a(w[k] - w[i]) / b(w[k] - w[i])) \
+                        * (a(wb[i] - wb[k]) / b(wb[i] - wb[k]))
+                ratio_prod *= (lam_plus - lam_minus) / r_i
+            den = 1.0 + 0j
+            for i in range(n):
+                for j in range(n):
+                    if j != sigma[i]:
+                        den *= b(w[i] - yc[j])
+                    if j != sigma_bar[i]:
+                        den *= b(wb[i] - xb[j])
+            term = pref * num / den0 * ratio_prod / den
+            total += term
+            magnitude += abs(term)
+    return complex(total), magnitude

@@ -275,3 +275,45 @@ def test_compute_sn_rejects_elliptic(capsys):
     code, _, err = run_cli(["compute", "sn", "--L", "2", "--n", "1"], capsys)
     assert code == 2
     assert "trigonometric" in err
+
+
+def test_run_nome_at_cap_is_config_error(capsys):
+    code, out, err = run_cli(["run", "--nome", "0.95,0", "--checks", "dybe",
+                              "--samples", "1"], capsys)
+    assert code == 2 and out == ""
+    assert "configuration error: --nome: |nome| = 0.95 >= 0.9" in err
+
+
+@pytest.mark.parametrize("gamma", ["nan,0", "0,inf"])
+def test_run_non_finite_parameter_is_config_error(capsys, gamma):
+    code, out, err = run_cli(["run", "--trig", "--gamma", gamma, "--checks", "dybe",
+                              "--samples", "1"], capsys)
+    assert code == 2 and out == ""
+    assert f"configuration error: --gamma: expected finite parts, got {gamma!r}" in err
+
+
+@pytest.mark.parametrize("points, message", [
+    (["--n", "3"], "--n: need 0..L = 0..2 points per side, got 3"),
+    (["--xb", "0.1,0;0.2,0;0.3,0", "--yc", "0.4,0;0.5,0;0.6,0"],
+     "--xb, --yc: need 0..L = 0..2 points per side, got 3"),
+    (["--xb", "0.1,0;0.2,0", "--yc", "0.4,0"], "--xb, --yc: 2 and 1 points"),
+])
+@pytest.mark.parametrize("method", ["bruteforce", "contour"])
+def test_compute_sn_point_count_is_validated(capsys, points, message, method):
+    # brute force used to print 0 and the residue sum to fail with exit 1
+    code, out, err = run_cli(["compute", "sn", "--trig", "--L", "2", "--method", method]
+                             + points, capsys)
+    assert code == 2 and out == ""
+    assert f"configuration error: {message}" in err
+
+
+def test_coincident_explicit_mu_is_config_error(tmp_path, capsys):
+    code, out, err = run_cli(["run", "--L", "2", "--mu", "0.1,0;0.1,0",
+                              "--checks", "dybe", "--samples", "1"], capsys)
+    assert code == 2 and out == ""
+    assert "configuration error: --mu: points 0 and 1 coincide" in err
+    cfg = tmp_path / "mu.yaml"
+    cfg.write_text("model:\n  L: 2\n  mu: [[0.1, 0.0], [0.1, 1.0e-9]]\n")
+    code, out, err = run_cli(["run", "--config", str(cfg), "--checks", "dybe"], capsys)
+    assert code == 2 and out == ""
+    assert "configuration error: model.mu: points 0 and 1 coincide" in err

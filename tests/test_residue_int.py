@@ -8,6 +8,8 @@ from yblab.lattice_qty import dwbc_partition, scalar_product_bf
 from yblab.residue_int import sn_contour, z_contour
 from yblab.sampling import random_context, sample_spectral, sample_theta
 
+from oracles import sn_residue_permutations, z_residue_permutations
+
 
 def test_z_contour_single_variable_closed_form(rng):
     ctx = random_context(1, rng)
@@ -82,12 +84,64 @@ def test_sn_contour_rejects_oversized_sets(rng):
         sn_contour((0.1, 0.3), (0.2, 0.4), ctx)
 
 
-def test_sn_contour_singular_reciprocal(rng):
-    # equal creation and annihilation points zero out the reciprocal factor
-    ctx = random_context(1, rng, elliptic=False)
-    lam = sample_spectral(ctx, rng, 1, avoid=ctx.mu)[0]
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sn_contour_singular_reciprocal(n, rng):
+    # creation points that are a permutation of the annihilation points
+    # zero out the first reciprocal factor at every assignment
+    ctx = random_context(n, rng, elliptic=False)
+    yc = sample_spectral(ctx, rng, n, avoid=ctx.mu)
+    xb = yc[1:] + yc[:1]
     with pytest.raises(SingularR):
-        sn_contour((lam,), (lam,), ctx)
+        sn_contour(xb, yc, ctx)
+    with pytest.raises(SingularR):
+        sn_residue_permutations(xb, yc, ctx)
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("elliptic", [True, False])
+def test_z_contour_matches_literal_residue_sum(L, elliptic, rng):
+    # the subset recursion sums the same L! terms as the permutation loop
+    ctx = random_context(L, rng, elliptic=elliptic)
+    for _ in range(3):
+        lams = sample_spectral(ctx, rng, L, avoid=ctx.mu)
+        theta = sample_theta(ctx, rng, range(-1, 2 * L + 3))
+        value = z_contour(lams, theta, ctx)
+        literal, magnitude = z_residue_permutations(lams, theta, ctx)
+        assert abs(value - literal) <= 1e-12 * magnitude
+
+
+@pytest.mark.parametrize("L,n", [(1, 0), (1, 1), (2, 2), (3, 2), (3, 3), (4, 3),
+                                 (4, 4), (5, 4)])
+def test_sn_contour_matches_literal_residue_sum(L, n, rng):
+    # the recursion over pairs of remaining sets sums the same (n!)^2 terms
+    ctx = random_context(L, rng, elliptic=False)
+    for _ in range(3):
+        pts = sample_spectral(ctx, rng, 2 * n, avoid=ctx.mu)
+        value = sn_contour(pts[:n], pts[n:], ctx)
+        literal, magnitude = sn_residue_permutations(pts[:n], pts[n:], ctx)
+        # relative to the terms' magnitudes: the sum can cancel by orders of
+        # magnitude, and the literal order's own rounding error is of this size
+        assert abs(value - literal) <= 1e-12 * magnitude
+
+
+@pytest.mark.parametrize("L,elliptic", [(8, True), (10, False)])
+def test_z_contour_frontier_equals_brute_force(L, elliptic, rng):
+    # sizes whose L! term loop took minutes; the recursion takes milliseconds
+    ctx = random_context(L, rng, elliptic=elliptic)
+    lams = sample_spectral(ctx, rng, L, avoid=ctx.mu)
+    theta = sample_theta(ctx, rng, range(-1, 2 * L + 3))
+    zc = z_contour(lams, theta, ctx)
+    zb = dwbc_partition(lams, theta, ctx)
+    assert abs(zc - zb) <= 1e-8 * max(abs(zc), abs(zb))
+
+
+@pytest.mark.parametrize("L,n", [(7, 6), (8, 7)])
+def test_sn_contour_frontier_equals_brute_force(L, n, rng):
+    ctx = random_context(L, rng, elliptic=False)
+    pts = sample_spectral(ctx, rng, 2 * n, avoid=ctx.mu)
+    sc = sn_contour(pts[:n], pts[n:], ctx)
+    sb = scalar_product_bf(pts[:n], pts[n:], ctx)
+    assert abs(sc - sb) <= 1e-6 * max(abs(sc), abs(sb))
 
 
 @pytest.mark.parametrize("elliptic", [True, False])
