@@ -183,10 +183,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("model.mu: expected 'random' or a list of complex values")
     if len(mu) != L:
         raise ConfigError(f"model.mu: length {len(mu)} does not match model.L = {L}")
-    try:
-        require_distinct(mu, "--mu" if args.mu else "model.mu")
-    except CoincidentPoints as exc:
-        raise ConfigError(str(exc))
+    _require_distinct(mu, "--mu" if args.mu else "model.mu")
 
     try:
         ctx = ModelContext(L=L, gamma=gamma, mu=mu, regime=regime, tol=tol)
@@ -525,6 +522,14 @@ def _emit_compute(echo: dict, method: str, ctx: ModelContext,
     return 0
 
 
+def _require_distinct(points, where: str) -> None:
+    """Coincident explicit points are a configuration error, whichever route runs."""
+    try:
+        require_distinct(points, where)
+    except CoincidentPoints as exc:
+        raise ConfigError(str(exc))
+
+
 def _compute_z(cfg: RunConfig, args) -> int:
     ctx = cfg.ctx
     rng = np.random.Generator(np.random.PCG64(
@@ -533,6 +538,8 @@ def _compute_z(cfg: RunConfig, args) -> int:
         else sampling.sample_spectral(ctx, rng, ctx.L, avoid=ctx.mu)
     if len(points) != ctx.L:
         raise ConfigError(f"--points: need exactly L = {ctx.L} points, got {len(points)}")
+    if args.points:
+        _require_distinct(points, "--points")
     theta = _parse_complex(args.theta, "--theta") if args.theta \
         else sampling.sample_theta(ctx, rng, range(-(ctx.L + 2), 2 * ctx.L + 3))
     echo = {"record": "compute-z", "model": _model_echo(cfg), "method": args.method,
@@ -557,6 +564,8 @@ def _compute_sn(cfg: RunConfig, args) -> int:
             raise ConfigError(f"--xb, --yc: {len(xb)} and {len(yc)} points; "
                               f"need as many of each")
         n, where = len(xb), "--xb, --yc"
+        _require_distinct(xb + ctx.mu, "--xb and mu")
+        _require_distinct(yc + ctx.mu, "--yc and mu")
     else:
         n = args.n if args.n is not None else min(ctx.L, 2)
         where = "--n"

@@ -22,6 +22,7 @@ also verified directly as dense operator identities.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -213,6 +214,11 @@ def snad_residuals(l0: complex, XB, YC, ctx: ModelContext,
 IDENTITY_KINDS = ("ab", "bb", "abn", "tay", "tdy")
 
 
+def _block_table(ctx: ModelContext) -> Callable[[complex, complex], tuple]:
+    """``monodromy_blocks`` by ``(lam, theta)``, each built once; one table per check."""
+    return cache(lambda lam, theta: monodromy_blocks(lam, theta, ctx))
+
+
 def _string(blocks: Sequence[np.ndarray], dim: int) -> np.ndarray:
     out = np.eye(dim, dtype=complex)
     for m in blocks:
@@ -245,7 +251,7 @@ def verify_bb(l1: complex, l2: complex, theta: complex, ctx: ModelContext) -> fl
         raise RegimeMismatch("the dynamical exchange rules need the elliptic regime")
     f = ctx.f
     g = ctx.gamma
-    blocks = lambda lam, t: monodromy_blocks(lam, t, ctx)
+    blocks = _block_table(ctx)
     b11 = blocks(l1, theta)[1].matrix
     b21 = blocks(l2, theta)[1].matrix
     b12 = blocks(l1, theta + g)[1].matrix
@@ -275,8 +281,9 @@ def verify_abn(l0: complex, lams, theta: complex, ctx: ModelContext) -> float:
     n = len(lams)
     f = ctx.f
     g = ctx.gamma
-    a_of = lambda lam, t: monodromy_blocks(lam, t, ctx)[0].matrix
-    y_of = lambda pts, t: creation_string(pts, t, ctx)
+    blocks = _block_table(ctx)
+    a_of = lambda lam, t: blocks(lam, t)[0].matrix
+    y_of = lambda pts, t: creation_string(pts, t, ctx, blocks)
 
     lhs = a_of(l0, theta + g) @ y_of(lams, theta - g)
     head = f(theta + g) / _guard(f(theta + (n + 1) * g), 1.0, "f(theta + (n+1)*gamma)")
@@ -305,9 +312,10 @@ def _tay_tdy(l0: complex, xb, yc, ctx: ModelContext, use_d: bool) -> float:
     a, b, c = six_vertex(ctx.gamma)
     dim = ctx.dim
     blk = 3 if use_d else 0
-    diag = lambda lam: monodromy_blocks(lam, 0.0, ctx)[blk].matrix
-    bmat = lambda lam: monodromy_blocks(lam, 0.0, ctx)[1].matrix
-    cmat = lambda lam: monodromy_blocks(lam, 0.0, ctx)[2].matrix
+    blocks = _block_table(ctx)
+    diag = lambda lam: blocks(lam, 0.0)[blk].matrix
+    bmat = lambda lam: blocks(lam, 0.0)[1].matrix
+    cmat = lambda lam: blocks(lam, 0.0)[2].matrix
     cstr = lambda pts: _string([cmat(p) for p in reversed(pts)], dim)
     bstr = lambda pts: _string([bmat(p) for p in pts], dim)
     sgn = (lambda z: -z) if use_d else (lambda z: z)

@@ -9,7 +9,7 @@ closed-form residue evaluators are checked.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -41,12 +41,19 @@ def dwbc_partition(X, theta: complex, ctx: ModelContext) -> complex:
     return complex(vec[-1])
 
 
-def creation_string(lams: Sequence[complex], theta: complex,
-                    ctx: ModelContext) -> np.ndarray:
-    """Ordered product of creation blocks B(lam_j, theta + j*gamma), j = 1..n."""
+def creation_string(lams: Sequence[complex], theta: complex, ctx: ModelContext,
+                    blocks: Callable[[complex, complex], tuple] | None = None
+                    ) -> np.ndarray:
+    """Ordered product of creation blocks B(lam_j, theta + j*gamma), j = 1..n.
+
+    ``blocks(lam, theta)`` supplies the monodromy blocks; it defaults to
+    :func:`monodromy_blocks` and lets a caller reuse blocks it built.
+    """
+    if blocks is None:
+        blocks = lambda lam, t: monodromy_blocks(lam, t, ctx)
     out = np.eye(ctx.dim, dtype=complex)
     for j, lam in enumerate(lams, start=1):
-        out = out @ monodromy_blocks(lam, theta + j * ctx.gamma, ctx)[1].matrix
+        out = out @ blocks(lam, theta + j * ctx.gamma)[1].matrix
     return out
 
 

@@ -9,7 +9,9 @@ function ``f``.  In the elliptic regime ``f(x) = theta1(i*x) / 2`` where
 with nome ``p``; in the trigonometric regime ``f = sinh``.  Powers of a
 complex nome are computed as ``p**0.25 * p**(n*(n+1))`` so only one
 fractional power is ever taken and the branch choice is fixed across
-terms.  The overall normalization of ``theta1`` is internal: every
+terms.  These powers, with the sign and the factor 2, are tabulated
+once per nome, not per term, so a ``theta1`` call evaluates only the
+sines.  The overall normalization of ``theta1`` is internal: every
 identity verified downstream is homogeneous in ``f``.
 """
 
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 from .errors import NomeTooLarge, NonConvergent
@@ -75,6 +78,22 @@ class Regime:
         return "trigonometric"
 
 
+@lru_cache(maxsize=16)
+def _theta1_coefficients(params: EllipticParams) -> tuple[complex, ...]:
+    """The z-free factors ``2 (-1)^n p^(1/4) p^(n(n+1))``, n < series_cap.
+
+    Built once per nome and truncation policy; each entry is the
+    product :func:`theta1` used to form per term, in the same order, so
+    ``coeff * sin((2n+1) z)`` is the same double.
+    """
+    p = complex(params.nome)
+    if abs(p) >= MAX_NOME:
+        raise NomeTooLarge(f"|nome| = {abs(p):.6g} >= {MAX_NOME}")
+    p_quarter = p ** 0.25
+    return tuple(2.0 * (-1) ** n * p_quarter * p ** (n * (n + 1))
+                 for n in range(params.series_cap))
+
+
 def theta1(z: complex, params: EllipticParams) -> complex:
     """First Jacobi theta function, truncated q-series.
 
@@ -84,25 +103,24 @@ def theta1(z: complex, params: EllipticParams) -> complex:
     real ``z``).  Raises :class:`NonConvergent` if ``series_cap`` terms
     were not enough.
     """
-    p = complex(params.nome)
-    if abs(p) >= MAX_NOME:
-        raise NomeTooLarge(f"|nome| = {abs(p):.6g} >= {MAX_NOME}")
-    p_quarter = p ** 0.25
+    tol = params.term_tol
     total = 0j
-    scale = 0.0
+    scale = 1e-300  # floor of the partial-sum scale
     prev_mag = cmath.inf
-    for n in range(params.series_cap):
-        term = 2.0 * (-1) ** n * p_quarter * p ** (n * (n + 1)) \
-            * cmath.sin((2 * n + 1) * z)
+    for n, coeff in enumerate(_theta1_coefficients(params)):
+        term = coeff * cmath.sin((2 * n + 1) * z)
         total += term
-        scale = max(scale, abs(total))
+        size = abs(total)
+        if size > scale:
+            scale = size
         mag = abs(term)
-        if max(mag, prev_mag) <= params.term_tol * max(scale, 1e-300):
+        # max(mag, prev_mag), spelled out: no builtin call per term
+        if (prev_mag if prev_mag > mag else mag) <= tol * scale:
             return total
         prev_mag = mag
     raise NonConvergent(
         f"theta1 series did not meet term_tol={params.term_tol} "
-        f"within {params.series_cap} terms (|nome|={abs(p):.4g}, z={z})"
+        f"within {params.series_cap} terms (|nome|={abs(complex(params.nome)):.4g}, z={z})"
     )
 
 

@@ -11,9 +11,9 @@ import itertools
 
 import numpy as np
 
-from yblab.errors import SingularR
+from yblab.errors import NomeTooLarge, NonConvergent, SingularR
 from yblab.lattice_qty import as_values
-from yblab.special_fn import six_vertex
+from yblab.special_fn import MAX_NOME, six_vertex
 
 
 def six_vertex_vertex_weight(a_out, s_out, a_in, s_in, lam, gamma):
@@ -69,6 +69,35 @@ def dwbc_enumeration(lams, mu, gamma):
                 break
         total += amp
     return total
+
+
+def theta1_literal(z, params):
+    """The theta series summed term by term, each power of the nome taken in place.
+
+    The loop of ``special_fn.theta1`` before its coefficients were
+    tabulated per nome, kept unchanged so the library is held to the
+    same bits.
+    """
+    p = complex(params.nome)
+    if abs(p) >= MAX_NOME:
+        raise NomeTooLarge(f"|nome| = {abs(p):.6g} >= {MAX_NOME}")
+    p_quarter = p ** 0.25
+    total = 0j
+    scale = 0.0
+    prev_mag = cmath.inf
+    for n in range(params.series_cap):
+        term = 2.0 * (-1) ** n * p_quarter * p ** (n * (n + 1)) \
+            * cmath.sin((2 * n + 1) * z)
+        total += term
+        scale = max(scale, abs(total))
+        mag = abs(term)
+        if max(mag, prev_mag) <= params.term_tol * max(scale, 1e-300):
+            return total
+        prev_mag = mag
+    raise NonConvergent(
+        f"theta1 series did not meet term_tol={params.term_tol} "
+        f"within {params.series_cap} terms (|nome|={abs(p):.4g}, z={z})"
+    )
 
 
 def central_difference(fn, x, h=1e-6):

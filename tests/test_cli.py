@@ -317,3 +317,19 @@ def test_coincident_explicit_mu_is_config_error(tmp_path, capsys):
     code, out, err = run_cli(["run", "--config", str(cfg), "--checks", "dybe"], capsys)
     assert code == 2 and out == ""
     assert "configuration error: model.mu: points 0 and 1 coincide" in err
+
+
+@pytest.mark.parametrize("command, message", [
+    (["z", "--points", "0.1,0;0.1,0"], "--points: points 0 and 1 coincide"),
+    (["sn", "--trig", "--xb", "0.1,0;0.1,0", "--yc", "0.3,0;0.4,0"],
+     "--xb and mu: points 0 and 1 coincide"),
+    (["sn", "--trig", "--xb", "0.3,0;0.4,0", "--yc", "0.5,0;0.6,0"],
+     "--yc and mu: points 0 and 2 coincide"),
+])
+@pytest.mark.parametrize("method", ["bruteforce", "contour", "both"])
+def test_coincident_explicit_points_are_config_error(capsys, command, message, method):
+    # brute force used to print a value and the residue sum to fail with exit 1
+    code, out, err = run_cli(["compute"] + command + ["--L", "2", "--mu", "0.5,0;0.7,0",
+                                                      "--method", method], capsys)
+    assert code == 2 and out == ""
+    assert f"configuration error: {message}" in err

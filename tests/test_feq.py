@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import yblab.feq as feq
 from yblab.errors import RegimeMismatch
 from yblab.feq import (fx_coefficients, fx_residual, snad_coefficients,
                        snad_residuals, verify_ab, verify_abn, verify_bb,
@@ -208,6 +209,24 @@ def test_identity_regime_guard(ell_ctx2, trig_ctx3, rng):
 def test_identity_unknown_kind(ell_ctx2):
     with pytest.raises(ValueError):
         verify_identity("nope", ell_ctx2)
+
+
+@pytest.mark.parametrize("kind, elliptic, built", [
+    ("bb", True, 6), ("abn", True, 9), ("tay", False, 5), ("tdy", False, 5)])
+def test_identity_check_builds_each_block_once(kind, elliptic, built, monkeypatch, rng):
+    # L = 4, n = 2: one build per distinct (lam, theta) a check uses
+    calls = []
+    monkeypatch.setattr(feq, "monodromy_blocks",
+                        lambda *args: calls.append(args[:2]) or monodromy_blocks(*args))
+    ctx = random_context(4, rng, elliptic=elliptic)
+    pts = sample_spectral(ctx, rng, 5)
+    theta = sample_theta(ctx, rng, range(-6, 8)) if elliptic else 0.0
+    params = {"bb": dict(l1=pts[0], l2=pts[1], theta=theta),
+              "abn": dict(l0=pts[0], lams=pts[1:3], theta=theta),
+              "tay": dict(l0=pts[0], xb=pts[1:3], yc=pts[3:5]),
+              "tdy": dict(l0=pts[0], xb=pts[1:3], yc=pts[3:5])}[kind]
+    assert verify_identity(kind, ctx, **params) <= 1e-9
+    assert len(calls) == len(set(calls)) == built
 
 
 # --- projection -------------------------------------------------------------

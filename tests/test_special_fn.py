@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from yblab.errors import NomeTooLarge, NonConvergent
-from yblab.special_fn import (EllipticParams, Regime, f_weight, f_weight_deriv0,
-                              six_vertex, theta1)
+from yblab.special_fn import (EllipticParams, Regime, _theta1_coefficients, f_weight,
+                              f_weight_deriv0, six_vertex, theta1)
 
-from oracles import central_difference
+from oracles import central_difference, theta1_literal
 
 PARAMS = EllipticParams(0.1)
 
@@ -48,6 +48,30 @@ def test_theta1_nonconvergent_when_capped():
     params = EllipticParams(0.5, series_cap=2)
     with pytest.raises(NonConvergent):
         theta1(0.7 + 0.2j, params)
+
+
+@pytest.mark.parametrize("nome", [0, 0.2, -0.5, 0.3j, 0.6 + 0.6j, 0.89])
+def test_theta1_bit_identical_to_literal_series(nome, rng):
+    # tabulating the nome's powers must not move a single bit
+    params = EllipticParams(nome)
+    for _ in range(200):
+        z = complex(rng.uniform(-3, 3), rng.uniform(-2, 2))
+        fast, literal = theta1(z, params), theta1_literal(z, params)
+        assert fast == literal and repr(fast) == repr(literal)
+
+
+@pytest.mark.parametrize("route", [theta1, theta1_literal])
+def test_theta1_failures_match_literal_series(route):
+    with pytest.raises(NonConvergent, match="within 2 terms"):
+        route(0.7 + 0.2j, EllipticParams(0.5, series_cap=2))
+    with pytest.raises(OverflowError):
+        route(400j, EllipticParams(0.2))
+
+
+def test_theta1_coefficient_table_is_bounded_and_immutable():
+    assert _theta1_coefficients.cache_info().maxsize == 16
+    table = _theta1_coefficients(EllipticParams(0.2, series_cap=7))
+    assert isinstance(table, tuple) and len(table) == 7
 
 
 def test_f_weight_trig_matches_exponentials():
