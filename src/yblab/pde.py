@@ -24,15 +24,15 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import (CoincidentPoints, DegreeMismatch, GridDegenerate,
                      InterpolationIllConditioned, RegimeMismatch, SingularCoefficient)
-from .lattice_qty import as_values, dwbc_partition
+from .lattice_qty import as_values
 from .special_fn import six_vertex
-from .yb_core import ModelContext
+from .yb_core import ModelContext, apply_block
 
 #: Deterministic spectral-parameter candidates for pencil-extraction nodes.
 _NODE_CANDIDATES = tuple(
@@ -83,18 +83,31 @@ class MultiPoly:
             v = acc
         return complex(v)
 
-    def derivative(self, axis: int, order: int = 1) -> "MultiPoly":
+    def derivatives(self, axis: int, count: int) -> Iterator["MultiPoly"]:
+        """Derivatives of order 0..count-1 in variable ``axis``, lowest first.
+
+        Each is one exact step (``c[1:] * arange``) from the one before,
+        padded back to the hypercube shape so axes stay aligned; orders
+        above ``max_deg`` are exactly zero.
+        """
         c = np.moveaxis(self.coeffs, axis, 0)
-        for _ in range(order):
-            if c.shape[0] == 1:
-                c = np.zeros_like(c)
-                break
-            c = c[1:] * np.arange(1, c.shape[0]).reshape((-1,) + (1,) * (c.ndim - 1))
-        # pad back to the hypercube shape so axes stay aligned
-        pad = self.coeffs.shape[0] - c.shape[0]
-        if pad > 0:
-            c = np.concatenate([c, np.zeros((pad,) + c.shape[1:], dtype=complex)], axis=0)
-        return MultiPoly(np.moveaxis(c, 0, axis))
+        for order in range(count):
+            if order:
+                if c.shape[0] == 1:
+                    c = np.zeros_like(c)
+                else:
+                    c = c[1:] * np.arange(1, c.shape[0]).reshape((-1,) + (1,) * (c.ndim - 1))
+            pad = self.coeffs.shape[0] - c.shape[0]
+            padded = c if pad == 0 else np.concatenate(
+                [c, np.zeros((pad,) + c.shape[1:], dtype=complex)], axis=0)
+            yield MultiPoly(np.moveaxis(padded, 0, axis))
+
+    def derivative(self, axis: int, order: int = 1) -> "MultiPoly":
+        """The ``order``-th derivative in variable ``axis``, the last of :meth:`derivatives`."""
+        if order < 0:
+            raise ValueError(f"derivative order must be non-negative, got {order}")
+        *_, last = self.derivatives(axis, order + 1)
+        return last
 
     def actual_degree(self, axis: int) -> int:
         c = np.moveaxis(self.coeffs, axis, 0)
@@ -165,10 +178,15 @@ def dia_realized(p: MultiPoly, i: int, alpha_value: complex,
     if m < actual:
         raise DegreeMismatch(f"realization order m = {m} below actual degree {actual}")
     step = complex(alpha_value) - complex(point[i])
+    return _taylor_sum([d.evaluate(point) for d in p.derivatives(i, m + 1)], step)
+
+
+def _taylor_sum(derivs: Sequence[complex], step: complex) -> complex:
+    """``sum_k step^k / k! * derivs[k]``, summed in increasing k."""
     total = 0j
     power = 1.0 + 0j
-    for k in range(m + 1):
-        total += power / math.factorial(k) * p.derivative(i, k).evaluate(point)
+    for k, value in enumerate(derivs):
+        total += power / math.factorial(k) * value
         power *= step
     return complex(total)
 
@@ -215,9 +233,7 @@ def fzt_residual(l0: complex, X, ctx: ModelContext,
 
 def interpolate_zbar(ctx: ModelContext, *,
                      rng: np.random.Generator | None = None,
-                     nodes: Sequence[Sequence[complex]] | None = None,
-                     evaluate_z: Callable[[Sequence[complex], complex], complex] | None = None
-                     ) -> MultiPoly:
+                     nodes: Sequence[Sequence[complex]] | None = None) -> MultiPoly:
     """Reconstruct the partition polynomial by tensor-grid interpolation.
 
     Evaluates the partition function on an L^L grid of spectral points,
@@ -226,14 +242,18 @@ def interpolate_zbar(ctx: ModelContext, *,
     at a time through Vandermonde solves.  Node sets must be well
     separated in the exponentiated variable or :class:`GridDegenerate`
     is raised.
+
+    The grid is one batched contraction, the :func:`dwbc_partition`
+    product with every node of a slot at once: starting from the all-up
+    state, slot j = L..1 applies B(node, j*gamma) for each of its L
+    nodes to all columns so far, so L^2 block applications give the
+    L^L values in C order, each equal to its own contraction.
     """
     if ctx.is_elliptic:
         raise RegimeMismatch("the partition polynomial is defined in the trigonometric regime")
     L = ctx.L
     if L > 4:
         raise ValueError(f"grid interpolation is L^L evaluations; L = {L} > 4 refused")
-    if evaluate_z is None:
-        evaluate_z = lambda pts, th: dwbc_partition(pts, th, ctx)
     if nodes is None:
         if rng is None:
             rng = np.random.default_rng(0)
@@ -259,10 +279,16 @@ def interpolate_zbar(ctx: ModelContext, *,
                     raise GridDegenerate(
                         f"axis nodes {i} and {j} nearly coincide in x = exp(2 lam)")
 
+    cols = np.zeros((ctx.dim, 1), dtype=complex)
+    cols[0] = 1.0
+    for j in range(L, 0, -1):
+        cols = np.concatenate([apply_block("B", lam, 0.0 + j * ctx.gamma, ctx, cols)
+                               for lam in nodes[j - 1]], axis=1)
+    grid = cols[-1].reshape((L,) * L)
     values = np.zeros((L,) * L, dtype=complex)
     for idx in np.ndindex(values.shape):
         pts = [nodes[k][idx[k]] for k in range(L)]
-        values[idx] = evaluate_z(pts, 0.0) * cmath.exp((L - 1) * sum(pts))
+        values[idx] = complex(grid[idx]) * cmath.exp((L - 1) * sum(pts))
 
     coeffs = values
     for axis in range(L):
@@ -307,20 +333,26 @@ def _pencil_nodes(point: PdeVars, count: int) -> list[complex]:
         "could not place enough extraction nodes away from the spectral points")
 
 
-def _swap_operator_value(zbar: MultiPoly, point: PdeVars, ctx: ModelContext,
-                         l0: complex) -> tuple[complex, float]:
-    """One evaluation of the normalized swap pencil; returns (value, term scale)."""
+def _swap_operator_value(z_value: complex, derivs: Sequence[Sequence[complex]],
+                         point: PdeVars, ctx: ModelContext, l0: complex
+                         ) -> tuple[complex, float]:
+    """One evaluation of the normalized swap pencil; returns (value, term scale).
+
+    ``z_value`` is the polynomial at ``point.x`` and ``derivs[i][k]`` its
+    k-th derivative in ``x_i`` there; replacing ``x_i`` by ``x_0`` is
+    their truncated Taylor sum, as in :func:`dia_realized`.
+    """
     L = ctx.L
     lams = point.lam
     head, swaps = fzt_coefficients(l0, lams, ctx)
     half = lambda l: cmath.exp((1 - L) * l)
     head_check = head * np.prod([half(l) for l in lams])
-    terms = [head_check * zbar.evaluate(point.x)]
+    terms = [head_check * z_value]
     x0 = cmath.exp(2 * l0)
     for i, coeff in enumerate(swaps):
         coeff_check = coeff * half(l0) \
             * np.prod([half(lams[j]) for j in range(L) if j != i])
-        terms.append(coeff_check * dia_realized(zbar, i, x0, point.x))
+        terms.append(coeff_check * _taylor_sum(derivs[i], x0 - complex(point.x[i])))
     kappa = 2.0 ** (-L) * cmath.exp(-sum(ctx.mu)) * cmath.exp((1 - L) * sum(lams))
     norm = cmath.exp(L * l0) / (kappa * (1 - point.q ** (-2)))
     value = sum(terms) * norm
@@ -338,6 +370,11 @@ def omega_actions(zbar: MultiPoly, point: PdeVars, ctx: ModelContext) -> OmegaAc
     polynomiality of the pencil is verified, never assumed).  The
     returned coefficients are the pencil operators applied to ``zbar``
     at ``point``; for the true partition polynomial all of them vanish.
+
+    The value of ``zbar`` and the L x L table of its derivatives
+    ``d^k zbar / dx_i^k`` at ``point`` are evaluated once (L^2 + 1
+    evaluations); every node reuses them, and only the Taylor powers
+    ``(x_0 - x_i)^k / k!`` depend on the node.
     """
     L = ctx.L
     if zbar.nvars != L or zbar.max_deg != L - 1:
@@ -345,9 +382,11 @@ def omega_actions(zbar: MultiPoly, point: PdeVars, ctx: ModelContext) -> OmegaAc
             f"expected an {L}-variable polynomial of degree {L - 1}, "
             f"got {zbar.nvars} variables of degree {zbar.max_deg}")
     node_lams = _pencil_nodes(point, L + 2)
+    z_value = zbar.evaluate(point.x)
+    derivs = [[d.evaluate(point.x) for d in zbar.derivatives(i, L)] for i in range(L)]
     values, scales = [], []
     for l0 in node_lams:
-        v, s = _swap_operator_value(zbar, point, ctx, l0)
+        v, s = _swap_operator_value(z_value, derivs, point, ctx, l0)
         values.append(v)
         scales.append(s)
     scale = max(scales)

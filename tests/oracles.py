@@ -8,11 +8,14 @@ evidence, not tautology.
 
 import cmath
 import itertools
+import math
 
 import numpy as np
 
-from yblab.errors import NomeTooLarge, NonConvergent, SingularR
-from yblab.lattice_qty import as_values
+from yblab.errors import (GridDegenerate, InterpolationIllConditioned, NomeTooLarge,
+                          NonConvergent, RegimeMismatch, SingularR)
+from yblab.lattice_qty import as_values, dwbc_partition
+from yblab.pde import MultiPoly, OmegaActions, _pencil_nodes, fzt_coefficients
 from yblab.special_fn import MAX_NOME, six_vertex
 
 
@@ -207,3 +210,120 @@ def sn_residue_permutations(XB, YC, ctx):
             total += term
             magnitude += abs(term)
     return complex(total), magnitude
+
+
+def interpolate_zbar_literal(ctx, *, rng=None, nodes=None):
+    """Partition polynomial from one ``dwbc_partition`` call per grid entry.
+
+    ``pde.interpolate_zbar`` before its grid became one batched
+    contraction, kept unchanged (node drawing and checks included) so
+    the library is held to the same bits.
+    """
+    if ctx.is_elliptic:
+        raise RegimeMismatch("the partition polynomial is defined in the trigonometric regime")
+    L = ctx.L
+    if L > 4:
+        raise ValueError(f"grid interpolation is L^L evaluations; L = {L} > 4 refused")
+    evaluate_z = lambda pts, th: dwbc_partition(pts, th, ctx)
+    if nodes is None:
+        if rng is None:
+            rng = np.random.default_rng(0)
+        nodes = []
+        for _ in range(L):
+            axis = []
+            for _ in range(1000):
+                cand = complex(rng.uniform(-0.9, 0.9), rng.uniform(-0.35, 0.35))
+                xc = cmath.exp(2 * cand)
+                if all(abs(xc - cmath.exp(2 * o)) > 0.2 for o in axis):
+                    axis.append(cand)
+                if len(axis) == L:
+                    break
+            nodes.append(axis)
+    nodes = [tuple(complex(v) for v in axis) for axis in nodes]
+    for axis_nodes in nodes:
+        if len(axis_nodes) != L:
+            raise GridDegenerate(f"need {L} nodes per axis, got {len(axis_nodes)}")
+        xs = [cmath.exp(2 * v) for v in axis_nodes]
+        for i in range(L):
+            for j in range(i + 1, L):
+                if abs(xs[i] - xs[j]) < 1e-3:
+                    raise GridDegenerate(
+                        f"axis nodes {i} and {j} nearly coincide in x = exp(2 lam)")
+
+    values = np.zeros((L,) * L, dtype=complex)
+    for idx in np.ndindex(values.shape):
+        pts = [nodes[k][idx[k]] for k in range(L)]
+        values[idx] = evaluate_z(pts, 0.0) * cmath.exp((L - 1) * sum(pts))
+
+    coeffs = values
+    for axis in range(L):
+        xs = np.array([cmath.exp(2 * v) for v in nodes[axis]])
+        vander = np.vander(xs, L, increasing=True)
+        moved = np.moveaxis(coeffs, axis, 0).reshape(L, -1)
+        solved = np.linalg.solve(vander, moved)
+        coeffs = np.moveaxis(
+            solved.reshape((L,) + coeffs.shape[:axis] + coeffs.shape[axis + 1:]), 0, axis)
+    return MultiPoly(coeffs)
+
+
+def derivative_literal(poly, axis, order=1):
+    """``MultiPoly.derivative`` taking every order from scratch, unchanged."""
+    c = np.moveaxis(poly.coeffs, axis, 0)
+    for _ in range(order):
+        if c.shape[0] == 1:
+            c = np.zeros_like(c)
+            break
+        c = c[1:] * np.arange(1, c.shape[0]).reshape((-1,) + (1,) * (c.ndim - 1))
+    # pad back to the hypercube shape so axes stay aligned
+    pad = poly.coeffs.shape[0] - c.shape[0]
+    if pad > 0:
+        c = np.concatenate([c, np.zeros((pad,) + c.shape[1:], dtype=complex)], axis=0)
+    return MultiPoly(np.moveaxis(c, 0, axis))
+
+
+def dia_realized_literal(p, i, alpha_value, point):
+    """Truncated-Taylor replacement, one from-scratch derivative per order."""
+    m = p.max_deg
+    step = complex(alpha_value) - complex(point[i])
+    total = 0j
+    power = 1.0 + 0j
+    for k in range(m + 1):
+        total += power / math.factorial(k) * derivative_literal(p, i, k).evaluate(point)
+        power *= step
+    return complex(total)
+
+
+def omega_actions_literal(zbar, point, ctx):
+    """The swap pencil with every node evaluating ``zbar`` and its derivatives anew.
+
+    ``pde.omega_actions`` before the derivative table was shared by the
+    nodes, kept unchanged apart from the shape check; the node choice
+    and the swap coefficients are the library's own.
+    """
+    L = ctx.L
+    node_lams = _pencil_nodes(point, L + 2)
+    values, scales = [], []
+    for l0 in node_lams:
+        lams = point.lam
+        head, swaps = fzt_coefficients(l0, lams, ctx)
+        half = lambda l: cmath.exp((1 - L) * l)
+        head_check = head * np.prod([half(l) for l in lams])
+        terms = [head_check * zbar.evaluate(point.x)]
+        x0 = cmath.exp(2 * l0)
+        for i, coeff in enumerate(swaps):
+            coeff_check = coeff * half(l0) \
+                * np.prod([half(lams[j]) for j in range(L) if j != i])
+            terms.append(coeff_check * dia_realized_literal(zbar, i, x0, point.x))
+        kappa = 2.0 ** (-L) * cmath.exp(-sum(ctx.mu)) * cmath.exp((1 - L) * sum(lams))
+        norm = cmath.exp(L * l0) / (kappa * (1 - point.q ** (-2)))
+        values.append(complex(sum(terms) * norm))
+        scales.append(float(sum(abs(t) for t in terms) * abs(norm)))
+    scale = max(scales)
+    x0s = np.array([cmath.exp(2 * l) for l in node_lams])
+    vander = np.vander(x0s[:L], L, increasing=True)
+    coeffs = np.linalg.solve(vander, np.array(values[:L]))
+    for k in (L, L + 1):
+        fitted = sum(coeffs[d] * x0s[k] ** d for d in range(L))
+        if abs(fitted - values[k]) > 1e-6 * max(scale, ctx.tol.abs_floor):
+            raise InterpolationIllConditioned(f"held-out node {k} misses the fit")
+    return OmegaActions(tuple(complex(c) for c in coeffs), scale)

@@ -333,3 +333,52 @@ def test_coincident_explicit_points_are_config_error(capsys, command, message, m
                                                       "--method", method], capsys)
     assert code == 2 and out == ""
     assert f"configuration error: {message}" in err
+
+
+@pytest.mark.parametrize("regime", [["--trig"], ["--nome", "0.2,0"]],
+                         ids=["trig", "elliptic"])
+@pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
+def test_default_checks_end_cleanly_at_every_small_length(capsys, regime, L):
+    # a run ends in records plus exit 0/1, or a configuration error: never a traceback
+    code, out, err = run_cli(["run"] + regime + ["--L", str(L), "--samples", "1",
+                                                 "--seed", "1"], capsys)
+    assert code in (0, 1, 2)
+    parse_records(out)
+    assert "Traceback" not in err
+
+
+def test_pde_checks_leave_the_defaults_beyond_l4(capsys):
+    code, out, _ = run_cli(["run", "--trig", "--L", "5", "--samples", "1"], capsys)
+    checks = parse_records(out)[0]["checks"]
+    assert code in (0, 1) and checks
+    assert "pde-omega" not in checks and "pde-leading" not in checks
+
+
+@pytest.mark.parametrize("check", ["pde-omega", "pde-leading"])
+def test_pde_check_beyond_l4_is_config_error(capsys, check):
+    # the grid interpolation refuses L > 4; it used to end the stream in a traceback
+    code, out, err = run_cli(["run", "--trig", "--L", "5", "--checks", check,
+                              "--samples", "1"], capsys)
+    assert code == 2 and out == ""
+    assert f"configuration error: run.checks: check {check!r} is defined for " \
+           f"L = " in err and "got L = 5" in err
+
+
+def test_pde_leading_is_undefined_at_one_site(capsys):
+    # at L = 1 the leading operator is identically 0: agreement is rounding noise
+    code, out, _ = run_cli(["run", "--trig", "--L", "1", "--samples", "1"], capsys)
+    checks = parse_records(out)[0]["checks"]
+    assert code == 0 and "pde-omega" in checks and "pde-leading" not in checks
+    code, out, err = run_cli(["run", "--trig", "--L", "1", "--checks", "pde-leading",
+                              "--samples", "1"], capsys)
+    assert code == 2 and out == ""
+    assert "configuration error: run.checks: check 'pde-leading' is defined for " \
+           "L = 2..4 only, got L = 1" in err
+
+
+def test_unwritable_out_is_config_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.jsonl"
+    code, out, err = run_cli(["run", "--checks", "dybe", "--samples", "1",
+                              "--out", str(target)], capsys)
+    assert code == 2 and out == "" and not target.exists()
+    assert "configuration error: --out: " in err

@@ -6,12 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from yblab import lattice_qty, pde
 from yblab.errors import (DegreeMismatch, GridDegenerate, RegimeMismatch)
 from yblab.feq import fx_residual
 from yblab.lattice_qty import dwbc_partition
 from yblab.pde import (MultiPoly, PdeVars, dia_apply, dia_realized, fzt_residual,
                        interpolate_zbar, omega_actions, omega_leading_apply)
 from yblab.sampling import random_context, sample_spectral
+
+from oracles import (derivative_literal, dia_realized_literal, interpolate_zbar_literal,
+                     omega_actions_literal)
 
 
 def bf_z(ctx):
@@ -278,3 +282,103 @@ def test_leading_operator_two_site_transcription(pencil_setup, rng):
 def test_multipoly_derivative_beyond_degree_is_zero():
     poly = MultiPoly(np.array([1.0, 2.0, 3.0]))  # degree 2 in one variable
     assert np.all(poly.derivative(0, 3).coeffs == 0)
+
+
+def test_multipoly_negative_derivative_order_is_rejected():
+    with pytest.raises(ValueError):
+        MultiPoly(np.array([1.0, 2.0])).derivative(0, -1)
+
+
+# --- same bits as the literal routes -----------------------------------------
+
+def _explicit_nodes(rng, L):
+    # well separated in x = exp(2 lam), drawn outside interpolate_zbar
+    nodes = []
+    for _ in range(L):
+        axis = []
+        while len(axis) < L:
+            cand = complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.3, 0.3))
+            if all(abs(cmath.exp(2 * cand) - cmath.exp(2 * o)) > 0.3 for o in axis):
+                axis.append(cand)
+        nodes.append(axis)
+    return nodes
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+def test_interpolate_zbar_bit_identical_to_literal_grid(L):
+    rng = np.random.default_rng(40 + L)
+    ctx = random_context(L, rng, elliptic=False)
+    nodes = _explicit_nodes(rng, L)
+    assert np.array_equal(interpolate_zbar(ctx, nodes=nodes).coeffs,
+                          interpolate_zbar_literal(ctx, nodes=nodes).coeffs)
+    for seed in range(2):
+        drawn = interpolate_zbar(ctx, rng=np.random.default_rng(seed)).coeffs
+        literal = interpolate_zbar_literal(ctx, rng=np.random.default_rng(seed)).coeffs
+        assert np.array_equal(drawn, literal)
+
+
+@pytest.mark.parametrize("nvars, deg", [(1, 0), (1, 3), (2, 2), (3, 4), (4, 3)])
+def test_derivatives_bit_identical_to_literal(nvars, deg, rng):
+    poly = random_poly(rng, nvars, deg)
+    for axis in range(nvars):
+        ladder = list(poly.derivatives(axis, deg + 3))
+        assert len(ladder) == deg + 3
+        for order, step in enumerate(ladder):
+            literal = derivative_literal(poly, axis, order).coeffs
+            assert np.array_equal(step.coeffs, literal)
+            assert np.array_equal(poly.derivative(axis, order).coeffs, literal)
+
+
+def test_dia_realized_bit_identical_to_literal(rng):
+    for nvars, deg in [(1, 0), (2, 5), (3, 3), (4, 8)]:
+        poly = random_poly(rng, nvars, deg)
+        point = [complex(a, b) for a, b in rng.uniform(-1, 1, (nvars, 2))]
+        x0 = complex(*rng.uniform(-1, 1, 2))
+        for axis in range(nvars):
+            assert dia_realized(poly, axis, x0, point) \
+                == dia_realized_literal(poly, axis, x0, point)
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+def test_omega_actions_bit_identical_to_literal(L):
+    rng = np.random.default_rng(60 + L)
+    ctx = random_context(L, rng, elliptic=False)
+    zbars = [interpolate_zbar(ctx, rng=rng),
+             interpolate_zbar(ctx, nodes=_explicit_nodes(rng, L))]
+    for zbar in zbars:
+        control = random_poly(rng, L, L - 1)
+        for _ in range(2):
+            point = PdeVars.from_lambdas(sample_spectral(ctx, rng, L), ctx)
+            for poly in (zbar, control):
+                acts = omega_actions(poly, point, ctx)
+                literal = omega_actions_literal(poly, point, ctx)
+                assert acts.coefficients == literal.coefficients
+                assert acts.scale == literal.scale
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+def test_grid_is_l_squared_block_applications(L, monkeypatch):
+    ctx = random_context(L, np.random.default_rng(80 + L), elliptic=False)
+    blocks, partitions = [], []
+    apply_block = pde.apply_block
+    monkeypatch.setattr(pde, "apply_block",
+                        lambda *args: blocks.append(args[:2]) or apply_block(*args))
+    monkeypatch.setattr(lattice_qty, "dwbc_partition",
+                        lambda *args: partitions.append(args) or dwbc_partition(*args))
+    interpolate_zbar(ctx, rng=np.random.default_rng(1))
+    assert len(blocks) == L * L and {name for name, _ in blocks} == {"B"}
+    assert partitions == []
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+def test_pencil_evaluates_each_derivative_once(L, monkeypatch):
+    rng = np.random.default_rng(90 + L)
+    ctx = random_context(L, rng, elliptic=False)
+    zbar = interpolate_zbar(ctx, rng=rng)
+    point = PdeVars.from_lambdas(sample_spectral(ctx, rng, L), ctx)
+    calls = []
+    evaluate = MultiPoly.evaluate
+    monkeypatch.setattr(MultiPoly, "evaluate",
+                        lambda self, pt: calls.append(pt) or evaluate(self, pt))
+    omega_actions(zbar, point, ctx)
+    assert len(calls) == L * L + 1
