@@ -12,10 +12,9 @@ from .errors import (ConfigError, CoincidentPoints, DegreeMismatch, DynamicalPol
                      GridDegenerate, InterpolationIllConditioned, NomeTooLarge,
                      NonConvergent, NonFinite, RegimeMismatch, SamplingExhausted,
                      SingularCoefficient, SingularR, SizeMismatch, YbLabError)
-from .special_fn import (EllipticParams, Regime, f_weight, f_weight_deriv0, six_vertex,
-                         theta1)
-from .yb_core import (ChainOperator, ModelContext, TolerancePolicy, monodromy_blocks,
-                      r_matrix, verify_dybe, verify_rll)
+from .special_fn import EllipticParams, Regime, f_weight, six_vertex, theta1
+from .yb_core import (ABS_FLOOR, ModelContext, monodromy_blocks, r_matrix, residual,
+                      verify_dybe, verify_rll)
 from .lattice_qty import (check_hw_actions, dwbc_partition, hw_action_residuals,
                           scalar_product_bf)
 from .feq import (FxCoefficients, SnadCoefficients, fx_coefficients, fx_residual,

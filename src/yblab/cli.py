@@ -33,7 +33,7 @@ import yaml
 from . import feq, pde, sampling
 from .errors import CoincidentPoints, ConfigError, NomeTooLarge, NonFinite, YbLabError
 from .special_fn import Regime
-from .yb_core import ModelContext, TolerancePolicy
+from .yb_core import ABS_FLOOR, ModelContext
 from .lattice_qty import dwbc_partition, scalar_product_bf, check_hw_actions
 from .residue_int import require_distinct, sn_contour, z_contour
 from .yb_core import verify_dybe, verify_rll
@@ -53,8 +53,15 @@ class RunConfig:
     mu_is_random: bool = False
 
 
+def _is_int(value: Any) -> bool:
+    """An ``int`` but not a ``bool``: YAML reads true/false as bools, a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _read_complex(value: Any, where: str) -> complex:
-    if isinstance(value, (int, float)):
+    if isinstance(value, bool):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    if isinstance(value, (int, float, complex)):
         return complex(value)
     if isinstance(value, str):
         parts = value.split(",")
@@ -67,6 +74,8 @@ def _read_complex(value: Any, where: str) -> complex:
             pass
         raise ConfigError(f"{where}: cannot parse complex number from {value!r}")
     if isinstance(value, (list, tuple)) and len(value) == 2:
+        if any(isinstance(v, bool) for v in value):
+            raise ConfigError(f"{where}: expected [re, im] numbers, got {value!r}")
         try:
             return complex(float(value[0]), float(value[1]))
         except (TypeError, ValueError):
@@ -82,6 +91,8 @@ def _parse_complex(value: Any, where: str) -> complex:
 
 
 def _parse_float(value: Any, where: str) -> float:
+    if isinstance(value, bool):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
     try:
         out = float(value)
     except (TypeError, ValueError):
@@ -126,20 +137,20 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     model = raw.get("model", {})
     if not isinstance(model, dict):
         raise ConfigError("model: must be a mapping")
-    _reject_unknown(model, ("L", "gamma", "mu", "regime", "tolerance"), "model")
+    _reject_unknown(model, ("L", "gamma", "mu", "regime"), "model")
     run = raw.get("run", {})
     if not isinstance(run, dict):
         raise ConfigError("run: must be a mapping")
     _reject_unknown(run, ("seed", "samples", "checks"), "run")
 
     L = args.L if args.L is not None else model.get("L", 3)
-    if not isinstance(L, int) or not (1 <= L <= 10):
+    if not _is_int(L) or not (1 <= L <= 10):
         raise ConfigError(f"model.L: expected an integer in 1..10, got {L!r}")
 
     gamma = _parse_complex(args.gamma, "--gamma") if args.gamma \
-        else _parse_complex(model.get("gamma", [0.41, 0.07]), "model.gamma")
+        else _parse_complex(model.get("gamma", sampling.DEFAULT_GAMMA), "model.gamma")
 
-    regime_cfg = model.get("regime", {"elliptic": {"nome": [0.2, 0.0]}})
+    regime_cfg = model.get("regime", {"elliptic": {"nome": sampling.DEFAULT_NOME}})
     if args.trig:
         regime = Regime.trigonometric()
     elif args.nome:
@@ -151,21 +162,13 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(ell, dict):
             raise ConfigError("model.regime.elliptic: must be a mapping")
         _reject_unknown(ell, ("nome",), "model.regime.elliptic")
-        regime = _parse_regime_nome(ell.get("nome", [0.2, 0.0]),
+        regime = _parse_regime_nome(ell.get("nome", sampling.DEFAULT_NOME),
                                     "model.regime.elliptic.nome")
     else:
         raise ConfigError("model.regime: expected 'trig' or {elliptic: {nome: ...}}")
 
-    tol_cfg = model.get("tolerance", {})
-    if not isinstance(tol_cfg, dict):
-        raise ConfigError("model.tolerance: must be a mapping")
-    _reject_unknown(tol_cfg, ("rel_tol", "abs_floor"), "model.tolerance")
-    tol = TolerancePolicy(
-        rel_tol=_parse_float(tol_cfg.get("rel_tol", 1e-9), "model.tolerance.rel_tol"),
-        abs_floor=_parse_float(tol_cfg.get("abs_floor", 1e-300), "model.tolerance.abs_floor"))
-
     seed = args.seed if args.seed is not None else run.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0 or seed >= 2 ** 64:
+    if not _is_int(seed) or seed < 0 or seed >= 2 ** 64:
         raise ConfigError(f"run.seed: expected an unsigned 64-bit integer, got {seed!r}")
 
     mu_cfg = model.get("mu", "random")
@@ -186,12 +189,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     _require_distinct(mu, "--mu" if args.mu else "model.mu")
 
     try:
-        ctx = ModelContext(L=L, gamma=gamma, mu=mu, regime=regime, tol=tol)
+        ctx = ModelContext(L=L, gamma=gamma, mu=mu, regime=regime)
     except (ValueError, OverflowError, YbLabError) as exc:
         raise ConfigError(f"model: {exc}")
 
     samples = args.samples if args.samples is not None else run.get("samples", 20)
-    if not isinstance(samples, int) or samples < 1:
+    if not _is_int(samples) or samples < 1:
         raise ConfigError(f"run.samples: expected a positive integer, got {samples!r}")
 
     if args.checks:
@@ -319,7 +322,7 @@ def _eval_zcmp(ctx, p, _state):
     # both values ride along in the record next to their relative difference
     p["value_contour"] = zc
     p["value_bruteforce"] = zb
-    return abs(zc - zb) / max(abs(zc), abs(zb), ctx.tol.abs_floor)
+    return abs(zc - zb) / max(abs(zc), abs(zb), ABS_FLOOR)
 
 
 def _draw_sncmp(ctx, rng, _state):
@@ -333,7 +336,7 @@ def _eval_sncmp(ctx, p, _state):
     sb = scalar_product_bf(p["xb"], p["yc"], ctx)
     p["value_contour"] = sc
     p["value_bruteforce"] = sb
-    return abs(sc - sb) / max(abs(sc), abs(sb), ctx.tol.abs_floor)
+    return abs(sc - sb) / max(abs(sc), abs(sb), ABS_FLOOR)
 
 
 def _draw_fzt(ctx, rng, _state):
@@ -364,7 +367,7 @@ def _draw_pde_point(ctx, rng, _state):
 def _eval_pde_omega(ctx, p, zbar):
     point = pde.PdeVars.from_lambdas(p["lams"], ctx)
     acts = pde.omega_actions(zbar, point, ctx)
-    return max(abs(c) for c in acts.coefficients) / max(acts.scale, ctx.tol.abs_floor)
+    return max(abs(c) for c in acts.coefficients) / max(acts.scale, ABS_FLOOR)
 
 
 def _eval_pde_leading(ctx, p, state):
@@ -373,10 +376,10 @@ def _eval_pde_leading(ctx, p, state):
     acts_c = pde.omega_actions(control, point, ctx)
     lead_c = pde.omega_leading_apply(control, point, ctx)
     agree = abs(acts_c.leading - lead_c) \
-        / max(abs(acts_c.leading), abs(lead_c), ctx.tol.abs_floor)
+        / max(abs(acts_c.leading), abs(lead_c), ABS_FLOOR)
     acts_z = pde.omega_actions(zbar, point, ctx)
     null = abs(pde.omega_leading_apply(zbar, point, ctx)) \
-        / max(acts_z.scale, ctx.tol.abs_floor)
+        / max(acts_z.scale, ABS_FLOOR)
     return max(agree, null)
 
 
@@ -398,7 +401,7 @@ def _eval_dia(ctx, p, _state):
     substituted = pde.dia_apply(lambda args: poly.evaluate(args[1:]), p["axis"] + 1, 0)(
         [p["x0"]] + list(p["point"]))
     return abs(realized - substituted) \
-        / max(abs(realized), abs(substituted), ctx.tol.abs_floor)
+        / max(abs(realized), abs(substituted), ABS_FLOOR)
 
 
 REGISTRY: dict[str, CheckDef] = {
@@ -448,7 +451,7 @@ def _model_echo(cfg: RunConfig) -> dict:
     regime = {"elliptic": {"nome": _jsonable(ctx.regime.params.nome)}} \
         if ctx.is_elliptic else "trig"
     return {"L": ctx.L, "gamma": _jsonable(ctx.gamma), "mu": _jsonable(list(ctx.mu)),
-            "regime": regime, "rel_tol": ctx.tol.rel_tol}
+            "regime": regime}
 
 
 def run_suite(cfg: RunConfig, out=None) -> int:
@@ -527,7 +530,7 @@ def _emit_compute(echo: dict, method: str, ctx: ModelContext,
         echo[route] = _jsonable(value)
     if method == "both":
         vb, vc = values["bruteforce"], values["contour"]
-        echo["rel_diff"] = abs(vb - vc) / max(abs(vb), abs(vc), ctx.tol.abs_floor)
+        echo["rel_diff"] = abs(vb - vc) / max(abs(vb), abs(vc), ABS_FLOOR)
     print(json.dumps(echo, allow_nan=False))
     return 0
 

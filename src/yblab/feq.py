@@ -28,9 +28,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import RegimeMismatch, SingularCoefficient, SizeMismatch
-from .lattice_qty import as_values, creation_string
+from .lattice_qty import as_values
 from .special_fn import six_vertex
-from .yb_core import ModelContext, monodromy_blocks
+from .yb_core import ABS_FLOOR, ModelContext, monodromy_blocks, residual
 
 #: Relative floor for coefficient denominators.
 DENOM_RTOL = 1e-12
@@ -124,7 +124,7 @@ def fx_residual(l0: complex, X, theta: complex, ctx: ModelContext,
         rest = extended[:i] + extended[i + 1:]
         terms.append(n_i * evaluate_z(rest, theta))
     num = abs(sum(terms))
-    den = sum(abs(t) for t in terms) + ctx.tol.abs_floor
+    den = sum(abs(t) for t in terms) + ABS_FLOOR
     return float(num / den)
 
 
@@ -138,8 +138,6 @@ class SnadCoefficients:
     kc: tuple[complex, ...]
     ktb: tuple[complex, ...]
     ktc: tuple[complex, ...]
-    alpha_b: int = 1
-    alpha_c: int = -1
 
 
 def snad_coefficients(l0: complex, XB, YC, ctx: ModelContext) -> SnadCoefficients:
@@ -203,7 +201,7 @@ def snad_residuals(l0: complex, XB, YC, ctx: ModelContext,
         terms += [kb[i] * s_bswap[i] for i in range(n)]
         terms += [kc[i] * s_cswap[i] for i in range(n)]
         return float(abs(sum(terms))
-                     / (sum(abs(t) for t in terms) + ctx.tol.abs_floor))
+                     / (sum(abs(t) for t in terms) + ABS_FLOOR))
 
     return (residual(coeffs.j0, coeffs.kb, coeffs.kc),
             residual(coeffs.jt0, coeffs.ktb, coeffs.ktc))
@@ -233,11 +231,11 @@ def verify_ab(l1: complex, l2: complex, ctx: ModelContext) -> float:
     a, b, c = six_vertex(ctx.gamma)
     d = l2 - l1
     _guard(b(d), abs(c), "b(lam_2 - lam_1)")
-    a1, b1 = (blk.matrix for blk in monodromy_blocks(l1, 0.0, ctx)[:2])
-    a2, b2 = (blk.matrix for blk in monodromy_blocks(l2, 0.0, ctx)[:2])
+    a1, b1 = monodromy_blocks(l1, 0.0, ctx)[:2]
+    a2, b2 = monodromy_blocks(l2, 0.0, ctx)[:2]
     lhs = a1 @ b2
     rhs = (a(d) / b(d)) * b2 @ a1 - (c / b(d)) * b1 @ a2
-    return ctx.tol.residual(lhs, rhs)
+    return residual(lhs, rhs)
 
 
 def verify_bb(l1: complex, l2: complex, theta: complex, ctx: ModelContext) -> float:
@@ -252,20 +250,20 @@ def verify_bb(l1: complex, l2: complex, theta: complex, ctx: ModelContext) -> fl
     f = ctx.f
     g = ctx.gamma
     blocks = _block_table(ctx)
-    b11 = blocks(l1, theta)[1].matrix
-    b21 = blocks(l2, theta)[1].matrix
-    b12 = blocks(l1, theta + g)[1].matrix
-    b22 = blocks(l2, theta + g)[1].matrix
-    res_bb = ctx.tol.residual(b11 @ b22, b21 @ b12)
+    b11 = blocks(l1, theta)[1]
+    b21 = blocks(l2, theta)[1]
+    b12 = blocks(l1, theta + g)[1]
+    b22 = blocks(l2, theta + g)[1]
+    res_bb = residual(b11 @ b22, b21 @ b12)
 
     _guard(f(l2 - l1), abs(f(g)), "f(lam_2 - lam_1)")
     _guard(f(theta + 2 * g), 1.0, "f(theta + 2*gamma)")
-    lhs = blocks(l1, theta + g)[0].matrix @ b21
+    lhs = blocks(l1, theta + g)[0] @ b21
     rhs = (f(l2 - l1 + g) / f(l2 - l1)) * (f(theta + g) / f(theta + 2 * g)) \
-        * b22 @ blocks(l1, theta + 2 * g)[0].matrix \
+        * b22 @ blocks(l1, theta + 2 * g)[0] \
         - (f(theta + g - l2 + l1) / f(l2 - l1)) * (f(g) / f(theta + 2 * g)) \
-        * b12 @ blocks(l2, theta + 2 * g)[0].matrix
-    return max(res_bb, ctx.tol.residual(lhs, rhs))
+        * b12 @ blocks(l2, theta + 2 * g)[0]
+    return max(res_bb, residual(lhs, rhs))
 
 
 def verify_abn(l0: complex, lams, theta: complex, ctx: ModelContext) -> float:
@@ -282,8 +280,9 @@ def verify_abn(l0: complex, lams, theta: complex, ctx: ModelContext) -> float:
     f = ctx.f
     g = ctx.gamma
     blocks = _block_table(ctx)
-    a_of = lambda lam, t: blocks(lam, t)[0].matrix
-    y_of = lambda pts, t: creation_string(pts, t, ctx, blocks)
+    a_of = lambda lam, t: blocks(lam, t)[0]
+    y_of = lambda pts, t: _string([blocks(p, t + j * g)[1] for j, p in enumerate(pts, 1)],
+                                  ctx.dim)
 
     lhs = a_of(l0, theta + g) @ y_of(lams, theta - g)
     head = f(theta + g) / _guard(f(theta + (n + 1) * g), 1.0, "f(theta + (n+1)*gamma)")
@@ -298,7 +297,7 @@ def verify_abn(l0: complex, lams, theta: complex, ctx: ModelContext) -> float:
                 coeff *= f(lj - li + g) / _guard(f(lj - li), abs(f(g)), "f(lam_j - lam_i)")
         swapped = (l0,) + lams[:i] + lams[i + 1:]
         rhs = rhs - coeff * y_of(swapped, theta) @ a_of(li, theta + (n + 1) * g)
-    return ctx.tol.residual(lhs, rhs)
+    return residual(lhs, rhs)
 
 
 def _tay_tdy(l0: complex, xb, yc, ctx: ModelContext, use_d: bool) -> float:
@@ -313,9 +312,9 @@ def _tay_tdy(l0: complex, xb, yc, ctx: ModelContext, use_d: bool) -> float:
     dim = ctx.dim
     blk = 3 if use_d else 0
     blocks = _block_table(ctx)
-    diag = lambda lam: blocks(lam, 0.0)[blk].matrix
-    bmat = lambda lam: blocks(lam, 0.0)[1].matrix
-    cmat = lambda lam: blocks(lam, 0.0)[2].matrix
+    diag = lambda lam: blocks(lam, 0.0)[blk]
+    bmat = lambda lam: blocks(lam, 0.0)[1]
+    cmat = lambda lam: blocks(lam, 0.0)[2]
     cstr = lambda pts: _string([cmat(p) for p in reversed(pts)], dim)
     bstr = lambda pts: _string([bmat(p) for p in pts], dim)
     sgn = (lambda z: -z) if use_d else (lambda z: z)
@@ -341,7 +340,7 @@ def _tay_tdy(l0: complex, xb, yc, ctx: ModelContext, use_d: bool) -> float:
                 coeff *= ratio(sgn(xj - xi), "b(xb_j - xb_i)")
         swapped = (l0,) + xb[:i] + xb[i + 1:]
         rhs = rhs - coeff * cc @ bstr(swapped) @ diag(xi)
-    return ctx.tol.residual(lhs, rhs)
+    return residual(lhs, rhs)
 
 
 def verify_tay(l0: complex, XB, YC, ctx: ModelContext) -> float:

@@ -9,12 +9,12 @@ closed-form residue evaluators are checked.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .errors import RegimeMismatch, SizeMismatch
-from .yb_core import ModelContext, apply_block, monodromy_blocks
+from .yb_core import ABS_FLOOR, ModelContext, apply_block, monodromy_blocks, residual
 
 
 def as_values(points: Iterable[complex]) -> tuple[complex, ...]:
@@ -39,22 +39,6 @@ def dwbc_partition(X, theta: complex, ctx: ModelContext) -> complex:
     for j in range(ctx.L, 0, -1):
         vec = apply_block("B", lams[j - 1], theta + j * ctx.gamma, ctx, vec)
     return complex(vec[-1])
-
-
-def creation_string(lams: Sequence[complex], theta: complex, ctx: ModelContext,
-                    blocks: Callable[[complex, complex], tuple] | None = None
-                    ) -> np.ndarray:
-    """Ordered product of creation blocks B(lam_j, theta + j*gamma), j = 1..n.
-
-    ``blocks(lam, theta)`` supplies the monodromy blocks; it defaults to
-    :func:`monodromy_blocks` and lets a caller reuse blocks it built.
-    """
-    if blocks is None:
-        blocks = lambda lam, t: monodromy_blocks(lam, t, ctx)
-    out = np.eye(ctx.dim, dtype=complex)
-    for j, lam in enumerate(lams, start=1):
-        out = out @ blocks(lam, theta + j * ctx.gamma)[1].matrix
-    return out
 
 
 def scalar_product_bf(XB, YC, ctx: ModelContext) -> complex:
@@ -112,21 +96,22 @@ def hw_action_residuals(lam: complex, theta: complex,
         eig_d_up = prod_plain
         eig_d_down = prod_shift
 
-    rho = ctx.tol.residual
-    floor = ctx.tol.abs_floor
+    def annihilated(m, v):
+        return float(np.max(np.abs(v)) / max(np.max(np.abs(m)), ABS_FLOOR))
+
     res = {
-        "A_ket_up": rho(a_mat.apply(up), eig_a_up * up),
-        "A_ket_down": rho(a_mat.apply(down), eig_a_down * down),
-        "D_ket_up": rho(d_mat.apply(up), eig_d_up * up),
-        "D_ket_down": rho(d_mat.apply(down), eig_d_down * down),
-        "A_bra_down": rho(down @ a_mat.matrix, eig_a_down * down),
-        "A_bra_up": rho(up @ a_mat.matrix, eig_a_up * up),
-        "D_bra_up": rho(up @ d_mat.matrix, eig_d_up * up),
-        "D_bra_down": rho(down @ d_mat.matrix, eig_d_down * down),
-        "C_ket_up": float(np.max(np.abs(c_mat.apply(up))) / max(c_mat.max_norm(), floor)),
-        "B_ket_down": float(np.max(np.abs(b_mat.apply(down))) / max(b_mat.max_norm(), floor)),
-        "C_bra_down": float(np.max(np.abs(down @ c_mat.matrix)) / max(c_mat.max_norm(), floor)),
-        "B_bra_up": float(np.max(np.abs(up @ b_mat.matrix)) / max(b_mat.max_norm(), floor)),
+        "A_ket_up": residual(a_mat @ up, eig_a_up * up),
+        "A_ket_down": residual(a_mat @ down, eig_a_down * down),
+        "D_ket_up": residual(d_mat @ up, eig_d_up * up),
+        "D_ket_down": residual(d_mat @ down, eig_d_down * down),
+        "A_bra_down": residual(down @ a_mat, eig_a_down * down),
+        "A_bra_up": residual(up @ a_mat, eig_a_up * up),
+        "D_bra_up": residual(up @ d_mat, eig_d_up * up),
+        "D_bra_down": residual(down @ d_mat, eig_d_down * down),
+        "C_ket_up": annihilated(c_mat, c_mat @ up),
+        "B_ket_down": annihilated(b_mat, b_mat @ down),
+        "C_bra_down": annihilated(c_mat, down @ c_mat),
+        "B_bra_up": annihilated(b_mat, up @ b_mat),
     }
     return res
 

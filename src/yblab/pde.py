@@ -32,7 +32,7 @@ from .errors import (CoincidentPoints, DegreeMismatch, GridDegenerate,
                      InterpolationIllConditioned, RegimeMismatch, SingularCoefficient)
 from .lattice_qty import as_values
 from .special_fn import six_vertex
-from .yb_core import ModelContext, apply_block
+from .yb_core import ABS_FLOOR, ModelContext, apply_block
 
 #: Deterministic spectral-parameter candidates for pencil-extraction nodes.
 _NODE_CANDIDATES = tuple(
@@ -228,7 +228,7 @@ def fzt_residual(l0: complex, X, ctx: ModelContext,
     for i, coeff in enumerate(swaps):
         swapped = (complex(l0),) + lams[:i] + lams[i + 1:]
         terms.append(coeff * evaluate_z(swapped, 0.0))
-    return float(abs(sum(terms)) / (sum(abs(t) for t in terms) + ctx.tol.abs_floor))
+    return float(abs(sum(terms)) / (sum(abs(t) for t in terms) + ABS_FLOOR))
 
 
 def interpolate_zbar(ctx: ModelContext, *,
@@ -395,7 +395,7 @@ def omega_actions(zbar: MultiPoly, point: PdeVars, ctx: ModelContext) -> OmegaAc
     coeffs = np.linalg.solve(vander, np.array(values[:L]))
     for k in (L, L + 1):
         fitted = sum(coeffs[d] * x0s[k] ** d for d in range(L))
-        if abs(fitted - values[k]) > 1e-6 * max(scale, ctx.tol.abs_floor):
+        if abs(fitted - values[k]) > 1e-6 * max(scale, ABS_FLOOR):
             raise InterpolationIllConditioned(
                 f"held-out node {k} misses the degree-{L - 1} fit by "
                 f"{abs(fitted - values[k]):.3e} against scale {scale:.3e}")

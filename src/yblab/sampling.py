@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import SamplingExhausted
 from .special_fn import Regime
-from .yb_core import ModelContext, TolerancePolicy
+from .yb_core import ModelContext
 
 #: Sampling rectangle for spectral parameters.
 RECT_RE = (-1.0, 1.0)
@@ -22,6 +22,8 @@ MU_RE = (-0.5, 0.5)
 MU_IM = (-0.2, 0.2)
 #: Weight-magnitude floor for admissibility.
 MIN_WEIGHT = 1e-3
+#: Candidates a sampler draws before it raises :class:`SamplingExhausted`.
+MAX_TRIES = 10_000
 
 DEFAULT_GAMMA = 0.41 + 0.07j
 DEFAULT_NOME = 0.2 + 0.0j
@@ -33,19 +35,18 @@ def draw_point(rng: np.random.Generator,
 
 
 def sample_spectral(ctx: ModelContext, rng: np.random.Generator, count: int,
-                    avoid: tuple[complex, ...] = (),
-                    max_tries: int = 10_000) -> tuple[complex, ...]:
+                    avoid: tuple[complex, ...] = ()) -> tuple[complex, ...]:
     """Draw spectral points with pairwise-admissible differences.
 
     Candidates are rejected until |f(p - q)| > MIN_WEIGHT against every
     previously accepted point and every point in ``avoid``; raises
-    :class:`SamplingExhausted` after ``max_tries`` candidates.
+    :class:`SamplingExhausted` after ``MAX_TRIES`` candidates.
     """
     points: list[complex] = []
     tries = 0
     while len(points) < count:
         tries += 1
-        if tries > max_tries:
+        if tries > MAX_TRIES:
             raise SamplingExhausted("admissible-point sampling did not terminate")
         cand = draw_point(rng)
         others = points + list(avoid)
@@ -55,21 +56,20 @@ def sample_spectral(ctx: ModelContext, rng: np.random.Generator, count: int,
 
 
 def sample_theta(ctx: ModelContext, rng: np.random.Generator,
-                 shifts: range | None = None,
-                 max_tries: int = 10_000) -> complex:
+                 shifts: range | None = None) -> complex:
     """Draw a dynamical parameter clear of weight-function zeros.
 
     ``shifts`` is the range of integer multiples k for which
     ``theta + k*gamma`` will actually be used; each must satisfy
     |f(theta + k*gamma)| > MIN_WEIGHT.  Trigonometric contexts do not
     use the dynamical parameter; zero is returned at once.  Raises
-    :class:`SamplingExhausted` after ``max_tries`` candidates.
+    :class:`SamplingExhausted` after ``MAX_TRIES`` candidates.
     """
     if not ctx.is_elliptic:
         return 0j
     if shifts is None:
         shifts = range(-(ctx.L + 2), 2 * ctx.L + 3)
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         cand = draw_point(rng)
         if all(abs(ctx.f(cand + k * ctx.gamma)) > MIN_WEIGHT for k in shifts):
             return cand
@@ -89,9 +89,7 @@ def sample_mu(rng: np.random.Generator, count: int) -> tuple[complex, ...]:
 def random_context(L: int, rng: np.random.Generator, *,
                    elliptic: bool = True,
                    gamma: complex = DEFAULT_GAMMA,
-                   nome: complex = DEFAULT_NOME,
-                   tol: TolerancePolicy | None = None) -> ModelContext:
+                   nome: complex = DEFAULT_NOME) -> ModelContext:
     """Model context with seeded random inhomogeneities."""
     regime = Regime.elliptic(nome) if elliptic else Regime.trigonometric()
-    return ModelContext(L=L, gamma=gamma, mu=sample_mu(rng, L), regime=regime,
-                        tol=tol or TolerancePolicy())
+    return ModelContext(L=L, gamma=gamma, mu=sample_mu(rng, L), regime=regime)

@@ -25,7 +25,7 @@ from typing import Callable
 from .errors import NomeTooLarge, NonConvergent
 
 #: Largest admissible |nome|.  Beyond this the q-series converges too
-#: slowly for the fixed term cap and uniform tolerance policy.
+#: slowly for the fixed term cap and term tolerance.
 MAX_NOME = 0.9
 
 
@@ -129,32 +129,6 @@ def f_weight(lam: complex, regime: Regime) -> complex:
     if regime.is_elliptic:
         return theta1(1j * lam, regime.params) / 2.0
     return cmath.sinh(lam)
-
-
-def f_weight_deriv0(regime: Regime) -> complex:
-    """Derivative of the weight function at the origin.
-
-    Elliptic regime: term-wise differentiated theta series at z = 0,
-    including the chain-rule factor of the ``i*lam`` argument and the
-    1/2 normalization, which combine to
-    ``i * sum (-1)^n (2n+1) p^((n+1/2)^2)``.  Trigonometric: cosh(0) = 1.
-    """
-    if not regime.is_elliptic:
-        return 1.0 + 0j
-    params = regime.params
-    p = complex(params.nome)
-    p_quarter = p ** 0.25
-    total = 0j
-    scale = 0.0
-    for n in range(params.series_cap):
-        term = 1j * (-1) ** n * (2 * n + 1) * p_quarter * p ** (n * (n + 1))
-        total += term
-        scale = max(scale, abs(total))
-        if abs(term) <= params.term_tol * max(scale, 1e-300):
-            return total
-    raise NonConvergent(
-        f"theta1 derivative series did not converge within {params.series_cap} terms"
-    )
 
 
 def six_vertex(gamma: complex) -> tuple[Callable[[complex], complex],

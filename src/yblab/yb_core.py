@@ -18,7 +18,7 @@ Conventions, fixed once and used everywhere:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -29,39 +29,27 @@ from .special_fn import Regime, f_weight, six_vertex
 #: Relative floor below which a dynamical denominator counts as a pole.
 POLE_RTOL = 1e-12
 
+#: Floor of every relative-residual denominator, so that 0 against 0 reads 0.
+ABS_FLOOR = 1e-300
 
-@dataclass(frozen=True)
-class TolerancePolicy:
-    """Residual metric and pass threshold.
 
-    The residual between two arrays is
-    ``max|A - B| / max(max|A|, max|B|, abs_floor)``; a check passes when
-    the residual does not exceed ``rel_tol``.
-    """
-
-    rel_tol: float = 1e-9
-    abs_floor: float = 1e-300
-
-    def residual(self, a, b) -> float:
-        a = np.asarray(getattr(a, "matrix", a), dtype=complex)
-        b = np.asarray(getattr(b, "matrix", b), dtype=complex)
-        num = np.max(np.abs(a - b))
-        den = max(np.max(np.abs(a)), np.max(np.abs(b)), self.abs_floor)
-        return float(num / den)
-
-    def passes(self, residual: float) -> bool:
-        return residual <= self.rel_tol
+def residual(a, b) -> float:
+    """Relative residual ``max|A - B| / max(max|A|, max|B|, ABS_FLOOR)``."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    num = np.max(np.abs(a - b))
+    den = max(np.max(np.abs(a)), np.max(np.abs(b)), ABS_FLOOR)
+    return float(num / den)
 
 
 @dataclass(frozen=True)
 class ModelContext:
-    """Single source of model truth: chain length, couplings, regime, tolerances."""
+    """Single source of model truth: chain length, couplings, regime."""
 
     L: int
     gamma: complex
     mu: tuple[complex, ...]
     regime: Regime
-    tol: TolerancePolicy = field(default_factory=TolerancePolicy)
     allow_degenerate_gamma: bool = False
 
     def __post_init__(self) -> None:
@@ -88,33 +76,6 @@ class ModelContext:
 
     def f(self, z: complex) -> complex:
         return f_weight(z, self.regime)
-
-
-@dataclass(frozen=True)
-class ChainOperator:
-    """Dense complex operator on the 2^L chain space."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.ascontiguousarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        if m.shape[0] & (m.shape[0] - 1):
-            raise ValueError(f"dimension {m.shape[0]} is not a power of two")
-        if not np.all(np.isfinite(m.view(float))):
-            raise NonFinite("chain operator has non-finite entries")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(vec, dtype=complex)
-
-    def max_norm(self) -> float:
-        return float(np.max(np.abs(self.matrix)))
 
 
 def r_matrix(lam: complex, theta: complex, ctx: ModelContext) -> np.ndarray:
@@ -273,7 +234,7 @@ def verify_dybe(l1: complex, l2: complex, l3: complex, theta: complex,
     rhs = apply_factors(eye, [emb(l2 - l3, (1, 2), ()),
                               emb(l1 - l3, (0, 2), (1,)),
                               emb(l1 - l2, (0, 1), ())])
-    return ctx.tol.residual(lhs, rhs)
+    return residual(lhs, rhs)
 
 
 def _monodromy(lam: complex, theta: complex, ctx: ModelContext, aux: int,
@@ -301,7 +262,7 @@ def _chain_monodromy(lam: complex, theta: complex, ctx: ModelContext) -> list[Fa
 
 
 def monodromy_blocks(lam: complex, theta: complex, ctx: ModelContext
-                     ) -> tuple[ChainOperator, ChainOperator, ChainOperator, ChainOperator]:
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Auxiliary-space blocks (A, B, C, D) of the monodromy matrix.
 
     The monodromy matrix is the ordered product over sites
@@ -311,15 +272,21 @@ def monodromy_blocks(lam: complex, theta: complex, ctx: ModelContext
     A = (up|T|up), B = (up|T|down), C = (down|T|up), D = (down|T|down).
 
     The dense blocks are the site factors applied to the identity; only
-    the vertex tables are cached.  The returned matrices are read-only.
-    Use :func:`apply_block` where only the action on vectors is needed.
+    the vertex tables are cached.  The blocks are read-only C-contiguous
+    ``2^L x 2^L`` arrays.  Raises :class:`NonFinite` if any entry is not
+    finite.  Use :func:`apply_block` where only the action on vectors is
+    needed.
     """
     n = 1 << (ctx.L + 1)
     total = apply_factors(np.eye(n, dtype=complex), _chain_monodromy(lam, theta, ctx))
+    if not np.isfinite(total).all():
+        raise NonFinite("chain operator has non-finite entries")
     d = ctx.dim
-    blocks = tuple(ChainOperator(total[r:r + d, c:c + d]) for r in (0, d) for c in (0, d))
+    # contiguous copies: matmul on a strided view need not round the same
+    blocks = tuple(np.ascontiguousarray(total[r:r + d, c:c + d])
+                   for r in (0, d) for c in (0, d))
     for block in blocks:
-        block.matrix.setflags(write=False)
+        block.setflags(write=False)
     return blocks
 
 
@@ -356,5 +323,5 @@ def verify_rll(l1: complex, l2: complex, theta: complex,
     eye = np.eye(1 << n_sites, dtype=complex)
     lhs = apply_factors(eye, r_ab(chain) + mono(0, l1, ()) + mono(1, l2, (0,)))
     rhs = apply_factors(eye, mono(1, l2, ()) + mono(0, l1, (1,)) + r_ab(()))
-    return ctx.tol.residual(lhs, rhs)
+    return residual(lhs, rhs)
 

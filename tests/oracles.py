@@ -17,6 +17,7 @@ from yblab.errors import (GridDegenerate, InterpolationIllConditioned, NomeTooLa
 from yblab.lattice_qty import as_values, dwbc_partition
 from yblab.pde import MultiPoly, OmegaActions, _pencil_nodes, fzt_coefficients
 from yblab.special_fn import MAX_NOME, six_vertex
+from yblab.yb_core import ABS_FLOOR, monodromy_blocks
 
 
 def six_vertex_vertex_weight(a_out, s_out, a_in, s_in, lam, gamma):
@@ -32,6 +33,18 @@ def six_vertex_vertex_weight(a_out, s_out, a_in, s_in, lam, gamma):
     if a_out == s_in and s_out == a_in and a_in != s_in:
         return cmath.sinh(gamma)
     return 0j
+
+
+def creation_string(lams, theta, ctx):
+    """Ordered product of dense creation blocks B(lam_j, theta + j*gamma), j = 1..n.
+
+    The dense reference for the matrix-free contraction in
+    ``dwbc_partition``: its ``[-1, 0]`` entry is the partition function.
+    """
+    out = np.eye(ctx.dim, dtype=complex)
+    for j, lam in enumerate(lams, start=1):
+        out = out @ monodromy_blocks(lam, theta + j * ctx.gamma, ctx)[1]
+    return out
 
 
 def dwbc_enumeration(lams, mu, gamma):
@@ -324,6 +337,6 @@ def omega_actions_literal(zbar, point, ctx):
     coeffs = np.linalg.solve(vander, np.array(values[:L]))
     for k in (L, L + 1):
         fitted = sum(coeffs[d] * x0s[k] ** d for d in range(L))
-        if abs(fitted - values[k]) > 1e-6 * max(scale, ctx.tol.abs_floor):
+        if abs(fitted - values[k]) > 1e-6 * max(scale, ABS_FLOOR):
             raise InterpolationIllConditioned(f"held-out node {k} misses the fit")
     return OmegaActions(tuple(complex(c) for c in coeffs), scale)

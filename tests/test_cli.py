@@ -1,10 +1,14 @@
 import dataclasses
 import json
+import pathlib
 
 import pytest
 
 import yblab.cli as cli
 from yblab.errors import DynamicalPole, GridDegenerate
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def run_cli(args, capsys):
@@ -80,7 +84,7 @@ def test_run_threads_flag_is_gone(capsys):
 @pytest.mark.parametrize("text, where, key", [
     ("modle:\n  L: 2\n", "config", "modle"),
     ("model:\n  gama: [0.4, 0.0]\n", "model", "gama"),
-    ("model:\n  tolerance:\n    rel_tl: 1.0e-9\n", "model.tolerance", "rel_tl"),
+    ("model:\n  tolerance:\n    rel_tl: 1.0e-9\n", "model", "tolerance"),
     ("model:\n  regime:\n    elliptic:\n      nom: [0.2, 0.0]\n",
      "model.regime.elliptic", "nom"),
     ("run:\n  sample: 50\n", "run", "sample"),
@@ -92,6 +96,44 @@ def test_run_unknown_config_key_is_config_error(tmp_path, capsys, text, where, k
     code, out, err = run_cli(["run", "--config", str(cfg), "--checks", "dybe"], capsys)
     assert code == 2 and out == ""
     assert f"configuration error: {where}: unknown key {key!r}" in err
+
+
+@pytest.mark.parametrize("text, where", [
+    ("model:\n  L: true\n", "model.L"),
+    ("run:\n  seed: false\n", "run.seed"),
+    ("run:\n  samples: true\n", "run.samples"),
+    ("model:\n  gamma: true\n", "model.gamma"),
+    ("model:\n  gamma: [true, 0.0]\n", "model.gamma"),
+    ("model:\n  L: 2\n  mu: [false, 0.1]\n", "model.mu[0]"),
+    ("model:\n  regime:\n    elliptic:\n      nome: false\n",
+     "model.regime.elliptic.nome"),
+    ("tolerances:\n  dybe: true\n", "tolerances.dybe"),
+])
+def test_yaml_boolean_is_not_a_number(tmp_path, capsys, text, where):
+    # YAML reads true/false as bool, which Python counts as the int 1/0
+    cfg = tmp_path / "bool.yaml"
+    cfg.write_text(text)
+    code, out, err = run_cli(["run", "--config", str(cfg), "--checks", "dybe"], capsys)
+    assert code == 2 and out == ""
+    assert f"configuration error: {where}: expected" in err
+
+
+def _readme_config_block():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text[text.index("### Configuration file"):]
+    start = section.index("```yaml\n") + len("```yaml\n")
+    return section[start:section.index("```\n", start)]
+
+
+@pytest.mark.parametrize("source", ["config.example.yaml", "README.md"])
+def test_documented_configs_build(tmp_path, source):
+    path = ROOT / source
+    if source == "README.md":
+        path = tmp_path / "readme.yaml"
+        path.write_text(_readme_config_block())
+    args = cli.make_parser().parse_args(["run", "--config", str(path)])
+    cfg = cli.build_config(args)
+    assert cfg.ctx.L == 3 and cfg.seed == 42 and cfg.samples == 20
 
 
 @pytest.mark.parametrize("regime", [[], ["--trig"]])

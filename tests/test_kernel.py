@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from yblab import yb_core
-from yblab.lattice_qty import creation_string, dwbc_partition, scalar_product_bf
+from yblab.lattice_qty import dwbc_partition, scalar_product_bf
 from yblab.residue_int import z_contour
 from yblab.sampling import random_context, sample_spectral, sample_theta
 from yblab.yb_core import (apply_block, apply_factors, monodromy_blocks, r_matrix,
-                           site_factor, vertex_table)
+                           residual, site_factor, vertex_table)
+
+from oracles import creation_string
 
 
 def literal_embedding(lam, theta, ctx, pair, shift_sites, n_sites):
@@ -64,10 +66,10 @@ def test_monodromy_matches_literal_product(L, elliptic, rng):
     d = ctx.dim
     for block, (r, c) in zip(monodromy_blocks(lam, theta, ctx),
                              ((0, 0), (0, d), (d, 0), (d, d))):
-        assert ctx.tol.residual(block.matrix, total[r:r + d, c:c + d]) <= 1e-14
+        assert residual(block, total[r:r + d, c:c + d]) <= 1e-14
     for name, (r, c) in zip("ABCD", ((0, 0), (0, d), (d, 0), (d, d))):
-        assert ctx.tol.residual(apply_block(name, lam, theta, ctx, np.eye(d)),
-                                total[r:r + d, c:c + d]) <= 1e-14
+        assert residual(apply_block(name, lam, theta, ctx, np.eye(d)),
+                        total[r:r + d, c:c + d]) <= 1e-14
 
 
 @pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
@@ -89,9 +91,9 @@ def test_scalar_product_vector_route_matches_dense(L, rng):
         xb, yc = pts[:n], pts[n:]
         dense = np.eye(ctx.dim, dtype=complex)
         for y in reversed(yc):
-            dense = dense @ blocks(y)[2].matrix
+            dense = dense @ blocks(y)[2]
         for x in xb:
-            dense = dense @ blocks(x)[1].matrix
+            dense = dense @ blocks(x)[1]
         value = scalar_product_bf(xb, yc, ctx)
         assert abs(value - dense[0, 0]) <= 1e-12 * abs(dense[0, 0])
 
@@ -120,9 +122,12 @@ def test_dwbc_swap_symmetry_at_largest_chain(rng):
 def test_cached_operators_are_read_only(rng):
     ctx = random_context(2, rng)
     theta = sample_theta(ctx, rng, range(-3, 4))
-    block = monodromy_blocks(0.3 + 0.1j, theta, ctx)[1]
+    blocks = monodromy_blocks(0.3 + 0.1j, theta, ctx)
+    for block in blocks:
+        assert type(block) is np.ndarray and block.shape == (ctx.dim, ctx.dim)
+        assert block.flags.c_contiguous and not block.flags.writeable
     with pytest.raises(ValueError):
-        block.matrix[1, 0] = 0.0
+        blocks[1][1, 0] = 0.0
     table = vertex_table(0.3 + 0.1j, theta, 1, ctx)
     with pytest.raises(ValueError):
         table *= 2

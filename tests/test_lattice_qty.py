@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from yblab.errors import RegimeMismatch, SizeMismatch
-from yblab.lattice_qty import (check_hw_actions, creation_string, dwbc_partition,
-                               hw_action_residuals, scalar_product_bf)
+from yblab.lattice_qty import (check_hw_actions, dwbc_partition, hw_action_residuals,
+                               scalar_product_bf)
 from yblab.sampling import random_context, sample_spectral, sample_theta
 from yblab.special_fn import Regime
 from yblab.yb_core import ModelContext, monodromy_blocks
 
-from oracles import dwbc_enumeration
+from oracles import creation_string, dwbc_enumeration
 
 GAMMA = 0.41 + 0.07j
 
@@ -151,4 +151,4 @@ def test_hw_diagonal_eigenvalue_example(rng):
     up = np.zeros(ctx.dim, dtype=complex)
     up[0] = 1.0
     eig = f(theta + g) / f(theta - (L - 1) * g) * np.prod([f(lam - m) for m in ctx.mu])
-    assert np.max(np.abs(d_block.apply(up) - eig * up)) <= 1e-10 * abs(eig)
+    assert np.max(np.abs(d_block @ up - eig * up)) <= 1e-10 * abs(eig)

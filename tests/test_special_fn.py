@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from yblab.errors import NomeTooLarge, NonConvergent
 from yblab.special_fn import (EllipticParams, Regime, _theta1_coefficients, f_weight,
-                              f_weight_deriv0, six_vertex, theta1)
+                              six_vertex, theta1)
 
 from oracles import central_difference, theta1_literal
 
@@ -94,33 +94,9 @@ def test_f_weight_zero_at_origin():
     assert f_weight(0.0, Regime.elliptic(0.3)) == 0
 
 
-def test_deriv0_trig_is_one():
-    assert f_weight_deriv0(Regime.trigonometric()) == 1
-
-
-def test_deriv0_nonconvergent_when_capped():
-    with pytest.raises(NonConvergent):
-        f_weight_deriv0(Regime.elliptic(0.5, series_cap=2))
-
-
-def test_deriv0_matches_central_difference():
-    regime = Regime.elliptic(0.1)
-    numeric = central_difference(lambda z: f_weight(z, regime), 0.0, h=1e-6)
-    exact = f_weight_deriv0(regime)
-    assert abs(numeric - exact) < 1e-8 * abs(exact)
-
-
-def test_deriv0_consistency_along_axis(rng):
-    # derivative from the series vs finite differences of the weight itself
-    regime = Regime.elliptic(0.17 + 0.05j)
-    exact = f_weight_deriv0(regime)
-    numeric = central_difference(lambda z: f_weight(z, regime), 0.0, h=1e-6)
-    assert abs(numeric - exact) < 1e-7 * abs(exact)
-
-
 def test_small_nome_degenerates_to_sinh(rng):
     regime = Regime.elliptic(1e-8)
-    d0 = f_weight_deriv0(regime)
+    d0 = central_difference(lambda z: f_weight(z, regime), 0.0, h=1e-6)
     for _ in range(20):
         lam = complex(rng.uniform(-1, 1), rng.uniform(-0.4, 0.4))
         ratio = f_weight(lam, regime) / d0
