@@ -9,9 +9,9 @@ connecting them, all to explicit numerical tolerances.
 """
 
 from .errors import (ConfigError, CoincidentPoints, DegreeMismatch, DynamicalPole,
-                     GridDegenerate, InterpolationIllConditioned, NomeTooLarge,
-                     NonConvergent, NonFinite, RegimeMismatch, SamplingExhausted,
-                     SingularCoefficient, SingularR, SizeMismatch, YbLabError)
+                     InterpolationIllConditioned, NomeTooLarge, NonConvergent,
+                     NonFinite, RegimeMismatch, SamplingExhausted, SingularCoefficient,
+                     SingularR, SizeMismatch, YbLabError)
 from .special_fn import EllipticParams, Regime, f_weight, six_vertex, theta1
 from .yb_core import (ABS_FLOOR, ModelContext, monodromy_blocks, r_matrix, residual,
                       verify_dybe, verify_rll)

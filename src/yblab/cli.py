@@ -8,7 +8,8 @@ Two subcommands:
 * ``compute`` evaluates the partition function or a scalar product by
   brute-force contraction, residue summation, or both side by side.
 
-Exit codes: 0 all checks passed, 1 any failure, 2 configuration error.
+Exit codes: 0 all checks passed, 1 any failure (also a stdout closed
+before the stream ended), 2 configuration error.
 
 Randomness: numpy PCG64.  The generator for check ``c`` is seeded with
 ``SeedSequence([seed, REGISTRY_INDEX[c]])`` and consumed sample by
@@ -22,6 +23,7 @@ import argparse
 import cmath
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -220,6 +222,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         if name not in REGISTRY:
             raise ConfigError(f"tolerances: unknown check {name!r}")
         tolerances[name] = _parse_float(value, f"tolerances.{name}")
+        if tolerances[name] < 0:
+            raise ConfigError(f"tolerances.{name}: expected a non-negative number, "
+                              f"got {value!r}")
 
     return RunConfig(ctx=ctx, seed=seed, samples=samples, checks=checks,
                      tolerances=tolerances, mu_is_random=mu_is_random)
@@ -349,12 +354,12 @@ def _eval_fzt(ctx, p, _state):
     return pde.fzt_residual(p["l0"], p["lams"], ctx, bf)
 
 
-def _prep_zbar(ctx, rng):
-    return pde.interpolate_zbar(ctx, rng=rng)
+def _prep_zbar(ctx, _rng):
+    return pde.interpolate_zbar(ctx)
 
 
 def _prep_zbar_and_control(ctx, rng):
-    zbar = pde.interpolate_zbar(ctx, rng=rng)
+    zbar = pde.interpolate_zbar(ctx)
     shape = (ctx.L,) * ctx.L
     control = pde.MultiPoly(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     return zbar, control
@@ -665,6 +670,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except (YbLabError, OverflowError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head``); send what is still
+        # buffered to devnull so the interpreter's exit flush stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
 
 

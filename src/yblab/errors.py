@@ -54,10 +54,6 @@ class DegreeMismatch(YbLabError):
     """Polynomial degree bound passed to a realization is below the actual degree."""
 
 
-class GridDegenerate(YbLabError):
-    """Interpolation nodes nearly coincide."""
-
-
 class InterpolationIllConditioned(YbLabError):
     """Polynomial extraction failed its held-out reproduction check."""
 

@@ -28,8 +28,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import (CoincidentPoints, DegreeMismatch, GridDegenerate,
-                     InterpolationIllConditioned, RegimeMismatch, SingularCoefficient)
+from .errors import (CoincidentPoints, DegreeMismatch, InterpolationIllConditioned,
+                     RegimeMismatch, SingularCoefficient)
 from .lattice_qty import as_values
 from .special_fn import six_vertex
 from .yb_core import ABS_FLOOR, ModelContext, apply_block
@@ -231,21 +231,21 @@ def fzt_residual(l0: complex, X, ctx: ModelContext,
     return float(abs(sum(terms)) / (sum(abs(t) for t in terms) + ABS_FLOOR))
 
 
-def interpolate_zbar(ctx: ModelContext, *,
-                     rng: np.random.Generator | None = None,
-                     nodes: Sequence[Sequence[complex]] | None = None) -> MultiPoly:
-    """Reconstruct the partition polynomial by tensor-grid interpolation.
+def interpolate_zbar(ctx: ModelContext) -> MultiPoly:
+    """Reconstruct the partition polynomial on the roots-of-unity grid.
 
-    Evaluates the partition function on an L^L grid of spectral points,
-    strips the half-integer prefactor as ``exp((L-1) lam_j)`` per
-    variable, and converts node values to monomial coefficients one axis
-    at a time through Vandermonde solves.  Node sets must be well
-    separated in the exponentiated variable or :class:`GridDegenerate`
-    is raised.
+    Every axis has the same L nodes ``lam_k = i pi k / L``, so that
+    ``x_k = exp(2 lam_k)`` is the k-th power of ``omega = exp(2 pi i / L)``.
+    The partition function is evaluated on the L^L grid, the
+    half-integer prefactor is stripped as ``exp((L-1) lam_j)`` per
+    variable, and one ``fftn`` divided by L^L turns the node values into
+    monomial coefficients: on these nodes each per-axis Vandermonde
+    matrix is sqrt(L) times a unitary one, so the transform has
+    condition number 1 and needs no node search or separation check.
 
     The grid is one batched contraction, the :func:`dwbc_partition`
     product with every node of a slot at once: starting from the all-up
-    state, slot j = L..1 applies B(node, j*gamma) for each of its L
+    state, slot j = L..1 applies B(node, j*gamma) for each of the L
     nodes to all columns so far, so L^2 block applications give the
     L^L values in C order, each equal to its own contraction.
     """
@@ -254,51 +254,16 @@ def interpolate_zbar(ctx: ModelContext, *,
     L = ctx.L
     if L > 4:
         raise ValueError(f"grid interpolation is L^L evaluations; L = {L} > 4 refused")
-    if nodes is None:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        nodes = []
-        for _ in range(L):
-            axis: list[complex] = []
-            for _ in range(1000):
-                cand = complex(rng.uniform(-0.9, 0.9), rng.uniform(-0.35, 0.35))
-                xc = cmath.exp(2 * cand)
-                if all(abs(xc - cmath.exp(2 * o)) > 0.2 for o in axis):
-                    axis.append(cand)
-                if len(axis) == L:
-                    break
-            nodes.append(axis)
-    nodes = [tuple(complex(v) for v in axis) for axis in nodes]
-    for axis_nodes in nodes:
-        if len(axis_nodes) != L:
-            raise GridDegenerate(f"need {L} nodes per axis, got {len(axis_nodes)}")
-        xs = [cmath.exp(2 * v) for v in axis_nodes]
-        for i in range(L):
-            for j in range(i + 1, L):
-                if abs(xs[i] - xs[j]) < 1e-3:
-                    raise GridDegenerate(
-                        f"axis nodes {i} and {j} nearly coincide in x = exp(2 lam)")
+    nodes = 1j * np.pi * np.arange(L) / L
 
     cols = np.zeros((ctx.dim, 1), dtype=complex)
     cols[0] = 1.0
     for j in range(L, 0, -1):
         cols = np.concatenate([apply_block("B", lam, 0.0 + j * ctx.gamma, ctx, cols)
-                               for lam in nodes[j - 1]], axis=1)
+                               for lam in nodes], axis=1)
     grid = cols[-1].reshape((L,) * L)
-    values = np.zeros((L,) * L, dtype=complex)
-    for idx in np.ndindex(values.shape):
-        pts = [nodes[k][idx[k]] for k in range(L)]
-        values[idx] = complex(grid[idx]) * cmath.exp((L - 1) * sum(pts))
-
-    coeffs = values
-    for axis in range(L):
-        xs = np.array([cmath.exp(2 * v) for v in nodes[axis]])
-        vander = np.vander(xs, L, increasing=True)
-        moved = np.moveaxis(coeffs, axis, 0).reshape(L, -1)
-        solved = np.linalg.solve(vander, moved)
-        coeffs = np.moveaxis(
-            solved.reshape((L,) + coeffs.shape[:axis] + coeffs.shape[axis + 1:]), 0, axis)
-    return MultiPoly(coeffs)
+    values = grid * np.exp((L - 1) * sum(np.ix_(*(nodes,) * L)))
+    return MultiPoly(np.fft.fftn(values) / L ** L)
 
 
 @dataclass(frozen=True)

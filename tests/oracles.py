@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
-from yblab.errors import (GridDegenerate, InterpolationIllConditioned, NomeTooLarge,
-                          NonConvergent, RegimeMismatch, SingularR)
+from yblab.errors import (InterpolationIllConditioned, NomeTooLarge, NonConvergent,
+                          RegimeMismatch, SingularR)
 from yblab.lattice_qty import as_values, dwbc_partition
 from yblab.pde import MultiPoly, OmegaActions, _pencil_nodes, fzt_coefficients
 from yblab.special_fn import MAX_NOME, six_vertex
@@ -228,9 +228,9 @@ def sn_residue_permutations(XB, YC, ctx):
 def interpolate_zbar_literal(ctx, *, rng=None, nodes=None):
     """Partition polynomial from one ``dwbc_partition`` call per grid entry.
 
-    ``pde.interpolate_zbar`` before its grid became one batched
-    contraction, kept unchanged (node drawing and checks included) so
-    the library is held to the same bits.
+    An independent route to ``pde.interpolate_zbar``: any well separated
+    nodes (explicit, or drawn from ``rng``), one contraction per grid
+    entry, and one Vandermonde solve per axis instead of one ``fftn``.
     """
     if ctx.is_elliptic:
         raise RegimeMismatch("the partition polynomial is defined in the trigonometric regime")
@@ -255,12 +255,12 @@ def interpolate_zbar_literal(ctx, *, rng=None, nodes=None):
     nodes = [tuple(complex(v) for v in axis) for axis in nodes]
     for axis_nodes in nodes:
         if len(axis_nodes) != L:
-            raise GridDegenerate(f"need {L} nodes per axis, got {len(axis_nodes)}")
+            raise ValueError(f"need {L} nodes per axis, got {len(axis_nodes)}")
         xs = [cmath.exp(2 * v) for v in axis_nodes]
         for i in range(L):
             for j in range(i + 1, L):
                 if abs(xs[i] - xs[j]) < 1e-3:
-                    raise GridDegenerate(
+                    raise ValueError(
                         f"axis nodes {i} and {j} nearly coincide in x = exp(2 lam)")
 
     values = np.zeros((L,) * L, dtype=complex)

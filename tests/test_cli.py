@@ -1,11 +1,14 @@
 import dataclasses
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 import yblab.cli as cli
-from yblab.errors import DynamicalPole, GridDegenerate
+from yblab.errors import DynamicalPole, InterpolationIllConditioned
 
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -168,6 +171,15 @@ def test_run_non_finite_tolerance_is_config_error(tmp_path, capsys):
     assert "tolerances.dybe: expected a finite number" in err
 
 
+def test_run_negative_tolerance_is_config_error(tmp_path, capsys):
+    # no residual can pass a threshold below zero; 0.0 stays allowed
+    cfg = tmp_path / "negative.yaml"
+    cfg.write_text("tolerances:\n  dybe: -1.0\n")
+    code, out, err = run_cli(["run", "--config", str(cfg), "--checks", "dybe"], capsys)
+    assert code == 2 and out == ""
+    assert "tolerances.dybe: expected a non-negative number" in err
+
+
 def test_run_mu_length_mismatch(tmp_path, capsys):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text("model:\n  L: 3\n  mu: [[0.1, 0.0], [0.2, 0.0]]\n")
@@ -230,7 +242,7 @@ def test_run_sampler_exhaustion_becomes_error_record(capsys):
 
 def test_run_prepare_failure_becomes_error_record(monkeypatch, capsys):
     def fail(ctx, rng):
-        raise GridDegenerate("synthetic degenerate grid")
+        raise InterpolationIllConditioned("synthetic ill-conditioned fit")
 
     original = cli.REGISTRY["dybe"]
     monkeypatch.setitem(cli.REGISTRY, "dybe", dataclasses.replace(original, prepare=fail))
@@ -239,7 +251,8 @@ def test_run_prepare_failure_becomes_error_record(monkeypatch, capsys):
     assert code == 1
     records = [r for r in parse_records(out) if "check" in r]
     assert [r["check"] for r in records] == ["dybe"] + ["dia-realization"] * 2
-    assert records[0]["error"] == "GridDegenerate: synthetic degenerate grid"
+    assert records[0]["error"] == \
+        "InterpolationIllConditioned: synthetic ill-conditioned fit"
     assert records[0]["pass"] is False and records[0]["residual"] is None
 
 
@@ -251,6 +264,34 @@ def test_run_all_trig_checks_small(capsys):
     assert code == 0
     records = [r for r in parse_records(out) if "check" in r]
     assert len(records) == 8 and all(r["pass"] for r in records)
+
+
+@pytest.mark.parametrize("seed", [961051012, 1583447950, 1596456712, 542884616,
+                                  1303098497, 1807387937])
+def test_run_pde_checks_pass_on_failure_table_seeds(seed, capsys):
+    # the pde-* rows of perfbench/README.md's failure table; three of these
+    # seeds failed while the interpolation grid was drawn at random
+    code, _, err = run_cli(["run", "--trig", "--L", "4", "--checks", "pde-omega,pde-leading",
+                            "--samples", "20", "--seed", str(seed)], capsys)
+    assert code == 0, err
+
+
+def test_run_closed_stdout_ends_quietly():
+    # the reader stops after the header line, as `| head -1` does; 500
+    # records overfill the pipe buffer, so a later write must hit the
+    # closed pipe
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "yblab.cli", "run", "--L", "2", "--checks", "dybe",
+         "--samples", "500", "--seed", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert json.loads(proc.stdout.readline())["record"] == "model"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err and "BrokenPipe" not in err, err
 
 
 def test_run_report_to_file(tmp_path, capsys):

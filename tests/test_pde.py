@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from yblab import lattice_qty, pde
-from yblab.errors import (DegreeMismatch, GridDegenerate, RegimeMismatch)
+from yblab.errors import DegreeMismatch, RegimeMismatch
 from yblab.feq import fx_residual
 from yblab.lattice_qty import dwbc_partition
 from yblab.pde import (MultiPoly, PdeVars, dia_apply, dia_realized, fzt_residual,
@@ -93,26 +93,20 @@ def test_dia_realized_matches_substitution(nvars, deg, seed):
 
 def test_interpolate_zbar_degree_zero_at_single_site(rng):
     ctx = random_context(1, rng, elliptic=False)
-    zbar = interpolate_zbar(ctx, rng=rng)
+    zbar = interpolate_zbar(ctx)
     assert zbar.nvars == 1 and zbar.max_deg == 0
 
 
 def test_interpolate_zbar_rejects_elliptic(rng):
     ctx = random_context(2, rng, elliptic=True)
     with pytest.raises(RegimeMismatch):
-        interpolate_zbar(ctx, rng=rng)
-
-
-def test_interpolate_zbar_rejects_coincident_nodes(rng):
-    ctx = random_context(2, rng, elliptic=False)
-    with pytest.raises(GridDegenerate):
-        interpolate_zbar(ctx, nodes=[(0.1, 0.1 + 1e-9), (0.3, -0.4)])
+        interpolate_zbar(ctx)
 
 
 def test_interpolate_zbar_refuses_large_chains(rng):
     ctx = random_context(5, rng, elliptic=False)
     with pytest.raises(ValueError):
-        interpolate_zbar(ctx, rng=rng)
+        interpolate_zbar(ctx)
 
 
 def test_omega_actions_rejects_wrong_shape(pencil_setup, rng):
@@ -125,7 +119,7 @@ def test_omega_actions_rejects_wrong_shape(pencil_setup, rng):
 
 def test_interpolate_zbar_off_grid(rng):
     ctx = random_context(2, rng, elliptic=False)
-    zbar = interpolate_zbar(ctx, rng=rng)
+    zbar = interpolate_zbar(ctx)
     for _ in range(50):
         lams = sample_spectral(ctx, rng, 2)
         xs = [cmath.exp(2 * l) for l in lams]
@@ -193,7 +187,7 @@ def pencil_setup():
     out = {}
     for L in (2, 3):
         ctx = random_context(L, rng, elliptic=False)
-        out[L] = (ctx, interpolate_zbar(ctx, rng=rng))
+        out[L] = (ctx, interpolate_zbar(ctx))
     return out
 
 
@@ -289,7 +283,7 @@ def test_multipoly_negative_derivative_order_is_rejected():
         MultiPoly(np.array([1.0, 2.0])).derivative(0, -1)
 
 
-# --- same bits as the literal routes -----------------------------------------
+# --- agreement with the literal routes --------------------------------------
 
 def _explicit_nodes(rng, L):
     # well separated in x = exp(2 lam), drawn outside interpolate_zbar
@@ -304,17 +298,25 @@ def _explicit_nodes(rng, L):
     return nodes
 
 
+def _max_gap(a, b):
+    return float(np.max(np.abs(a.coeffs - b.coeffs)) / np.max(np.abs(b.coeffs)))
+
+
 @pytest.mark.parametrize("L", [1, 2, 3, 4])
-def test_interpolate_zbar_bit_identical_to_literal_grid(L):
+def test_interpolate_zbar_matches_literal_on_roots_of_unity(L):
+    ctx = random_context(L, np.random.default_rng(40 + L), elliptic=False)
+    nodes = [[1j * math.pi * k / L for k in range(L)]] * L
+    assert _max_gap(interpolate_zbar(ctx), interpolate_zbar_literal(ctx, nodes=nodes)) \
+        <= 1e-13
+
+
+@pytest.mark.parametrize("L", [1, 2, 3])
+def test_interpolate_zbar_matches_literal_on_random_grid(L):
     rng = np.random.default_rng(40 + L)
     ctx = random_context(L, rng, elliptic=False)
-    nodes = _explicit_nodes(rng, L)
-    assert np.array_equal(interpolate_zbar(ctx, nodes=nodes).coeffs,
-                          interpolate_zbar_literal(ctx, nodes=nodes).coeffs)
-    for seed in range(2):
-        drawn = interpolate_zbar(ctx, rng=np.random.default_rng(seed)).coeffs
-        literal = interpolate_zbar_literal(ctx, rng=np.random.default_rng(seed)).coeffs
-        assert np.array_equal(drawn, literal)
+    literal = interpolate_zbar_literal(ctx, nodes=_explicit_nodes(rng, L))
+    # the oracle's Vandermonde solves lose a few digits on random nodes
+    assert _max_gap(interpolate_zbar(ctx), literal) <= 1e-11
 
 
 @pytest.mark.parametrize("nvars, deg", [(1, 0), (1, 3), (2, 2), (3, 4), (4, 3)])
@@ -343,8 +345,8 @@ def test_dia_realized_bit_identical_to_literal(rng):
 def test_omega_actions_bit_identical_to_literal(L):
     rng = np.random.default_rng(60 + L)
     ctx = random_context(L, rng, elliptic=False)
-    zbars = [interpolate_zbar(ctx, rng=rng),
-             interpolate_zbar(ctx, nodes=_explicit_nodes(rng, L))]
+    zbars = [interpolate_zbar(ctx),
+             interpolate_zbar_literal(ctx, nodes=_explicit_nodes(rng, L))]
     for zbar in zbars:
         control = random_poly(rng, L, L - 1)
         for _ in range(2):
@@ -365,7 +367,7 @@ def test_grid_is_l_squared_block_applications(L, monkeypatch):
                         lambda *args: blocks.append(args[:2]) or apply_block(*args))
     monkeypatch.setattr(lattice_qty, "dwbc_partition",
                         lambda *args: partitions.append(args) or dwbc_partition(*args))
-    interpolate_zbar(ctx, rng=np.random.default_rng(1))
+    interpolate_zbar(ctx)
     assert len(blocks) == L * L and {name for name, _ in blocks} == {"B"}
     assert partitions == []
 
@@ -374,7 +376,7 @@ def test_grid_is_l_squared_block_applications(L, monkeypatch):
 def test_pencil_evaluates_each_derivative_once(L, monkeypatch):
     rng = np.random.default_rng(90 + L)
     ctx = random_context(L, rng, elliptic=False)
-    zbar = interpolate_zbar(ctx, rng=rng)
+    zbar = interpolate_zbar(ctx)
     point = PdeVars.from_lambdas(sample_spectral(ctx, rng, L), ctx)
     calls = []
     evaluate = MultiPoly.evaluate
