@@ -13,6 +13,23 @@ terms.  These powers, with the sign and the factor 2, are tabulated
 once per nome, not per term, so a ``theta1`` call evaluates only the
 sines.  The overall normalization of ``theta1`` is internal: every
 identity verified downstream is homogeneous in ``f``.
+
+:func:`theta1_batch` sums the same series at an array of points and
+returns the same bits as :func:`theta1` at each.  It sums the terms of a
+point in the same order and applies the same stop rule.  The numpy
+operations it uses are chosen to round exactly as the scalar ones:
+
+* complex ``np.sin`` is ``cmath.sin``, and ``np.hypot`` of the real and
+  imaginary parts is ``abs()`` of a complex;
+* complex products are spelled out in real components, because numpy's
+  complex ``*`` may round differently from Python's;
+* running sums are ``np.cumsum``, which adds in sequence, seeded with
+  the carried partial sum.
+
+``np.sin`` is ``cmath.sin`` only up to ``|Im| = 708``.  A point that
+would need a sine beyond that, whose partial sums stop being finite
+before it converges, or that does not converge, is summed by
+:func:`theta1` instead, which raises what the scalar series raises.
 """
 
 from __future__ import annotations
@@ -20,13 +37,19 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
+
+import numpy as np
 
 from .errors import NomeTooLarge, NonConvergent
 
 #: Largest admissible |nome|.  Beyond this the q-series converges too
 #: slowly for the fixed term cap and term tolerance.
 MAX_NOME = 0.9
+
+#: Largest |Im z| at which ``np.sin(z)`` is ``cmath.sin(z)``: beyond
+#: ``log(DBL_MAX / 4) = 708.4`` cmath rescales and rounds differently.
+_SIN_EXACT_IM = 708.0
 
 
 @dataclass(frozen=True)
@@ -94,6 +117,26 @@ def _theta1_coefficients(params: EllipticParams) -> tuple[complex, ...]:
                  for n in range(params.series_cap))
 
 
+@lru_cache(maxsize=16)
+def _theta1_coefficient_arrays(params: EllipticParams
+                               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Real parts, imaginary parts and odd multipliers ``2n+1`` of the terms,
+    and the chunk of terms :func:`theta1_batch` sums per step.
+
+    The chunk is the number of terms after which the coefficients alone
+    fall below ``term_tol`` of the first, plus four: one for the
+    two-term stop rule and three for the growth of the sines near the
+    real axis.  Points further from it take further chunks.
+    """
+    coeffs = np.array(_theta1_coefficients(params), dtype=complex)
+    arrays = (coeffs.real.copy(), coeffs.imag.copy(),
+              np.arange(1, 2 * params.series_cap, 2, dtype=float))
+    for array in arrays:
+        array.setflags(write=False)
+    small = np.abs(coeffs) <= params.term_tol * abs(coeffs[0])
+    return arrays + (int(small.argmax()) + 5 if small.any() else params.series_cap,)
+
+
 def theta1(z: complex, params: EllipticParams) -> complex:
     """First Jacobi theta function, truncated q-series.
 
@@ -124,11 +167,84 @@ def theta1(z: complex, params: EllipticParams) -> complex:
     )
 
 
+def theta1_batch(z: Sequence[complex], params: EllipticParams) -> np.ndarray:
+    """:func:`theta1` at every point of the 1-d ``z``, bit for bit.
+
+    The series is summed a chunk of terms at a time for all points that
+    have not yet converged (see the module docstring for why each
+    operation rounds as in :func:`theta1`).  Points that need the scalar
+    loop's error handling are summed by :func:`theta1` in index order,
+    so the error raised is the one of the first failing point.  No numpy
+    warning is emitted.
+    """
+    z = np.asarray(z, dtype=complex)
+    out = np.empty_like(z)
+    coeff_re, coeff_im, odd, chunk = _theta1_coefficient_arrays(params)
+    tol = params.term_tol
+    todo = np.arange(z.size)  # points still taking terms
+    total = np.zeros(z.size, dtype=complex)  # carried partial sums
+    scale = np.full(z.size, 1e-300)  # carried largest |partial sum|
+    prev_mag = np.full(z.size, np.inf)  # carried |last term|
+    scalar = []  # points handed to theta1
+    with np.errstate(all="ignore"):
+        for start in range(0, params.series_cap, chunk):
+            terms = slice(start, start + chunk)
+            k, cr, ci = odd[terms], coeff_re[terms], coeff_im[terms]
+            far = np.abs(z.imag[todo]) * k[-1] > _SIN_EXACT_IM
+            if far.any():
+                scalar += todo[far].tolist()
+                todo, total, scale, prev_mag = (a[~far] for a in (todo, total, scale, prev_mag))
+            if not todo.size:
+                break
+            zr, zi = z.real[todo, None], z.imag[todo, None]
+            arg = np.empty((todo.size, k.size), dtype=complex)
+            arg.real = k * zr - 0.0 * zi  # (2n+1) * z as the complex (2n+1, 0) times z
+            arg.imag = k * zi + 0.0 * zr
+            sine = np.sin(arg)
+            # column 0 of each table holds the carried value
+            run = np.empty((todo.size, k.size + 1), dtype=complex)
+            run[:, 0] = total
+            np.subtract(cr * sine.real, ci * sine.imag, out=run.real[:, 1:])
+            np.add(cr * sine.imag, ci * sine.real, out=run.imag[:, 1:])
+            mags = np.empty(run.shape)
+            mags[:, 0] = prev_mag
+            np.hypot(run.real[:, 1:], run.imag[:, 1:], out=mags[:, 1:])
+            np.cumsum(run, axis=1, out=run)
+            scales = np.empty(run.shape)
+            scales[:, 0] = scale
+            np.hypot(run.real[:, 1:], run.imag[:, 1:], out=scales[:, 1:])
+            # a non-finite term or partial sum (the sum of two such sizes
+            # may also overflow; theta1 then merely redoes the point)
+            bad = ~np.isfinite(mags[:, 1:] + scales[:, 1:])
+            np.maximum.accumulate(scales, axis=1, out=scales)
+            stop = np.maximum(mags[:, :-1], mags[:, 1:]) <= tol * scales[:, 1:]
+            ended = stop | bad
+            first = ended.argmax(axis=1)
+            rows = np.arange(todo.size)
+            hit = ended[rows, first]
+            clean = hit & ~bad[rows, first]
+            out[todo[clean]] = run[clean, first[clean] + 1]
+            scalar += todo[hit & ~clean].tolist()
+            todo, going = todo[~hit], ~hit
+            if todo.size:
+                total, scale, prev_mag = run[going, -1], scales[going, -1], mags[going, -1]
+    scalar += todo.tolist()  # out of terms: theta1 raises NonConvergent
+    for i in sorted(scalar):
+        out[i] = theta1(complex(z[i]), params)
+    return out
+
+
 def f_weight(lam: complex, regime: Regime) -> complex:
     """The odd weight function: ``theta1(i*lam)/2`` or ``sinh(lam)``."""
     if regime.is_elliptic:
         return theta1(1j * lam, regime.params) / 2.0
     return cmath.sinh(lam)
+
+
+def f_weights(lams: Sequence[complex], params: EllipticParams) -> list[complex]:
+    """The elliptic :func:`f_weight` at each of ``lams``, from one :func:`theta1_batch`."""
+    thetas = theta1_batch([1j * lam for lam in lams], params).tolist()
+    return [t / 2.0 for t in thetas]
 
 
 def six_vertex(gamma: complex) -> tuple[Callable[[complex], complex],

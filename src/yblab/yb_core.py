@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import islice
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import DynamicalPole, NonFinite
-from .special_fn import Regime, f_weight, six_vertex
+from .errors import DynamicalPole, NonConvergent, NonFinite
+from .special_fn import Regime, f_weight, f_weights, six_vertex
 
 #: Relative floor below which a dynamical denominator counts as a pole.
 POLE_RTOL = 1e-12
@@ -34,12 +35,17 @@ ABS_FLOOR = 1e-300
 
 
 def residual(a, b) -> float:
-    """Relative residual ``max|A - B| / max(max|A|, max|B|, ABS_FLOOR)``."""
+    """Relative residual ``max|A - B| / max(max|A|, max|B|, ABS_FLOOR)``.
+
+    Non-finite operands give a non-finite residual, without a warning;
+    callers report it as an error.
+    """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    num = np.max(np.abs(a - b))
-    den = max(np.max(np.abs(a)), np.max(np.abs(b)), ABS_FLOOR)
-    return float(num / den)
+    with np.errstate(over="ignore", invalid="ignore"):
+        num = np.max(np.abs(a - b))
+        den = max(np.max(np.abs(a)), np.max(np.abs(b)), ABS_FLOOR)
+        return float(num / den)
 
 
 @dataclass(frozen=True)
@@ -78,6 +84,22 @@ class ModelContext:
         return f_weight(z, self.regime)
 
 
+def _check_pole(theta: complex, ft: complex, ft_minus: complex, ft_plus: complex,
+                fg: complex) -> None:
+    """Raise :class:`DynamicalPole` if ``f(theta)`` is negligible against
+    ``f(theta -+ gamma)`` and ``f(gamma)``."""
+    if abs(ft) <= POLE_RTOL * max(abs(ft_minus), abs(ft_plus), abs(fg)):
+        raise DynamicalPole(f"f(theta) ~ 0 at theta = {theta}")
+
+
+def _sector_weights(ft: complex, ft_minus: complex, ft_plus: complex, fg: complex,
+                    fl: complex, f_minus: complex, f_plus: complex
+                    ) -> tuple[complex, complex, complex, complex]:
+    """Elliptic ``(b_+, b_-, c_+, c_-)`` from ``f`` at ``theta``, ``theta -+ gamma``,
+    ``gamma``, ``lam`` and ``theta -+ lam``; see :func:`r_matrix`."""
+    return fl * ft_minus / ft, fl * ft_plus / ft, fg * f_minus / ft, fg * f_plus / ft
+
+
 def r_matrix(lam: complex, theta: complex, ctx: ModelContext) -> np.ndarray:
     """4x4 vertex matrix at spectral parameter ``lam``.
 
@@ -100,21 +122,16 @@ def r_matrix(lam: complex, theta: complex, ctx: ModelContext) -> np.ndarray:
     f = ctx.f
     g = ctx.gamma
     ft, ft_minus, ft_plus, fg = f(theta), f(theta - g), f(theta + g), f(g)
-    if abs(ft) <= POLE_RTOL * max(abs(ft_minus), abs(ft_plus), abs(fg)):
-        raise DynamicalPole(f"f(theta) ~ 0 at theta = {theta}")
+    _check_pole(theta, ft, ft_minus, ft_plus, fg)
     a = f(lam + g)
-    fl = f(lam)
-    bp = fl * ft_minus / ft
-    bm = fl * ft_plus / ft
-    cp = fg * f(theta - lam) / ft
-    cm = fg * f(theta + lam) / ft
+    bp, bm, cp, cm = _sector_weights(ft, ft_minus, ft_plus, fg, f(lam),
+                                     f(theta - lam), f(theta + lam))
     return np.array([[a, 0, 0, 0],
                      [0, bp, cp, 0],
                      [0, cm, bm, 0],
                      [0, 0, 0, a]], dtype=complex)
 
 
-@functools.lru_cache(maxsize=4096)
 def vertex_table(lam: complex, theta: complex, n_shift: int,
                  ctx: ModelContext) -> np.ndarray:
     """Nonzero amplitudes of the vertex matrix on each dynamical weight sector.
@@ -126,16 +143,12 @@ def vertex_table(lam: complex, theta: complex, n_shift: int,
     state with the two site spins exchanged (zero on uu and dd); entry
     ``4*s + k`` belongs to sector ``s`` and pair state ``k``.  By the ice
     rule these are all the nonzero entries of :func:`r_matrix`.  Tables
-    are read-only and cached on the arguments.
+    are read-only.
 
-    Memory bound: a table holds ``128 * (n_shift + 1)`` bytes and
-    ``n_shift <= L <= 10`` (the widest factor is the RLL check's
-    auxiliary factor, shifted by every chain site), so an entry is at
-    most 1408 array bytes plus its key and bookkeeping.  Filled with such
-    entries, the 4096-entry cache measured 7.1 MB (tracemalloc), the
-    worst case, reached only at L = 10; at L = 4 it is at most 3.8 MB.
-    One monodromy needs L tables, so the cache keeps the tables of the
-    last 409 monodromies at L = 10 and of 1024 at L = 4.
+    This is the scalar route, one :func:`r_matrix` per sector.  Site
+    factors and monodromies take the same bits from :func:`_site_tables`,
+    which evaluates the elliptic weights of many tables in one batch; the
+    monodromy tables are cached per chain by :func:`_chain_tables`.
     """
     table = np.zeros((2, 4 * (n_shift + 1)), dtype=complex)
     for s in range(n_shift + 1):
@@ -149,6 +162,84 @@ def vertex_table(lam: complex, theta: complex, n_shift: int,
         table[1, 4 * s + 2] = r[2, 1]
     table.setflags(write=False)
     return table
+
+
+def _site_tables(sites: Sequence[tuple[complex, int]], theta: complex,
+                 ctx: ModelContext) -> Iterator[np.ndarray]:
+    """:func:`vertex_table` at each ``(lam, n_shift)`` of ``sites``, in order.
+
+    The elliptic weights of all the tables come from one
+    :func:`f_weights` batch: ``f(gamma)`` once, ``f(lam + gamma)`` and
+    ``f(lam)`` once per site, and ``f`` at ``t``, ``t -+ gamma`` and
+    ``t -+ lam`` once per sector, ``t = theta - gamma*w``.  These are the
+    bits :func:`r_matrix` computes, so the tables are too.  If the batch
+    raises, the tables are built by :func:`vertex_table`, so the error
+    is the one the scalar route meets first.  Trigonometric tables are
+    scalar, with ``theta`` and the shift ignored.
+    """
+    if not ctx.is_elliptic:
+        for lam, _ in sites:
+            yield vertex_table(lam, 0j, 0, ctx)
+        return
+    g = ctx.gamma
+    points = [g]
+    for lam, n_shift in sites:
+        points += (lam + g, lam)
+        for s in range(n_shift + 1):
+            t = theta - g * (n_shift - 2 * s)
+            points += (t, t - g, t + g, t - lam, t + lam)
+    try:
+        values = iter(f_weights(points, ctx.regime.params))
+    except (ArithmeticError, ValueError, NonConvergent):
+        for lam, n_shift in sites:
+            yield vertex_table(lam, theta, n_shift, ctx)
+        return
+    fg = next(values)
+    for lam, n_shift in sites:
+        fa, fl = next(values), next(values)
+        diag, off = [], []
+        for s in range(n_shift + 1):
+            w = n_shift - 2 * s
+            ft, ft_minus, ft_plus, f_minus, f_plus = islice(values, 5)
+            try:
+                _check_pole(theta - g * w, ft, ft_minus, ft_plus, fg)
+            except DynamicalPole as exc:
+                raise DynamicalPole(f"weight sector {w:+d}: {exc}") from exc
+            bp, bm, cp, cm = _sector_weights(ft, ft_minus, ft_plus, fg, fl, f_minus, f_plus)
+            diag += (fa, bp, bm, fa)
+            off += (0j, cp, cm, 0j)
+        table = np.array((diag, off), dtype=complex)
+        table.setflags(write=False)
+        yield table
+
+
+@functools.lru_cache(maxsize=512)
+def _chain_tables(lam: complex, theta: complex, n_extra: int,
+                  ctx: ModelContext) -> tuple[np.ndarray, ...]:
+    """Vertex tables of a monodromy chain, site 1 first, cached per chain.
+
+    Site ``k`` has spectral argument ``lam - mu_k`` and ``n_extra + L -
+    k`` shift sites (the extra ones plus the chain sites after it).  A
+    pole raises :class:`DynamicalPole` naming the site and the weight
+    sector, the first in (site, sector) order.
+
+    Memory bound: the widest chain is the RLL check's, with one extra
+    shift site, so ``n_shift`` runs from ``L`` down to 1 and an entry
+    holds ``128 * L * (L + 3) / 2`` array bytes, 8320 at ``L = 10``.
+    Measured with tracemalloc, such an entry with its arrays, tuple, key
+    and cache link takes about 10.0 KB at L = 10, so the 512-entry cache
+    stays below 5.4 MB (``tests/test_kernel.py`` holds it to that); at
+    L = 4 an entry takes about 2.4 KB.
+    """
+    L = ctx.L
+    tables = []
+    try:
+        for table in _site_tables([(lam - ctx.mu[k], n_extra + L - 1 - k) for k in range(L)],
+                                  theta, ctx):
+            tables.append(table)
+    except DynamicalPole as exc:
+        raise DynamicalPole(f"site {len(tables) + 1}, {exc}") from exc
+    return tuple(tables)
 
 
 @functools.lru_cache(maxsize=64)
@@ -180,24 +271,24 @@ def _layout(n_sites: int, pair: tuple[int, int],
 Factor = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def site_factor(lam: complex, theta: complex, ctx: ModelContext,
-                pair: tuple[int, int], shift_sites: Sequence[int],
-                n_sites: int) -> Factor:
-    """Vertex operator on sites ``pair`` of an ``n_sites`` product space.
+def site_factors(specs: Sequence[tuple[complex, tuple[int, int], Sequence[int]]],
+                 theta: complex, ctx: ModelContext, n_sites: int) -> list[Factor]:
+    """Vertex operators on an ``n_sites`` product space, one per spec.
 
-    The dynamical argument is ``theta - gamma*w`` with ``w`` the signed
-    spin sum (+1 up, -1 down) of ``shift_sites`` in the input basis
-    state; the shift sites never include the pair, so the partner state
-    lies in the same sector.  Shifts are inert in the trigonometric
-    regime.  The factor is a (vertex table, partner, column) triple for
-    :func:`apply_factors`.
+    A spec ``(lam, pair, shift_sites)`` is the vertex at ``lam`` on sites
+    ``pair`` with dynamical argument ``theta - gamma*w``, ``w`` the
+    signed spin sum (+1 up, -1 down) of ``shift_sites`` in the input
+    basis state; the shift sites never include the pair, so the partner
+    state lies in the same sector.  Shifts are inert in the
+    trigonometric regime.  The vertex tables of all specs come from one
+    :func:`_site_tables` batch.  A factor is a (vertex table, partner,
+    column) triple for :func:`apply_factors`.
     """
-    if ctx.is_elliptic:
-        shift_sites, theta = tuple(shift_sites), complex(theta)
-    else:  # one table serves every theta: the vertex ignores it
-        shift_sites, theta = (), 0j
-    table = vertex_table(complex(lam), theta, len(shift_sites), ctx)
-    return (table,) + _layout(n_sites, tuple(pair), shift_sites)
+    specs = [(complex(lam), tuple(pair), tuple(shift) if ctx.is_elliptic else ())
+             for lam, pair, shift in specs]
+    tables = _site_tables([(lam, len(shift)) for lam, _, shift in specs], complex(theta), ctx)
+    return [(table,) + _layout(n_sites, pair, shift)
+            for table, (_, pair, shift) in zip(tables, specs)]
 
 
 def apply_factors(x: np.ndarray, factors: Sequence[Factor]) -> np.ndarray:
@@ -207,13 +298,15 @@ def apply_factors(x: np.ndarray, factors: Sequence[Factor]) -> np.ndarray:
     the last one acts first.  Each factor has at most two nonzeros per
     column, and acts as ``y = d*x + o*x[partner]`` with ``d`` and ``o``
     gathered from its vertex table: O(2^n) per factor and column.  Dense
-    operators are this applied to the identity.
+    operators are this applied to the identity.  Overflow is not warned
+    about: callers report non-finite results as errors.
     """
-    for table, partner, column in reversed(factors):
-        d, o = table[:, column]
-        if x.ndim == 2:
-            d, o = d[:, None], o[:, None]
-        x = d * x + o * x[partner]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for table, partner, column in reversed(factors):
+            d, o = table[:, column]
+            if x.ndim == 2:
+                d, o = d[:, None], o[:, None]
+            x = d * x + o * x[partner]
     return x
 
 
@@ -226,15 +319,11 @@ def verify_dybe(l1: complex, l2: complex, l3: complex, theta: complex,
     shifts are inert and this reduces to the ordinary Yang-Baxter
     equation.
     """
-    emb = lambda lam, pair, shift: site_factor(lam, theta, ctx, pair, shift, 3)
+    factors = site_factors([(l1 - l2, (0, 1), (2,)), (l1 - l3, (0, 2), ()),
+                            (l2 - l3, (1, 2), (0,)), (l2 - l3, (1, 2), ()),
+                            (l1 - l3, (0, 2), (1,)), (l1 - l2, (0, 1), ())], theta, ctx, 3)
     eye = np.eye(8, dtype=complex)
-    lhs = apply_factors(eye, [emb(l1 - l2, (0, 1), (2,)),
-                              emb(l1 - l3, (0, 2), ()),
-                              emb(l2 - l3, (1, 2), (0,))])
-    rhs = apply_factors(eye, [emb(l2 - l3, (1, 2), ()),
-                              emb(l1 - l3, (0, 2), (1,)),
-                              emb(l1 - l2, (0, 1), ())])
-    return residual(lhs, rhs)
+    return residual(apply_factors(eye, factors[:3]), apply_factors(eye, factors[3:]))
 
 
 def _monodromy(lam: complex, theta: complex, ctx: ModelContext, aux: int,
@@ -244,16 +333,17 @@ def _monodromy(lam: complex, theta: complex, ctx: ModelContext, aux: int,
 
     The factor at chain site ``k`` has spectral argument ``lam - mu_k``
     and is shifted by ``extra_shift`` plus the chain sites after it.
+    Its vertex table comes from :func:`_chain_tables`.
     """
     chain = tuple(chain)
-    factors = []
-    for k, site in enumerate(chain):
-        try:
-            factors.append(site_factor(lam - ctx.mu[k], theta, ctx, (aux, site),
-                                       extra_shift + chain[k + 1:], n_sites))
-        except DynamicalPole as exc:
-            raise DynamicalPole(f"site {k + 1}, {exc}") from exc
-    return factors
+    if ctx.is_elliptic:
+        tables = _chain_tables(complex(lam), complex(theta), len(extra_shift), ctx)
+        shifts = [extra_shift + chain[k + 1:] for k in range(len(chain))]
+    else:  # shifts are inert: one entry serves every theta and shift
+        tables = _chain_tables(complex(lam), 0j, 0, ctx)
+        shifts = [()] * len(chain)
+    return [(table,) + _layout(n_sites, (aux, site), shift)
+            for table, site, shift in zip(tables, chain, shifts)]
 
 
 def _chain_monodromy(lam: complex, theta: complex, ctx: ModelContext) -> list[Factor]:
@@ -319,7 +409,7 @@ def verify_rll(l1: complex, l2: complex, theta: complex,
     n_sites = ctx.L + 2  # 0, 1 auxiliary; 2..L+1 chain
     chain = tuple(range(2, ctx.L + 2))
     mono = lambda aux, lam, extra: _monodromy(lam, theta, ctx, aux, chain, extra, n_sites)
-    r_ab = lambda shift: [site_factor(l1 - l2, theta, ctx, (0, 1), shift, n_sites)]
+    r_ab = lambda shift: site_factors([(l1 - l2, (0, 1), shift)], theta, ctx, n_sites)
     eye = np.eye(1 << n_sites, dtype=complex)
     lhs = apply_factors(eye, r_ab(chain) + mono(0, l1, ()) + mono(1, l2, (0,)))
     rhs = apply_factors(eye, mono(1, l2, ()) + mono(0, l1, (1,)) + r_ab(()))

@@ -2,12 +2,15 @@ import dataclasses
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import yblab.cli as cli
+from yblab import special_fn, yb_core
 from yblab.errors import DynamicalPole, InterpolationIllConditioned
 
 
@@ -283,14 +286,14 @@ def test_run_closed_stdout_ends_quietly():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "yblab.cli", "run", "--L", "2", "--checks", "dybe",
-         "--samples", "500", "--seed", "1"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    assert json.loads(proc.stdout.readline())["record"] == "model"
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert proc.wait(timeout=120) == 1
+    with subprocess.Popen(
+            [sys.executable, "-m", "yblab.cli", "run", "--L", "2", "--checks", "dybe",
+             "--samples", "500", "--seed", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert json.loads(proc.stdout.readline())["record"] == "model"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 1
     assert "Traceback" not in err and "BrokenPipe" not in err, err
 
 
@@ -465,3 +468,25 @@ def test_unwritable_out_is_config_error(tmp_path, capsys):
                               "--out", str(target)], capsys)
     assert code == 2 and out == "" and not target.exists()
     assert "configuration error: --out: " in err
+
+
+ELLIPTIC_CHECKS = "dybe,rll,hw-actions,identities,fx,z-contour-vs-bf,dia-realization"
+
+
+@pytest.mark.parametrize("args", [
+    ["run", "--L", "3", "--checks", ELLIPTIC_CHECKS, "--samples", "5", "--seed", "1"],
+    ["compute", "z", "--method", "bruteforce", "--L", "10", "--seed", "1"]])
+def test_batched_theta_series_keeps_report_streams(monkeypatch, capsys, args):
+    # the vertex tables take their elliptic weights from one batched theta
+    # series per chain; summed point by point by the scalar series instead,
+    # every record must keep its bits (wall time aside)
+    def stream():
+        yb_core._chain_tables.cache_clear()
+        code, out, err = run_cli(args, capsys)
+        return code, re.sub(r', "wall_time_ms": [^,}]*', "", out), err
+
+    shipped = stream()
+    monkeypatch.setattr(special_fn, "theta1_batch", lambda z, params: np.array(
+        [special_fn.theta1(complex(v), params) for v in z], dtype=complex))
+    assert stream() == shipped
+    assert shipped[0] == 0 and len(parse_records(shipped[1])) == (36 if args[0] == "run" else 1)

@@ -2,16 +2,19 @@
 
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from yblab import yb_core
+from yblab.errors import DynamicalPole
 from yblab.lattice_qty import dwbc_partition, scalar_product_bf
 from yblab.residue_int import z_contour
 from yblab.sampling import random_context, sample_spectral, sample_theta
+from yblab.special_fn import f_weights
 from yblab.yb_core import (apply_block, apply_factors, monodromy_blocks, r_matrix,
-                           residual, site_factor, vertex_table)
+                           residual, site_factors, vertex_table)
 
 from oracles import creation_string
 
@@ -48,7 +51,7 @@ def test_site_factor_matches_literal_embedding(elliptic, rng):
             shift = tuple(rest[:n_shift])
             lam = complex(*rng.uniform(-0.5, 0.5, 2))
             kernel = apply_factors(np.eye(1 << n_sites, dtype=complex),
-                                   [site_factor(lam, theta, ctx, pair, shift, n_sites)])
+                                   site_factors([(lam, pair, shift)], theta, ctx, n_sites))
             literal = literal_embedding(lam, theta, ctx, pair, shift, n_sites)
             assert np.array_equal(kernel, literal)
 
@@ -134,22 +137,73 @@ def test_cached_operators_are_read_only(rng):
 
 
 def test_one_weight_evaluation_per_site_and_sector(monkeypatch, rng):
-    calls = []
+    batches, scalar = [], []
+    monkeypatch.setattr(yb_core, "f_weights",
+                        lambda points, params: batches.append(points)
+                        or f_weights(points, params))
     monkeypatch.setattr(yb_core, "r_matrix",
-                        lambda *args: calls.append(args) or r_matrix(*args))
-    vertex_table.cache_clear()
+                        lambda *args: scalar.append(args) or r_matrix(*args))
+    yb_core._chain_tables.cache_clear()
     ctx = random_context(3, rng)
     lam = sample_spectral(ctx, rng, 1)[0]
     theta = sample_theta(ctx, rng, range(-4, 5))
     monodromy_blocks(lam, theta, ctx)
-    assert len(calls) == 3 + 2 + 1  # site i sees L - i + 1 weight sectors
+    # one batch per chain: f(gamma) once, f(lam - mu_i + gamma) and
+    # f(lam - mu_i) per site, five theta values per weight sector (site i
+    # sees L - i + 1 sectors)
+    assert [len(points) for points in batches] == [1 + 2 * 3 + 5 * (3 + 2 + 1)]
     apply_block("B", lam, theta, ctx, np.eye(ctx.dim))
     monodromy_blocks(lam, theta, ctx)
-    assert len(calls) == 6
+    assert len(batches) == 1 and not scalar  # chain hits evaluate nothing
+    info = yb_core._chain_tables.cache_info()
+    assert (info.hits, info.misses) == (2, 1)
+
+
+def test_batched_tables_bit_identical_to_scalar_route(rng):
+    ctx = random_context(4, rng)
+    lam = sample_spectral(ctx, rng, 1)[0]
+    theta = sample_theta(ctx, rng, range(-5, 6))
+    for n_extra in (0, 1):
+        yb_core._chain_tables.cache_clear()
+        tables = yb_core._chain_tables(lam, theta, n_extra, ctx)
+        for k, table in enumerate(tables):
+            scalar = vertex_table(lam - ctx.mu[k], theta, n_extra + ctx.L - 1 - k, ctx)
+            assert table.tobytes() == scalar.tobytes() and not table.flags.writeable
+
+
+def test_first_pole_is_named_by_site_and_sector(rng):
+    # theta = gamma puts sector w = +1 of site 2 (two sites after it) on
+    # f(0) = 0; sites 1 and 3 see only even weights
+    ctx = random_context(3, rng)
+    lam = sample_spectral(ctx, rng, 1)[0]
+    message = r"^site 2, weight sector \+1: f\(theta\) ~ 0 at theta = 0j$"
+    with pytest.raises(DynamicalPole, match=message):
+        monodromy_blocks(lam, ctx.gamma, ctx)
+    with pytest.raises(DynamicalPole, match=r"^weight sector \+1: f\(theta\) ~ 0"):
+        site_factors([(lam, (0, 1), ()), (lam, (0, 1), (2,))], ctx.gamma, ctx, 3)
+    # f(lam + gamma) overflows, but the scalar route meets the pole of
+    # site 1's first sector before it; so must the batched one
+    with pytest.raises(DynamicalPole, match=r"^site 1, weight sector \+2: "):
+        monodromy_blocks(300 + 0.1j, 2 * ctx.gamma, ctx)
 
 
 def test_vertex_cache_memory_bound(rng):
-    # the documented worst case: 4096 entries of at most 1408 array bytes at L = 10
-    assert vertex_table.cache_info().maxsize == 4096
-    ctx = random_context(10, rng, elliptic=False)
-    assert vertex_table(0.1, 0.0, ctx.L, ctx).nbytes == 1408
+    # the documented worst case: 512 chains of the RLL check's width (one
+    # extra shift site) at L = 10, measured per entry as the cache fills
+    maxsize = yb_core._chain_tables.cache_info().maxsize
+    assert maxsize == 512
+    ctx = random_context(10, rng)
+    theta = sample_theta(ctx, rng, range(-3, 4))
+    lams = sample_spectral(ctx, rng, 9)
+    yb_core._chain_tables.cache_clear()
+    yb_core._chain_tables(lams[0], theta, 1, ctx)  # coefficient tables, code paths
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for lam in lams[1:]:
+            tables = yb_core._chain_tables(lam, theta, 1, ctx)
+        entry = (tracemalloc.get_traced_memory()[0] - before) / 8
+    finally:
+        tracemalloc.stop()
+    assert sum(t.nbytes for t in tables) == 128 * 10 * 13 // 2 == 8320
+    assert maxsize * entry <= 5.4e6  # below the 7.1 MB of the former per-table cache

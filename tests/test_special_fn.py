@@ -1,12 +1,15 @@
 import cmath
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from yblab.errors import NomeTooLarge, NonConvergent
-from yblab.special_fn import (EllipticParams, Regime, _theta1_coefficients, f_weight,
-                              six_vertex, theta1)
+from yblab.special_fn import (EllipticParams, Regime, _theta1_coefficient_arrays,
+                              _theta1_coefficients, f_weight, f_weights, six_vertex, theta1,
+                              theta1_batch)
 
 from oracles import central_difference, theta1_literal
 
@@ -60,18 +63,64 @@ def test_theta1_bit_identical_to_literal_series(nome, rng):
         assert fast == literal and repr(fast) == repr(literal)
 
 
-@pytest.mark.parametrize("route", [theta1, theta1_literal])
+@pytest.mark.parametrize("nome", [0, 0.2, -0.5, 0.3j, 0.6 + 0.6j, 0.89])
+def test_theta1_batch_bit_identical_to_literal_series(nome, rng):
+    params = EllipticParams(nome)
+    zs = [complex(rng.uniform(-3, 3), rng.uniform(-2, 2)) for _ in range(200)]
+    zs += [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 1e-300j]
+    if nome == 0.89:  # finite series whose late sines pass |Im| = 708
+        zs += [0.3 + 5.33j, -0.3 - 5.34j]
+    for z, batched in zip(zs, theta1_batch(zs, params).tolist()):
+        literal = theta1_literal(z, params)
+        assert batched == literal and repr(batched) == repr(literal)
+    chunk = _theta1_coefficient_arrays(params)[3]
+    if abs(nome) > 0.8:  # some points need more terms than one chunk holds
+        with pytest.raises(NonConvergent):
+            for z in zs:
+                theta1(z, EllipticParams(nome, series_cap=chunk))
+
+
+def test_f_weights_bit_identical_to_f_weight(rng):
+    regime = Regime.elliptic(0.2)
+    lams = [complex(rng.uniform(-2, 2), rng.uniform(-1, 1)) for _ in range(100)] + [0j]
+    assert f_weights([], regime.params) == []
+    for lam, batched in zip(lams, f_weights(lams, regime.params)):
+        assert repr(batched) == repr(f_weight(lam, regime))
+
+
+def _batched(z, params):
+    return complex(theta1_batch([0.3 + 0.1j, z, 0.2], params)[1])
+
+
+@pytest.mark.parametrize("route", [theta1, theta1_literal, _batched])
 def test_theta1_failures_match_literal_series(route):
-    with pytest.raises(NonConvergent, match="within 2 terms"):
-        route(0.7 + 0.2j, EllipticParams(0.5, series_cap=2))
+    # np.sin overflows to inf with a warning where cmath.sin raises; the
+    # batched route must raise the same error, and warn about nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergent, match="within 2 terms"):
+            route(0.7 + 0.2j, EllipticParams(0.5, series_cap=2))
+        with pytest.raises(OverflowError):
+            route(400j, EllipticParams(0.2))
+
+
+def test_theta1_batch_raises_for_the_first_failing_point():
+    params = EllipticParams(0.5, series_cap=2)
+    with pytest.raises(NonConvergent, match=r"z=\(0\.7\+0\.2j\)"):
+        theta1_batch([0j, 0.7 + 0.2j, 400j, 0.9 + 0.1j], params)
     with pytest.raises(OverflowError):
-        route(400j, EllipticParams(0.2))
+        theta1_batch([0j, 400j, 0.7 + 0.2j], params)
+    assert theta1_batch(np.zeros(0), params).shape == (0,)
 
 
 def test_theta1_coefficient_table_is_bounded_and_immutable():
     assert _theta1_coefficients.cache_info().maxsize == 16
     table = _theta1_coefficients(EllipticParams(0.2, series_cap=7))
     assert isinstance(table, tuple) and len(table) == 7
+    assert _theta1_coefficient_arrays.cache_info().maxsize == 16
+    *arrays, chunk = _theta1_coefficient_arrays(EllipticParams(0.2, series_cap=7))
+    assert all(a.shape == (7,) and not a.flags.writeable for a in arrays)
+    assert chunk == 10  # |coeff_5| is the first below term_tol * |coeff_0|
 
 
 def test_f_weight_trig_matches_exponentials():
