@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 import numpy as np
-import yaml
 
 from . import feq, pde, sampling
 from .errors import CoincidentPoints, ConfigError, NomeTooLarge, NonFinite, YbLabError
@@ -125,6 +124,8 @@ def _reject_unknown(section: dict, known: tuple[str, ...], where: str) -> None:
 def build_config(args: argparse.Namespace) -> RunConfig:
     raw: dict[str, Any] = {}
     if args.config:
+        import yaml  # here, not at the top: most runs pass no config, and PyYAML slows start-up
+
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 raw = yaml.safe_load(fh) or {}

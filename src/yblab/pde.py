@@ -22,6 +22,7 @@ ambiguity enters.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -48,20 +49,25 @@ _NODE_CANDIDATES = tuple(
 class MultiPoly:
     """Dense multivariate polynomial, bounded degree per variable.
 
-    ``coeffs[d1, ..., dn]`` multiplies ``x_1^d1 * ... * x_n^dn``.
-    Evaluation is Horner over variables; derivatives act exactly on the
-    coefficient tensor, so derivatives of order above ``max_deg`` are
-    exactly zero.
+    ``coeffs[d1, ..., dn]`` multiplies ``x_1^d1 * ... * x_n^dn``.  The
+    polynomial keeps a read-only copy of the array it is given, so the
+    caller's array stays writable and later writes to it do not reach
+    the polynomial.  Evaluation is Horner over variables; derivatives
+    act exactly on the coefficient tensor, so derivatives of order above
+    ``max_deg`` are exactly zero.  The tensors of every ``d^k/dx_i^k``
+    with ``k <= max_deg`` are built on the first
+    :meth:`derivative_table` and kept as one read-only stack.
     """
 
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.coeffs, dtype=complex)
+        c = np.array(self.coeffs, dtype=complex)
         if c.ndim == 0:
             c = c.reshape(1)
         if len(set(c.shape)) != 1:
             raise ValueError(f"coefficient tensor must be a hypercube, got {c.shape}")
+        c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 
     @property
@@ -72,16 +78,32 @@ class MultiPoly:
     def max_deg(self) -> int:
         return self.coeffs.shape[0] - 1
 
-    def evaluate(self, point: Sequence[complex]) -> complex:
+    def _check_point(self, point: Sequence[complex]) -> None:
         if len(point) != self.nvars:
             raise ValueError(f"expected {self.nvars} coordinates, got {len(point)}")
-        v = self.coeffs
-        for x in point:
-            acc = v[-1]
-            for d in range(v.shape[0] - 2, -1, -1):
-                acc = acc * x + v[d]
-            v = acc
-        return complex(v)
+
+    def evaluate(self, point: Sequence[complex]) -> complex:
+        self._check_point(point)
+        return _horner(self.coeffs, point)[0]
+
+    @functools.cached_property
+    def _derivative_stack(self) -> np.ndarray:
+        """``stack[..., i * (max_deg + 1) + k]`` holds the coefficients of ``d^k/dx_i^k``."""
+        stack = np.stack([d.coeffs for i in range(self.nvars)
+                          for d in self.derivatives(i, self.max_deg + 1)], axis=-1)
+        stack.flags.writeable = False
+        return stack
+
+    def derivative_table(self, point: Sequence[complex]) -> tuple[tuple[complex, ...], ...]:
+        """``table[i][k]`` is ``d^k/dx_i^k`` at ``point``, for k = 0..max_deg.
+
+        One Horner pass over the cached derivative stack; each entry has
+        the bits of ``derivative(i, k).evaluate(point)``.
+        """
+        self._check_point(point)
+        values = _horner(self._derivative_stack, point)
+        m = self.max_deg + 1
+        return tuple(tuple(values[i * m:(i + 1) * m]) for i in range(self.nvars))
 
     def derivatives(self, axis: int, count: int) -> Iterator["MultiPoly"]:
         """Derivatives of order 0..count-1 in variable ``axis``, lowest first.
@@ -113,6 +135,34 @@ class MultiPoly:
         c = np.moveaxis(self.coeffs, axis, 0)
         nz = [d for d in range(c.shape[0]) if np.any(c[d] != 0)]
         return max(nz) if nz else 0
+
+
+def _horner(coeffs: np.ndarray, point: Sequence[complex]) -> list[complex]:
+    """Polynomials evaluated at ``point``, one value per polynomial.
+
+    The first ``len(point)`` axes of ``coeffs`` are the variables' powers;
+    an optional last axis stacks polynomials.  Every variable but the last
+    is one array Horner step over the whole stack: numpy's elementwise
+    loops round each element alike whatever the array's size or layout,
+    so a value does not depend on the stack it is part of.  The last
+    variable's step runs per polynomial on numpy scalars, whose complex
+    arithmetic rounds differently from the array loops; it is the step a
+    single evaluation has always taken.
+    """
+    v = coeffs
+    for x in point[:-1]:
+        acc = v[-1]
+        for d in range(v.shape[0] - 2, -1, -1):
+            acc = acc * x + v[d]
+        v = acc
+    x = point[-1]
+    values = []
+    for column in (v.T if v.ndim > 1 else (v,)):
+        acc = column[-1]
+        for d in range(column.shape[0] - 2, -1, -1):
+            acc = acc * x + column[d]
+        values.append(complex(acc))
+    return values
 
 
 @dataclass(frozen=True)
@@ -191,17 +241,24 @@ def _taylor_sum(derivs: Sequence[complex], step: complex) -> complex:
     return complex(total)
 
 
-def fzt_coefficients(l0: complex, X, ctx: ModelContext
-                     ) -> tuple[complex, tuple[complex, ...]]:
-    """Merged-form six-vertex swap-equation coefficients.
+def _fzt_point(lams: tuple[complex, ...], ctx: ModelContext
+               ) -> tuple[tuple[complex, ...], tuple[tuple[complex, ...], ...]]:
+    """The factors of the merged swap coefficients free of ``lam_0``.
 
-    This transcription folds the removal-of-``lam_0`` term into the head
-    coefficient, so exactly L+1 terms remain: one multiplying the
-    partition function itself and one per single-point swap.
+    Returns ``(a_mu, ratios)``: ``a_mu[i]`` is ``prod_m a(lam_i - mu_m)``
+    and ``ratios[i]`` lists ``a(lam_j - lam_i) / b(lam_j - lam_i)`` over
+    ``j != i`` in increasing j.
     """
     if ctx.is_elliptic:
         raise RegimeMismatch("the merged swap equation is trigonometric")
-    lams = as_values(X)
+    a, b, _ = six_vertex(ctx.gamma)
+    return (tuple(np.prod([a(li - m) for m in ctx.mu]) for li in lams),
+            tuple(tuple(a(lj - li) / b(lj - li) for j, lj in enumerate(lams) if j != i)
+                  for i, li in enumerate(lams)))
+
+
+def _fzt_node(l0: complex, lams: tuple[complex, ...], a_mu, ratios, ctx: ModelContext
+              ) -> tuple[complex, tuple[complex, ...]]:
     a, b, c = six_vertex(ctx.gamma)
     head = np.prod([b(l0 - m) for m in ctx.mu]) \
         - np.prod([a(l0 - m) for m in ctx.mu]) \
@@ -211,12 +268,25 @@ def fzt_coefficients(l0: complex, X, ctx: ModelContext
         den = b(li - l0)
         if abs(den) <= 1e-12 * abs(c):
             raise SingularCoefficient(f"b(lam_{i + 1} - lam_0) ~ 0")
-        coeff = (c / den) * np.prod([a(li - m) for m in ctx.mu])
-        for j, lj in enumerate(lams):
-            if j != i:
-                coeff *= a(lj - li) / b(lj - li)
+        coeff = (c / den) * a_mu[i]
+        for ratio in ratios[i]:
+            coeff *= ratio
         swaps.append(complex(coeff))
     return complex(head), tuple(swaps)
+
+
+def fzt_coefficients(l0: complex, X, ctx: ModelContext
+                     ) -> tuple[complex, tuple[complex, ...]]:
+    """Merged-form six-vertex swap-equation coefficients.
+
+    This transcription folds the removal-of-``lam_0`` term into the head
+    coefficient, so exactly L+1 terms remain: one multiplying the
+    partition function itself and one per single-point swap.  It is
+    written in two parts, the factors free of ``lam_0`` and the terms in
+    ``lam_0``, so that the pencil can reuse the first at every node.
+    """
+    lams = as_values(X)
+    return _fzt_node(l0, lams, *_fzt_point(lams, ctx), ctx)
 
 
 def fzt_residual(l0: complex, X, ctx: ModelContext,
@@ -298,31 +368,11 @@ def _pencil_nodes(point: PdeVars, count: int) -> list[complex]:
         "could not place enough extraction nodes away from the spectral points")
 
 
-def _swap_operator_value(z_value: complex, derivs: Sequence[Sequence[complex]],
-                         point: PdeVars, ctx: ModelContext, l0: complex
-                         ) -> tuple[complex, float]:
-    """One evaluation of the normalized swap pencil; returns (value, term scale).
-
-    ``z_value`` is the polynomial at ``point.x`` and ``derivs[i][k]`` its
-    k-th derivative in ``x_i`` there; replacing ``x_i`` by ``x_0`` is
-    their truncated Taylor sum, as in :func:`dia_realized`.
-    """
-    L = ctx.L
-    lams = point.lam
-    head, swaps = fzt_coefficients(l0, lams, ctx)
-    half = lambda l: cmath.exp((1 - L) * l)
-    head_check = head * np.prod([half(l) for l in lams])
-    terms = [head_check * z_value]
-    x0 = cmath.exp(2 * l0)
-    for i, coeff in enumerate(swaps):
-        coeff_check = coeff * half(l0) \
-            * np.prod([half(lams[j]) for j in range(L) if j != i])
-        terms.append(coeff_check * _taylor_sum(derivs[i], x0 - complex(point.x[i])))
-    kappa = 2.0 ** (-L) * cmath.exp(-sum(ctx.mu)) * cmath.exp((1 - L) * sum(lams))
-    norm = cmath.exp(L * l0) / (kappa * (1 - point.q ** (-2)))
-    value = sum(terms) * norm
-    scale = float(sum(abs(t) for t in terms) * abs(norm))
-    return complex(value), scale
+def _check_pencil_shape(zbar: MultiPoly, L: int) -> None:
+    if zbar.nvars != L or zbar.max_deg != L - 1:
+        raise DegreeMismatch(
+            f"expected an {L}-variable polynomial of degree {L - 1}, "
+            f"got {zbar.nvars} variables of degree {zbar.max_deg}")
 
 
 def omega_actions(zbar: MultiPoly, point: PdeVars, ctx: ModelContext) -> OmegaActions:
@@ -336,24 +386,39 @@ def omega_actions(zbar: MultiPoly, point: PdeVars, ctx: ModelContext) -> OmegaAc
     returned coefficients are the pencil operators applied to ``zbar``
     at ``point``; for the true partition polynomial all of them vanish.
 
-    The value of ``zbar`` and the L x L table of its derivatives
-    ``d^k zbar / dx_i^k`` at ``point`` are evaluated once (L^2 + 1
-    evaluations); every node reuses them, and only the Taylor powers
-    ``(x_0 - x_i)^k / k!`` depend on the node.
+    One call takes one :meth:`MultiPoly.derivative_table` of ``zbar`` at
+    ``point`` (the polynomial and its L x L derivatives, from the
+    polynomial's cached derivative stack) and computes the factors of
+    the swap coefficients that do not involve ``lam_0`` once; each node
+    adds only its ``lam_0`` terms and the Taylor powers
+    ``(x_0 - x_i)^k / k!``.  Hoisting moves values, not operations, so
+    the result has the bits of the per-node route.
     """
     L = ctx.L
-    if zbar.nvars != L or zbar.max_deg != L - 1:
-        raise DegreeMismatch(
-            f"expected an {L}-variable polynomial of degree {L - 1}, "
-            f"got {zbar.nvars} variables of degree {zbar.max_deg}")
+    _check_pencil_shape(zbar, L)
     node_lams = _pencil_nodes(point, L + 2)
-    z_value = zbar.evaluate(point.x)
-    derivs = [[d.evaluate(point.x) for d in zbar.derivatives(i, L)] for i in range(L)]
+    derivs = zbar.derivative_table(point.x)
+    lams = point.lam
+    a_mu, ratios = _fzt_point(lams, ctx)
+    half = lambda l: cmath.exp((1 - L) * l)
+    head_half = np.prod([half(l) for l in lams])
+    swap_half = [np.prod([half(lams[j]) for j in range(L) if j != i]) for i in range(L)]
+    kappa = 2.0 ** (-L) * cmath.exp(-sum(ctx.mu)) * cmath.exp((1 - L) * sum(lams))
+    norm_den = kappa * (1 - point.q ** (-2))
     values, scales = [], []
     for l0 in node_lams:
-        v, s = _swap_operator_value(z_value, derivs, point, ctx, l0)
-        values.append(v)
-        scales.append(s)
+        # the normalized swap operator at this node: replacing x_i by x_0
+        # is the truncated Taylor sum of derivs[i], as in dia_realized
+        head, swaps = _fzt_node(l0, lams, a_mu, ratios, ctx)
+        terms = [head * head_half * derivs[0][0]]
+        x0 = cmath.exp(2 * l0)
+        half_l0 = half(l0)
+        for i, coeff in enumerate(swaps):
+            terms.append(coeff * half_l0 * swap_half[i]
+                         * _taylor_sum(derivs[i], x0 - complex(point.x[i])))
+        norm = cmath.exp(L * l0) / norm_den
+        values.append(complex(sum(terms) * norm))
+        scales.append(float(sum(abs(t) for t in terms) * abs(norm)))
     scale = max(scales)
     x0s = np.array([cmath.exp(2 * l) for l in node_lams])
     vander = np.vander(x0s[:L], L, increasing=True)
@@ -374,13 +439,18 @@ def omega_leading_apply(zbar: MultiPoly, point: PdeVars, ctx: ModelContext) -> c
     ``q^(2(1-L)) / (L-1)!`` times the sum over i of
     ``prod_j abar(x_i, y_j) * prod_{j != i} abar(x_j, x_i)/bbar(x_j, x_i)``
     acting with the (L-1)-th derivative in ``x_i``, where
-    ``abar(x, y) = x q^2 - y`` and ``bbar(x, y) = x - y``.
+    ``abar(x, y) = x q^2 - y`` and ``bbar(x, y) = x - y``.  ``zbar``
+    must have the pencil's shape (L variables, degree L - 1); its value
+    and (L-1)-th derivatives come from one
+    :meth:`MultiPoly.derivative_table`.
     """
     L = ctx.L
+    _check_pencil_shape(zbar, L)
     xs, ys, q = point.x, point.y, point.q
+    derivs = zbar.derivative_table(xs)
     abar = lambda u, v: u * q ** 2 - v
     bbar = lambda u, v: u - v
-    total = sum(abar(xs[i], ys[i]) for i in range(L)) * zbar.evaluate(xs)
+    total = sum(abar(xs[i], ys[i]) for i in range(L)) * derivs[0][0]
     for i in range(L):
         weight = np.prod([abar(xs[i], ys[j]) for j in range(L)])
         for j in range(L):
@@ -390,5 +460,5 @@ def omega_leading_apply(zbar: MultiPoly, point: PdeVars, ctx: ModelContext) -> c
                     raise CoincidentPoints(f"x_{j + 1} and x_{i + 1} coincide")
                 weight *= abar(xs[j], xs[i]) / den
         total -= q ** (2 * (1 - L)) / math.factorial(L - 1) \
-            * weight * zbar.derivative(i, L - 1).evaluate(xs)
+            * weight * derivs[i][L - 1]
     return complex(total)

@@ -12,10 +12,10 @@ import math
 
 import numpy as np
 
-from yblab.errors import (InterpolationIllConditioned, NomeTooLarge, NonConvergent,
-                          RegimeMismatch, SingularR)
+from yblab.errors import (CoincidentPoints, InterpolationIllConditioned, NomeTooLarge,
+                          NonConvergent, RegimeMismatch, SingularCoefficient, SingularR)
 from yblab.lattice_qty import as_values, dwbc_partition
-from yblab.pde import MultiPoly, OmegaActions, _pencil_nodes, fzt_coefficients
+from yblab.pde import MultiPoly, OmegaActions, _pencil_nodes
 from yblab.special_fn import MAX_NOME, six_vertex
 from yblab.yb_core import ABS_FLOOR, monodromy_blocks
 
@@ -279,6 +279,17 @@ def interpolate_zbar_literal(ctx, *, rng=None, nodes=None):
     return MultiPoly(coeffs)
 
 
+def evaluate_literal(poly, point):
+    """``MultiPoly.evaluate`` as one Horner loop per variable, before the stacked routine."""
+    v = poly.coeffs
+    for x in point:
+        acc = v[-1]
+        for d in range(v.shape[0] - 2, -1, -1):
+            acc = acc * x + v[d]
+        v = acc
+    return complex(v)
+
+
 def derivative_literal(poly, axis, order=1):
     """``MultiPoly.derivative`` taking every order from scratch, unchanged."""
     c = np.moveaxis(poly.coeffs, axis, 0)
@@ -301,27 +312,55 @@ def dia_realized_literal(p, i, alpha_value, point):
     total = 0j
     power = 1.0 + 0j
     for k in range(m + 1):
-        total += power / math.factorial(k) * derivative_literal(p, i, k).evaluate(point)
+        value = evaluate_literal(derivative_literal(p, i, k), point)
+        total += power / math.factorial(k) * value
         power *= step
     return complex(total)
+
+
+def fzt_coefficients_literal(l0, X, ctx):
+    """``pde.fzt_coefficients`` as one body, every factor computed where it is used.
+
+    The library splits it into the factors free of ``lam_0`` and the
+    terms in ``lam_0``; this is the body before that split, unchanged.
+    """
+    if ctx.is_elliptic:
+        raise RegimeMismatch("the merged swap equation is trigonometric")
+    lams = as_values(X)
+    a, b, c = six_vertex(ctx.gamma)
+    head = np.prod([b(l0 - m) for m in ctx.mu]) \
+        - np.prod([a(l0 - m) for m in ctx.mu]) \
+        * np.prod([a(l - l0) / b(l - l0) for l in lams])
+    swaps = []
+    for i, li in enumerate(lams):
+        den = b(li - l0)
+        if abs(den) <= 1e-12 * abs(c):
+            raise SingularCoefficient(f"b(lam_{i + 1} - lam_0) ~ 0")
+        coeff = (c / den) * np.prod([a(li - m) for m in ctx.mu])
+        for j, lj in enumerate(lams):
+            if j != i:
+                coeff *= a(lj - li) / b(lj - li)
+        swaps.append(complex(coeff))
+    return complex(head), tuple(swaps)
 
 
 def omega_actions_literal(zbar, point, ctx):
     """The swap pencil with every node evaluating ``zbar`` and its derivatives anew.
 
     ``pde.omega_actions`` before the derivative table was shared by the
-    nodes, kept unchanged apart from the shape check; the node choice
-    and the swap coefficients are the library's own.
+    nodes, kept unchanged apart from the shape check, with the swap
+    coefficients of :func:`fzt_coefficients_literal`; the node choice is
+    the library's own.
     """
     L = ctx.L
     node_lams = _pencil_nodes(point, L + 2)
     values, scales = [], []
     for l0 in node_lams:
         lams = point.lam
-        head, swaps = fzt_coefficients(l0, lams, ctx)
+        head, swaps = fzt_coefficients_literal(l0, lams, ctx)
         half = lambda l: cmath.exp((1 - L) * l)
         head_check = head * np.prod([half(l) for l in lams])
-        terms = [head_check * zbar.evaluate(point.x)]
+        terms = [head_check * evaluate_literal(zbar, point.x)]
         x0 = cmath.exp(2 * l0)
         for i, coeff in enumerate(swaps):
             coeff_check = coeff * half(l0) \
@@ -340,3 +379,23 @@ def omega_actions_literal(zbar, point, ctx):
         if abs(fitted - values[k]) > 1e-6 * max(scale, ABS_FLOOR):
             raise InterpolationIllConditioned(f"held-out node {k} misses the fit")
     return OmegaActions(tuple(complex(c) for c in coeffs), scale)
+
+
+def omega_leading_apply_literal(zbar, point, ctx):
+    """``pde.omega_leading_apply`` with a fresh derivative and evaluation per use, unchanged."""
+    L = ctx.L
+    xs, ys, q = point.x, point.y, point.q
+    abar = lambda u, v: u * q ** 2 - v
+    bbar = lambda u, v: u - v
+    total = sum(abar(xs[i], ys[i]) for i in range(L)) * evaluate_literal(zbar, xs)
+    for i in range(L):
+        weight = np.prod([abar(xs[i], ys[j]) for j in range(L)])
+        for j in range(L):
+            if j != i:
+                den = bbar(xs[j], xs[i])
+                if abs(den) < 1e-12 * max(abs(xs[j]), abs(xs[i]), 1.0):
+                    raise CoincidentPoints(f"x_{j + 1} and x_{i + 1} coincide")
+                weight *= abar(xs[j], xs[i]) / den
+        total -= q ** (2 * (1 - L)) / math.factorial(L - 1) \
+            * weight * evaluate_literal(derivative_literal(zbar, i, L - 1), xs)
+    return complex(total)

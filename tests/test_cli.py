@@ -10,8 +10,11 @@ import numpy as np
 import pytest
 
 import yblab.cli as cli
-from yblab import special_fn, yb_core
+from yblab import pde, special_fn, yb_core
 from yblab.errors import DynamicalPole, InterpolationIllConditioned
+
+from oracles import (fzt_coefficients_literal, omega_actions_literal,
+                     omega_leading_apply_literal)
 
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -122,6 +125,28 @@ def test_yaml_boolean_is_not_a_number(tmp_path, capsys, text, where):
     code, out, err = run_cli(["run", "--config", str(cfg), "--checks", "dybe"], capsys)
     assert code == 2 and out == ""
     assert f"configuration error: {where}: expected" in err
+
+
+def test_invalid_yaml_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "broken.yaml"
+    cfg.write_text("model: [1, 2\n")
+    code, out, err = run_cli(["run", "--config", str(cfg), "--checks", "dybe"], capsys)
+    assert code == 2 and out == ""
+    assert "configuration error: config: not valid YAML" in err
+
+
+def test_run_without_config_does_not_import_yaml():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    code = ("import sys\n"
+            "from yblab import cli\n"
+            "assert cli.main(['compute', 'z', '--L', '2', '--seed', '1']) == 0\n"
+            "print('yaml' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def _readme_config_block():
@@ -490,3 +515,23 @@ def test_batched_theta_series_keeps_report_streams(monkeypatch, capsys, args):
         [special_fn.theta1(complex(v), params) for v in z], dtype=complex))
     assert stream() == shipped
     assert shipped[0] == 0 and len(parse_records(shipped[1])) == (36 if args[0] == "run" else 1)
+
+
+@pytest.mark.parametrize("L", ["2", "3", "4"])
+def test_pencil_keeps_report_streams(monkeypatch, capsys, L):
+    # the pencil takes one derivative table per call and hoists the
+    # node-free swap factors; with the per-evaluation bodies of the
+    # oracles instead, every record must keep its bits (wall time aside)
+    args = ["run", "--trig", "--L", L, "--checks", "pde-omega,pde-leading,fzt",
+            "--samples", "5", "--seed", "1"]
+
+    def stream():
+        code, out, err = run_cli(args, capsys)
+        return code, re.sub(r', "wall_time_ms": [^,}]*', "", out), err
+
+    shipped = stream()
+    monkeypatch.setattr(pde, "omega_actions", omega_actions_literal)
+    monkeypatch.setattr(pde, "omega_leading_apply", omega_leading_apply_literal)
+    monkeypatch.setattr(pde, "fzt_coefficients", fzt_coefficients_literal)
+    assert stream() == shipped
+    assert shipped[0] == 0 and len(parse_records(shipped[1])) == 1 + 3 * 5

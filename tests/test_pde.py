@@ -7,15 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from yblab import lattice_qty, pde
-from yblab.errors import DegreeMismatch, RegimeMismatch
+from yblab.errors import DegreeMismatch, RegimeMismatch, SingularCoefficient
 from yblab.feq import fx_residual
 from yblab.lattice_qty import dwbc_partition
-from yblab.pde import (MultiPoly, PdeVars, dia_apply, dia_realized, fzt_residual,
-                       interpolate_zbar, omega_actions, omega_leading_apply)
+from yblab.pde import (MultiPoly, PdeVars, dia_apply, dia_realized, fzt_coefficients,
+                       fzt_residual, interpolate_zbar, omega_actions, omega_leading_apply)
 from yblab.sampling import random_context, sample_spectral
 
-from oracles import (derivative_literal, dia_realized_literal, interpolate_zbar_literal,
-                     omega_actions_literal)
+from oracles import (derivative_literal, dia_realized_literal, evaluate_literal,
+                     fzt_coefficients_literal, interpolate_zbar_literal, omega_actions_literal,
+                     omega_leading_apply_literal)
 
 
 def bf_z(ctx):
@@ -377,10 +378,96 @@ def test_pencil_evaluates_each_derivative_once(L, monkeypatch):
     rng = np.random.default_rng(90 + L)
     ctx = random_context(L, rng, elliptic=False)
     zbar = interpolate_zbar(ctx)
-    point = PdeVars.from_lambdas(sample_spectral(ctx, rng, L), ctx)
-    calls = []
-    evaluate = MultiPoly.evaluate
-    monkeypatch.setattr(MultiPoly, "evaluate",
-                        lambda self, pt: calls.append(pt) or evaluate(self, pt))
-    omega_actions(zbar, point, ctx)
-    assert len(calls) == L * L + 1
+    ladders, tables, passes = [], [], []
+    derivatives, derivative_table, horner = (
+        MultiPoly.derivatives, MultiPoly.derivative_table, pde._horner)
+    monkeypatch.setattr(MultiPoly, "derivatives",
+                        lambda self, *args: ladders.append(self) or derivatives(self, *args))
+    monkeypatch.setattr(MultiPoly, "derivative_table",
+                        lambda self, pt: tables.append(pt) or derivative_table(self, pt))
+    monkeypatch.setattr(pde, "_horner", lambda *args: passes.append(args) or horner(*args))
+    points = [PdeVars.from_lambdas(sample_spectral(ctx, rng, L), ctx) for _ in range(3)]
+    for point in points:
+        omega_actions(zbar, point, ctx)
+        omega_leading_apply(zbar, point, ctx)
+    # one derivative ladder per axis builds the stack, once for all points
+    assert len(ladders) == L and all(p is zbar for p in ladders)
+    # one table, and no other evaluation, per call
+    assert tables == [p.x for p in points for _ in range(2)]
+    assert len(passes) == len(tables)
+
+
+def test_multipoly_keeps_a_read_only_copy(rng):
+    coeffs = rng.standard_normal((3, 3)) + 0j
+    poly = MultiPoly(coeffs)
+    point = [0.3 + 0.1j, -0.7 + 0.2j]
+    before = poly.evaluate(point)
+    table = poly.derivative_table(point)
+    coeffs[:] = 0.0  # the caller's array stays writable
+    assert poly.evaluate(point) == before and poly.derivative_table(point) == table
+    assert not poly.coeffs.flags.writeable
+    assert not poly._derivative_stack.flags.writeable
+    assert not poly.derivative(0, 1).coeffs.flags.writeable
+    with pytest.raises(ValueError):
+        poly.coeffs[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("nvars, deg", [(1, 0), (1, 4), (2, 0), (2, 3), (3, 2), (4, 3),
+                                        (5, 4)])
+def test_derivative_table_bit_identical_to_single_evaluations(nvars, deg, rng):
+    for _ in range(3):
+        poly = random_poly(rng, nvars, deg)
+        point = [complex(a, b) for a, b in rng.uniform(-1.5, 1.5, (nvars, 2))]
+        assert poly.evaluate(point) == evaluate_literal(poly, point)
+        table = poly.derivative_table(point)
+        assert len(table) == nvars and all(len(row) == deg + 1 for row in table)
+        for axis in range(nvars):
+            for order in range(deg + 1):
+                value = table[axis][order]
+                assert type(value) is complex
+                assert value == poly.derivative(axis, order).evaluate(point)
+                assert value == evaluate_literal(derivative_literal(poly, axis, order), point)
+
+
+def test_derivative_table_checks_the_point_length():
+    with pytest.raises(ValueError):
+        MultiPoly(np.ones((2, 2))).derivative_table([1.0])
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+def test_omega_leading_apply_bit_identical_to_literal(L):
+    rng = np.random.default_rng(70 + L)
+    ctx = random_context(L, rng, elliptic=False)
+    for poly in (interpolate_zbar(ctx), random_poly(rng, L, L - 1)):
+        for _ in range(3):
+            point = PdeVars.from_lambdas(sample_spectral(ctx, rng, L), ctx)
+            assert omega_leading_apply(poly, point, ctx) \
+                == omega_leading_apply_literal(poly, point, ctx)
+
+
+def test_omega_leading_apply_rejects_wrong_shape(pencil_setup, rng):
+    ctx, _ = pencil_setup[3]
+    point = PdeVars.from_lambdas(sample_spectral(ctx, rng, 3), ctx)
+    for wrong in (random_poly(rng, 3, 3), random_poly(rng, 2, 2)):
+        with pytest.raises(DegreeMismatch):
+            omega_leading_apply(wrong, point, ctx)
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+def test_fzt_coefficients_bit_identical_to_literal(L):
+    rng = np.random.default_rng(50 + L)
+    ctx = random_context(L, rng, elliptic=False)
+    for _ in range(5):
+        pts = sample_spectral(ctx, rng, L + 1)
+        assert fzt_coefficients(pts[0], pts[1:], ctx) \
+            == fzt_coefficients_literal(pts[0], pts[1:], ctx)
+
+
+def test_fzt_coefficients_singular_like_literal(trig_ctx3, rng):
+    pts = sample_spectral(trig_ctx3, rng, 3)
+    l0 = pts[1] + 1e-14  # b(lam_2 - lam_0) ~ 0
+    with pytest.raises(SingularCoefficient) as shipped:
+        fzt_coefficients(l0, pts, trig_ctx3)
+    with pytest.raises(SingularCoefficient) as literal:
+        fzt_coefficients_literal(l0, pts, trig_ctx3)
+    assert str(shipped.value) == str(literal.value) == "b(lam_2 - lam_0) ~ 0"
