@@ -34,12 +34,21 @@ import numpy as np
 from . import feq, pde, sampling
 from .errors import CoincidentPoints, ConfigError, NomeTooLarge, NonFinite, YbLabError
 from .special_fn import Regime
-from .yb_core import ABS_FLOOR, ModelContext
+from .yb_core import ABS_FLOOR, ModelContext, rel_diff, verify_dybe, verify_rll
 from .lattice_qty import dwbc_partition, scalar_product_bf, check_hw_actions
 from .residue_int import require_distinct, sn_contour, z_contour
-from .yb_core import verify_dybe, verify_rll
 
 MODEL_SEED_KEY = 1000
+
+#: The independent routes to each quantity, in evaluation order, behind
+#: ``compute --method`` and the ``*-contour-vs-bf`` checks.  Entries look
+#: their evaluator up per call, so wrappers set on this module see it.
+ROUTES: dict[str, dict[str, Callable[..., complex]]] = {
+    "z": {"bruteforce": lambda X, theta, ctx: dwbc_partition(X, theta, ctx),
+          "contour": lambda X, theta, ctx: z_contour(X, theta, ctx)},
+    "sn": {"bruteforce": lambda XB, YC, ctx: scalar_product_bf(XB, YC, ctx),
+           "contour": lambda XB, YC, ctx: sn_contour(XB, YC, ctx)},
+}
 
 
 # --- configuration -------------------------------------------------------
@@ -322,27 +331,20 @@ def _draw_zcmp(ctx, rng, _state):
     return {"lams": pts, "theta": _theta_for(ctx, rng, 2 * ctx.L + 4)}
 
 
-def _eval_zcmp(ctx, p, _state):
-    zc = z_contour(p["lams"], p["theta"], ctx)
-    zb = dwbc_partition(p["lams"], p["theta"], ctx)
-    # both values ride along in the record next to their relative difference
-    p["value_contour"] = zc
-    p["value_bruteforce"] = zb
-    return abs(zc - zb) / max(abs(zc), abs(zb), ABS_FLOOR)
-
-
 def _draw_sncmp(ctx, rng, _state):
     n = min(ctx.L, 2)
     pts = sampling.sample_spectral(ctx, rng, 2 * n, avoid=ctx.mu)
     return {"xb": pts[:n], "yc": pts[n:]}
 
 
-def _eval_sncmp(ctx, p, _state):
-    sc = sn_contour(p["xb"], p["yc"], ctx)
-    sb = scalar_product_bf(p["xb"], p["yc"], ctx)
-    p["value_contour"] = sc
-    p["value_bruteforce"] = sb
-    return abs(sc - sb) / max(abs(sc), abs(sb), ABS_FLOOR)
+def _compare(quantity: str, *keys: str):
+    """Evaluator: every route to ``quantity`` at the drawn ``keys``, values kept in the record."""
+    def evaluate(ctx, p, _state):
+        values = {route: fn(*(p[k] for k in keys), ctx)
+                  for route, fn in ROUTES[quantity].items()}
+        p.update({f"value_{route}": value for route, value in values.items()})
+        return rel_diff(*values.values())
+    return evaluate
 
 
 def _draw_fzt(ctx, rng, _state):
@@ -381,8 +383,7 @@ def _eval_pde_leading(ctx, p, state):
     point = pde.PdeVars.from_lambdas(p["lams"], ctx)
     acts_c = pde.omega_actions(control, point, ctx)
     lead_c = pde.omega_leading_apply(control, point, ctx)
-    agree = abs(acts_c.leading - lead_c) \
-        / max(abs(acts_c.leading), abs(lead_c), ABS_FLOOR)
+    agree = rel_diff(acts_c.leading, lead_c)
     acts_z = pde.omega_actions(zbar, point, ctx)
     null = abs(pde.omega_leading_apply(zbar, point, ctx)) \
         / max(acts_z.scale, ABS_FLOOR)
@@ -406,8 +407,7 @@ def _eval_dia(ctx, p, _state):
     realized = pde.dia_realized(poly, p["axis"], p["x0"], p["point"])
     substituted = pde.dia_apply(lambda args: poly.evaluate(args[1:]), p["axis"] + 1, 0)(
         [p["x0"]] + list(p["point"]))
-    return abs(realized - substituted) \
-        / max(abs(realized), abs(substituted), ABS_FLOOR)
+    return rel_diff(realized, substituted)
 
 
 REGISTRY: dict[str, CheckDef] = {
@@ -421,8 +421,8 @@ REGISTRY: dict[str, CheckDef] = {
     "identities": CheckDef(1e-9, False, None, _draw_identity, _eval_identity),
     "fx": CheckDef(1e-9, False, None, _draw_fx, _eval_fx),
     "snad": CheckDef(1e-9, True, None, _draw_snad, _eval_snad),
-    "z-contour-vs-bf": CheckDef(1e-8, False, None, _draw_zcmp, _eval_zcmp),
-    "sn-contour-vs-bf": CheckDef(1e-6, True, None, _draw_sncmp, _eval_sncmp),
+    "z-contour-vs-bf": CheckDef(1e-8, False, None, _draw_zcmp, _compare("z", "lams", "theta")),
+    "sn-contour-vs-bf": CheckDef(1e-6, True, None, _draw_sncmp, _compare("sn", "xb", "yc")),
     "fzt": CheckDef(1e-9, True, None, _draw_fzt, _eval_fzt),
     # the grid interpolation refuses L > 4; at L = 1 the leading operator
     # is identically 0, so comparing it with the pencil measures only noise
@@ -522,21 +522,17 @@ def run_suite(cfg: RunConfig, out=None) -> int:
 
 # --- compute subcommand --------------------------------------------------
 
-def _emit_compute(echo: dict, method: str, ctx: ModelContext,
-                  bruteforce: Callable[[], complex], contour: Callable[[], complex]) -> int:
+def _emit_compute(echo: dict, method: str, quantity: str, args: tuple,
+                  ctx: ModelContext) -> int:
     """Evaluate the requested routes into ``echo`` and print it; non-finite is an error."""
-    values = {}
-    if method in ("bruteforce", "both"):
-        values["bruteforce"] = bruteforce()
-    if method in ("contour", "both"):
-        values["contour"] = contour()
+    values = {route: fn(*args, ctx) for route, fn in ROUTES[quantity].items()
+              if method in (route, "both")}
     for route, value in values.items():
         if not cmath.isfinite(value):
             raise NonFinite(f"{route} value is {value}")
         echo[route] = _jsonable(value)
     if method == "both":
-        vb, vc = values["bruteforce"], values["contour"]
-        echo["rel_diff"] = abs(vb - vc) / max(abs(vb), abs(vc), ABS_FLOOR)
+        echo["rel_diff"] = rel_diff(*values.values())
     print(json.dumps(echo, allow_nan=False))
     return 0
 
@@ -563,9 +559,7 @@ def _compute_z(cfg: RunConfig, args) -> int:
         else sampling.sample_theta(ctx, rng, range(-(ctx.L + 2), 2 * ctx.L + 3))
     echo = {"record": "compute-z", "model": _model_echo(cfg), "method": args.method,
             "points": _jsonable(list(points)), "theta": _jsonable(theta)}
-    return _emit_compute(echo, args.method, ctx,
-                         lambda: dwbc_partition(points, theta, ctx),
-                         lambda: z_contour(points, theta, ctx))
+    return _emit_compute(echo, args.method, "z", (points, theta), ctx)
 
 
 def _compute_sn(cfg: RunConfig, args) -> int:
@@ -595,9 +589,7 @@ def _compute_sn(cfg: RunConfig, args) -> int:
         xb, yc = pts[:n], pts[n:]
     echo = {"record": "compute-sn", "model": _model_echo(cfg), "method": args.method,
             "xb": _jsonable(list(xb)), "yc": _jsonable(list(yc))}
-    return _emit_compute(echo, args.method, ctx,
-                         lambda: scalar_product_bf(xb, yc, ctx),
-                         lambda: sn_contour(xb, yc, ctx))
+    return _emit_compute(echo, args.method, "sn", (xb, yc), ctx)
 
 
 # --- entry point ----------------------------------------------------------
@@ -631,14 +623,12 @@ def make_parser() -> argparse.ArgumentParser:
     cmp_sub = p_cmp.add_subparsers(dest="quantity", required=True)
     p_z = cmp_sub.add_parser("z", help="domain-wall partition function")
     _add_model_flags(p_z)
-    p_z.add_argument("--method", choices=("bruteforce", "contour", "both"),
-                     default="both")
+    p_z.add_argument("--method", choices=(*ROUTES["z"], "both"), default="both")
     p_z.add_argument("--points", help="spectral points as RE,IM;RE,IM;...")
     p_z.add_argument("--theta", help="dynamical parameter as RE,IM")
     p_sn = cmp_sub.add_parser("sn", help="off-shell scalar product")
     _add_model_flags(p_sn)
-    p_sn.add_argument("--method", choices=("bruteforce", "contour", "both"),
-                      default="both")
+    p_sn.add_argument("--method", choices=(*ROUTES["sn"], "both"), default="both")
     p_sn.add_argument("--xb", help="creation-side points as RE,IM;...")
     p_sn.add_argument("--yc", help="annihilation-side points as RE,IM;...")
     p_sn.add_argument("--n", type=int, help="random point count when none given")
@@ -648,7 +638,7 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
-    # flags that run doesn't define
+    # flags that compute doesn't define
     for name in ("checks", "samples"):
         if not hasattr(args, name):
             setattr(args, name, None)

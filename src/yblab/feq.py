@@ -30,7 +30,7 @@ import numpy as np
 from .errors import RegimeMismatch, SingularCoefficient, SizeMismatch
 from .lattice_qty import as_values
 from .special_fn import six_vertex
-from .yb_core import ABS_FLOOR, ModelContext, monodromy_blocks, residual
+from .yb_core import ModelContext, monodromy_blocks, residual, term_residual
 
 #: Relative floor for coefficient denominators.
 DENOM_RTOL = 1e-12
@@ -123,9 +123,7 @@ def fx_residual(l0: complex, X, theta: complex, ctx: ModelContext,
     for i, n_i in enumerate(coeffs.n):
         rest = extended[:i] + extended[i + 1:]
         terms.append(n_i * evaluate_z(rest, theta))
-    num = abs(sum(terms))
-    den = sum(abs(t) for t in terms) + ABS_FLOOR
-    return float(num / den)
+    return term_residual(terms)
 
 
 @dataclass(frozen=True)
@@ -197,11 +195,8 @@ def snad_residuals(l0: complex, XB, YC, ctx: ModelContext,
     s_cswap = [evaluate_s(xb, (l0,) + yc[:i] + yc[i + 1:]) for i in range(n)]
 
     def residual(head, kb, kc):
-        terms = [head * s0]
-        terms += [kb[i] * s_bswap[i] for i in range(n)]
-        terms += [kc[i] * s_cswap[i] for i in range(n)]
-        return float(abs(sum(terms))
-                     / (sum(abs(t) for t in terms) + ABS_FLOOR))
+        return term_residual([head * s0] + [k * s for k, s in zip(kb, s_bswap)]
+                             + [k * s for k, s in zip(kc, s_cswap)])
 
     return (residual(coeffs.j0, coeffs.kb, coeffs.kc),
             residual(coeffs.jt0, coeffs.ktb, coeffs.ktc))

@@ -33,7 +33,7 @@ from .errors import (CoincidentPoints, DegreeMismatch, InterpolationIllCondition
                      RegimeMismatch, SingularCoefficient)
 from .lattice_qty import as_values
 from .special_fn import six_vertex
-from .yb_core import ABS_FLOOR, ModelContext, apply_block
+from .yb_core import ABS_FLOOR, ModelContext, apply_block, term_residual
 
 #: Deterministic spectral-parameter candidates for pencil-extraction nodes.
 _NODE_CANDIDATES = tuple(
@@ -45,7 +45,7 @@ _NODE_CANDIDATES = tuple(
     ])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiPoly:
     """Dense multivariate polynomial, bounded degree per variable.
 
@@ -56,7 +56,8 @@ class MultiPoly:
     act exactly on the coefficient tensor, so derivatives of order above
     ``max_deg`` are exactly zero.  The tensors of every ``d^k/dx_i^k``
     with ``k <= max_deg`` are built on the first
-    :meth:`derivative_table` and kept as one read-only stack.
+    :meth:`derivative_table` and kept as one read-only stack.  Equality
+    and hashing are by identity.
     """
 
     coeffs: np.ndarray
@@ -298,7 +299,7 @@ def fzt_residual(l0: complex, X, ctx: ModelContext,
     for i, coeff in enumerate(swaps):
         swapped = (complex(l0),) + lams[:i] + lams[i + 1:]
         terms.append(coeff * evaluate_z(swapped, 0.0))
-    return float(abs(sum(terms)) / (sum(abs(t) for t in terms) + ABS_FLOOR))
+    return term_residual(terms)
 
 
 def interpolate_zbar(ctx: ModelContext) -> MultiPoly:

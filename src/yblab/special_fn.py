@@ -83,9 +83,8 @@ class Regime:
     params: EllipticParams | None = None
 
     @classmethod
-    def elliptic(cls, nome: complex, series_cap: int = 200,
-                 term_tol: float = 1e-18) -> "Regime":
-        return cls(EllipticParams(complex(nome), series_cap, term_tol))
+    def elliptic(cls, nome: complex) -> "Regime":
+        return cls(EllipticParams(complex(nome)))
 
     @classmethod
     def trigonometric(cls) -> "Regime":

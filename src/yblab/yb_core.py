@@ -48,6 +48,20 @@ def residual(a, b) -> float:
         return float(num / den)
 
 
+def rel_diff(a, b) -> float:
+    """``|a - b| / max(|a|, |b|, ABS_FLOOR)`` of two scalars; symmetric to the bit.
+
+    Plain Python, not :func:`residual`: ``np.abs`` of a complex can round
+    differently from ``abs`` in the last bit, at about 50 times the cost.
+    """
+    return float(abs(a - b) / max(abs(a), abs(b), ABS_FLOOR))
+
+
+def term_residual(terms: Sequence) -> float:
+    """``|sum t| / (sum |t| + ABS_FLOOR)`` of an equation's terms: cancellation reads O(1)."""
+    return float(abs(sum(terms)) / (sum(abs(t) for t in terms) + ABS_FLOOR))
+
+
 @dataclass(frozen=True)
 class ModelContext:
     """Single source of model truth: chain length, couplings, regime."""

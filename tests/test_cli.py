@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -332,13 +333,57 @@ def test_run_report_to_file(tmp_path, capsys):
 
 
 def test_run_oracle_comparison_records_carry_both_values(capsys):
-    code, out, _ = run_cli(["run", "--checks", "z-contour-vs-bf", "--L", "3",
-                            "--samples", "2", "--seed", "2"], capsys)
-    assert code == 0
-    for rec in (r for r in parse_records(out) if "check" in r):
-        assert "value_contour" in rec["params"]
-        assert "value_bruteforce" in rec["params"]
-        assert rec["residual"] <= 1e-8
+    for check, flags, tol in [("z-contour-vs-bf", [], 1e-8),
+                              ("sn-contour-vs-bf", ["--trig"], 1e-6)]:
+        code, out, _ = run_cli(["run", *flags, "--checks", check, "--L", "3",
+                                "--samples", "2", "--seed", "2"], capsys)
+        assert code == 0
+        records = [r for r in parse_records(out) if "check" in r]
+        assert len(records) == 2
+        for rec in records:
+            assert "value_contour" in rec["params"]
+            assert "value_bruteforce" in rec["params"]
+            assert rec["residual"] <= tol
+
+
+def _subparser(parser, name):
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices[name]
+
+
+@pytest.mark.parametrize("quantity", ["z", "sn"])
+def test_compute_methods_are_the_route_table(quantity):
+    sub = _subparser(_subparser(cli.make_parser(), "compute"), quantity)
+    method = next(a for a in sub._actions if a.dest == "method")
+    assert tuple(method.choices) == (*cli.ROUTES[quantity], "both")
+    assert list(cli.ROUTES[quantity]) == ["bruteforce", "contour"]
+
+
+@pytest.mark.parametrize("quantity, check, flags, names", [
+    ("z", "z-contour-vs-bf", [], ("dwbc_partition", "z_contour")),
+    ("sn", "sn-contour-vs-bf", ["--trig"], ("scalar_product_bf", "sn_contour")),
+])
+def test_routes_look_up_their_evaluators_per_call(monkeypatch, capsys, quantity, check,
+                                                   flags, names):
+    # a wrapper set on the module attribute after import (as a tracer does)
+    # must see every evaluation that compute and the comparison check make
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapped
+
+    for name in names:
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    code, _, _ = run_cli(["compute", quantity, *flags, "--L", "2", "--seed", "1",
+                          "--method", "both"], capsys)
+    assert code == 0 and calls == list(names)
+    calls.clear()
+    code, _, _ = run_cli(["run", *flags, "--L", "2", "--checks", check, "--samples", "2",
+                          "--seed", "1"], capsys)
+    assert code == 0 and calls == list(names) * 2
 
 
 def test_compute_z_both_methods_agree(capsys):

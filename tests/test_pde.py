@@ -412,6 +412,12 @@ def test_multipoly_keeps_a_read_only_copy(rng):
         poly.coeffs[0, 0] = 1.0
 
 
+def test_multipoly_compares_and_hashes_by_identity():
+    p, q = MultiPoly(np.ones((2, 2))), MultiPoly(np.ones((2, 2)))
+    assert p == p and p != q
+    assert hash(p) == hash(p) and len({p, q, p}) == 2
+
+
 @pytest.mark.parametrize("nvars, deg", [(1, 0), (1, 4), (2, 0), (2, 3), (3, 2), (4, 3),
                                         (5, 4)])
 def test_derivative_table_bit_identical_to_single_evaluations(nvars, deg, rng):

@@ -4,8 +4,8 @@ import pytest
 from yblab.errors import DynamicalPole, NonFinite
 from yblab.sampling import random_context, sample_spectral, sample_theta
 from yblab.special_fn import Regime, f_weight
-from yblab.yb_core import (ModelContext, monodromy_blocks, r_matrix, residual,
-                           verify_dybe, verify_rll)
+from yblab.yb_core import (ABS_FLOOR, ModelContext, monodromy_blocks, r_matrix, rel_diff,
+                           residual, term_residual, verify_dybe, verify_rll)
 
 H = np.diag([1.0, -1.0])
 
@@ -16,6 +16,38 @@ def test_residual_metric():
     assert residual(a, b) == pytest.approx(1e-12, rel=1e-3)
     zero = np.zeros((2, 2))
     assert residual(zero, zero) == 0.0  # the fixed floor keeps 0/0 away
+
+
+def _scalars(rng, n):
+    """Complex scalars at magnitudes 1e-200 to 1e200, Python and numpy, with exact zeros."""
+    scale = 10.0 ** rng.uniform(-200, 200, n)
+    values = [complex(re * s, im * s) for re, im, s
+              in zip(rng.standard_normal(n), rng.standard_normal(n), scale)]
+    values += [0j, complex(0.0, 1e-200), complex(3e150, 0.0), -0.0j]
+    return values + [np.complex128(v) for v in values[:n // 4]]
+
+
+def test_rel_diff_is_the_literal_scalar_formula(rng):
+    # the helper replaced inline copies, so it must keep their bits exactly
+    values = _scalars(rng, 400)
+    pairs = [(a, b) for a, b in zip(values, reversed(values))]
+    pairs += [(a, a * complex(1 + 1e-9 * rng.standard_normal(), 1e-9)) for a in values]
+    pairs += [(0j, 0j), (0.0, 0j), (values[0], 0j)]
+    for a, b in pairs:
+        literal = repr(float(abs(a - b) / max(abs(a), abs(b), ABS_FLOOR)))
+        assert repr(rel_diff(a, b)) == literal
+        assert repr(rel_diff(b, a)) == literal
+    assert rel_diff(0j, 0j) == 0.0
+
+
+def test_term_residual_is_the_literal_term_formula(rng):
+    values = _scalars(rng, 400)
+    lists = [values[k:k + m] for m in range(1, 7) for k in range(0, len(values) - m, 11)]
+    lists += [[t, -t] for t in values] + [[0j, 0j], [], [values[3], 0j, -values[3]]]
+    for terms in lists:
+        literal = float(abs(sum(terms)) / (sum(abs(t) for t in terms) + ABS_FLOOR))
+        assert repr(term_residual(terms)) == repr(literal)
+    assert term_residual([0.5 + 0j, -0.5 + 0j]) == 0.0
 
 
 def test_context_validation():
