@@ -60,7 +60,6 @@ class RunConfig:
     samples: int
     checks: list[str]
     tolerances: dict[str, float] = field(default_factory=dict)
-    mu_is_random: bool = False
 
 
 def _is_int(value: Any) -> bool:
@@ -163,6 +162,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         else _parse_complex(model.get("gamma", sampling.DEFAULT_GAMMA), "model.gamma")
 
     regime_cfg = model.get("regime", {"elliptic": {"nome": sampling.DEFAULT_NOME}})
+    if isinstance(regime_cfg, dict):
+        _reject_unknown(regime_cfg, ("trig", "elliptic"), "model.regime")
+        if len(regime_cfg) > 1:
+            raise ConfigError("model.regime: give one of trig, elliptic, not both")
     if args.trig:
         regime = Regime.trigonometric()
     elif args.nome:
@@ -184,14 +187,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"run.seed: expected an unsigned 64-bit integer, got {seed!r}")
 
     mu_cfg = model.get("mu", "random")
-    mu_is_random = False
     if args.mu:
         mu = _parse_point_list(args.mu, "--mu")
     elif mu_cfg == "random":
         rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence([seed, MODEL_SEED_KEY])))
         mu = sampling.sample_mu(rng, L)
-        mu_is_random = True
     elif isinstance(mu_cfg, list):
         mu = tuple(_parse_complex(v, f"model.mu[{k}]") for k, v in enumerate(mu_cfg))
     else:
@@ -216,7 +217,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                                        if _domain_error(cd, ctx) is None]
     if not isinstance(checks, list) or not checks:
         raise ConfigError("run.checks: expected a non-empty list of check names")
-    for name in checks:
+    for k, name in enumerate(checks):
+        if not isinstance(name, str):
+            raise ConfigError(f"run.checks: expected check names, got {name!r}")
+        if name in checks[:k]:
+            raise ConfigError(f"run.checks: check {name!r} named twice")
         if name not in REGISTRY:
             raise ConfigError(f"run.checks: unknown check {name!r}; "
                               f"known: {', '.join(REGISTRY)}")
@@ -237,7 +242,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                               f"got {value!r}")
 
     return RunConfig(ctx=ctx, seed=seed, samples=samples, checks=checks,
-                     tolerances=tolerances, mu_is_random=mu_is_random)
+                     tolerances=tolerances)
 
 
 # --- check registry ------------------------------------------------------

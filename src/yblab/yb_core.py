@@ -98,22 +98,6 @@ class ModelContext:
         return f_weight(z, self.regime)
 
 
-def _check_pole(theta: complex, ft: complex, ft_minus: complex, ft_plus: complex,
-                fg: complex) -> None:
-    """Raise :class:`DynamicalPole` if ``f(theta)`` is negligible against
-    ``f(theta -+ gamma)`` and ``f(gamma)``."""
-    if abs(ft) <= POLE_RTOL * max(abs(ft_minus), abs(ft_plus), abs(fg)):
-        raise DynamicalPole(f"f(theta) ~ 0 at theta = {theta}")
-
-
-def _sector_weights(ft: complex, ft_minus: complex, ft_plus: complex, fg: complex,
-                    fl: complex, f_minus: complex, f_plus: complex
-                    ) -> tuple[complex, complex, complex, complex]:
-    """Elliptic ``(b_+, b_-, c_+, c_-)`` from ``f`` at ``theta``, ``theta -+ gamma``,
-    ``gamma``, ``lam`` and ``theta -+ lam``; see :func:`r_matrix`."""
-    return fl * ft_minus / ft, fl * ft_plus / ft, fg * f_minus / ft, fg * f_plus / ft
-
-
 def r_matrix(lam: complex, theta: complex, ctx: ModelContext) -> np.ndarray:
     """4x4 vertex matrix at spectral parameter ``lam``.
 
@@ -125,103 +109,69 @@ def r_matrix(lam: complex, theta: complex, ctx: ModelContext) -> np.ndarray:
 
     Trigonometric regime: the symmetric six-vertex matrix with weights
     (sinh(lam+gamma), sinh(lam), sinh(gamma)); ``theta`` is ignored.
+    This is the 4x4 view of the one-sector table of :func:`_site_tables`.
     """
-    if not ctx.is_elliptic:
-        a_of, b_of, c = six_vertex(ctx.gamma)
-        a, b = a_of(lam), b_of(lam)
-        return np.array([[a, 0, 0, 0],
-                         [0, b, c, 0],
-                         [0, c, b, 0],
-                         [0, 0, 0, a]], dtype=complex)
-    f = ctx.f
-    g = ctx.gamma
-    ft, ft_minus, ft_plus, fg = f(theta), f(theta - g), f(theta + g), f(g)
-    _check_pole(theta, ft, ft_minus, ft_plus, fg)
-    a = f(lam + g)
-    bp, bm, cp, cm = _sector_weights(ft, ft_minus, ft_plus, fg, f(lam),
-                                     f(theta - lam), f(theta + lam))
-    return np.array([[a, 0, 0, 0],
-                     [0, bp, cp, 0],
-                     [0, cm, bm, 0],
-                     [0, 0, 0, a]], dtype=complex)
-
-
-def vertex_table(lam: complex, theta: complex, n_shift: int,
-                 ctx: ModelContext) -> np.ndarray:
-    """Nonzero amplitudes of the vertex matrix on each dynamical weight sector.
-
-    Sector ``s`` (``s`` of the ``n_shift`` shift sites down) has spin
-    weight ``w = n_shift - 2*s`` and uses ``r_matrix(lam, theta -
-    gamma*w)``.  Row 0 of the returned ``(2, 4*(n_shift + 1))`` table
-    holds the diagonal amplitudes, row 1 the amplitude from the partner
-    state with the two site spins exchanged (zero on uu and dd); entry
-    ``4*s + k`` belongs to sector ``s`` and pair state ``k``.  By the ice
-    rule these are all the nonzero entries of :func:`r_matrix`.  Tables
-    are read-only.
-
-    This is the scalar route, one :func:`r_matrix` per sector.  Site
-    factors and monodromies take the same bits from :func:`_site_tables`,
-    which evaluates the elliptic weights of many tables in one batch; the
-    monodromy tables are cached per chain by :func:`_chain_tables`.
-    """
-    table = np.zeros((2, 4 * (n_shift + 1)), dtype=complex)
-    for s in range(n_shift + 1):
-        w = n_shift - 2 * s
-        try:
-            r = r_matrix(lam, theta - ctx.gamma * w, ctx)
-        except DynamicalPole as exc:
-            raise DynamicalPole(f"weight sector {w:+d}: {exc}") from exc
-        table[0, 4 * s:4 * s + 4] = r.diagonal()
-        table[1, 4 * s + 1] = r[1, 2]
-        table[1, 4 * s + 2] = r[2, 1]
-    table.setflags(write=False)
-    return table
+    table = next(_site_tables([(lam, 0)], theta, ctx))
+    r = np.diag(table[0])
+    r[1, 2], r[2, 1] = table[1, 1:3]
+    return r
 
 
 def _site_tables(sites: Sequence[tuple[complex, int]], theta: complex,
                  ctx: ModelContext) -> Iterator[np.ndarray]:
-    """:func:`vertex_table` at each ``(lam, n_shift)`` of ``sites``, in order.
+    """Nonzero vertex amplitudes on each weight sector, per ``(lam, n_shift)`` of ``sites``.
+
+    The one place the weights of :func:`r_matrix` are formed.  Sector
+    ``s`` (``s`` of the ``n_shift`` shift sites down) has spin weight
+    ``w = n_shift - 2*s`` and dynamical argument ``t = theta - gamma*w``.
+    Row 0 of a ``(2, 4*(n_shift + 1))`` table holds the diagonal
+    amplitudes, row 1 the amplitude from the partner state with the two
+    site spins exchanged (zero on uu and dd); entry ``4*s + k`` belongs
+    to sector ``s`` and pair state ``k``.  By the ice rule these are all
+    the nonzero entries of the vertex matrix.  Tables are read-only and
+    come in the order of ``sites``.
 
     The elliptic weights of all the tables come from one
-    :func:`f_weights` batch: ``f(gamma)`` once, ``f(lam + gamma)`` and
-    ``f(lam)`` once per site, and ``f`` at ``t``, ``t -+ gamma`` and
-    ``t -+ lam`` once per sector, ``t = theta - gamma*w``.  These are the
-    bits :func:`r_matrix` computes, so the tables are too.  If the batch
-    raises, the tables are built by :func:`vertex_table`, so the error
-    is the one the scalar route meets first.  Trigonometric tables are
-    scalar, with ``theta`` and the shift ignored.
+    :func:`f_weights` batch, listed in the order the loop reads them:
+    ``f(gamma)``; then per sector ``f(t)`` and ``f(t -+ gamma)``, the pole
+    test, ``f(lam + gamma)`` and ``f(lam)`` in a site's first sector
+    only, and ``f(t -+ lam)``.  If the batch raises, the same loop reads
+    scalar weights lazily, so the error is the first one met in that
+    order.  Trigonometric tables are six-vertex tables, with ``theta``
+    and the shift ignored.
     """
     if not ctx.is_elliptic:
+        a_of, b_of, c = six_vertex(ctx.gamma)
         for lam, _ in sites:
-            yield vertex_table(lam, 0j, 0, ctx)
+            a, b = a_of(lam), b_of(lam)
+            table = np.array(((a, b, b, a), (0j, c, c, 0j)), dtype=complex)
+            table.setflags(write=False)
+            yield table
         return
     g = ctx.gamma
     points = [g]
     for lam, n_shift in sites:
-        points += (lam + g, lam)
         for s in range(n_shift + 1):
             t = theta - g * (n_shift - 2 * s)
-            points += (t, t - g, t + g, t - lam, t + lam)
+            points += (t, t - g, t + g) + ((lam + g, lam) if s == 0 else ()) + (t - lam, t + lam)
     try:
         values = iter(f_weights(points, ctx.regime.params))
     except (ArithmeticError, ValueError, NonConvergent):
-        for lam, n_shift in sites:
-            yield vertex_table(lam, theta, n_shift, ctx)
-        return
+        values = map(ctx.f, points)
     fg = next(values)
     for lam, n_shift in sites:
-        fa, fl = next(values), next(values)
         diag, off = [], []
         for s in range(n_shift + 1):
             w = n_shift - 2 * s
-            ft, ft_minus, ft_plus, f_minus, f_plus = islice(values, 5)
-            try:
-                _check_pole(theta - g * w, ft, ft_minus, ft_plus, fg)
-            except DynamicalPole as exc:
-                raise DynamicalPole(f"weight sector {w:+d}: {exc}") from exc
-            bp, bm, cp, cm = _sector_weights(ft, ft_minus, ft_plus, fg, fl, f_minus, f_plus)
-            diag += (fa, bp, bm, fa)
-            off += (0j, cp, cm, 0j)
+            ft, ft_minus, ft_plus = islice(values, 3)
+            if abs(ft) <= POLE_RTOL * max(abs(ft_minus), abs(ft_plus), abs(fg)):
+                raise DynamicalPole(f"weight sector {w:+d}: "
+                                    f"f(theta) ~ 0 at theta = {theta - g * w}")
+            if s == 0:
+                fa, fl = islice(values, 2)
+            f_minus, f_plus = islice(values, 2)
+            diag += (fa, fl * ft_minus / ft, fl * ft_plus / ft, fa)
+            off += (0j, fg * f_minus / ft, fg * f_plus / ft, 0j)
         table = np.array((diag, off), dtype=complex)
         table.setflags(write=False)
         yield table

@@ -12,12 +12,13 @@ import math
 
 import numpy as np
 
-from yblab.errors import (CoincidentPoints, InterpolationIllConditioned, NomeTooLarge,
-                          NonConvergent, RegimeMismatch, SingularCoefficient, SingularR)
+from yblab.errors import (CoincidentPoints, DynamicalPole, InterpolationIllConditioned,
+                          NomeTooLarge, NonConvergent, RegimeMismatch, SingularCoefficient,
+                          SingularR)
 from yblab.lattice_qty import as_values, dwbc_partition
 from yblab.pde import MultiPoly, OmegaActions, _pencil_nodes
 from yblab.special_fn import MAX_NOME, six_vertex
-from yblab.yb_core import ABS_FLOOR, monodromy_blocks
+from yblab.yb_core import ABS_FLOOR, POLE_RTOL, monodromy_blocks
 
 
 def six_vertex_vertex_weight(a_out, s_out, a_in, s_in, lam, gamma):
@@ -33,6 +34,57 @@ def six_vertex_vertex_weight(a_out, s_out, a_in, s_in, lam, gamma):
     if a_out == s_in and s_out == a_in and a_in != s_in:
         return cmath.sinh(gamma)
     return 0j
+
+
+def r_matrix_literal(lam, theta, ctx):
+    """4x4 dynamical vertex matrix, weight by weight from scalar ``f`` values.
+
+    Elliptic: ``a = f(lam + gamma)``, ``b_+- = f(lam) f(theta -+ gamma) /
+    f(theta)``, ``c_+- = f(gamma) f(theta -+ lam) / f(theta)``, with ``c_+``
+    at (ud, du) and ``c_-`` at (du, ud); a negligible ``f(theta)`` is a
+    pole.  Trigonometric: the symmetric six-vertex matrix, ``theta``
+    ignored.  The weights are evaluated in the order written here.
+    """
+    g = ctx.gamma
+    if not ctx.is_elliptic:
+        a, b, c = cmath.sinh(lam + g), cmath.sinh(lam), cmath.sinh(g)
+        return np.array([[a, 0, 0, 0],
+                         [0, b, c, 0],
+                         [0, c, b, 0],
+                         [0, 0, 0, a]], dtype=complex)
+    f = ctx.f
+    ft, ft_minus, ft_plus, fg = f(theta), f(theta - g), f(theta + g), f(g)
+    if abs(ft) <= POLE_RTOL * max(abs(ft_minus), abs(ft_plus), abs(fg)):
+        raise DynamicalPole(f"f(theta) ~ 0 at theta = {theta}")
+    a = f(lam + g)
+    fl = f(lam)
+    f_minus, f_plus = f(theta - lam), f(theta + lam)
+    return np.array([[a, 0, 0, 0],
+                     [0, fl * ft_minus / ft, fg * f_minus / ft, 0],
+                     [0, fg * f_plus / ft, fl * ft_plus / ft, 0],
+                     [0, 0, 0, a]], dtype=complex)
+
+
+def vertex_table_literal(lam, theta, n_shift, ctx):
+    """Vertex table of ``yb_core`` built one :func:`r_matrix_literal` per sector.
+
+    Sector ``s`` has spin weight ``w = n_shift - 2*s`` and dynamical
+    argument ``theta - gamma*w``.  Row 0 holds the diagonal of its
+    matrix, row 1 the off-diagonal ``(ud, du)`` and ``(du, ud)`` entries
+    at pair states 1 and 2; entry ``4*s + k`` belongs to sector ``s``.
+    A pole is named by its sector, the first in sector order.
+    """
+    table = np.zeros((2, 4 * (n_shift + 1)), dtype=complex)
+    for s in range(n_shift + 1):
+        w = n_shift - 2 * s
+        try:
+            r = r_matrix_literal(lam, theta - ctx.gamma * w, ctx)
+        except DynamicalPole as exc:
+            raise DynamicalPole(f"weight sector {w:+d}: {exc}") from exc
+        table[0, 4 * s:4 * s + 4] = r.diagonal()
+        table[1, 4 * s + 1] = r[1, 2]
+        table[1, 4 * s + 2] = r[2, 1]
+    return table
 
 
 def creation_string(lams, theta, ctx):

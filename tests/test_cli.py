@@ -84,6 +84,41 @@ def test_run_trig_only_check_on_elliptic_model(capsys):
     assert "trigonometric" in err
 
 
+def test_run_regime_with_both_keys_is_config_error(tmp_path, capsys):
+    # neither regime may silently win over the other
+    cfg = tmp_path / "both.yaml"
+    cfg.write_text("model:\n  regime:\n    trig: true\n    elliptic:\n      nome: 0.2\n")
+    for flags in ([], ["--trig"]):
+        code, out, err = run_cli(["run", "--config", str(cfg), "--checks", "dybe"] + flags,
+                                 capsys)
+        assert code == 2 and out == ""
+        assert "configuration error: model.regime: give one of trig, elliptic" in err
+
+
+@pytest.mark.parametrize("entry", ["[1]", "{a: 1}", "1", "null"])
+def test_run_non_string_check_name_is_config_error(tmp_path, capsys, entry):
+    cfg = tmp_path / "checks.yaml"
+    cfg.write_text(f"run:\n  checks: [{entry}]\n  samples: 1\n")
+    code, out, err = run_cli(["run", "--config", str(cfg)], capsys)
+    assert code == 2 and out == ""
+    assert "configuration error: run.checks: expected check names, got " in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_run_check_named_twice_is_config_error(tmp_path, capsys, source):
+    if source == "flag":
+        args = ["run", "--checks", "dybe,rll,dybe", "--samples", "1"]
+    else:
+        cfg = tmp_path / "twice.yaml"
+        cfg.write_text("run:\n  checks: [rll, dybe, rll]\n  samples: 1\n")
+        args = ["run", "--config", str(cfg)]
+    code, out, err = run_cli(args, capsys)
+    twice = "dybe" if source == "flag" else "rll"
+    assert code == 2 and out == ""
+    assert f"configuration error: run.checks: check {twice!r} named twice" in err
+
+
 def test_run_threads_flag_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["run", "--checks", "dybe", "--samples", "1", "--threads", "2"])
@@ -99,6 +134,8 @@ def test_run_threads_flag_is_gone(capsys):
      "model.regime.elliptic", "nom"),
     ("run:\n  sample: 50\n", "run", "sample"),
     ("run:\n  threads: 4\n", "run", "threads"),
+    ("model:\n  regime:\n    elliptic:\n      nome: 0.2\n    foo: 1\n", "model.regime", "foo"),
+    ("model:\n  regime:\n    trigg: true\n", "model.regime", "trigg"),
 ])
 def test_run_unknown_config_key_is_config_error(tmp_path, capsys, text, where, key):
     cfg = tmp_path / "typo.yaml"
@@ -580,3 +617,26 @@ def test_pencil_keeps_report_streams(monkeypatch, capsys, L):
     monkeypatch.setattr(pde, "fzt_coefficients", fzt_coefficients_literal)
     assert stream() == shipped
     assert shipped[0] == 0 and len(parse_records(shipped[1])) == 1 + 3 * 5
+
+
+@pytest.mark.parametrize("args", [
+    ["run", "--L", "3", "--checks", ELLIPTIC_CHECKS, "--samples", "3", "--seed", "2"],
+    ["compute", "z", "--method", "both", "--L", "6", "--seed", "1"]])
+def test_scalar_weight_fallback_keeps_report_streams(monkeypatch, capsys, args):
+    # when the batched weights raise, the vertex tables read scalar weights
+    # lazily in the same loop; a whole stream built that way keeps its bits
+    def stream():
+        yb_core._chain_tables.cache_clear()
+        code, out, err = run_cli(args, capsys)
+        return code, re.sub(r', "wall_time_ms": [^,}]*', "", out), err
+
+    shipped = stream()
+    refused = []
+
+    def refuse(points, params):
+        refused.append(len(points))
+        raise ArithmeticError("batch refused")
+
+    monkeypatch.setattr(yb_core, "f_weights", refuse)
+    assert stream() == shipped
+    assert shipped[0] == 0 and refused

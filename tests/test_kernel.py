@@ -12,11 +12,11 @@ from yblab.errors import DynamicalPole
 from yblab.lattice_qty import dwbc_partition, scalar_product_bf
 from yblab.residue_int import z_contour
 from yblab.sampling import random_context, sample_spectral, sample_theta
-from yblab.special_fn import f_weights
-from yblab.yb_core import (apply_block, apply_factors, monodromy_blocks, r_matrix,
-                           residual, site_factors, vertex_table)
+from yblab.special_fn import f_weight, f_weights
+from yblab.yb_core import (ModelContext, apply_block, apply_factors, monodromy_blocks,
+                           residual, site_factors)
 
-from oracles import creation_string
+from oracles import creation_string, r_matrix_literal, vertex_table_literal
 
 
 def literal_embedding(lam, theta, ctx, pair, shift_sites, n_sites):
@@ -31,7 +31,7 @@ def literal_embedding(lam, theta, ctx, pair, shift_sites, n_sites):
     out = np.zeros((dim, dim), dtype=complex)
     for col in range(dim):
         w = sum(1 - 2 * bit(col, k) for k in shift_sites) if ctx.is_elliptic else 0
-        r = r_matrix(lam, theta - ctx.gamma * w, ctx)
+        r = r_matrix_literal(lam, theta - ctx.gamma * w, ctx)
         c_in = 2 * bit(col, i) + bit(col, j)
         for si, sj in itertools.product((0, 1), repeat=2):
             row = col ^ ((bit(col, i) ^ si) << (n_sites - 1 - i)) \
@@ -131,22 +131,22 @@ def test_cached_operators_are_read_only(rng):
         assert block.flags.c_contiguous and not block.flags.writeable
     with pytest.raises(ValueError):
         blocks[1][1, 0] = 0.0
-    table = vertex_table(0.3 + 0.1j, theta, 1, ctx)
-    with pytest.raises(ValueError):
-        table *= 2
+    for table in yb_core._chain_tables(0.3 + 0.1j, theta, 1, ctx):
+        with pytest.raises(ValueError):
+            table *= 2
 
 
 def test_one_weight_evaluation_per_site_and_sector(monkeypatch, rng):
     batches, scalar = [], []
-    monkeypatch.setattr(yb_core, "f_weights",
-                        lambda points, params: batches.append(points)
-                        or f_weights(points, params))
-    monkeypatch.setattr(yb_core, "r_matrix",
-                        lambda *args: scalar.append(args) or r_matrix(*args))
-    yb_core._chain_tables.cache_clear()
     ctx = random_context(3, rng)
     lam = sample_spectral(ctx, rng, 1)[0]
     theta = sample_theta(ctx, rng, range(-4, 5))
+    monkeypatch.setattr(yb_core, "f_weights",
+                        lambda points, params: batches.append(points)
+                        or f_weights(points, params))
+    monkeypatch.setattr(yb_core, "f_weight",
+                        lambda *args: scalar.append(args) or f_weight(*args))
+    yb_core._chain_tables.cache_clear()
     monodromy_blocks(lam, theta, ctx)
     # one batch per chain: f(gamma) once, f(lam - mu_i + gamma) and
     # f(lam - mu_i) per site, five theta values per weight sector (site i
@@ -159,6 +159,10 @@ def test_one_weight_evaluation_per_site_and_sector(monkeypatch, rng):
     assert (info.hits, info.misses) == (2, 1)
 
 
+def _refuse_batch(points, params):
+    raise ArithmeticError("batch refused")
+
+
 def test_batched_tables_bit_identical_to_scalar_route(rng):
     ctx = random_context(4, rng)
     lam = sample_spectral(ctx, rng, 1)[0]
@@ -167,24 +171,68 @@ def test_batched_tables_bit_identical_to_scalar_route(rng):
         yb_core._chain_tables.cache_clear()
         tables = yb_core._chain_tables(lam, theta, n_extra, ctx)
         for k, table in enumerate(tables):
-            scalar = vertex_table(lam - ctx.mu[k], theta, n_extra + ctx.L - 1 - k, ctx)
-            assert table.tobytes() == scalar.tobytes() and not table.flags.writeable
+            literal = vertex_table_literal(lam - ctx.mu[k], theta, n_extra + ctx.L - 1 - k, ctx)
+            assert table.tobytes() == literal.tobytes() and not table.flags.writeable
 
 
-def test_first_pole_is_named_by_site_and_sector(rng):
-    # theta = gamma puts sector w = +1 of site 2 (two sites after it) on
-    # f(0) = 0; sites 1 and 3 see only even weights
+@pytest.mark.parametrize("elliptic", [True, False])
+def test_site_tables_match_literal_tables(elliptic, monkeypatch, rng):
+    # batched or from lazy scalar weights, every table has the bits of the
+    # per-sector literal matrices; trigonometric tables have one sector
+    ctx = random_context(2, rng, elliptic=elliptic)
+    theta = sample_theta(ctx, rng, range(-4, 5))
+    sites = [(lam, n_shift) for lam in sample_spectral(ctx, rng, 3) for n_shift in range(4)]
+    literal = [vertex_table_literal(lam, theta, n_shift if elliptic else 0, ctx)
+               for lam, n_shift in sites]
+    for route in ("batch", "lazy"):
+        if route == "lazy":
+            monkeypatch.setattr(yb_core, "f_weights", _refuse_batch)
+        tables = list(yb_core._site_tables(sites, theta, ctx))
+        assert len(tables) == len(literal)
+        for table, expected in zip(tables, literal):
+            assert table.shape == expected.shape
+            assert table.tobytes() == expected.tobytes() and not table.flags.writeable
+
+
+def _literal_chain_error(lam, theta, ctx):
+    """The first error of the literal tables of a monodromy chain, site 1 first."""
+    for k in range(ctx.L):
+        try:
+            vertex_table_literal(lam - ctx.mu[k], theta, ctx.L - 1 - k, ctx)
+        except DynamicalPole as exc:
+            return DynamicalPole, f"site {k + 1}, {exc}"
+        except ArithmeticError as exc:
+            return type(exc), str(exc)
+    return None
+
+
+def test_first_pole_is_named_by_site_and_sector(monkeypatch, rng):
     ctx = random_context(3, rng)
     lam = sample_spectral(ctx, rng, 1)[0]
-    message = r"^site 2, weight sector \+1: f\(theta\) ~ 0 at theta = 0j$"
-    with pytest.raises(DynamicalPole, match=message):
-        monodromy_blocks(lam, ctx.gamma, ctx)
-    with pytest.raises(DynamicalPole, match=r"^weight sector \+1: f\(theta\) ~ 0"):
-        site_factors([(lam, (0, 1), ()), (lam, (0, 1), (2,))], ctx.gamma, ctx, 3)
-    # f(lam + gamma) overflows, but the scalar route meets the pole of
-    # site 1's first sector before it; so must the batched one
-    with pytest.raises(DynamicalPole, match=r"^site 1, weight sector \+2: "):
-        monodromy_blocks(300 + 0.1j, 2 * ctx.gamma, ctx)
+    two = ModelContext(2, ctx.gamma, ctx.mu[:2], ctx.regime)
+    cases = [
+        # theta = gamma puts sector w = +1 of site 2 (two sites after it)
+        # on f(0) = 0; sites 1 and 3 see only even weights
+        (lam, ctx.gamma, ctx, DynamicalPole,
+         r"^site 2, weight sector \+1: f\(theta\) ~ 0 at theta = 0j$"),
+        # f(lam + gamma) overflows, but the pole of site 1's first sector
+        # comes before it in the order the weights are read
+        (300 + 0.1j, 2 * ctx.gamma, ctx, DynamicalPole, r"^site 1, weight sector \+2: "),
+        # f(t - lam) of site 1's first sector overflows, f(lam + gamma)
+        # and f(lam) do not; the pole of its second sector comes after it
+        (18.6 + 0.05j + ctx.mu[0], -ctx.gamma, two, OverflowError, None),
+    ]
+    for route in ("batch", "lazy"):
+        if route == "lazy":
+            monkeypatch.setattr(yb_core, "f_weights", _refuse_batch)
+        yb_core._chain_tables.cache_clear()
+        for lam_k, theta, model, error, message in cases:
+            with pytest.raises(error, match=message) as info:
+                monodromy_blocks(lam_k, theta, model)
+            assert (type(info.value), str(info.value)) \
+                == _literal_chain_error(lam_k, theta, model)
+        with pytest.raises(DynamicalPole, match=r"^weight sector \+1: f\(theta\) ~ 0"):
+            site_factors([(lam, (0, 1), ()), (lam, (0, 1), (2,))], ctx.gamma, ctx, 3)
 
 
 def test_vertex_cache_memory_bound(rng):

@@ -7,6 +7,8 @@ from yblab.special_fn import Regime, f_weight
 from yblab.yb_core import (ABS_FLOOR, ModelContext, monodromy_blocks, r_matrix, rel_diff,
                            residual, term_residual, verify_dybe, verify_rll)
 
+from oracles import r_matrix_literal
+
 H = np.diag([1.0, -1.0])
 
 
@@ -95,8 +97,19 @@ def test_r_matrix_trig_at_zero_spectral():
 
 def test_r_matrix_dynamical_pole():
     ctx = random_context(1, np.random.default_rng(1))
-    with pytest.raises(DynamicalPole):
+    with pytest.raises(DynamicalPole, match=r"^weight sector \+0: f\(theta\) ~ 0"):
         r_matrix(0.3, 0.0, ctx)  # f(0) = 0
+
+
+@pytest.mark.parametrize("elliptic", [True, False])
+def test_r_matrix_is_the_literal_matrix(elliptic, rng):
+    ctx = random_context(1, rng, elliptic=elliptic)
+    for _ in range(10):
+        lam = sample_spectral(ctx, rng, 1)[0]
+        theta = sample_theta(ctx, rng, range(-3, 4))
+        r = r_matrix(lam, theta, ctx)
+        assert r.tobytes() == r_matrix_literal(lam, theta, ctx).tobytes()
+        assert r.flags.writeable
 
 
 @pytest.mark.parametrize("elliptic,tol", [(True, 1e-10), (False, 1e-12)])
