@@ -11,10 +11,10 @@ Two subcommands:
 Exit codes: 0 all checks passed, 1 any failure (also a stdout closed
 before the stream ended), 2 configuration error.
 
-Randomness: numpy PCG64.  The generator for check ``c`` is seeded with
-``SeedSequence([seed, REGISTRY_INDEX[c]])`` and consumed sample by
-sample, so a given (config, seed) pair produces identical parameter
-draws and hence identical residuals.
+Randomness: numpy PCG64, one stream per ``(seed, key)`` pair (``_rng``).
+The generator for check ``c`` has key ``REGISTRY_INDEX[c]`` and is
+consumed sample by sample, so a given (config, seed) pair produces
+identical parameter draws and hence identical residuals.
 """
 
 from __future__ import annotations
@@ -55,11 +55,17 @@ ROUTES: dict[str, dict[str, Callable[..., complex]]] = {
 
 @dataclass
 class RunConfig:
+    """The model and seed; the check list, samples and tolerances are read for ``run`` only."""
     ctx: ModelContext
     seed: int
-    samples: int
-    checks: list[str]
+    samples: int = 0
+    checks: list[str] = field(default_factory=list)
     tolerances: dict[str, float] = field(default_factory=dict)
+
+
+def _rng(seed: int, key: int) -> np.random.Generator:
+    """The PCG64 stream of ``SeedSequence([seed, key])``; every random draw comes from one."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, key])))
 
 
 def _is_int(value: Any) -> bool:
@@ -190,9 +196,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if args.mu:
         mu = _parse_point_list(args.mu, "--mu")
     elif mu_cfg == "random":
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence([seed, MODEL_SEED_KEY])))
-        mu = sampling.sample_mu(rng, L)
+        mu = sampling.sample_mu(_rng(seed, MODEL_SEED_KEY), L)
     elif isinstance(mu_cfg, list):
         mu = tuple(_parse_complex(v, f"model.mu[{k}]") for k, v in enumerate(mu_cfg))
     else:
@@ -205,6 +209,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         ctx = ModelContext(L=L, gamma=gamma, mu=mu, regime=regime)
     except (ValueError, OverflowError, YbLabError) as exc:
         raise ConfigError(f"model: {exc}")
+    if args.command != "run":
+        return RunConfig(ctx=ctx, seed=seed)
 
     samples = args.samples if args.samples is not None else run.get("samples", 20)
     if not _is_int(samples) or samples < 1:
@@ -252,7 +258,7 @@ class CheckDef:
     tolerance: float
     trig_only: bool
     prepare: Callable[[ModelContext, np.random.Generator], Any] | None
-    draw: Callable[[ModelContext, np.random.Generator, Any], dict]
+    draw: Callable[[ModelContext, np.random.Generator], dict]
     evaluate: Callable[[ModelContext, dict, Any], float]
     #: chain lengths on which the check is defined; None means every L
     lengths: range | None = None
@@ -271,23 +277,23 @@ def _theta_for(ctx, rng, span):
     return sampling.sample_theta(ctx, rng, range(-span, span + 1))
 
 
-def _draw_dybe(ctx, rng, _state):
+def _draw_dybe(ctx, rng):
     pts = sampling.sample_spectral(ctx, rng, 3)
     return {"l1": pts[0], "l2": pts[1], "l3": pts[2],
             "theta": _theta_for(ctx, rng, 2)}
 
 
-def _draw_rll(ctx, rng, _state):
+def _draw_rll(ctx, rng):
     pts = sampling.sample_spectral(ctx, rng, 2)
     return {"l1": pts[0], "l2": pts[1], "theta": _theta_for(ctx, rng, ctx.L + 1)}
 
 
-def _draw_hw(ctx, rng, _state):
+def _draw_hw(ctx, rng):
     return {"lam": sampling.sample_spectral(ctx, rng, 1)[0],
             "theta": _theta_for(ctx, rng, ctx.L + 1)}
 
 
-def _draw_identity(ctx, rng, _state):
+def _draw_identity(ctx, rng):
     kinds = ("bb", "abn") if ctx.is_elliptic else ("ab", "tay", "tdy")
     kind = kinds[int(rng.integers(len(kinds)))]
     n = min(ctx.L, 2)
@@ -310,7 +316,7 @@ def _eval_identity(ctx, p, _state):
     return feq.verify_identity(p["kind"], ctx, **params)
 
 
-def _draw_fx(ctx, rng, _state):
+def _draw_fx(ctx, rng):
     pts = sampling.sample_spectral(ctx, rng, ctx.L + 1)
     return {"l0": pts[0], "lams": pts[1:], "theta": _theta_for(ctx, rng, 2 * ctx.L + 4)}
 
@@ -320,7 +326,7 @@ def _eval_fx(ctx, p, _state):
     return feq.fx_residual(p["l0"], p["lams"], p["theta"], ctx, bf)
 
 
-def _draw_snad(ctx, rng, _state):
+def _draw_snad(ctx, rng):
     n = min(ctx.L, 2)
     pts = sampling.sample_spectral(ctx, rng, 2 * n + 1)
     return {"l0": pts[0], "xb": pts[1:n + 1], "yc": pts[n + 1:]}
@@ -331,12 +337,12 @@ def _eval_snad(ctx, p, _state):
     return max(feq.snad_residuals(p["l0"], p["xb"], p["yc"], ctx, bf))
 
 
-def _draw_zcmp(ctx, rng, _state):
+def _draw_zcmp(ctx, rng):
     pts = sampling.sample_spectral(ctx, rng, ctx.L, avoid=ctx.mu)
     return {"lams": pts, "theta": _theta_for(ctx, rng, 2 * ctx.L + 4)}
 
 
-def _draw_sncmp(ctx, rng, _state):
+def _draw_sncmp(ctx, rng):
     n = min(ctx.L, 2)
     pts = sampling.sample_spectral(ctx, rng, 2 * n, avoid=ctx.mu)
     return {"xb": pts[:n], "yc": pts[n:]}
@@ -352,7 +358,7 @@ def _compare(quantity: str, *keys: str):
     return evaluate
 
 
-def _draw_fzt(ctx, rng, _state):
+def _draw_fzt(ctx, rng):
     pts = sampling.sample_spectral(ctx, rng, ctx.L + 1)
     return {"l0": pts[0], "lams": pts[1:]}
 
@@ -373,7 +379,7 @@ def _prep_zbar_and_control(ctx, rng):
     return zbar, control
 
 
-def _draw_pde_point(ctx, rng, _state):
+def _draw_pde_point(ctx, rng):
     return {"lams": sampling.sample_spectral(ctx, rng, ctx.L)}
 
 
@@ -395,7 +401,7 @@ def _eval_pde_leading(ctx, p, state):
     return max(agree, null)
 
 
-def _draw_dia(ctx, rng, _state):
+def _draw_dia(ctx, rng):
     nvars = int(rng.integers(1, 5))
     deg = int(rng.integers(0, 9))
     shape = (deg + 1,) * nvars
@@ -476,10 +482,10 @@ def run_suite(cfg: RunConfig, out=None) -> int:
     for name in cfg.checks:
         cd = REGISTRY[name]
         tolerance = cfg.tolerances.get(name, cd.tolerance)
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence([cfg.seed, REGISTRY_INDEX[name]])))
+        rng = _rng(cfg.seed, REGISTRY_INDEX[name])
 
-        def make_record(k, params, residual, error, t0):
+        def write(k, params, residual, error, t0) -> bool:
+            """Print the record of sample ``k``; returns whether it passed."""
             rec = {"check": name, "seed": cfg.seed, "sample_index": k,
                    "params": _jsonable({k2: v for k2, v in params.items()
                                         if k2 != "coeffs"}),
@@ -489,38 +495,33 @@ def run_suite(cfg: RunConfig, out=None) -> int:
             if error is not None:
                 rec["error"] = f"{type(error).__name__}: {error}"
             rec["wall_time_ms"] = (time.perf_counter() - t0) * 1e3
-            return rec
+            print(json.dumps(rec, allow_nan=False), file=out, flush=True)
+            return rec["pass"]
 
-        # a failed prepare or draw ends the check with one error record
-        # at the index of the sample it could not produce
-        draws, state, setup_error = [], None, None
-        t_setup = time.perf_counter()
+        # each sample is drawn, evaluated and written before the next is
+        # drawn; a failed prepare or draw ends the check with one error
+        # record at the index of the sample it could not produce
+        n_ok = n_written = k = 0
+        t0 = time.perf_counter()
         try:
             state = cd.prepare(ctx, rng) if cd.prepare else None
-            for _ in range(cfg.samples):
-                t_setup = time.perf_counter()
-                draws.append(cd.draw(ctx, rng, state))
+            for k in range(cfg.samples):
+                t0 = time.perf_counter()
+                params = cd.draw(ctx, rng)
+                t0 = time.perf_counter()
+                try:
+                    residual, error = float(cd.evaluate(ctx, params, state)), None
+                    if not math.isfinite(residual):
+                        raise NonFinite(f"residual is {residual}")
+                except (YbLabError, OverflowError) as exc:
+                    residual, error = None, exc
+                n_ok += write(k, params, residual, error, t0)
+                n_written += 1
         except (YbLabError, OverflowError) as exc:
-            setup_error = exc
-
-        def one(k, params):
-            t0 = time.perf_counter()
-            try:
-                residual = float(cd.evaluate(ctx, params, state))
-                if not math.isfinite(residual):
-                    raise NonFinite(f"residual is {residual}")
-                return make_record(k, params, residual, None, t0)
-            except (YbLabError, OverflowError) as exc:
-                return make_record(k, params, None, exc, t0)
-
-        records = [one(k, params) for k, params in enumerate(draws)]
-        if setup_error is not None:
-            records.append(make_record(len(draws), {}, None, setup_error, t_setup))
-        for record in records:
-            all_pass &= record["pass"]
-            print(json.dumps(record, allow_nan=False), file=out, flush=True)
-        n_ok = sum(r["pass"] for r in records)
-        print(f"[{name}] {n_ok}/{len(records)} passed (tolerance {tolerance:g})",
+            write(k, {}, None, exc, t0)
+            n_written += 1
+        all_pass &= n_ok == n_written
+        print(f"[{name}] {n_ok}/{n_written} passed (tolerance {tolerance:g})",
               file=sys.stderr)
     return 0 if all_pass else 1
 
@@ -552,8 +553,7 @@ def _require_distinct(points, where: str) -> None:
 
 def _compute_z(cfg: RunConfig, args) -> int:
     ctx = cfg.ctx
-    rng = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence([cfg.seed, 2000])))
+    rng = _rng(cfg.seed, 2000)
     points = _parse_point_list(args.points, "--points") if args.points \
         else sampling.sample_spectral(ctx, rng, ctx.L, avoid=ctx.mu)
     if len(points) != ctx.L:
@@ -571,11 +571,13 @@ def _compute_sn(cfg: RunConfig, args) -> int:
     ctx = cfg.ctx
     if ctx.is_elliptic:
         raise ConfigError("compute sn: requires the trigonometric regime (--trig)")
-    rng = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence([cfg.seed, 2001])))
+    rng = _rng(cfg.seed, 2001)
     if args.xb or args.yc:
         if not (args.xb and args.yc):
             raise ConfigError("compute sn: provide both --xb and --yc, or neither")
+        if args.n is not None:
+            raise ConfigError("compute sn: --n counts random points; "
+                              "give it without --xb and --yc")
         xb = _parse_point_list(args.xb, "--xb")
         yc = _parse_point_list(args.yc, "--yc")
         if len(xb) != len(yc):
@@ -643,10 +645,6 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
-    # flags that compute doesn't define
-    for name in ("checks", "samples"):
-        if not hasattr(args, name):
-            setattr(args, name, None)
     try:
         cfg = build_config(args)
         if args.command == "run":

@@ -1,11 +1,13 @@
 import argparse
 import dataclasses
+import io
 import json
 import os
 import pathlib
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,6 +189,29 @@ def test_run_without_config_does_not_import_yaml():
     assert proc.stdout.splitlines()[-1] == "False"
 
 
+@pytest.mark.parametrize("text", ["run: {checks: [pde-omega]}", "run: {samples: 0}",
+                                  "tolerances: {pde-omega: -1.0}"])
+def test_compute_ignores_settings_only_run_reads(tmp_path, capsys, text):
+    # pde-omega is undefined at L = 5; compute runs no check, so it does not care
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(f"model: {{L: 5, regime: trig}}\n{text}\n")
+    code, out, err = run_cli(["compute", "z", "--config", str(cfg)], capsys)
+    assert code == 0, err
+    assert json.loads(out)["record"] == "compute-z"
+
+
+def test_compute_reads_run_seed_and_rejects_unknown_keys(tmp_path, capsys):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("model: {L: 2}\nrun: {seed: 3}\n")
+    from_config = run_cli(["compute", "z", "--config", str(cfg)], capsys)
+    assert from_config == run_cli(["compute", "z", "--L", "2", "--seed", "3"], capsys)
+    assert from_config != run_cli(["compute", "z", "--L", "2", "--seed", "0"], capsys)
+    cfg.write_text("run: {sample: 1}\n")
+    code, out, err = run_cli(["compute", "z", "--config", str(cfg)], capsys)
+    assert code == 2 and out == ""
+    assert "configuration error: run: unknown key 'sample'" in err
+
+
 def _readme_config_block():
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     section = text[text.index("### Configuration file"):]
@@ -272,7 +297,7 @@ def test_run_error_records_do_not_abort(monkeypatch, capsys):
             raise DynamicalPole("synthetic pole")
         return 0.0
 
-    def draw(ctx, rng, state, _counter=[0]):
+    def draw(ctx, rng, _counter=[0]):
         k = _counter[0]
         _counter[0] += 1
         return {"_k": (k,)}
@@ -288,6 +313,42 @@ def test_run_error_records_do_not_abort(monkeypatch, capsys):
     assert samples[0]["error"].startswith("DynamicalPole")
     assert samples[0]["pass"] is False and samples[0]["residual"] is None
     assert samples[1]["pass"] is True
+
+
+def test_run_writes_each_record_before_the_next_draw(monkeypatch):
+    # a run killed mid-check keeps the records of every finished sample
+    out, drawn = io.StringIO(), []
+
+    def draw(ctx, rng):
+        written = [r for r in parse_records(out.getvalue()) if "check" in r]
+        assert len(written) == len(drawn)
+        drawn.append(len(drawn))
+        return {}
+
+    monkeypatch.setitem(cli.REGISTRY, "dybe", dataclasses.replace(
+        cli.REGISTRY["dybe"], draw=draw, evaluate=lambda ctx, params, state: 0.0))
+    args = cli.make_parser().parse_args(["run", "--checks", "dybe", "--samples", "3",
+                                         "--seed", "1"])
+    assert cli.run_suite(cli.build_config(args), out=out) == 0
+    assert drawn == [0, 1, 2]
+
+
+def test_run_memory_does_not_grow_with_samples():
+    def peak_bytes(samples):
+        args = cli.make_parser().parse_args(
+            ["run", "--L", "1", "--checks", "dia-realization", "--samples", str(samples),
+             "--seed", "1"])
+        cfg = cli.build_config(args)
+        with open(os.devnull, "w", encoding="utf-8") as sink:
+            tracemalloc.start()
+            try:
+                assert cli.run_suite(cfg, out=sink) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    peak_bytes(1)  # first-use imports and caches
+    assert peak_bytes(500) - peak_bytes(50) < 0.5e6
 
 
 def test_run_sampler_exhaustion_becomes_error_record(capsys):
@@ -490,6 +551,8 @@ def test_run_non_finite_parameter_is_config_error(capsys, gamma):
     (["--xb", "0.1,0;0.2,0;0.3,0", "--yc", "0.4,0;0.5,0;0.6,0"],
      "--xb, --yc: need 0..L = 0..2 points per side, got 3"),
     (["--xb", "0.1,0;0.2,0", "--yc", "0.4,0"], "--xb, --yc: 2 and 1 points"),
+    (["--xb", "0.1,0", "--yc", "0.2,0", "--n", "2"],
+     "compute sn: --n counts random points; give it without --xb and --yc"),
 ])
 @pytest.mark.parametrize("method", ["bruteforce", "contour"])
 def test_compute_sn_point_count_is_validated(capsys, points, message, method):
