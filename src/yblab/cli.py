@@ -35,7 +35,7 @@ from . import feq, pde, sampling
 from .errors import CoincidentPoints, ConfigError, NomeTooLarge, NonFinite, YbLabError
 from .special_fn import Regime
 from .yb_core import ABS_FLOOR, ModelContext, rel_diff, verify_dybe, verify_rll
-from .lattice_qty import dwbc_partition, scalar_product_bf, check_hw_actions
+from .lattice_qty import dwbc_partition, dwbc_partitions, scalar_product_bf, check_hw_actions
 from .residue_int import require_distinct, sn_contour, z_contour
 
 MODEL_SEED_KEY = 1000
@@ -322,7 +322,7 @@ def _draw_fx(ctx, rng):
 
 
 def _eval_fx(ctx, p, _state):
-    bf = lambda pts, th: dwbc_partition(pts, th, ctx)
+    bf = lambda sets: dwbc_partitions(sets, ctx)
     return feq.fx_residual(p["l0"], p["lams"], p["theta"], ctx, bf)
 
 
@@ -364,7 +364,7 @@ def _draw_fzt(ctx, rng):
 
 
 def _eval_fzt(ctx, p, _state):
-    bf = lambda pts, th: dwbc_partition(pts, th, ctx)
+    bf = lambda sets: dwbc_partitions(sets, ctx)
     return pde.fzt_residual(p["l0"], p["lams"], ctx, bf)
 
 

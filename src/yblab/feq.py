@@ -28,14 +28,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import RegimeMismatch, SingularCoefficient, SizeMismatch
-from .lattice_qty import as_values
+from .lattice_qty import Evaluator, as_values
 from .special_fn import six_vertex
-from .yb_core import ModelContext, monodromy_blocks, residual, term_residual
+from .yb_core import ModelContext, build_chains, monodromy_blocks, residual, term_residual
 
 #: Relative floor for coefficient denominators.
 DENOM_RTOL = 1e-12
-
-Evaluator = Callable[[Sequence[complex], complex], complex]
 
 
 def _guard(value: complex, scale: float, what: str) -> complex:
@@ -79,16 +77,17 @@ def fx_coefficients(l0: complex, X, theta: complex,
     if ctx.is_elliptic:
         m0 = f(theta) / _guard(f(theta + L * g), 1.0, "f(theta + L*gamma)") \
             * np.prod([f(l0 - m) for m in ctx.mu])
+        f_g = f(g)
+        f_top = _guard(f(theta + (L + 1) * g), 1.0, "f(theta + (L+1)*gamma)")
         n = []
         for i, li in enumerate(extended):
             rest = extended[:i] + extended[i + 1:]
-            coeff = -(f(theta + g + l0 - li)
-                      / _guard(f(theta + (L + 1) * g), 1.0, "f(theta + (L+1)*gamma)")) \
-                * (f(g) / _guard(f(l0 - li + g), abs(f(g)), "f(lam_0 - lam_i + gamma)")) \
+            coeff = -(f(theta + g + l0 - li) / f_top) \
+                * (f_g / _guard(f(l0 - li + g), abs(f_g), "f(lam_0 - lam_i + gamma)")) \
                 * np.prod([f(li - m + g) for m in ctx.mu])
             for other in rest:
                 coeff *= f(other - li + g) \
-                    / _guard(f(other - li), abs(f(g)), "f(lam - lam_i)")
+                    / _guard(f(other - li), abs(f_g), "f(lam - lam_i)")
             n.append(complex(coeff))
         return FxCoefficients(complex(m0), tuple(n))
 
@@ -112,18 +111,19 @@ def fx_residual(l0: complex, X, theta: complex, ctx: ModelContext,
                 evaluate_z: Evaluator) -> float:
     """Normalized residual of the domain-wall swap equation.
 
-    ``evaluate_z(points, theta)`` is injected so both the brute-force
-    contraction and the residue evaluator can be run through the same
-    equation.
+    ``evaluate_z(sets)`` gives the partition function at each ``(points,
+    theta)`` of ``sets`` in order; it is injected so both the brute-force
+    contraction (:func:`~yblab.lattice_qty.dwbc_partitions`) and the
+    residue evaluator can be run through the same equation.  It gets
+    all L + 2 sets in one call.
     """
     lams = as_values(X)
     coeffs = fx_coefficients(l0, lams, theta, ctx)
     extended = (complex(l0),) + lams
-    terms = [coeffs.m0 * evaluate_z(lams, theta - ctx.gamma)]
-    for i, n_i in enumerate(coeffs.n):
-        rest = extended[:i] + extended[i + 1:]
-        terms.append(n_i * evaluate_z(rest, theta))
-    return term_residual(terms)
+    sets = [(lams, theta - ctx.gamma)] + [(extended[:i] + extended[i + 1:], theta)
+                                          for i in range(len(extended))]
+    return term_residual([c * z for c, z in zip((coeffs.m0,) + coeffs.n, evaluate_z(sets),
+                                                strict=True)])
 
 
 @dataclass(frozen=True)
@@ -207,8 +207,14 @@ def snad_residuals(l0: complex, XB, YC, ctx: ModelContext,
 IDENTITY_KINDS = ("ab", "bb", "abn", "tay", "tdy")
 
 
-def _block_table(ctx: ModelContext) -> Callable[[complex, complex], tuple]:
-    """``monodromy_blocks`` by ``(lam, theta)``, each built once; one table per check."""
+def _block_table(ctx: ModelContext, keys: Sequence[tuple[complex, complex]] = ()
+                 ) -> Callable[[complex, complex], tuple]:
+    """``monodromy_blocks`` by ``(lam, theta)``, each built once; one table per check.
+
+    The chains of the ``(lam, theta)`` ``keys``, listed in the order the
+    check uses them, are built from one weight batch up front.
+    """
+    build_chains([(lam, theta, 0) for lam, theta in keys], ctx)
     return cache(lambda lam, theta: monodromy_blocks(lam, theta, ctx))
 
 
@@ -244,20 +250,20 @@ def verify_bb(l1: complex, l2: complex, theta: complex, ctx: ModelContext) -> fl
         raise RegimeMismatch("the dynamical exchange rules need the elliptic regime")
     f = ctx.f
     g = ctx.gamma
-    blocks = _block_table(ctx)
+    f_g = f(g)
+    t1, t2 = theta + g, theta + 2 * g
+    blocks = _block_table(ctx, [(l1, theta), (l2, theta), (l1, t1), (l2, t1), (l1, t2), (l2, t2)])
     b11 = blocks(l1, theta)[1]
     b21 = blocks(l2, theta)[1]
-    b12 = blocks(l1, theta + g)[1]
-    b22 = blocks(l2, theta + g)[1]
+    b12 = blocks(l1, t1)[1]
+    b22 = blocks(l2, t1)[1]
     res_bb = residual(b11 @ b22, b21 @ b12)
 
-    _guard(f(l2 - l1), abs(f(g)), "f(lam_2 - lam_1)")
-    _guard(f(theta + 2 * g), 1.0, "f(theta + 2*gamma)")
-    lhs = blocks(l1, theta + g)[0] @ b21
-    rhs = (f(l2 - l1 + g) / f(l2 - l1)) * (f(theta + g) / f(theta + 2 * g)) \
-        * b22 @ blocks(l1, theta + 2 * g)[0] \
-        - (f(theta + g - l2 + l1) / f(l2 - l1)) * (f(g) / f(theta + 2 * g)) \
-        * b12 @ blocks(l2, theta + 2 * g)[0]
+    f_d = _guard(f(l2 - l1), abs(f_g), "f(lam_2 - lam_1)")
+    f_t2 = _guard(f(t2), 1.0, "f(theta + 2*gamma)")
+    lhs = blocks(l1, t1)[0] @ b21
+    rhs = (f(l2 - l1 + g) / f_d) * (f(t1) / f_t2) * b22 @ blocks(l1, t2)[0] \
+        - (f(t1 - l2 + l1) / f_d) * (f_g / f_t2) * b12 @ blocks(l2, t2)[0]
     return max(res_bb, residual(lhs, rhs))
 
 
@@ -274,24 +280,28 @@ def verify_abn(l0: complex, lams, theta: complex, ctx: ModelContext) -> float:
     n = len(lams)
     f = ctx.f
     g = ctx.gamma
-    blocks = _block_table(ctx)
+    t1, top = theta + g, theta + (n + 1) * g
+    slots = lambda pts, t: [(p, t + j * g) for j, p in enumerate(pts, 1)]
+    swaps = [((l0,) + lams[:i] + lams[i + 1:], li) for i, li in enumerate(lams)]
+    blocks = _block_table(ctx, [(l0, t1)] + slots(lams, theta - g) + slots(lams, theta)
+                          + [(l0, top)] + [key for swapped, li in swaps
+                                           for key in slots(swapped, theta) + [(li, top)]])
     a_of = lambda lam, t: blocks(lam, t)[0]
-    y_of = lambda pts, t: _string([blocks(p, t + j * g)[1] for j, p in enumerate(pts, 1)],
-                                  ctx.dim)
+    y_of = lambda pts, t: _string([blocks(*key)[1] for key in slots(pts, t)], ctx.dim)
 
-    lhs = a_of(l0, theta + g) @ y_of(lams, theta - g)
-    head = f(theta + g) / _guard(f(theta + (n + 1) * g), 1.0, "f(theta + (n+1)*gamma)")
+    lhs = a_of(l0, t1) @ y_of(lams, theta - g)
+    f_g = f(g)
+    head = f(t1) / (f_top := _guard(f(top), 1.0, "f(theta + (n+1)*gamma)"))
     for lam in lams:
-        head *= f(lam - l0 + g) / _guard(f(lam - l0), abs(f(g)), "f(lam_j - lam_0)")
-    rhs = head * y_of(lams, theta) @ a_of(l0, theta + (n + 1) * g)
-    for i, li in enumerate(lams):
-        coeff = (f(theta + g - li + l0) / f(theta + (n + 1) * g)) \
-            * (f(g) / _guard(f(li - l0), abs(f(g)), "f(lam_i - lam_0)"))
+        head *= f(lam - l0 + g) / _guard(f(lam - l0), abs(f_g), "f(lam_j - lam_0)")
+    rhs = head * y_of(lams, theta) @ a_of(l0, top)
+    for i, (swapped, li) in enumerate(swaps):
+        coeff = (f(t1 - li + l0) / f_top) \
+            * (f_g / _guard(f(li - l0), abs(f_g), "f(lam_i - lam_0)"))
         for j, lj in enumerate(lams):
             if j != i:
-                coeff *= f(lj - li + g) / _guard(f(lj - li), abs(f(g)), "f(lam_j - lam_i)")
-        swapped = (l0,) + lams[:i] + lams[i + 1:]
-        rhs = rhs - coeff * y_of(swapped, theta) @ a_of(li, theta + (n + 1) * g)
+                coeff *= f(lj - li + g) / _guard(f(lj - li), abs(f_g), "f(lam_j - lam_i)")
+        rhs = rhs - coeff * y_of(swapped, theta) @ a_of(li, top)
     return residual(lhs, rhs)
 
 

@@ -9,17 +9,28 @@ closed-form residue evaluators are checked.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import RegimeMismatch, SizeMismatch
-from .yb_core import ABS_FLOOR, ModelContext, apply_block, monodromy_blocks, residual
+from .yb_core import (ABS_FLOOR, ModelContext, apply_block, build_chains, monodromy_blocks,
+                      residual)
+
+#: A bulk partition-function evaluator: the value at each ``(points,
+#: theta)`` of a list, in order, as :func:`dwbc_partitions` gives them.
+Evaluator = Callable[[Sequence[tuple[Sequence[complex], complex]]], Sequence[complex]]
 
 
 def as_values(points: Iterable[complex]) -> tuple[complex, ...]:
     """Coerce a sequence of spectral points to a tuple of complex values."""
     return tuple(complex(v) for v in points)
+
+
+def _creation_slots(lams: Sequence[complex], theta: complex,
+                    ctx: ModelContext) -> list[tuple[complex, complex]]:
+    """``(lam_j, theta + j*gamma)`` of the creation blocks, in the order they act (j = L..1)."""
+    return [(lams[j - 1], theta + j * ctx.gamma) for j in range(len(lams), 0, -1)]
 
 
 def dwbc_partition(X, theta: complex, ctx: ModelContext) -> complex:
@@ -30,15 +41,31 @@ def dwbc_partition(X, theta: complex, ctx: ModelContext) -> complex:
     block first) and projects on the all-down state.  The
     dynamical argument is tied to the slot j, not to the value occupying
     it, which is what makes the result symmetric in the spectral set.
+    The L chains are built from one weight batch up front.
     """
     lams = as_values(X)
     if len(lams) != ctx.L:
         raise SizeMismatch(f"need exactly L = {ctx.L} spectral points, got {len(lams)}")
+    slots = _creation_slots(lams, theta, ctx)
+    build_chains([(lam, theta_j, 0) for lam, theta_j in slots], ctx)
     vec = np.zeros(ctx.dim, dtype=complex)
     vec[0] = 1.0
-    for j in range(ctx.L, 0, -1):
-        vec = apply_block("B", lams[j - 1], theta + j * ctx.gamma, ctx, vec)
+    for lam, theta_j in slots:
+        vec = apply_block("B", lam, theta_j, ctx, vec)
     return complex(vec[-1])
+
+
+def dwbc_partitions(sets: Sequence[tuple[Iterable[complex], complex]],
+                    ctx: ModelContext) -> list[complex]:
+    """:func:`dwbc_partition` at each ``(X, theta)`` of ``sets``, in order.
+
+    The chains of all the sets are built from one weight batch first;
+    errors are raised as the per-set calls meet them.
+    """
+    sets = [(as_values(X), theta) for X, theta in sets]
+    build_chains([(lam, theta_j, 0) for lams, theta in sets
+                  for lam, theta_j in _creation_slots(lams, theta, ctx)], ctx)
+    return [dwbc_partition(lams, theta, ctx) for lams, theta in sets]
 
 
 def scalar_product_bf(XB, YC, ctx: ModelContext) -> complex:

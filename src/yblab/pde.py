@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import (CoincidentPoints, DegreeMismatch, InterpolationIllConditioned,
                      RegimeMismatch, SingularCoefficient)
-from .lattice_qty import as_values
+from .lattice_qty import Evaluator, as_values
 from .special_fn import six_vertex
 from .yb_core import ABS_FLOOR, ModelContext, apply_block, term_residual
 
@@ -290,16 +290,18 @@ def fzt_coefficients(l0: complex, X, ctx: ModelContext
     return _fzt_node(l0, lams, *_fzt_point(lams, ctx), ctx)
 
 
-def fzt_residual(l0: complex, X, ctx: ModelContext,
-                 evaluate_z: Callable[[Sequence[complex], complex], complex]) -> float:
-    """Normalized residual of the merged six-vertex swap equation."""
+def fzt_residual(l0: complex, X, ctx: ModelContext, evaluate_z: Evaluator) -> float:
+    """Normalized residual of the merged six-vertex swap equation.
+
+    ``evaluate_z`` is a bulk evaluator as for :func:`~yblab.feq.fx_residual`;
+    it gets all L + 1 sets, at ``theta = 0``, in one call.
+    """
     lams = as_values(X)
     head, swaps = fzt_coefficients(l0, lams, ctx)
-    terms = [head * evaluate_z(lams, 0.0)]
-    for i, coeff in enumerate(swaps):
-        swapped = (complex(l0),) + lams[:i] + lams[i + 1:]
-        terms.append(coeff * evaluate_z(swapped, 0.0))
-    return term_residual(terms)
+    sets = [(lams, 0.0)] + [((complex(l0),) + lams[:i] + lams[i + 1:], 0.0)
+                            for i in range(len(swaps))]
+    return term_residual([c * z for c, z in zip((head,) + swaps, evaluate_z(sets),
+                                                strict=True)])
 
 
 def interpolate_zbar(ctx: ModelContext) -> MultiPoly:

@@ -13,19 +13,24 @@ Conventions, fixed once and used everywhere:
 * Operator-valued shifts of the dynamical parameter are never formal:
   the spin operators involved are diagonal, so the vertex matrix is
   evaluated per input basis state on each weight sector.
+
+Vertex tables of monodromy chains live in a 512-entry LRU cache that
+also answers whether a chain is built; :func:`build_chains` builds every
+chain an operator or equation needs from one batch of distinct weights.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import DynamicalPole, NonConvergent, NonFinite
-from .special_fn import Regime, f_weight, f_weights, six_vertex
+from .special_fn import EllipticParams, Regime, f_weight, f_weights, six_vertex
 
 #: Relative floor below which a dynamical denominator counts as a pole.
 POLE_RTOL = 1e-12
@@ -117,8 +122,20 @@ def r_matrix(lam: complex, theta: complex, ctx: ModelContext) -> np.ndarray:
     return r
 
 
+def _weight_points(sites: Sequence[tuple[complex, int]], theta: complex,
+                   g: complex) -> list[complex]:
+    """Elliptic weight arguments of the tables of ``sites``, as :func:`_site_tables` reads them."""
+    points = [g]
+    for lam, n_shift in sites:
+        for s in range(n_shift + 1):
+            t = theta - g * (n_shift - 2 * s)
+            points += (t, t - g, t + g) + ((lam + g, lam) if s == 0 else ()) + (t - lam, t + lam)
+    return points
+
+
 def _site_tables(sites: Sequence[tuple[complex, int]], theta: complex,
-                 ctx: ModelContext) -> Iterator[np.ndarray]:
+                 ctx: ModelContext, values: Iterator[complex] | None = None
+                 ) -> Iterator[np.ndarray]:
     """Nonzero vertex amplitudes on each weight sector, per ``(lam, n_shift)`` of ``sites``.
 
     The one place the weights of :func:`r_matrix` are formed.  Sector
@@ -131,14 +148,16 @@ def _site_tables(sites: Sequence[tuple[complex, int]], theta: complex,
     the nonzero entries of the vertex matrix.  Tables are read-only and
     come in the order of ``sites``.
 
-    The elliptic weights of all the tables come from one
-    :func:`f_weights` batch, listed in the order the loop reads them:
-    ``f(gamma)``; then per sector ``f(t)`` and ``f(t -+ gamma)``, the pole
-    test, ``f(lam + gamma)`` and ``f(lam)`` in a site's first sector
-    only, and ``f(t -+ lam)``.  If the batch raises, the same loop reads
-    scalar weights lazily, so the error is the first one met in that
-    order.  Trigonometric tables are six-vertex tables, with ``theta``
-    and the shift ignored.
+    The elliptic weights are read in the order :func:`_weight_points`
+    lists them: ``f(gamma)``; then per sector ``f(t)`` and ``f(t -+
+    gamma)``, the pole test, ``f(lam + gamma)`` and ``f(lam)`` in a
+    site's first sector only, and ``f(t -+ lam)``.  They come from
+    ``values`` when given (the weights of those points, as
+    :func:`build_chains` passes them), else from one :func:`f_weights`
+    batch; if the batch raises, the same loop reads scalar weights
+    lazily, so the error is the first one met in that order.
+    Trigonometric tables are six-vertex tables, with ``theta`` and the
+    shift ignored.
     """
     if not ctx.is_elliptic:
         a_of, b_of, c = six_vertex(ctx.gamma)
@@ -149,15 +168,12 @@ def _site_tables(sites: Sequence[tuple[complex, int]], theta: complex,
             yield table
         return
     g = ctx.gamma
-    points = [g]
-    for lam, n_shift in sites:
-        for s in range(n_shift + 1):
-            t = theta - g * (n_shift - 2 * s)
-            points += (t, t - g, t + g) + ((lam + g, lam) if s == 0 else ()) + (t - lam, t + lam)
-    try:
-        values = iter(f_weights(points, ctx.regime.params))
-    except (ArithmeticError, ValueError, NonConvergent):
-        values = map(ctx.f, points)
+    if values is None:
+        points = _weight_points(sites, theta, g)
+        try:
+            values = iter(f_weights(points, ctx.regime.params))
+        except (ArithmeticError, ValueError, NonConvergent):
+            values = map(ctx.f, points)
     fg = next(values)
     for lam, n_shift in sites:
         diag, off = [], []
@@ -177,33 +193,133 @@ def _site_tables(sites: Sequence[tuple[complex, int]], theta: complex,
         yield table
 
 
-@functools.lru_cache(maxsize=512)
-def _chain_tables(lam: complex, theta: complex, n_extra: int,
-                  ctx: ModelContext) -> tuple[np.ndarray, ...]:
-    """Vertex tables of a monodromy chain, site 1 first, cached per chain.
+def _chain_sites(lam: complex, n_extra: int, ctx: ModelContext) -> list[tuple[complex, int]]:
+    """``(lam - mu_k, n_shift)`` per chain site ``k``: the extra shift sites and those after it."""
+    return [(lam - ctx.mu[k], n_extra + ctx.L - 1 - k) for k in range(ctx.L)]
 
-    Site ``k`` has spectral argument ``lam - mu_k`` and ``n_extra + L -
-    k`` shift sites (the extra ones plus the chain sites after it).  A
-    pole raises :class:`DynamicalPole` naming the site and the weight
+
+def _build_chain(lam: complex, theta: complex, n_extra: int, ctx: ModelContext,
+                 values: Iterator[complex] | None = None) -> tuple[np.ndarray, ...]:
+    """Vertex tables of a monodromy chain, site 1 first (``values`` as for :func:`_site_tables`).
+
+    A pole raises :class:`DynamicalPole` naming the site and the weight
     sector, the first in (site, sector) order.
+    """
+    tables = []
+    try:
+        for table in _site_tables(_chain_sites(lam, n_extra, ctx), theta, ctx, values):
+            tables.append(table)
+    except DynamicalPole as exc:
+        raise DynamicalPole(f"site {len(tables) + 1}, {exc}") from exc
+    return tuple(tables)
+
+
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class _ChainCache:
+    """Vertex tables of monodromy chains by ``(lam, theta, n_extra, ctx)``, an LRU cache.
+
+    Calling it returns a chain's tables, built by :func:`_build_chain` on
+    a miss; ``key in cache`` tells whether a chain is built without
+    touching the order; :func:`build_chains` stores chains it built in
+    bulk.  ``misses`` counts the chains built by either route, ``hits``
+    the calls that found theirs.  An error is not cached.
 
     Memory bound: the widest chain is the RLL check's, with one extra
     shift site, so ``n_shift`` runs from ``L`` down to 1 and an entry
     holds ``128 * L * (L + 3) / 2`` array bytes, 8320 at ``L = 10``.
     Measured with tracemalloc, such an entry with its arrays, tuple, key
-    and cache link takes about 10.0 KB at L = 10, so the 512-entry cache
-    stays below 5.4 MB (``tests/test_kernel.py`` holds it to that); at
-    L = 4 an entry takes about 2.4 KB.
+    and ordered-dict link takes about 10.0 KB at L = 10, so the 512-entry
+    cache stays below 5.4 MB (``tests/test_kernel.py`` holds it to that);
+    at L = 4 an entry takes about 2.4 KB.
     """
-    L = ctx.L
-    tables = []
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self._chains: OrderedDict = OrderedDict()
+        self._hits = self._misses = 0
+
+    def __contains__(self, key) -> bool:
+        return key in self._chains
+
+    def __call__(self, lam: complex, theta: complex, n_extra: int,
+                 ctx: ModelContext) -> tuple[np.ndarray, ...]:
+        key = (lam, theta, n_extra, ctx)
+        tables = self._chains.get(key)
+        if tables is None:
+            tables = _build_chain(lam, theta, n_extra, ctx)
+            self.store(key, tables)
+        else:
+            self._hits += 1
+            self._chains.move_to_end(key)
+        return tables
+
+    def store(self, key, tables: tuple[np.ndarray, ...]) -> None:
+        self._misses += 1
+        self._chains[key] = tables
+        if len(self._chains) > self.maxsize:
+            self._chains.popitem(last=False)
+
+    def cache_info(self) -> CacheInfo:
+        return CacheInfo(self._hits, self._misses, self.maxsize, len(self._chains))
+
+    def cache_clear(self) -> None:
+        self._chains.clear()
+        self._hits = self._misses = 0
+
+
+_chain_tables = _ChainCache(maxsize=512)
+
+
+def _weights_by_bits(points: Sequence[complex], params: EllipticParams
+                     ) -> Iterator[complex]:
+    """The elliptic weight of each of ``points``, from one :func:`f_weights` call.
+
+    The call gets each distinct point once, in order of first
+    appearance; points are told apart by bit pattern, so ``0.0`` and
+    ``-0.0`` stay apart.
+    """
+    bits = np.array(points, dtype=complex).view("V16").tolist()
+    distinct = dict(zip(bits, points))
+    weights = dict(zip(distinct, f_weights(list(distinct.values()), params)))
+    return map(weights.__getitem__, bits)
+
+
+def build_chains(keys: Iterable[tuple[complex, complex, int]], ctx: ModelContext) -> None:
+    """Build the chains of ``keys`` not yet in the chain cache, from one weight batch.
+
+    A key is ``(lam, theta, n_extra)`` as :func:`_monodromy` looks the
+    chain up; list them in the order the caller uses them.  The weight
+    arguments of all the chains missing from the cache are listed as
+    :func:`_site_tables` reads them, the distinct ones are evaluated in
+    one call (:func:`_weights_by_bits`), and the chains are built from
+    those values, with the bits of the per-chain route.  Nothing happens
+    in the trigonometric regime, where one chain serves every theta.
+
+    Weight errors are left to the per-chain route: if the batch is
+    refused or a chain meets a pole, the build stops there, and the
+    lookups meet the error in the caller's order, as without the build.
+    """
+    if not ctx.is_elliptic:
+        return
+    todo = [key for key in dict.fromkeys((complex(lam), complex(theta), n_extra, ctx)
+                                         for lam, theta, n_extra in keys)
+            if key not in _chain_tables]
+    if not todo:
+        return
+    points = [point for lam, theta, n_extra, _ in todo
+              for point in _weight_points(_chain_sites(lam, n_extra, ctx), theta, ctx.gamma)]
     try:
-        for table in _site_tables([(lam - ctx.mu[k], n_extra + L - 1 - k) for k in range(L)],
-                                  theta, ctx):
-            tables.append(table)
-    except DynamicalPole as exc:
-        raise DynamicalPole(f"site {len(tables) + 1}, {exc}") from exc
-    return tuple(tables)
+        values = _weights_by_bits(points, ctx.regime.params)
+    except (ArithmeticError, ValueError, NonConvergent):
+        return
+    for key in todo:
+        try:
+            tables = _build_chain(*key, values)
+        except (DynamicalPole, ArithmeticError):
+            return
+        _chain_tables.store(key, tables)
 
 
 @functools.lru_cache(maxsize=64)
@@ -297,7 +413,7 @@ def _monodromy(lam: complex, theta: complex, ctx: ModelContext, aux: int,
 
     The factor at chain site ``k`` has spectral argument ``lam - mu_k``
     and is shifted by ``extra_shift`` plus the chain sites after it.
-    Its vertex table comes from :func:`_chain_tables`.
+    Its vertex table comes from the chain cache :data:`_chain_tables`.
     """
     chain = tuple(chain)
     if ctx.is_elliptic:
@@ -369,7 +485,9 @@ def verify_rll(l1: complex, l2: complex, theta: complex,
     dynamical arguments (total chain weight for the vertex factor, one
     auxiliary weight for the inner monodromy) are evaluated
     sector-by-sector by the same site factors as the monodromy itself.
+    The four chains are built from one weight batch up front.
     """
+    build_chains([(l1, theta, 0), (l2, theta, 1), (l2, theta, 0), (l1, theta, 1)], ctx)
     n_sites = ctx.L + 2  # 0, 1 auxiliary; 2..L+1 chain
     chain = tuple(range(2, ctx.L + 2))
     mono = lambda aux, lam, extra: _monodromy(lam, theta, ctx, aux, chain, extra, n_sites)

@@ -13,7 +13,7 @@ import pytest
 
 from yblab.feq import (fx_residual, snad_residuals, verify_ab, verify_abn,
                        verify_bb, verify_tay, verify_tdy)
-from yblab.lattice_qty import (dwbc_partition, hw_action_residuals,
+from yblab.lattice_qty import (dwbc_partition, dwbc_partitions, hw_action_residuals,
                                scalar_product_bf)
 from yblab.pde import (MultiPoly, PdeVars, dia_apply, dia_realized,
                        fzt_residual, interpolate_zbar, omega_actions,
@@ -122,7 +122,7 @@ def test_c05_swap_equation_brute_force():
         for L in (1, 2, 3, 4):
             rng = np.random.default_rng(SEED + 30 + L)
             ctx = random_context(L, rng, elliptic=elliptic)
-            bf = lambda pts, th: dwbc_partition(pts, th, ctx)
+            bf = lambda sets: dwbc_partitions(sets, ctx)
             for _ in range(20):
                 pts = sample_spectral(ctx, rng, L + 1)
                 theta = sample_theta(ctx, rng, range(-(2 * L + 2), 2 * L + 3))
@@ -143,11 +143,11 @@ def test_c06_partition_contour_vs_brute_force():
         for L in (1, 2, 3):
             rng = np.random.default_rng(SEED + 40 + L)
             ctx = random_context(L, rng, elliptic=elliptic)
-            contour = lambda pts, th: z_contour(pts, th, ctx)
+            contour = lambda sets: [z_contour(pts, th, ctx) for pts, th in sets]
             for _ in range(20):
                 lams = sample_spectral(ctx, rng, L, avoid=ctx.mu)
                 theta = sample_theta(ctx, rng, range(-1, 2 * L + 3))
-                zc = contour(lams, theta)
+                zc = z_contour(lams, theta, ctx)
                 zb = dwbc_partition(lams, theta, ctx)
                 worst = max(worst, abs(zc - zb) / max(abs(zc), abs(zb)))
             for _ in range(5):

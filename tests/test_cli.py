@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import yblab.cli as cli
-from yblab import pde, special_fn, yb_core
+from yblab import feq, lattice_qty, pde, special_fn, yb_core
 from yblab.errors import DynamicalPole, InterpolationIllConditioned
 
 from oracles import (fzt_coefficients_literal, omega_actions_literal,
@@ -648,8 +648,8 @@ ELLIPTIC_CHECKS = "dybe,rll,hw-actions,identities,fx,z-contour-vs-bf,dia-realiza
     ["compute", "z", "--method", "bruteforce", "--L", "10", "--seed", "1"]])
 def test_batched_theta_series_keeps_report_streams(monkeypatch, capsys, args):
     # the vertex tables take their elliptic weights from one batched theta
-    # series per chain; summed point by point by the scalar series instead,
-    # every record must keep its bits (wall time aside)
+    # series per bulk build or chain; summed point by point by the scalar
+    # series instead, every record must keep its bits (wall time aside)
     def stream():
         yb_core._chain_tables.cache_clear()
         code, out, err = run_cli(args, capsys)
@@ -660,6 +660,27 @@ def test_batched_theta_series_keeps_report_streams(monkeypatch, capsys, args):
         [special_fn.theta1(complex(v), params) for v in z], dtype=complex))
     assert stream() == shipped
     assert shipped[0] == 0 and len(parse_records(shipped[1])) == (36 if args[0] == "run" else 1)
+
+
+@pytest.mark.parametrize("args", [
+    ["run", "--L", "3", "--checks", ELLIPTIC_CHECKS, "--samples", "5", "--seed", "1"],
+    ["compute", "z", "--method", "bruteforce", "--L", "8", "--seed", "1"]])
+def test_bulk_chain_build_keeps_report_streams(monkeypatch, capsys, args):
+    # operators and equations build their chains from one deduplicated
+    # weight batch up front; with every chain built lazily on its own
+    # instead, every record must keep its bits (wall time aside)
+    def stream():
+        yb_core._chain_tables.cache_clear()
+        code, out, err = run_cli(args, capsys)
+        return code, re.sub(r', "wall_time_ms": [^,}]*', "", out), err
+
+    shipped = stream()
+    skipped = []
+    for module in (yb_core, lattice_qty, feq):
+        monkeypatch.setattr(module, "build_chains", lambda keys, ctx: skipped.append(ctx))
+    assert stream() == shipped
+    assert skipped and shipped[0] == 0
+    assert len(parse_records(shipped[1])) == (36 if args[0] == "run" else 1)
 
 
 @pytest.mark.parametrize("L", ["2", "3", "4"])

@@ -6,16 +6,17 @@ from yblab.errors import RegimeMismatch
 from yblab.feq import (fx_coefficients, fx_residual, snad_coefficients,
                        snad_residuals, verify_ab, verify_abn, verify_bb,
                        verify_identity, verify_tay, verify_tdy)
-from yblab.lattice_qty import dwbc_partition, scalar_product_bf
+from yblab.lattice_qty import dwbc_partition, dwbc_partitions, scalar_product_bf
 from yblab.sampling import random_context, sample_spectral, sample_theta
-from yblab.special_fn import Regime
+from yblab import yb_core
+from yblab.special_fn import Regime, f_weight, f_weights
 from yblab.yb_core import ModelContext, monodromy_blocks
 
 from oracles import creation_string
 
 
 def bf_z(ctx):
-    return lambda pts, th: dwbc_partition(pts, th, ctx)
+    return lambda sets: dwbc_partitions(sets, ctx)
 
 
 def bf_s(ctx):
@@ -69,6 +70,21 @@ def test_fx_coefficients_transcription_oracle(rng):
         assert abs(coeffs.n[i] - expected) < 1e-12 * abs(expected)
 
 
+def test_fx_coefficients_weight_count(monkeypatch, rng):
+    # f(gamma) and f(theta + (L+1)*gamma) are read once per call: 78 scalar
+    # weights at L = 4, not 111
+    L = 4
+    ctx = random_context(L, rng)
+    pts = sample_spectral(ctx, rng, L + 1)
+    theta = sample_theta(ctx, rng, range(-6, 8))
+    calls = []
+    monkeypatch.setattr(yb_core, "f_weight", lambda *args: calls.append(args) or f_weight(*args))
+    fx_coefficients(pts[0], pts[1:], theta, ctx)
+    # m0: f(theta), f(theta + L*gamma), L of f(lam_0 - mu); per extended
+    # point: 2 + L own weights and 2 per other point; the two hoisted ones
+    assert len(calls) == (2 + L) + (L + 1) * (2 + L + 2 * L) + 2 == 78
+
+
 @pytest.mark.parametrize("L,elliptic", [(1, True), (2, True), (3, True),
                                         (2, False), (3, False)])
 def test_fx_residual_brute_force(L, elliptic, rng):
@@ -85,7 +101,7 @@ def test_fx_residual_scale_invariant(rng):
     theta = sample_theta(ctx, rng, range(-6, 7))
     base = fx_residual(pts[0], pts[1:], theta, ctx, bf_z(ctx))
     scaled = fx_residual(pts[0], pts[1:], theta, ctx,
-                         lambda p, t: 7.3 * dwbc_partition(p, t, ctx))
+                         lambda sets: [7.3 * z for z in dwbc_partitions(sets, ctx)])
     assert abs(base - scaled) <= 1e-12
 
 
@@ -215,10 +231,15 @@ def test_identity_unknown_kind(ell_ctx2):
 @pytest.mark.parametrize("kind, elliptic, built", [
     ("bb", True, 6), ("abn", True, 9), ("tay", False, 5), ("tdy", False, 5)])
 def test_identity_check_builds_each_block_once(kind, elliptic, built, monkeypatch, rng):
-    # L = 4, n = 2: one build per distinct (lam, theta) a check uses
-    calls = []
+    # L = 4, n = 2: one build per distinct (lam, theta) a check uses, and
+    # the elliptic chains of all of them from one weight batch
+    calls, batches = [], []
     monkeypatch.setattr(feq, "monodromy_blocks",
                         lambda *args: calls.append(args[:2]) or monodromy_blocks(*args))
+    monkeypatch.setattr(yb_core, "f_weights",
+                        lambda points, params: batches.append(points)
+                        or f_weights(points, params))
+    yb_core._chain_tables.cache_clear()
     ctx = random_context(4, rng, elliptic=elliptic)
     pts = sample_spectral(ctx, rng, 5)
     theta = sample_theta(ctx, rng, range(-6, 8)) if elliptic else 0.0
@@ -228,6 +249,7 @@ def test_identity_check_builds_each_block_once(kind, elliptic, built, monkeypatc
               "tdy": dict(l0=pts[0], xb=pts[1:3], yc=pts[3:5])}[kind]
     assert verify_identity(kind, ctx, **params) <= 1e-9
     assert len(calls) == len(set(calls)) == built
+    assert len(batches) == elliptic
 
 
 # --- projection -------------------------------------------------------------

@@ -7,14 +7,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from yblab import yb_core
+from yblab import feq, lattice_qty, yb_core
 from yblab.errors import DynamicalPole
-from yblab.lattice_qty import dwbc_partition, scalar_product_bf
+from yblab.feq import fx_residual
+from yblab.lattice_qty import dwbc_partition, dwbc_partitions, scalar_product_bf
 from yblab.residue_int import z_contour
 from yblab.sampling import random_context, sample_spectral, sample_theta
 from yblab.special_fn import f_weight, f_weights
 from yblab.yb_core import (ModelContext, apply_block, apply_factors, monodromy_blocks,
-                           residual, site_factors)
+                           residual, site_factors, verify_rll)
 
 from oracles import creation_string, r_matrix_literal, vertex_table_literal
 
@@ -159,6 +160,77 @@ def test_one_weight_evaluation_per_site_and_sector(monkeypatch, rng):
     assert (info.hits, info.misses) == (2, 1)
 
 
+def _bits(values):
+    return [np.complex128(v).tobytes() for v in values]
+
+
+def _count_batches(monkeypatch):
+    batches = []
+    monkeypatch.setattr(yb_core, "f_weights",
+                        lambda points, params: batches.append(points)
+                        or f_weights(points, params))
+    return batches
+
+
+def _skip_bulk_build(monkeypatch):
+    for module in (yb_core, lattice_qty, feq):
+        monkeypatch.setattr(module, "build_chains", lambda keys, ctx: None)
+
+
+def test_bulk_build_is_one_batch_of_distinct_weights(monkeypatch, rng):
+    ctx = random_context(3, rng)
+    lams = sample_spectral(ctx, rng, 3)
+    theta = sample_theta(ctx, rng, range(-4, 5))
+    with monkeypatch.context() as m:
+        # chain by chain: one batch each, f(gamma) in every one of them
+        _skip_bulk_build(m)
+        lazy = _count_batches(m)
+        yb_core._chain_tables.cache_clear()
+        expected = dwbc_partition(lams, theta, ctx)
+    assert len(lazy) == 3
+    batches = _count_batches(monkeypatch)
+    yb_core._chain_tables.cache_clear()
+    assert dwbc_partition(lams, theta, ctx) == expected
+    assert len(batches) == 1
+    assert _bits(batches[0]) == list(dict.fromkeys(b for batch in lazy for b in _bits(batch)))
+    assert dwbc_partition(lams, theta, ctx) == expected and len(batches) == 1
+    info = yb_core._chain_tables.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (3, 6, 3)
+
+
+def test_bulk_weights_keep_signed_zeros_apart(monkeypatch, rng):
+    ctx = random_context(1, rng)
+    points = [0j, complex(-0.0, 0.0), 0.5 + 0j, 0j, complex(-0.0, 0.0), complex(0.0, -0.0)]
+    batches = _count_batches(monkeypatch)
+    values = list(yb_core._weights_by_bits(points, ctx.regime.params))
+    assert _bits(batches[0]) == _bits([0j, complex(-0.0, 0.0), 0.5 + 0j, complex(0.0, -0.0)])
+    assert _bits(values) == _bits(f_weight(p, ctx.regime) for p in points)
+
+
+def test_fx_residual_sample_is_one_batch(monkeypatch, rng):
+    ctx = random_context(3, rng)
+    pts = sample_spectral(ctx, rng, 4)
+    theta = sample_theta(ctx, rng, range(-8, 9))
+    batches = _count_batches(monkeypatch)
+    yb_core._chain_tables.cache_clear()
+    fx_residual(pts[0], pts[1:], theta, ctx, lambda sets: dwbc_partitions(sets, ctx))
+    assert len(batches) == 1
+
+
+def test_chain_cache_is_least_recently_used(rng):
+    ctx = random_context(1, rng)
+    cache = yb_core._ChainCache(maxsize=2)
+    keys = [(complex(lam), 0.5 + 0j, 0, ctx) for lam in sample_spectral(ctx, rng, 3)]
+    first = cache(*keys[0])
+    cache(*keys[1])
+    assert cache(*keys[0]) is first  # a hit makes keys[0] the most recent
+    cache(*keys[2])
+    assert keys[0] in cache and keys[1] not in cache and keys[2] in cache
+    assert cache.cache_info() == (1, 3, 2, 2)
+    cache.cache_clear()
+    assert keys[0] not in cache and cache.cache_info() == (0, 0, 2, 0)
+
+
 def _refuse_batch(points, params):
     raise ArithmeticError("batch refused")
 
@@ -222,6 +294,16 @@ def test_first_pole_is_named_by_site_and_sector(monkeypatch, rng):
         # and f(lam) do not; the pole of its second sector comes after it
         (18.6 + 0.05j + ctx.mu[0], -ctx.gamma, two, OverflowError, None),
     ]
+    lams = sample_spectral(ctx, rng, 3)
+    l1, l2, g = lams[0], lams[1], ctx.gamma
+    bulk_cases = [
+        # theta = 0: slot 3 (theta + 3*gamma) builds, slot 2 meets f(0) in
+        # site 1, sector +2
+        (lambda: dwbc_partition(lams, 0.0, ctx), (lams[2], 3 * g, 0), (lams[1], 2 * g, 0)),
+        # theta = 3*gamma: (l1, theta, 0) builds, (l2, theta, 1) meets f(0)
+        # in site 1, sector +3; lazily the R_ab factor meets it first
+        (lambda: verify_rll(l1, l2, 3 * g, ctx), (l1, 3 * g, 0), (l2, 3 * g, 1)),
+    ]
     for route in ("batch", "lazy"):
         if route == "lazy":
             monkeypatch.setattr(yb_core, "f_weights", _refuse_batch)
@@ -233,6 +315,21 @@ def test_first_pole_is_named_by_site_and_sector(monkeypatch, rng):
                 == _literal_chain_error(lam_k, theta, model)
         with pytest.raises(DynamicalPole, match=r"^weight sector \+1: f\(theta\) ~ 0"):
             site_factors([(lam, (0, 1), ()), (lam, (0, 1), (2,))], ctx.gamma, ctx, 3)
+
+        # a bulk build stops at a pole in its second chain, keeping the
+        # first; the lazy path then raises what it raises without the build
+        for operation, built, stopped in bulk_cases:
+            with monkeypatch.context() as m:
+                _skip_bulk_build(m)
+                yb_core._chain_tables.cache_clear()
+                with pytest.raises(DynamicalPole) as lazy:
+                    operation()
+            yb_core._chain_tables.cache_clear()
+            with pytest.raises(DynamicalPole) as bulk:
+                operation()
+            assert str(bulk.value) == str(lazy.value)
+            assert (built + (ctx,) in yb_core._chain_tables) or route == "lazy"
+            assert stopped + (ctx,) not in yb_core._chain_tables
 
 
 def test_vertex_cache_memory_bound(rng):

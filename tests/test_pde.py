@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from yblab import lattice_qty, pde
 from yblab.errors import DegreeMismatch, RegimeMismatch, SingularCoefficient
 from yblab.feq import fx_residual
-from yblab.lattice_qty import dwbc_partition
+from yblab.lattice_qty import dwbc_partition, dwbc_partitions
 from yblab.pde import (MultiPoly, PdeVars, dia_apply, dia_realized, fzt_coefficients,
                        fzt_residual, interpolate_zbar, omega_actions, omega_leading_apply)
 from yblab.sampling import random_context, sample_spectral
@@ -20,7 +20,7 @@ from oracles import (derivative_literal, dia_realized_literal, evaluate_literal,
 
 
 def bf_z(ctx):
-    return lambda pts, th: dwbc_partition(pts, th, ctx)
+    return lambda sets: dwbc_partitions(sets, ctx)
 
 
 def random_poly(rng, nvars, deg):
@@ -176,7 +176,7 @@ def test_fzt_scale_invariant(trig_ctx2, rng):
     pts = sample_spectral(trig_ctx2, rng, 3)
     base = fzt_residual(pts[0], pts[1:], trig_ctx2, bf_z(trig_ctx2))
     scaled = fzt_residual(pts[0], pts[1:], trig_ctx2,
-                          lambda p, t: -4.2j * dwbc_partition(p, t, trig_ctx2))
+                          lambda sets: [-4.2j * z for z in dwbc_partitions(sets, trig_ctx2)])
     assert abs(base - scaled) <= 1e-12
 
 
