@@ -34,7 +34,7 @@ import numpy as np
 from . import feq, pde, sampling
 from .errors import CoincidentPoints, ConfigError, NomeTooLarge, NonFinite, YbLabError
 from .special_fn import Regime
-from .yb_core import ABS_FLOOR, ModelContext, rel_diff, verify_dybe, verify_rll
+from .yb_core import ABS_FLOOR, MAX_L, ModelContext, rel_diff, verify_dybe, verify_rll
 from .lattice_qty import dwbc_partition, dwbc_partitions, scalar_product_bf, check_hw_actions
 from .residue_int import require_distinct, sn_contour, z_contour
 
@@ -161,8 +161,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     _reject_unknown(run, ("seed", "samples", "checks"), "run")
 
     L = args.L if args.L is not None else model.get("L", 3)
-    if not _is_int(L) or not (1 <= L <= 10):
-        raise ConfigError(f"model.L: expected an integer in 1..10, got {L!r}")
+    if not _is_int(L) or not (1 <= L <= MAX_L):
+        raise ConfigError(f"model.L: expected an integer in 1..{MAX_L}, got {L!r}")
 
     gamma = _parse_complex(args.gamma, "--gamma") if args.gamma \
         else _parse_complex(model.get("gamma", sampling.DEFAULT_GAMMA), "model.gamma")

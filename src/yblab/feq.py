@@ -30,7 +30,8 @@ import numpy as np
 from .errors import RegimeMismatch, SingularCoefficient, SizeMismatch
 from .lattice_qty import Evaluator, as_values
 from .special_fn import six_vertex
-from .yb_core import ModelContext, build_chains, monodromy_blocks, residual, term_residual
+from .yb_core import (ModelContext, _monodromy_blocks, build_chains, monodromy_blocks, residual,
+                      term_residual)
 
 #: Relative floor for coefficient denominators.
 DENOM_RTOL = 1e-12
@@ -211,11 +212,11 @@ def _block_table(ctx: ModelContext, keys: Sequence[tuple[complex, complex]] = ()
                  ) -> Callable[[complex, complex], tuple]:
     """``monodromy_blocks`` by ``(lam, theta)``, each built once; one table per check.
 
-    The chains of the ``(lam, theta)`` ``keys``, listed in the order the
-    check uses them, are built from one weight batch up front.
+    One chain lookup serves them all; it builds the chains of the
+    ``(lam, theta)`` ``keys``, in check order, from one weight batch.
     """
-    build_chains([(lam, theta, 0) for lam, theta in keys], ctx)
-    return cache(lambda lam, theta: monodromy_blocks(lam, theta, ctx))
+    chains = build_chains([(lam, theta, 0) for lam, theta in keys], ctx)
+    return cache(lambda lam, theta: _monodromy_blocks(chains, lam, theta, ctx))
 
 
 def _string(blocks: Sequence[np.ndarray], dim: int) -> np.ndarray:

@@ -14,8 +14,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import RegimeMismatch, SizeMismatch
-from .yb_core import (ABS_FLOOR, ModelContext, apply_block, build_chains, monodromy_blocks,
-                      residual)
+from .yb_core import (ABS_FLOOR, ModelContext, _apply_block, apply_block, build_chains,
+                      monodromy_blocks, residual)
 
 #: A bulk partition-function evaluator: the value at each ``(points,
 #: theta)`` of a list, in order, as :func:`dwbc_partitions` gives them.
@@ -43,16 +43,7 @@ def dwbc_partition(X, theta: complex, ctx: ModelContext) -> complex:
     it, which is what makes the result symmetric in the spectral set.
     The L chains are built from one weight batch up front.
     """
-    lams = as_values(X)
-    if len(lams) != ctx.L:
-        raise SizeMismatch(f"need exactly L = {ctx.L} spectral points, got {len(lams)}")
-    slots = _creation_slots(lams, theta, ctx)
-    build_chains([(lam, theta_j, 0) for lam, theta_j in slots], ctx)
-    vec = np.zeros(ctx.dim, dtype=complex)
-    vec[0] = 1.0
-    for lam, theta_j in slots:
-        vec = apply_block("B", lam, theta_j, ctx, vec)
-    return complex(vec[-1])
+    return dwbc_partitions([(X, theta)], ctx)[0]
 
 
 def dwbc_partitions(sets: Sequence[tuple[Iterable[complex], complex]],
@@ -60,12 +51,21 @@ def dwbc_partitions(sets: Sequence[tuple[Iterable[complex], complex]],
     """:func:`dwbc_partition` at each ``(X, theta)`` of ``sets``, in order.
 
     The chains of all the sets are built from one weight batch first;
-    errors are raised as the per-set calls meet them.
+    errors are raised as the sets, contracted in order, meet them.
     """
     sets = [(as_values(X), theta) for X, theta in sets]
-    build_chains([(lam, theta_j, 0) for lams, theta in sets
-                  for lam, theta_j in _creation_slots(lams, theta, ctx)], ctx)
-    return [dwbc_partition(lams, theta, ctx) for lams, theta in sets]
+    chains = build_chains([(lam, theta_j, 0) for lams, theta in sets
+                           for lam, theta_j in _creation_slots(lams, theta, ctx)], ctx)
+    values = []
+    for lams, theta in sets:
+        if len(lams) != ctx.L:
+            raise SizeMismatch(f"need exactly L = {ctx.L} spectral points, got {len(lams)}")
+        vec = np.zeros(ctx.dim, dtype=complex)
+        vec[0] = 1.0
+        for lam, theta_j in _creation_slots(lams, theta, ctx):
+            vec = _apply_block(chains, "B", lam, theta_j, ctx, vec)
+        values.append(complex(vec[-1]))
+    return values
 
 
 def scalar_product_bf(XB, YC, ctx: ModelContext) -> complex:

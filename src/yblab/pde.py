@@ -33,7 +33,7 @@ from .errors import (CoincidentPoints, DegreeMismatch, InterpolationIllCondition
                      RegimeMismatch, SingularCoefficient)
 from .lattice_qty import Evaluator, as_values
 from .special_fn import six_vertex
-from .yb_core import ABS_FLOOR, ModelContext, apply_block, term_residual
+from .yb_core import ABS_FLOOR, ModelContext, _apply_block, build_chains, term_residual
 
 #: Deterministic spectral-parameter candidates for pencil-extraction nodes.
 _NODE_CANDIDATES = tuple(
@@ -329,10 +329,11 @@ def interpolate_zbar(ctx: ModelContext) -> MultiPoly:
         raise ValueError(f"grid interpolation is L^L evaluations; L = {L} > 4 refused")
     nodes = 1j * np.pi * np.arange(L) / L
 
+    chains = build_chains((), ctx)
     cols = np.zeros((ctx.dim, 1), dtype=complex)
     cols[0] = 1.0
     for j in range(L, 0, -1):
-        cols = np.concatenate([apply_block("B", lam, 0.0 + j * ctx.gamma, ctx, cols)
+        cols = np.concatenate([_apply_block(chains, "B", lam, 0.0 + j * ctx.gamma, ctx, cols)
                                for lam in nodes], axis=1)
     grid = cols[-1].reshape((L,) * L)
     values = grid * np.exp((L - 1) * sum(np.ix_(*(nodes,) * L)))

@@ -51,6 +51,10 @@ MAX_NOME = 0.9
 #: ``log(DBL_MAX / 4) = 708.4`` cmath rescales and rounds differently.
 _SIN_EXACT_IM = 708.0
 
+#: Points :func:`theta1_batch` sums at a time: the transient arrays take
+#: about 1 KB per point, so a batch of any size peaks near 1 MB.
+_BATCH_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class EllipticParams:
@@ -169,14 +173,18 @@ def theta1(z: complex, params: EllipticParams) -> complex:
 def theta1_batch(z: Sequence[complex], params: EllipticParams) -> np.ndarray:
     """:func:`theta1` at every point of the 1-d ``z``, bit for bit.
 
-    The series is summed a chunk of terms at a time for all points that
-    have not yet converged (see the module docstring for why each
-    operation rounds as in :func:`theta1`).  Points that need the scalar
-    loop's error handling are summed by :func:`theta1` in index order,
-    so the error raised is the one of the first failing point.  No numpy
+    Blocks of ``_BATCH_BLOCK`` points are summed in turn, a chunk of
+    terms at a time for all points not yet converged (see the module
+    docstring for why each operation rounds as in :func:`theta1`).
+    Points that need the scalar loop's error handling are summed by
+    :func:`theta1` in index order at the end of their block, so the
+    error raised is the one of the first failing point.  No numpy
     warning is emitted.
     """
     z = np.asarray(z, dtype=complex)
+    if z.size > _BATCH_BLOCK:
+        return np.concatenate([theta1_batch(z[i:i + _BATCH_BLOCK], params)
+                               for i in range(0, z.size, _BATCH_BLOCK)])
     out = np.empty_like(z)
     coeff_re, coeff_im, odd, chunk = _theta1_coefficient_arrays(params)
     tol = params.term_tol

@@ -14,18 +14,18 @@ Conventions, fixed once and used everywhere:
   the spin operators involved are diagonal, so the vertex matrix is
   evaluated per input basis state on each weight sector.
 
-Vertex tables of monodromy chains live in a 512-entry LRU cache that
-also answers whether a chain is built; :func:`build_chains` builds every
-chain an operator or equation needs from one batch of distinct weights.
+No vertex table outlives the evaluation that built it: an operator or
+equation takes a chain lookup from :func:`build_chains`, which builds
+every chain it lists from one batch of distinct weights and keeps those
+and any other chain it is asked for in a dict of its own.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,6 +37,9 @@ POLE_RTOL = 1e-12
 
 #: Floor of every relative-residual denominator, so that 0 against 0 reads 0.
 ABS_FLOOR = 1e-300
+
+#: Largest chain length of a model, the top of the dense-matrix range.
+MAX_L = 10
 
 
 def residual(a, b) -> float:
@@ -80,8 +83,8 @@ class ModelContext:
     def __post_init__(self) -> None:
         object.__setattr__(self, "gamma", complex(self.gamma))
         object.__setattr__(self, "mu", tuple(complex(m) for m in self.mu))
-        if not (1 <= self.L <= 10):
-            raise ValueError(f"L = {self.L} outside the dense-matrix range 1..10")
+        if not (1 <= self.L <= MAX_L):
+            raise ValueError(f"L = {self.L} outside the dense-matrix range 1..{MAX_L}")
         if len(self.mu) != self.L:
             raise ValueError(f"len(mu) = {len(self.mu)} but L = {self.L}")
         if not self.allow_degenerate_gamma:
@@ -214,64 +217,6 @@ def _build_chain(lam: complex, theta: complex, n_extra: int, ctx: ModelContext,
     return tuple(tables)
 
 
-CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
-
-
-class _ChainCache:
-    """Vertex tables of monodromy chains by ``(lam, theta, n_extra, ctx)``, an LRU cache.
-
-    Calling it returns a chain's tables, built by :func:`_build_chain` on
-    a miss; ``key in cache`` tells whether a chain is built without
-    touching the order; :func:`build_chains` stores chains it built in
-    bulk.  ``misses`` counts the chains built by either route, ``hits``
-    the calls that found theirs.  An error is not cached.
-
-    Memory bound: the widest chain is the RLL check's, with one extra
-    shift site, so ``n_shift`` runs from ``L`` down to 1 and an entry
-    holds ``128 * L * (L + 3) / 2`` array bytes, 8320 at ``L = 10``.
-    Measured with tracemalloc, such an entry with its arrays, tuple, key
-    and ordered-dict link takes about 10.0 KB at L = 10, so the 512-entry
-    cache stays below 5.4 MB (``tests/test_kernel.py`` holds it to that);
-    at L = 4 an entry takes about 2.4 KB.
-    """
-
-    def __init__(self, maxsize: int):
-        self.maxsize = maxsize
-        self._chains: OrderedDict = OrderedDict()
-        self._hits = self._misses = 0
-
-    def __contains__(self, key) -> bool:
-        return key in self._chains
-
-    def __call__(self, lam: complex, theta: complex, n_extra: int,
-                 ctx: ModelContext) -> tuple[np.ndarray, ...]:
-        key = (lam, theta, n_extra, ctx)
-        tables = self._chains.get(key)
-        if tables is None:
-            tables = _build_chain(lam, theta, n_extra, ctx)
-            self.store(key, tables)
-        else:
-            self._hits += 1
-            self._chains.move_to_end(key)
-        return tables
-
-    def store(self, key, tables: tuple[np.ndarray, ...]) -> None:
-        self._misses += 1
-        self._chains[key] = tables
-        if len(self._chains) > self.maxsize:
-            self._chains.popitem(last=False)
-
-    def cache_info(self) -> CacheInfo:
-        return CacheInfo(self._hits, self._misses, self.maxsize, len(self._chains))
-
-    def cache_clear(self) -> None:
-        self._chains.clear()
-        self._hits = self._misses = 0
-
-
-_chain_tables = _ChainCache(maxsize=512)
-
-
 def _weights_by_bits(points: Sequence[complex], params: EllipticParams
                      ) -> Iterator[complex]:
     """The elliptic weight of each of ``points``, from one :func:`f_weights` call.
@@ -286,40 +231,52 @@ def _weights_by_bits(points: Sequence[complex], params: EllipticParams
     return map(weights.__getitem__, bits)
 
 
-def build_chains(keys: Iterable[tuple[complex, complex, int]], ctx: ModelContext) -> None:
-    """Build the chains of ``keys`` not yet in the chain cache, from one weight batch.
+#: ``chains(lam, theta, n_extra)``: the vertex tables of a monodromy chain, site 1 first.
+Chains = Callable[[complex, complex, int], tuple[np.ndarray, ...]]
 
-    A key is ``(lam, theta, n_extra)`` as :func:`_monodromy` looks the
-    chain up; list them in the order the caller uses them.  The weight
-    arguments of all the chains missing from the cache are listed as
-    :func:`_site_tables` reads them, the distinct ones are evaluated in
-    one call (:func:`_weights_by_bits`), and the chains are built from
-    those values, with the bits of the per-chain route.  Nothing happens
-    in the trigonometric regime, where one chain serves every theta.
 
-    Weight errors are left to the per-chain route: if the batch is
-    refused or a chain meets a pole, the build stops there, and the
-    lookups meet the error in the caller's order, as without the build.
+def build_chains(keys: Iterable[tuple[complex, complex, int]], ctx: ModelContext) -> Chains:
+    """A chain lookup for one evaluation, with the chains of ``keys`` built from one weight batch.
+
+    The lookup keeps the chains it returns in a dict of its own, so an
+    operator or equation builds each chain once and no table outlives
+    it; a lookup that misses builds its chain with :func:`_build_chain`.
+    A key is ``(lam, theta, n_extra)``; list them in the order the
+    caller looks them up.  The weight arguments of those chains are
+    listed as :func:`_site_tables` reads them, the distinct ones are
+    evaluated in one call (:func:`_weights_by_bits`), and the chains are
+    built from those values, with the bits of the per-chain route.  In
+    the trigonometric regime nothing is built up front and shifts are
+    inert, so the lookup keys a chain by ``lam`` alone.
+
+    Weight errors are left to the lookups: if the batch is refused or a
+    chain meets a pole, the build stops there, and the lookups meet the
+    error in the caller's order, as without the build.
     """
-    if not ctx.is_elliptic:
-        return
-    todo = [key for key in dict.fromkeys((complex(lam), complex(theta), n_extra, ctx)
-                                         for lam, theta, n_extra in keys)
-            if key not in _chain_tables]
-    if not todo:
-        return
-    points = [point for lam, theta, n_extra, _ in todo
+    chains: dict[tuple[complex, complex, int], tuple[np.ndarray, ...]] = {}
+
+    def lookup(lam: complex, theta: complex, n_extra: int) -> tuple[np.ndarray, ...]:
+        key = (complex(lam), complex(theta), n_extra) if ctx.is_elliptic else (complex(lam), 0j, 0)
+        if key not in chains:
+            chains[key] = _build_chain(*key, ctx)
+        return chains[key]
+
+    todo = list(dict.fromkeys((complex(lam), complex(theta), n_extra)
+                              for lam, theta, n_extra in keys))
+    if not (ctx.is_elliptic and todo):
+        return lookup
+    points = [point for lam, theta, n_extra in todo
               for point in _weight_points(_chain_sites(lam, n_extra, ctx), theta, ctx.gamma)]
     try:
         values = _weights_by_bits(points, ctx.regime.params)
     except (ArithmeticError, ValueError, NonConvergent):
-        return
+        return lookup
     for key in todo:
         try:
-            tables = _build_chain(*key, values)
+            chains[key] = _build_chain(*key, ctx, values)
         except (DynamicalPole, ArithmeticError):
-            return
-        _chain_tables.store(key, tables)
+            break
+    return lookup
 
 
 @functools.lru_cache(maxsize=64)
@@ -406,29 +363,20 @@ def verify_dybe(l1: complex, l2: complex, l3: complex, theta: complex,
     return residual(apply_factors(eye, factors[:3]), apply_factors(eye, factors[3:]))
 
 
-def _monodromy(lam: complex, theta: complex, ctx: ModelContext, aux: int,
-               chain: Sequence[int], extra_shift: tuple[int, ...],
-               n_sites: int) -> list[Factor]:
+def _monodromy(chains: Chains, lam: complex, theta: complex, ctx: ModelContext, aux: int = 0,
+               extra_shift: tuple[int, ...] = (), first: int = 1) -> list[Factor]:
     """Site factors of the monodromy on auxiliary site ``aux``, left to right.
 
-    The factor at chain site ``k`` has spectral argument ``lam - mu_k``
-    and is shifted by ``extra_shift`` plus the chain sites after it.
-    Its vertex table comes from the chain cache :data:`_chain_tables`.
+    The chain takes the last sites ``first..first + L - 1`` of the
+    product space.  The factor at chain site ``k`` has spectral argument
+    ``lam - mu_k`` and is shifted by ``extra_shift`` plus the chain
+    sites after it (shifts are inert in the trigonometric regime).  Its
+    vertex table comes from the lookup ``chains``.
     """
-    chain = tuple(chain)
-    if ctx.is_elliptic:
-        tables = _chain_tables(complex(lam), complex(theta), len(extra_shift), ctx)
-        shifts = [extra_shift + chain[k + 1:] for k in range(len(chain))]
-    else:  # shifts are inert: one entry serves every theta and shift
-        tables = _chain_tables(complex(lam), 0j, 0, ctx)
-        shifts = [()] * len(chain)
-    return [(table,) + _layout(n_sites, (aux, site), shift)
-            for table, site, shift in zip(tables, chain, shifts)]
-
-
-def _chain_monodromy(lam: complex, theta: complex, ctx: ModelContext) -> list[Factor]:
-    return _monodromy(complex(lam), complex(theta), ctx, 0,
-                      range(1, ctx.L + 1), (), ctx.L + 1)
+    chain = tuple(range(first, first + ctx.L))
+    shifts = [extra_shift + chain[k + 1:] if ctx.is_elliptic else () for k in range(ctx.L)]
+    return [(table,) + _layout(first + ctx.L, (aux, site), shift)
+            for table, site, shift in zip(chains(lam, theta, len(extra_shift)), chain, shifts)]
 
 
 def monodromy_blocks(lam: complex, theta: complex, ctx: ModelContext
@@ -441,14 +389,19 @@ def monodromy_blocks(lam: complex, theta: complex, ctx: ModelContext
     per input basis state.  Blocks are taken in the auxiliary space:
     A = (up|T|up), B = (up|T|down), C = (down|T|up), D = (down|T|down).
 
-    The dense blocks are the site factors applied to the identity; only
-    the vertex tables are cached.  The blocks are read-only C-contiguous
-    ``2^L x 2^L`` arrays.  Raises :class:`NonFinite` if any entry is not
-    finite.  Use :func:`apply_block` where only the action on vectors is
-    needed.
+    The dense blocks are the site factors applied to the identity.  The
+    blocks are read-only C-contiguous ``2^L x 2^L`` arrays.  Raises
+    :class:`NonFinite` if any entry is not finite.  Use
+    :func:`apply_block` where only the action on vectors is needed.
     """
+    return _monodromy_blocks(build_chains((), ctx), lam, theta, ctx)
+
+
+def _monodromy_blocks(chains: Chains, lam: complex, theta: complex, ctx: ModelContext
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`monodromy_blocks` with its chain from ``chains``."""
     n = 1 << (ctx.L + 1)
-    total = apply_factors(np.eye(n, dtype=complex), _chain_monodromy(lam, theta, ctx))
+    total = apply_factors(np.eye(n, dtype=complex), _monodromy(chains, lam, theta, ctx))
     if not np.isfinite(total).all():
         raise NonFinite("chain operator has non-finite entries")
     d = ctx.dim
@@ -469,12 +422,18 @@ def apply_block(block: str, lam: complex, theta: complex, ctx: ModelContext,
     applied to it, O(L 2^L) per vector.  Agrees with the matching block
     of :func:`monodromy_blocks` to rounding.
     """
+    return _apply_block(build_chains((), ctx), block, lam, theta, ctx, vec)
+
+
+def _apply_block(chains: Chains, block: str, lam: complex, theta: complex,
+                 ctx: ModelContext, vec: np.ndarray) -> np.ndarray:
+    """:func:`apply_block` with its chain from ``chains``."""
     row, col = divmod("ABCD".index(block), 2)
     d = ctx.dim
     vec = np.asarray(vec, dtype=complex)
     x = np.zeros((2 * d,) + vec.shape[1:], dtype=complex)
     x[col * d:(col + 1) * d] = vec
-    return apply_factors(x, _chain_monodromy(lam, theta, ctx))[row * d:(row + 1) * d]
+    return apply_factors(x, _monodromy(chains, lam, theta, ctx))[row * d:(row + 1) * d]
 
 
 def verify_rll(l1: complex, l2: complex, theta: complex,
@@ -487,13 +446,12 @@ def verify_rll(l1: complex, l2: complex, theta: complex,
     sector-by-sector by the same site factors as the monodromy itself.
     The four chains are built from one weight batch up front.
     """
-    build_chains([(l1, theta, 0), (l2, theta, 1), (l2, theta, 0), (l1, theta, 1)], ctx)
+    chains = build_chains([(l1, theta, 0), (l2, theta, 1), (l2, theta, 0), (l1, theta, 1)], ctx)
     n_sites = ctx.L + 2  # 0, 1 auxiliary; 2..L+1 chain
     chain = tuple(range(2, ctx.L + 2))
-    mono = lambda aux, lam, extra: _monodromy(lam, theta, ctx, aux, chain, extra, n_sites)
+    mono = lambda aux, lam, extra: _monodromy(chains, lam, theta, ctx, aux, extra, first=2)
     r_ab = lambda shift: site_factors([(l1 - l2, (0, 1), shift)], theta, ctx, n_sites)
     eye = np.eye(1 << n_sites, dtype=complex)
     lhs = apply_factors(eye, r_ab(chain) + mono(0, l1, ()) + mono(1, l2, (0,)))
     rhs = apply_factors(eye, mono(1, l2, ()) + mono(0, l1, (1,)) + r_ab(()))
     return residual(lhs, rhs)
-

@@ -651,7 +651,6 @@ def test_batched_theta_series_keeps_report_streams(monkeypatch, capsys, args):
     # series per bulk build or chain; summed point by point by the scalar
     # series instead, every record must keep its bits (wall time aside)
     def stream():
-        yb_core._chain_tables.cache_clear()
         code, out, err = run_cli(args, capsys)
         return code, re.sub(r', "wall_time_ms": [^,}]*', "", out), err
 
@@ -664,23 +663,46 @@ def test_batched_theta_series_keeps_report_streams(monkeypatch, capsys, args):
 
 @pytest.mark.parametrize("args", [
     ["run", "--L", "3", "--checks", ELLIPTIC_CHECKS, "--samples", "5", "--seed", "1"],
-    ["compute", "z", "--method", "bruteforce", "--L", "8", "--seed", "1"]])
+    ["compute", "z", "--method", "bruteforce", "--L", "8", "--seed", "1"],
+    ["run", "--trig", "--L", "3", "--samples", "4", "--seed", "1"]])
 def test_bulk_chain_build_keeps_report_streams(monkeypatch, capsys, args):
     # operators and equations build their chains from one deduplicated
-    # weight batch up front; with every chain built lazily on its own
-    # instead, every record must keep its bits (wall time aside)
+    # weight batch up front and share them through one lookup; with every
+    # lookup building its chain afresh instead, every record must keep its
+    # bits (wall time aside)
     def stream():
-        yb_core._chain_tables.cache_clear()
         code, out, err = run_cli(args, capsys)
         return code, re.sub(r', "wall_time_ms": [^,}]*', "", out), err
 
     shipped = stream()
-    skipped = []
-    for module in (yb_core, lattice_qty, feq):
-        monkeypatch.setattr(module, "build_chains", lambda keys, ctx: skipped.append(ctx))
+    skipped, build_chains = [], yb_core.build_chains
+    for module in (yb_core, lattice_qty, feq, pde):
+        monkeypatch.setattr(module, "build_chains", lambda keys, ctx: skipped.append(ctx)
+                            or (lambda *key: build_chains((), ctx)(*key)))
     assert stream() == shipped
     assert skipped and shipped[0] == 0
-    assert len(parse_records(shipped[1])) == (36 if args[0] == "run" else 1)
+    records = {"compute": 1, "run": 49 if "--trig" in args else 36}[args[0]]
+    assert len(parse_records(shipped[1])) == records
+
+
+def test_repeated_run_keeps_stream_and_weight_traffic(monkeypatch, capsys):
+    # no state outlives a run: the same run twice in one process, with
+    # nothing reset between them, writes the same stream (wall time
+    # aside) from the same weight batches
+    args = ["run", "--L", "3", "--checks", ELLIPTIC_CHECKS, "--samples", "3", "--seed", "4"]
+    batches, f_weights = [], yb_core.f_weights
+    monkeypatch.setattr(yb_core, "f_weights",
+                        lambda points, params: batches.append(len(points))
+                        or f_weights(points, params))
+
+    def stream():
+        batches.clear()
+        code, out, err = run_cli(args, capsys)
+        return code, re.sub(r', "wall_time_ms": [^,}]*', "", out), err, list(batches)
+
+    first = stream()
+    assert stream() == first
+    assert first[0] == 0 and first[3] and len(parse_records(first[1])) == 22
 
 
 @pytest.mark.parametrize("L", ["2", "3", "4"])
@@ -710,7 +732,6 @@ def test_scalar_weight_fallback_keeps_report_streams(monkeypatch, capsys, args):
     # when the batched weights raise, the vertex tables read scalar weights
     # lazily in the same loop; a whole stream built that way keeps its bits
     def stream():
-        yb_core._chain_tables.cache_clear()
         code, out, err = run_cli(args, capsys)
         return code, re.sub(r', "wall_time_ms": [^,}]*', "", out), err
 

@@ -234,12 +234,12 @@ def test_identity_check_builds_each_block_once(kind, elliptic, built, monkeypatc
     # L = 4, n = 2: one build per distinct (lam, theta) a check uses, and
     # the elliptic chains of all of them from one weight batch
     calls, batches = [], []
-    monkeypatch.setattr(feq, "monodromy_blocks",
-                        lambda *args: calls.append(args[:2]) or monodromy_blocks(*args))
+    blocks = feq._monodromy_blocks
+    monkeypatch.setattr(feq, "_monodromy_blocks",
+                        lambda *args: calls.append(args[1:3]) or blocks(*args))
     monkeypatch.setattr(yb_core, "f_weights",
                         lambda points, params: batches.append(points)
                         or f_weights(points, params))
-    yb_core._chain_tables.cache_clear()
     ctx = random_context(4, rng, elliptic=elliptic)
     pts = sample_spectral(ctx, rng, 5)
     theta = sample_theta(ctx, rng, range(-6, 8)) if elliptic else 0.0

@@ -2,7 +2,6 @@
 
 import itertools
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,7 +131,7 @@ def test_cached_operators_are_read_only(rng):
         assert block.flags.c_contiguous and not block.flags.writeable
     with pytest.raises(ValueError):
         blocks[1][1, 0] = 0.0
-    for table in yb_core._chain_tables(0.3 + 0.1j, theta, 1, ctx):
+    for table in yb_core.build_chains((), ctx)(0.3 + 0.1j, theta, 1):
         with pytest.raises(ValueError):
             table *= 2
 
@@ -147,17 +146,17 @@ def test_one_weight_evaluation_per_site_and_sector(monkeypatch, rng):
                         or f_weights(points, params))
     monkeypatch.setattr(yb_core, "f_weight",
                         lambda *args: scalar.append(args) or f_weight(*args))
-    yb_core._chain_tables.cache_clear()
     monodromy_blocks(lam, theta, ctx)
     # one batch per chain: f(gamma) once, f(lam - mu_i + gamma) and
     # f(lam - mu_i) per site, five theta values per weight sector (site i
     # sees L - i + 1 sectors)
     assert [len(points) for points in batches] == [1 + 2 * 3 + 5 * (3 + 2 + 1)]
     apply_block("B", lam, theta, ctx, np.eye(ctx.dim))
-    monodromy_blocks(lam, theta, ctx)
-    assert len(batches) == 1 and not scalar  # chain hits evaluate nothing
-    info = yb_core._chain_tables.cache_info()
-    assert (info.hits, info.misses) == (2, 1)
+    assert len(batches) == 2  # every public call builds its own chain
+    chains = yb_core.build_chains((), ctx)
+    tables = chains(lam, theta, 0)
+    assert chains(lam, theta, 0) is tables and chains(complex(lam), theta, 0) is tables
+    assert len(batches) == 3 and not scalar  # a kept chain evaluates nothing
 
 
 def _bits(values):
@@ -165,16 +164,27 @@ def _bits(values):
 
 
 def _count_batches(monkeypatch):
-    batches = []
+    """Record the points of every batch, then hand them to the ``f_weights`` in place."""
+    batches, inner = [], yb_core.f_weights
     monkeypatch.setattr(yb_core, "f_weights",
-                        lambda points, params: batches.append(points)
-                        or f_weights(points, params))
+                        lambda points, params: batches.append(points) or inner(points, params))
     return batches
 
 
 def _skip_bulk_build(monkeypatch):
+    build_chains = yb_core.build_chains
     for module in (yb_core, lattice_qty, feq):
-        monkeypatch.setattr(module, "build_chains", lambda keys, ctx: None)
+        monkeypatch.setattr(module, "build_chains", lambda keys, ctx: build_chains((), ctx))
+
+
+def _spy_bulk_build(monkeypatch):
+    """Keep every lookup the operations build, the last one last."""
+    lookups, build_chains = [], yb_core.build_chains
+    for module in (yb_core, lattice_qty, feq):
+        monkeypatch.setattr(module, "build_chains",
+                            lambda keys, ctx: lookups.append(build_chains(keys, ctx))
+                            or lookups[-1])
+    return lookups
 
 
 def test_bulk_build_is_one_batch_of_distinct_weights(monkeypatch, rng):
@@ -185,17 +195,15 @@ def test_bulk_build_is_one_batch_of_distinct_weights(monkeypatch, rng):
         # chain by chain: one batch each, f(gamma) in every one of them
         _skip_bulk_build(m)
         lazy = _count_batches(m)
-        yb_core._chain_tables.cache_clear()
         expected = dwbc_partition(lams, theta, ctx)
     assert len(lazy) == 3
     batches = _count_batches(monkeypatch)
-    yb_core._chain_tables.cache_clear()
     assert dwbc_partition(lams, theta, ctx) == expected
-    assert len(batches) == 1
+    assert len(batches) == 1  # the three lookups find the chains built
     assert _bits(batches[0]) == list(dict.fromkeys(b for batch in lazy for b in _bits(batch)))
-    assert dwbc_partition(lams, theta, ctx) == expected and len(batches) == 1
-    info = yb_core._chain_tables.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (3, 6, 3)
+    # nothing is kept from one call to the next
+    assert dwbc_partition(lams, theta, ctx) == expected and len(batches) == 2
+    assert _bits(batches[1]) == _bits(batches[0])
 
 
 def test_bulk_weights_keep_signed_zeros_apart(monkeypatch, rng):
@@ -212,23 +220,21 @@ def test_fx_residual_sample_is_one_batch(monkeypatch, rng):
     pts = sample_spectral(ctx, rng, 4)
     theta = sample_theta(ctx, rng, range(-8, 9))
     batches = _count_batches(monkeypatch)
-    yb_core._chain_tables.cache_clear()
     fx_residual(pts[0], pts[1:], theta, ctx, lambda sets: dwbc_partitions(sets, ctx))
     assert len(batches) == 1
 
 
-def test_chain_cache_is_least_recently_used(rng):
-    ctx = random_context(1, rng)
-    cache = yb_core._ChainCache(maxsize=2)
-    keys = [(complex(lam), 0.5 + 0j, 0, ctx) for lam in sample_spectral(ctx, rng, 3)]
-    first = cache(*keys[0])
-    cache(*keys[1])
-    assert cache(*keys[0]) is first  # a hit makes keys[0] the most recent
-    cache(*keys[2])
-    assert keys[0] in cache and keys[1] not in cache and keys[2] in cache
-    assert cache.cache_info() == (1, 3, 2, 2)
-    cache.cache_clear()
-    assert keys[0] not in cache and cache.cache_info() == (0, 0, 2, 0)
+def test_chain_lookup_keeps_what_it_builds(rng):
+    # a lookup builds a missing chain and returns it again; trigonometric
+    # chains ignore theta and the shift, so one serves them all
+    ell, trig = random_context(2, rng), random_context(2, rng, elliptic=False)
+    lam = sample_spectral(ell, rng, 1)[0]
+    chains = yb_core.build_chains([(lam, 0.5, 0)], ell)
+    assert chains(lam, 0.5 + 0j, 0) is chains(lam, 0.5, 0)
+    assert chains(lam, 0.5, 1) is not chains(lam, 0.5, 0)
+    chains = yb_core.build_chains([(lam, 0.5, 1)], trig)
+    assert chains(lam, 0.5, 1) is chains(lam, -0.3, 0)
+    assert yb_core.build_chains((), trig)(lam, 0.0, 0) is not chains(lam, 0.0, 0)
 
 
 def _refuse_batch(points, params):
@@ -240,8 +246,7 @@ def test_batched_tables_bit_identical_to_scalar_route(rng):
     lam = sample_spectral(ctx, rng, 1)[0]
     theta = sample_theta(ctx, rng, range(-5, 6))
     for n_extra in (0, 1):
-        yb_core._chain_tables.cache_clear()
-        tables = yb_core._chain_tables(lam, theta, n_extra, ctx)
+        tables = yb_core.build_chains((), ctx)(lam, theta, n_extra)
         for k, table in enumerate(tables):
             literal = vertex_table_literal(lam - ctx.mu[k], theta, n_extra + ctx.L - 1 - k, ctx)
             assert table.tobytes() == literal.tobytes() and not table.flags.writeable
@@ -307,7 +312,6 @@ def test_first_pole_is_named_by_site_and_sector(monkeypatch, rng):
     for route in ("batch", "lazy"):
         if route == "lazy":
             monkeypatch.setattr(yb_core, "f_weights", _refuse_batch)
-        yb_core._chain_tables.cache_clear()
         for lam_k, theta, model, error, message in cases:
             with pytest.raises(error, match=message) as info:
                 monodromy_blocks(lam_k, theta, model)
@@ -317,38 +321,24 @@ def test_first_pole_is_named_by_site_and_sector(monkeypatch, rng):
             site_factors([(lam, (0, 1), ()), (lam, (0, 1), (2,))], ctx.gamma, ctx, 3)
 
         # a bulk build stops at a pole in its second chain, keeping the
-        # first; the lazy path then raises what it raises without the build
+        # first; the lookups then raise what they raise without the build
         for operation, built, stopped in bulk_cases:
             with monkeypatch.context() as m:
                 _skip_bulk_build(m)
-                yb_core._chain_tables.cache_clear()
                 with pytest.raises(DynamicalPole) as lazy:
                     operation()
-            yb_core._chain_tables.cache_clear()
-            with pytest.raises(DynamicalPole) as bulk:
-                operation()
+            with monkeypatch.context() as m:
+                lookups = _spy_bulk_build(m)
+                with pytest.raises(DynamicalPole) as bulk:
+                    operation()
             assert str(bulk.value) == str(lazy.value)
-            assert (built + (ctx,) in yb_core._chain_tables) or route == "lazy"
-            assert stopped + (ctx,) not in yb_core._chain_tables
-
-
-def test_vertex_cache_memory_bound(rng):
-    # the documented worst case: 512 chains of the RLL check's width (one
-    # extra shift site) at L = 10, measured per entry as the cache fills
-    maxsize = yb_core._chain_tables.cache_info().maxsize
-    assert maxsize == 512
-    ctx = random_context(10, rng)
-    theta = sample_theta(ctx, rng, range(-3, 4))
-    lams = sample_spectral(ctx, rng, 9)
-    yb_core._chain_tables.cache_clear()
-    yb_core._chain_tables(lams[0], theta, 1, ctx)  # coefficient tables, code paths
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        for lam in lams[1:]:
-            tables = yb_core._chain_tables(lam, theta, 1, ctx)
-        entry = (tracemalloc.get_traced_memory()[0] - before) / 8
-    finally:
-        tracemalloc.stop()
-    assert sum(t.nbytes for t in tables) == 128 * 10 * 13 // 2 == 8320
-    assert maxsize * entry <= 5.4e6  # below the 7.1 MB of the former per-table cache
+            with monkeypatch.context() as m:
+                batches, scalar = _count_batches(m), []
+                m.setattr(yb_core, "f_weight",
+                          lambda *args: scalar.append(args) or f_weight(*args))
+                if route == "batch":  # the kept chain evaluates nothing
+                    lookups[-1](*built)
+                    assert not batches and not scalar
+                with pytest.raises(DynamicalPole):  # the pole is not kept
+                    lookups[-1](*stopped)
+                assert batches

@@ -363,9 +363,9 @@ def test_omega_actions_bit_identical_to_literal(L):
 def test_grid_is_l_squared_block_applications(L, monkeypatch):
     ctx = random_context(L, np.random.default_rng(80 + L), elliptic=False)
     blocks, partitions = [], []
-    apply_block = pde.apply_block
-    monkeypatch.setattr(pde, "apply_block",
-                        lambda *args: blocks.append(args[:2]) or apply_block(*args))
+    apply_block = pde._apply_block
+    monkeypatch.setattr(pde, "_apply_block",
+                        lambda *args: blocks.append(args[1:3]) or apply_block(*args))
     monkeypatch.setattr(lattice_qty, "dwbc_partition",
                         lambda *args: partitions.append(args) or dwbc_partition(*args))
     interpolate_zbar(ctx)

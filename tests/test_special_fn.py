@@ -1,4 +1,5 @@
 import cmath
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from yblab import special_fn
 from yblab.errors import NomeTooLarge, NonConvergent
 from yblab.special_fn import (EllipticParams, Regime, _theta1_coefficient_arrays,
                               _theta1_coefficients, f_weight, f_weights, six_vertex, theta1,
@@ -112,6 +114,37 @@ def test_theta1_batch_raises_for_the_first_failing_point():
         theta1_batch([0j, 400j, 0.7 + 0.2j], params)
     assert theta1_batch(np.zeros(0), params).shape == (0,)
 
+
+
+def test_theta1_batch_sums_in_bounded_blocks(rng):
+    # a batch longer than a block keeps every point's bits, raises for the
+    # first failing point when it lies in the second block, and peaks at
+    # about one block's transient memory whatever its length
+    block = special_fn._BATCH_BLOCK
+    assert block >= 1024
+    zs = [complex(rng.uniform(-3, 3), rng.uniform(-2, 2)) for _ in range(block + 50)]
+    assert _bits(theta1_batch(zs, PARAMS)) == _bits(theta1(z, PARAMS) for z in zs)
+    params = EllipticParams(0.5, series_cap=2)  # 0j converges within two terms
+    zs = [0j] * (block + 10)
+    zs[block + 3], zs[block + 7] = 400j, 0.7 + 0.2j
+    with pytest.raises(OverflowError):
+        theta1_batch(zs, params)
+    zs[block + 3], zs[block + 7] = zs[block + 7], zs[block + 3]
+    with pytest.raises(NonConvergent, match=r"z=\(0\.7\+0\.2j\)"):
+        theta1_batch(zs, params)
+    points = np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3 * block)])
+    theta1_batch(points[:4], PARAMS)  # coefficient tables
+    tracemalloc.start()
+    try:
+        theta1_batch(points, PARAMS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1200 * block + 16 * points.size
+
+
+def _bits(values):
+    return [np.complex128(v).tobytes() for v in values]
 
 def test_theta1_coefficient_table_is_bounded_and_immutable():
     assert _theta1_coefficients.cache_info().maxsize == 16
