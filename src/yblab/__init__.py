@@ -20,8 +20,8 @@ from .lattice_qty import (check_hw_actions, dwbc_partition, dwbc_partitions,
 from .feq import (FxCoefficients, SnadCoefficients, fx_coefficients, fx_residual,
                   snad_coefficients, snad_residuals, verify_identity)
 from .residue_int import sn_contour, z_contour
-from .pde import (MultiPoly, OmegaActions, PdeVars, dia_apply, dia_realized,
-                  fzt_residual, interpolate_zbar, omega_actions, omega_leading_apply)
+from .pde import (MultiPoly, OmegaActions, dia_apply, dia_realized, fzt_residual,
+                  interpolate_zbar, omega_actions, omega_leading_apply)
 
 __version__ = "0.1.0"
 

@@ -137,14 +137,14 @@ def _reject_unknown(section: dict, known: tuple[str, ...], where: str) -> None:
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     raw: dict[str, Any] = {}
-    if args.config:
+    if args.config is not None:
         import yaml  # here, not at the top: most runs pass no config, and PyYAML slows start-up
 
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 raw = yaml.safe_load(fh) or {}
         except FileNotFoundError:
-            raise ConfigError(f"config: file not found: {args.config}")
+            raise ConfigError(f"--config: file not found: {args.config!r}")
         except yaml.YAMLError as exc:
             raise ConfigError(f"config: not valid YAML: {exc}")
         if not isinstance(raw, dict):
@@ -164,7 +164,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if not _is_int(L) or not (1 <= L <= MAX_L):
         raise ConfigError(f"model.L: expected an integer in 1..{MAX_L}, got {L!r}")
 
-    gamma = _parse_complex(args.gamma, "--gamma") if args.gamma \
+    gamma = _parse_complex(args.gamma, "--gamma") if args.gamma is not None \
         else _parse_complex(model.get("gamma", sampling.DEFAULT_GAMMA), "model.gamma")
 
     regime_cfg = model.get("regime", {"elliptic": {"nome": sampling.DEFAULT_NOME}})
@@ -174,7 +174,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError("model.regime: give one of trig, elliptic, not both")
     if args.trig:
         regime = Regime.trigonometric()
-    elif args.nome:
+    elif args.nome is not None:
         regime = _parse_regime_nome(args.nome, "--nome")
     elif regime_cfg == "trig" or regime_cfg == {"trig": True}:
         regime = Regime.trigonometric()
@@ -193,7 +193,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"run.seed: expected an unsigned 64-bit integer, got {seed!r}")
 
     mu_cfg = model.get("mu", "random")
-    if args.mu:
+    mu_where = "--mu" if args.mu is not None else "model.mu"
+    if args.mu is not None:
         mu = _parse_point_list(args.mu, "--mu")
     elif mu_cfg == "random":
         mu = sampling.sample_mu(_rng(seed, MODEL_SEED_KEY), L)
@@ -202,8 +203,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     else:
         raise ConfigError("model.mu: expected 'random' or a list of complex values")
     if len(mu) != L:
-        raise ConfigError(f"model.mu: length {len(mu)} does not match model.L = {L}")
-    _require_distinct(mu, "--mu" if args.mu else "model.mu")
+        raise ConfigError(f"{mu_where}: length {len(mu)} does not match model.L = {L}")
+    _require_distinct(mu, mu_where)
 
     try:
         ctx = ModelContext(L=L, gamma=gamma, mu=mu, regime=regime)
@@ -216,13 +217,15 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if not _is_int(samples) or samples < 1:
         raise ConfigError(f"run.samples: expected a positive integer, got {samples!r}")
 
-    if args.checks:
+    if args.checks is not None:
         checks = [c.strip() for c in args.checks.split(",") if c.strip()]
+    elif "checks" in run:
+        checks = run["checks"]
     else:
-        checks = run.get("checks") or [name for name, cd in REGISTRY.items()
-                                       if _domain_error(cd, ctx) is None]
+        checks = [name for name, cd in REGISTRY.items() if _domain_error(cd, ctx) is None]
     if not isinstance(checks, list) or not checks:
-        raise ConfigError("run.checks: expected a non-empty list of check names")
+        where = "--checks" if args.checks is not None else "run.checks"
+        raise ConfigError(f"{where}: expected a non-empty list of check names")
     for k, name in enumerate(checks):
         if not isinstance(name, str):
             raise ConfigError(f"run.checks: expected check names, got {name!r}")
@@ -384,19 +387,18 @@ def _draw_pde_point(ctx, rng):
 
 
 def _eval_pde_omega(ctx, p, zbar):
-    point = pde.PdeVars.from_lambdas(p["lams"], ctx)
-    acts = pde.omega_actions(zbar, point, ctx)
+    acts = pde.omega_actions(zbar, p["lams"], ctx)
     return max(abs(c) for c in acts.coefficients) / max(acts.scale, ABS_FLOOR)
 
 
 def _eval_pde_leading(ctx, p, state):
     zbar, control = state
-    point = pde.PdeVars.from_lambdas(p["lams"], ctx)
-    acts_c = pde.omega_actions(control, point, ctx)
-    lead_c = pde.omega_leading_apply(control, point, ctx)
+    lams = p["lams"]
+    acts_c = pde.omega_actions(control, lams, ctx)
+    lead_c = pde.omega_leading_apply(control, lams, ctx)
     agree = rel_diff(acts_c.leading, lead_c)
-    acts_z = pde.omega_actions(zbar, point, ctx)
-    null = abs(pde.omega_leading_apply(zbar, point, ctx)) \
+    acts_z = pde.omega_actions(zbar, lams, ctx)
+    null = abs(pde.omega_leading_apply(zbar, lams, ctx)) \
         / max(acts_z.scale, ABS_FLOOR)
     return max(agree, null)
 
@@ -554,13 +556,13 @@ def _require_distinct(points, where: str) -> None:
 def _compute_z(cfg: RunConfig, args) -> int:
     ctx = cfg.ctx
     rng = _rng(cfg.seed, 2000)
-    points = _parse_point_list(args.points, "--points") if args.points \
+    points = _parse_point_list(args.points, "--points") if args.points is not None \
         else sampling.sample_spectral(ctx, rng, ctx.L, avoid=ctx.mu)
     if len(points) != ctx.L:
         raise ConfigError(f"--points: need exactly L = {ctx.L} points, got {len(points)}")
-    if args.points:
+    if args.points is not None:
         _require_distinct(points, "--points")
-    theta = _parse_complex(args.theta, "--theta") if args.theta \
+    theta = _parse_complex(args.theta, "--theta") if args.theta is not None \
         else sampling.sample_theta(ctx, rng, range(-(ctx.L + 2), 2 * ctx.L + 3))
     echo = {"record": "compute-z", "model": _model_echo(cfg), "method": args.method,
             "points": _jsonable(list(points)), "theta": _jsonable(theta)}
@@ -572,8 +574,8 @@ def _compute_sn(cfg: RunConfig, args) -> int:
     if ctx.is_elliptic:
         raise ConfigError("compute sn: requires the trigonometric regime (--trig)")
     rng = _rng(cfg.seed, 2001)
-    if args.xb or args.yc:
-        if not (args.xb and args.yc):
+    if args.xb is not None or args.yc is not None:
+        if args.xb is None or args.yc is None:
             raise ConfigError("compute sn: provide both --xb and --yc, or neither")
         if args.n is not None:
             raise ConfigError("compute sn: --n counts random points; "
@@ -591,7 +593,7 @@ def _compute_sn(cfg: RunConfig, args) -> int:
         where = "--n"
     if not 0 <= n <= ctx.L:
         raise ConfigError(f"{where}: need 0..L = 0..{ctx.L} points per side, got {n}")
-    if not args.xb:
+    if args.xb is None:
         pts = sampling.sample_spectral(ctx, rng, 2 * n, avoid=ctx.mu)
         xb, yc = pts[:n], pts[n:]
     echo = {"record": "compute-sn", "model": _model_echo(cfg), "method": args.method,
@@ -648,7 +650,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = build_config(args)
         if args.command == "run":
-            if args.out:
+            if args.out is not None:
                 try:
                     fh = open(args.out, "w", encoding="utf-8")
                 except OSError as exc:

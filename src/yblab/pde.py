@@ -99,7 +99,8 @@ class MultiPoly:
         """``table[i][k]`` is ``d^k/dx_i^k`` at ``point``, for k = 0..max_deg.
 
         One Horner pass over the cached derivative stack; each entry has
-        the bits of ``derivative(i, k).evaluate(point)``.
+        the bits of the k-th of :meth:`derivatives` in ``i`` evaluated at
+        ``point``.
         """
         self._check_point(point)
         values = _horner(self._derivative_stack, point)
@@ -124,18 +125,6 @@ class MultiPoly:
             padded = c if pad == 0 else np.concatenate(
                 [c, np.zeros((pad,) + c.shape[1:], dtype=complex)], axis=0)
             yield MultiPoly(np.moveaxis(padded, 0, axis))
-
-    def derivative(self, axis: int, order: int = 1) -> "MultiPoly":
-        """The ``order``-th derivative in variable ``axis``, the last of :meth:`derivatives`."""
-        if order < 0:
-            raise ValueError(f"derivative order must be non-negative, got {order}")
-        *_, last = self.derivatives(axis, order + 1)
-        return last
-
-    def actual_degree(self, axis: int) -> int:
-        c = np.moveaxis(self.coeffs, axis, 0)
-        nz = [d for d in range(c.shape[0]) if np.any(c[d] != 0)]
-        return max(nz) if nz else 0
 
 
 def _horner(coeffs: np.ndarray, point: Sequence[complex]) -> list[complex]:
@@ -166,34 +155,6 @@ def _horner(coeffs: np.ndarray, point: Sequence[complex]) -> list[complex]:
     return values
 
 
-@dataclass(frozen=True)
-class PdeVars:
-    """Exponentiated variables plus the original parameters they came from.
-
-    Keeping ``lam``/``mu`` alongside ``x``/``y`` lets every half-integer
-    power be computed from the logarithmic side.
-    """
-
-    x: tuple[complex, ...]
-    y: tuple[complex, ...]
-    q: complex
-    lam: tuple[complex, ...]
-    mu: tuple[complex, ...]
-    gamma: complex
-
-    @classmethod
-    def from_lambdas(cls, lams, ctx: ModelContext) -> "PdeVars":
-        lams = as_values(lams)
-        return cls(
-            x=tuple(cmath.exp(2 * l) for l in lams),
-            y=tuple(cmath.exp(2 * m) for m in ctx.mu),
-            q=cmath.exp(ctx.gamma),
-            lam=lams,
-            mu=ctx.mu,
-            gamma=complex(ctx.gamma),
-        )
-
-
 def dia_apply(fn: Callable[[Sequence[complex]], complex], i: int,
               alpha: int = 0) -> Callable[[Sequence[complex]], complex]:
     """Variable-replacement operator by literal substitution.
@@ -216,20 +177,15 @@ def dia_apply(fn: Callable[[Sequence[complex]], complex], i: int,
 
 
 def dia_realized(p: MultiPoly, i: int, alpha_value: complex,
-                 point: Sequence[complex], m: int | None = None) -> complex:
+                 point: Sequence[complex]) -> complex:
     """Variable replacement via the truncated-Taylor realization.
 
     Evaluates ``sum_{k<=m} (alpha_value - x_i)^k / k! * d^k p / dx_i^k``
-    at ``point``; exact on polynomials of degree at most ``m`` in
-    variable ``i``.  ``m`` defaults to the polynomial's degree bound.
+    at ``point`` with ``m = p.max_deg``, the polynomial's degree bound,
+    so the sum is exact.
     """
-    if m is None:
-        m = p.max_deg
-    actual = p.actual_degree(i)
-    if m < actual:
-        raise DegreeMismatch(f"realization order m = {m} below actual degree {actual}")
     step = complex(alpha_value) - complex(point[i])
-    return _taylor_sum([d.evaluate(point) for d in p.derivatives(i, m + 1)], step)
+    return _taylor_sum([d.evaluate(point) for d in p.derivatives(i, p.max_deg + 1)], step)
 
 
 def _taylor_sum(derivs: Sequence[complex], step: complex) -> complex:
@@ -358,9 +314,8 @@ class OmegaActions:
         return self.coefficients[-1]
 
 
-def _pencil_nodes(point: PdeVars, count: int) -> list[complex]:
+def _pencil_nodes(xs: Sequence[complex], count: int) -> list[complex]:
     picked: list[complex] = []
-    xs = point.x
     for cand in _NODE_CANDIDATES:
         x0 = cmath.exp(2 * cand)
         if all(abs(x0 - xi) > 0.05 for xi in xs) \
@@ -379,7 +334,7 @@ def _check_pencil_shape(zbar: MultiPoly, L: int) -> None:
             f"got {zbar.nvars} variables of degree {zbar.max_deg}")
 
 
-def omega_actions(zbar: MultiPoly, point: PdeVars, ctx: ModelContext) -> OmegaActions:
+def omega_actions(zbar: MultiPoly, lams: Sequence[complex], ctx: ModelContext) -> OmegaActions:
     """Apply the full pencil of swap operators to a polynomial.
 
     The normalized swap operator is evaluated at L extraction nodes in
@@ -388,10 +343,11 @@ def omega_actions(zbar: MultiPoly, point: PdeVars, ctx: ModelContext) -> OmegaAc
     values (failure raises :class:`InterpolationIllConditioned` -- the
     polynomiality of the pencil is verified, never assumed).  The
     returned coefficients are the pencil operators applied to ``zbar``
-    at ``point``; for the true partition polynomial all of them vanish.
+    at the spectral points ``lams``, that is at ``x_i = exp(2 lam_i)``;
+    for the true partition polynomial all of them vanish.
 
     One call takes one :meth:`MultiPoly.derivative_table` of ``zbar`` at
-    ``point`` (the polynomial and its L x L derivatives, from the
+    those ``x_i`` (the polynomial and its L x L derivatives, from the
     polynomial's cached derivative stack) and computes the factors of
     the swap coefficients that do not involve ``lam_0`` once; each node
     adds only its ``lam_0`` terms and the Taylor powers
@@ -400,15 +356,16 @@ def omega_actions(zbar: MultiPoly, point: PdeVars, ctx: ModelContext) -> OmegaAc
     """
     L = ctx.L
     _check_pencil_shape(zbar, L)
-    node_lams = _pencil_nodes(point, L + 2)
-    derivs = zbar.derivative_table(point.x)
-    lams = point.lam
+    lams = as_values(lams)
+    xs = tuple(cmath.exp(2 * l) for l in lams)
+    node_lams = _pencil_nodes(xs, L + 2)
+    derivs = zbar.derivative_table(xs)
     a_mu, ratios = _fzt_point(lams, ctx)
     half = lambda l: cmath.exp((1 - L) * l)
     head_half = np.prod([half(l) for l in lams])
     swap_half = [np.prod([half(lams[j]) for j in range(L) if j != i]) for i in range(L)]
     kappa = 2.0 ** (-L) * cmath.exp(-sum(ctx.mu)) * cmath.exp((1 - L) * sum(lams))
-    norm_den = kappa * (1 - point.q ** (-2))
+    norm_den = kappa * (1 - cmath.exp(ctx.gamma) ** (-2))
     values, scales = [], []
     for l0 in node_lams:
         # the normalized swap operator at this node: replacing x_i by x_0
@@ -419,7 +376,7 @@ def omega_actions(zbar: MultiPoly, point: PdeVars, ctx: ModelContext) -> OmegaAc
         half_l0 = half(l0)
         for i, coeff in enumerate(swaps):
             terms.append(coeff * half_l0 * swap_half[i]
-                         * _taylor_sum(derivs[i], x0 - complex(point.x[i])))
+                         * _taylor_sum(derivs[i], x0 - xs[i]))
         norm = cmath.exp(L * l0) / norm_den
         values.append(complex(sum(terms) * norm))
         scales.append(float(sum(abs(t) for t in terms) * abs(norm)))
@@ -436,21 +393,24 @@ def omega_actions(zbar: MultiPoly, point: PdeVars, ctx: ModelContext) -> OmegaAc
     return OmegaActions(tuple(complex(c) for c in coeffs), scale)
 
 
-def omega_leading_apply(zbar: MultiPoly, point: PdeVars, ctx: ModelContext) -> complex:
+def omega_leading_apply(zbar: MultiPoly, lams: Sequence[complex], ctx: ModelContext) -> complex:
     """Compact closed form of the leading pencil operator, applied directly.
 
     The operator is multiplication by ``sum_i abar(x_i, y_i)`` minus
     ``q^(2(1-L)) / (L-1)!`` times the sum over i of
     ``prod_j abar(x_i, y_j) * prod_{j != i} abar(x_j, x_i)/bbar(x_j, x_i)``
     acting with the (L-1)-th derivative in ``x_i``, where
-    ``abar(x, y) = x q^2 - y`` and ``bbar(x, y) = x - y``.  ``zbar``
-    must have the pencil's shape (L variables, degree L - 1); its value
-    and (L-1)-th derivatives come from one
-    :meth:`MultiPoly.derivative_table`.
+    ``abar(x, y) = x q^2 - y`` and ``bbar(x, y) = x - y``, at
+    ``x_i = exp(2 lam_i)`` over the spectral points ``lams``,
+    ``y_j = exp(2 mu_j)`` and ``q = exp(gamma)``.  ``zbar`` must have
+    the pencil's shape (L variables, degree L - 1); its value and
+    (L-1)-th derivatives come from one :meth:`MultiPoly.derivative_table`.
     """
     L = ctx.L
     _check_pencil_shape(zbar, L)
-    xs, ys, q = point.x, point.y, point.q
+    xs = tuple(cmath.exp(2 * l) for l in as_values(lams))
+    ys = tuple(cmath.exp(2 * m) for m in ctx.mu)
+    q = cmath.exp(ctx.gamma)
     derivs = zbar.derivative_table(xs)
     abar = lambda u, v: u * q ** 2 - v
     bbar = lambda u, v: u - v

@@ -98,11 +98,6 @@ class Regime:
     def is_elliptic(self) -> bool:
         return self.params is not None
 
-    def __str__(self) -> str:
-        if self.is_elliptic:
-            return f"elliptic(nome={self.params.nome:.6g})"
-        return "trigonometric"
-
 
 @lru_cache(maxsize=16)
 def _theta1_coefficients(params: EllipticParams) -> tuple[complex, ...]:

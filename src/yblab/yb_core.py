@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import DynamicalPole, NonConvergent, NonFinite
-from .special_fn import EllipticParams, Regime, f_weight, f_weights, six_vertex
+from .special_fn import Regime, f_weight, f_weights, six_vertex
 
 #: Relative floor below which a dynamical denominator counts as a pole.
 POLE_RTOL = 1e-12
@@ -156,9 +156,9 @@ def _site_tables(sites: Sequence[tuple[complex, int]], theta: complex,
     gamma)``, the pole test, ``f(lam + gamma)`` and ``f(lam)`` in a
     site's first sector only, and ``f(t -+ lam)``.  They come from
     ``values`` when given (the weights of those points, as
-    :func:`build_chains` passes them), else from one :func:`f_weights`
-    batch; if the batch raises, the same loop reads scalar weights
-    lazily, so the error is the first one met in that order.
+    :func:`build_chains` passes them), else from
+    :func:`_weights_by_bits`, so the error of refused weights is the
+    first one met in that order.
     Trigonometric tables are six-vertex tables, with ``theta`` and the
     shift ignored.
     """
@@ -172,11 +172,7 @@ def _site_tables(sites: Sequence[tuple[complex, int]], theta: complex,
         return
     g = ctx.gamma
     if values is None:
-        points = _weight_points(sites, theta, g)
-        try:
-            values = iter(f_weights(points, ctx.regime.params))
-        except (ArithmeticError, ValueError, NonConvergent):
-            values = map(ctx.f, points)
+        values = _weights_by_bits(_weight_points(sites, theta, g), ctx)
     fg = next(values)
     for lam, n_shift in sites:
         diag, off = [], []
@@ -217,17 +213,21 @@ def _build_chain(lam: complex, theta: complex, n_extra: int, ctx: ModelContext,
     return tuple(tables)
 
 
-def _weights_by_bits(points: Sequence[complex], params: EllipticParams
-                     ) -> Iterator[complex]:
+def _weights_by_bits(points: Sequence[complex], ctx: ModelContext) -> Iterator[complex]:
     """The elliptic weight of each of ``points``, from one :func:`f_weights` call.
 
     The call gets each distinct point once, in order of first
     appearance; points are told apart by bit pattern, so ``0.0`` and
-    ``-0.0`` stay apart.
+    ``-0.0`` stay apart.  If the call raises, the weights are the scalar
+    ``ctx.f`` of each point, evaluated as they are read, so a reader
+    meets the first error in its own order.
     """
     bits = np.array(points, dtype=complex).view("V16").tolist()
     distinct = dict(zip(bits, points))
-    weights = dict(zip(distinct, f_weights(list(distinct.values()), params)))
+    try:
+        weights = dict(zip(distinct, f_weights(list(distinct.values()), ctx.regime.params)))
+    except (ArithmeticError, ValueError, NonConvergent):
+        return map(ctx.f, points)
     return map(weights.__getitem__, bits)
 
 
@@ -249,8 +249,8 @@ def build_chains(keys: Iterable[tuple[complex, complex, int]], ctx: ModelContext
     the trigonometric regime nothing is built up front and shifts are
     inert, so the lookup keys a chain by ``lam`` alone.
 
-    Weight errors are left to the lookups: if the batch is refused or a
-    chain meets a pole, the build stops there, and the lookups meet the
+    Weight errors are left to the lookups: if a chain meets a pole or
+    its weights raise, the build stops there, and the lookups meet the
     error in the caller's order, as without the build.
     """
     chains: dict[tuple[complex, complex, int], tuple[np.ndarray, ...]] = {}
@@ -267,14 +267,11 @@ def build_chains(keys: Iterable[tuple[complex, complex, int]], ctx: ModelContext
         return lookup
     points = [point for lam, theta, n_extra in todo
               for point in _weight_points(_chain_sites(lam, n_extra, ctx), theta, ctx.gamma)]
-    try:
-        values = _weights_by_bits(points, ctx.regime.params)
-    except (ArithmeticError, ValueError, NonConvergent):
-        return lookup
+    values = _weights_by_bits(points, ctx)
     for key in todo:
         try:
             chains[key] = _build_chain(*key, ctx, values)
-        except (DynamicalPole, ArithmeticError):
+        except (DynamicalPole, ArithmeticError, ValueError, NonConvergent):
             break
     return lookup
 

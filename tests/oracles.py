@@ -343,7 +343,7 @@ def evaluate_literal(poly, point):
 
 
 def derivative_literal(poly, axis, order=1):
-    """``MultiPoly.derivative`` taking every order from scratch, unchanged."""
+    """The ``order``-th of ``MultiPoly.derivatives``, taking every order from scratch."""
     c = np.moveaxis(poly.coeffs, axis, 0)
     for _ in range(order):
         if c.shape[0] == 1:
@@ -396,30 +396,33 @@ def fzt_coefficients_literal(l0, X, ctx):
     return complex(head), tuple(swaps)
 
 
-def omega_actions_literal(zbar, point, ctx):
+def omega_actions_literal(zbar, lams, ctx):
     """The swap pencil with every node evaluating ``zbar`` and its derivatives anew.
 
     ``pde.omega_actions`` before the derivative table was shared by the
     nodes, kept unchanged apart from the shape check, with the swap
     coefficients of :func:`fzt_coefficients_literal`; the node choice is
-    the library's own.
+    the library's own.  ``x_i = exp(2 lam_i)`` and ``q = exp(gamma)``
+    are formed here.
     """
     L = ctx.L
-    node_lams = _pencil_nodes(point, L + 2)
+    lams = as_values(lams)
+    xs = tuple(cmath.exp(2 * l) for l in lams)
+    q = cmath.exp(ctx.gamma)
+    node_lams = _pencil_nodes(xs, L + 2)
     values, scales = [], []
     for l0 in node_lams:
-        lams = point.lam
         head, swaps = fzt_coefficients_literal(l0, lams, ctx)
         half = lambda l: cmath.exp((1 - L) * l)
         head_check = head * np.prod([half(l) for l in lams])
-        terms = [head_check * evaluate_literal(zbar, point.x)]
+        terms = [head_check * evaluate_literal(zbar, xs)]
         x0 = cmath.exp(2 * l0)
         for i, coeff in enumerate(swaps):
             coeff_check = coeff * half(l0) \
                 * np.prod([half(lams[j]) for j in range(L) if j != i])
-            terms.append(coeff_check * dia_realized_literal(zbar, i, x0, point.x))
+            terms.append(coeff_check * dia_realized_literal(zbar, i, x0, xs))
         kappa = 2.0 ** (-L) * cmath.exp(-sum(ctx.mu)) * cmath.exp((1 - L) * sum(lams))
-        norm = cmath.exp(L * l0) / (kappa * (1 - point.q ** (-2)))
+        norm = cmath.exp(L * l0) / (kappa * (1 - q ** (-2)))
         values.append(complex(sum(terms) * norm))
         scales.append(float(sum(abs(t) for t in terms) * abs(norm)))
     scale = max(scales)
@@ -433,10 +436,16 @@ def omega_actions_literal(zbar, point, ctx):
     return OmegaActions(tuple(complex(c) for c in coeffs), scale)
 
 
-def omega_leading_apply_literal(zbar, point, ctx):
-    """``pde.omega_leading_apply`` with a fresh derivative and evaluation per use, unchanged."""
+def omega_leading_apply_literal(zbar, lams, ctx):
+    """``pde.omega_leading_apply`` with a fresh derivative and evaluation per use, unchanged.
+
+    ``x_i = exp(2 lam_i)``, ``y_j = exp(2 mu_j)`` and ``q = exp(gamma)``
+    are formed here.
+    """
     L = ctx.L
-    xs, ys, q = point.x, point.y, point.q
+    xs = tuple(cmath.exp(2 * l) for l in as_values(lams))
+    ys = tuple(cmath.exp(2 * m) for m in ctx.mu)
+    q = cmath.exp(ctx.gamma)
     abar = lambda u, v: u * q ** 2 - v
     bbar = lambda u, v: u - v
     total = sum(abar(xs[i], ys[i]) for i in range(L)) * evaluate_literal(zbar, xs)

@@ -15,7 +15,7 @@ from yblab.feq import (fx_residual, snad_residuals, verify_ab, verify_abn,
                        verify_bb, verify_tay, verify_tdy)
 from yblab.lattice_qty import (dwbc_partition, dwbc_partitions, hw_action_residuals,
                                scalar_product_bf)
-from yblab.pde import (MultiPoly, PdeVars, dia_apply, dia_realized,
+from yblab.pde import (MultiPoly, dia_apply, dia_realized,
                        fzt_residual, interpolate_zbar, omega_actions,
                        omega_leading_apply)
 from yblab.residue_int import sn_contour, z_contour
@@ -263,15 +263,15 @@ def test_c11_pde_family(zbars):
         ctx, zbar = zbars[L]
         rng = np.random.default_rng(SEED + 100 + L)
         for _ in range(10):
-            point = PdeVars.from_lambdas(sample_spectral(ctx, rng, L), ctx)
-            acts = omega_actions(zbar, point, ctx)
+            lams = sample_spectral(ctx, rng, L)
+            acts = omega_actions(zbar, lams, ctx)
             worst_null = max(worst_null,
                              max(abs(c) for c in acts.coefficients) / acts.scale)
             shape = (L,) * L
             control = MultiPoly(rng.standard_normal(shape)
                                 + 1j * rng.standard_normal(shape))
-            extracted = omega_actions(control, point, ctx).leading
-            closed = omega_leading_apply(control, point, ctx)
+            extracted = omega_actions(control, lams, ctx).leading
+            closed = omega_leading_apply(control, lams, ctx)
             worst_agree = max(worst_agree, abs(extracted - closed)
                               / max(abs(extracted), abs(closed)))
         perturbed = zbar.coeffs.copy()
@@ -279,8 +279,8 @@ def test_c11_pde_family(zbars):
         perturbed[idx] *= 1.01
         violation = 0.0
         for _ in range(5):
-            point = PdeVars.from_lambdas(sample_spectral(ctx, rng, L), ctx)
-            acts = omega_actions(MultiPoly(perturbed), point, ctx)
+            lams = sample_spectral(ctx, rng, L)
+            acts = omega_actions(MultiPoly(perturbed), lams, ctx)
             violation = max(violation,
                             max(abs(c) for c in acts.coefficients) / acts.scale)
         weakest_control = min(weakest_control, violation)

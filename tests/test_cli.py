@@ -640,6 +640,40 @@ def test_unwritable_out_is_config_error(tmp_path, capsys):
     assert "configuration error: --out: " in err
 
 
+RUN_ONE = ["run", "--L", "2", "--samples", "1"]
+
+
+@pytest.mark.parametrize("args, config, where", [
+    (RUN_ONE + ["--checks", ""], None, "--checks"),
+    (RUN_ONE + ["--checks", "dybe", "--gamma", ""], None, "--gamma"),
+    (RUN_ONE + ["--checks", "dybe", "--nome", ""], None, "--nome"),
+    (RUN_ONE + ["--checks", "dybe", "--mu", ""], None, "--mu"),
+    (RUN_ONE + ["--checks", "dybe", "--config", ""], None, "--config"),
+    (RUN_ONE + ["--checks", "dybe", "--out", ""], None, "--out"),
+    (["compute", "z", "--L", "2", "--points", ""], None, "--points"),
+    (["compute", "z", "--L", "2", "--theta", ""], None, "--theta"),
+    (RUN_ONE, "run: {checks: []}", "run.checks"),
+    (RUN_ONE, "run: {checks: null}", "run.checks"),
+])
+def test_empty_value_is_config_error(tmp_path, capsys, args, config, where):
+    # an empty value is read like any other, not taken for an absent one
+    if config is not None:
+        path = tmp_path / "empty.yaml"
+        path.write_text(config)
+        args = args + ["--config", str(path)]
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert f"configuration error: {where}: " in err
+
+
+def test_compute_sn_empty_point_lists_are_zero_points(capsys):
+    # --xb "" --yc "" list no point on either side, as --n 0 draws none
+    args = ["compute", "sn", "--trig", "--L", "2", "--seed", "3"]
+    empty = run_cli(args + ["--xb", "", "--yc", ""], capsys)
+    assert empty == run_cli(args + ["--n", "0"], capsys)
+    assert empty[0] == 0 and json.loads(empty[1])["xb"] == []
+
+
 ELLIPTIC_CHECKS = "dybe,rll,hw-actions,identities,fx,z-contour-vs-bf,dia-realization"
 
 

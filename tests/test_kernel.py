@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from yblab import feq, lattice_qty, yb_core
-from yblab.errors import DynamicalPole
+from yblab.errors import DynamicalPole, NonConvergent
 from yblab.feq import fx_residual
 from yblab.lattice_qty import dwbc_partition, dwbc_partitions, scalar_product_bf
 from yblab.residue_int import z_contour
@@ -147,10 +147,12 @@ def test_one_weight_evaluation_per_site_and_sector(monkeypatch, rng):
     monkeypatch.setattr(yb_core, "f_weight",
                         lambda *args: scalar.append(args) or f_weight(*args))
     monodromy_blocks(lam, theta, ctx)
-    # one batch per chain: f(gamma) once, f(lam - mu_i + gamma) and
-    # f(lam - mu_i) per site, five theta values per weight sector (site i
-    # sees L - i + 1 sectors)
-    assert [len(points) for points in batches] == [1 + 2 * 3 + 5 * (3 + 2 + 1)]
+    # one batch per chain, of the distinct ones of its weight points:
+    # f(gamma) once, f(lam - mu_i + gamma) and f(lam - mu_i) per site, five
+    # theta values per weight sector (site i sees L - i + 1 sectors)
+    points = yb_core._weight_points(yb_core._chain_sites(lam, 0, ctx), theta, ctx.gamma)
+    assert len(points) == 1 + 2 * 3 + 5 * (3 + 2 + 1)
+    assert [_bits(batch) for batch in batches] == [list(dict.fromkeys(_bits(points)))]
     apply_block("B", lam, theta, ctx, np.eye(ctx.dim))
     assert len(batches) == 2  # every public call builds its own chain
     chains = yb_core.build_chains((), ctx)
@@ -210,7 +212,7 @@ def test_bulk_weights_keep_signed_zeros_apart(monkeypatch, rng):
     ctx = random_context(1, rng)
     points = [0j, complex(-0.0, 0.0), 0.5 + 0j, 0j, complex(-0.0, 0.0), complex(0.0, -0.0)]
     batches = _count_batches(monkeypatch)
-    values = list(yb_core._weights_by_bits(points, ctx.regime.params))
+    values = list(yb_core._weights_by_bits(points, ctx))
     assert _bits(batches[0]) == _bits([0j, complex(-0.0, 0.0), 0.5 + 0j, complex(0.0, -0.0)])
     assert _bits(values) == _bits(f_weight(p, ctx.regime) for p in points)
 
@@ -239,6 +241,23 @@ def test_chain_lookup_keeps_what_it_builds(rng):
 
 def _refuse_batch(points, params):
     raise ArithmeticError("batch refused")
+
+
+@pytest.mark.parametrize("error", [NonConvergent, ValueError])
+def test_bulk_build_leaves_scalar_weight_errors_to_the_lookups(error, monkeypatch, rng):
+    # with the batch refused the build reads scalar weights as it goes; an
+    # error they raise stops the build, and the lookup meets it
+    ctx = random_context(2, rng)
+    lam = sample_spectral(ctx, rng, 1)[0]
+    monkeypatch.setattr(yb_core, "f_weights", _refuse_batch)
+
+    def refuse(z, regime):
+        raise error("scalar weight refused")
+
+    monkeypatch.setattr(yb_core, "f_weight", refuse)
+    chains = yb_core.build_chains([(lam, 0.5, 0)], ctx)
+    with pytest.raises(error, match="^scalar weight refused$"):
+        chains(lam, 0.5, 0)
 
 
 def test_batched_tables_bit_identical_to_scalar_route(rng):

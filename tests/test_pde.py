@@ -10,7 +10,7 @@ from yblab import lattice_qty, pde
 from yblab.errors import DegreeMismatch, RegimeMismatch, SingularCoefficient
 from yblab.feq import fx_residual
 from yblab.lattice_qty import dwbc_partition, dwbc_partitions
-from yblab.pde import (MultiPoly, PdeVars, dia_apply, dia_realized, fzt_coefficients,
+from yblab.pde import (MultiPoly, dia_apply, dia_realized, fzt_coefficients,
                        fzt_residual, interpolate_zbar, omega_actions, omega_leading_apply)
 from yblab.sampling import random_context, sample_spectral
 
@@ -70,12 +70,6 @@ def test_dia_realized_constant_is_identity():
     assert dia_realized(poly, 0, 9.0, [2.0]) == 3.5 + 1j
 
 
-def test_dia_realized_degree_mismatch():
-    poly = MultiPoly(np.array([1.0, 2.0, 3.0]))  # degree 2
-    with pytest.raises(DegreeMismatch):
-        dia_realized(poly, 0, 1.0, [0.5], m=1)
-
-
 @settings(max_examples=60, deadline=None)
 @given(nvars=st.integers(1, 3), deg=st.integers(0, 6), seed=st.integers(0, 10 ** 6))
 def test_dia_realized_matches_substitution(nvars, deg, seed):
@@ -113,9 +107,9 @@ def test_interpolate_zbar_refuses_large_chains(rng):
 def test_omega_actions_rejects_wrong_shape(pencil_setup, rng):
     ctx, _ = pencil_setup[3]
     wrong = random_poly(rng, 3, 3)  # degree above the partition bound
-    point = PdeVars.from_lambdas(sample_spectral(ctx, rng, 3), ctx)
+    lams = sample_spectral(ctx, rng, 3)
     with pytest.raises(DegreeMismatch):
-        omega_actions(wrong, point, ctx)
+        omega_actions(wrong, lams, ctx)
 
 
 def test_interpolate_zbar_off_grid(rng):
@@ -192,21 +186,12 @@ def pencil_setup():
     return out
 
 
-def test_pde_vars_consistency(rng):
-    ctx = random_context(2, rng, elliptic=False)
-    lams = sample_spectral(ctx, rng, 2)
-    point = PdeVars.from_lambdas(lams, ctx)
-    assert all(abs(x - cmath.exp(2 * l)) < 1e-15 * abs(x)
-               for x, l in zip(point.x, lams))
-    assert abs(point.q - cmath.exp(ctx.gamma)) < 1e-15
-
-
 @pytest.mark.parametrize("L", [2, 3])
 def test_partition_polynomial_is_null_vector(L, pencil_setup, rng):
     ctx, zbar = pencil_setup[L]
     for _ in range(5):
-        point = PdeVars.from_lambdas(sample_spectral(ctx, rng, L), ctx)
-        acts = omega_actions(zbar, point, ctx)
+        lams = sample_spectral(ctx, rng, L)
+        acts = omega_actions(zbar, lams, ctx)
         assert len(acts.coefficients) == L
         assert max(abs(c) for c in acts.coefficients) <= 1e-8 * acts.scale
 
@@ -214,8 +199,8 @@ def test_partition_polynomial_is_null_vector(L, pencil_setup, rng):
 def test_random_polynomial_is_not_null_vector(pencil_setup, rng):
     ctx, _ = pencil_setup[3]
     control = random_poly(rng, 3, 2)
-    point = PdeVars.from_lambdas(sample_spectral(ctx, rng, 3), ctx)
-    acts = omega_actions(control, point, ctx)
+    lams = sample_spectral(ctx, rng, 3)
+    acts = omega_actions(control, lams, ctx)
     assert max(abs(c) for c in acts.coefficients) > 1e-3 * acts.scale
 
 
@@ -229,8 +214,8 @@ def test_perturbed_polynomial_violates(pencil_setup, rng):
     perturbed = MultiPoly(coeffs)
     worst = 0.0
     for _ in range(5):
-        point = PdeVars.from_lambdas(sample_spectral(ctx, rng, 3), ctx)
-        acts = omega_actions(perturbed, point, ctx)
+        lams = sample_spectral(ctx, rng, 3)
+        acts = omega_actions(perturbed, lams, ctx)
         worst = max(worst, max(abs(c) for c in acts.coefficients) / acts.scale)
     assert worst > 1e-3
 
@@ -240,48 +225,47 @@ def test_leading_operator_matches_extraction(L, pencil_setup, rng):
     ctx, _ = pencil_setup[L]
     for _ in range(5):
         control = random_poly(rng, L, L - 1)
-        point = PdeVars.from_lambdas(sample_spectral(ctx, rng, L), ctx)
-        extracted = omega_actions(control, point, ctx).leading
-        closed = omega_leading_apply(control, point, ctx)
+        lams = sample_spectral(ctx, rng, L)
+        extracted = omega_actions(control, lams, ctx).leading
+        closed = omega_leading_apply(control, lams, ctx)
         assert abs(extracted - closed) <= 1e-7 * max(abs(extracted), abs(closed))
 
 
 def test_leading_operator_annihilates_partition_polynomial(pencil_setup, rng):
     ctx, zbar = pencil_setup[3]
-    point = PdeVars.from_lambdas(sample_spectral(ctx, rng, 3), ctx)
-    scale = omega_actions(zbar, point, ctx).scale
-    assert abs(omega_leading_apply(zbar, point, ctx)) <= 1e-7 * scale
+    lams = sample_spectral(ctx, rng, 3)
+    scale = omega_actions(zbar, lams, ctx).scale
+    assert abs(omega_leading_apply(zbar, lams, ctx)) <= 1e-7 * scale
 
 
 def test_leading_operator_two_site_transcription(pencil_setup, rng):
     # literal two-site re-transcription of the compact closed form
     ctx, _ = pencil_setup[2]
     control = random_poly(rng, 2, 1)
-    point = PdeVars.from_lambdas(sample_spectral(ctx, rng, 2), ctx)
-    xs, ys, q = point.x, point.y, point.q
+    lams = sample_spectral(ctx, rng, 2)
+    xs = [cmath.exp(2 * l) for l in lams]
+    ys = [cmath.exp(2 * m) for m in ctx.mu]
+    q = cmath.exp(ctx.gamma)
     abar = lambda u, v: u * q ** 2 - v
     expected = (abar(xs[0], ys[0]) + abar(xs[1], ys[1])) * control.evaluate(xs)
     expected -= q ** (-2) * (
         abar(xs[0], ys[0]) * abar(xs[0], ys[1])
         * (abar(xs[1], xs[0]) / (xs[1] - xs[0]))
-        * control.derivative(0, 1).evaluate(xs)
+        * derivative_literal(control, 0, 1).evaluate(xs)
         + abar(xs[1], ys[0]) * abar(xs[1], ys[1])
         * (abar(xs[0], xs[1]) / (xs[0] - xs[1]))
-        * control.derivative(1, 1).evaluate(xs))
-    value = omega_leading_apply(control, point, ctx)
+        * derivative_literal(control, 1, 1).evaluate(xs))
+    value = omega_leading_apply(control, lams, ctx)
     assert abs(value - expected) <= 1e-12 * max(abs(expected), 1e-12)
-    extracted = omega_actions(control, point, ctx).leading
+    extracted = omega_actions(control, lams, ctx).leading
     assert abs(extracted - expected) <= 1e-9 * max(abs(expected), 1e-12)
 
 
 def test_multipoly_derivative_beyond_degree_is_zero():
     poly = MultiPoly(np.array([1.0, 2.0, 3.0]))  # degree 2 in one variable
-    assert np.all(poly.derivative(0, 3).coeffs == 0)
-
-
-def test_multipoly_negative_derivative_order_is_rejected():
-    with pytest.raises(ValueError):
-        MultiPoly(np.array([1.0, 2.0])).derivative(0, -1)
+    ladder = list(poly.derivatives(0, 5))
+    assert np.array_equal(ladder[2].coeffs, [6.0, 0.0, 0.0])
+    assert all(np.all(d.coeffs == 0) for d in ladder[3:])
 
 
 # --- agreement with the literal routes --------------------------------------
@@ -329,7 +313,6 @@ def test_derivatives_bit_identical_to_literal(nvars, deg, rng):
         for order, step in enumerate(ladder):
             literal = derivative_literal(poly, axis, order).coeffs
             assert np.array_equal(step.coeffs, literal)
-            assert np.array_equal(poly.derivative(axis, order).coeffs, literal)
 
 
 def test_dia_realized_bit_identical_to_literal(rng):
@@ -351,10 +334,10 @@ def test_omega_actions_bit_identical_to_literal(L):
     for zbar in zbars:
         control = random_poly(rng, L, L - 1)
         for _ in range(2):
-            point = PdeVars.from_lambdas(sample_spectral(ctx, rng, L), ctx)
+            lams = sample_spectral(ctx, rng, L)
             for poly in (zbar, control):
-                acts = omega_actions(poly, point, ctx)
-                literal = omega_actions_literal(poly, point, ctx)
+                acts = omega_actions(poly, lams, ctx)
+                literal = omega_actions_literal(poly, lams, ctx)
                 assert acts.coefficients == literal.coefficients
                 assert acts.scale == literal.scale
 
@@ -386,14 +369,15 @@ def test_pencil_evaluates_each_derivative_once(L, monkeypatch):
     monkeypatch.setattr(MultiPoly, "derivative_table",
                         lambda self, pt: tables.append(pt) or derivative_table(self, pt))
     monkeypatch.setattr(pde, "_horner", lambda *args: passes.append(args) or horner(*args))
-    points = [PdeVars.from_lambdas(sample_spectral(ctx, rng, L), ctx) for _ in range(3)]
-    for point in points:
-        omega_actions(zbar, point, ctx)
-        omega_leading_apply(zbar, point, ctx)
+    points = [sample_spectral(ctx, rng, L) for _ in range(3)]
+    for lams in points:
+        omega_actions(zbar, lams, ctx)
+        omega_leading_apply(zbar, lams, ctx)
     # one derivative ladder per axis builds the stack, once for all points
     assert len(ladders) == L and all(p is zbar for p in ladders)
     # one table, and no other evaluation, per call
-    assert tables == [p.x for p in points for _ in range(2)]
+    assert tables == [tuple(cmath.exp(2 * l) for l in lams)
+                      for lams in points for _ in range(2)]
     assert len(passes) == len(tables)
 
 
@@ -407,7 +391,7 @@ def test_multipoly_keeps_a_read_only_copy(rng):
     assert poly.evaluate(point) == before and poly.derivative_table(point) == table
     assert not poly.coeffs.flags.writeable
     assert not poly._derivative_stack.flags.writeable
-    assert not poly.derivative(0, 1).coeffs.flags.writeable
+    assert all(not d.coeffs.flags.writeable for d in poly.derivatives(0, 2))
     with pytest.raises(ValueError):
         poly.coeffs[0, 0] = 1.0
 
@@ -428,10 +412,11 @@ def test_derivative_table_bit_identical_to_single_evaluations(nvars, deg, rng):
         table = poly.derivative_table(point)
         assert len(table) == nvars and all(len(row) == deg + 1 for row in table)
         for axis in range(nvars):
+            ladder = list(poly.derivatives(axis, deg + 1))
             for order in range(deg + 1):
                 value = table[axis][order]
                 assert type(value) is complex
-                assert value == poly.derivative(axis, order).evaluate(point)
+                assert value == ladder[order].evaluate(point)
                 assert value == evaluate_literal(derivative_literal(poly, axis, order), point)
 
 
@@ -446,17 +431,17 @@ def test_omega_leading_apply_bit_identical_to_literal(L):
     ctx = random_context(L, rng, elliptic=False)
     for poly in (interpolate_zbar(ctx), random_poly(rng, L, L - 1)):
         for _ in range(3):
-            point = PdeVars.from_lambdas(sample_spectral(ctx, rng, L), ctx)
-            assert omega_leading_apply(poly, point, ctx) \
-                == omega_leading_apply_literal(poly, point, ctx)
+            lams = sample_spectral(ctx, rng, L)
+            assert omega_leading_apply(poly, lams, ctx) \
+                == omega_leading_apply_literal(poly, lams, ctx)
 
 
 def test_omega_leading_apply_rejects_wrong_shape(pencil_setup, rng):
     ctx, _ = pencil_setup[3]
-    point = PdeVars.from_lambdas(sample_spectral(ctx, rng, 3), ctx)
+    lams = sample_spectral(ctx, rng, 3)
     for wrong in (random_poly(rng, 3, 3), random_poly(rng, 2, 2)):
         with pytest.raises(DegreeMismatch):
-            omega_leading_apply(wrong, point, ctx)
+            omega_leading_apply(wrong, lams, ctx)
 
 
 @pytest.mark.parametrize("L", [1, 2, 3, 4])
