@@ -145,6 +145,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                 raw = yaml.safe_load(fh) or {}
         except FileNotFoundError:
             raise ConfigError(f"--config: file not found: {args.config!r}")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"--config: cannot read {args.config!r}: {exc}")
         except yaml.YAMLError as exc:
             raise ConfigError(f"config: not valid YAML: {exc}")
         if not isinstance(raw, dict):
@@ -223,20 +225,20 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         checks = run["checks"]
     else:
         checks = [name for name, cd in REGISTRY.items() if _domain_error(cd, ctx) is None]
+    where = "--checks" if args.checks is not None else "run.checks"
     if not isinstance(checks, list) or not checks:
-        where = "--checks" if args.checks is not None else "run.checks"
         raise ConfigError(f"{where}: expected a non-empty list of check names")
     for k, name in enumerate(checks):
         if not isinstance(name, str):
-            raise ConfigError(f"run.checks: expected check names, got {name!r}")
+            raise ConfigError(f"{where}: expected check names, got {name!r}")
         if name in checks[:k]:
-            raise ConfigError(f"run.checks: check {name!r} named twice")
+            raise ConfigError(f"{where}: check {name!r} named twice")
         if name not in REGISTRY:
-            raise ConfigError(f"run.checks: unknown check {name!r}; "
+            raise ConfigError(f"{where}: unknown check {name!r}; "
                               f"known: {', '.join(REGISTRY)}")
         reason = _domain_error(REGISTRY[name], ctx)
         if reason is not None:
-            raise ConfigError(f"run.checks: check {name!r} {reason}")
+            raise ConfigError(f"{where}: check {name!r} {reason}")
 
     tol_over = raw.get("tolerances", {})
     if not isinstance(tol_over, dict):
@@ -563,7 +565,7 @@ def _compute_z(cfg: RunConfig, args) -> int:
     if args.points is not None:
         _require_distinct(points, "--points")
     theta = _parse_complex(args.theta, "--theta") if args.theta is not None \
-        else sampling.sample_theta(ctx, rng, range(-(ctx.L + 2), 2 * ctx.L + 3))
+        else sampling.sample_theta(ctx, rng)
     echo = {"record": "compute-z", "model": _model_echo(cfg), "method": args.method,
             "points": _jsonable(list(points)), "theta": _jsonable(theta)}
     return _emit_compute(echo, args.method, "z", (points, theta), ctx)

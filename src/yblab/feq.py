@@ -208,12 +208,13 @@ def snad_residuals(l0: complex, XB, YC, ctx: ModelContext,
 IDENTITY_KINDS = ("ab", "bb", "abn", "tay", "tdy")
 
 
-def _block_table(ctx: ModelContext, keys: Sequence[tuple[complex, complex]] = ()
+def _block_table(ctx: ModelContext, keys: Sequence[tuple[complex, complex]]
                  ) -> Callable[[complex, complex], tuple]:
     """``monodromy_blocks`` by ``(lam, theta)``, each built once; one table per check.
 
     One chain lookup serves them all; it builds the chains of the
-    ``(lam, theta)`` ``keys``, in check order, from one weight batch.
+    ``(lam, theta)`` ``keys``, the only ones the table reads, from one
+    weight batch.
     """
     chains = build_chains([(lam, theta, 0) for lam, theta in keys], ctx)
     return cache(lambda lam, theta: _monodromy_blocks(chains, lam, theta, ctx))
@@ -317,7 +318,7 @@ def _tay_tdy(l0: complex, xb, yc, ctx: ModelContext, use_d: bool) -> float:
     a, b, c = six_vertex(ctx.gamma)
     dim = ctx.dim
     blk = 3 if use_d else 0
-    blocks = _block_table(ctx)
+    blocks = _block_table(ctx, [(lam, 0.0) for lam in (l0,) + xb + yc])
     diag = lambda lam: blocks(lam, 0.0)[blk]
     bmat = lambda lam: blocks(lam, 0.0)[1]
     cmat = lambda lam: blocks(lam, 0.0)[2]

@@ -50,16 +50,17 @@ def dwbc_partitions(sets: Sequence[tuple[Iterable[complex], complex]],
                     ctx: ModelContext) -> list[complex]:
     """:func:`dwbc_partition` at each ``(X, theta)`` of ``sets``, in order.
 
-    The chains of all the sets are built from one weight batch first;
-    errors are raised as the sets, contracted in order, meet them.
+    The sizes of all the sets are checked first, then the chains of all
+    the sets are built from one weight batch, in set order.
     """
     sets = [(as_values(X), theta) for X, theta in sets]
+    for lams, _ in sets:
+        if len(lams) != ctx.L:
+            raise SizeMismatch(f"need exactly L = {ctx.L} spectral points, got {len(lams)}")
     chains = build_chains([(lam, theta_j, 0) for lams, theta in sets
                            for lam, theta_j in _creation_slots(lams, theta, ctx)], ctx)
     values = []
     for lams, theta in sets:
-        if len(lams) != ctx.L:
-            raise SizeMismatch(f"need exactly L = {ctx.L} spectral points, got {len(lams)}")
         vec = np.zeros(ctx.dim, dtype=complex)
         vec[0] = 1.0
         for lam, theta_j in _creation_slots(lams, theta, ctx):

@@ -285,7 +285,7 @@ def interpolate_zbar(ctx: ModelContext) -> MultiPoly:
         raise ValueError(f"grid interpolation is L^L evaluations; L = {L} > 4 refused")
     nodes = 1j * np.pi * np.arange(L) / L
 
-    chains = build_chains((), ctx)
+    chains = build_chains([(lam, 0.0, 0) for lam in nodes], ctx)
     cols = np.zeros((ctx.dim, 1), dtype=complex)
     cols[0] = 1.0
     for j in range(L, 0, -1):

@@ -29,9 +29,8 @@ DEFAULT_GAMMA = 0.41 + 0.07j
 DEFAULT_NOME = 0.2 + 0.0j
 
 
-def draw_point(rng: np.random.Generator,
-               re=RECT_RE, im=RECT_IM) -> complex:
-    return complex(rng.uniform(*re), rng.uniform(*im))
+def draw_point(rng: np.random.Generator) -> complex:
+    return complex(rng.uniform(*RECT_RE), rng.uniform(*RECT_IM))
 
 
 def sample_spectral(ctx: ModelContext, rng: np.random.Generator, count: int,

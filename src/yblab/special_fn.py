@@ -47,6 +47,9 @@ from .errors import NomeTooLarge, NonConvergent
 #: slowly for the fixed term cap and term tolerance.
 MAX_NOME = 0.9
 
+#: Relative size below which theta-series terms stop the summation.
+TERM_TOL = 1e-18
+
 #: Largest |Im z| at which ``np.sin(z)`` is ``cmath.sin(z)``: beyond
 #: ``log(DBL_MAX / 4) = 708.4`` cmath rescales and rounds differently.
 _SIN_EXACT_IM = 708.0
@@ -58,11 +61,10 @@ _BATCH_BLOCK = 1024
 
 @dataclass(frozen=True)
 class EllipticParams:
-    """Nome and truncation policy for the theta series."""
+    """Nome and term cap of the theta series."""
 
     nome: complex
     series_cap: int = 200
-    term_tol: float = 1e-18
 
     def __post_init__(self) -> None:
         if abs(self.nome) >= MAX_NOME:
@@ -71,8 +73,6 @@ class EllipticParams:
             )
         if self.series_cap < 1:
             raise ValueError("series_cap must be a positive integer")
-        if self.term_tol <= 0:
-            raise ValueError("term_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,7 @@ def _theta1_coefficient_arrays(params: EllipticParams
     and the chunk of terms :func:`theta1_batch` sums per step.
 
     The chunk is the number of terms after which the coefficients alone
-    fall below ``term_tol`` of the first, plus four: one for the
+    fall below ``TERM_TOL`` of the first, plus four: one for the
     two-term stop rule and three for the growth of the sines near the
     real axis.  Points further from it take further chunks.
     """
@@ -131,7 +131,7 @@ def _theta1_coefficient_arrays(params: EllipticParams
               np.arange(1, 2 * params.series_cap, 2, dtype=float))
     for array in arrays:
         array.setflags(write=False)
-    small = np.abs(coeffs) <= params.term_tol * abs(coeffs[0])
+    small = np.abs(coeffs) <= TERM_TOL * abs(coeffs[0])
     return arrays + (int(small.argmax()) + 5 if small.any() else params.series_cap,)
 
 
@@ -139,12 +139,12 @@ def theta1(z: complex, params: EllipticParams) -> complex:
     """First Jacobi theta function, truncated q-series.
 
     Truncation stops once two consecutive terms fall below
-    ``term_tol`` times the largest partial-sum magnitude seen so far
+    ``TERM_TOL`` times the largest partial-sum magnitude seen so far
     (two terms, because ``sin((2n+1)z)`` can vanish accidentally for
     real ``z``).  Raises :class:`NonConvergent` if ``series_cap`` terms
     were not enough.
     """
-    tol = params.term_tol
+    tol = TERM_TOL
     total = 0j
     scale = 1e-300  # floor of the partial-sum scale
     prev_mag = cmath.inf
@@ -160,7 +160,7 @@ def theta1(z: complex, params: EllipticParams) -> complex:
             return total
         prev_mag = mag
     raise NonConvergent(
-        f"theta1 series did not meet term_tol={params.term_tol} "
+        f"theta1 series did not meet term_tol={TERM_TOL} "
         f"within {params.series_cap} terms (|nome|={abs(complex(params.nome)):.4g}, z={z})"
     )
 
@@ -182,7 +182,7 @@ def theta1_batch(z: Sequence[complex], params: EllipticParams) -> np.ndarray:
                                for i in range(0, z.size, _BATCH_BLOCK)])
     out = np.empty_like(z)
     coeff_re, coeff_im, odd, chunk = _theta1_coefficient_arrays(params)
-    tol = params.term_tol
+    tol = TERM_TOL
     todo = np.arange(z.size)  # points still taking terms
     total = np.zeros(z.size, dtype=complex)  # carried partial sums
     scale = np.full(z.size, 1e-300)  # carried largest |partial sum|

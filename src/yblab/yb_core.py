@@ -15,9 +15,9 @@ Conventions, fixed once and used everywhere:
   evaluated per input basis state on each weight sector.
 
 No vertex table outlives the evaluation that built it: an operator or
-equation takes a chain lookup from :func:`build_chains`, which builds
-every chain it lists from one batch of distinct weights and keeps those
-and any other chain it is asked for in a dict of its own.
+equation lists the monodromy chains it reads, and :func:`build_chains`
+builds them all up front from one batch of distinct weights into a
+lookup of its own.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DynamicalPole, NonConvergent, NonFinite
+from .errors import DynamicalPole, NonFinite
 from .special_fn import Regime, f_weight, f_weights, six_vertex
 
 #: Relative floor below which a dynamical denominator counts as a pole.
@@ -78,7 +78,6 @@ class ModelContext:
     gamma: complex
     mu: tuple[complex, ...]
     regime: Regime
-    allow_degenerate_gamma: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gamma", complex(self.gamma))
@@ -87,12 +86,9 @@ class ModelContext:
             raise ValueError(f"L = {self.L} outside the dense-matrix range 1..{MAX_L}")
         if len(self.mu) != self.L:
             raise ValueError(f"len(mu) = {len(self.mu)} but L = {self.L}")
-        if not self.allow_degenerate_gamma:
-            if self.gamma == 0 or abs(self.f(self.gamma)) < 1e-12:
-                raise ValueError(
-                    "gamma is a zero of the weight function; the c-weights vanish "
-                    "identically (pass allow_degenerate_gamma=True to force)"
-                )
+        if self.gamma == 0 or abs(self.f(self.gamma)) < 1e-12:
+            raise ValueError("gamma is a zero of the weight function; "
+                             "the c-weights vanish identically")
 
     @property
     def dim(self) -> int:
@@ -156,11 +152,9 @@ def _site_tables(sites: Sequence[tuple[complex, int]], theta: complex,
     gamma)``, the pole test, ``f(lam + gamma)`` and ``f(lam)`` in a
     site's first sector only, and ``f(t -+ lam)``.  They come from
     ``values`` when given (the weights of those points, as
-    :func:`build_chains` passes them), else from
-    :func:`_weights_by_bits`, so the error of refused weights is the
-    first one met in that order.
-    Trigonometric tables are six-vertex tables, with ``theta`` and the
-    shift ignored.
+    :func:`build_chains` passes them), else from one
+    :func:`_weights_by_bits` batch.  Trigonometric tables are six-vertex
+    tables, with ``theta`` and the shift ignored.
     """
     if not ctx.is_elliptic:
         a_of, b_of, c = six_vertex(ctx.gamma)
@@ -198,7 +192,7 @@ def _chain_sites(lam: complex, n_extra: int, ctx: ModelContext) -> list[tuple[co
 
 
 def _build_chain(lam: complex, theta: complex, n_extra: int, ctx: ModelContext,
-                 values: Iterator[complex] | None = None) -> tuple[np.ndarray, ...]:
+                 values: Iterator[complex] | None) -> tuple[np.ndarray, ...]:
     """Vertex tables of a monodromy chain, site 1 first (``values`` as for :func:`_site_tables`).
 
     A pole raises :class:`DynamicalPole` naming the site and the weight
@@ -218,16 +212,11 @@ def _weights_by_bits(points: Sequence[complex], ctx: ModelContext) -> Iterator[c
 
     The call gets each distinct point once, in order of first
     appearance; points are told apart by bit pattern, so ``0.0`` and
-    ``-0.0`` stay apart.  If the call raises, the weights are the scalar
-    ``ctx.f`` of each point, evaluated as they are read, so a reader
-    meets the first error in its own order.
+    ``-0.0`` stay apart.  It raises what :func:`f_weights` raises.
     """
     bits = np.array(points, dtype=complex).view("V16").tolist()
     distinct = dict(zip(bits, points))
-    try:
-        weights = dict(zip(distinct, f_weights(list(distinct.values()), ctx.regime.params)))
-    except (ArithmeticError, ValueError, NonConvergent):
-        return map(ctx.f, points)
+    weights = dict(zip(distinct, f_weights(list(distinct.values()), ctx.regime.params)))
     return map(weights.__getitem__, bits)
 
 
@@ -236,44 +225,29 @@ Chains = Callable[[complex, complex, int], tuple[np.ndarray, ...]]
 
 
 def build_chains(keys: Iterable[tuple[complex, complex, int]], ctx: ModelContext) -> Chains:
-    """A chain lookup for one evaluation, with the chains of ``keys`` built from one weight batch.
+    """A lookup over the chains of ``keys``, all built up front from one weight batch.
 
-    The lookup keeps the chains it returns in a dict of its own, so an
-    operator or equation builds each chain once and no table outlives
-    it; a lookup that misses builds its chain with :func:`_build_chain`.
-    A key is ``(lam, theta, n_extra)``; list them in the order the
-    caller looks them up.  The weight arguments of those chains are
-    listed as :func:`_site_tables` reads them, the distinct ones are
-    evaluated in one call (:func:`_weights_by_bits`), and the chains are
-    built from those values, with the bits of the per-chain route.  In
-    the trigonometric regime nothing is built up front and shifts are
-    inert, so the lookup keys a chain by ``lam`` alone.
-
-    Weight errors are left to the lookups: if a chain meets a pole or
-    its weights raise, the build stops there, and the lookups meet the
-    error in the caller's order, as without the build.
+    A key is ``(lam, theta, n_extra)``.  The weight arguments of the
+    chains are listed as :func:`_site_tables` reads them, the distinct
+    ones are evaluated in one call (:func:`_weights_by_bits`), and the
+    chains are built from those values in key order, with the bits of
+    a chain built alone.  Errors are raised here: a weight error by the
+    batch, a pole by the first chain in key order that meets one.  The
+    lookup never builds, so an operator or equation lists every chain
+    it reads.  In the trigonometric regime shifts are inert, so a chain
+    is keyed by ``lam`` alone.
     """
-    chains: dict[tuple[complex, complex, int], tuple[np.ndarray, ...]] = {}
+    def key_of(lam: complex, theta: complex, n_extra: int) -> tuple[complex, complex, int]:
+        return (complex(lam), complex(theta), n_extra) if ctx.is_elliptic else (complex(lam), 0j, 0)
 
-    def lookup(lam: complex, theta: complex, n_extra: int) -> tuple[np.ndarray, ...]:
-        key = (complex(lam), complex(theta), n_extra) if ctx.is_elliptic else (complex(lam), 0j, 0)
-        if key not in chains:
-            chains[key] = _build_chain(*key, ctx)
-        return chains[key]
-
-    todo = list(dict.fromkeys((complex(lam), complex(theta), n_extra)
-                              for lam, theta, n_extra in keys))
-    if not (ctx.is_elliptic and todo):
-        return lookup
-    points = [point for lam, theta, n_extra in todo
-              for point in _weight_points(_chain_sites(lam, n_extra, ctx), theta, ctx.gamma)]
-    values = _weights_by_bits(points, ctx)
-    for key in todo:
-        try:
-            chains[key] = _build_chain(*key, ctx, values)
-        except (DynamicalPole, ArithmeticError, ValueError, NonConvergent):
-            break
-    return lookup
+    todo = list(dict.fromkeys(key_of(*key) for key in keys))
+    values = None
+    if ctx.is_elliptic and todo:
+        points = [point for lam, theta, n_extra in todo
+                  for point in _weight_points(_chain_sites(lam, n_extra, ctx), theta, ctx.gamma)]
+        values = _weights_by_bits(points, ctx)
+    chains = {key: _build_chain(*key, ctx, values) for key in todo}
+    return lambda lam, theta, n_extra: chains[key_of(lam, theta, n_extra)]
 
 
 @functools.lru_cache(maxsize=64)
@@ -391,7 +365,7 @@ def monodromy_blocks(lam: complex, theta: complex, ctx: ModelContext
     :class:`NonFinite` if any entry is not finite.  Use
     :func:`apply_block` where only the action on vectors is needed.
     """
-    return _monodromy_blocks(build_chains((), ctx), lam, theta, ctx)
+    return _monodromy_blocks(build_chains([(lam, theta, 0)], ctx), lam, theta, ctx)
 
 
 def _monodromy_blocks(chains: Chains, lam: complex, theta: complex, ctx: ModelContext
@@ -419,7 +393,7 @@ def apply_block(block: str, lam: complex, theta: complex, ctx: ModelContext,
     applied to it, O(L 2^L) per vector.  Agrees with the matching block
     of :func:`monodromy_blocks` to rounding.
     """
-    return _apply_block(build_chains((), ctx), block, lam, theta, ctx, vec)
+    return _apply_block(build_chains([(lam, theta, 0)], ctx), block, lam, theta, ctx, vec)
 
 
 def _apply_block(chains: Chains, block: str, lam: complex, theta: complex,

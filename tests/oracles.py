@@ -17,7 +17,7 @@ from yblab.errors import (CoincidentPoints, DynamicalPole, InterpolationIllCondi
                           SingularR)
 from yblab.lattice_qty import as_values, dwbc_partition
 from yblab.pde import MultiPoly, OmegaActions, _pencil_nodes
-from yblab.special_fn import MAX_NOME, six_vertex
+from yblab.special_fn import MAX_NOME, TERM_TOL, six_vertex
 from yblab.yb_core import ABS_FLOOR, POLE_RTOL, monodromy_blocks
 
 
@@ -159,11 +159,11 @@ def theta1_literal(z, params):
         total += term
         scale = max(scale, abs(total))
         mag = abs(term)
-        if max(mag, prev_mag) <= params.term_tol * max(scale, 1e-300):
+        if max(mag, prev_mag) <= TERM_TOL * max(scale, 1e-300):
             return total
         prev_mag = mag
     raise NonConvergent(
-        f"theta1 series did not meet term_tol={params.term_tol} "
+        f"theta1 series did not meet term_tol={TERM_TOL} "
         f"within {params.series_cap} terms (|nome|={abs(p):.4g}, z={z})"
     )
 

@@ -77,7 +77,7 @@ def test_run_deterministic_across_invocations(capsys):
 def test_run_unknown_check_is_config_error(capsys):
     code, _, err = run_cli(["run", "--checks", "nonsense"], capsys)
     assert code == 2
-    assert "unknown check" in err
+    assert "configuration error: --checks: unknown check 'nonsense'; known: " in err
 
 
 def test_run_trig_only_check_on_elliptic_model(capsys):
@@ -116,9 +116,23 @@ def test_run_check_named_twice_is_config_error(tmp_path, capsys, source):
         cfg.write_text("run:\n  checks: [rll, dybe, rll]\n  samples: 1\n")
         args = ["run", "--config", str(cfg)]
     code, out, err = run_cli(args, capsys)
-    twice = "dybe" if source == "flag" else "rll"
+    twice, where = ("dybe", "--checks") if source == "flag" else ("rll", "run.checks")
     assert code == 2 and out == ""
-    assert f"configuration error: run.checks: check {twice!r} named twice" in err
+    assert f"configuration error: {where}: check {twice!r} named twice" in err
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_config_is_config_error(tmp_path, capsys, kind):
+    # a config path that cannot be read as UTF-8 text ends in exit 2, not a traceback
+    path = tmp_path / "config.yaml"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"run:\n  samples: 1\n  # \xff\xfe\n")
+    code, out, err = run_cli(["run", "--config", str(path), "--checks", "dybe"], capsys)
+    assert code == 2 and out == ""
+    assert f"configuration error: --config: cannot read {str(path)!r}: " in err
+    assert "Traceback" not in err
 
 
 def test_run_threads_flag_is_gone(capsys):
@@ -616,7 +630,7 @@ def test_pde_check_beyond_l4_is_config_error(capsys, check):
     code, out, err = run_cli(["run", "--trig", "--L", "5", "--checks", check,
                               "--samples", "1"], capsys)
     assert code == 2 and out == ""
-    assert f"configuration error: run.checks: check {check!r} is defined for " \
+    assert f"configuration error: --checks: check {check!r} is defined for " \
            f"L = " in err and "got L = 5" in err
 
 
@@ -628,7 +642,7 @@ def test_pde_leading_is_undefined_at_one_site(capsys):
     code, out, err = run_cli(["run", "--trig", "--L", "1", "--checks", "pde-leading",
                               "--samples", "1"], capsys)
     assert code == 2 and out == ""
-    assert "configuration error: run.checks: check 'pde-leading' is defined for " \
+    assert "configuration error: --checks: check 'pde-leading' is defined for " \
            "L = 2..4 only, got L = 1" in err
 
 
@@ -682,8 +696,9 @@ ELLIPTIC_CHECKS = "dybe,rll,hw-actions,identities,fx,z-contour-vs-bf,dia-realiza
     ["compute", "z", "--method", "bruteforce", "--L", "10", "--seed", "1"]])
 def test_batched_theta_series_keeps_report_streams(monkeypatch, capsys, args):
     # the vertex tables take their elliptic weights from one batched theta
-    # series per bulk build or chain; summed point by point by the scalar
-    # series instead, every record must keep its bits (wall time aside)
+    # series per chain build or site-factor batch; summed point by point by
+    # the scalar series instead, every record must keep its bits (wall time
+    # aside)
     def stream():
         code, out, err = run_cli(args, capsys)
         return code, re.sub(r', "wall_time_ms": [^,}]*', "", out), err
@@ -702,19 +717,19 @@ def test_batched_theta_series_keeps_report_streams(monkeypatch, capsys, args):
 def test_bulk_chain_build_keeps_report_streams(monkeypatch, capsys, args):
     # operators and equations build their chains from one deduplicated
     # weight batch up front and share them through one lookup; with every
-    # lookup building its chain afresh instead, every record must keep its
-    # bits (wall time aside)
+    # lookup building its one chain afresh instead, every record must keep
+    # its bits (wall time aside)
     def stream():
         code, out, err = run_cli(args, capsys)
         return code, re.sub(r', "wall_time_ms": [^,}]*', "", out), err
 
     shipped = stream()
-    skipped, build_chains = [], yb_core.build_chains
+    afresh, build_chains = [], yb_core.build_chains
     for module in (yb_core, lattice_qty, feq, pde):
-        monkeypatch.setattr(module, "build_chains", lambda keys, ctx: skipped.append(ctx)
-                            or (lambda *key: build_chains((), ctx)(*key)))
+        monkeypatch.setattr(module, "build_chains", lambda keys, ctx: afresh.append(ctx)
+                            or (lambda *key: build_chains([key], ctx)(*key)))
     assert stream() == shipped
-    assert skipped and shipped[0] == 0
+    assert afresh and shipped[0] == 0
     records = {"compute": 1, "run": 49 if "--trig" in args else 36}[args[0]]
     assert len(parse_records(shipped[1])) == records
 
@@ -757,25 +772,3 @@ def test_pencil_keeps_report_streams(monkeypatch, capsys, L):
     monkeypatch.setattr(pde, "fzt_coefficients", fzt_coefficients_literal)
     assert stream() == shipped
     assert shipped[0] == 0 and len(parse_records(shipped[1])) == 1 + 3 * 5
-
-
-@pytest.mark.parametrize("args", [
-    ["run", "--L", "3", "--checks", ELLIPTIC_CHECKS, "--samples", "3", "--seed", "2"],
-    ["compute", "z", "--method", "both", "--L", "6", "--seed", "1"]])
-def test_scalar_weight_fallback_keeps_report_streams(monkeypatch, capsys, args):
-    # when the batched weights raise, the vertex tables read scalar weights
-    # lazily in the same loop; a whole stream built that way keeps its bits
-    def stream():
-        code, out, err = run_cli(args, capsys)
-        return code, re.sub(r', "wall_time_ms": [^,}]*', "", out), err
-
-    shipped = stream()
-    refused = []
-
-    def refuse(points, params):
-        refused.append(len(points))
-        raise ArithmeticError("batch refused")
-
-    monkeypatch.setattr(yb_core, "f_weights", refuse)
-    assert stream() == shipped
-    assert shipped[0] == 0 and refused

@@ -6,8 +6,8 @@ import time
 import numpy as np
 import pytest
 
-from yblab import feq, lattice_qty, yb_core
-from yblab.errors import DynamicalPole, NonConvergent
+from yblab import lattice_qty, yb_core
+from yblab.errors import DynamicalPole
 from yblab.feq import fx_residual
 from yblab.lattice_qty import dwbc_partition, dwbc_partitions, scalar_product_bf
 from yblab.residue_int import z_contour
@@ -131,7 +131,7 @@ def test_cached_operators_are_read_only(rng):
         assert block.flags.c_contiguous and not block.flags.writeable
     with pytest.raises(ValueError):
         blocks[1][1, 0] = 0.0
-    for table in yb_core.build_chains((), ctx)(0.3 + 0.1j, theta, 1):
+    for table in yb_core.build_chains([(0.3 + 0.1j, theta, 1)], ctx)(0.3 + 0.1j, theta, 1):
         with pytest.raises(ValueError):
             table *= 2
 
@@ -155,10 +155,11 @@ def test_one_weight_evaluation_per_site_and_sector(monkeypatch, rng):
     assert [_bits(batch) for batch in batches] == [list(dict.fromkeys(_bits(points)))]
     apply_block("B", lam, theta, ctx, np.eye(ctx.dim))
     assert len(batches) == 2  # every public call builds its own chain
-    chains = yb_core.build_chains((), ctx)
+    chains = yb_core.build_chains([(lam, theta, 0)], ctx)
+    assert len(batches) == 3  # the build evaluates its weights up front
     tables = chains(lam, theta, 0)
     assert chains(lam, theta, 0) is tables and chains(complex(lam), theta, 0) is tables
-    assert len(batches) == 3 and not scalar  # a kept chain evaluates nothing
+    assert len(batches) == 3 and not scalar  # a lookup evaluates nothing
 
 
 def _bits(values):
@@ -173,36 +174,22 @@ def _count_batches(monkeypatch):
     return batches
 
 
-def _skip_bulk_build(monkeypatch):
-    build_chains = yb_core.build_chains
-    for module in (yb_core, lattice_qty, feq):
-        monkeypatch.setattr(module, "build_chains", lambda keys, ctx: build_chains((), ctx))
-
-
-def _spy_bulk_build(monkeypatch):
-    """Keep every lookup the operations build, the last one last."""
-    lookups, build_chains = [], yb_core.build_chains
-    for module in (yb_core, lattice_qty, feq):
-        monkeypatch.setattr(module, "build_chains",
-                            lambda keys, ctx: lookups.append(build_chains(keys, ctx))
-                            or lookups[-1])
-    return lookups
-
-
 def test_bulk_build_is_one_batch_of_distinct_weights(monkeypatch, rng):
     ctx = random_context(3, rng)
     lams = sample_spectral(ctx, rng, 3)
     theta = sample_theta(ctx, rng, range(-4, 5))
     with monkeypatch.context() as m:
         # chain by chain: one batch each, f(gamma) in every one of them
-        _skip_bulk_build(m)
-        lazy = _count_batches(m)
+        build_chains = yb_core.build_chains
+        m.setattr(lattice_qty, "build_chains",
+                  lambda keys, ctx: lambda *key: build_chains([key], ctx)(*key))
+        alone = _count_batches(m)
         expected = dwbc_partition(lams, theta, ctx)
-    assert len(lazy) == 3
+    assert len(alone) == 3
     batches = _count_batches(monkeypatch)
     assert dwbc_partition(lams, theta, ctx) == expected
     assert len(batches) == 1  # the three lookups find the chains built
-    assert _bits(batches[0]) == list(dict.fromkeys(b for batch in lazy for b in _bits(batch)))
+    assert _bits(batches[0]) == list(dict.fromkeys(b for batch in alone for b in _bits(batch)))
     # nothing is kept from one call to the next
     assert dwbc_partition(lams, theta, ctx) == expected and len(batches) == 2
     assert _bits(batches[1]) == _bits(batches[0])
@@ -227,37 +214,22 @@ def test_fx_residual_sample_is_one_batch(monkeypatch, rng):
 
 
 def test_chain_lookup_keeps_what_it_builds(rng):
-    # a lookup builds a missing chain and returns it again; trigonometric
-    # chains ignore theta and the shift, so one serves them all
+    # a lookup returns the chains its build kept and builds none itself;
+    # trigonometric chains ignore theta and the shift, so one serves them all
     ell, trig = random_context(2, rng), random_context(2, rng, elliptic=False)
     lam = sample_spectral(ell, rng, 1)[0]
-    chains = yb_core.build_chains([(lam, 0.5, 0)], ell)
+    chains = yb_core.build_chains([(lam, 0.5, 0), (lam, 0.5, 1)], ell)
     assert chains(lam, 0.5 + 0j, 0) is chains(lam, 0.5, 0)
     assert chains(lam, 0.5, 1) is not chains(lam, 0.5, 0)
+    with pytest.raises(KeyError):
+        chains(lam, 0.4, 0)
     chains = yb_core.build_chains([(lam, 0.5, 1)], trig)
     assert chains(lam, 0.5, 1) is chains(lam, -0.3, 0)
-    assert yb_core.build_chains((), trig)(lam, 0.0, 0) is not chains(lam, 0.0, 0)
+    assert yb_core.build_chains([(lam, 0.0, 0)], trig)(lam, 0.0, 0) is not chains(lam, 0.0, 0)
 
 
 def _refuse_batch(points, params):
     raise ArithmeticError("batch refused")
-
-
-@pytest.mark.parametrize("error", [NonConvergent, ValueError])
-def test_bulk_build_leaves_scalar_weight_errors_to_the_lookups(error, monkeypatch, rng):
-    # with the batch refused the build reads scalar weights as it goes; an
-    # error they raise stops the build, and the lookup meets it
-    ctx = random_context(2, rng)
-    lam = sample_spectral(ctx, rng, 1)[0]
-    monkeypatch.setattr(yb_core, "f_weights", _refuse_batch)
-
-    def refuse(z, regime):
-        raise error("scalar weight refused")
-
-    monkeypatch.setattr(yb_core, "f_weight", refuse)
-    chains = yb_core.build_chains([(lam, 0.5, 0)], ctx)
-    with pytest.raises(error, match="^scalar weight refused$"):
-        chains(lam, 0.5, 0)
 
 
 def test_batched_tables_bit_identical_to_scalar_route(rng):
@@ -265,29 +237,26 @@ def test_batched_tables_bit_identical_to_scalar_route(rng):
     lam = sample_spectral(ctx, rng, 1)[0]
     theta = sample_theta(ctx, rng, range(-5, 6))
     for n_extra in (0, 1):
-        tables = yb_core.build_chains((), ctx)(lam, theta, n_extra)
+        tables = yb_core.build_chains([(lam, theta, n_extra)], ctx)(lam, theta, n_extra)
         for k, table in enumerate(tables):
             literal = vertex_table_literal(lam - ctx.mu[k], theta, n_extra + ctx.L - 1 - k, ctx)
             assert table.tobytes() == literal.tobytes() and not table.flags.writeable
 
 
 @pytest.mark.parametrize("elliptic", [True, False])
-def test_site_tables_match_literal_tables(elliptic, monkeypatch, rng):
-    # batched or from lazy scalar weights, every table has the bits of the
-    # per-sector literal matrices; trigonometric tables have one sector
+def test_site_tables_match_literal_tables(elliptic, rng):
+    # every table has the bits of the per-sector literal matrices;
+    # trigonometric tables have one sector
     ctx = random_context(2, rng, elliptic=elliptic)
     theta = sample_theta(ctx, rng, range(-4, 5))
     sites = [(lam, n_shift) for lam in sample_spectral(ctx, rng, 3) for n_shift in range(4)]
     literal = [vertex_table_literal(lam, theta, n_shift if elliptic else 0, ctx)
                for lam, n_shift in sites]
-    for route in ("batch", "lazy"):
-        if route == "lazy":
-            monkeypatch.setattr(yb_core, "f_weights", _refuse_batch)
-        tables = list(yb_core._site_tables(sites, theta, ctx))
-        assert len(tables) == len(literal)
-        for table, expected in zip(tables, literal):
-            assert table.shape == expected.shape
-            assert table.tobytes() == expected.tobytes() and not table.flags.writeable
+    tables = list(yb_core._site_tables(sites, theta, ctx))
+    assert len(tables) == len(literal)
+    for table, expected in zip(tables, literal):
+        assert table.shape == expected.shape
+        assert table.tobytes() == expected.tobytes() and not table.flags.writeable
 
 
 def _literal_chain_error(lam, theta, ctx):
@@ -311,13 +280,30 @@ def test_first_pole_is_named_by_site_and_sector(monkeypatch, rng):
         # on f(0) = 0; sites 1 and 3 see only even weights
         (lam, ctx.gamma, ctx, DynamicalPole,
          r"^site 2, weight sector \+1: f\(theta\) ~ 0 at theta = 0j$"),
-        # f(lam + gamma) overflows, but the pole of site 1's first sector
-        # comes before it in the order the weights are read
-        (300 + 0.1j, 2 * ctx.gamma, ctx, DynamicalPole, r"^site 1, weight sector \+2: "),
         # f(t - lam) of site 1's first sector overflows, f(lam + gamma)
         # and f(lam) do not; the pole of its second sector comes after it
         (18.6 + 0.05j + ctx.mu[0], -ctx.gamma, two, OverflowError, None),
     ]
+    for lam_k, theta, model, error, message in cases:
+        with pytest.raises(error, match=message) as info:
+            monodromy_blocks(lam_k, theta, model)
+        assert (type(info.value), str(info.value)) == _literal_chain_error(lam_k, theta, model)
+    with pytest.raises(DynamicalPole, match=r"^weight sector \+1: f\(theta\) ~ 0"):
+        site_factors([(lam, (0, 1), ()), (lam, (0, 1), (2,))], ctx.gamma, ctx, 3)
+
+    # a weight error is raised by the batch, before any table is built:
+    # f(lam + gamma) overflows, though the literal tables meet the pole of
+    # site 1's first sector before it
+    assert _literal_chain_error(300 + 0.1j, 2 * ctx.gamma, ctx)[0] is DynamicalPole
+    with pytest.raises(OverflowError):
+        monodromy_blocks(300 + 0.1j, 2 * ctx.gamma, ctx)
+    with monkeypatch.context() as m:
+        m.setattr(yb_core, "f_weights", _refuse_batch)
+        with pytest.raises(ArithmeticError, match="^batch refused$"):
+            yb_core.build_chains([(lam, 0.5, 0)], ctx)
+
+    # a bulk build raises the first pole in key order, the one of that
+    # chain built alone; the chains listed before it build
     lams = sample_spectral(ctx, rng, 3)
     l1, l2, g = lams[0], lams[1], ctx.gamma
     bulk_cases = [
@@ -325,39 +311,14 @@ def test_first_pole_is_named_by_site_and_sector(monkeypatch, rng):
         # site 1, sector +2
         (lambda: dwbc_partition(lams, 0.0, ctx), (lams[2], 3 * g, 0), (lams[1], 2 * g, 0)),
         # theta = 3*gamma: (l1, theta, 0) builds, (l2, theta, 1) meets f(0)
-        # in site 1, sector +3; lazily the R_ab factor meets it first
+        # in site 1, sector +3, before the R_ab factor is formed
         (lambda: verify_rll(l1, l2, 3 * g, ctx), (l1, 3 * g, 0), (l2, 3 * g, 1)),
     ]
-    for route in ("batch", "lazy"):
-        if route == "lazy":
-            monkeypatch.setattr(yb_core, "f_weights", _refuse_batch)
-        for lam_k, theta, model, error, message in cases:
-            with pytest.raises(error, match=message) as info:
-                monodromy_blocks(lam_k, theta, model)
-            assert (type(info.value), str(info.value)) \
-                == _literal_chain_error(lam_k, theta, model)
-        with pytest.raises(DynamicalPole, match=r"^weight sector \+1: f\(theta\) ~ 0"):
-            site_factors([(lam, (0, 1), ()), (lam, (0, 1), (2,))], ctx.gamma, ctx, 3)
-
-        # a bulk build stops at a pole in its second chain, keeping the
-        # first; the lookups then raise what they raise without the build
-        for operation, built, stopped in bulk_cases:
-            with monkeypatch.context() as m:
-                _skip_bulk_build(m)
-                with pytest.raises(DynamicalPole) as lazy:
-                    operation()
-            with monkeypatch.context() as m:
-                lookups = _spy_bulk_build(m)
-                with pytest.raises(DynamicalPole) as bulk:
-                    operation()
-            assert str(bulk.value) == str(lazy.value)
-            with monkeypatch.context() as m:
-                batches, scalar = _count_batches(m), []
-                m.setattr(yb_core, "f_weight",
-                          lambda *args: scalar.append(args) or f_weight(*args))
-                if route == "batch":  # the kept chain evaluates nothing
-                    lookups[-1](*built)
-                    assert not batches and not scalar
-                with pytest.raises(DynamicalPole):  # the pole is not kept
-                    lookups[-1](*stopped)
-                assert batches
+    for operation, built, stopped in bulk_cases:
+        with pytest.raises(DynamicalPole) as bulk:
+            operation()
+        with pytest.raises(DynamicalPole) as alone:
+            yb_core.build_chains([stopped], ctx)
+        assert str(bulk.value) == str(alone.value)
+        assert str(bulk.value).startswith("site 1, weight sector ")
+        yb_core.build_chains([built], ctx)

@@ -153,7 +153,7 @@ def test_theta1_coefficient_table_is_bounded_and_immutable():
     assert _theta1_coefficient_arrays.cache_info().maxsize == 16
     *arrays, chunk = _theta1_coefficient_arrays(EllipticParams(0.2, series_cap=7))
     assert all(a.shape == (7,) and not a.flags.writeable for a in arrays)
-    assert chunk == 10  # |coeff_5| is the first below term_tol * |coeff_0|
+    assert chunk == 10  # |coeff_5| is the first below TERM_TOL * |coeff_0|
 
 
 def test_f_weight_trig_matches_exponentials():

@@ -59,13 +59,12 @@ def test_context_validation():
         ModelContext(2, 0.0, (0.1, 0.2), Regime.trigonometric())  # gamma = 0
     with pytest.raises(ValueError):
         ModelContext(11, 0.5, (0.1,) * 11, Regime.trigonometric())  # over the cap
-    ModelContext(2, 0.0, (0.1, 0.2), Regime.trigonometric(),
-                 allow_degenerate_gamma=True)
 
 
 def test_r_matrix_gamma_zero_is_scalar(rng):
-    ctx = ModelContext(1, 0.0, (0.0,), Regime.elliptic(0.2),
-                       allow_degenerate_gamma=True)
+    # a context refuses gamma = 0, so the field is set past that check
+    ctx = ModelContext(1, 0.5, (0.0,), Regime.elliptic(0.2))
+    object.__setattr__(ctx, "gamma", 0j)
     lam, theta = 0.3 + 0.1j, 0.8 - 0.05j
     r = r_matrix(lam, theta, ctx)
     expected = f_weight(lam, ctx.regime) * np.eye(4)
