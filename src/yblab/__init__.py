@@ -12,16 +12,6 @@ from .errors import (ConfigError, CoincidentPoints, DegreeMismatch, DynamicalPol
                      InterpolationIllConditioned, NomeTooLarge, NonConvergent,
                      NonFinite, RegimeMismatch, SamplingExhausted, SingularCoefficient,
                      SingularR, SizeMismatch, YbLabError)
-from .special_fn import EllipticParams, Regime, f_weight, six_vertex, theta1
-from .yb_core import (ABS_FLOOR, ModelContext, monodromy_blocks, r_matrix, residual,
-                      verify_dybe, verify_rll)
-from .lattice_qty import (check_hw_actions, dwbc_partition, dwbc_partitions,
-                          hw_action_residuals, scalar_product_bf)
-from .feq import (FxCoefficients, SnadCoefficients, fx_coefficients, fx_residual,
-                  snad_coefficients, snad_residuals, verify_identity)
-from .residue_int import sn_contour, z_contour
-from .pde import (MultiPoly, OmegaActions, dia_apply, dia_realized, fzt_residual,
-                  interpolate_zbar, omega_actions, omega_leading_apply)
 
 __version__ = "0.1.0"
 

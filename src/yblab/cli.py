@@ -13,8 +13,8 @@ before the stream ended), 2 configuration error.
 
 Randomness: numpy PCG64, one stream per ``(seed, key)`` pair (``_rng``).
 The generator for check ``c`` has key ``REGISTRY_INDEX[c]`` and is
-consumed sample by sample, so a given (config, seed) pair produces
-identical parameter draws and hence identical residuals.
+consumed sample by sample, so the same flags produce identical parameter
+draws and hence identical residuals.
 """
 
 from __future__ import annotations
@@ -55,12 +55,11 @@ ROUTES: dict[str, dict[str, Callable[..., complex]]] = {
 
 @dataclass
 class RunConfig:
-    """The model and seed; the check list, samples and tolerances are read for ``run`` only."""
+    """The model and seed; the check list and samples are read for ``run`` only."""
     ctx: ModelContext
     seed: int
     samples: int = 0
     checks: list[str] = field(default_factory=list)
-    tolerances: dict[str, float] = field(default_factory=dict)
 
 
 def _rng(seed: int, key: int) -> np.random.Generator:
@@ -68,53 +67,15 @@ def _rng(seed: int, key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, key])))
 
 
-def _is_int(value: Any) -> bool:
-    """An ``int`` but not a ``bool``: YAML reads true/false as bools, a subclass of int."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _read_complex(value: Any, where: str) -> complex:
-    if isinstance(value, bool):
-        raise ConfigError(f"{where}: expected a number, got {value!r}")
-    if isinstance(value, (int, float, complex)):
-        return complex(value)
-    if isinstance(value, str):
-        parts = value.split(",")
-        try:
-            if len(parts) == 1:
-                return complex(float(parts[0]))
-            if len(parts) == 2:
-                return complex(float(parts[0]), float(parts[1]))
-        except ValueError:
-            pass
-        raise ConfigError(f"{where}: cannot parse complex number from {value!r}")
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        if any(isinstance(v, bool) for v in value):
-            raise ConfigError(f"{where}: expected [re, im] numbers, got {value!r}")
-        try:
-            return complex(float(value[0]), float(value[1]))
-        except (TypeError, ValueError):
-            raise ConfigError(f"{where}: expected [re, im] numbers, got {value!r}")
-    raise ConfigError(f"{where}: expected a number, 're,im' string, or [re, im] pair")
-
-
-def _parse_complex(value: Any, where: str) -> complex:
-    out = _read_complex(value, where)
-    if not cmath.isfinite(out):
-        raise ConfigError(f"{where}: expected finite parts, got {value!r}")
-    return out
-
-
-def _parse_float(value: Any, where: str) -> float:
-    if isinstance(value, bool):
-        raise ConfigError(f"{where}: expected a number, got {value!r}")
+def _parse_complex(text: str, where: str) -> complex:
+    """A complex number written ``RE`` or ``RE,IM``, both parts finite."""
     try:
-        out = float(value)
+        value = complex(*map(float, text.split(",")))  # TypeError past two parts
     except (TypeError, ValueError):
-        raise ConfigError(f"{where}: expected a number, got {value!r}")
-    if not math.isfinite(out):
-        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
-    return out
+        raise ConfigError(f"{where}: cannot parse complex number from {text!r}")
+    if not cmath.isfinite(value):
+        raise ConfigError(f"{where}: expected finite parts, got {text!r}")
+    return value
 
 
 def _parse_point_list(text: str, where: str) -> tuple[complex, ...]:
@@ -122,91 +83,36 @@ def _parse_point_list(text: str, where: str) -> tuple[complex, ...]:
     return tuple(_parse_complex(s.strip(), where) for s in items)
 
 
-def _parse_regime_nome(value: Any, where: str) -> Regime:
-    try:
-        return Regime.elliptic(_parse_complex(value, where))
-    except NomeTooLarge as exc:
-        raise ConfigError(f"{where}: {exc}")
-
-
-def _reject_unknown(section: dict, known: tuple[str, ...], where: str) -> None:
-    for key in section:
-        if key not in known:
-            raise ConfigError(f"{where}: unknown key {key!r}; known: {', '.join(known)}")
-
-
 def build_config(args: argparse.Namespace) -> RunConfig:
-    raw: dict[str, Any] = {}
-    if args.config is not None:
-        import yaml  # here, not at the top: most runs pass no config, and PyYAML slows start-up
-
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                raw = yaml.safe_load(fh) or {}
-        except FileNotFoundError:
-            raise ConfigError(f"--config: file not found: {args.config!r}")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"--config: cannot read {args.config!r}: {exc}")
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"config: not valid YAML: {exc}")
-        if not isinstance(raw, dict):
-            raise ConfigError("config: top level must be a mapping")
-
-    _reject_unknown(raw, ("model", "run", "tolerances"), "config")
-    model = raw.get("model", {})
-    if not isinstance(model, dict):
-        raise ConfigError("model: must be a mapping")
-    _reject_unknown(model, ("L", "gamma", "mu", "regime"), "model")
-    run = raw.get("run", {})
-    if not isinstance(run, dict):
-        raise ConfigError("run: must be a mapping")
-    _reject_unknown(run, ("seed", "samples", "checks"), "run")
-
-    L = args.L if args.L is not None else model.get("L", 3)
-    if not _is_int(L) or not (1 <= L <= MAX_L):
-        raise ConfigError(f"model.L: expected an integer in 1..{MAX_L}, got {L!r}")
+    """The run the flags describe; ``make_parser`` holds the defaults."""
+    L = args.L
+    if not 1 <= L <= MAX_L:
+        raise ConfigError(f"--L: expected an integer in 1..{MAX_L}, got {L!r}")
 
     gamma = _parse_complex(args.gamma, "--gamma") if args.gamma is not None \
-        else _parse_complex(model.get("gamma", sampling.DEFAULT_GAMMA), "model.gamma")
+        else sampling.DEFAULT_GAMMA
 
-    regime_cfg = model.get("regime", {"elliptic": {"nome": sampling.DEFAULT_NOME}})
-    if isinstance(regime_cfg, dict):
-        _reject_unknown(regime_cfg, ("trig", "elliptic"), "model.regime")
-        if len(regime_cfg) > 1:
-            raise ConfigError("model.regime: give one of trig, elliptic, not both")
     if args.trig:
         regime = Regime.trigonometric()
-    elif args.nome is not None:
-        regime = _parse_regime_nome(args.nome, "--nome")
-    elif regime_cfg == "trig" or regime_cfg == {"trig": True}:
-        regime = Regime.trigonometric()
-    elif isinstance(regime_cfg, dict) and "elliptic" in regime_cfg:
-        ell = regime_cfg["elliptic"] or {}
-        if not isinstance(ell, dict):
-            raise ConfigError("model.regime.elliptic: must be a mapping")
-        _reject_unknown(ell, ("nome",), "model.regime.elliptic")
-        regime = _parse_regime_nome(ell.get("nome", sampling.DEFAULT_NOME),
-                                    "model.regime.elliptic.nome")
     else:
-        raise ConfigError("model.regime: expected 'trig' or {elliptic: {nome: ...}}")
+        nome = _parse_complex(args.nome, "--nome") if args.nome is not None \
+            else sampling.DEFAULT_NOME
+        try:
+            regime = Regime.elliptic(nome)
+        except NomeTooLarge as exc:
+            raise ConfigError(f"--nome: {exc}")
 
-    seed = args.seed if args.seed is not None else run.get("seed", 0)
-    if not _is_int(seed) or seed < 0 or seed >= 2 ** 64:
-        raise ConfigError(f"run.seed: expected an unsigned 64-bit integer, got {seed!r}")
+    seed = args.seed
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError(f"--seed: expected an unsigned 64-bit integer, got {seed!r}")
 
-    mu_cfg = model.get("mu", "random")
-    mu_where = "--mu" if args.mu is not None else "model.mu"
-    if args.mu is not None:
-        mu = _parse_point_list(args.mu, "--mu")
-    elif mu_cfg == "random":
+    if args.mu is None:
         mu = sampling.sample_mu(_rng(seed, MODEL_SEED_KEY), L)
-    elif isinstance(mu_cfg, list):
-        mu = tuple(_parse_complex(v, f"model.mu[{k}]") for k, v in enumerate(mu_cfg))
     else:
-        raise ConfigError("model.mu: expected 'random' or a list of complex values")
-    if len(mu) != L:
-        raise ConfigError(f"{mu_where}: length {len(mu)} does not match model.L = {L}")
-    _require_distinct(mu, mu_where)
+        mu = _parse_point_list(args.mu, "--mu")
+        if len(mu) != L:
+            raise ConfigError(f"--mu: length {len(mu)} does not match --L = {L}")
+        _require_distinct(mu, "--mu")
 
     try:
         ctx = ModelContext(L=L, gamma=gamma, mu=mu, regime=regime)
@@ -215,45 +121,26 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if args.command != "run":
         return RunConfig(ctx=ctx, seed=seed)
 
-    samples = args.samples if args.samples is not None else run.get("samples", 20)
-    if not _is_int(samples) or samples < 1:
-        raise ConfigError(f"run.samples: expected a positive integer, got {samples!r}")
+    if args.samples < 1:
+        raise ConfigError(f"--samples: expected a positive integer, got {args.samples!r}")
 
-    if args.checks is not None:
-        checks = [c.strip() for c in args.checks.split(",") if c.strip()]
-    elif "checks" in run:
-        checks = run["checks"]
-    else:
+    if args.checks is None:
         checks = [name for name, cd in REGISTRY.items() if _domain_error(cd, ctx) is None]
-    where = "--checks" if args.checks is not None else "run.checks"
-    if not isinstance(checks, list) or not checks:
-        raise ConfigError(f"{where}: expected a non-empty list of check names")
-    for k, name in enumerate(checks):
-        if not isinstance(name, str):
-            raise ConfigError(f"{where}: expected check names, got {name!r}")
-        if name in checks[:k]:
-            raise ConfigError(f"{where}: check {name!r} named twice")
-        if name not in REGISTRY:
-            raise ConfigError(f"{where}: unknown check {name!r}; "
-                              f"known: {', '.join(REGISTRY)}")
-        reason = _domain_error(REGISTRY[name], ctx)
-        if reason is not None:
-            raise ConfigError(f"{where}: check {name!r} {reason}")
+    else:
+        checks = [c.strip() for c in args.checks.split(",") if c.strip()]
+        if not checks:
+            raise ConfigError("--checks: expected a non-empty list of check names")
+        for k, name in enumerate(checks):
+            if name in checks[:k]:
+                raise ConfigError(f"--checks: check {name!r} named twice")
+            if name not in REGISTRY:
+                raise ConfigError(f"--checks: unknown check {name!r}; "
+                                  f"known: {', '.join(REGISTRY)}")
+            reason = _domain_error(REGISTRY[name], ctx)
+            if reason is not None:
+                raise ConfigError(f"--checks: check {name!r} {reason}")
 
-    tol_over = raw.get("tolerances", {})
-    if not isinstance(tol_over, dict):
-        raise ConfigError("tolerances: must be a mapping of check name to value")
-    tolerances = {}
-    for name, value in tol_over.items():
-        if name not in REGISTRY:
-            raise ConfigError(f"tolerances: unknown check {name!r}")
-        tolerances[name] = _parse_float(value, f"tolerances.{name}")
-        if tolerances[name] < 0:
-            raise ConfigError(f"tolerances.{name}: expected a non-negative number, "
-                              f"got {value!r}")
-
-    return RunConfig(ctx=ctx, seed=seed, samples=samples, checks=checks,
-                     tolerances=tolerances)
+    return RunConfig(ctx=ctx, seed=seed, samples=args.samples, checks=checks)
 
 
 # --- check registry ------------------------------------------------------
@@ -485,7 +372,7 @@ def run_suite(cfg: RunConfig, out=None) -> int:
     print(json.dumps(header, allow_nan=False), file=out, flush=True)
     for name in cfg.checks:
         cd = REGISTRY[name]
-        tolerance = cfg.tolerances.get(name, cd.tolerance)
+        tolerance = cd.tolerance
         rng = _rng(cfg.seed, REGISTRY_INDEX[name])
 
         def write(k, params, residual, error, t0) -> bool:
@@ -606,14 +493,13 @@ def _compute_sn(cfg: RunConfig, args) -> int:
 # --- entry point ----------------------------------------------------------
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="YAML configuration file")
-    parser.add_argument("--L", type=int, help="chain length")
+    parser.add_argument("--L", type=int, default=3, help="chain length (default: 3)")
     parser.add_argument("--gamma", help="crossing parameter as RE,IM")
     parser.add_argument("--nome", help="elliptic nome as RE,IM")
     parser.add_argument("--trig", action="store_true",
                         help="use the trigonometric (six-vertex) regime")
     parser.add_argument("--mu", help="inhomogeneities as RE,IM;RE,IM;...")
-    parser.add_argument("--seed", type=int, help="64-bit RNG seed")
+    parser.add_argument("--seed", type=int, default=0, help="64-bit RNG seed (default: 0)")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -627,7 +513,8 @@ def make_parser() -> argparse.ArgumentParser:
     _add_model_flags(p_run)
     p_run.add_argument("--checks", help="comma-separated check names "
                        f"(known: {', '.join(REGISTRY)})")
-    p_run.add_argument("--samples", type=int, help="samples per check")
+    p_run.add_argument("--samples", type=int, default=20,
+                       help="samples per check (default: 20)")
     p_run.add_argument("--out", help="write the report stream to this file")
 
     p_cmp = sub.add_parser("compute", help="evaluate a lattice quantity")

@@ -86,53 +86,10 @@ def test_run_trig_only_check_on_elliptic_model(capsys):
     assert "trigonometric" in err
 
 
-def test_run_regime_with_both_keys_is_config_error(tmp_path, capsys):
-    # neither regime may silently win over the other
-    cfg = tmp_path / "both.yaml"
-    cfg.write_text("model:\n  regime:\n    trig: true\n    elliptic:\n      nome: 0.2\n")
-    for flags in ([], ["--trig"]):
-        code, out, err = run_cli(["run", "--config", str(cfg), "--checks", "dybe"] + flags,
-                                 capsys)
-        assert code == 2 and out == ""
-        assert "configuration error: model.regime: give one of trig, elliptic" in err
-
-
-@pytest.mark.parametrize("entry", ["[1]", "{a: 1}", "1", "null"])
-def test_run_non_string_check_name_is_config_error(tmp_path, capsys, entry):
-    cfg = tmp_path / "checks.yaml"
-    cfg.write_text(f"run:\n  checks: [{entry}]\n  samples: 1\n")
-    code, out, err = run_cli(["run", "--config", str(cfg)], capsys)
+def test_run_check_named_twice_is_config_error(capsys):
+    code, out, err = run_cli(["run", "--checks", "dybe,rll,dybe", "--samples", "1"], capsys)
     assert code == 2 and out == ""
-    assert "configuration error: run.checks: expected check names, got " in err
-    assert "Traceback" not in err
-
-
-@pytest.mark.parametrize("source", ["flag", "config"])
-def test_run_check_named_twice_is_config_error(tmp_path, capsys, source):
-    if source == "flag":
-        args = ["run", "--checks", "dybe,rll,dybe", "--samples", "1"]
-    else:
-        cfg = tmp_path / "twice.yaml"
-        cfg.write_text("run:\n  checks: [rll, dybe, rll]\n  samples: 1\n")
-        args = ["run", "--config", str(cfg)]
-    code, out, err = run_cli(args, capsys)
-    twice, where = ("dybe", "--checks") if source == "flag" else ("rll", "run.checks")
-    assert code == 2 and out == ""
-    assert f"configuration error: {where}: check {twice!r} named twice" in err
-
-
-@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
-def test_unreadable_config_is_config_error(tmp_path, capsys, kind):
-    # a config path that cannot be read as UTF-8 text ends in exit 2, not a traceback
-    path = tmp_path / "config.yaml"
-    if kind == "directory":
-        path.mkdir()
-    else:
-        path.write_bytes(b"run:\n  samples: 1\n  # \xff\xfe\n")
-    code, out, err = run_cli(["run", "--config", str(path), "--checks", "dybe"], capsys)
-    assert code == 2 and out == ""
-    assert f"configuration error: --config: cannot read {str(path)!r}: " in err
-    assert "Traceback" not in err
+    assert "configuration error: --checks: check 'dybe' named twice" in err
 
 
 def test_run_threads_flag_is_gone(capsys):
@@ -142,106 +99,40 @@ def test_run_threads_flag_is_gone(capsys):
     assert "--threads" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text, where, key", [
-    ("modle:\n  L: 2\n", "config", "modle"),
-    ("model:\n  gama: [0.4, 0.0]\n", "model", "gama"),
-    ("model:\n  tolerance:\n    rel_tl: 1.0e-9\n", "model", "tolerance"),
-    ("model:\n  regime:\n    elliptic:\n      nom: [0.2, 0.0]\n",
-     "model.regime.elliptic", "nom"),
-    ("run:\n  sample: 50\n", "run", "sample"),
-    ("run:\n  threads: 4\n", "run", "threads"),
-    ("model:\n  regime:\n    elliptic:\n      nome: 0.2\n    foo: 1\n", "model.regime", "foo"),
-    ("model:\n  regime:\n    trigg: true\n", "model.regime", "trigg"),
-])
-def test_run_unknown_config_key_is_config_error(tmp_path, capsys, text, where, key):
-    cfg = tmp_path / "typo.yaml"
-    cfg.write_text(text)
-    code, out, err = run_cli(["run", "--config", str(cfg), "--checks", "dybe"], capsys)
-    assert code == 2 and out == ""
-    assert f"configuration error: {where}: unknown key {key!r}" in err
-
-
-@pytest.mark.parametrize("text, where", [
-    ("model:\n  L: true\n", "model.L"),
-    ("run:\n  seed: false\n", "run.seed"),
-    ("run:\n  samples: true\n", "run.samples"),
-    ("model:\n  gamma: true\n", "model.gamma"),
-    ("model:\n  gamma: [true, 0.0]\n", "model.gamma"),
-    ("model:\n  L: 2\n  mu: [false, 0.1]\n", "model.mu[0]"),
-    ("model:\n  regime:\n    elliptic:\n      nome: false\n",
-     "model.regime.elliptic.nome"),
-    ("tolerances:\n  dybe: true\n", "tolerances.dybe"),
-])
-def test_yaml_boolean_is_not_a_number(tmp_path, capsys, text, where):
-    # YAML reads true/false as bool, which Python counts as the int 1/0
-    cfg = tmp_path / "bool.yaml"
-    cfg.write_text(text)
-    code, out, err = run_cli(["run", "--config", str(cfg), "--checks", "dybe"], capsys)
-    assert code == 2 and out == ""
-    assert f"configuration error: {where}: expected" in err
-
-
-def test_invalid_yaml_is_config_error(tmp_path, capsys):
-    cfg = tmp_path / "broken.yaml"
-    cfg.write_text("model: [1, 2\n")
-    code, out, err = run_cli(["run", "--config", str(cfg), "--checks", "dybe"], capsys)
-    assert code == 2 and out == ""
-    assert "configuration error: config: not valid YAML" in err
+def test_run_config_flag_is_gone(capsys):
+    # flags are the only input: there is no configuration file to read
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--config", "x.yaml"])
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
 
 
 def test_run_without_config_does_not_import_yaml():
+    # with every import of yaml made to fail, run and compute still work
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     code = ("import sys\n"
+            "sys.modules['yaml'] = None\n"
             "from yblab import cli\n"
-            "assert cli.main(['compute', 'z', '--L', '2', '--seed', '1']) == 0\n"
-            "print('yaml' in sys.modules)\n")
+            "assert cli.main(['run', '--L', '2', '--checks', 'dybe', '--samples', '1',\n"
+            "                 '--seed', '1']) == 0\n"
+            "assert cli.main(['compute', 'z', '--L', '2', '--seed', '1']) == 0\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
 
 
-@pytest.mark.parametrize("text", ["run: {checks: [pde-omega]}", "run: {samples: 0}",
-                                  "tolerances: {pde-omega: -1.0}"])
-def test_compute_ignores_settings_only_run_reads(tmp_path, capsys, text):
-    # pde-omega is undefined at L = 5; compute runs no check, so it does not care
-    cfg = tmp_path / "c.yaml"
-    cfg.write_text(f"model: {{L: 5, regime: trig}}\n{text}\n")
-    code, out, err = run_cli(["compute", "z", "--config", str(cfg)], capsys)
-    assert code == 0, err
-    assert json.loads(out)["record"] == "compute-z"
-
-
-def test_compute_reads_run_seed_and_rejects_unknown_keys(tmp_path, capsys):
-    cfg = tmp_path / "c.yaml"
-    cfg.write_text("model: {L: 2}\nrun: {seed: 3}\n")
-    from_config = run_cli(["compute", "z", "--config", str(cfg)], capsys)
-    assert from_config == run_cli(["compute", "z", "--L", "2", "--seed", "3"], capsys)
-    assert from_config != run_cli(["compute", "z", "--L", "2", "--seed", "0"], capsys)
-    cfg.write_text("run: {sample: 1}\n")
-    code, out, err = run_cli(["compute", "z", "--config", str(cfg)], capsys)
+@pytest.mark.parametrize("args, message", [
+    (["--L", "11"], "--L: expected an integer in 1..10, got 11"),
+    (["--seed", "-1"], "--seed: expected an unsigned 64-bit integer, got -1"),
+    (["--samples", "0"], "--samples: expected a positive integer, got 0"),
+    (["--L", "3", "--mu", "0.1,0;0.2,0"], "--mu: length 2 does not match --L = 3"),
+], ids=["L", "seed", "samples", "mu"])
+def test_range_error_names_the_flag(capsys, args, message):
+    code, out, err = run_cli(["run", "--checks", "dybe"] + args, capsys)
     assert code == 2 and out == ""
-    assert "configuration error: run: unknown key 'sample'" in err
-
-
-def _readme_config_block():
-    text = (ROOT / "README.md").read_text(encoding="utf-8")
-    section = text[text.index("### Configuration file"):]
-    start = section.index("```yaml\n") + len("```yaml\n")
-    return section[start:section.index("```\n", start)]
-
-
-@pytest.mark.parametrize("source", ["config.example.yaml", "README.md"])
-def test_documented_configs_build(tmp_path, source):
-    path = ROOT / source
-    if source == "README.md":
-        path = tmp_path / "readme.yaml"
-        path.write_text(_readme_config_block())
-    args = cli.make_parser().parse_args(["run", "--config", str(path)])
-    cfg = cli.build_config(args)
-    assert cfg.ctx.L == 3 and cfg.seed == 42 and cfg.samples == 20
+    assert f"configuration error: {message}" in err
 
 
 @pytest.mark.parametrize("regime", [[], ["--trig"]])
@@ -268,39 +159,23 @@ def test_run_non_finite_values_become_error_records(capsys, gamma, checks):
         assert rec["error"].startswith("NonFinite")
 
 
-def test_run_non_finite_tolerance_is_config_error(tmp_path, capsys):
-    cfg = tmp_path / "nan.yaml"
-    cfg.write_text("tolerances:\n  dybe: .nan\n")
-    code, out, err = run_cli(["run", "--config", str(cfg), "--checks", "dybe"], capsys)
-    assert code == 2 and out == ""
-    assert "tolerances.dybe: expected a finite number" in err
+def test_run_mu_length_mismatch(capsys):
+    for command in (["run", "--checks", "dybe"], ["compute", "z"]):
+        code, out, err = run_cli(command + ["--L", "3", "--mu", "0.1,0;0.2,0"], capsys)
+        assert code == 2 and out == ""
+        assert "configuration error: --mu: length 2 does not match --L = 3" in err
 
 
-def test_run_negative_tolerance_is_config_error(tmp_path, capsys):
-    # no residual can pass a threshold below zero; 0.0 stays allowed
-    cfg = tmp_path / "negative.yaml"
-    cfg.write_text("tolerances:\n  dybe: -1.0\n")
-    code, out, err = run_cli(["run", "--config", str(cfg), "--checks", "dybe"], capsys)
-    assert code == 2 and out == ""
-    assert "tolerances.dybe: expected a non-negative number" in err
-
-
-def test_run_mu_length_mismatch(tmp_path, capsys):
-    cfg = tmp_path / "bad.yaml"
-    cfg.write_text("model:\n  L: 3\n  mu: [[0.1, 0.0], [0.2, 0.0]]\n")
-    code, _, err = run_cli(["run", "--config", str(cfg), "--checks", "dybe"], capsys)
-    assert code == 2
-    assert "model.mu" in err
-
-
-def test_run_injected_zero_tolerance_fails(tmp_path, capsys):
-    cfg = tmp_path / "strict.yaml"
-    cfg.write_text("tolerances:\n  dybe: 0.0\n")
-    code, out, _ = run_cli(["run", "--config", str(cfg), "--checks", "dybe",
-                            "--samples", "2", "--seed", "1"], capsys)
+def test_run_injected_zero_tolerance_fails(monkeypatch, capsys):
+    # the gate compares each residual with the registry's tolerance
+    monkeypatch.setitem(cli.REGISTRY, "dybe", dataclasses.replace(
+        cli.REGISTRY["dybe"], tolerance=0.0))
+    code, out, _ = run_cli(["run", "--checks", "dybe", "--samples", "2", "--seed", "1"],
+                           capsys)
     assert code == 1
     samples = [r for r in parse_records(out) if r.get("check") == "dybe"]
-    assert all(r["pass"] is False for r in samples)
+    assert len(samples) == 2
+    assert all(r["pass"] is False and r["tolerance"] == 0.0 for r in samples)
 
 
 def test_run_error_records_do_not_abort(monkeypatch, capsys):
@@ -577,16 +452,11 @@ def test_compute_sn_point_count_is_validated(capsys, points, message, method):
     assert f"configuration error: {message}" in err
 
 
-def test_coincident_explicit_mu_is_config_error(tmp_path, capsys):
+def test_coincident_explicit_mu_is_config_error(capsys):
     code, out, err = run_cli(["run", "--L", "2", "--mu", "0.1,0;0.1,0",
                               "--checks", "dybe", "--samples", "1"], capsys)
     assert code == 2 and out == ""
     assert "configuration error: --mu: points 0 and 1 coincide" in err
-    cfg = tmp_path / "mu.yaml"
-    cfg.write_text("model:\n  L: 2\n  mu: [[0.1, 0.0], [0.1, 1.0e-9]]\n")
-    code, out, err = run_cli(["run", "--config", str(cfg), "--checks", "dybe"], capsys)
-    assert code == 2 and out == ""
-    assert "configuration error: model.mu: points 0 and 1 coincide" in err
 
 
 @pytest.mark.parametrize("command, message", [
@@ -657,27 +527,23 @@ def test_unwritable_out_is_config_error(tmp_path, capsys):
 RUN_ONE = ["run", "--L", "2", "--samples", "1"]
 
 
-@pytest.mark.parametrize("args, config, where", [
+@pytest.mark.parametrize("args, detail, where", [
     (RUN_ONE + ["--checks", ""], None, "--checks"),
     (RUN_ONE + ["--checks", "dybe", "--gamma", ""], None, "--gamma"),
     (RUN_ONE + ["--checks", "dybe", "--nome", ""], None, "--nome"),
     (RUN_ONE + ["--checks", "dybe", "--mu", ""], None, "--mu"),
-    (RUN_ONE + ["--checks", "dybe", "--config", ""], None, "--config"),
+    (["compute", "z", "--L", "2", "--gamma", ""], "cannot parse complex number from ''",
+     "--gamma"),
     (RUN_ONE + ["--checks", "dybe", "--out", ""], None, "--out"),
     (["compute", "z", "--L", "2", "--points", ""], None, "--points"),
     (["compute", "z", "--L", "2", "--theta", ""], None, "--theta"),
-    (RUN_ONE, "run: {checks: []}", "run.checks"),
-    (RUN_ONE, "run: {checks: null}", "run.checks"),
 ])
-def test_empty_value_is_config_error(tmp_path, capsys, args, config, where):
-    # an empty value is read like any other, not taken for an absent one
-    if config is not None:
-        path = tmp_path / "empty.yaml"
-        path.write_text(config)
-        args = args + ["--config", str(path)]
+def test_empty_value_is_config_error(capsys, args, detail, where):
+    # an empty value is read like any other, not taken for an absent one;
+    # detail, when given, is the message expected after the flag's name
     code, out, err = run_cli(args, capsys)
     assert code == 2 and out == ""
-    assert f"configuration error: {where}: " in err
+    assert f"configuration error: {where}: {detail or ''}" in err
 
 
 def test_compute_sn_empty_point_lists_are_zero_points(capsys):
