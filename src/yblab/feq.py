@@ -30,8 +30,7 @@ import numpy as np
 from .errors import RegimeMismatch, SingularCoefficient, SizeMismatch
 from .lattice_qty import Evaluator, as_values
 from .special_fn import six_vertex
-from .yb_core import (ModelContext, _monodromy_blocks, build_chains, monodromy_blocks, residual,
-                      term_residual)
+from .yb_core import ModelContext, _monodromy_blocks, build_chains, residual, term_residual
 
 #: Relative floor for coefficient denominators.
 DENOM_RTOL = 1e-12
@@ -234,8 +233,9 @@ def verify_ab(l1: complex, l2: complex, ctx: ModelContext) -> float:
     a, b, c = six_vertex(ctx.gamma)
     d = l2 - l1
     _guard(b(d), abs(c), "b(lam_2 - lam_1)")
-    a1, b1 = monodromy_blocks(l1, 0.0, ctx)[:2]
-    a2, b2 = monodromy_blocks(l2, 0.0, ctx)[:2]
+    blocks = _block_table(ctx, [(l1, 0.0), (l2, 0.0)])
+    a1, b1 = blocks(l1, 0.0)[:2]
+    a2, b2 = blocks(l2, 0.0)[:2]
     lhs = a1 @ b2
     rhs = (a(d) / b(d)) * b2 @ a1 - (c / b(d)) * b1 @ a2
     return residual(lhs, rhs)

@@ -14,8 +14,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import RegimeMismatch, SizeMismatch
-from .yb_core import (ABS_FLOOR, ModelContext, _apply_block, apply_block, build_chains,
-                      monodromy_blocks, residual)
+from .yb_core import (ABS_FLOOR, ModelContext, _apply_block, build_chains, monodromy_blocks,
+                      residual)
 
 #: A bulk partition-function evaluator: the value at each ``(points,
 #: theta)`` of a list, in order, as :func:`dwbc_partitions` gives them.
@@ -74,7 +74,8 @@ def scalar_product_bf(XB, YC, ctx: ModelContext) -> complex:
 
     Defined only after the trigonometric limit; elliptic contexts are
     rejected.  ``n > L`` is allowed and gives an exact zero (the
-    creation string leaves the weight lattice).
+    creation string leaves the weight lattice).  Its 2n chains are built
+    up front by one :func:`build_chains` call.
     """
     if ctx.is_elliptic:
         raise RegimeMismatch("scalar products are defined in the trigonometric regime only")
@@ -82,12 +83,13 @@ def scalar_product_bf(XB, YC, ctx: ModelContext) -> complex:
     yc = as_values(YC)
     if len(xb) != len(yc):
         raise SizeMismatch(f"|XB| = {len(xb)} differs from |YC| = {len(yc)}")
+    chains = build_chains([(lam, 0.0, 0) for lam in xb + yc], ctx)
     vec = np.zeros(ctx.dim, dtype=complex)
     vec[0] = 1.0
     for lam in reversed(xb):
-        vec = apply_block("B", lam, 0.0, ctx, vec)
+        vec = _apply_block(chains, "B", lam, 0.0, ctx, vec)
     for lam in yc:
-        vec = apply_block("C", lam, 0.0, ctx, vec)
+        vec = _apply_block(chains, "C", lam, 0.0, ctx, vec)
     return complex(vec[0])
 
 

@@ -24,12 +24,14 @@ operations it uses are chosen to round exactly as the scalar ones:
 * complex products are spelled out in real components, because numpy's
   complex ``*`` may round differently from Python's;
 * running sums are ``np.cumsum``, which adds in sequence, seeded with
-  the carried partial sum.
+  ``0j`` as the scalar sum is.
 
+The batch sums one chunk of terms per point, enough near the real axis.
 ``np.sin`` is ``cmath.sin`` only up to ``|Im| = 708``.  A point that
 would need a sine beyond that, whose partial sums stop being finite
-before it converges, or that does not converge, is summed by
-:func:`theta1` instead, which raises what the scalar series raises.
+before it converges, or that does not converge within the chunk, is
+summed by :func:`theta1` instead, which raises what the scalar series
+raises.
 """
 
 from __future__ import annotations
@@ -119,12 +121,12 @@ def _theta1_coefficients(params: EllipticParams) -> tuple[complex, ...]:
 def _theta1_coefficient_arrays(params: EllipticParams
                                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Real parts, imaginary parts and odd multipliers ``2n+1`` of the terms,
-    and the chunk of terms :func:`theta1_batch` sums per step.
+    and the chunk of terms :func:`theta1_batch` sums per point.
 
     The chunk is the number of terms after which the coefficients alone
     fall below ``TERM_TOL`` of the first, plus four: one for the
     two-term stop rule and three for the growth of the sines near the
-    real axis.  Points further from it take further chunks.
+    real axis.  Points further from it are summed by :func:`theta1`.
     """
     coeffs = np.array(_theta1_coefficients(params), dtype=complex)
     arrays = (coeffs.real.copy(), coeffs.imag.copy(),
@@ -168,70 +170,45 @@ def theta1(z: complex, params: EllipticParams) -> complex:
 def theta1_batch(z: Sequence[complex], params: EllipticParams) -> np.ndarray:
     """:func:`theta1` at every point of the 1-d ``z``, bit for bit.
 
-    Blocks of ``_BATCH_BLOCK`` points are summed in turn, a chunk of
-    terms at a time for all points not yet converged (see the module
-    docstring for why each operation rounds as in :func:`theta1`).
-    Points that need the scalar loop's error handling are summed by
-    :func:`theta1` in index order at the end of their block, so the
-    error raised is the one of the first failing point.  No numpy
-    warning is emitted.
+    Blocks of ``_BATCH_BLOCK`` points are summed in turn, each in one
+    array pass over the first chunk of terms (see the module docstring
+    for why each operation rounds as in :func:`theta1`); a point takes
+    its value where it first meets the stop rule.  The other points are
+    summed by :func:`theta1` in index order at the end of their block,
+    so the error raised is the one of the first failing point.  No
+    numpy warning is emitted.
     """
     z = np.asarray(z, dtype=complex)
     if z.size > _BATCH_BLOCK:
         return np.concatenate([theta1_batch(z[i:i + _BATCH_BLOCK], params)
                                for i in range(0, z.size, _BATCH_BLOCK)])
-    out = np.empty_like(z)
     coeff_re, coeff_im, odd, chunk = _theta1_coefficient_arrays(params)
-    tol = TERM_TOL
-    todo = np.arange(z.size)  # points still taking terms
-    total = np.zeros(z.size, dtype=complex)  # carried partial sums
-    scale = np.full(z.size, 1e-300)  # carried largest |partial sum|
-    prev_mag = np.full(z.size, np.inf)  # carried |last term|
-    scalar = []  # points handed to theta1
+    k, cr, ci = odd[:chunk], coeff_re[:chunk], coeff_im[:chunk]
+    zr, zi = z.real[:, None], z.imag[:, None]
     with np.errstate(all="ignore"):
-        for start in range(0, params.series_cap, chunk):
-            terms = slice(start, start + chunk)
-            k, cr, ci = odd[terms], coeff_re[terms], coeff_im[terms]
-            far = np.abs(z.imag[todo]) * k[-1] > _SIN_EXACT_IM
-            if far.any():
-                scalar += todo[far].tolist()
-                todo, total, scale, prev_mag = (a[~far] for a in (todo, total, scale, prev_mag))
-            if not todo.size:
-                break
-            zr, zi = z.real[todo, None], z.imag[todo, None]
-            arg = np.empty((todo.size, k.size), dtype=complex)
-            arg.real = k * zr - 0.0 * zi  # (2n+1) * z as the complex (2n+1, 0) times z
-            arg.imag = k * zi + 0.0 * zr
-            sine = np.sin(arg)
-            # column 0 of each table holds the carried value
-            run = np.empty((todo.size, k.size + 1), dtype=complex)
-            run[:, 0] = total
-            np.subtract(cr * sine.real, ci * sine.imag, out=run.real[:, 1:])
-            np.add(cr * sine.imag, ci * sine.real, out=run.imag[:, 1:])
-            mags = np.empty(run.shape)
-            mags[:, 0] = prev_mag
-            np.hypot(run.real[:, 1:], run.imag[:, 1:], out=mags[:, 1:])
-            np.cumsum(run, axis=1, out=run)
-            scales = np.empty(run.shape)
-            scales[:, 0] = scale
-            np.hypot(run.real[:, 1:], run.imag[:, 1:], out=scales[:, 1:])
-            # a non-finite term or partial sum (the sum of two such sizes
-            # may also overflow; theta1 then merely redoes the point)
-            bad = ~np.isfinite(mags[:, 1:] + scales[:, 1:])
-            np.maximum.accumulate(scales, axis=1, out=scales)
-            stop = np.maximum(mags[:, :-1], mags[:, 1:]) <= tol * scales[:, 1:]
-            ended = stop | bad
-            first = ended.argmax(axis=1)
-            rows = np.arange(todo.size)
-            hit = ended[rows, first]
-            clean = hit & ~bad[rows, first]
-            out[todo[clean]] = run[clean, first[clean] + 1]
-            scalar += todo[hit & ~clean].tolist()
-            todo, going = todo[~hit], ~hit
-            if todo.size:
-                total, scale, prev_mag = run[going, -1], scales[going, -1], mags[going, -1]
-    scalar += todo.tolist()  # out of terms: theta1 raises NonConvergent
-    for i in sorted(scalar):
+        arg = np.empty((z.size, k.size), dtype=complex)
+        arg.real = k * zr - 0.0 * zi  # (2n+1) * z as the complex (2n+1, 0) times z
+        arg.imag = k * zi + 0.0 * zr
+        sine = np.sin(arg)
+        # column 0 of each table holds the value before the first term
+        run = np.zeros((z.size, k.size + 1), dtype=complex)
+        np.subtract(cr * sine.real, ci * sine.imag, out=run.real[:, 1:])
+        np.add(cr * sine.imag, ci * sine.real, out=run.imag[:, 1:])
+        mags = np.full(run.shape, np.inf)
+        np.hypot(run.real[:, 1:], run.imag[:, 1:], out=mags[:, 1:])
+        np.cumsum(run, axis=1, out=run)
+        scales = np.full(run.shape, 1e-300)
+        np.hypot(run.real[:, 1:], run.imag[:, 1:], out=scales[:, 1:])
+        # a non-finite term or partial sum (the sum of two such sizes
+        # may also overflow; theta1 then merely redoes the point)
+        bad = ~np.isfinite(mags[:, 1:] + scales[:, 1:])
+        np.maximum.accumulate(scales, axis=1, out=scales)
+        stop = np.maximum(mags[:, :-1], mags[:, 1:]) <= TERM_TOL * scales[:, 1:]
+    rows = np.arange(z.size)
+    first = (stop | bad).argmax(axis=1)
+    out = run[rows, first + 1]
+    clean = stop[rows, first] & ~bad[rows, first]
+    for i in np.flatnonzero(~clean | (np.abs(z.imag) * k[-1] > _SIN_EXACT_IM)):
         out[i] = theta1(complex(z[i]), params)
     return out
 

@@ -16,8 +16,8 @@ Conventions, fixed once and used everywhere:
 
 No vertex table outlives the evaluation that built it: an operator or
 equation lists the monodromy chains it reads, and :func:`build_chains`
-builds them all up front from one batch of distinct weights into a
-lookup of its own.
+builds the tables of all their sites up front, in one :func:`_site_tables`
+call on one batch of distinct weights, into a lookup of its own.
 """
 
 from __future__ import annotations
@@ -115,27 +115,25 @@ def r_matrix(lam: complex, theta: complex, ctx: ModelContext) -> np.ndarray:
     (sinh(lam+gamma), sinh(lam), sinh(gamma)); ``theta`` is ignored.
     This is the 4x4 view of the one-sector table of :func:`_site_tables`.
     """
-    table = next(_site_tables([(lam, 0)], theta, ctx))
+    table = next(_site_tables([(lam, theta, 0)], ctx))
     r = np.diag(table[0])
     r[1, 2], r[2, 1] = table[1, 1:3]
     return r
 
 
-def _weight_points(sites: Sequence[tuple[complex, int]], theta: complex,
-                   g: complex) -> list[complex]:
+def _weight_points(sites: Sequence[tuple[complex, complex, int]], g: complex) -> list[complex]:
     """Elliptic weight arguments of the tables of ``sites``, as :func:`_site_tables` reads them."""
     points = [g]
-    for lam, n_shift in sites:
+    for lam, theta, n_shift in sites:
         for s in range(n_shift + 1):
             t = theta - g * (n_shift - 2 * s)
             points += (t, t - g, t + g) + ((lam + g, lam) if s == 0 else ()) + (t - lam, t + lam)
     return points
 
 
-def _site_tables(sites: Sequence[tuple[complex, int]], theta: complex,
-                 ctx: ModelContext, values: Iterator[complex] | None = None
+def _site_tables(sites: Sequence[tuple[complex, complex, int]], ctx: ModelContext
                  ) -> Iterator[np.ndarray]:
-    """Nonzero vertex amplitudes on each weight sector, per ``(lam, n_shift)`` of ``sites``.
+    """Nonzero vertex amplitudes on each weight sector, per ``(lam, theta, n_shift)`` of ``sites``.
 
     The one place the weights of :func:`r_matrix` are formed.  Sector
     ``s`` (``s`` of the ``n_shift`` shift sites down) has spin weight
@@ -147,28 +145,26 @@ def _site_tables(sites: Sequence[tuple[complex, int]], theta: complex,
     the nonzero entries of the vertex matrix.  Tables are read-only and
     come in the order of ``sites``.
 
-    The elliptic weights are read in the order :func:`_weight_points`
-    lists them: ``f(gamma)``; then per sector ``f(t)`` and ``f(t -+
-    gamma)``, the pole test, ``f(lam + gamma)`` and ``f(lam)`` in a
-    site's first sector only, and ``f(t -+ lam)``.  They come from
-    ``values`` when given (the weights of those points, as
-    :func:`build_chains` passes them), else from one
-    :func:`_weights_by_bits` batch.  Trigonometric tables are six-vertex
-    tables, with ``theta`` and the shift ignored.
+    The elliptic weights of all the sites come from one
+    :func:`_weights_by_bits` batch, before any table is built, and are
+    read in the order :func:`_weight_points` lists them: ``f(gamma)``;
+    then per sector ``f(t)`` and ``f(t -+ gamma)``, the pole test,
+    ``f(lam + gamma)`` and ``f(lam)`` in a site's first sector only, and
+    ``f(t -+ lam)``.  Trigonometric tables are six-vertex tables, with
+    ``theta`` and the shift ignored.
     """
     if not ctx.is_elliptic:
         a_of, b_of, c = six_vertex(ctx.gamma)
-        for lam, _ in sites:
+        for lam, _, _ in sites:
             a, b = a_of(lam), b_of(lam)
             table = np.array(((a, b, b, a), (0j, c, c, 0j)), dtype=complex)
             table.setflags(write=False)
             yield table
         return
     g = ctx.gamma
-    if values is None:
-        values = _weights_by_bits(_weight_points(sites, theta, g), ctx)
+    values = _weights_by_bits(_weight_points(sites, g), ctx)
     fg = next(values)
-    for lam, n_shift in sites:
+    for lam, theta, n_shift in sites:
         diag, off = [], []
         for s in range(n_shift + 1):
             w = n_shift - 2 * s
@@ -184,27 +180,6 @@ def _site_tables(sites: Sequence[tuple[complex, int]], theta: complex,
         table = np.array((diag, off), dtype=complex)
         table.setflags(write=False)
         yield table
-
-
-def _chain_sites(lam: complex, n_extra: int, ctx: ModelContext) -> list[tuple[complex, int]]:
-    """``(lam - mu_k, n_shift)`` per chain site ``k``: the extra shift sites and those after it."""
-    return [(lam - ctx.mu[k], n_extra + ctx.L - 1 - k) for k in range(ctx.L)]
-
-
-def _build_chain(lam: complex, theta: complex, n_extra: int, ctx: ModelContext,
-                 values: Iterator[complex] | None) -> tuple[np.ndarray, ...]:
-    """Vertex tables of a monodromy chain, site 1 first (``values`` as for :func:`_site_tables`).
-
-    A pole raises :class:`DynamicalPole` naming the site and the weight
-    sector, the first in (site, sector) order.
-    """
-    tables = []
-    try:
-        for table in _site_tables(_chain_sites(lam, n_extra, ctx), theta, ctx, values):
-            tables.append(table)
-    except DynamicalPole as exc:
-        raise DynamicalPole(f"site {len(tables) + 1}, {exc}") from exc
-    return tuple(tables)
 
 
 def _weights_by_bits(points: Sequence[complex], ctx: ModelContext) -> Iterator[complex]:
@@ -225,28 +200,32 @@ Chains = Callable[[complex, complex, int], tuple[np.ndarray, ...]]
 
 
 def build_chains(keys: Iterable[tuple[complex, complex, int]], ctx: ModelContext) -> Chains:
-    """A lookup over the chains of ``keys``, all built up front from one weight batch.
+    """A lookup over the chains of ``keys``, all built up front by one :func:`_site_tables` call.
 
-    A key is ``(lam, theta, n_extra)``.  The weight arguments of the
-    chains are listed as :func:`_site_tables` reads them, the distinct
-    ones are evaluated in one call (:func:`_weights_by_bits`), and the
-    chains are built from those values in key order, with the bits of
-    a chain built alone.  Errors are raised here: a weight error by the
-    batch, a pole by the first chain in key order that meets one.  The
-    lookup never builds, so an operator or equation lists every chain
-    it reads.  In the trigonometric regime shifts are inert, so a chain
-    is keyed by ``lam`` alone.
+    A key is ``(lam, theta, n_extra)``; chain site ``k`` is the site
+    ``(lam - mu_k, theta, n_extra + L - 1 - k)``, shifted by the extra
+    shift sites and the chain sites after it.  The sites of all the
+    distinct keys, in key order, take their weights from one batch, so
+    each chain has the bits of a chain built alone.  Errors are raised
+    here: a weight error by the batch, a pole by the first site in
+    (chain, site, sector) order that meets one, named by its site and
+    sector.  The lookup never builds, so an operator or equation lists
+    every chain it reads.  In the trigonometric regime shifts are
+    inert, so a chain is keyed by ``lam`` alone.
     """
     def key_of(lam: complex, theta: complex, n_extra: int) -> tuple[complex, complex, int]:
         return (complex(lam), complex(theta), n_extra) if ctx.is_elliptic else (complex(lam), 0j, 0)
 
+    L = ctx.L
     todo = list(dict.fromkeys(key_of(*key) for key in keys))
-    values = None
-    if ctx.is_elliptic and todo:
-        points = [point for lam, theta, n_extra in todo
-                  for point in _weight_points(_chain_sites(lam, n_extra, ctx), theta, ctx.gamma)]
-        values = _weights_by_bits(points, ctx)
-    chains = {key: _build_chain(*key, ctx, values) for key in todo}
+    tables = []
+    try:
+        for table in _site_tables([(lam - ctx.mu[k], theta, n_extra + L - 1 - k)
+                                   for lam, theta, n_extra in todo for k in range(L)], ctx):
+            tables.append(table)
+    except DynamicalPole as exc:
+        raise DynamicalPole(f"site {len(tables) % L + 1}, {exc}") from exc
+    chains = {key: tuple(tables[i * L:(i + 1) * L]) for i, key in enumerate(todo)}
     return lambda lam, theta, n_extra: chains[key_of(lam, theta, n_extra)]
 
 
@@ -294,7 +273,8 @@ def site_factors(specs: Sequence[tuple[complex, tuple[int, int], Sequence[int]]]
     """
     specs = [(complex(lam), tuple(pair), tuple(shift) if ctx.is_elliptic else ())
              for lam, pair, shift in specs]
-    tables = _site_tables([(lam, len(shift)) for lam, _, shift in specs], complex(theta), ctx)
+    theta = complex(theta)
+    tables = _site_tables([(lam, theta, len(shift)) for lam, _, shift in specs], ctx)
     return [(table,) + _layout(n_sites, pair, shift)
             for table, (_, pair, shift) in zip(tables, specs)]
 

@@ -559,12 +559,15 @@ ELLIPTIC_CHECKS = "dybe,rll,hw-actions,identities,fx,z-contour-vs-bf,dia-realiza
 
 @pytest.mark.parametrize("args", [
     ["run", "--L", "3", "--checks", ELLIPTIC_CHECKS, "--samples", "5", "--seed", "1"],
-    ["compute", "z", "--method", "bruteforce", "--L", "10", "--seed", "1"]])
+    ["compute", "z", "--method", "bruteforce", "--L", "10", "--seed", "1"],
+    ["run", "--L", "2", "--nome", "0.85,0.1", "--checks", ELLIPTIC_CHECKS, "--samples", "5",
+     "--seed", "1"]])
 def test_batched_theta_series_keeps_report_streams(monkeypatch, capsys, args):
     # the vertex tables take their elliptic weights from one batched theta
     # series per chain build or site-factor batch; summed point by point by
     # the scalar series instead, every record must keep its bits (wall time
-    # aside)
+    # aside).  At nome 0.85 most batched points need more than the batch's
+    # one chunk of terms and are summed by the scalar series within it
     def stream():
         code, out, err = run_cli(args, capsys)
         return code, re.sub(r', "wall_time_ms": [^,}]*', "", out), err

@@ -150,7 +150,8 @@ def test_one_weight_evaluation_per_site_and_sector(monkeypatch, rng):
     # one batch per chain, of the distinct ones of its weight points:
     # f(gamma) once, f(lam - mu_i + gamma) and f(lam - mu_i) per site, five
     # theta values per weight sector (site i sees L - i + 1 sectors)
-    points = yb_core._weight_points(yb_core._chain_sites(lam, 0, ctx), theta, ctx.gamma)
+    sites = [(lam - ctx.mu[k], theta, ctx.L - 1 - k) for k in range(ctx.L)]
+    points = yb_core._weight_points(sites, ctx.gamma)
     assert len(points) == 1 + 2 * 3 + 5 * (3 + 2 + 1)
     assert [_bits(batch) for batch in batches] == [list(dict.fromkeys(_bits(points)))]
     apply_block("B", lam, theta, ctx, np.eye(ctx.dim))
@@ -245,14 +246,15 @@ def test_batched_tables_bit_identical_to_scalar_route(rng):
 
 @pytest.mark.parametrize("elliptic", [True, False])
 def test_site_tables_match_literal_tables(elliptic, rng):
-    # every table has the bits of the per-sector literal matrices;
-    # trigonometric tables have one sector
+    # every table has the bits of the per-sector literal matrices at its
+    # own site's theta; trigonometric tables have one sector
     ctx = random_context(2, rng, elliptic=elliptic)
-    theta = sample_theta(ctx, rng, range(-4, 5))
-    sites = [(lam, n_shift) for lam in sample_spectral(ctx, rng, 3) for n_shift in range(4)]
+    thetas = [sample_theta(ctx, rng, range(-4, 5)) for _ in range(3)]
+    sites = [(lam, theta, n_shift) for lam, theta in zip(sample_spectral(ctx, rng, 3), thetas)
+             for n_shift in range(4)]
     literal = [vertex_table_literal(lam, theta, n_shift if elliptic else 0, ctx)
-               for lam, n_shift in sites]
-    tables = list(yb_core._site_tables(sites, theta, ctx))
+               for lam, theta, n_shift in sites]
+    tables = list(yb_core._site_tables(sites, ctx))
     assert len(tables) == len(literal)
     for table, expected in zip(tables, literal):
         assert table.shape == expected.shape
@@ -290,6 +292,9 @@ def test_first_pole_is_named_by_site_and_sector(monkeypatch, rng):
         assert (type(info.value), str(info.value)) == _literal_chain_error(lam_k, theta, model)
     with pytest.raises(DynamicalPole, match=r"^weight sector \+1: f\(theta\) ~ 0"):
         site_factors([(lam, (0, 1), ()), (lam, (0, 1), (2,))], ctx.gamma, ctx, 3)
+    # a pole of a later chain is named by its site within that chain
+    with pytest.raises(DynamicalPole, match=r"^site 2, weight sector \+1: f\(theta\) ~ 0"):
+        yb_core.build_chains([(lam, 0.5, 0), (lam, ctx.gamma, 0)], ctx)
 
     # a weight error is raised by the batch, before any table is built:
     # f(lam + gamma) overflows, though the literal tables meet the pole of

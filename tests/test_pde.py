@@ -100,7 +100,7 @@ def test_interpolate_zbar_rejects_elliptic(rng):
 
 def test_interpolate_zbar_refuses_large_chains(rng):
     ctx = random_context(5, rng, elliptic=False)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"validated at L <= 4 .*; L = 5 refused$"):
         interpolate_zbar(ctx)
 
 

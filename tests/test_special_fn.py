@@ -115,6 +115,23 @@ def test_theta1_batch_raises_for_the_first_failing_point():
     assert theta1_batch(np.zeros(0), params).shape == (0,)
 
 
+def test_theta1_batch_hands_only_slow_points_to_theta1(monkeypatch, rng):
+    # one chunk of terms converges for weights f(lam) = theta1(i*lam)/2
+    # with |Re lam| <= 1; at Re lam near +-6 it does not, and such a point
+    # is summed by theta1 once, from its first term
+    params = EllipticParams(0.2)
+    calls = []
+    monkeypatch.setattr(special_fn, "theta1", lambda z, p: calls.append(z) or theta1(z, p))
+    near = [1j * complex(rng.uniform(-1, 1), rng.uniform(-2, 2)) for _ in range(200)]
+    theta1_batch(near, params)
+    assert calls == []
+    far = [1j * complex(sign * rng.uniform(5.8, 6.2), rng.uniform(-2, 2))
+           for sign in (1, -1) for _ in range(20)]
+    zs = near[:50] + far + near[50:]
+    batched = theta1_batch(zs, params)
+    assert calls == far
+    assert _bits(batched) == _bits(theta1_literal(z, params) for z in zs)
+
 
 def test_theta1_batch_sums_in_bounded_blocks(rng):
     # a batch longer than a block keeps every point's bits, raises for the
