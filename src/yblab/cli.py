@@ -93,6 +93,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         else sampling.DEFAULT_GAMMA
 
     if args.trig:
+        if args.nome is not None:
+            raise ConfigError("--nome: the trigonometric regime (--trig) has no nome")
         regime = Regime.trigonometric()
     else:
         nome = _parse_complex(args.nome, "--nome") if args.nome is not None \
@@ -201,11 +203,6 @@ def _draw_identity(ctx, rng):
         return {"kind": kind, "l0": pts[0], "lams": pts[1:], "theta": theta}
     pts = sampling.sample_spectral(ctx, rng, 2 * n + 1)
     return {"kind": kind, "l0": pts[0], "xb": pts[1:n + 1], "yc": pts[n + 1:]}
-
-
-def _eval_identity(ctx, p, _state):
-    params = {k: v for k, v in p.items() if k != "kind"}
-    return feq.verify_identity(p["kind"], ctx, **params)
 
 
 def _draw_fx(ctx, rng):
@@ -320,7 +317,8 @@ REGISTRY: dict[str, CheckDef] = {
                     lambda ctx, p, s: verify_rll(p["l1"], p["l2"], p["theta"], ctx)),
     "hw-actions": CheckDef(1e-9, False, None, _draw_hw,
                            lambda ctx, p, s: check_hw_actions(p["lam"], p["theta"], ctx)),
-    "identities": CheckDef(1e-9, False, None, _draw_identity, _eval_identity),
+    "identities": CheckDef(1e-9, False, None, _draw_identity,
+                           lambda ctx, p, s: feq.verify_identity(ctx=ctx, **p)),
     "fx": CheckDef(1e-9, False, None, _draw_fx, _eval_fx),
     "snad": CheckDef(1e-9, True, None, _draw_snad, _eval_snad),
     "z-contour-vs-bf": CheckDef(1e-8, False, None, _draw_zcmp, _compare("z", "lams", "theta")),
@@ -451,6 +449,8 @@ def _compute_z(cfg: RunConfig, args) -> int:
         raise ConfigError(f"--points: need exactly L = {ctx.L} points, got {len(points)}")
     if args.points is not None:
         _require_distinct(points, "--points")
+    if args.theta is not None and not ctx.is_elliptic:
+        raise ConfigError("--theta: the trigonometric partition function (--trig) has no theta")
     theta = _parse_complex(args.theta, "--theta") if args.theta is not None \
         else sampling.sample_theta(ctx, rng)
     echo = {"record": "compute-z", "model": _model_echo(cfg), "method": args.method,

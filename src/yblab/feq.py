@@ -22,7 +22,7 @@ also verified directly as dense operator identities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,7 +30,7 @@ import numpy as np
 from .errors import RegimeMismatch, SingularCoefficient, SizeMismatch
 from .lattice_qty import Evaluator, as_values
 from .special_fn import six_vertex
-from .yb_core import ModelContext, _monodromy_blocks, build_chains, residual, term_residual
+from .yb_core import ModelContext, block_table, residual, term_residual
 
 #: Relative floor for coefficient denominators.
 DENOM_RTOL = 1e-12
@@ -204,26 +204,9 @@ def snad_residuals(l0: complex, XB, YC, ctx: ModelContext,
 
 # --- operator identities -------------------------------------------------
 
-IDENTITY_KINDS = ("ab", "bb", "abn", "tay", "tdy")
-
-
-def _block_table(ctx: ModelContext, keys: Sequence[tuple[complex, complex]]
-                 ) -> Callable[[complex, complex], tuple]:
-    """``monodromy_blocks`` by ``(lam, theta)``, each built once; one table per check.
-
-    One chain lookup serves them all; it builds the chains of the
-    ``(lam, theta)`` ``keys``, the only ones the table reads, from one
-    weight batch.
-    """
-    chains = build_chains([(lam, theta, 0) for lam, theta in keys], ctx)
-    return cache(lambda lam, theta: _monodromy_blocks(chains, lam, theta, ctx))
-
-
-def _string(blocks: Sequence[np.ndarray], dim: int) -> np.ndarray:
-    out = np.eye(dim, dtype=complex)
-    for m in blocks:
-        out = out @ m
-    return out
+def _string(blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """Ordered product of ``blocks``, left to right."""
+    return reduce(np.matmul, blocks)
 
 
 def verify_ab(l1: complex, l2: complex, ctx: ModelContext) -> float:
@@ -233,7 +216,7 @@ def verify_ab(l1: complex, l2: complex, ctx: ModelContext) -> float:
     a, b, c = six_vertex(ctx.gamma)
     d = l2 - l1
     _guard(b(d), abs(c), "b(lam_2 - lam_1)")
-    blocks = _block_table(ctx, [(l1, 0.0), (l2, 0.0)])
+    blocks = block_table([(l1, 0.0), (l2, 0.0)], ctx)
     a1, b1 = blocks(l1, 0.0)[:2]
     a2, b2 = blocks(l2, 0.0)[:2]
     lhs = a1 @ b2
@@ -254,7 +237,7 @@ def verify_bb(l1: complex, l2: complex, theta: complex, ctx: ModelContext) -> fl
     g = ctx.gamma
     f_g = f(g)
     t1, t2 = theta + g, theta + 2 * g
-    blocks = _block_table(ctx, [(l1, theta), (l2, theta), (l1, t1), (l2, t1), (l1, t2), (l2, t2)])
+    blocks = block_table([(l1, theta), (l2, theta), (l1, t1), (l2, t1), (l1, t2), (l2, t2)], ctx)
     b11 = blocks(l1, theta)[1]
     b21 = blocks(l2, theta)[1]
     b12 = blocks(l1, t1)[1]
@@ -285,11 +268,11 @@ def verify_abn(l0: complex, lams, theta: complex, ctx: ModelContext) -> float:
     t1, top = theta + g, theta + (n + 1) * g
     slots = lambda pts, t: [(p, t + j * g) for j, p in enumerate(pts, 1)]
     swaps = [((l0,) + lams[:i] + lams[i + 1:], li) for i, li in enumerate(lams)]
-    blocks = _block_table(ctx, [(l0, t1)] + slots(lams, theta - g) + slots(lams, theta)
-                          + [(l0, top)] + [key for swapped, li in swaps
-                                           for key in slots(swapped, theta) + [(li, top)]])
+    blocks = block_table([(l0, t1)] + slots(lams, theta - g) + slots(lams, theta) + [(l0, top)]
+                         + [key for swapped, li in swaps
+                            for key in slots(swapped, theta) + [(li, top)]], ctx)
     a_of = lambda lam, t: blocks(lam, t)[0]
-    y_of = lambda pts, t: _string([blocks(*key)[1] for key in slots(pts, t)], ctx.dim)
+    y_of = lambda pts, t: _string([blocks(*key)[1] for key in slots(pts, t)])
 
     lhs = a_of(l0, t1) @ y_of(lams, theta - g)
     f_g = f(g)
@@ -316,65 +299,53 @@ def _tay_tdy(l0: complex, xb, yc, ctx: ModelContext, use_d: bool) -> float:
     if len(yc) != n:
         raise SizeMismatch(f"|XB| = {n} differs from |YC| = {len(yc)}")
     a, b, c = six_vertex(ctx.gamma)
-    dim = ctx.dim
-    blk = 3 if use_d else 0
-    blocks = _block_table(ctx, [(lam, 0.0) for lam in (l0,) + xb + yc])
-    diag = lambda lam: blocks(lam, 0.0)[blk]
-    bmat = lambda lam: blocks(lam, 0.0)[1]
-    cmat = lambda lam: blocks(lam, 0.0)[2]
-    cstr = lambda pts: _string([cmat(p) for p in reversed(pts)], dim)
-    bstr = lambda pts: _string([bmat(p) for p in pts], dim)
+    blocks = block_table([(lam, 0.0) for lam in (l0,) + xb + yc], ctx)
+    diag = lambda lam: blocks(lam, 0.0)[3 if use_d else 0]
+    cstr = lambda pts: _string([blocks(p, 0.0)[2] for p in reversed(pts)])
+    bstr = lambda pts: _string([blocks(p, 0.0)[1] for p in pts])
     sgn = (lambda z: -z) if use_d else (lambda z: z)
 
     def ratio(z, what):
         return a(z) / _guard(b(z), abs(c), what)
 
+    def swaps(pts, side):
+        """Per point of ``pts``: its coefficient, ``pts`` with lam_0 swapped in, the point."""
+        for i, pi in enumerate(pts):
+            coeff = c / _guard(b(sgn(pi - l0)), abs(c), f"b({side}_i - lam_0)")
+            for j, pj in enumerate(pts):
+                if j != i:
+                    coeff *= ratio(sgn(pj - pi), f"b({side}_j - {side}_i)")
+            yield coeff, (l0,) + pts[:i] + pts[i + 1:], pi
+
     cc = cstr(yc)
     bb = bstr(xb)
     lhs = np.prod([ratio(sgn(y - l0), "b(yc_i - lam_0)") for y in yc]) * diag(l0) @ cc @ bb
-    for i, yi in enumerate(yc):
-        coeff = c / _guard(b(sgn(yi - l0)), abs(c), "b(yc_i - lam_0)")
-        for j, yj in enumerate(yc):
-            if j != i:
-                coeff *= ratio(sgn(yj - yi), "b(yc_j - yc_i)")
-        swapped = (l0,) + yc[:i] + yc[i + 1:]
+    for coeff, swapped, yi in swaps(yc, "yc"):
         lhs = lhs - coeff * diag(yi) @ cstr(swapped) @ bb
     rhs = np.prod([ratio(sgn(x - l0), "b(xb_i - lam_0)") for x in xb]) * cc @ bb @ diag(l0)
-    for i, xi in enumerate(xb):
-        coeff = c / _guard(b(sgn(xi - l0)), abs(c), "b(xb_i - lam_0)")
-        for j, xj in enumerate(xb):
-            if j != i:
-                coeff *= ratio(sgn(xj - xi), "b(xb_j - xb_i)")
-        swapped = (l0,) + xb[:i] + xb[i + 1:]
+    for coeff, swapped, xi in swaps(xb, "xb"):
         rhs = rhs - coeff * cc @ bstr(swapped) @ diag(xi)
     return residual(lhs, rhs)
 
 
-def verify_tay(l0: complex, XB, YC, ctx: ModelContext) -> float:
+def verify_tay(l0: complex, xb, yc, ctx: ModelContext) -> float:
     """Order-(2n+1) identity from commuting the A-block through both strings."""
-    return _tay_tdy(l0, XB, YC, ctx, use_d=False)
+    return _tay_tdy(l0, xb, yc, ctx, use_d=False)
 
 
-def verify_tdy(l0: complex, XB, YC, ctx: ModelContext) -> float:
+def verify_tdy(l0: complex, xb, yc, ctx: ModelContext) -> float:
     """Order-(2n+1) identity from commuting the D-block through both strings."""
-    return _tay_tdy(l0, XB, YC, ctx, use_d=True)
+    return _tay_tdy(l0, xb, yc, ctx, use_d=True)
+
+
+#: The exchange identities by kind, with their parameters: ``ab`` (l1, l2),
+#: ``bb`` (l1, l2, theta), ``abn`` (l0, lams, theta), ``tay``/``tdy`` (l0, xb, yc).
+IDENTITIES: dict[str, Callable[..., float]] = {
+    "ab": verify_ab, "bb": verify_bb, "abn": verify_abn, "tay": verify_tay, "tdy": verify_tdy}
 
 
 def verify_identity(kind: str, ctx: ModelContext, **params) -> float:
-    """Dispatch on identity kind; see the per-kind functions for parameters.
-
-    Kinds: ``ab`` (l1, l2), ``bb`` (l1, l2, theta), ``abn`` (l0, lams,
-    theta), ``tay``/``tdy`` (l0, xb, yc).
-    """
-    kind = kind.lower()
-    if kind == "ab":
-        return verify_ab(params["l1"], params["l2"], ctx)
-    if kind == "bb":
-        return verify_bb(params["l1"], params["l2"], params["theta"], ctx)
-    if kind == "abn":
-        return verify_abn(params["l0"], params["lams"], params["theta"], ctx)
-    if kind == "tay":
-        return verify_tay(params["l0"], params["xb"], params["yc"], ctx)
-    if kind == "tdy":
-        return verify_tdy(params["l0"], params["xb"], params["yc"], ctx)
-    raise ValueError(f"unknown identity kind {kind!r}; expected one of {IDENTITY_KINDS}")
+    """The identity ``kind`` of :data:`IDENTITIES` at ``params``, passed by name."""
+    if kind not in IDENTITIES:
+        raise ValueError(f"unknown identity kind {kind!r}; expected one of {tuple(IDENTITIES)}")
+    return IDENTITIES[kind](ctx=ctx, **params)

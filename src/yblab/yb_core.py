@@ -330,8 +330,10 @@ def _monodromy(chains: Chains, lam: complex, theta: complex, ctx: ModelContext, 
             for table, site, shift in zip(chains(lam, theta, len(extra_shift)), chain, shifts)]
 
 
-def monodromy_blocks(lam: complex, theta: complex, ctx: ModelContext
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+Blocks = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def monodromy_blocks(lam: complex, theta: complex, ctx: ModelContext) -> Blocks:
     """Auxiliary-space blocks (A, B, C, D) of the monodromy matrix.
 
     The monodromy matrix is the ordered product over sites
@@ -339,28 +341,37 @@ def monodromy_blocks(lam: complex, theta: complex, ctx: ModelContext
     argument ``theta - gamma * (spin sum of sites i+1..L)``, evaluated
     per input basis state.  Blocks are taken in the auxiliary space:
     A = (up|T|up), B = (up|T|down), C = (down|T|up), D = (down|T|down).
-
-    The dense blocks are the site factors applied to the identity.  The
-    blocks are read-only C-contiguous ``2^L x 2^L`` arrays.  Raises
-    :class:`NonFinite` if any entry is not finite.  Use
-    :func:`apply_block` where only the action on vectors is needed.
+    They come from :func:`block_table`.  Use :func:`apply_block` where
+    only the action on vectors is needed.
     """
-    return _monodromy_blocks(build_chains([(lam, theta, 0)], ctx), lam, theta, ctx)
+    return block_table([(lam, theta)], ctx)(lam, theta)
 
 
-def _monodromy_blocks(chains: Chains, lam: complex, theta: complex, ctx: ModelContext
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`monodromy_blocks` with its chain from ``chains``."""
-    n = 1 << (ctx.L + 1)
-    total = apply_factors(np.eye(n, dtype=complex), _monodromy(chains, lam, theta, ctx))
-    if not np.isfinite(total).all():
-        raise NonFinite("chain operator has non-finite entries")
-    d = ctx.dim
-    # contiguous copies: matmul on a strided view need not round the same
-    blocks = tuple(np.ascontiguousarray(total[r:r + d, c:c + d])
-                   for r in (0, d) for c in (0, d))
-    for block in blocks:
-        block.setflags(write=False)
+def block_table(keys: Iterable[tuple[complex, complex]], ctx: ModelContext
+                ) -> Callable[[complex, complex], Blocks]:
+    """Dense monodromy blocks by ``(lam, theta)``, each built once; the one dense route.
+
+    The chains of the ``keys``, the only ones the table reads, come from
+    one :func:`build_chains` call.  A block set is the site factors
+    applied to the ``2^(L+1)`` identity, cut into read-only C-contiguous
+    ``2^L x 2^L`` arrays; a non-finite entry raises :class:`NonFinite`.
+    """
+    chains = build_chains([(lam, theta, 0) for lam, theta in keys], ctx)
+
+    @functools.cache
+    def blocks(lam: complex, theta: complex) -> Blocks:
+        n = 1 << (ctx.L + 1)
+        total = apply_factors(np.eye(n, dtype=complex), _monodromy(chains, lam, theta, ctx))
+        if not np.isfinite(total).all():
+            raise NonFinite("chain operator has non-finite entries")
+        d = ctx.dim
+        # contiguous copies: matmul on a strided view need not round the same
+        out = tuple(np.ascontiguousarray(total[r:r + d, c:c + d])
+                    for r in (0, d) for c in (0, d))
+        for block in out:
+            block.setflags(write=False)
+        return out
+
     return blocks
 
 
@@ -395,14 +406,16 @@ def verify_rll(l1: complex, l2: complex, theta: complex,
     dynamical arguments (total chain weight for the vertex factor, one
     auxiliary weight for the inner monodromy) are evaluated
     sector-by-sector by the same site factors as the monodromy itself.
-    The four chains are built from one weight batch up front.
+    The four chains come from one weight batch up front, the R pair
+    (shifted by the chain, and plain) from another.
     """
     chains = build_chains([(l1, theta, 0), (l2, theta, 1), (l2, theta, 0), (l1, theta, 1)], ctx)
     n_sites = ctx.L + 2  # 0, 1 auxiliary; 2..L+1 chain
     chain = tuple(range(2, ctx.L + 2))
     mono = lambda aux, lam, extra: _monodromy(chains, lam, theta, ctx, aux, extra, first=2)
-    r_ab = lambda shift: site_factors([(l1 - l2, (0, 1), shift)], theta, ctx, n_sites)
+    r_shifted, r_plain = site_factors([(l1 - l2, (0, 1), chain), (l1 - l2, (0, 1), ())],
+                                      theta, ctx, n_sites)
     eye = np.eye(1 << n_sites, dtype=complex)
-    lhs = apply_factors(eye, r_ab(chain) + mono(0, l1, ()) + mono(1, l2, (0,)))
-    rhs = apply_factors(eye, mono(1, l2, ()) + mono(0, l1, (1,)) + r_ab(()))
+    lhs = apply_factors(eye, [r_shifted] + mono(0, l1, ()) + mono(1, l2, (0,)))
+    rhs = apply_factors(eye, mono(1, l2, ()) + mono(0, l1, (1,)) + [r_plain])
     return residual(lhs, rhs)

@@ -99,6 +99,14 @@ def creation_string(lams, theta, ctx):
     return out
 
 
+def string_literal(blocks):
+    """Ordered product of square ``blocks``, left to right, starting from the identity."""
+    out = np.eye(len(blocks[0]), dtype=complex)
+    for m in blocks:
+        out = out @ m
+    return out
+
+
 def dwbc_enumeration(lams, mu, gamma):
     """Domain-wall partition function by exhaustive configuration sum.
 

@@ -17,7 +17,7 @@ from yblab import feq, lattice_qty, pde, special_fn, yb_core
 from yblab.errors import DynamicalPole, InterpolationIllConditioned
 
 from oracles import (fzt_coefficients_literal, omega_actions_literal,
-                     omega_leading_apply_literal)
+                     omega_leading_apply_literal, string_literal)
 
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -427,6 +427,20 @@ def test_run_nome_at_cap_is_config_error(capsys):
     assert "configuration error: --nome: |nome| = 0.95 >= 0.9" in err
 
 
+@pytest.mark.parametrize("args, flag", [
+    (["run", "--trig", "--nome", "0.2,0", "--checks", "dybe", "--samples", "1"], "--nome"),
+    (["run", "--trig", "--nome", "0.95,0", "--checks", "dybe", "--samples", "1"], "--nome"),
+    (["compute", "z", "--trig", "--L", "2", "--nome", "0.95,0"], "--nome"),
+    (["compute", "sn", "--trig", "--L", "2", "--nome", "0.2,0"], "--nome"),
+    (["compute", "z", "--trig", "--L", "2", "--theta", "1,0"], "--theta"),
+])
+def test_trig_flag_it_does_not_read_is_config_error(capsys, args, flag):
+    # the six-vertex weights have no nome, and the trigonometric Z no theta
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert f"configuration error: {flag}: " in err
+
+
 @pytest.mark.parametrize("gamma", ["nan,0", "0,inf"])
 def test_run_non_finite_parameter_is_config_error(capsys, gamma):
     code, out, err = run_cli(["run", "--trig", "--gamma", gamma, "--checks", "dybe",
@@ -594,7 +608,7 @@ def test_bulk_chain_build_keeps_report_streams(monkeypatch, capsys, args):
 
     shipped = stream()
     afresh, build_chains = [], yb_core.build_chains
-    for module in (yb_core, lattice_qty, feq, pde):
+    for module in (yb_core, lattice_qty, pde):
         monkeypatch.setattr(module, "build_chains", lambda keys, ctx: afresh.append(ctx)
                             or (lambda *key: build_chains([key], ctx)(*key)))
     assert stream() == shipped
@@ -641,3 +655,25 @@ def test_pencil_keeps_report_streams(monkeypatch, capsys, L):
     monkeypatch.setattr(pde, "fzt_coefficients", fzt_coefficients_literal)
     assert stream() == shipped
     assert shipped[0] == 0 and len(parse_records(shipped[1])) == 1 + 3 * 5
+
+
+@pytest.mark.parametrize("L", ["2", "3", "4"])
+@pytest.mark.parametrize("regime", [[], ["--trig"]], ids=["elliptic", "trig"])
+def test_operator_checks_keep_report_streams(monkeypatch, capsys, regime, L):
+    # block strings are plain matmul chains and the RLL R pair comes from
+    # one site-factor batch; with identity-seeded strings and one batch
+    # per vertex instead, every record must keep its bits (wall time aside)
+    args = ["run", *regime, "--L", L, "--checks", "identities,rll", "--samples", "10",
+            "--seed", "1"]
+
+    def stream():
+        code, out, err = run_cli(args, capsys)
+        return code, re.sub(r', "wall_time_ms": [^,}]*', "", out), err
+
+    shipped = stream()
+    site_factors = yb_core.site_factors
+    monkeypatch.setattr(feq, "_string", string_literal)
+    monkeypatch.setattr(yb_core, "site_factors", lambda specs, theta, ctx, n_sites: [
+        factor for spec in specs for factor in site_factors([spec], theta, ctx, n_sites)])
+    assert stream() == shipped
+    assert shipped[0] == 0 and len(parse_records(shipped[1])) == 1 + 2 * 10

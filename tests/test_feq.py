@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import yblab.feq as feq
 from yblab.errors import RegimeMismatch
 from yblab.feq import (fx_coefficients, fx_residual, snad_coefficients,
                        snad_residuals, verify_ab, verify_abn, verify_bb,
@@ -234,9 +233,9 @@ def test_identity_check_builds_each_block_once(kind, elliptic, built, monkeypatc
     # L = 4, n = 2: one build per distinct (lam, theta) a check uses, and
     # the elliptic chains of all of them from one weight batch
     calls, batches = [], []
-    blocks = feq._monodromy_blocks
-    monkeypatch.setattr(feq, "_monodromy_blocks",
-                        lambda *args: calls.append(args[1:3]) or blocks(*args))
+    monodromy = yb_core._monodromy
+    monkeypatch.setattr(yb_core, "_monodromy",
+                        lambda *args: calls.append(args[1:3]) or monodromy(*args))
     monkeypatch.setattr(yb_core, "f_weights",
                         lambda points, params: batches.append(points)
                         or f_weights(points, params))

@@ -214,6 +214,17 @@ def test_fx_residual_sample_is_one_batch(monkeypatch, rng):
     assert len(batches) == 1
 
 
+@pytest.mark.parametrize("L", [2, 3, 4])
+def test_rll_sample_is_two_batches(monkeypatch, rng, L):
+    # one batch for the four chains, one for the R pair
+    ctx = random_context(L, rng)
+    l1, l2 = sample_spectral(ctx, rng, 2)
+    theta = sample_theta(ctx, rng, range(-L - 1, L + 2))
+    batches = _count_batches(monkeypatch)
+    assert verify_rll(l1, l2, theta, ctx) <= 1e-9
+    assert len(batches) == 2
+
+
 def test_chain_lookup_keeps_what_it_builds(rng):
     # a lookup returns the chains its build kept and builds none itself;
     # trigonometric chains ignore theta and the shift, so one serves them all
