@@ -11,8 +11,10 @@ Two subcommands:
 Exit codes: 0 all checks passed, 1 any failure (also a stdout closed
 before the stream ended), 2 configuration error.
 
-Randomness: numpy PCG64, one stream per ``(seed, key)`` pair (``_rng``).
-The generator for check ``c`` has key ``REGISTRY_INDEX[c]`` and is
+Randomness: one ``yblab.rng.Stream(seed, key)`` per ``(seed, key)`` pair,
+numpy's PCG64 stream of ``SeedSequence([seed, key])`` computed without
+``numpy.random``; normals come from numpy's ziggurat on the same state.
+The stream for check ``c`` has key ``REGISTRY_INDEX[c]`` and is
 consumed sample by sample, so the same flags produce identical parameter
 draws and hence identical residuals.
 """
@@ -37,6 +39,7 @@ from .special_fn import Regime
 from .yb_core import ABS_FLOOR, MAX_L, ModelContext, rel_diff, verify_dybe, verify_rll
 from .lattice_qty import dwbc_partition, dwbc_partitions, scalar_product_bf, check_hw_actions
 from .residue_int import require_distinct, sn_contour, z_contour
+from .rng import Stream
 
 MODEL_SEED_KEY = 1000
 
@@ -60,11 +63,6 @@ class RunConfig:
     seed: int
     samples: int = 0
     checks: list[str] = field(default_factory=list)
-
-
-def _rng(seed: int, key: int) -> np.random.Generator:
-    """The PCG64 stream of ``SeedSequence([seed, key])``; every random draw comes from one."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, key])))
 
 
 def _parse_complex(text: str, where: str) -> complex:
@@ -109,7 +107,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"--seed: expected an unsigned 64-bit integer, got {seed!r}")
 
     if args.mu is None:
-        mu = sampling.sample_mu(_rng(seed, MODEL_SEED_KEY), L)
+        mu = sampling.sample_mu(Stream(seed, MODEL_SEED_KEY), L)
     else:
         mu = _parse_point_list(args.mu, "--mu")
         if len(mu) != L:
@@ -151,8 +149,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 class CheckDef:
     tolerance: float
     trig_only: bool
-    prepare: Callable[[ModelContext, np.random.Generator], Any] | None
-    draw: Callable[[ModelContext, np.random.Generator], dict]
+    prepare: Callable[[ModelContext, Stream], Any] | None
+    draw: Callable[[ModelContext, Stream], dict]
     evaluate: Callable[[ModelContext, dict, Any], float]
     #: chain lengths on which the check is defined; None means every L
     lengths: range | None = None
@@ -371,7 +369,7 @@ def run_suite(cfg: RunConfig, out=None) -> int:
     for name in cfg.checks:
         cd = REGISTRY[name]
         tolerance = cd.tolerance
-        rng = _rng(cfg.seed, REGISTRY_INDEX[name])
+        rng = Stream(cfg.seed, REGISTRY_INDEX[name])
 
         def write(k, params, residual, error, t0) -> bool:
             """Print the record of sample ``k``; returns whether it passed."""
@@ -442,7 +440,7 @@ def _require_distinct(points, where: str) -> None:
 
 def _compute_z(cfg: RunConfig, args) -> int:
     ctx = cfg.ctx
-    rng = _rng(cfg.seed, 2000)
+    rng = Stream(cfg.seed, 2000)
     points = _parse_point_list(args.points, "--points") if args.points is not None \
         else sampling.sample_spectral(ctx, rng, ctx.L, avoid=ctx.mu)
     if len(points) != ctx.L:
@@ -462,7 +460,7 @@ def _compute_sn(cfg: RunConfig, args) -> int:
     ctx = cfg.ctx
     if ctx.is_elliptic:
         raise ConfigError("compute sn: requires the trigonometric regime (--trig)")
-    rng = _rng(cfg.seed, 2001)
+    rng = Stream(cfg.seed, 2001)
     if args.xb is not None or args.yc is not None:
         if args.xb is None or args.yc is None:
             raise ConfigError("compute sn: provide both --xb and --yc, or neither")

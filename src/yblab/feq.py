@@ -263,6 +263,8 @@ def verify_abn(l0: complex, lams, theta: complex, ctx: ModelContext) -> float:
         raise RegimeMismatch("the degree-n exchange iterate is dynamical (elliptic)")
     lams = as_values(lams)
     n = len(lams)
+    if n == 0:
+        raise SizeMismatch("the creation string needs at least one spectral point")
     f = ctx.f
     g = ctx.gamma
     t1, top = theta + g, theta + (n + 1) * g
@@ -298,6 +300,8 @@ def _tay_tdy(l0: complex, xb, yc, ctx: ModelContext, use_d: bool) -> float:
     n = len(xb)
     if len(yc) != n:
         raise SizeMismatch(f"|XB| = {n} differs from |YC| = {len(yc)}")
+    if n == 0:
+        raise SizeMismatch("the creation and annihilation strings need at least one point each")
     a, b, c = six_vertex(ctx.gamma)
     blocks = block_table([(lam, 0.0) for lam in (l0,) + xb + yc], ctx)
     diag = lambda lam: blocks(lam, 0.0)[3 if use_d else 0]

@@ -8,9 +8,8 @@ so random suites never test on top of a singularity.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import SamplingExhausted
+from .rng import Stream
 from .special_fn import Regime
 from .yb_core import ModelContext
 
@@ -29,11 +28,11 @@ DEFAULT_GAMMA = 0.41 + 0.07j
 DEFAULT_NOME = 0.2 + 0.0j
 
 
-def draw_point(rng: np.random.Generator) -> complex:
+def draw_point(rng: Stream) -> complex:
     return complex(rng.uniform(*RECT_RE), rng.uniform(*RECT_IM))
 
 
-def sample_spectral(ctx: ModelContext, rng: np.random.Generator, count: int,
+def sample_spectral(ctx: ModelContext, rng: Stream, count: int,
                     avoid: tuple[complex, ...] = ()) -> tuple[complex, ...]:
     """Draw spectral points with pairwise-admissible differences.
 
@@ -54,7 +53,7 @@ def sample_spectral(ctx: ModelContext, rng: np.random.Generator, count: int,
     return tuple(points)
 
 
-def sample_theta(ctx: ModelContext, rng: np.random.Generator,
+def sample_theta(ctx: ModelContext, rng: Stream,
                  shifts: range | None = None) -> complex:
     """Draw a dynamical parameter clear of weight-function zeros.
 
@@ -75,7 +74,7 @@ def sample_theta(ctx: ModelContext, rng: np.random.Generator,
     raise SamplingExhausted("admissible theta sampling did not terminate")
 
 
-def sample_mu(rng: np.random.Generator, count: int) -> tuple[complex, ...]:
+def sample_mu(rng: Stream, count: int) -> tuple[complex, ...]:
     """Inhomogeneities: distinct points from the small box."""
     points: list[complex] = []
     while len(points) < count:
@@ -85,7 +84,7 @@ def sample_mu(rng: np.random.Generator, count: int) -> tuple[complex, ...]:
     return tuple(points)
 
 
-def random_context(L: int, rng: np.random.Generator, *,
+def random_context(L: int, rng: Stream, *,
                    elliptic: bool = True,
                    gamma: complex = DEFAULT_GAMMA,
                    nome: complex = DEFAULT_NOME) -> ModelContext:

@@ -74,6 +74,60 @@ def test_run_deterministic_across_invocations(capsys):
     assert res1 == res2 and len(res1) == 6
 
 
+ELLIPTIC_RUN_CHECKS = "dybe,rll,hw-actions,identities,fx,z-contour-vs-bf,dia-realization"
+
+
+def numpy_generator(seed, key):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, key])))
+
+
+def without_wall_time(out):
+    return re.sub(r', "wall_time_ms": [^,}]*', "", out)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("L", [2, 3, 4])
+@pytest.mark.parametrize("flags", [
+    ["run", "--checks", ELLIPTIC_RUN_CHECKS],
+    ["run", "--trig", "--checks", ",".join(cli.REGISTRY)],
+    ["compute", "z", "--method", "both"],
+    ["compute", "sn", "--trig", "--method", "both"]])
+def test_report_streams_are_numpy_generator_streams(monkeypatch, capsys, flags, L, seed):
+    # the reports do not change when numpy's Generator replaces the stream
+    args = flags + ["--L", str(L), "--seed", str(seed)]
+    code, out, err = run_cli(args, capsys)
+    monkeypatch.setattr(cli, "Stream", numpy_generator)
+    code_np, out_np, err_np = run_cli(args, capsys)
+    assert (code, without_wall_time(out), err) == (code_np, without_wall_time(out_np), err_np)
+    assert out.count("\n") >= 1
+
+
+def test_compute_commands_do_not_import_numpy_random():
+    # the compute command lines of the bf-L8 and contour-frontier benchmark
+    # workloads draw no normals, so they never load numpy.random
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    code = ("import sys, numpy\n"
+            "if 'numpy.random' in sys.modules:\n"
+            "    sys.exit(3)  # numpy itself loads it\n"
+            "from yblab import cli\n"
+            "for argv in [\n"
+            "        'compute z --L 8 --method bruteforce',\n"
+            "        'compute z --trig --L 8 --method bruteforce',\n"
+            "        'compute sn --trig --L 8 --n 4 --method bruteforce',\n"
+            "        'compute z --L 6 --method contour',\n"
+            "        'compute z --trig --L 7 --method contour',\n"
+            "        'compute sn --trig --L 6 --n 5 --method contour']:\n"
+            "    assert cli.main(argv.split() + ['--seed', '1']) == 0, argv\n"
+            "assert 'numpy.random' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=300)
+    if proc.returncode == 3:
+        pytest.skip("import numpy alone loads numpy.random on this numpy")
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_run_unknown_check_is_config_error(capsys):
     code, _, err = run_cli(["run", "--checks", "nonsense"], capsys)
     assert code == 2

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from yblab.errors import RegimeMismatch
+from yblab.errors import RegimeMismatch, SizeMismatch
 from yblab.feq import (fx_coefficients, fx_residual, snad_coefficients,
                        snad_residuals, verify_ab, verify_abn, verify_bb,
                        verify_identity, verify_tay, verify_tdy)
@@ -220,6 +220,16 @@ def test_identity_regime_guard(ell_ctx2, trig_ctx3, rng):
         verify_ab(0.1, 0.2, ell_ctx2)
     with pytest.raises(RegimeMismatch):
         verify_bb(0.1, 0.2, 0.3, trig_ctx3)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("abn", {"l0": 0.3, "lams": (), "theta": 0.2}),
+    ("tay", {"l0": 0.3, "xb": (), "yc": ()}),
+    ("tdy", {"l0": 0.3, "xb": (), "yc": ()})])
+def test_identity_rejects_empty_point_set(kind, params, ell_ctx2, trig_ctx2):
+    ctx = ell_ctx2 if kind == "abn" else trig_ctx2
+    with pytest.raises(SizeMismatch):
+        verify_identity(kind, ctx, **params)
 
 
 def test_identity_unknown_kind(ell_ctx2):
