@@ -23,13 +23,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import islice
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import RegimeMismatch, SingularCoefficient, SizeMismatch
 from .lattice_qty import Evaluator, as_values
-from .special_fn import six_vertex
+from .special_fn import f_weights, six_vertex
 from .yb_core import ModelContext, block_table, residual, term_residual
 
 #: Relative floor for coefficient denominators.
@@ -71,23 +72,28 @@ def fx_coefficients(l0: complex, X, theta: complex,
     if len(lams) != L:
         raise SizeMismatch(f"need L = {L} spectral points, got {len(lams)}")
     g = ctx.gamma
-    f = ctx.f
     extended = (complex(l0),) + lams
 
     if ctx.is_elliptic:
-        m0 = f(theta) / _guard(f(theta + L * g), 1.0, "f(theta + L*gamma)") \
-            * np.prod([f(l0 - m) for m in ctx.mu])
-        f_g = f(g)
-        f_top = _guard(f(theta + (L + 1) * g), 1.0, "f(theta + (L+1)*gamma)")
+        # every weight from one batch, listed in the order the formula reads it
+        w = iter(f_weights([theta, theta + L * g] + [l0 - m for m in ctx.mu]
+                           + [g, theta + (L + 1) * g]
+                           + [p for i, li in enumerate(extended)
+                              for p in [theta + g + l0 - li, l0 - li + g]
+                              + [li - m + g for m in ctx.mu]
+                              + [q for other in extended[:i] + extended[i + 1:]
+                                 for q in (other - li + g, other - li)]],
+                           ctx.regime))
+        f_t, f_tl, *f_mu = islice(w, 2 + L)
+        m0 = f_t / _guard(f_tl, 1.0, "f(theta + L*gamma)") * np.prod(f_mu)
+        f_g, f_top = next(w), _guard(next(w), 1.0, "f(theta + (L+1)*gamma)")
         n = []
-        for i, li in enumerate(extended):
-            rest = extended[:i] + extended[i + 1:]
-            coeff = -(f(theta + g + l0 - li) / f_top) \
-                * (f_g / _guard(f(l0 - li + g), abs(f_g), "f(lam_0 - lam_i + gamma)")) \
-                * np.prod([f(li - m + g) for m in ctx.mu])
-            for other in rest:
-                coeff *= f(other - li + g) \
-                    / _guard(f(other - li), abs(f_g), "f(lam - lam_i)")
+        for _ in extended:
+            f_head, f_cross, *f_mu = islice(w, 2 + L)
+            coeff = -(f_head / f_top) \
+                * (f_g / _guard(f_cross, abs(f_g), "f(lam_0 - lam_i + gamma)")) * np.prod(f_mu)
+            for _ in lams:  # the L other points
+                coeff *= next(w) / _guard(next(w), abs(f_g), "f(lam - lam_i)")
             n.append(complex(coeff))
         return FxCoefficients(complex(m0), tuple(n))
 
@@ -233,9 +239,7 @@ def verify_bb(l1: complex, l2: complex, theta: complex, ctx: ModelContext) -> fl
     """
     if not ctx.is_elliptic:
         raise RegimeMismatch("the dynamical exchange rules need the elliptic regime")
-    f = ctx.f
     g = ctx.gamma
-    f_g = f(g)
     t1, t2 = theta + g, theta + 2 * g
     blocks = block_table([(l1, theta), (l2, theta), (l1, t1), (l2, t1), (l1, t2), (l2, t2)], ctx)
     b11 = blocks(l1, theta)[1]
@@ -244,11 +248,13 @@ def verify_bb(l1: complex, l2: complex, theta: complex, ctx: ModelContext) -> fl
     b22 = blocks(l2, t1)[1]
     res_bb = residual(b11 @ b22, b21 @ b12)
 
-    f_d = _guard(f(l2 - l1), abs(f_g), "f(lam_2 - lam_1)")
-    f_t2 = _guard(f(t2), 1.0, "f(theta + 2*gamma)")
+    f_g, f_d, f_t2, f_plus, f_t1, f_cross = f_weights(
+        [g, l2 - l1, t2, l2 - l1 + g, t1, t1 - l2 + l1], ctx.regime)
+    f_d = _guard(f_d, abs(f_g), "f(lam_2 - lam_1)")
+    f_t2 = _guard(f_t2, 1.0, "f(theta + 2*gamma)")
     lhs = blocks(l1, t1)[0] @ b21
-    rhs = (f(l2 - l1 + g) / f_d) * (f(t1) / f_t2) * b22 @ blocks(l1, t2)[0] \
-        - (f(t1 - l2 + l1) / f_d) * (f_g / f_t2) * b12 @ blocks(l2, t2)[0]
+    rhs = (f_plus / f_d) * (f_t1 / f_t2) * b22 @ blocks(l1, t2)[0] \
+        - (f_cross / f_d) * (f_g / f_t2) * b12 @ blocks(l2, t2)[0]
     return max(res_bb, residual(lhs, rhs))
 
 
@@ -265,7 +271,6 @@ def verify_abn(l0: complex, lams, theta: complex, ctx: ModelContext) -> float:
     n = len(lams)
     if n == 0:
         raise SizeMismatch("the creation string needs at least one spectral point")
-    f = ctx.f
     g = ctx.gamma
     t1, top = theta + g, theta + (n + 1) * g
     slots = lambda pts, t: [(p, t + j * g) for j, p in enumerate(pts, 1)]
@@ -277,17 +282,20 @@ def verify_abn(l0: complex, lams, theta: complex, ctx: ModelContext) -> float:
     y_of = lambda pts, t: _string([blocks(*key)[1] for key in slots(pts, t)])
 
     lhs = a_of(l0, t1) @ y_of(lams, theta - g)
-    f_g = f(g)
-    head = f(t1) / (f_top := _guard(f(top), 1.0, "f(theta + (n+1)*gamma)"))
-    for lam in lams:
-        head *= f(lam - l0 + g) / _guard(f(lam - l0), abs(f_g), "f(lam_j - lam_0)")
+    # every weight from one batch, listed in the order the formula reads it
+    w = iter(f_weights([g, t1, top] + [p for lam in lams for p in (lam - l0 + g, lam - l0)]
+                       + [p for i, li in enumerate(lams) for p in (t1 - li + l0, li - l0)
+                          + tuple(q for j, lj in enumerate(lams) if j != i
+                                  for q in (lj - li + g, lj - li))], ctx.regime))
+    f_g, f_t1, f_top = islice(w, 3)
+    head = f_t1 / (f_top := _guard(f_top, 1.0, "f(theta + (n+1)*gamma)"))
+    for _ in lams:
+        head *= next(w) / _guard(next(w), abs(f_g), "f(lam_j - lam_0)")
     rhs = head * y_of(lams, theta) @ a_of(l0, top)
-    for i, (swapped, li) in enumerate(swaps):
-        coeff = (f(t1 - li + l0) / f_top) \
-            * (f_g / _guard(f(li - l0), abs(f_g), "f(lam_i - lam_0)"))
-        for j, lj in enumerate(lams):
-            if j != i:
-                coeff *= f(lj - li + g) / _guard(f(lj - li), abs(f_g), "f(lam_j - lam_i)")
+    for swapped, li in swaps:
+        coeff = (next(w) / f_top) * (f_g / _guard(next(w), abs(f_g), "f(lam_i - lam_0)"))
+        for _ in range(n - 1):
+            coeff *= next(w) / _guard(next(w), abs(f_g), "f(lam_j - lam_i)")
         rhs = rhs - coeff * y_of(swapped, theta) @ a_of(li, top)
     return residual(lhs, rhs)
 

@@ -14,6 +14,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import RegimeMismatch, SizeMismatch
+from .special_fn import f_weights
 from .yb_core import (ABS_FLOOR, ModelContext, _apply_block, build_chains, monodromy_blocks,
                       residual)
 
@@ -104,7 +105,6 @@ def hw_action_residuals(lam: complex, theta: complex,
     max norm.  In the trigonometric regime the eigenvalues are the
     products of six-vertex weights a resp. b over the inhomogeneities.
     """
-    f = ctx.f
     g = ctx.gamma
     L = ctx.L
     a_mat, b_mat, c_mat, d_mat = monodromy_blocks(lam, theta, ctx)
@@ -113,12 +113,16 @@ def hw_action_residuals(lam: complex, theta: complex,
     down = np.zeros(ctx.dim, dtype=complex)
     down[-1] = 1.0
 
-    prod_shift = np.prod([f(lam - m + g) for m in ctx.mu])
-    prod_plain = np.prod([f(lam - m) for m in ctx.mu])
+    weights = f_weights([lam - m + g for m in ctx.mu] + [lam - m for m in ctx.mu] + (
+        [theta - g, theta + (L - 1) * g, theta + g, theta - (L - 1) * g] if ctx.is_elliptic
+        else []), ctx.regime)
+    prod_shift = np.prod(weights[:L])
+    prod_plain = np.prod(weights[L:2 * L])
     if ctx.is_elliptic:
+        f_a, f_a_top, f_d, f_d_top = weights[2 * L:]
         eig_a_up = prod_shift
-        eig_a_down = f(theta - g) / f(theta + (L - 1) * g) * prod_plain
-        eig_d_up = f(theta + g) / f(theta - (L - 1) * g) * prod_plain
+        eig_a_down = f_a / f_a_top * prod_plain
+        eig_d_up = f_d / f_d_top * prod_plain
         eig_d_down = prod_shift
     else:
         eig_a_up = prod_shift          # prod a(lam - mu_j)

@@ -45,11 +45,12 @@ parts that no assignment changes are taken out:
 from __future__ import annotations
 
 import math
+from itertools import islice
 from typing import Sequence
 
 from .errors import CoincidentPoints, RegimeMismatch, SingularR, SizeMismatch
 from .lattice_qty import as_values
-from .special_fn import six_vertex
+from .special_fn import f_weights, six_vertex
 from .yb_core import ModelContext
 
 #: Minimum pairwise separation before points count as coincident.
@@ -92,22 +93,26 @@ def z_contour(X, theta: complex, ctx: ModelContext) -> complex:
     if len(lams) != L:
         raise SizeMismatch(f"need L = {L} spectral points, got {len(lams)}")
     require_distinct(lams, "z_contour")
-    f = ctx.f
     g = ctx.gamma
     mu = ctx.mu
-    # pair[a][b]: point a in an earlier slot than point b
-    pair = [[f(lams[b] - lams[a] + g) / f(lams[a] - lams[b]) if a != b else 0j
-             for b in range(L)] for a in range(L)]
-    below = [[f(m - lam) for lam in lams] for m in mu]        # f(mu_j - w), j < slot
-    above = [[f(lam - m + g) for lam in lams] for m in mu]    # f(w - mu_j + g), j > slot
+    ths = [theta + (i + 1) * g for i in range(L)] if ctx.is_elliptic else []
+    # every weight below from one batch, listed in the order it is read
+    w = iter(f_weights([p for a in range(L) for b in range(L) if a != b
+                        for p in (lams[b] - lams[a] + g, lams[a] - lams[b])]
+                       + [m - lam for m in mu for lam in lams]
+                       + [lam - m + g for m in mu for lam in lams]
+                       + [p for th, m in zip(ths, mu) for p in [th] + [th - lam + m for lam in lams]]
+                       + [g], ctx.regime))
+    # pair[a][b]: point a in an earlier slot than point b (numerator read first)
+    pair = [[next(w) / next(w) if a != b else 0j for b in range(L)] for a in range(L)]
+    below = [list(islice(w, L)) for _ in mu]    # f(mu_j - w), j < slot
+    above = [list(islice(w, L)) for _ in mu]    # f(w - mu_j + g), j > slot
     slot = [[math.prod(below[j][b] for j in range(i))
              * math.prod(above[j][b] for j in range(i + 1, L)) for b in range(L)]
             for i in range(L)]
-    if ctx.is_elliptic:
-        for i in range(L):
-            th = theta + (i + 1) * g
-            f_th = f(th)
-            slot[i] = [s * f(th - lams[b] + mu[i]) / f_th for b, s in enumerate(slot[i])]
+    for i in range(len(ths)):
+        f_th = next(w)
+        slot[i] = [s * f_shift / f_th for s, f_shift in zip(slot[i], islice(w, L))]
     after = _subset_products(pair)
     # sums[S]: the sum over orders of the points in S, placed in slots 0..|S|-1
     sums = [0j] * (1 << L)
@@ -117,7 +122,7 @@ def z_contour(X, theta: complex, ctx: ModelContext) -> complex:
         for b in range(L):
             if not S >> b & 1:
                 sums[S | 1 << b] += partial * row[b] * prods[b]
-    return complex(f(g) ** L * sums[-1])
+    return complex(next(w) ** L * sums[-1])
 
 
 def _side_tables(pts: tuple[complex, ...], mu: tuple[complex, ...], a, b):

@@ -8,9 +8,9 @@ so random suites never test on top of a singularity.
 
 from __future__ import annotations
 
-from .errors import SamplingExhausted
+from .errors import NonConvergent, SamplingExhausted
 from .rng import Stream
-from .special_fn import Regime
+from .special_fn import Regime, f_weights
 from .yb_core import ModelContext
 
 #: Sampling rectangle for spectral parameters.
@@ -32,6 +32,15 @@ def draw_point(rng: Stream) -> complex:
     return complex(rng.uniform(*RECT_RE), rng.uniform(*RECT_IM))
 
 
+def _admissible(ctx: ModelContext, points: list[complex]) -> bool:
+    """|f| > MIN_WEIGHT at every one of ``points``, from one weight batch; if it raises,
+    point by point in order, so that a rejection hides the error of a later point."""
+    try:
+        return all(abs(w) > MIN_WEIGHT for w in f_weights(points, ctx.regime))
+    except (OverflowError, NonConvergent):
+        return all(abs(ctx.f(p)) > MIN_WEIGHT for p in points)
+
+
 def sample_spectral(ctx: ModelContext, rng: Stream, count: int,
                     avoid: tuple[complex, ...] = ()) -> tuple[complex, ...]:
     """Draw spectral points with pairwise-admissible differences.
@@ -47,8 +56,7 @@ def sample_spectral(ctx: ModelContext, rng: Stream, count: int,
         if tries > MAX_TRIES:
             raise SamplingExhausted("admissible-point sampling did not terminate")
         cand = draw_point(rng)
-        others = points + list(avoid)
-        if all(abs(ctx.f(cand - o)) > MIN_WEIGHT for o in others):
+        if _admissible(ctx, [cand - o for o in points + list(avoid)]):
             points.append(cand)
     return tuple(points)
 
@@ -69,7 +77,7 @@ def sample_theta(ctx: ModelContext, rng: Stream,
         shifts = range(-(ctx.L + 2), 2 * ctx.L + 3)
     for _ in range(MAX_TRIES):
         cand = draw_point(rng)
-        if all(abs(ctx.f(cand + k * ctx.gamma)) > MIN_WEIGHT for k in shifts):
+        if _admissible(ctx, [cand + k * ctx.gamma for k in shifts]):
             return cand
     raise SamplingExhausted("admissible theta sampling did not terminate")
 

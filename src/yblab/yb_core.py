@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import DynamicalPole, NonFinite
-from .special_fn import Regime, f_weight, f_weights, six_vertex
+from .special_fn import Regime, f_weights, six_vertex
 
 #: Relative floor below which a dynamical denominator counts as a pole.
 POLE_RTOL = 1e-12
@@ -98,8 +98,8 @@ class ModelContext:
     def is_elliptic(self) -> bool:
         return self.regime.is_elliptic
 
-    def f(self, z: complex) -> complex:
-        return f_weight(z, self.regime)
+    def f(self, z: complex) -> complex:  # the one-point view of f_weights
+        return f_weights([z], self.regime)[0]
 
 
 def r_matrix(lam: complex, theta: complex, ctx: ModelContext) -> np.ndarray:
@@ -146,7 +146,7 @@ def _site_tables(sites: Sequence[tuple[complex, complex, int]], ctx: ModelContex
     come in the order of ``sites``.
 
     The elliptic weights of all the sites come from one
-    :func:`_weights_by_bits` batch, before any table is built, and are
+    :func:`f_weights` call, before any table is built, and are
     read in the order :func:`_weight_points` lists them: ``f(gamma)``;
     then per sector ``f(t)`` and ``f(t -+ gamma)``, the pole test,
     ``f(lam + gamma)`` and ``f(lam)`` in a site's first sector only, and
@@ -162,7 +162,7 @@ def _site_tables(sites: Sequence[tuple[complex, complex, int]], ctx: ModelContex
             yield table
         return
     g = ctx.gamma
-    values = _weights_by_bits(_weight_points(sites, g), ctx)
+    values = iter(f_weights(_weight_points(sites, g), ctx.regime))
     fg = next(values)
     for lam, theta, n_shift in sites:
         diag, off = [], []
@@ -180,19 +180,6 @@ def _site_tables(sites: Sequence[tuple[complex, complex, int]], ctx: ModelContex
         table = np.array((diag, off), dtype=complex)
         table.setflags(write=False)
         yield table
-
-
-def _weights_by_bits(points: Sequence[complex], ctx: ModelContext) -> Iterator[complex]:
-    """The elliptic weight of each of ``points``, from one :func:`f_weights` call.
-
-    The call gets each distinct point once, in order of first
-    appearance; points are told apart by bit pattern, so ``0.0`` and
-    ``-0.0`` stay apart.  It raises what :func:`f_weights` raises.
-    """
-    bits = np.array(points, dtype=complex).view("V16").tolist()
-    distinct = dict(zip(bits, points))
-    weights = dict(zip(distinct, f_weights(list(distinct.values()), ctx.regime.params)))
-    return map(weights.__getitem__, bits)
 
 
 #: ``chains(lam, theta, n_extra)``: the vertex tables of a monodromy chain, site 1 first.

@@ -17,6 +17,7 @@ from yblab.errors import (CoincidentPoints, DynamicalPole, InterpolationIllCondi
                           SingularR)
 from yblab.lattice_qty import as_values, dwbc_partition
 from yblab.pde import MultiPoly, OmegaActions, _pencil_nodes
+from yblab import special_fn
 from yblab.special_fn import MAX_NOME, TERM_TOL, six_vertex
 from yblab.yb_core import ABS_FLOOR, POLE_RTOL, monodromy_blocks
 
@@ -43,7 +44,8 @@ def r_matrix_literal(lam, theta, ctx):
     f(theta)``, ``c_+- = f(gamma) f(theta -+ lam) / f(theta)``, with ``c_+``
     at (ud, du) and ``c_-`` at (du, ud); a negligible ``f(theta)`` is a
     pole.  Trigonometric: the symmetric six-vertex matrix, ``theta``
-    ignored.  The weights are evaluated in the order written here.
+    ignored.  The weights are evaluated in the order written here, by
+    :func:`f_literal`.
     """
     g = ctx.gamma
     if not ctx.is_elliptic:
@@ -52,7 +54,7 @@ def r_matrix_literal(lam, theta, ctx):
                          [0, b, c, 0],
                          [0, c, b, 0],
                          [0, 0, 0, a]], dtype=complex)
-    f = ctx.f
+    f = lambda z: f_literal(z, ctx.regime)
     ft, ft_minus, ft_plus, fg = f(theta), f(theta - g), f(theta + g), f(g)
     if abs(ft) <= POLE_RTOL * max(abs(ft_minus), abs(ft_plus), abs(fg)):
         raise DynamicalPole(f"f(theta) ~ 0 at theta = {theta}")
@@ -150,9 +152,10 @@ def dwbc_enumeration(lams, mu, gamma):
 def theta1_literal(z, params):
     """The theta series summed term by term, each power of the nome taken in place.
 
-    The loop of ``special_fn.theta1`` before its coefficients were
-    tabulated per nome, kept unchanged so the library is held to the
-    same bits.
+    The reference of ``special_fn.theta1_batch``, the library's only
+    theta series: a plain loop over the terms with the batch's stop rule
+    and ``special_fn.SERIES_CAP`` read at the call, which the batch must
+    match bit for bit, error for error.
     """
     p = complex(params.nome)
     if abs(p) >= MAX_NOME:
@@ -161,7 +164,7 @@ def theta1_literal(z, params):
     total = 0j
     scale = 0.0
     prev_mag = cmath.inf
-    for n in range(params.series_cap):
+    for n in range(special_fn.SERIES_CAP):
         term = 2.0 * (-1) ** n * p_quarter * p ** (n * (n + 1)) \
             * cmath.sin((2 * n + 1) * z)
         total += term
@@ -172,8 +175,15 @@ def theta1_literal(z, params):
         prev_mag = mag
     raise NonConvergent(
         f"theta1 series did not meet term_tol={TERM_TOL} "
-        f"within {params.series_cap} terms (|nome|={abs(p):.4g}, z={z})"
+        f"within {special_fn.SERIES_CAP} terms (|nome|={abs(p):.4g}, z={z})"
     )
+
+
+def f_literal(z, regime):
+    """The weight ``f``: ``theta1_literal(i*z)/2``, or ``cmath.sinh(z)``."""
+    if regime.is_elliptic:
+        return theta1_literal(1j * z, regime.params) / 2.0
+    return cmath.sinh(z)
 
 
 def central_difference(fn, x, h=1e-6):
@@ -191,7 +201,7 @@ def z_residue_permutations(X, theta, ctx):
     """
     lams = as_values(X)
     L = ctx.L
-    f = ctx.f
+    f = lambda z: f_literal(z, ctx.regime)
     g = ctx.gamma
     elliptic = ctx.is_elliptic
     pref = f(g) ** L

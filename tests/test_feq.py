@@ -7,11 +7,11 @@ from yblab.feq import (fx_coefficients, fx_residual, snad_coefficients,
                        verify_identity, verify_tay, verify_tdy)
 from yblab.lattice_qty import dwbc_partition, dwbc_partitions, scalar_product_bf
 from yblab.sampling import random_context, sample_spectral, sample_theta
-from yblab import yb_core
-from yblab.special_fn import Regime, f_weight, f_weights
+from yblab import feq, yb_core
+from yblab.special_fn import Regime, f_weights
 from yblab.yb_core import ModelContext, monodromy_blocks
 
-from oracles import creation_string
+from oracles import creation_string, f_literal
 
 
 def bf_z(ctx):
@@ -26,7 +26,7 @@ def bf_s(ctx):
 
 def test_fx_coefficients_single_site_closed_form(rng):
     ctx = random_context(1, rng)
-    f, g = ctx.f, ctx.gamma
+    f, g = (lambda z: f_literal(z, ctx.regime)), ctx.gamma
     l0, l1 = sample_spectral(ctx, rng, 2)
     theta = sample_theta(ctx, rng, range(-2, 4))
     coeffs = fx_coefficients(l0, (l1,), theta, ctx)
@@ -53,7 +53,7 @@ def test_fx_coefficients_small_gamma_suppresses_swaps(rng):
 def test_fx_coefficients_transcription_oracle(rng):
     # independent symbol-by-symbol re-transcription, L = 3 elliptic
     ctx = random_context(3, rng)
-    f, g, mu = ctx.f, ctx.gamma, ctx.mu
+    f, g, mu = (lambda z: f_literal(z, ctx.regime)), ctx.gamma, ctx.mu
     pts = sample_spectral(ctx, rng, 4)
     l0, lams = pts[0], pts[1:]
     theta = sample_theta(ctx, rng, range(-4, 8))
@@ -70,18 +70,20 @@ def test_fx_coefficients_transcription_oracle(rng):
 
 
 def test_fx_coefficients_weight_count(monkeypatch, rng):
-    # f(gamma) and f(theta + (L+1)*gamma) are read once per call: 78 scalar
-    # weights at L = 4, not 111
+    # f(gamma) and f(theta + (L+1)*gamma) are listed once per call: one
+    # batch of 78 weights at L = 4, not 111
     L = 4
     ctx = random_context(L, rng)
     pts = sample_spectral(ctx, rng, L + 1)
     theta = sample_theta(ctx, rng, range(-6, 8))
     calls = []
-    monkeypatch.setattr(yb_core, "f_weight", lambda *args: calls.append(args) or f_weight(*args))
+    monkeypatch.setattr(feq, "f_weights",
+                        lambda points, regime: calls.append(points) or f_weights(points, regime))
     fx_coefficients(pts[0], pts[1:], theta, ctx)
     # m0: f(theta), f(theta + L*gamma), L of f(lam_0 - mu); per extended
     # point: 2 + L own weights and 2 per other point; the two hoisted ones
-    assert len(calls) == (2 + L) + (L + 1) * (2 + L + 2 * L) + 2 == 78
+    assert [len(points) for points in calls] == [(2 + L) + (L + 1) * (2 + L + 2 * L) + 2] \
+        == [78]
 
 
 @pytest.mark.parametrize("L,elliptic", [(1, True), (2, True), (3, True),
@@ -242,16 +244,16 @@ def test_identity_unknown_kind(ell_ctx2):
 def test_identity_check_builds_each_block_once(kind, elliptic, built, monkeypatch, rng):
     # L = 4, n = 2: one build per distinct (lam, theta) a check uses, and
     # the elliptic chains of all of them from one weight batch
+    ctx = random_context(4, rng, elliptic=elliptic)
+    pts = sample_spectral(ctx, rng, 5)
+    theta = sample_theta(ctx, rng, range(-6, 8)) if elliptic else 0.0
     calls, batches = [], []
     monodromy = yb_core._monodromy
     monkeypatch.setattr(yb_core, "_monodromy",
                         lambda *args: calls.append(args[1:3]) or monodromy(*args))
     monkeypatch.setattr(yb_core, "f_weights",
-                        lambda points, params: batches.append(points)
-                        or f_weights(points, params))
-    ctx = random_context(4, rng, elliptic=elliptic)
-    pts = sample_spectral(ctx, rng, 5)
-    theta = sample_theta(ctx, rng, range(-6, 8)) if elliptic else 0.0
+                        lambda points, regime: batches.append(points)
+                        or f_weights(points, regime))
     params = {"bb": dict(l1=pts[0], l2=pts[1], theta=theta),
               "abn": dict(l0=pts[0], lams=pts[1:3], theta=theta),
               "tay": dict(l0=pts[0], xb=pts[1:3], yc=pts[3:5]),
@@ -267,7 +269,7 @@ def test_projected_degree_iterate_reduces_to_swap_equation(ell_ctx2, rng):
     """Projecting the degree-(L+1) exchange iterate term by term must land
     exactly on the swap-equation coefficients times partition functions."""
     ctx = ell_ctx2
-    f, g, L = ctx.f, ctx.gamma, ctx.L
+    f, g, L = (lambda z: f_literal(z, ctx.regime)), ctx.gamma, ctx.L
     pts = sample_spectral(ctx, rng, L + 1)
     l0, lams = pts[0], pts[1:]
     theta = sample_theta(ctx, rng, range(-6, 8))

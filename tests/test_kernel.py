@@ -6,17 +6,17 @@ import time
 import numpy as np
 import pytest
 
-from yblab import lattice_qty, yb_core
+from yblab import lattice_qty, special_fn, yb_core
 from yblab.errors import DynamicalPole
 from yblab.feq import fx_residual
 from yblab.lattice_qty import dwbc_partition, dwbc_partitions, scalar_product_bf
 from yblab.residue_int import z_contour
 from yblab.sampling import random_context, sample_spectral, sample_theta
-from yblab.special_fn import f_weight, f_weights
+from yblab.special_fn import f_weights
 from yblab.yb_core import (ModelContext, apply_block, apply_factors, monodromy_blocks,
                            residual, site_factors, verify_rll)
 
-from oracles import creation_string, r_matrix_literal, vertex_table_literal
+from oracles import creation_string, f_literal, r_matrix_literal, vertex_table_literal
 
 
 def literal_embedding(lam, theta, ctx, pair, shift_sites, n_sites):
@@ -137,15 +137,10 @@ def test_cached_operators_are_read_only(rng):
 
 
 def test_one_weight_evaluation_per_site_and_sector(monkeypatch, rng):
-    batches, scalar = [], []
     ctx = random_context(3, rng)
     lam = sample_spectral(ctx, rng, 1)[0]
     theta = sample_theta(ctx, rng, range(-4, 5))
-    monkeypatch.setattr(yb_core, "f_weights",
-                        lambda points, params: batches.append(points)
-                        or f_weights(points, params))
-    monkeypatch.setattr(yb_core, "f_weight",
-                        lambda *args: scalar.append(args) or f_weight(*args))
+    batches = _count_batches(monkeypatch)
     monodromy_blocks(lam, theta, ctx)
     # one batch per chain, of the distinct ones of its weight points:
     # f(gamma) once, f(lam - mu_i + gamma) and f(lam - mu_i) per site, five
@@ -153,14 +148,15 @@ def test_one_weight_evaluation_per_site_and_sector(monkeypatch, rng):
     sites = [(lam - ctx.mu[k], theta, ctx.L - 1 - k) for k in range(ctx.L)]
     points = yb_core._weight_points(sites, ctx.gamma)
     assert len(points) == 1 + 2 * 3 + 5 * (3 + 2 + 1)
-    assert [_bits(batch) for batch in batches] == [list(dict.fromkeys(_bits(points)))]
+    distinct = dict(zip(_bits(points), points)).values()
+    assert [_bits(batch) for batch in batches] == [_bits(1j * p for p in distinct)]
     apply_block("B", lam, theta, ctx, np.eye(ctx.dim))
     assert len(batches) == 2  # every public call builds its own chain
     chains = yb_core.build_chains([(lam, theta, 0)], ctx)
     assert len(batches) == 3  # the build evaluates its weights up front
     tables = chains(lam, theta, 0)
     assert chains(lam, theta, 0) is tables and chains(complex(lam), theta, 0) is tables
-    assert len(batches) == 3 and not scalar  # a lookup evaluates nothing
+    assert len(batches) == 3  # a lookup evaluates nothing
 
 
 def _bits(values):
@@ -168,10 +164,10 @@ def _bits(values):
 
 
 def _count_batches(monkeypatch):
-    """Record the points of every batch, then hand them to the ``f_weights`` in place."""
-    batches, inner = [], yb_core.f_weights
-    monkeypatch.setattr(yb_core, "f_weights",
-                        lambda points, params: batches.append(points) or inner(points, params))
+    """Record the series arguments ``i*lam`` of every theta-series batch."""
+    batches, inner = [], special_fn.theta1_batch
+    monkeypatch.setattr(special_fn, "theta1_batch",
+                        lambda z, params: batches.append(list(z)) or inner(z, params))
     return batches
 
 
@@ -200,9 +196,11 @@ def test_bulk_weights_keep_signed_zeros_apart(monkeypatch, rng):
     ctx = random_context(1, rng)
     points = [0j, complex(-0.0, 0.0), 0.5 + 0j, 0j, complex(-0.0, 0.0), complex(0.0, -0.0)]
     batches = _count_batches(monkeypatch)
-    values = list(yb_core._weights_by_bits(points, ctx))
-    assert _bits(batches[0]) == _bits([0j, complex(-0.0, 0.0), 0.5 + 0j, complex(0.0, -0.0)])
-    assert _bits(values) == _bits(f_weight(p, ctx.regime) for p in points)
+    values = f_weights(points, ctx.regime)
+    distinct = [0j, complex(-0.0, 0.0), 0.5 + 0j, complex(0.0, -0.0)]
+    assert batches == [[1j * p for p in distinct]]
+    assert _bits(batches[0]) == _bits(1j * p for p in distinct)
+    assert _bits(values) == _bits(f_literal(p, ctx.regime) for p in points)
 
 
 def test_fx_residual_sample_is_one_batch(monkeypatch, rng):
@@ -211,7 +209,8 @@ def test_fx_residual_sample_is_one_batch(monkeypatch, rng):
     theta = sample_theta(ctx, rng, range(-8, 9))
     batches = _count_batches(monkeypatch)
     fx_residual(pts[0], pts[1:], theta, ctx, lambda sets: dwbc_partitions(sets, ctx))
-    assert len(batches) == 1
+    # one for the coefficients, one for the chains of all L + 2 sets
+    assert len(batches) == 2
 
 
 @pytest.mark.parametrize("L", [2, 3, 4])
@@ -240,7 +239,7 @@ def test_chain_lookup_keeps_what_it_builds(rng):
     assert yb_core.build_chains([(lam, 0.0, 0)], trig)(lam, 0.0, 0) is not chains(lam, 0.0, 0)
 
 
-def _refuse_batch(points, params):
+def _refuse_batch(points, regime):
     raise ArithmeticError("batch refused")
 
 

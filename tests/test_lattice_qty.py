@@ -10,7 +10,7 @@ from yblab.sampling import random_context, sample_spectral, sample_theta
 from yblab.special_fn import Regime
 from yblab.yb_core import ModelContext, monodromy_blocks
 
-from oracles import creation_string, dwbc_enumeration
+from oracles import creation_string, dwbc_enumeration, f_literal
 
 GAMMA = 0.41 + 0.07j
 
@@ -24,7 +24,7 @@ FROZEN_L3_VALUE = 0.00702612279470128 + 0.0011493587780595938j
 
 def test_dwbc_single_site_closed_form(rng):
     ctx = random_context(1, rng)
-    f = ctx.f
+    f = lambda z: f_literal(z, ctx.regime)
     g = ctx.gamma
     lam = 0.42 - 0.17j
     theta = sample_theta(ctx, rng, range(-1, 3))
@@ -144,7 +144,7 @@ def test_hw_annihilation_statements_exact(rng):
 def test_hw_diagonal_eigenvalue_example(rng):
     # explicit check of the down-sector diagonal eigenvalue at L = 3
     ctx = random_context(3, rng)
-    f, g, L = ctx.f, ctx.gamma, ctx.L
+    f, g, L = (lambda z: f_literal(z, ctx.regime)), ctx.gamma, ctx.L
     lam = sample_spectral(ctx, rng, 1)[0]
     theta = sample_theta(ctx, rng, range(-4, 5))
     d_block = monodromy_blocks(lam, theta, ctx)[3]

@@ -8,12 +8,12 @@ from yblab.lattice_qty import dwbc_partition, scalar_product_bf
 from yblab.residue_int import sn_contour, z_contour
 from yblab.sampling import random_context, sample_spectral, sample_theta
 
-from oracles import sn_residue_permutations, z_residue_permutations
+from oracles import f_literal, sn_residue_permutations, z_residue_permutations
 
 
 def test_z_contour_single_variable_closed_form(rng):
     ctx = random_context(1, rng)
-    f, g = ctx.f, ctx.gamma
+    f, g = (lambda z: f_literal(z, ctx.regime)), ctx.gamma
     lam = sample_spectral(ctx, rng, 1, avoid=ctx.mu)[0]
     theta = sample_theta(ctx, rng, range(-1, 3))
     value = z_contour((lam,), theta, ctx)

@@ -3,11 +3,11 @@ import pytest
 
 from yblab.errors import DynamicalPole, NonFinite
 from yblab.sampling import random_context, sample_spectral, sample_theta
-from yblab.special_fn import Regime, f_weight
+from yblab.special_fn import Regime
 from yblab.yb_core import (ABS_FLOOR, ModelContext, monodromy_blocks, r_matrix, rel_diff,
                            residual, term_residual, verify_dybe, verify_rll)
 
-from oracles import r_matrix_literal
+from oracles import f_literal, r_matrix_literal
 
 H = np.diag([1.0, -1.0])
 
@@ -67,7 +67,7 @@ def test_r_matrix_gamma_zero_is_scalar(rng):
     object.__setattr__(ctx, "gamma", 0j)
     lam, theta = 0.3 + 0.1j, 0.8 - 0.05j
     r = r_matrix(lam, theta, ctx)
-    expected = f_weight(lam, ctx.regime) * np.eye(4)
+    expected = f_literal(lam, ctx.regime) * np.eye(4)
     assert np.max(np.abs(r - expected)) < 1e-12 * np.max(np.abs(r))
 
 
@@ -148,7 +148,7 @@ def test_rll_coincident(rng):
 def test_monodromy_single_site_creation_entry(rng):
     # L = 1: the creation block has a single nonzero entry, the c_+ weight
     ctx = random_context(1, rng)
-    f = ctx.f
+    f = lambda z: f_literal(z, ctx.regime)
     lam = 0.37 + 0.21j
     theta = sample_theta(ctx, rng, range(-2, 3))
     b = monodromy_blocks(lam, theta, ctx)[1]
