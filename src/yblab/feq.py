@@ -16,13 +16,13 @@ every term is tiny, which exposes catastrophic cancellation.
 
 The exchange identities the equations descend from (commutation of a
 diagonal block through a creation string, and its degree-n iterates) are
-also verified directly as dense operator identities.
+also verified directly as operator identities: each side is a sum of
+block words applied to the identity columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import islice
 from typing import Callable, Sequence
 
@@ -31,7 +31,7 @@ import numpy as np
 from .errors import RegimeMismatch, SingularCoefficient, SizeMismatch
 from .lattice_qty import Evaluator, as_values
 from .special_fn import f_weights, six_vertex
-from .yb_core import ModelContext, block_table, residual, term_residual
+from .yb_core import ModelContext, block_words, residual, term_residual
 
 #: Relative floor for coefficient denominators.
 DENOM_RTOL = 1e-12
@@ -210,11 +210,6 @@ def snad_residuals(l0: complex, XB, YC, ctx: ModelContext,
 
 # --- operator identities -------------------------------------------------
 
-def _string(blocks: Sequence[np.ndarray]) -> np.ndarray:
-    """Ordered product of ``blocks``, left to right."""
-    return reduce(np.matmul, blocks)
-
-
 def verify_ab(l1: complex, l2: complex, ctx: ModelContext) -> float:
     """Six-vertex exchange of a diagonal block through one creation block."""
     if ctx.is_elliptic:
@@ -222,11 +217,11 @@ def verify_ab(l1: complex, l2: complex, ctx: ModelContext) -> float:
     a, b, c = six_vertex(ctx.gamma)
     d = l2 - l1
     _guard(b(d), abs(c), "b(lam_2 - lam_1)")
-    blocks = block_table([(l1, 0.0), (l2, 0.0)], ctx)
-    a1, b1 = blocks(l1, 0.0)[:2]
-    a2, b2 = blocks(l2, 0.0)[:2]
-    lhs = a1 @ b2
-    rhs = (a(d) / b(d)) * b2 @ a1 - (c / b(d)) * b1 @ a2
+    word = block_words([(l1, 0.0), (l2, 0.0)], ctx)
+    eye = np.eye(ctx.dim, dtype=complex)
+    lhs = word([("A", l1, 0.0), ("B", l2, 0.0)], eye)
+    rhs = (a(d) / b(d)) * word([("B", l2, 0.0), ("A", l1, 0.0)], eye) \
+        - (c / b(d)) * word([("B", l1, 0.0), ("A", l2, 0.0)], eye)
     return residual(lhs, rhs)
 
 
@@ -241,20 +236,18 @@ def verify_bb(l1: complex, l2: complex, theta: complex, ctx: ModelContext) -> fl
         raise RegimeMismatch("the dynamical exchange rules need the elliptic regime")
     g = ctx.gamma
     t1, t2 = theta + g, theta + 2 * g
-    blocks = block_table([(l1, theta), (l2, theta), (l1, t1), (l2, t1), (l1, t2), (l2, t2)], ctx)
-    b11 = blocks(l1, theta)[1]
-    b21 = blocks(l2, theta)[1]
-    b12 = blocks(l1, t1)[1]
-    b22 = blocks(l2, t1)[1]
-    res_bb = residual(b11 @ b22, b21 @ b12)
+    word = block_words([(l1, theta), (l2, theta), (l1, t1), (l2, t1), (l1, t2), (l2, t2)], ctx)
+    eye = np.eye(ctx.dim, dtype=complex)
+    res_bb = residual(word([("B", l1, theta), ("B", l2, t1)], eye),
+                      word([("B", l2, theta), ("B", l1, t1)], eye))
 
     f_g, f_d, f_t2, f_plus, f_t1, f_cross = f_weights(
         [g, l2 - l1, t2, l2 - l1 + g, t1, t1 - l2 + l1], ctx.regime)
     f_d = _guard(f_d, abs(f_g), "f(lam_2 - lam_1)")
     f_t2 = _guard(f_t2, 1.0, "f(theta + 2*gamma)")
-    lhs = blocks(l1, t1)[0] @ b21
-    rhs = (f_plus / f_d) * (f_t1 / f_t2) * b22 @ blocks(l1, t2)[0] \
-        - (f_cross / f_d) * (f_g / f_t2) * b12 @ blocks(l2, t2)[0]
+    lhs = word([("A", l1, t1), ("B", l2, theta)], eye)
+    rhs = (f_plus / f_d) * (f_t1 / f_t2) * word([("B", l2, t1), ("A", l1, t2)], eye) \
+        - (f_cross / f_d) * (f_g / f_t2) * word([("B", l1, t1), ("A", l2, t2)], eye)
     return max(res_bb, residual(lhs, rhs))
 
 
@@ -275,13 +268,15 @@ def verify_abn(l0: complex, lams, theta: complex, ctx: ModelContext) -> float:
     t1, top = theta + g, theta + (n + 1) * g
     slots = lambda pts, t: [(p, t + j * g) for j, p in enumerate(pts, 1)]
     swaps = [((l0,) + lams[:i] + lams[i + 1:], li) for i, li in enumerate(lams)]
-    blocks = block_table([(l0, t1)] + slots(lams, theta - g) + slots(lams, theta) + [(l0, top)]
-                         + [key for swapped, li in swaps
-                            for key in slots(swapped, theta) + [(li, top)]], ctx)
-    a_of = lambda lam, t: blocks(lam, t)[0]
-    y_of = lambda pts, t: _string([blocks(*key)[1] for key in slots(pts, t)])
+    word = block_words([(l0, t1)] + slots(lams, theta - g) + slots(lams, theta) + [(l0, top)]
+                       + [key for swapped, li in swaps
+                          for key in slots(swapped, theta) + [(li, top)]], ctx)
+    eye = np.eye(ctx.dim, dtype=complex)
+    # the creation string at theta, then A(lam, top) acting first
+    string_a = lambda pts, lam: word([("B", *key) for key in slots(pts, theta)]
+                                     + [("A", lam, top)], eye)
 
-    lhs = a_of(l0, t1) @ y_of(lams, theta - g)
+    lhs = word([("A", l0, t1)] + [("B", *key) for key in slots(lams, theta - g)], eye)
     # every weight from one batch, listed in the order the formula reads it
     w = iter(f_weights([g, t1, top] + [p for lam in lams for p in (lam - l0 + g, lam - l0)]
                        + [p for i, li in enumerate(lams) for p in (t1 - li + l0, li - l0)
@@ -291,12 +286,12 @@ def verify_abn(l0: complex, lams, theta: complex, ctx: ModelContext) -> float:
     head = f_t1 / (f_top := _guard(f_top, 1.0, "f(theta + (n+1)*gamma)"))
     for _ in lams:
         head *= next(w) / _guard(next(w), abs(f_g), "f(lam_j - lam_0)")
-    rhs = head * y_of(lams, theta) @ a_of(l0, top)
+    rhs = head * string_a(lams, l0)
     for swapped, li in swaps:
         coeff = (next(w) / f_top) * (f_g / _guard(next(w), abs(f_g), "f(lam_i - lam_0)"))
         for _ in range(n - 1):
             coeff *= next(w) / _guard(next(w), abs(f_g), "f(lam_j - lam_i)")
-        rhs = rhs - coeff * y_of(swapped, theta) @ a_of(li, top)
+        rhs = rhs - coeff * string_a(swapped, li)
     return residual(lhs, rhs)
 
 
@@ -311,10 +306,10 @@ def _tay_tdy(l0: complex, xb, yc, ctx: ModelContext, use_d: bool) -> float:
     if n == 0:
         raise SizeMismatch("the creation and annihilation strings need at least one point each")
     a, b, c = six_vertex(ctx.gamma)
-    blocks = block_table([(lam, 0.0) for lam in (l0,) + xb + yc], ctx)
-    diag = lambda lam: blocks(lam, 0.0)[3 if use_d else 0]
-    cstr = lambda pts: _string([blocks(p, 0.0)[2] for p in reversed(pts)])
-    bstr = lambda pts: _string([blocks(p, 0.0)[1] for p in pts])
+    word = block_words([(lam, 0.0) for lam in (l0,) + xb + yc], ctx)
+    diag = lambda lam: [("D" if use_d else "A", lam, 0.0)]
+    cstr = lambda pts: [("C", p, 0.0) for p in reversed(pts)]
+    bstr = lambda pts: [("B", p, 0.0) for p in pts]
     sgn = (lambda z: -z) if use_d else (lambda z: z)
 
     def ratio(z, what):
@@ -329,15 +324,19 @@ def _tay_tdy(l0: complex, xb, yc, ctx: ModelContext, use_d: bool) -> float:
                     coeff *= ratio(sgn(pj - pi), f"b({side}_j - {side}_i)")
             yield coeff, (l0,) + pts[:i] + pts[i + 1:], pi
 
-    cc = cstr(yc)
-    bb = bstr(xb)
-    lhs = np.prod([ratio(sgn(y - l0), "b(yc_i - lam_0)") for y in yc]) * diag(l0) @ cc @ bb
+    # the B string is applied once for the left side, and by linearity the
+    # C string once to the right side's summed inner terms
+    eye = np.eye(ctx.dim, dtype=complex)
+    bb = word(bstr(xb), eye)
+    lhs = np.prod([ratio(sgn(y - l0), "b(yc_i - lam_0)") for y in yc]) \
+        * word(diag(l0) + cstr(yc), bb)
     for coeff, swapped, yi in swaps(yc, "yc"):
-        lhs = lhs - coeff * diag(yi) @ cstr(swapped) @ bb
-    rhs = np.prod([ratio(sgn(x - l0), "b(xb_i - lam_0)") for x in xb]) * cc @ bb @ diag(l0)
+        lhs = lhs - coeff * word(diag(yi) + cstr(swapped), bb)
+    inner = np.prod([ratio(sgn(x - l0), "b(xb_i - lam_0)") for x in xb]) \
+        * word(bstr(xb) + diag(l0), eye)
     for coeff, swapped, xi in swaps(xb, "xb"):
-        rhs = rhs - coeff * cc @ bstr(swapped) @ diag(xi)
-    return residual(lhs, rhs)
+        inner = inner - coeff * word(bstr(swapped) + diag(xi), eye)
+    return residual(lhs, word(cstr(yc), inner))
 
 
 def verify_tay(l0: complex, xb, yc, ctx: ModelContext) -> float:

@@ -1,10 +1,11 @@
 """Brute-force lattice quantities.
 
 Everything here is computed by literal contraction of monodromy blocks
-on the chain space: the partition function and scalar products apply
-the blocks to vectors, matrix-free, and the extremal-state checks use
-the dense blocks.  These are the reference oracles against which the
-closed-form residue evaluators are checked.
+on the chain space, as block words of :func:`~yblab.yb_core.block_words`:
+the partition function and scalar products apply them to the all-up
+state, and the extremal-state checks to the identity columns.  These are
+the reference oracles against which the closed-form residue evaluators
+are checked.
 """
 
 from __future__ import annotations
@@ -13,10 +14,9 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import RegimeMismatch, SizeMismatch
+from .errors import NonFinite, RegimeMismatch, SizeMismatch
 from .special_fn import f_weights
-from .yb_core import (ABS_FLOOR, ModelContext, _apply_block, build_chains, monodromy_blocks,
-                      residual)
+from .yb_core import ABS_FLOOR, ModelContext, block_words, residual
 
 #: A bulk partition-function evaluator: the value at each ``(points,
 #: theta)`` of a list, in order, as :func:`dwbc_partitions` gives them.
@@ -30,8 +30,15 @@ def as_values(points: Iterable[complex]) -> tuple[complex, ...]:
 
 def _creation_slots(lams: Sequence[complex], theta: complex,
                     ctx: ModelContext) -> list[tuple[complex, complex]]:
-    """``(lam_j, theta + j*gamma)`` of the creation blocks, in the order they act (j = L..1)."""
-    return [(lams[j - 1], theta + j * ctx.gamma) for j in range(len(lams), 0, -1)]
+    """``(lam_j, theta + j*gamma)`` of the creation blocks, in operator order (j = 1..L)."""
+    return [(lam, theta + j * ctx.gamma) for j, lam in enumerate(lams, 1)]
+
+
+def _all_up(ctx: ModelContext) -> np.ndarray:
+    """The all-up chain state, basis vector 0."""
+    vec = np.zeros(ctx.dim, dtype=complex)
+    vec[0] = 1.0
+    return vec
 
 
 def dwbc_partition(X, theta: complex, ctx: ModelContext) -> complex:
@@ -52,22 +59,16 @@ def dwbc_partitions(sets: Sequence[tuple[Iterable[complex], complex]],
     """:func:`dwbc_partition` at each ``(X, theta)`` of ``sets``, in order.
 
     The sizes of all the sets are checked first, then the chains of all
-    the sets are built from one weight batch, in set order.
+    the sets are built from one weight batch, in set order, and each
+    set's creation string is one block word on the all-up state.
     """
     sets = [(as_values(X), theta) for X, theta in sets]
     for lams, _ in sets:
         if len(lams) != ctx.L:
             raise SizeMismatch(f"need exactly L = {ctx.L} spectral points, got {len(lams)}")
-    chains = build_chains([(lam, theta_j, 0) for lams, theta in sets
-                           for lam, theta_j in _creation_slots(lams, theta, ctx)], ctx)
-    values = []
-    for lams, theta in sets:
-        vec = np.zeros(ctx.dim, dtype=complex)
-        vec[0] = 1.0
-        for lam, theta_j in _creation_slots(lams, theta, ctx):
-            vec = _apply_block(chains, "B", lam, theta_j, ctx, vec)
-        values.append(complex(vec[-1]))
-    return values
+    slots = [_creation_slots(lams, theta, ctx) for lams, theta in sets]
+    word = block_words([key for keys in slots for key in reversed(keys)], ctx)
+    return [complex(word([("B", *key) for key in keys], _all_up(ctx))[-1]) for keys in slots]
 
 
 def scalar_product_bf(XB, YC, ctx: ModelContext) -> complex:
@@ -76,7 +77,7 @@ def scalar_product_bf(XB, YC, ctx: ModelContext) -> complex:
     Defined only after the trigonometric limit; elliptic contexts are
     rejected.  ``n > L`` is allowed and gives an exact zero (the
     creation string leaves the weight lattice).  Its 2n chains are built
-    up front by one :func:`build_chains` call.
+    up front, and the string is one block word on the all-up state.
     """
     if ctx.is_elliptic:
         raise RegimeMismatch("scalar products are defined in the trigonometric regime only")
@@ -84,14 +85,9 @@ def scalar_product_bf(XB, YC, ctx: ModelContext) -> complex:
     yc = as_values(YC)
     if len(xb) != len(yc):
         raise SizeMismatch(f"|XB| = {len(xb)} differs from |YC| = {len(yc)}")
-    chains = build_chains([(lam, 0.0, 0) for lam in xb + yc], ctx)
-    vec = np.zeros(ctx.dim, dtype=complex)
-    vec[0] = 1.0
-    for lam in reversed(xb):
-        vec = _apply_block(chains, "B", lam, 0.0, ctx, vec)
-    for lam in yc:
-        vec = _apply_block(chains, "C", lam, 0.0, ctx, vec)
-    return complex(vec[0])
+    word = block_words([(lam, 0.0) for lam in xb + yc], ctx)
+    return complex(word([("C", y, 0.0) for y in reversed(yc)]
+                        + [("B", x, 0.0) for x in xb], _all_up(ctx))[0])
 
 
 def hw_action_residuals(lam: complex, theta: complex,
@@ -107,9 +103,13 @@ def hw_action_residuals(lam: complex, theta: complex,
     """
     g = ctx.gamma
     L = ctx.L
-    a_mat, b_mat, c_mat, d_mat = monodromy_blocks(lam, theta, ctx)
-    up = np.zeros(ctx.dim, dtype=complex)
-    up[0] = 1.0
+    word = block_words([(lam, theta)], ctx)
+    eye = np.eye(ctx.dim, dtype=complex)
+    blocks = a_mat, b_mat, c_mat, d_mat = [word([(block, lam, theta)], eye) for block in "ABCD"]
+    if not all(np.isfinite(block).all() for block in blocks):
+        # an annihilation ratio against a non-finite block could read 0
+        raise NonFinite("chain operator has non-finite entries")
+    up = _all_up(ctx)
     down = np.zeros(ctx.dim, dtype=complex)
     down[-1] = 1.0
 

@@ -33,7 +33,7 @@ from .errors import (CoincidentPoints, DegreeMismatch, InterpolationIllCondition
                      RegimeMismatch, SingularCoefficient)
 from .lattice_qty import Evaluator, as_values
 from .special_fn import six_vertex
-from .yb_core import ABS_FLOOR, ModelContext, _apply_block, build_chains, term_residual
+from .yb_core import ABS_FLOOR, ModelContext, block_words, term_residual
 
 #: Deterministic spectral-parameter candidates for pencil-extraction nodes.
 _NODE_CANDIDATES = tuple(
@@ -286,12 +286,12 @@ def interpolate_zbar(ctx: ModelContext) -> MultiPoly:
                          f"polynomial misses Z by about 1e-1); L = {L} refused")
     nodes = 1j * np.pi * np.arange(L) / L
 
-    chains = build_chains([(lam, 0.0, 0) for lam in nodes], ctx)
+    word = block_words([(lam, 0.0) for lam in nodes], ctx)
     cols = np.zeros((ctx.dim, 1), dtype=complex)
     cols[0] = 1.0
     for j in range(L, 0, -1):
-        cols = np.concatenate([_apply_block(chains, "B", lam, 0.0 + j * ctx.gamma, ctx, cols)
-                               for lam in nodes], axis=1)
+        cols = np.concatenate([word([("B", lam, 0.0 + j * ctx.gamma)], cols) for lam in nodes],
+                              axis=1)
     grid = cols[-1].reshape((L,) * L)
     values = grid * np.exp((L - 1) * sum(np.ix_(*(nodes,) * L)))
     return MultiPoly(np.fft.fftn(values) / L ** L)

@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DynamicalPole, NonFinite
+from .errors import DynamicalPole
 from .special_fn import Regime, f_weights, six_vertex
 
 #: Relative floor below which a dynamical denominator counts as a pole.
@@ -317,72 +317,46 @@ def _monodromy(chains: Chains, lam: complex, theta: complex, ctx: ModelContext, 
             for table, site, shift in zip(chains(lam, theta, len(extra_shift)), chain, shifts)]
 
 
-Blocks = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+#: ``word(letters, cols)``: the product of the monodromy blocks ``letters`` applied to ``cols``.
+Word = Callable[[Sequence[tuple[str, complex, complex]], np.ndarray], np.ndarray]
 
 
-def monodromy_blocks(lam: complex, theta: complex, ctx: ModelContext) -> Blocks:
-    """Auxiliary-space blocks (A, B, C, D) of the monodromy matrix.
+def block_words(keys: Iterable[tuple[complex, complex]], ctx: ModelContext) -> Word:
+    """Products of auxiliary-space monodromy blocks, applied matrix-free; the one block route.
 
     The monodromy matrix is the ordered product over sites
     ``i = 1..L`` of the vertex matrix at ``lam - mu_i`` with dynamical
     argument ``theta - gamma * (spin sum of sites i+1..L)``, evaluated
-    per input basis state.  Blocks are taken in the auxiliary space:
+    per input basis state.  Its blocks are taken in the auxiliary space:
     A = (up|T|up), B = (up|T|down), C = (down|T|up), D = (down|T|down).
-    They come from :func:`block_table`.  Use :func:`apply_block` where
-    only the action on vectors is needed.
-    """
-    return block_table([(lam, theta)], ctx)(lam, theta)
 
-
-def block_table(keys: Iterable[tuple[complex, complex]], ctx: ModelContext
-                ) -> Callable[[complex, complex], Blocks]:
-    """Dense monodromy blocks by ``(lam, theta)``, each built once; the one dense route.
-
-    The chains of the ``keys``, the only ones the table reads, come from
-    one :func:`build_chains` call.  A block set is the site factors
-    applied to the ``2^(L+1)`` identity, cut into read-only C-contiguous
-    ``2^L x 2^L`` arrays; a non-finite entry raises :class:`NonFinite`.
+    The chains of the ``(lam, theta)`` keys, the only ones the words
+    read, come from one :func:`build_chains` call, which raises any pole
+    or weight error before a letter is applied; each key's site factors
+    are gathered once.  ``word(letters, cols)`` applies the letters
+    ``(block, lam, theta)`` to the chain vectors ``cols`` (one vector,
+    or vectors as columns), listed left to right as in the operator
+    product, so the last letter acts first.  A letter places its input
+    in the auxiliary half of its block's column, applies the site
+    factors and keeps the half of its row: O(L 2^L) per column, and
+    columns never mix, so a one-letter word on the identity is the
+    dense block.  As in :func:`apply_factors`, overflow is left to the
+    caller, which reports a non-finite result as an error.
     """
     chains = build_chains([(lam, theta, 0) for lam, theta in keys], ctx)
-
-    @functools.cache
-    def blocks(lam: complex, theta: complex) -> Blocks:
-        n = 1 << (ctx.L + 1)
-        total = apply_factors(np.eye(n, dtype=complex), _monodromy(chains, lam, theta, ctx))
-        if not np.isfinite(total).all():
-            raise NonFinite("chain operator has non-finite entries")
-        d = ctx.dim
-        # contiguous copies: matmul on a strided view need not round the same
-        out = tuple(np.ascontiguousarray(total[r:r + d, c:c + d])
-                    for r in (0, d) for c in (0, d))
-        for block in out:
-            block.setflags(write=False)
-        return out
-
-    return blocks
-
-
-def apply_block(block: str, lam: complex, theta: complex, ctx: ModelContext,
-                vec: np.ndarray) -> np.ndarray:
-    """One auxiliary block ("A", "B", "C" or "D") of the monodromy applied to ``vec``.
-
-    Matrix-free: ``vec`` (a chain vector, or chain vectors as columns)
-    is placed in the auxiliary input half and the site factors are
-    applied to it, O(L 2^L) per vector.  Agrees with the matching block
-    of :func:`monodromy_blocks` to rounding.
-    """
-    return _apply_block(build_chains([(lam, theta, 0)], ctx), block, lam, theta, ctx, vec)
-
-
-def _apply_block(chains: Chains, block: str, lam: complex, theta: complex,
-                 ctx: ModelContext, vec: np.ndarray) -> np.ndarray:
-    """:func:`apply_block` with its chain from ``chains``."""
-    row, col = divmod("ABCD".index(block), 2)
+    factors = functools.cache(lambda lam, theta: _monodromy(chains, lam, theta, ctx))
     d = ctx.dim
-    vec = np.asarray(vec, dtype=complex)
-    x = np.zeros((2 * d,) + vec.shape[1:], dtype=complex)
-    x[col * d:(col + 1) * d] = vec
-    return apply_factors(x, _monodromy(chains, lam, theta, ctx))[row * d:(row + 1) * d]
+
+    def word(letters: Sequence[tuple[str, complex, complex]], cols: np.ndarray) -> np.ndarray:
+        x = np.asarray(cols, dtype=complex)
+        for block, lam, theta in reversed(letters):
+            row, col = divmod("ABCD".index(block), 2)
+            padded = np.zeros((2 * d,) + x.shape[1:], dtype=complex)
+            padded[col * d:(col + 1) * d] = x
+            x = apply_factors(padded, factors(lam, theta))[row * d:(row + 1) * d]
+        return x
+
+    return word
 
 
 def verify_rll(l1: complex, l2: complex, theta: complex,

@@ -19,7 +19,7 @@ from yblab.lattice_qty import as_values, dwbc_partition
 from yblab.pde import MultiPoly, OmegaActions, _pencil_nodes
 from yblab import special_fn
 from yblab.special_fn import MAX_NOME, TERM_TOL, six_vertex
-from yblab.yb_core import ABS_FLOOR, POLE_RTOL, monodromy_blocks
+from yblab.yb_core import ABS_FLOOR, POLE_RTOL
 
 
 def six_vertex_vertex_weight(a_out, s_out, a_in, s_in, lam, gamma):
@@ -89,16 +89,50 @@ def vertex_table_literal(lam, theta, n_shift, ctx):
     return table
 
 
+def monodromy_literal(lam, theta, ctx):
+    """Dense monodromy on auxiliary site 0 and chain sites 1..L, factor by factor.
+
+    A ``2^(L+1)`` square matrix, the ordered product over sites ``i =
+    1..L`` (site 1 leftmost) of the vertex matrix on the auxiliary spin
+    and spin ``i``.  Column ``c`` of factor ``i`` holds
+    ``r_matrix_literal(lam - mu_i, theta - gamma*w)``, with ``w`` the
+    signed spin sum (+1 up, -1 down) of the sites after ``i`` read from
+    the basis state ``c`` itself; the trigonometric matrix ignores it.
+    """
+    n = ctx.L + 1
+    bit = lambda state, site: (state >> (n - 1 - site)) & 1
+    total = np.eye(1 << n, dtype=complex)
+    for site in range(1, n):
+        r_of = {}
+        factor = np.zeros_like(total)
+        for col in range(1 << n):
+            w = sum(1 - 2 * bit(col, k) for k in range(site + 1, n))
+            if w not in r_of:
+                r_of[w] = r_matrix_literal(lam - ctx.mu[site - 1], theta - ctx.gamma * w, ctx)
+            for out_aux, out_site in itertools.product((0, 1), repeat=2):
+                row = col ^ ((bit(col, 0) ^ out_aux) << (n - 1)) \
+                    ^ ((bit(col, site) ^ out_site) << (n - 1 - site))
+                factor[row, col] += r_of[w][2 * out_aux + out_site,
+                                            2 * bit(col, 0) + bit(col, site)]
+        total = total @ factor
+    return total
+
+
+def blocks_literal(lam, theta, ctx):
+    """Auxiliary-space blocks (A, B, C, D) of :func:`monodromy_literal`, each ``2^L`` square."""
+    total, d = monodromy_literal(lam, theta, ctx), ctx.dim
+    return tuple(total[r:r + d, c:c + d].copy() for r in (0, d) for c in (0, d))
+
+
 def creation_string(lams, theta, ctx):
     """Ordered product of dense creation blocks B(lam_j, theta + j*gamma), j = 1..n.
 
     The dense reference for the matrix-free contraction in
     ``dwbc_partition``: its ``[-1, 0]`` entry is the partition function.
     """
-    out = np.eye(ctx.dim, dtype=complex)
-    for j, lam in enumerate(lams, start=1):
-        out = out @ monodromy_blocks(lam, theta + j * ctx.gamma, ctx)[1]
-    return out
+    return string_literal([np.eye(ctx.dim, dtype=complex)]
+                          + [blocks_literal(lam, theta + j * ctx.gamma, ctx)[1]
+                             for j, lam in enumerate(lams, start=1)])
 
 
 def string_literal(blocks):

@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 import yblab.cli as cli
-from yblab import feq, lattice_qty, pde, special_fn, yb_core
+from yblab import pde, special_fn, yb_core
 from yblab.errors import DynamicalPole, InterpolationIllConditioned
 
 from oracles import (f_literal, fzt_coefficients_literal, omega_actions_literal,
-                     omega_leading_apply_literal, string_literal, theta1_literal)
+                     omega_leading_apply_literal, theta1_literal)
 
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -665,9 +665,8 @@ def test_bulk_chain_build_keeps_report_streams(monkeypatch, capsys, args):
 
     shipped = stream()
     afresh, build_chains = [], yb_core.build_chains
-    for module in (yb_core, lattice_qty, pde):
-        monkeypatch.setattr(module, "build_chains", lambda keys, ctx: afresh.append(ctx)
-                            or (lambda *key: build_chains([key], ctx)(*key)))
+    monkeypatch.setattr(yb_core, "build_chains", lambda keys, ctx: afresh.append(ctx)
+                        or (lambda *key: build_chains([key], ctx)(*key)))
     assert stream() == shipped
     assert afresh and shipped[0] == 0
     records = {"compute": 1, "run": 49 if "--trig" in args else 36}[args[0]]
@@ -717,9 +716,8 @@ def test_pencil_keeps_report_streams(monkeypatch, capsys, L):
 @pytest.mark.parametrize("L", ["2", "3", "4"])
 @pytest.mark.parametrize("regime", [[], ["--trig"]], ids=["elliptic", "trig"])
 def test_operator_checks_keep_report_streams(monkeypatch, capsys, regime, L):
-    # block strings are plain matmul chains and the RLL R pair comes from
-    # one site-factor batch; with identity-seeded strings and one batch
-    # per vertex instead, every record must keep its bits (wall time aside)
+    # the RLL R pair comes from one site-factor batch; with one batch per
+    # vertex instead, every record must keep its bits (wall time aside)
     args = ["run", *regime, "--L", L, "--checks", "identities,rll", "--samples", "10",
             "--seed", "1"]
 
@@ -729,7 +727,6 @@ def test_operator_checks_keep_report_streams(monkeypatch, capsys, regime, L):
 
     shipped = stream()
     site_factors = yb_core.site_factors
-    monkeypatch.setattr(feq, "_string", string_literal)
     monkeypatch.setattr(yb_core, "site_factors", lambda specs, theta, ctx, n_sites: [
         factor for spec in specs for factor in site_factors([spec], theta, ctx, n_sites)])
     assert stream() == shipped

@@ -9,9 +9,9 @@ from yblab.lattice_qty import dwbc_partition, dwbc_partitions, scalar_product_bf
 from yblab.sampling import random_context, sample_spectral, sample_theta
 from yblab import feq, yb_core
 from yblab.special_fn import Regime, f_weights
-from yblab.yb_core import ModelContext, monodromy_blocks
+from yblab.yb_core import ModelContext
 
-from oracles import creation_string, f_literal
+from oracles import blocks_literal, creation_string, f_literal
 
 
 def bf_z(ctx):
@@ -276,7 +276,7 @@ def test_projected_degree_iterate_reduces_to_swap_equation(ell_ctx2, rng):
     pi = lambda m: m[-1, 0]  # <all down| m |all up>
 
     # left action of the diagonal block reduces the degree by one
-    lhs = pi(monodromy_blocks(l0, theta + g, ctx)[0]
+    lhs = pi(blocks_literal(l0, theta + g, ctx)[0]
              @ creation_string(lams, theta - g, ctx))
     head = f(theta) / f(theta + L * g) * np.prod([f(l0 - m) for m in ctx.mu])
     assert abs(lhs - head * dwbc_partition(lams, theta - g, ctx)) \
@@ -285,7 +285,7 @@ def test_projected_degree_iterate_reduces_to_swap_equation(ell_ctx2, rng):
     # right action with the shifted argument reduces through the up eigenvalue
     swapped = (l0,) + lams[1:]
     rhs = pi(creation_string(swapped, theta, ctx)
-             @ monodromy_blocks(lams[0], theta + (L + 1) * g, ctx)[0])
+             @ blocks_literal(lams[0], theta + (L + 1) * g, ctx)[0])
     eig = np.prod([f(lams[0] - m + g) for m in ctx.mu])
     assert abs(rhs - eig * dwbc_partition(swapped, theta, ctx)) \
         <= 1e-12 * max(abs(rhs), 1e-30)

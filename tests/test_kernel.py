@@ -6,17 +6,18 @@ import time
 import numpy as np
 import pytest
 
-from yblab import lattice_qty, special_fn, yb_core
+from yblab import special_fn, yb_core
 from yblab.errors import DynamicalPole
 from yblab.feq import fx_residual
 from yblab.lattice_qty import dwbc_partition, dwbc_partitions, scalar_product_bf
 from yblab.residue_int import z_contour
 from yblab.sampling import random_context, sample_spectral, sample_theta
 from yblab.special_fn import f_weights
-from yblab.yb_core import (ModelContext, apply_block, apply_factors, monodromy_blocks,
-                           residual, site_factors, verify_rll)
+from yblab.yb_core import (ModelContext, apply_factors, block_words, residual, site_factors,
+                           verify_rll)
 
-from oracles import creation_string, f_literal, r_matrix_literal, vertex_table_literal
+from oracles import (blocks_literal, creation_string, f_literal, monodromy_literal,
+                     r_matrix_literal, string_literal, vertex_table_literal)
 
 
 def literal_embedding(lam, theta, ctx, pair, shift_sites, n_sites):
@@ -56,9 +57,10 @@ def test_site_factor_matches_literal_embedding(elliptic, rng):
             assert np.array_equal(kernel, literal)
 
 
-@pytest.mark.parametrize("L", [1, 2, 3])
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
 @pytest.mark.parametrize("elliptic", [True, False])
 def test_monodromy_matches_literal_product(L, elliptic, rng):
+    # each one-letter word on the identity is a dense block of the product
     ctx = random_context(L, rng, elliptic=elliptic)
     lam = sample_spectral(ctx, rng, 1)[0]
     theta = sample_theta(ctx, rng, range(-L - 1, L + 2))
@@ -66,13 +68,13 @@ def test_monodromy_matches_literal_product(L, elliptic, rng):
     for site in range(1, L + 1):
         total = total @ literal_embedding(lam - ctx.mu[site - 1], theta, ctx, (0, site),
                                           range(site + 1, L + 1), L + 1)
+    assert residual(monodromy_literal(lam, theta, ctx), total) <= 1e-14
     d = ctx.dim
-    for block, (r, c) in zip(monodromy_blocks(lam, theta, ctx),
-                             ((0, 0), (0, d), (d, 0), (d, d))):
-        assert residual(block, total[r:r + d, c:c + d]) <= 1e-14
+    word = block_words([(lam, theta)], ctx)
     for name, (r, c) in zip("ABCD", ((0, 0), (0, d), (d, 0), (d, d))):
-        assert residual(apply_block(name, lam, theta, ctx, np.eye(d)),
-                        total[r:r + d, c:c + d]) <= 1e-14
+        block = word([(name, lam, theta)], np.eye(d))
+        assert block.shape == (d, d) and block.flags.c_contiguous
+        assert residual(block, total[r:r + d, c:c + d]) <= 1e-14
 
 
 @pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
@@ -88,7 +90,7 @@ def test_dwbc_vector_route_matches_dense(L, elliptic, rng):
 @pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
 def test_scalar_product_vector_route_matches_dense(L, rng):
     ctx = random_context(L, rng, elliptic=False)
-    blocks = lambda lam: monodromy_blocks(lam, 0.0, ctx)
+    blocks = lambda lam: blocks_literal(lam, 0.0, ctx)
     for n in range(1, L + 1):
         pts = sample_spectral(ctx, rng, 2 * n)
         xb, yc = pts[:n], pts[n:]
@@ -125,12 +127,6 @@ def test_dwbc_swap_symmetry_at_largest_chain(rng):
 def test_cached_operators_are_read_only(rng):
     ctx = random_context(2, rng)
     theta = sample_theta(ctx, rng, range(-3, 4))
-    blocks = monodromy_blocks(0.3 + 0.1j, theta, ctx)
-    for block in blocks:
-        assert type(block) is np.ndarray and block.shape == (ctx.dim, ctx.dim)
-        assert block.flags.c_contiguous and not block.flags.writeable
-    with pytest.raises(ValueError):
-        blocks[1][1, 0] = 0.0
     for table in yb_core.build_chains([(0.3 + 0.1j, theta, 1)], ctx)(0.3 + 0.1j, theta, 1):
         with pytest.raises(ValueError):
             table *= 2
@@ -141,7 +137,7 @@ def test_one_weight_evaluation_per_site_and_sector(monkeypatch, rng):
     lam = sample_spectral(ctx, rng, 1)[0]
     theta = sample_theta(ctx, rng, range(-4, 5))
     batches = _count_batches(monkeypatch)
-    monodromy_blocks(lam, theta, ctx)
+    word = block_words([(lam, theta)], ctx)
     # one batch per chain, of the distinct ones of its weight points:
     # f(gamma) once, f(lam - mu_i + gamma) and f(lam - mu_i) per site, five
     # theta values per weight sector (site i sees L - i + 1 sectors)
@@ -150,8 +146,10 @@ def test_one_weight_evaluation_per_site_and_sector(monkeypatch, rng):
     assert len(points) == 1 + 2 * 3 + 5 * (3 + 2 + 1)
     distinct = dict(zip(_bits(points), points)).values()
     assert [_bits(batch) for batch in batches] == [_bits(1j * p for p in distinct)]
-    apply_block("B", lam, theta, ctx, np.eye(ctx.dim))
-    assert len(batches) == 2  # every public call builds its own chain
+    word([("B", lam, theta), ("A", lam, theta)], np.eye(ctx.dim))
+    assert len(batches) == 1  # a word evaluates nothing
+    block_words([(lam, theta)], ctx)
+    assert len(batches) == 2  # every table builds its own chains
     chains = yb_core.build_chains([(lam, theta, 0)], ctx)
     assert len(batches) == 3  # the build evaluates its weights up front
     tables = chains(lam, theta, 0)
@@ -178,7 +176,7 @@ def test_bulk_build_is_one_batch_of_distinct_weights(monkeypatch, rng):
     with monkeypatch.context() as m:
         # chain by chain: one batch each, f(gamma) in every one of them
         build_chains = yb_core.build_chains
-        m.setattr(lattice_qty, "build_chains",
+        m.setattr(yb_core, "build_chains",
                   lambda keys, ctx: lambda *key: build_chains([key], ctx)(*key))
         alone = _count_batches(m)
         expected = dwbc_partition(lams, theta, ctx)
@@ -298,7 +296,7 @@ def test_first_pole_is_named_by_site_and_sector(monkeypatch, rng):
     ]
     for lam_k, theta, model, error, message in cases:
         with pytest.raises(error, match=message) as info:
-            monodromy_blocks(lam_k, theta, model)
+            block_words([(lam_k, theta)], model)
         assert (type(info.value), str(info.value)) == _literal_chain_error(lam_k, theta, model)
     with pytest.raises(DynamicalPole, match=r"^weight sector \+1: f\(theta\) ~ 0"):
         site_factors([(lam, (0, 1), ()), (lam, (0, 1), (2,))], ctx.gamma, ctx, 3)
@@ -311,7 +309,7 @@ def test_first_pole_is_named_by_site_and_sector(monkeypatch, rng):
     # site 1's first sector before it
     assert _literal_chain_error(300 + 0.1j, 2 * ctx.gamma, ctx)[0] is DynamicalPole
     with pytest.raises(OverflowError):
-        monodromy_blocks(300 + 0.1j, 2 * ctx.gamma, ctx)
+        block_words([(300 + 0.1j, 2 * ctx.gamma)], ctx)
     with monkeypatch.context() as m:
         m.setattr(yb_core, "f_weights", _refuse_batch)
         with pytest.raises(ArithmeticError, match="^batch refused$"):
@@ -337,3 +335,40 @@ def test_first_pole_is_named_by_site_and_sector(monkeypatch, rng):
         assert str(bulk.value) == str(alone.value)
         assert str(bulk.value).startswith("site 1, weight sector ")
         yb_core.build_chains([built], ctx)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+@pytest.mark.parametrize("elliptic", [True, False], ids=["elliptic", "trig"])
+def test_block_word_matches_literal_string(elliptic, L, seed):
+    # a random word of 1-4 letters over A, B, C and D, each letter at its
+    # own (lam, theta), against the ordered product of literal dense blocks
+    rng = np.random.default_rng([L, seed, elliptic])
+    ctx = random_context(L, rng, elliptic=elliptic)
+    n = int(rng.integers(1, 5))
+    lams = sample_spectral(ctx, rng, n)
+    thetas = [sample_theta(ctx, rng, range(-L - 2, L + 3)) for _ in range(n)]
+    letters = [("ABCD"[k], lam, theta)
+               for k, lam, theta in zip(rng.integers(0, 4, n), lams, thetas)]
+    word = block_words([(lam, theta) for _, lam, theta in letters], ctx)
+    literal = string_literal([blocks_literal(lam, theta, ctx)["ABCD".index(block)]
+                              for block, lam, theta in letters])
+    eye = np.eye(ctx.dim, dtype=complex)
+    assert residual(word(letters, eye), literal) <= 1e-12
+    # columns never mix: the word on a few chain vectors is the product on them
+    cols = rng.standard_normal((ctx.dim, 3)) + 1j * rng.standard_normal((ctx.dim, 3))
+    assert residual(word(letters, cols), literal @ cols) <= 1e-12
+    assert residual(word(letters, cols[:, 0]), literal @ cols[:, 0]) <= 1e-12
+
+
+def test_block_words_raise_before_any_letter(monkeypatch, rng):
+    # a pole or a weight error comes from the table, which applies nothing
+    ctx = random_context(3, rng)
+    lam = sample_spectral(ctx, rng, 1)[0]
+    applied = []
+    monkeypatch.setattr(yb_core, "apply_factors", lambda *args: applied.append(args))
+    with pytest.raises(DynamicalPole, match=r"^site 2, weight sector \+1: f\(theta\) ~ 0"):
+        block_words([(lam, 0.5), (lam, ctx.gamma)], ctx)
+    with pytest.raises(OverflowError):
+        block_words([(lam, 0.5), (300 + 0.1j, 2 * ctx.gamma)], ctx)
+    assert applied == []

@@ -8,9 +8,9 @@ from yblab.lattice_qty import (check_hw_actions, dwbc_partition, hw_action_resid
                                scalar_product_bf)
 from yblab.sampling import random_context, sample_spectral, sample_theta
 from yblab.special_fn import Regime
-from yblab.yb_core import ModelContext, monodromy_blocks
+from yblab.yb_core import ModelContext
 
-from oracles import creation_string, dwbc_enumeration, f_literal
+from oracles import blocks_literal, creation_string, dwbc_enumeration, f_literal
 
 GAMMA = 0.41 + 0.07j
 
@@ -147,7 +147,7 @@ def test_hw_diagonal_eigenvalue_example(rng):
     f, g, L = (lambda z: f_literal(z, ctx.regime)), ctx.gamma, ctx.L
     lam = sample_spectral(ctx, rng, 1)[0]
     theta = sample_theta(ctx, rng, range(-4, 5))
-    d_block = monodromy_blocks(lam, theta, ctx)[3]
+    d_block = blocks_literal(lam, theta, ctx)[3]
     up = np.zeros(ctx.dim, dtype=complex)
     up[0] = 1.0
     eig = f(theta + g) / f(theta - (L - 1) * g) * np.prod([f(lam - m) for m in ctx.mu])

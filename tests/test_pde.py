@@ -346,9 +346,14 @@ def test_omega_actions_bit_identical_to_literal(L):
 def test_grid_is_l_squared_block_applications(L, monkeypatch):
     ctx = random_context(L, np.random.default_rng(80 + L), elliptic=False)
     blocks, partitions = [], []
-    apply_block = pde._apply_block
-    monkeypatch.setattr(pde, "_apply_block",
-                        lambda *args: blocks.append(args[1:3]) or apply_block(*args))
+    block_words = pde.block_words
+
+    def counted(keys, ctx):
+        word = block_words(keys, ctx)
+        return lambda letters, cols: blocks.extend(
+            (name, lam) for name, lam, _ in letters) or word(letters, cols)
+
+    monkeypatch.setattr(pde, "block_words", counted)
     monkeypatch.setattr(lattice_qty, "dwbc_partition",
                         lambda *args: partitions.append(args) or dwbc_partition(*args))
     interpolate_zbar(ctx)

@@ -4,8 +4,9 @@ import pytest
 from yblab.errors import DynamicalPole, NonFinite
 from yblab.sampling import random_context, sample_spectral, sample_theta
 from yblab.special_fn import Regime
-from yblab.yb_core import (ABS_FLOOR, ModelContext, monodromy_blocks, r_matrix, rel_diff,
-                           residual, term_residual, verify_dybe, verify_rll)
+from yblab.lattice_qty import dwbc_partition, hw_action_residuals
+from yblab.yb_core import (ABS_FLOOR, ModelContext, block_words, r_matrix, rel_diff, residual,
+                           term_residual, verify_dybe, verify_rll)
 
 from oracles import f_literal, r_matrix_literal
 
@@ -145,13 +146,19 @@ def test_rll_coincident(rng):
     assert verify_rll(lam, lam, theta, ctx) <= 1e-9
 
 
+def _blocks(lam, theta, ctx):
+    """The four one-letter block words on the identity: the dense blocks A, B, C, D."""
+    word = block_words([(lam, theta)], ctx)
+    return [word([(block, lam, theta)], np.eye(ctx.dim)) for block in "ABCD"]
+
+
 def test_monodromy_single_site_creation_entry(rng):
     # L = 1: the creation block has a single nonzero entry, the c_+ weight
     ctx = random_context(1, rng)
     f = lambda z: f_literal(z, ctx.regime)
     lam = 0.37 + 0.21j
     theta = sample_theta(ctx, rng, range(-2, 3))
-    b = monodromy_blocks(lam, theta, ctx)[1]
+    b = _blocks(lam, theta, ctx)[1]
     expected = f(ctx.gamma) * f(theta - (lam - ctx.mu[0])) / f(theta)
     assert abs(b[1, 0] - expected) < 1e-14 * abs(expected)
     assert b[0, 0] == b[0, 1] == b[1, 1] == 0
@@ -160,7 +167,7 @@ def test_monodromy_single_site_creation_entry(rng):
 def test_monodromy_trig_diagonal_action(rng):
     ctx = random_context(3, rng, elliptic=False)
     lam = 0.52 - 0.13j
-    a_block = monodromy_blocks(lam, 0.0, ctx)[0]
+    a_block = _blocks(lam, 0.0, ctx)[0]
     up = np.zeros(ctx.dim, dtype=complex)
     up[0] = 1.0
     eig = np.prod([np.sinh(lam - m + ctx.gamma) for m in ctx.mu])
@@ -172,7 +179,7 @@ def test_monodromy_weight_grading(rng):
     ctx = random_context(3, rng)
     lam = 0.11 + 0.08j
     theta = sample_theta(ctx, rng, range(-4, 5))
-    blocks = monodromy_blocks(lam, theta, ctx)
+    blocks = _blocks(lam, theta, ctx)
     weights = np.array([ctx.L - 2 * bin(s).count("1") for s in range(ctx.dim)])
     delta = np.subtract.outer(weights, weights)  # w(row) - w(col)
     for block, shift in zip(blocks, (0, -2, 2, 0)):
@@ -180,8 +187,16 @@ def test_monodromy_weight_grading(rng):
         assert np.max(np.abs(off)) < 1e-14
 
 
-def test_monodromy_blocks_reject_nonfinite():
+def test_non_finite_block_words_are_errors():
     # four site weights near sinh(200) ~ 3.6e86 overflow their product
     ctx = ModelContext(4, 200.0, (0.1, -0.2, 0.3j, -0.1j), Regime.trigonometric())
-    with np.errstate(over="ignore"), pytest.raises(NonFinite):
-        monodromy_blocks(0.3, 0.0, ctx)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a word leaves overflow to its caller, so a vector route returns
+        # its non-finite value and the command line reports it
+        word = block_words([(0.3, 0.0)], ctx)
+        assert not np.isfinite(word([("A", 0.3, 0.0)], np.eye(ctx.dim))).all()
+        assert not np.isfinite(dwbc_partition((0.3, 0.1, -0.2, 0.4j), 0.0, ctx))
+        # the extremal-state check raises: its annihilation ratios against a
+        # non-finite block could read 0
+        with pytest.raises(NonFinite, match="^chain operator has non-finite entries$"):
+            hw_action_residuals(0.3, 0.0, ctx)
