@@ -37,7 +37,7 @@ from . import feq, pde, sampling
 from .errors import CoincidentPoints, ConfigError, NomeTooLarge, NonFinite, YbLabError
 from .special_fn import Regime
 from .yb_core import ABS_FLOOR, MAX_L, ModelContext, rel_diff, verify_dybe, verify_rll
-from .lattice_qty import dwbc_partition, dwbc_partitions, scalar_product_bf, check_hw_actions
+from .lattice_qty import dwbc_partition, dwbc_partitions, hw_action_residuals, scalar_product_bf
 from .residue_int import require_distinct, sn_contour, z_contour
 from .rng import Stream
 
@@ -313,8 +313,8 @@ REGISTRY: dict[str, CheckDef] = {
                                                    p["theta"], ctx)),
     "rll": CheckDef(1e-9, False, None, _draw_rll,
                     lambda ctx, p, s: verify_rll(p["l1"], p["l2"], p["theta"], ctx)),
-    "hw-actions": CheckDef(1e-9, False, None, _draw_hw,
-                           lambda ctx, p, s: check_hw_actions(p["lam"], p["theta"], ctx)),
+    "hw-actions": CheckDef(1e-9, False, None, _draw_hw, lambda ctx, p, s: max(
+        hw_action_residuals(p["lam"], p["theta"], ctx).values())),
     "identities": CheckDef(1e-9, False, None, _draw_identity,
                            lambda ctx, p, s: feq.verify_identity(ctx=ctx, **p)),
     "fx": CheckDef(1e-9, False, None, _draw_fx, _eval_fx),

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import RegimeMismatch, SingularCoefficient, SizeMismatch
-from .lattice_qty import Evaluator, as_values
+from .lattice_qty import Evaluator, _creation_slots, as_values
 from .special_fn import f_weights, six_vertex
 from .yb_core import ModelContext, block_words, residual, term_residual
 
@@ -266,7 +266,7 @@ def verify_abn(l0: complex, lams, theta: complex, ctx: ModelContext) -> float:
         raise SizeMismatch("the creation string needs at least one spectral point")
     g = ctx.gamma
     t1, top = theta + g, theta + (n + 1) * g
-    slots = lambda pts, t: [(p, t + j * g) for j, p in enumerate(pts, 1)]
+    slots = lambda pts, t: _creation_slots(pts, t, ctx)
     swaps = [((l0,) + lams[:i] + lams[i + 1:], li) for i, li in enumerate(lams)]
     word = block_words([(l0, t1)] + slots(lams, theta - g) + slots(lams, theta) + [(l0, top)]
                        + [key for swapped, li in swaps

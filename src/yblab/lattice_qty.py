@@ -1,9 +1,10 @@
 """Brute-force lattice quantities.
 
 Everything here is computed by literal contraction of monodromy blocks
-on the chain space, as block words of :func:`~yblab.yb_core.block_words`:
-the partition function and scalar products apply them to the all-up
-state, and the extremal-state checks to the identity columns.  These are
+on the chain space: the partition function and scalar products apply
+block words of :func:`~yblab.yb_core.block_words` to the all-up state,
+and the extremal-state checks apply the whole monodromy to the identity
+and read its four blocks.  These are
 the reference oracles against which the closed-form residue evaluators
 are checked.
 """
@@ -16,7 +17,8 @@ import numpy as np
 
 from .errors import NonFinite, RegimeMismatch, SizeMismatch
 from .special_fn import f_weights
-from .yb_core import ABS_FLOOR, ModelContext, block_words, residual
+from .yb_core import (ABS_FLOOR, ModelContext, _monodromy, apply_factors, block_words, residual,
+                      site_factors)
 
 #: A bulk partition-function evaluator: the value at each ``(points,
 #: theta)`` of a list, in order, as :func:`dwbc_partitions` gives them.
@@ -103,14 +105,16 @@ def hw_action_residuals(lam: complex, theta: complex,
     """
     g = ctx.gamma
     L = ctx.L
-    word = block_words([(lam, theta)], ctx)
-    eye = np.eye(ctx.dim, dtype=complex)
-    blocks = a_mat, b_mat, c_mat, d_mat = [word([(block, lam, theta)], eye) for block in "ABCD"]
-    if not all(np.isfinite(block).all() for block in blocks):
+    d = ctx.dim
+    # the whole monodromy, applied once; the blocks are its quarters
+    full = apply_factors(np.eye(2 * d, dtype=complex),
+                         site_factors(_monodromy(lam, theta, ctx), ctx, L + 1))
+    if not np.isfinite(full).all():
         # an annihilation ratio against a non-finite block could read 0
         raise NonFinite("chain operator has non-finite entries")
+    a_mat, b_mat, c_mat, d_mat = full[:d, :d], full[:d, d:], full[d:, :d], full[d:, d:]
     up = _all_up(ctx)
-    down = np.zeros(ctx.dim, dtype=complex)
+    down = np.zeros(d, dtype=complex)
     down[-1] = 1.0
 
     weights = f_weights([lam - m + g for m in ctx.mu] + [lam - m for m in ctx.mu] + (
@@ -148,8 +152,3 @@ def hw_action_residuals(lam: complex, theta: complex,
         "B_bra_up": annihilated(b_mat, up @ b_mat),
     }
     return res
-
-
-def check_hw_actions(lam: complex, theta: complex, ctx: ModelContext) -> float:
-    """Worst residual over all highest/lowest-weight action statements."""
-    return max(hw_action_residuals(lam, theta, ctx).values())

@@ -14,10 +14,11 @@ Conventions, fixed once and used everywhere:
   the spin operators involved are diagonal, so the vertex matrix is
   evaluated per input basis state on each weight sector.
 
-No vertex table outlives the evaluation that built it: an operator or
-equation lists the monodromy chains it reads, and :func:`build_chains`
-builds the tables of all their sites up front, in one :func:`_site_tables`
-call on one batch of distinct weights, into a lookup of its own.
+Every vertex factor comes from :func:`site_factors`, and no vertex table
+outlives the evaluation that built it: an operator or equation lists the
+factors it applies, monodromy chains as :func:`_monodromy` specs, and one
+:func:`site_factors` call builds them all up front, from one
+:func:`_site_tables` call on one batch of distinct weights.
 """
 
 from __future__ import annotations
@@ -182,40 +183,6 @@ def _site_tables(sites: Sequence[tuple[complex, complex, int]], ctx: ModelContex
         yield table
 
 
-#: ``chains(lam, theta, n_extra)``: the vertex tables of a monodromy chain, site 1 first.
-Chains = Callable[[complex, complex, int], tuple[np.ndarray, ...]]
-
-
-def build_chains(keys: Iterable[tuple[complex, complex, int]], ctx: ModelContext) -> Chains:
-    """A lookup over the chains of ``keys``, all built up front by one :func:`_site_tables` call.
-
-    A key is ``(lam, theta, n_extra)``; chain site ``k`` is the site
-    ``(lam - mu_k, theta, n_extra + L - 1 - k)``, shifted by the extra
-    shift sites and the chain sites after it.  The sites of all the
-    distinct keys, in key order, take their weights from one batch, so
-    each chain has the bits of a chain built alone.  Errors are raised
-    here: a weight error by the batch, a pole by the first site in
-    (chain, site, sector) order that meets one, named by its site and
-    sector.  The lookup never builds, so an operator or equation lists
-    every chain it reads.  In the trigonometric regime shifts are
-    inert, so a chain is keyed by ``lam`` alone.
-    """
-    def key_of(lam: complex, theta: complex, n_extra: int) -> tuple[complex, complex, int]:
-        return (complex(lam), complex(theta), n_extra) if ctx.is_elliptic else (complex(lam), 0j, 0)
-
-    L = ctx.L
-    todo = list(dict.fromkeys(key_of(*key) for key in keys))
-    tables = []
-    try:
-        for table in _site_tables([(lam - ctx.mu[k], theta, n_extra + L - 1 - k)
-                                   for lam, theta, n_extra in todo for k in range(L)], ctx):
-            tables.append(table)
-    except DynamicalPole as exc:
-        raise DynamicalPole(f"site {len(tables) % L + 1}, {exc}") from exc
-    chains = {key: tuple(tables[i * L:(i + 1) * L]) for i, key in enumerate(todo)}
-    return lambda lam, theta, n_extra: chains[key_of(lam, theta, n_extra)]
-
-
 @functools.lru_cache(maxsize=64)
 def _layout(n_sites: int, pair: tuple[int, int],
             shift_sites: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -244,26 +211,37 @@ def _layout(n_sites: int, pair: tuple[int, int],
 
 Factor = tuple[np.ndarray, np.ndarray, np.ndarray]
 
+#: ``(lam, theta, pair, shift_sites)``: one vertex factor of :func:`site_factors`.
+Spec = tuple[complex, complex, tuple[int, int], Sequence[int]]
 
-def site_factors(specs: Sequence[tuple[complex, tuple[int, int], Sequence[int]]],
-                 theta: complex, ctx: ModelContext, n_sites: int) -> list[Factor]:
-    """Vertex operators on an ``n_sites`` product space, one per spec.
 
-    A spec ``(lam, pair, shift_sites)`` is the vertex at ``lam`` on sites
-    ``pair`` with dynamical argument ``theta - gamma*w``, ``w`` the
-    signed spin sum (+1 up, -1 down) of ``shift_sites`` in the input
+def site_factors(specs: Sequence[Spec], ctx: ModelContext, n_sites: int) -> list[Factor]:
+    """Vertex operators on an ``n_sites`` product space, one per spec; the one factor builder.
+
+    A spec ``(lam, theta, pair, shift_sites)`` is the vertex at ``lam``
+    on sites ``pair`` with dynamical argument ``theta - gamma*w``, ``w``
+    the signed spin sum (+1 up, -1 down) of ``shift_sites`` in the input
     basis state; the shift sites never include the pair, so the partner
     state lies in the same sector.  Shifts are inert in the
     trigonometric regime.  The vertex tables of all specs come from one
-    :func:`_site_tables` batch.  A factor is a (vertex table, partner,
-    column) triple for :func:`apply_factors`.
+    :func:`_site_tables` call, so each has the bits of a table built
+    alone, and errors are raised here: a weight error by the batch,
+    before any table is built, and a pole by the first spec in (spec,
+    sector) order that meets one, named by its pair of sites and its
+    sector.  A factor is a (vertex table, partner, column) triple for
+    :func:`apply_factors`.
     """
-    specs = [(complex(lam), tuple(pair), tuple(shift) if ctx.is_elliptic else ())
-             for lam, pair, shift in specs]
-    theta = complex(theta)
-    tables = _site_tables([(lam, theta, len(shift)) for lam, _, shift in specs], ctx)
+    specs = [(complex(lam), complex(theta), tuple(pair), tuple(shift) if ctx.is_elliptic else ())
+             for lam, theta, pair, shift in specs]
+    sites = [(lam, theta, len(shift)) for lam, theta, _, shift in specs]
+    tables = []
+    try:
+        for table in _site_tables(sites, ctx):
+            tables.append(table)
+    except DynamicalPole as exc:
+        raise DynamicalPole(f"sites {specs[len(tables)][2]}, {exc}") from exc
     return [(table,) + _layout(n_sites, pair, shift)
-            for table, (_, pair, shift) in zip(tables, specs)]
+            for table, (_, _, pair, shift) in zip(tables, specs)]
 
 
 def apply_factors(x: np.ndarray, factors: Sequence[Factor]) -> np.ndarray:
@@ -294,27 +272,26 @@ def verify_dybe(l1: complex, l2: complex, l3: complex, theta: complex,
     shifts are inert and this reduces to the ordinary Yang-Baxter
     equation.
     """
-    factors = site_factors([(l1 - l2, (0, 1), (2,)), (l1 - l3, (0, 2), ()),
-                            (l2 - l3, (1, 2), (0,)), (l2 - l3, (1, 2), ()),
-                            (l1 - l3, (0, 2), (1,)), (l1 - l2, (0, 1), ())], theta, ctx, 3)
+    factors = site_factors([(l1 - l2, theta, (0, 1), (2,)), (l1 - l3, theta, (0, 2), ()),
+                            (l2 - l3, theta, (1, 2), (0,)), (l2 - l3, theta, (1, 2), ()),
+                            (l1 - l3, theta, (0, 2), (1,)), (l1 - l2, theta, (0, 1), ())],
+                           ctx, 3)
     eye = np.eye(8, dtype=complex)
     return residual(apply_factors(eye, factors[:3]), apply_factors(eye, factors[3:]))
 
 
-def _monodromy(chains: Chains, lam: complex, theta: complex, ctx: ModelContext, aux: int = 0,
-               extra_shift: tuple[int, ...] = (), first: int = 1) -> list[Factor]:
-    """Site factors of the monodromy on auxiliary site ``aux``, left to right.
+def _monodromy(lam: complex, theta: complex, ctx: ModelContext, aux: int = 0,
+               extra_shift: tuple[int, ...] = (), first: int = 1) -> list[Spec]:
+    """:func:`site_factors` specs of the monodromy on auxiliary site ``aux``, left to right.
 
     The chain takes the last sites ``first..first + L - 1`` of the
     product space.  The factor at chain site ``k`` has spectral argument
     ``lam - mu_k`` and is shifted by ``extra_shift`` plus the chain
-    sites after it (shifts are inert in the trigonometric regime).  Its
-    vertex table comes from the lookup ``chains``.
+    sites after it (shifts are inert in the trigonometric regime).
     """
     chain = tuple(range(first, first + ctx.L))
-    shifts = [extra_shift + chain[k + 1:] if ctx.is_elliptic else () for k in range(ctx.L)]
-    return [(table,) + _layout(first + ctx.L, (aux, site), shift)
-            for table, site, shift in zip(chains(lam, theta, len(extra_shift)), chain, shifts)]
+    return [(lam - ctx.mu[k], theta, (aux, site), extra_shift + chain[k + 1:])
+            for k, site in enumerate(chain)]
 
 
 #: ``word(letters, cols)``: the product of the monodromy blocks ``letters`` applied to ``cols``.
@@ -330,10 +307,12 @@ def block_words(keys: Iterable[tuple[complex, complex]], ctx: ModelContext) -> W
     per input basis state.  Its blocks are taken in the auxiliary space:
     A = (up|T|up), B = (up|T|down), C = (down|T|up), D = (down|T|down).
 
-    The chains of the ``(lam, theta)`` keys, the only ones the words
-    read, come from one :func:`build_chains` call, which raises any pole
-    or weight error before a letter is applied; each key's site factors
-    are gathered once.  ``word(letters, cols)`` applies the letters
+    The site factors of the distinct ``(lam, theta)`` keys, the only
+    ones the words read, come from one :func:`site_factors` call, in key
+    order, which raises any pole or weight error before a letter is
+    applied.  In the trigonometric regime shifts are inert, so a key is
+    ``(lam, 0)`` at any ``theta``; a letter whose key was not listed is
+    a ``KeyError``.  ``word(letters, cols)`` applies the letters
     ``(block, lam, theta)`` to the chain vectors ``cols`` (one vector,
     or vectors as columns), listed left to right as in the operator
     product, so the last letter acts first.  A letter places its input
@@ -343,9 +322,13 @@ def block_words(keys: Iterable[tuple[complex, complex]], ctx: ModelContext) -> W
     dense block.  As in :func:`apply_factors`, overflow is left to the
     caller, which reports a non-finite result as an error.
     """
-    chains = build_chains([(lam, theta, 0) for lam, theta in keys], ctx)
-    factors = functools.cache(lambda lam, theta: _monodromy(chains, lam, theta, ctx))
-    d = ctx.dim
+    def key(lam: complex, theta: complex) -> tuple[complex, complex]:
+        return complex(lam), complex(theta) if ctx.is_elliptic else 0j
+
+    L, d = ctx.L, ctx.dim
+    keys = list(dict.fromkeys(key(*k) for k in keys))
+    factors = site_factors([spec for k in keys for spec in _monodromy(*k, ctx)], ctx, L + 1)
+    chains = {k: factors[i * L:(i + 1) * L] for i, k in enumerate(keys)}
 
     def word(letters: Sequence[tuple[str, complex, complex]], cols: np.ndarray) -> np.ndarray:
         x = np.asarray(cols, dtype=complex)
@@ -353,7 +336,7 @@ def block_words(keys: Iterable[tuple[complex, complex]], ctx: ModelContext) -> W
             row, col = divmod("ABCD".index(block), 2)
             padded = np.zeros((2 * d,) + x.shape[1:], dtype=complex)
             padded[col * d:(col + 1) * d] = x
-            x = apply_factors(padded, factors(lam, theta))[row * d:(row + 1) * d]
+            x = apply_factors(padded, chains[key(lam, theta)])[row * d:(row + 1) * d]
         return x
 
     return word
@@ -367,16 +350,16 @@ def verify_rll(l1: complex, l2: complex, theta: complex,
     dynamical arguments (total chain weight for the vertex factor, one
     auxiliary weight for the inner monodromy) are evaluated
     sector-by-sector by the same site factors as the monodromy itself.
-    The four chains come from one weight batch up front, the R pair
-    (shifted by the chain, and plain) from another.
+    The four monodromies, then the R pair (shifted by the chain, and
+    plain), come from one :func:`site_factors` call: one weight batch.
     """
-    chains = build_chains([(l1, theta, 0), (l2, theta, 1), (l2, theta, 0), (l1, theta, 1)], ctx)
-    n_sites = ctx.L + 2  # 0, 1 auxiliary; 2..L+1 chain
-    chain = tuple(range(2, ctx.L + 2))
-    mono = lambda aux, lam, extra: _monodromy(chains, lam, theta, ctx, aux, extra, first=2)
-    r_shifted, r_plain = site_factors([(l1 - l2, (0, 1), chain), (l1 - l2, (0, 1), ())],
-                                      theta, ctx, n_sites)
-    eye = np.eye(1 << n_sites, dtype=complex)
-    lhs = apply_factors(eye, [r_shifted] + mono(0, l1, ()) + mono(1, l2, (0,)))
-    rhs = apply_factors(eye, mono(1, l2, ()) + mono(0, l1, (1,)) + [r_plain])
+    chain = tuple(range(2, ctx.L + 2))  # 0, 1 auxiliary; 2..L+1 chain
+    mono = lambda aux, lam, extra: _monodromy(lam, theta, ctx, aux, extra, first=2)
+    *factors, r_shifted, r_plain = site_factors(
+        mono(0, l1, ()) + mono(1, l2, (0,)) + mono(1, l2, ()) + mono(0, l1, (1,))
+        + [(l1 - l2, theta, (0, 1), chain), (l1 - l2, theta, (0, 1), ())], ctx, ctx.L + 2)
+    n = 2 * ctx.L
+    eye = np.eye(1 << (ctx.L + 2), dtype=complex)
+    lhs = apply_factors(eye, [r_shifted] + factors[:n])
+    rhs = apply_factors(eye, factors[n:] + [r_plain])
     return residual(lhs, rhs)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import yblab.cli as cli
-from yblab import pde, special_fn, yb_core
+from yblab import lattice_qty, pde, special_fn, yb_core
 from yblab.errors import DynamicalPole, InterpolationIllConditioned
 
 from oracles import (f_literal, fzt_coefficients_literal, omega_actions_literal,
@@ -650,29 +650,6 @@ def test_batched_theta_series_keeps_report_streams(monkeypatch, capsys, args, co
     assert shipped[0] == code and len(parse_records(shipped[1])) == records
 
 
-@pytest.mark.parametrize("args", [
-    ["run", "--L", "3", "--checks", ELLIPTIC_CHECKS, "--samples", "5", "--seed", "1"],
-    ["compute", "z", "--method", "bruteforce", "--L", "8", "--seed", "1"],
-    ["run", "--trig", "--L", "3", "--samples", "4", "--seed", "1"]])
-def test_bulk_chain_build_keeps_report_streams(monkeypatch, capsys, args):
-    # operators and equations build their chains from one deduplicated
-    # weight batch up front and share them through one lookup; with every
-    # lookup building its one chain afresh instead, every record must keep
-    # its bits (wall time aside)
-    def stream():
-        code, out, err = run_cli(args, capsys)
-        return code, re.sub(r', "wall_time_ms": [^,}]*', "", out), err
-
-    shipped = stream()
-    afresh, build_chains = [], yb_core.build_chains
-    monkeypatch.setattr(yb_core, "build_chains", lambda keys, ctx: afresh.append(ctx)
-                        or (lambda *key: build_chains([key], ctx)(*key)))
-    assert stream() == shipped
-    assert afresh and shipped[0] == 0
-    records = {"compute": 1, "run": 49 if "--trig" in args else 36}[args[0]]
-    assert len(parse_records(shipped[1])) == records
-
-
 def test_repeated_run_keeps_stream_and_weight_traffic(monkeypatch, capsys):
     # no state outlives a run: the same run twice in one process, with
     # nothing reset between them, writes the same stream (wall time
@@ -713,21 +690,32 @@ def test_pencil_keeps_report_streams(monkeypatch, capsys, L):
     assert shipped[0] == 0 and len(parse_records(shipped[1])) == 1 + 3 * 5
 
 
-@pytest.mark.parametrize("L", ["2", "3", "4"])
-@pytest.mark.parametrize("regime", [[], ["--trig"]], ids=["elliptic", "trig"])
-def test_operator_checks_keep_report_streams(monkeypatch, capsys, regime, L):
-    # the RLL R pair comes from one site-factor batch; with one batch per
-    # vertex instead, every record must keep its bits (wall time aside)
-    args = ["run", *regime, "--L", L, "--checks", "identities,rll", "--samples", "10",
-            "--seed", "1"]
-
+@pytest.mark.parametrize("args, records", [
+    *(pytest.param(["run", *regime, "--L", L, "--checks", "identities,rll", "--samples", "10",
+                    "--seed", "1"], 1 + 2 * 10, id=f"{name}-{L}")
+      for name, regime in (("elliptic", []), ("trig", ["--trig"])) for L in ("2", "3", "4")),
+    pytest.param(["run", "--L", "3", "--checks", ELLIPTIC_CHECKS, "--samples", "5", "--seed", "1"],
+                 36, id="elliptic-3-all"),
+    pytest.param(["compute", "z", "--method", "bruteforce", "--L", "8", "--seed", "1"], 1,
+                 id="compute-z-8"),
+    pytest.param(["run", "--trig", "--L", "3", "--samples", "4", "--seed", "1"], 49,
+                 id="trig-3-all")])
+def test_operator_checks_keep_report_streams(monkeypatch, capsys, args, records):
+    # every operator and equation builds its vertex factors in one
+    # site_factors call, from one deduplicated weight batch; with one call
+    # per spec instead, every record must keep its bits (wall time aside)
     def stream():
         code, out, err = run_cli(args, capsys)
         return code, re.sub(r', "wall_time_ms": [^,}]*', "", out), err
 
     shipped = stream()
-    site_factors = yb_core.site_factors
-    monkeypatch.setattr(yb_core, "site_factors", lambda specs, theta, ctx, n_sites: [
-        factor for spec in specs for factor in site_factors([spec], theta, ctx, n_sites)])
+    calls, site_factors = [], yb_core.site_factors
+
+    def one_per_spec(specs, ctx, n_sites):
+        calls.append(len(specs))
+        return [factor for spec in specs for factor in site_factors([spec], ctx, n_sites)]
+
+    for module in (yb_core, lattice_qty):
+        monkeypatch.setattr(module, "site_factors", one_per_spec)
     assert stream() == shipped
-    assert shipped[0] == 0 and len(parse_records(shipped[1])) == 1 + 2 * 10
+    assert calls and shipped[0] == 0 and len(parse_records(shipped[1])) == records

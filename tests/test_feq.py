@@ -250,7 +250,7 @@ def test_identity_check_builds_each_block_once(kind, elliptic, built, monkeypatc
     calls, batches = [], []
     monodromy = yb_core._monodromy
     monkeypatch.setattr(yb_core, "_monodromy",
-                        lambda *args: calls.append(args[1:3]) or monodromy(*args))
+                        lambda *args: calls.append(args[:2]) or monodromy(*args))
     monkeypatch.setattr(yb_core, "f_weights",
                         lambda points, regime: batches.append(points)
                         or f_weights(points, regime))

@@ -14,7 +14,7 @@ from yblab.residue_int import z_contour
 from yblab.sampling import random_context, sample_spectral, sample_theta
 from yblab.special_fn import f_weights
 from yblab.yb_core import (ModelContext, apply_factors, block_words, residual, site_factors,
-                           verify_rll)
+                           verify_dybe, verify_rll)
 
 from oracles import (blocks_literal, creation_string, f_literal, monodromy_literal,
                      r_matrix_literal, string_literal, vertex_table_literal)
@@ -46,15 +46,21 @@ def test_site_factor_matches_literal_embedding(elliptic, rng):
     ctx = random_context(2, rng, elliptic=elliptic)
     theta = sample_theta(ctx, rng, range(-4, 5))
     n_sites = 4
+    eye = np.eye(1 << n_sites, dtype=complex)
     for pair in itertools.permutations(range(n_sites), 2):
         rest = [k for k in range(n_sites) if k not in pair]
         for n_shift in range(len(rest) + 1):
             shift = tuple(rest[:n_shift])
             lam = complex(*rng.uniform(-0.5, 0.5, 2))
-            kernel = apply_factors(np.eye(1 << n_sites, dtype=complex),
-                                   site_factors([(lam, pair, shift)], theta, ctx, n_sites))
+            kernel = apply_factors(eye, site_factors([(lam, theta, pair, shift)], ctx, n_sites))
             literal = literal_embedding(lam, theta, ctx, pair, shift, n_sites)
             assert np.array_equal(kernel, literal)
+    # each spec carries its own theta: two thetas in one call
+    specs = [(complex(*rng.uniform(-0.5, 0.5, 2)), theta, (0, 2), (1, 3)),
+             (complex(*rng.uniform(-0.5, 0.5, 2)), theta + 0.3 - 0.1j, (3, 1), (2,))]
+    for factor, (lam, theta_k, pair, shift) in zip(site_factors(specs, ctx, n_sites), specs):
+        literal = literal_embedding(lam, theta_k, ctx, pair, shift, n_sites)
+        assert np.array_equal(apply_factors(eye, [factor]), literal)
 
 
 @pytest.mark.parametrize("L", [1, 2, 3, 4])
@@ -127,9 +133,11 @@ def test_dwbc_swap_symmetry_at_largest_chain(rng):
 def test_cached_operators_are_read_only(rng):
     ctx = random_context(2, rng)
     theta = sample_theta(ctx, rng, range(-3, 4))
-    for table in yb_core.build_chains([(0.3 + 0.1j, theta, 1)], ctx)(0.3 + 0.1j, theta, 1):
-        with pytest.raises(ValueError):
-            table *= 2
+    specs = yb_core._monodromy(0.3 + 0.1j, theta, ctx, extra_shift=(1,), first=2)
+    for factor in site_factors(specs, ctx, ctx.L + 2):
+        for array in factor:  # vertex table, partner, column
+            with pytest.raises(ValueError):
+                array *= 2
 
 
 def test_one_weight_evaluation_per_site_and_sector(monkeypatch, rng):
@@ -150,11 +158,8 @@ def test_one_weight_evaluation_per_site_and_sector(monkeypatch, rng):
     assert len(batches) == 1  # a word evaluates nothing
     block_words([(lam, theta)], ctx)
     assert len(batches) == 2  # every table builds its own chains
-    chains = yb_core.build_chains([(lam, theta, 0)], ctx)
-    assert len(batches) == 3  # the build evaluates its weights up front
-    tables = chains(lam, theta, 0)
-    assert chains(lam, theta, 0) is tables and chains(complex(lam), theta, 0) is tables
-    assert len(batches) == 3  # a lookup evaluates nothing
+    site_factors(yb_core._monodromy(lam, theta, ctx), ctx, ctx.L + 1)
+    assert len(batches) == 3 and _bits(batches[2]) == _bits(batches[0])
 
 
 def _bits(values):
@@ -175,15 +180,16 @@ def test_bulk_build_is_one_batch_of_distinct_weights(monkeypatch, rng):
     theta = sample_theta(ctx, rng, range(-4, 5))
     with monkeypatch.context() as m:
         # chain by chain: one batch each, f(gamma) in every one of them
-        build_chains = yb_core.build_chains
-        m.setattr(yb_core, "build_chains",
-                  lambda keys, ctx: lambda *key: build_chains([key], ctx)(*key))
+        site_factors = yb_core.site_factors
+        m.setattr(yb_core, "site_factors", lambda specs, ctx, n_sites: [
+            factor for i in range(0, len(specs), ctx.L)
+            for factor in site_factors(specs[i:i + ctx.L], ctx, n_sites)])
         alone = _count_batches(m)
         expected = dwbc_partition(lams, theta, ctx)
     assert len(alone) == 3
     batches = _count_batches(monkeypatch)
     assert dwbc_partition(lams, theta, ctx) == expected
-    assert len(batches) == 1  # the three lookups find the chains built
+    assert len(batches) == 1  # the three chains are built together
     assert _bits(batches[0]) == list(dict.fromkeys(b for batch in alone for b in _bits(batch)))
     # nothing is kept from one call to the next
     assert dwbc_partition(lams, theta, ctx) == expected and len(batches) == 2
@@ -212,29 +218,40 @@ def test_fx_residual_sample_is_one_batch(monkeypatch, rng):
 
 
 @pytest.mark.parametrize("L", [2, 3, 4])
-def test_rll_sample_is_two_batches(monkeypatch, rng, L):
-    # one batch for the four chains, one for the R pair
+def test_rll_sample_is_one_batch(monkeypatch, rng, L):
+    # the four chains and the R pair from one batch
     ctx = random_context(L, rng)
     l1, l2 = sample_spectral(ctx, rng, 2)
     theta = sample_theta(ctx, rng, range(-L - 1, L + 2))
     batches = _count_batches(monkeypatch)
     assert verify_rll(l1, l2, theta, ctx) <= 1e-9
-    assert len(batches) == 2
+    assert len(batches) == 1
 
 
-def test_chain_lookup_keeps_what_it_builds(rng):
-    # a lookup returns the chains its build kept and builds none itself;
-    # trigonometric chains ignore theta and the shift, so one serves them all
+def test_block_words_build_each_listed_key_once(monkeypatch, rng):
+    # repeated keys are built once, and a word reads only the keys listed;
+    # trigonometric chains ignore theta, so a letter at any theta reads
+    # the key built at theta = 0
     ell, trig = random_context(2, rng), random_context(2, rng, elliptic=False)
-    lam = sample_spectral(ell, rng, 1)[0]
-    chains = yb_core.build_chains([(lam, 0.5, 0), (lam, 0.5, 1)], ell)
-    assert chains(lam, 0.5 + 0j, 0) is chains(lam, 0.5, 0)
-    assert chains(lam, 0.5, 1) is not chains(lam, 0.5, 0)
+    lam, other = sample_spectral(ell, rng, 2)
+    built, site_factors = [], yb_core.site_factors
+    monkeypatch.setattr(yb_core, "site_factors", lambda specs, ctx, n_sites:
+                        built.append(specs) or site_factors(specs, ctx, n_sites))
+    eye = np.eye(4, dtype=complex)
+    word = block_words([(lam, 0.5), (lam, 0.5 + 0j), (other, 0.5), (lam, 0.5)], ell)
+    assert built == [yb_core._monodromy(lam, 0.5, ell) + yb_core._monodromy(other, 0.5, ell)]
+    assert np.array_equal(word([("A", lam, 0.5 + 0j)], eye), word([("A", lam, 0.5)], eye))
+    for letter in (("A", lam, 0.4), ("B", other, 0.0), ("C", lam + 0.1, 0.5)):
+        with pytest.raises(KeyError):
+            word([letter], eye)
+    built.clear()
+    word = block_words([(lam, 0.5), (lam, -0.3)], trig)
+    assert built == [yb_core._monodromy(lam, 0j, trig)]
+    alone = block_words([(lam, 0.0)], trig)([("B", lam, 0.0)], eye)
+    for theta in (0.5, -0.3, 1.7):
+        assert np.array_equal(word([("B", lam, theta)], eye), alone)
     with pytest.raises(KeyError):
-        chains(lam, 0.4, 0)
-    chains = yb_core.build_chains([(lam, 0.5, 1)], trig)
-    assert chains(lam, 0.5, 1) is chains(lam, -0.3, 0)
-    assert yb_core.build_chains([(lam, 0.0, 0)], trig)(lam, 0.0, 0) is not chains(lam, 0.0, 0)
+        word([("B", other, 0.5)], eye)
 
 
 def _refuse_batch(points, regime):
@@ -245,10 +262,10 @@ def test_batched_tables_bit_identical_to_scalar_route(rng):
     ctx = random_context(4, rng)
     lam = sample_spectral(ctx, rng, 1)[0]
     theta = sample_theta(ctx, rng, range(-5, 6))
-    for n_extra in (0, 1):
-        tables = yb_core.build_chains([(lam, theta, n_extra)], ctx)(lam, theta, n_extra)
-        for k, table in enumerate(tables):
-            literal = vertex_table_literal(lam - ctx.mu[k], theta, n_extra + ctx.L - 1 - k, ctx)
+    for extra in ((), (1,)):
+        specs = yb_core._monodromy(lam, theta, ctx, extra_shift=extra, first=2)
+        for k, (table, _, _) in enumerate(site_factors(specs, ctx, ctx.L + 2)):
+            literal = vertex_table_literal(lam - ctx.mu[k], theta, len(extra) + ctx.L - 1 - k, ctx)
             assert table.tobytes() == literal.tobytes() and not table.flags.writeable
 
 
@@ -275,7 +292,7 @@ def _literal_chain_error(lam, theta, ctx):
         try:
             vertex_table_literal(lam - ctx.mu[k], theta, ctx.L - 1 - k, ctx)
         except DynamicalPole as exc:
-            return DynamicalPole, f"site {k + 1}, {exc}"
+            return DynamicalPole, f"sites (0, {k + 1}), {exc}"
         except ArithmeticError as exc:
             return type(exc), str(exc)
     return None
@@ -289,7 +306,7 @@ def test_first_pole_is_named_by_site_and_sector(monkeypatch, rng):
         # theta = gamma puts sector w = +1 of site 2 (two sites after it)
         # on f(0) = 0; sites 1 and 3 see only even weights
         (lam, ctx.gamma, ctx, DynamicalPole,
-         r"^site 2, weight sector \+1: f\(theta\) ~ 0 at theta = 0j$"),
+         r"^sites \(0, 2\), weight sector \+1: f\(theta\) ~ 0 at theta = 0j$"),
         # f(t - lam) of site 1's first sector overflows, f(lam + gamma)
         # and f(lam) do not; the pole of its second sector comes after it
         (18.6 + 0.05j + ctx.mu[0], -ctx.gamma, two, OverflowError, None),
@@ -298,11 +315,22 @@ def test_first_pole_is_named_by_site_and_sector(monkeypatch, rng):
         with pytest.raises(error, match=message) as info:
             block_words([(lam_k, theta)], model)
         assert (type(info.value), str(info.value)) == _literal_chain_error(lam_k, theta, model)
-    with pytest.raises(DynamicalPole, match=r"^weight sector \+1: f\(theta\) ~ 0"):
-        site_factors([(lam, (0, 1), ()), (lam, (0, 1), (2,))], ctx.gamma, ctx, 3)
-    # a pole of a later chain is named by its site within that chain
-    with pytest.raises(DynamicalPole, match=r"^site 2, weight sector \+1: f\(theta\) ~ 0"):
-        yb_core.build_chains([(lam, 0.5, 0), (lam, ctx.gamma, 0)], ctx)
+    g = ctx.gamma
+    # any factor is named by its own pair of sites, the first in spec order
+    with pytest.raises(DynamicalPole, match=r"^sites \(1, 2\), weight sector \+1: f\(theta\) ~ 0"):
+        site_factors([(lam, g, (0, 1), ()), (lam, g, (1, 2), (0,))], ctx, 3)
+    # a pole of a later chain is named by its sites within that chain
+    with pytest.raises(DynamicalPole, match=r"^sites \(0, 2\), weight sector \+1: f\(theta\) ~ 0"):
+        block_words([(lam, 0.5), (lam, g)], ctx)
+    # dybe at theta = 0: its first two factors have no weight sector 0, the
+    # unshifted R_13 after them has
+    with pytest.raises(DynamicalPole,
+                       match=r"^sites \(0, 2\), weight sector \+0: f\(theta\) ~ 0 at theta = 0j$"):
+        verify_dybe(*sample_spectral(ctx, rng, 3), 0.0, ctx)
+    # the RLL R pair, shifted by the chain sites 2..4 and plain
+    l1, l2 = sample_spectral(ctx, rng, 2)
+    with pytest.raises(DynamicalPole, match=r"^sites \(0, 1\), weight sector \+1: f\(theta\) ~ 0"):
+        site_factors([(l1 - l2, g, (0, 1), (2, 3, 4)), (l1 - l2, g, (0, 1), ())], ctx, 5)
 
     # a weight error is raised by the batch, before any table is built:
     # f(lam + gamma) overflows, though the literal tables meet the pole of
@@ -313,28 +341,41 @@ def test_first_pole_is_named_by_site_and_sector(monkeypatch, rng):
     with monkeypatch.context() as m:
         m.setattr(yb_core, "f_weights", _refuse_batch)
         with pytest.raises(ArithmeticError, match="^batch refused$"):
-            yb_core.build_chains([(lam, 0.5, 0)], ctx)
+            block_words([(lam, 0.5)], ctx)
+    # so in verify_rll an R-pair weight error comes before a chain pole:
+    # at theta = 3*gamma the chain of (l2, theta) shifted by site 0 meets
+    # f(0), and f(l1 - l2 + gamma) overflows, though no chain weight does
+    far = (10 + 0.05j, -10 + 0.05j)
+    with pytest.raises(DynamicalPole, match=r"^sites \(1, 2\), weight sector \+3: "):
+        site_factors(yb_core._monodromy(far[1], 3 * g, ctx, 1, (0,), first=2), ctx, 5)
+    with pytest.raises(OverflowError):
+        verify_rll(*far, 3 * g, ctx)
 
-    # a bulk build raises the first pole in key order, the one of that
+    # a bulk build raises the first pole in spec order, the one of that
     # chain built alone; the chains listed before it build
     lams = sample_spectral(ctx, rng, 3)
-    l1, l2, g = lams[0], lams[1], ctx.gamma
+    l1, l2 = lams[0], lams[1]
+    rll_chain = lambda lam, aux, extra: lambda: site_factors(
+        yb_core._monodromy(lam, 3 * g, ctx, aux, extra, first=2), ctx, ctx.L + 2)
     bulk_cases = [
         # theta = 0: slot 3 (theta + 3*gamma) builds, slot 2 meets f(0) in
-        # site 1, sector +2
-        (lambda: dwbc_partition(lams, 0.0, ctx), (lams[2], 3 * g, 0), (lams[1], 2 * g, 0)),
-        # theta = 3*gamma: (l1, theta, 0) builds, (l2, theta, 1) meets f(0)
-        # in site 1, sector +3, before the R_ab factor is formed
-        (lambda: verify_rll(l1, l2, 3 * g, ctx), (l1, 3 * g, 0), (l2, 3 * g, 1)),
+        # chain site 1, sector +2
+        (lambda: dwbc_partition(lams, 0.0, ctx), lambda: block_words([(lams[2], 3 * g)], ctx),
+         lambda: block_words([(lams[1], 2 * g)], ctx), "sites (0, 1)"),
+        # theta = 3*gamma: the chain of l1 on site 0 builds, the chain of l2
+        # on site 1, shifted by site 0, meets f(0) in chain site 2, sector
+        # +3, before the R pair is reached
+        (lambda: verify_rll(l1, l2, 3 * g, ctx), rll_chain(l1, 0, ()), rll_chain(l2, 1, (0,)),
+         "sites (1, 2)"),
     ]
-    for operation, built, stopped in bulk_cases:
+    for operation, built, stopped, sites in bulk_cases:
         with pytest.raises(DynamicalPole) as bulk:
             operation()
         with pytest.raises(DynamicalPole) as alone:
-            yb_core.build_chains([stopped], ctx)
+            stopped()
         assert str(bulk.value) == str(alone.value)
-        assert str(bulk.value).startswith("site 1, weight sector ")
-        yb_core.build_chains([built], ctx)
+        assert str(bulk.value).startswith(sites + ", weight sector ")
+        built()
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -367,7 +408,7 @@ def test_block_words_raise_before_any_letter(monkeypatch, rng):
     lam = sample_spectral(ctx, rng, 1)[0]
     applied = []
     monkeypatch.setattr(yb_core, "apply_factors", lambda *args: applied.append(args))
-    with pytest.raises(DynamicalPole, match=r"^site 2, weight sector \+1: f\(theta\) ~ 0"):
+    with pytest.raises(DynamicalPole, match=r"^sites \(0, 2\), weight sector \+1: f\(theta\) ~ 0"):
         block_words([(lam, 0.5), (lam, ctx.gamma)], ctx)
     with pytest.raises(OverflowError):
         block_words([(lam, 0.5), (300 + 0.1j, 2 * ctx.gamma)], ctx)
