@@ -13,7 +13,7 @@ before the stream ended), 2 configuration error.
 
 Randomness: one ``yblab.rng.Stream(seed, key)`` per ``(seed, key)`` pair,
 numpy's PCG64 stream of ``SeedSequence([seed, key])`` computed without
-``numpy.random``; normals come from numpy's ziggurat on the same state.
+``numpy.random``, normals included (numpy's ziggurat on numpy's tables).
 The stream for check ``c`` has key ``REGISTRY_INDEX[c]`` and is
 consumed sample by sample, so the same flags produce identical parameter
 draws and hence identical residuals.

@@ -12,22 +12,51 @@ draws:
 * ``uniform`` scales the top 53 bits of a 64-bit output, and ``integers``
   is numpy's Lemire rejection on 32-bit words (Lemire 2019) for int64
   results;
-* ``standard_normal`` runs numpy's ziggurat on this stream's state, so
-  ``numpy.random`` is imported only when a normal is drawn.
+* ``standard_normal`` is numpy's ``random_standard_normal``, the ziggurat
+  of Marsaglia and Tsang (2000) with 256 layers, on 64-bit outputs; it
+  leaves the buffered half word alone.
+
+The ziggurat reads numpy's tables ``ki_double``, ``wi_double`` and
+``fi_double`` (256 entries each) from ``ziggurat.bin``: 2048 little-endian
+bytes of each, in that order, taken from the ``.rodata`` of numpy 2.4.6's
+``distributions.c`` (numpy is BSD-3-Clause; copyright NumPy Developers).
+They cannot be recomputed in double precision.  The file is read at the
+first normal draw.
+
+Normals are drawn a block at a time.  The block's LCG states come from
+jump-ahead, ``s_k = a**k s_0 + inc * sum(a**j for j < k)`` for
+``k = 1 .. 4096``, with both coefficient tables built once per process
+and the 128-bit arithmetic done on uint64 limbs.  The fast path (about
+99.3 % of outputs) is evaluated on the whole block; only outputs that
+fall to a wedge or the tail are walked in Python, with ``math.exp`` and
+``math.log1p`` as numpy's C calls them.  A block is never longer than
+the number of normals still to draw, so the stream is not advanced past
+the last output the sequential ziggurat reads.
 """
 
 from __future__ import annotations
+
+import functools
+import math
+import os
 
 import numpy as np
 
 _M32 = (1 << 32) - 1
 _M64 = (1 << 64) - 1
+_M52 = (1 << 52) - 1
 _M128 = (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+#: numpy's ziggurat_constants.h: the start of the tail and its inverse.
+_NOR_R = 3.6541528853610087963519472518
+_NOR_INV_R = 0.27366123732975827203338247596
+#: Outputs computed together by jump-ahead; the jump tables hold this many.
+_BLOCK = 4096
+_LAYER, _SIGN, _MANTISSA, _LOW32 = (np.uint64(m) for m in (0xFF, 0x100, _M52, _M32))
 
 
 def _words(n: int) -> list[int]:
@@ -105,7 +134,7 @@ class Stream:
         """A float in [low, high), or an array of ``size`` of them filled in C order."""
         low, span = float(low), float(high) - float(low)
         if size is None:
-            return low + span * ((self._next64() >> 11) * 2.0 ** -53)
+            return low + span * _unit(self._next64())
         return np.array([self.uniform(low, high)
                          for _ in range(int(np.prod(size)))]).reshape(size)
 
@@ -133,15 +162,119 @@ class Stream:
         return low + (product >> 32)
 
     def standard_normal(self, shape) -> np.ndarray:
-        """Normals of ``shape`` from numpy's ziggurat, drawn from and advancing this stream."""
-        from numpy.random import PCG64, Generator
+        """Normals of ``shape`` from numpy's ziggurat, filled in C order.
 
-        bits = PCG64(0)  # the state set next replaces this seed's
-        bits.state = {"bit_generator": "PCG64",
-                      "state": {"state": self.state, "inc": self.inc},
-                      "has_uint32": self.has_uint32, "uinteger": self.uinteger}
-        out = Generator(bits).standard_normal(shape)
-        after = bits.state
-        self.state = after["state"]["state"]
-        self.has_uint32, self.uinteger = after["has_uint32"], after["uinteger"]
-        return out
+        Each normal reads one 64-bit output, and more when it falls off
+        the fast path.  The buffered half word is left alone.
+        """
+        ki, wi, _ = _ziggurat()
+        out = np.empty(int(np.prod(shape)))
+        done = 0
+        while done < out.size:
+            # every normal still to come reads at least one output, so the
+            # sequential ziggurat reads all of this block
+            words = self._block(min(out.size - done, _BLOCK))
+            layer = (words & _LAYER).astype(np.intp)
+            rabs = words >> np.uint64(9) & _MANTISSA
+            x = rabs * wi[layer]
+            np.negative(x, out=x, where=words & _SIGN != 0)
+            pos = 0
+
+            def next_word() -> int:
+                nonlocal pos
+                pos += 1
+                return int(words[pos - 1]) if pos <= words.size else self._next64()
+
+            for slow in np.flatnonzero(rabs >= ki[layer]).tolist():
+                if slow < pos:  # already read as a uniform
+                    continue
+                out[done:done + slow - pos] = x[pos:slow]
+                done += slow - pos
+                pos = slow + 1
+                value = _slow_normal(int(words[slow]), float(x[slow]), next_word)
+                if value is not None:
+                    out[done] = value
+                    done += 1
+            if pos < words.size:
+                out[done:done + words.size - pos] = x[pos:]
+                done += words.size - pos
+        return out.reshape(shape)
+
+    def _block(self, n: int) -> np.ndarray:
+        """The next ``n <= _BLOCK`` 64-bit outputs, computed together by jump-ahead."""
+        pow_hi, pow_lo, sum_hi, sum_lo = (table[:n] for table in _jumps())
+        s_hi, s_lo = _add128(*_mul128(pow_hi, pow_lo, self.state),
+                             *_mul128(sum_hi, sum_lo, self.inc))
+        self.state = int(s_hi[-1]) << 64 | int(s_lo[-1])
+        word, rot = s_hi ^ s_lo, s_hi >> np.uint64(58)
+        return word >> rot | word << ((np.uint64(64) - rot) & np.uint64(63))
+
+
+def _unit(word: int) -> float:
+    """numpy's double in [0, 1) from a 64-bit output."""
+    return (word >> 11) * 2.0 ** -53
+
+
+def _slow_normal(word: int, x: float, next_word) -> float | None:
+    """The ziggurat's wedge or tail for an output ``word`` off the fast path.
+
+    ``x`` is the output's signed abscissa and ``next_word()`` reads the
+    stream's next 64-bit output.  None when the wedge rejects ``x``.
+    """
+    layer, rabs = word & 0xFF, word >> 9 & _M52
+    if layer:
+        fi = _ziggurat()[2]
+        wedge = (fi[layer - 1] - fi[layer]) * _unit(next_word()) + fi[layer]
+        return x if wedge < math.exp(-0.5 * x * x) else None
+    while True:
+        xx = -_NOR_INV_R * math.log1p(-_unit(next_word()))
+        yy = -math.log1p(-_unit(next_word()))
+        if yy + yy > xx * xx:
+            return -(_NOR_R + xx) if rabs >> 8 & 1 else _NOR_R + xx
+
+
+@functools.cache
+def _ziggurat() -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """``ki_double`` and ``wi_double`` as arrays, ``fi_double`` as a list."""
+    with open(os.path.join(os.path.dirname(__file__), "ziggurat.bin"), "rb") as f:
+        data = f.read()
+    ki = np.frombuffer(data, "<u8", 256, 0)
+    wi, fi = (np.frombuffer(data, "<f8", 256, offset) for offset in (2048, 4096))
+    return ki, wi, fi.tolist()
+
+
+def _mul128(hi: np.ndarray, lo: np.ndarray, x: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(hi << 64 | lo) * x`` modulo 2**128, on uint64 limbs."""
+    x_hi, x_lo = np.uint64(x >> 64 & _M64), np.uint64(x & _M64)
+    y0, y1 = np.uint64(x & _M32), np.uint64(x >> 32 & _M32)
+    shift = np.uint64(32)
+    lo0, lo1 = lo & _LOW32, lo >> shift
+    p00, p01, p10 = lo0 * y0, lo0 * y1, lo1 * y0
+    carry = ((p00 >> shift) + (p01 & _LOW32) + (p10 & _LOW32)) >> shift
+    top = lo1 * y1 + (p01 >> shift) + (p10 >> shift) + carry + lo * x_hi + hi * x_lo
+    return top, lo * x_lo
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
+    """``a + b`` modulo 2**128, on uint64 limbs."""
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+@functools.cache
+def _jumps() -> tuple[np.ndarray, ...]:
+    """Limbs of ``a**k`` and ``sum(a**j for j < k)`` mod 2**128, k = 1 .. _BLOCK.
+
+    Built by doubling: the entries for ``k + h`` are those for ``k`` times
+    ``a**h``, plus ``sum(a**j for j < h)`` in the second table.
+    """
+    pow_hi, pow_lo = (np.array([part], np.uint64) for part in (_PCG_MULT >> 64, _PCG_MULT & _M64))
+    sum_hi, sum_lo = np.zeros(1, np.uint64), np.ones(1, np.uint64)
+    while pow_hi.size < _BLOCK:
+        a_h = int(pow_hi[-1]) << 64 | int(pow_lo[-1])
+        c_h = int(sum_hi[-1]) << 64 | int(sum_lo[-1])
+        far_pow = _mul128(pow_hi, pow_lo, a_h)
+        far_sum = _add128(*_mul128(sum_hi, sum_lo, a_h), np.uint64(c_h >> 64), np.uint64(c_h & _M64))
+        pow_hi, pow_lo = np.concatenate((pow_hi, far_pow[0])), np.concatenate((pow_lo, far_pow[1]))
+        sum_hi, sum_lo = np.concatenate((sum_hi, far_sum[0])), np.concatenate((sum_lo, far_sum[1]))
+    return pow_hi, pow_lo, sum_hi, sum_lo

@@ -102,9 +102,9 @@ def test_report_streams_are_numpy_generator_streams(monkeypatch, capsys, flags, 
     assert out.count("\n") >= 1
 
 
-def test_compute_commands_do_not_import_numpy_random():
-    # the compute command lines of the bf-L8 and contour-frontier benchmark
-    # workloads draw no normals, so they never load numpy.random
+def test_benchmark_commands_do_not_import_numpy_random():
+    # the command lines of all four benchmark workloads, the normals of
+    # dia-realization and pde-leading included, never load numpy.random
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
@@ -113,6 +113,8 @@ def test_compute_commands_do_not_import_numpy_random():
             "    sys.exit(3)  # numpy itself loads it\n"
             "from yblab import cli\n"
             "for argv in [\n"
+            f"        'run --L 4 --checks {ELLIPTIC_RUN_CHECKS} --samples 20',\n"
+            f"        'run --trig --L 4 --checks {','.join(cli.REGISTRY)} --samples 20',\n"
             "        'compute z --L 8 --method bruteforce',\n"
             "        'compute z --trig --L 8 --method bruteforce',\n"
             "        'compute sn --trig --L 8 --n 4 --method bruteforce',\n"
