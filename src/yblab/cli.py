@@ -292,8 +292,8 @@ def _draw_dia(ctx, rng):
     deg = int(rng.integers(0, 9))
     shape = (deg + 1,) * nvars
     coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    point = [complex(a, b) for a, b in rng.uniform(-1, 1, (nvars, 2))]
-    x0 = complex(*rng.uniform(-1, 1, 2))
+    point = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(nvars)]
+    x0 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
     axis = int(rng.integers(nvars))
     return {"coeffs": coeffs, "point": point, "x0": x0, "axis": axis,
             "nvars": nvars, "deg": deg}

@@ -130,13 +130,10 @@ class Stream:
         self.has_uint32, self.uinteger = 1, word >> 32
         return word & _M32
 
-    def uniform(self, low: float, high: float, size=None):
-        """A float in [low, high), or an array of ``size`` of them filled in C order."""
+    def uniform(self, low: float, high: float) -> float:
+        """A float in [low, high)."""
         low, span = float(low), float(high) - float(low)
-        if size is None:
-            return low + span * _unit(self._next64())
-        return np.array([self.uniform(low, high)
-                         for _ in range(int(np.prod(size)))]).reshape(size)
+        return low + span * _unit(self._next64())
 
     def integers(self, low: int, high: int | None = None) -> int:
         """An int in [low, high), or in [0, low) when ``high`` is not given.

@@ -17,8 +17,8 @@ Conventions, fixed once and used everywhere:
 Every vertex factor comes from :func:`site_factors`, and no vertex table
 outlives the evaluation that built it: an operator or equation lists the
 factors it applies, monodromy chains as :func:`_monodromy` specs, and one
-:func:`site_factors` call builds them all up front, from one
-:func:`_site_tables` call on one batch of distinct weights.
+:func:`site_factors` call forms them all up front, from one batch of
+distinct weights.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -114,73 +114,23 @@ def r_matrix(lam: complex, theta: complex, ctx: ModelContext) -> np.ndarray:
 
     Trigonometric regime: the symmetric six-vertex matrix with weights
     (sinh(lam+gamma), sinh(lam), sinh(gamma)); ``theta`` is ignored.
-    This is the 4x4 view of the one-sector table of :func:`_site_tables`.
+    This is the 4x4 view of the table of one unshifted
+    :func:`site_factors` factor on sites ``(0, 1)``, which names a pole.
     """
-    table = next(_site_tables([(lam, theta, 0)], ctx))
+    table = site_factors([(lam, theta, (0, 1), ())], ctx, 2)[0][0]
     r = np.diag(table[0])
     r[1, 2], r[2, 1] = table[1, 1:3]
     return r
 
 
 def _weight_points(sites: Sequence[tuple[complex, complex, int]], g: complex) -> list[complex]:
-    """Elliptic weight arguments of the tables of ``sites``, as :func:`_site_tables` reads them."""
+    """Weight arguments of ``(lam, theta, n_shift)`` sites, as :func:`site_factors` reads them."""
     points = [g]
     for lam, theta, n_shift in sites:
         for s in range(n_shift + 1):
             t = theta - g * (n_shift - 2 * s)
             points += (t, t - g, t + g) + ((lam + g, lam) if s == 0 else ()) + (t - lam, t + lam)
     return points
-
-
-def _site_tables(sites: Sequence[tuple[complex, complex, int]], ctx: ModelContext
-                 ) -> Iterator[np.ndarray]:
-    """Nonzero vertex amplitudes on each weight sector, per ``(lam, theta, n_shift)`` of ``sites``.
-
-    The one place the weights of :func:`r_matrix` are formed.  Sector
-    ``s`` (``s`` of the ``n_shift`` shift sites down) has spin weight
-    ``w = n_shift - 2*s`` and dynamical argument ``t = theta - gamma*w``.
-    Row 0 of a ``(2, 4*(n_shift + 1))`` table holds the diagonal
-    amplitudes, row 1 the amplitude from the partner state with the two
-    site spins exchanged (zero on uu and dd); entry ``4*s + k`` belongs
-    to sector ``s`` and pair state ``k``.  By the ice rule these are all
-    the nonzero entries of the vertex matrix.  Tables are read-only and
-    come in the order of ``sites``.
-
-    The elliptic weights of all the sites come from one
-    :func:`f_weights` call, before any table is built, and are
-    read in the order :func:`_weight_points` lists them: ``f(gamma)``;
-    then per sector ``f(t)`` and ``f(t -+ gamma)``, the pole test,
-    ``f(lam + gamma)`` and ``f(lam)`` in a site's first sector only, and
-    ``f(t -+ lam)``.  Trigonometric tables are six-vertex tables, with
-    ``theta`` and the shift ignored.
-    """
-    if not ctx.is_elliptic:
-        a_of, b_of, c = six_vertex(ctx.gamma)
-        for lam, _, _ in sites:
-            a, b = a_of(lam), b_of(lam)
-            table = np.array(((a, b, b, a), (0j, c, c, 0j)), dtype=complex)
-            table.setflags(write=False)
-            yield table
-        return
-    g = ctx.gamma
-    values = iter(f_weights(_weight_points(sites, g), ctx.regime))
-    fg = next(values)
-    for lam, theta, n_shift in sites:
-        diag, off = [], []
-        for s in range(n_shift + 1):
-            w = n_shift - 2 * s
-            ft, ft_minus, ft_plus = islice(values, 3)
-            if abs(ft) <= POLE_RTOL * max(abs(ft_minus), abs(ft_plus), abs(fg)):
-                raise DynamicalPole(f"weight sector {w:+d}: "
-                                    f"f(theta) ~ 0 at theta = {theta - g * w}")
-            if s == 0:
-                fa, fl = islice(values, 2)
-            f_minus, f_plus = islice(values, 2)
-            diag += (fa, fl * ft_minus / ft, fl * ft_plus / ft, fa)
-            off += (0j, fg * f_minus / ft, fg * f_plus / ft, 0j)
-        table = np.array((diag, off), dtype=complex)
-        table.setflags(write=False)
-        yield table
 
 
 @functools.lru_cache(maxsize=64)
@@ -222,26 +172,60 @@ def site_factors(specs: Sequence[Spec], ctx: ModelContext, n_sites: int) -> list
     on sites ``pair`` with dynamical argument ``theta - gamma*w``, ``w``
     the signed spin sum (+1 up, -1 down) of ``shift_sites`` in the input
     basis state; the shift sites never include the pair, so the partner
-    state lies in the same sector.  Shifts are inert in the
-    trigonometric regime.  The vertex tables of all specs come from one
-    :func:`_site_tables` call, so each has the bits of a table built
-    alone, and errors are raised here: a weight error by the batch,
-    before any table is built, and a pole by the first spec in (spec,
-    sector) order that meets one, named by its pair of sites and its
-    sector.  A factor is a (vertex table, partner, column) triple for
-    :func:`apply_factors`.
+    state lies in the same sector.  A factor is a (vertex table, partner,
+    column) triple for :func:`apply_factors`, and this is the one place
+    vertex amplitudes are formed.
+
+    Sector ``s`` (``s`` of the ``n_shift = len(shift_sites)`` shift
+    sites down) has spin weight ``w = n_shift - 2*s`` and dynamical
+    argument ``t = theta - gamma*w``.  Row 0 of a read-only
+    ``(2, 4*(n_shift + 1))`` table holds the diagonal amplitudes, row 1
+    the amplitude from the partner state with the two site spins
+    exchanged (zero on uu and dd); entry ``4*s + k`` belongs to sector
+    ``s`` and pair state ``k``.  By the ice rule these are all the
+    nonzero entries of the vertex matrix.  Trigonometric tables are
+    six-vertex tables, with ``theta`` and the shifts ignored.
+
+    The elliptic weights of all the specs come from one :func:`f_weights`
+    call, so each table has the bits of a table built alone, and are read
+    in the order :func:`_weight_points` lists them: ``f(gamma)``; then per
+    sector ``f(t)`` and ``f(t -+ gamma)``, the pole test, ``f(lam + gamma)``
+    and ``f(lam)`` in a spec's first sector only, and ``f(t -+ lam)``.  A
+    weight error is raised by the batch, before any table is built, and a
+    pole by the first spec in (spec, sector) order that meets one, named
+    by its pair of sites and its sector.
     """
     specs = [(complex(lam), complex(theta), tuple(pair), tuple(shift) if ctx.is_elliptic else ())
              for lam, theta, pair, shift in specs]
-    sites = [(lam, theta, len(shift)) for lam, theta, _, shift in specs]
-    tables = []
-    try:
-        for table in _site_tables(sites, ctx):
-            tables.append(table)
-    except DynamicalPole as exc:
-        raise DynamicalPole(f"sites {specs[len(tables)][2]}, {exc}") from exc
-    return [(table,) + _layout(n_sites, pair, shift)
-            for table, (_, _, pair, shift) in zip(tables, specs)]
+    g = ctx.gamma
+    if ctx.is_elliptic:
+        values = iter(f_weights(_weight_points(
+            [(lam, theta, len(shift)) for lam, theta, _, shift in specs], g), ctx.regime))
+        fg = next(values)
+    else:
+        a_of, b_of, c = six_vertex(g)
+    factors = []
+    for lam, theta, pair, shift in specs:
+        if ctx.is_elliptic:
+            diag, off = [], []
+            for s in range(len(shift) + 1):
+                w = len(shift) - 2 * s
+                ft, ft_minus, ft_plus = islice(values, 3)
+                if abs(ft) <= POLE_RTOL * max(abs(ft_minus), abs(ft_plus), abs(fg)):
+                    raise DynamicalPole(f"sites {pair}, weight sector {w:+d}: "
+                                        f"f(theta) ~ 0 at theta = {theta - g * w}")
+                if s == 0:
+                    fa, fl = islice(values, 2)
+                f_minus, f_plus = islice(values, 2)
+                diag += (fa, fl * ft_minus / ft, fl * ft_plus / ft, fa)
+                off += (0j, fg * f_minus / ft, fg * f_plus / ft, 0j)
+            table = np.array((diag, off), dtype=complex)
+        else:
+            a, b = a_of(lam), b_of(lam)
+            table = np.array(((a, b, b, a), (0j, c, c, 0j)), dtype=complex)
+        table.setflags(write=False)
+        factors.append((table,) + _layout(n_sites, pair, shift))
+    return factors
 
 
 def apply_factors(x: np.ndarray, factors: Sequence[Factor]) -> np.ndarray:

@@ -147,10 +147,16 @@ def test_one_weight_evaluation_per_site_and_sector(monkeypatch, rng):
     batches = _count_batches(monkeypatch)
     word = block_words([(lam, theta)], ctx)
     # one batch per chain, of the distinct ones of its weight points:
-    # f(gamma) once, f(lam - mu_i + gamma) and f(lam - mu_i) per site, five
-    # theta values per weight sector (site i sees L - i + 1 sectors)
-    sites = [(lam - ctx.mu[k], theta, ctx.L - 1 - k) for k in range(ctx.L)]
-    points = yb_core._weight_points(sites, ctx.gamma)
+    # f(gamma) once; per weight sector (site i sees L - i + 1 of them) the
+    # theta values t, t -+ gamma, then f(lam - mu_i + gamma) and
+    # f(lam - mu_i) in the site's first sector only, then t -+ (lam - mu_i)
+    g, points = ctx.gamma, [ctx.gamma]
+    for k in range(ctx.L):
+        lam_k, n_shift = lam - ctx.mu[k], ctx.L - 1 - k
+        for s in range(n_shift + 1):
+            t = theta - g * (n_shift - 2 * s)
+            points += [t, t - g, t + g] + ([lam_k + g, lam_k] if s == 0 else [])
+            points += [t - lam_k, t + lam_k]
     assert len(points) == 1 + 2 * 3 + 5 * (3 + 2 + 1)
     distinct = dict(zip(_bits(points), points)).values()
     assert [_bits(batch) for batch in batches] == [_bits(1j * p for p in distinct)]
@@ -270,16 +276,17 @@ def test_batched_tables_bit_identical_to_scalar_route(rng):
 
 
 @pytest.mark.parametrize("elliptic", [True, False])
-def test_site_tables_match_literal_tables(elliptic, rng):
-    # every table has the bits of the per-sector literal matrices at its
-    # own site's theta; trigonometric tables have one sector
+def test_site_factor_tables_match_literal_tables(elliptic, rng):
+    # every table of one site_factors call has the bits of the per-sector
+    # literal matrices at its own spec's theta; trigonometric tables have
+    # one sector
     ctx = random_context(2, rng, elliptic=elliptic)
     thetas = [sample_theta(ctx, rng, range(-4, 5)) for _ in range(3)]
-    sites = [(lam, theta, n_shift) for lam, theta in zip(sample_spectral(ctx, rng, 3), thetas)
-             for n_shift in range(4)]
-    literal = [vertex_table_literal(lam, theta, n_shift if elliptic else 0, ctx)
-               for lam, theta, n_shift in sites]
-    tables = list(yb_core._site_tables(sites, ctx))
+    specs = [(lam, theta, (0, 1), tuple(range(2, 2 + n_shift)))
+             for lam, theta in zip(sample_spectral(ctx, rng, 3), thetas) for n_shift in range(4)]
+    literal = [vertex_table_literal(lam, theta, len(shift) if elliptic else 0, ctx)
+               for lam, theta, _, shift in specs]
+    tables = [table for table, _, _ in site_factors(specs, ctx, 5)]
     assert len(tables) == len(literal)
     for table, expected in zip(tables, literal):
         assert table.shape == expected.shape

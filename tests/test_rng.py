@@ -34,15 +34,15 @@ def assert_same_state(ours, theirs):
     assert (ours.has_uint32, ours.uinteger) == (state["has_uint32"], state["uinteger"])
 
 
-#: The calls yblab makes of a stream: scalar uniforms on the sampler
-#: boxes, the uniforms, integers and normals of ``dia-realization`` and
-#: the normals of ``pde-leading``, up to the largest ``dia-realization``
-#: shape and a shape one output longer than a jump-ahead block.
+#: The calls yblab makes of a stream: uniforms on the sampler boxes and
+#: on ``dia-realization``'s [-1, 1), the integers and normals of
+#: ``dia-realization`` and the normals of ``pde-leading``, up to the largest
+#: ``dia-realization`` shape and a shape one output longer than a jump-ahead
+#: block.
 CALLS = [
     *(lambda r, box=box: r.uniform(*box) for box in
       (sampling.RECT_RE, sampling.RECT_IM, sampling.MU_RE, sampling.MU_IM)),
-    lambda r: r.uniform(-1, 1, 2),
-    *(lambda r, n=n: r.uniform(-1, 1, (n, 2)) for n in range(1, 5)),
+    lambda r: r.uniform(-1, 1),
     *(lambda r, a=a: r.integers(*a) for a in ((2,), (3,), (1, 5), (0, 9), (1,))),
     *(lambda r, s=s: r.standard_normal(s) for s in ((1,), (9,), (3, 3), (2, 2, 2), (4,) * 4,
                                                           (9,) * 4, (4097,))),

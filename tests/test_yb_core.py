@@ -97,7 +97,7 @@ def test_r_matrix_trig_at_zero_spectral():
 
 def test_r_matrix_dynamical_pole():
     ctx = random_context(1, np.random.default_rng(1))
-    with pytest.raises(DynamicalPole, match=r"^weight sector \+0: f\(theta\) ~ 0"):
+    with pytest.raises(DynamicalPole, match=r"^sites \(0, 1\), weight sector \+0: f\(theta\) ~ 0"):
         r_matrix(0.3, 0.0, ctx)  # f(0) = 0
 
 
