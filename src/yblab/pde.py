@@ -53,9 +53,8 @@ class MultiPoly:
     polynomial keeps a read-only copy of the array it is given, so the
     caller's array stays writable and later writes to it do not reach
     the polynomial.  Evaluation is Horner over variables; derivatives
-    act exactly on the coefficient tensor, so derivatives of order above
-    ``max_deg`` are exactly zero.  The tensors of every ``d^k/dx_i^k``
-    with ``k <= max_deg`` are built on the first
+    act exactly on the coefficient tensor.  The tensors of every
+    ``d^k/dx_i^k`` with ``k <= max_deg`` are built on the first
     :meth:`derivative_table` and kept as one read-only stack.  Equality
     and hashing are by identity.
     """
@@ -90,8 +89,7 @@ class MultiPoly:
     @functools.cached_property
     def _derivative_stack(self) -> np.ndarray:
         """``stack[..., i * (max_deg + 1) + k]`` holds the coefficients of ``d^k/dx_i^k``."""
-        stack = np.stack([d.coeffs for i in range(self.nvars)
-                          for d in self.derivatives(i, self.max_deg + 1)], axis=-1)
+        stack = np.stack([d for i in range(self.nvars) for d in _ladder(self.coeffs, i)], axis=-1)
         stack.flags.writeable = False
         return stack
 
@@ -99,32 +97,27 @@ class MultiPoly:
         """``table[i][k]`` is ``d^k/dx_i^k`` at ``point``, for k = 0..max_deg.
 
         One Horner pass over the cached derivative stack; each entry has
-        the bits of the k-th of :meth:`derivatives` in ``i`` evaluated at
-        ``point``.
+        the bits of the k-th tensor of the ladder in ``i`` evaluated alone
+        at ``point``, as :func:`dia_realized` evaluates it.
         """
         self._check_point(point)
         values = _horner(self._derivative_stack, point)
         m = self.max_deg + 1
         return tuple(tuple(values[i * m:(i + 1) * m]) for i in range(self.nvars))
 
-    def derivatives(self, axis: int, count: int) -> Iterator["MultiPoly"]:
-        """Derivatives of order 0..count-1 in variable ``axis``, lowest first.
 
-        Each is one exact step (``c[1:] * arange``) from the one before,
-        padded back to the hypercube shape so axes stay aligned; orders
-        above ``max_deg`` are exactly zero.
-        """
-        c = np.moveaxis(self.coeffs, axis, 0)
-        for order in range(count):
-            if order:
-                if c.shape[0] == 1:
-                    c = np.zeros_like(c)
-                else:
-                    c = c[1:] * np.arange(1, c.shape[0]).reshape((-1,) + (1,) * (c.ndim - 1))
-            pad = self.coeffs.shape[0] - c.shape[0]
-            padded = c if pad == 0 else np.concatenate(
-                [c, np.zeros((pad,) + c.shape[1:], dtype=complex)], axis=0)
-            yield MultiPoly(np.moveaxis(padded, 0, axis))
+def _ladder(coeffs: np.ndarray, axis: int) -> Iterator[np.ndarray]:
+    """Coefficients of ``d^k/dx_axis^k`` for k = 0..max_deg, lowest first.
+
+    Each is one exact step (``c[1:] * arange``) from the one before,
+    padded back to the hypercube shape so axes stay aligned.
+    """
+    c = np.moveaxis(coeffs, axis, 0)
+    for order in range(coeffs.shape[0]):
+        if order:
+            c = c[1:] * np.arange(1, c.shape[0]).reshape((-1,) + (1,) * (c.ndim - 1))
+        yield np.moveaxis(c if order == 0 else np.concatenate(
+            [c, np.zeros((order,) + c.shape[1:], dtype=complex)], axis=0), 0, axis)
 
 
 def _horner(coeffs: np.ndarray, point: Sequence[complex]) -> list[complex]:
@@ -181,11 +174,12 @@ def dia_realized(p: MultiPoly, i: int, alpha_value: complex,
     """Variable replacement via the truncated-Taylor realization.
 
     Evaluates ``sum_{k<=m} (alpha_value - x_i)^k / k! * d^k p / dx_i^k``
-    at ``point`` with ``m = p.max_deg``, the polynomial's degree bound,
-    so the sum is exact.
+    at ``point`` with ``m = p.max_deg``, so the sum is exact; each
+    derivative tensor is evaluated as it is formed, never stacked.
     """
+    p._check_point(point)
     step = complex(alpha_value) - complex(point[i])
-    return _taylor_sum([d.evaluate(point) for d in p.derivatives(i, p.max_deg + 1)], step)
+    return _taylor_sum([_horner(d, point)[0] for d in _ladder(p.coeffs, i)], step)
 
 
 def _taylor_sum(derivs: Sequence[complex], step: complex) -> complex:
@@ -208,23 +202,29 @@ def _fzt_point(lams: tuple[complex, ...], ctx: ModelContext
     """
     if ctx.is_elliptic:
         raise RegimeMismatch("the merged swap equation is trigonometric")
-    a, b, _ = six_vertex(ctx.gamma)
+    a, b, c = six_vertex(ctx.gamma)
     return (tuple(np.prod([a(li - m) for m in ctx.mu]) for li in lams),
-            tuple(tuple(a(lj - li) / b(lj - li) for j, lj in enumerate(lams) if j != i)
+            tuple(tuple(a(lj - li) / _b_apart(b(lj - li), c, j + 1, i + 1)
+                        for j, lj in enumerate(lams) if j != i)
                   for i, li in enumerate(lams)))
+
+
+def _b_apart(den: complex, c: complex, j: int, i: int) -> complex:
+    """``den = b(lam_j - lam_i)``, refused where it vanishes against ``c``."""
+    if abs(den) <= 1e-12 * abs(c):
+        raise SingularCoefficient(f"b(lam_{j} - lam_{i}) ~ 0")
+    return den
 
 
 def _fzt_node(l0: complex, lams: tuple[complex, ...], a_mu, ratios, ctx: ModelContext
               ) -> tuple[complex, tuple[complex, ...]]:
     a, b, c = six_vertex(ctx.gamma)
+    dens = [_b_apart(b(l - l0), c, i + 1, 0) for i, l in enumerate(lams)]
     head = np.prod([b(l0 - m) for m in ctx.mu]) \
         - np.prod([a(l0 - m) for m in ctx.mu]) \
-        * np.prod([a(l - l0) / b(l - l0) for l in lams])
+        * np.prod([a(l - l0) / den for l, den in zip(lams, dens)])
     swaps = []
-    for i, li in enumerate(lams):
-        den = b(li - l0)
-        if abs(den) <= 1e-12 * abs(c):
-            raise SingularCoefficient(f"b(lam_{i + 1} - lam_0) ~ 0")
+    for i, den in enumerate(dens):
         coeff = (c / den) * a_mu[i]
         for ratio in ratios[i]:
             coeff *= ratio

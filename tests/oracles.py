@@ -395,7 +395,7 @@ def evaluate_literal(poly, point):
 
 
 def derivative_literal(poly, axis, order=1):
-    """The ``order``-th of ``MultiPoly.derivatives``, taking every order from scratch."""
+    """The ``order``-th tensor of ``pde._ladder``, taking every order from scratch."""
     c = np.moveaxis(poly.coeffs, axis, 0)
     for _ in range(order):
         if c.shape[0] == 1:

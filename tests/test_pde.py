@@ -1,5 +1,7 @@
 import cmath
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -261,13 +263,6 @@ def test_leading_operator_two_site_transcription(pencil_setup, rng):
     assert abs(extracted - expected) <= 1e-9 * max(abs(expected), 1e-12)
 
 
-def test_multipoly_derivative_beyond_degree_is_zero():
-    poly = MultiPoly(np.array([1.0, 2.0, 3.0]))  # degree 2 in one variable
-    ladder = list(poly.derivatives(0, 5))
-    assert np.array_equal(ladder[2].coeffs, [6.0, 0.0, 0.0])
-    assert all(np.all(d.coeffs == 0) for d in ladder[3:])
-
-
 # --- agreement with the literal routes --------------------------------------
 
 def _explicit_nodes(rng, L):
@@ -308,11 +303,11 @@ def test_interpolate_zbar_matches_literal_on_random_grid(L):
 def test_derivatives_bit_identical_to_literal(nvars, deg, rng):
     poly = random_poly(rng, nvars, deg)
     for axis in range(nvars):
-        ladder = list(poly.derivatives(axis, deg + 3))
-        assert len(ladder) == deg + 3
+        ladder = list(pde._ladder(poly.coeffs, axis))
+        assert len(ladder) == deg + 1
         for order, step in enumerate(ladder):
             literal = derivative_literal(poly, axis, order).coeffs
-            assert np.array_equal(step.coeffs, literal)
+            assert np.array_equal(step, literal)
 
 
 def test_dia_realized_bit_identical_to_literal(rng):
@@ -367,10 +362,9 @@ def test_pencil_evaluates_each_derivative_once(L, monkeypatch):
     ctx = random_context(L, rng, elliptic=False)
     zbar = interpolate_zbar(ctx)
     ladders, tables, passes = [], [], []
-    derivatives, derivative_table, horner = (
-        MultiPoly.derivatives, MultiPoly.derivative_table, pde._horner)
-    monkeypatch.setattr(MultiPoly, "derivatives",
-                        lambda self, *args: ladders.append(self) or derivatives(self, *args))
+    ladder, derivative_table, horner = pde._ladder, MultiPoly.derivative_table, pde._horner
+    monkeypatch.setattr(pde, "_ladder",
+                        lambda coeffs, axis: ladders.append(coeffs) or ladder(coeffs, axis))
     monkeypatch.setattr(MultiPoly, "derivative_table",
                         lambda self, pt: tables.append(pt) or derivative_table(self, pt))
     monkeypatch.setattr(pde, "_horner", lambda *args: passes.append(args) or horner(*args))
@@ -379,7 +373,7 @@ def test_pencil_evaluates_each_derivative_once(L, monkeypatch):
         omega_actions(zbar, lams, ctx)
         omega_leading_apply(zbar, lams, ctx)
     # one derivative ladder per axis builds the stack, once for all points
-    assert len(ladders) == L and all(p is zbar for p in ladders)
+    assert len(ladders) == L and all(c is zbar.coeffs for c in ladders)
     # one table, and no other evaluation, per call
     assert tables == [tuple(cmath.exp(2 * l) for l in lams)
                       for lams in points for _ in range(2)]
@@ -396,7 +390,6 @@ def test_multipoly_keeps_a_read_only_copy(rng):
     assert poly.evaluate(point) == before and poly.derivative_table(point) == table
     assert not poly.coeffs.flags.writeable
     assert not poly._derivative_stack.flags.writeable
-    assert all(not d.coeffs.flags.writeable for d in poly.derivatives(0, 2))
     with pytest.raises(ValueError):
         poly.coeffs[0, 0] = 1.0
 
@@ -417,17 +410,31 @@ def test_derivative_table_bit_identical_to_single_evaluations(nvars, deg, rng):
         table = poly.derivative_table(point)
         assert len(table) == nvars and all(len(row) == deg + 1 for row in table)
         for axis in range(nvars):
-            ladder = list(poly.derivatives(axis, deg + 1))
             for order in range(deg + 1):
                 value = table[axis][order]
                 assert type(value) is complex
-                assert value == ladder[order].evaluate(point)
                 assert value == evaluate_literal(derivative_literal(poly, axis, order), point)
 
 
 def test_derivative_table_checks_the_point_length():
+    poly = MultiPoly(np.ones((2, 2)))
     with pytest.raises(ValueError):
-        MultiPoly(np.ones((2, 2))).derivative_table([1.0])
+        poly.derivative_table([1.0])
+    with pytest.raises(ValueError):
+        dia_realized(poly, 0, 0.5, [1.0])
+
+
+def test_dia_realized_never_stacks_the_ladder(rng):
+    poly = random_poly(rng, 4, 8)
+    point = [complex(a, b) for a, b in rng.uniform(-1, 1, (4, 2))]
+    tracemalloc.start()
+    try:
+        dia_realized(poly, 1, 0.3 - 0.2j, point)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a stacked ladder of nine tensors holds far more than eight at once
+    assert peak < 8 * poly.coeffs.nbytes
 
 
 @pytest.mark.parametrize("L", [1, 2, 3, 4])
@@ -467,3 +474,20 @@ def test_fzt_coefficients_singular_like_literal(trig_ctx3, rng):
     with pytest.raises(SingularCoefficient) as literal:
         fzt_coefficients_literal(l0, pts, trig_ctx3)
     assert str(shipped.value) == str(literal.value) == "b(lam_2 - lam_0) ~ 0"
+
+
+@pytest.mark.parametrize("l0, pts, text", [
+    (0.3, (0.1, 0.1, 0.2), "b(lam_2 - lam_1) ~ 0"),
+    (0.1, (0.1, 0.15, 0.2), "b(lam_1 - lam_0) ~ 0"),
+])
+def test_fzt_coincident_points_raise_singular_coefficient(l0, pts, text, trig_ctx3):
+    with pytest.raises(SingularCoefficient, match=re.escape(text)):
+        fzt_coefficients(l0, pts, trig_ctx3)
+    with pytest.raises(SingularCoefficient, match=re.escape(text)):
+        fzt_residual(l0, pts, trig_ctx3, bf_z(trig_ctx3))
+
+
+def test_omega_actions_coincident_points_raise_singular_coefficient(trig_ctx3):
+    zbar = interpolate_zbar(trig_ctx3)
+    with pytest.raises(SingularCoefficient, match=re.escape("b(lam_2 - lam_1) ~ 0")):
+        omega_actions(zbar, (0.1, 0.1, 0.2), trig_ctx3)
