@@ -37,7 +37,8 @@ from . import feq, pde, sampling
 from .errors import CoincidentPoints, ConfigError, NomeTooLarge, NonFinite, YbLabError
 from .special_fn import Regime
 from .yb_core import ABS_FLOOR, MAX_L, ModelContext, rel_diff, verify_dybe, verify_rll
-from .lattice_qty import dwbc_partition, dwbc_partitions, hw_action_residuals, scalar_product_bf
+from .lattice_qty import (dwbc_partition, dwbc_partitions, hw_action_residuals, scalar_product_bf,
+                          scalar_products_bf)
 from .residue_int import require_distinct, sn_contour, z_contour
 from .rng import Stream
 
@@ -220,7 +221,7 @@ def _draw_snad(ctx, rng):
 
 
 def _eval_snad(ctx, p, _state):
-    bf = lambda xb, yc: scalar_product_bf(xb, yc, ctx)
+    bf = lambda pairs: scalar_products_bf(pairs, ctx)
     return max(feq.snad_residuals(p["l0"], p["xb"], p["yc"], ctx, bf))
 
 

@@ -24,12 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import RegimeMismatch, SingularCoefficient, SizeMismatch
-from .lattice_qty import Evaluator, _creation_slots, as_values
+from .lattice_qty import Evaluator, PairEvaluator, _creation_slots, as_values
 from .special_fn import f_weights, six_vertex
 from .yb_core import ModelContext, block_words, residual, term_residual
 
@@ -189,20 +189,23 @@ def snad_coefficients(l0: complex, XB, YC, ctx: ModelContext) -> SnadCoefficient
 
 
 def snad_residuals(l0: complex, XB, YC, ctx: ModelContext,
-                   evaluate_s: Callable[[Sequence[complex], Sequence[complex]], complex]
-                   ) -> tuple[float, float]:
-    """Normalized residuals of the two scalar-product swap equations."""
+                   evaluate_s: PairEvaluator) -> tuple[float, float]:
+    """Normalized residuals of the two scalar-product swap equations.
+
+    ``evaluate_s(pairs)`` gives the scalar product at each ``(XB, YC)``
+    of ``pairs`` in order, as :func:`~yblab.lattice_qty.scalar_products_bf`
+    does.  It gets all 2n + 1 pairs in one call: the pair itself, then
+    ``lam_0`` swapped for each point of XB, then for each point of YC.
+    """
     xb = as_values(XB)
     yc = as_values(YC)
     n = len(xb)
     coeffs = snad_coefficients(l0, xb, yc, ctx)
-    s0 = evaluate_s(xb, yc)
-    s_bswap = [evaluate_s((l0,) + xb[:i] + xb[i + 1:], yc) for i in range(n)]
-    s_cswap = [evaluate_s(xb, (l0,) + yc[:i] + yc[i + 1:]) for i in range(n)]
+    values = evaluate_s([(xb, yc)] + [((l0,) + xb[:i] + xb[i + 1:], yc) for i in range(n)]
+                        + [(xb, (l0,) + yc[:i] + yc[i + 1:]) for i in range(n)])
 
     def residual(head, kb, kc):
-        return term_residual([head * s0] + [k * s for k, s in zip(kb, s_bswap)]
-                             + [k * s for k, s in zip(kc, s_cswap)])
+        return term_residual([k * s for k, s in zip((head,) + kb + kc, values, strict=True)])
 
     return (residual(coeffs.j0, coeffs.kb, coeffs.kc),
             residual(coeffs.jt0, coeffs.ktb, coeffs.ktc))

@@ -4,9 +4,13 @@ Everything here is computed by literal contraction of monodromy blocks
 on the chain space: the partition function and scalar products apply
 block words of :func:`~yblab.yb_core.block_words` to the all-up state,
 and the extremal-state checks apply the whole monodromy to the identity
-and read its four blocks.  These are
-the reference oracles against which the closed-form residue evaluators
-are checked.
+and read its four blocks.  The bulk routes :func:`dwbc_partitions` and
+:func:`scalar_products_bf` take the terms of a functional equation, one
+quantity at many point sets, as the columns of one word on the all-up
+state, each column with its own keys; :func:`dwbc_partition` and
+:func:`scalar_product_bf` are their one-set views.  These are the
+reference oracles against which the closed-form residue evaluators are
+checked.
 """
 
 from __future__ import annotations
@@ -24,6 +28,11 @@ from .yb_core import (ABS_FLOOR, ModelContext, _monodromy, apply_factors, block_
 #: theta)`` of a list, in order, as :func:`dwbc_partitions` gives them.
 Evaluator = Callable[[Sequence[tuple[Sequence[complex], complex]]], Sequence[complex]]
 
+#: A bulk scalar-product evaluator: the value at each ``(XB, YC)`` of a
+#: list, in order, as :func:`scalar_products_bf` gives them.
+PairEvaluator = Callable[[Sequence[tuple[Sequence[complex], Sequence[complex]]]],
+                         Sequence[complex]]
+
 
 def as_values(points: Iterable[complex]) -> tuple[complex, ...]:
     """Coerce a sequence of spectral points to a tuple of complex values."""
@@ -36,9 +45,9 @@ def _creation_slots(lams: Sequence[complex], theta: complex,
     return [(lam, theta + j * ctx.gamma) for j, lam in enumerate(lams, 1)]
 
 
-def _all_up(ctx: ModelContext) -> np.ndarray:
-    """The all-up chain state, basis vector 0."""
-    vec = np.zeros(ctx.dim, dtype=complex)
+def _all_up(ctx: ModelContext, columns: int | None = None) -> np.ndarray:
+    """The all-up chain state, basis vector 0: one vector, or ``columns`` copies as columns."""
+    vec = np.zeros((ctx.dim,) if columns is None else (ctx.dim, columns), dtype=complex)
     vec[0] = 1.0
     return vec
 
@@ -51,7 +60,7 @@ def dwbc_partition(X, theta: complex, ctx: ModelContext) -> complex:
     block first) and projects on the all-down state.  The
     dynamical argument is tied to the slot j, not to the value occupying
     it, which is what makes the result symmetric in the spectral set.
-    The L chains are built from one weight batch up front.
+    The one-set view of :func:`dwbc_partitions`.
     """
     return dwbc_partitions([(X, theta)], ctx)[0]
 
@@ -61,16 +70,21 @@ def dwbc_partitions(sets: Sequence[tuple[Iterable[complex], complex]],
     """:func:`dwbc_partition` at each ``(X, theta)`` of ``sets``, in order.
 
     The sizes of all the sets are checked first, then the chains of all
-    the sets are built from one weight batch, in set order, and each
-    set's creation string is one block word on the all-up state.
+    the sets are built from one weight batch, in set order.  Every
+    creation string is ``B^L``, so the sets are the columns of one block
+    word on the all-up state: letter ``j`` reads ``(lam_j, theta +
+    j*gamma)`` of each set in its column.
     """
     sets = [(as_values(X), theta) for X, theta in sets]
     for lams, _ in sets:
         if len(lams) != ctx.L:
             raise SizeMismatch(f"need exactly L = {ctx.L} spectral points, got {len(lams)}")
+    if not sets:
+        return []
     slots = [_creation_slots(lams, theta, ctx) for lams, theta in sets]
     word = block_words([key for keys in slots for key in reversed(keys)], ctx)
-    return [complex(word([("B", *key) for key in keys], _all_up(ctx))[-1]) for keys in slots]
+    letters = [("B", *zip(*column)) for column in zip(*slots)]
+    return [complex(z) for z in word(letters, _all_up(ctx, len(sets)))[-1]]
 
 
 def scalar_product_bf(XB, YC, ctx: ModelContext) -> complex:
@@ -78,18 +92,35 @@ def scalar_product_bf(XB, YC, ctx: ModelContext) -> complex:
 
     Defined only after the trigonometric limit; elliptic contexts are
     rejected.  ``n > L`` is allowed and gives an exact zero (the
-    creation string leaves the weight lattice).  Its 2n chains are built
-    up front, and the string is one block word on the all-up state.
+    creation string leaves the weight lattice).  The one-pair view of
+    :func:`scalar_products_bf`.
+    """
+    return scalar_products_bf([(XB, YC)], ctx)[0]
+
+
+def scalar_products_bf(pairs: Sequence[tuple[Iterable[complex], Iterable[complex]]],
+                       ctx: ModelContext) -> list[complex]:
+    """:func:`scalar_product_bf` at each ``(XB, YC)`` of ``pairs``, in order.
+
+    Every pair has the same size ``n``, checked first, so every string
+    is ``C^n B^n``: the 2n chains of all the pairs are built up front,
+    and the pairs are the columns of one block word on the all-up state.
     """
     if ctx.is_elliptic:
         raise RegimeMismatch("scalar products are defined in the trigonometric regime only")
-    xb = as_values(XB)
-    yc = as_values(YC)
-    if len(xb) != len(yc):
-        raise SizeMismatch(f"|XB| = {len(xb)} differs from |YC| = {len(yc)}")
-    word = block_words([(lam, 0.0) for lam in xb + yc], ctx)
-    return complex(word([("C", y, 0.0) for y in reversed(yc)]
-                        + [("B", x, 0.0) for x in xb], _all_up(ctx))[0])
+    pairs = [(as_values(XB), as_values(YC)) for XB, YC in pairs]
+    for xb, yc in pairs:
+        if len(xb) != len(yc):
+            raise SizeMismatch(f"|XB| = {len(xb)} differs from |YC| = {len(yc)}")
+        if len(xb) != len(pairs[0][0]):
+            raise SizeMismatch(f"pairs of sizes {len(pairs[0][0])} and {len(xb)} in one call")
+    if not pairs:
+        return []
+    word = block_words([(lam, 0.0) for xb, yc in pairs for lam in xb + yc], ctx)
+    zeros = (0.0,) * len(pairs)
+    letters = [("C", ys, zeros) for ys in zip(*(yc[::-1] for _, yc in pairs))] \
+        + [("B", xs, zeros) for xs in zip(*(xb for xb, _ in pairs))]
+    return [complex(s) for s in word(letters, _all_up(ctx, len(pairs)))[0]]
 
 
 def hw_action_residuals(lam: complex, theta: complex,

@@ -39,7 +39,9 @@ POLE_RTOL = 1e-12
 #: Floor of every relative-residual denominator, so that 0 against 0 reads 0.
 ABS_FLOOR = 1e-300
 
-#: Largest chain length of a model, the top of the dense-matrix range.
+#: Largest chain length of a model.  It bounds the routes that apply
+#: operators to identity columns (the identities, ``hw-actions``, ``rll``),
+#: whose arrays grow as 4**L; brute-force contraction alone would go further.
 MAX_L = 10
 
 
@@ -84,7 +86,7 @@ class ModelContext:
         object.__setattr__(self, "gamma", complex(self.gamma))
         object.__setattr__(self, "mu", tuple(complex(m) for m in self.mu))
         if not (1 <= self.L <= MAX_L):
-            raise ValueError(f"L = {self.L} outside the dense-matrix range 1..{MAX_L}")
+            raise ValueError(f"L = {self.L} outside the model range 1..{MAX_L}")
         if len(self.mu) != self.L:
             raise ValueError(f"len(mu) = {len(self.mu)} but L = {self.L}")
         if self.gamma == 0 or abs(self.f(self.gamma)) < 1e-12:
@@ -234,16 +236,20 @@ def apply_factors(x: np.ndarray, factors: Sequence[Factor]) -> np.ndarray:
     ``factors`` is listed left to right as in the operator product, so
     the last one acts first.  Each factor has at most two nonzeros per
     column, and acts as ``y = d*x + o*x[partner]`` with ``d`` and ``o``
-    gathered from its vertex table: O(2^n) per factor and column.  Dense
-    operators are this applied to the identity.  Overflow is not warned
-    about: callers report non-finite results as errors.
+    gathered from its vertex table: O(2^n) per factor and column.  A
+    table is shared by every column, shape ``(2, m)``, or is one per
+    column of a ``(2^n, K)`` array ``x``, shape ``(2, m, K)``; either is
+    gathered by one ``take`` along axis 1, the per-column one straight
+    into the layout of ``x``.  Dense operators are this applied to the
+    identity.  Overflow is not warned about: callers report non-finite
+    results as errors.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         for table, partner, column in reversed(factors):
-            d, o = table[:, column]
-            if x.ndim == 2:
+            d, o = table.take(column, axis=1)
+            if d.ndim < x.ndim:
                 d, o = d[:, None], o[:, None]
-            x = d * x + o * x[partner]
+            x = d * x + o * x.take(partner, axis=0)
     return x
 
 
@@ -278,8 +284,11 @@ def _monodromy(lam: complex, theta: complex, ctx: ModelContext, aux: int = 0,
             for k, site in enumerate(chain)]
 
 
+#: A letter ``(block, lam, theta)`` of a word: one key, or one key per column.
+Letter = tuple[str, complex | Sequence[complex], complex | Sequence[complex]]
+
 #: ``word(letters, cols)``: the product of the monodromy blocks ``letters`` applied to ``cols``.
-Word = Callable[[Sequence[tuple[str, complex, complex]], np.ndarray], np.ndarray]
+Word = Callable[[Sequence[Letter], np.ndarray], np.ndarray]
 
 
 def block_words(keys: Iterable[tuple[complex, complex]], ctx: ModelContext) -> Word:
@@ -305,6 +314,14 @@ def block_words(keys: Iterable[tuple[complex, complex]], ctx: ModelContext) -> W
     columns never mix, so a one-letter word on the identity is the
     dense block.  As in :func:`apply_factors`, overflow is left to the
     caller, which reports a non-finite result as an error.
+
+    A letter reads one key, or one key per column: then ``lam`` and
+    ``theta`` are sequences, entry ``k`` the key of column ``k`` of a
+    ``(2^L, K)`` array ``cols``.  Every chain puts the same layout at
+    each chain position, so the terms of an equation, one word with one
+    block pattern, run as the columns of one word: per chain position
+    the tables of all its per-column keys are stacked once per word, and
+    each letter applies a ``(2, m, K)`` slice of the stacks.
     """
     def key(lam: complex, theta: complex) -> tuple[complex, complex]:
         return complex(lam), complex(theta) if ctx.is_elliptic else 0j
@@ -314,13 +331,26 @@ def block_words(keys: Iterable[tuple[complex, complex]], ctx: ModelContext) -> W
     factors = site_factors([spec for k in keys for spec in _monodromy(*k, ctx)], ctx, L + 1)
     chains = {k: factors[i * L:(i + 1) * L] for i, k in enumerate(keys)}
 
-    def word(letters: Sequence[tuple[str, complex, complex]], cols: np.ndarray) -> np.ndarray:
+    def word(letters: Sequence[Letter], cols: np.ndarray) -> np.ndarray:
         x = np.asarray(cols, dtype=complex)
+        spread = [[chains[key(*k)] for k in zip(lam, theta, strict=True)]
+                  for _, lam, theta in letters if np.ndim(lam)]
+        flat = [chain for per in spread for chain in per]
+        stacks = [np.array([chain[p][0] for chain in flat]).transpose(1, 2, 0)
+                  for p in range(L)] if flat else []
+        end = len(flat)
         for block, lam, theta in reversed(letters):
+            if np.ndim(lam):
+                per = spread.pop()
+                end -= len(per)
+                chain = [(stack[..., end:end + len(per)], partner, column)
+                         for stack, (_, partner, column) in zip(stacks, per[0])]
+            else:
+                chain = chains[key(lam, theta)]
             row, col = divmod("ABCD".index(block), 2)
             padded = np.zeros((2 * d,) + x.shape[1:], dtype=complex)
             padded[col * d:(col + 1) * d] = x
-            x = apply_factors(padded, chains[key(lam, theta)])[row * d:(row + 1) * d]
+            x = apply_factors(padded, chain)[row * d:(row + 1) * d]
         return x
 
     return word

@@ -14,7 +14,7 @@ import pytest
 from yblab.feq import (fx_residual, snad_residuals, verify_ab, verify_abn,
                        verify_bb, verify_tay, verify_tdy)
 from yblab.lattice_qty import (dwbc_partition, dwbc_partitions, hw_action_residuals,
-                               scalar_product_bf)
+                               scalar_product_bf, scalar_products_bf)
 from yblab.pde import (MultiPoly, dia_apply, dia_realized,
                        fzt_residual, interpolate_zbar, omega_actions,
                        omega_leading_apply)
@@ -165,7 +165,7 @@ def test_c07_scalar_product_swap_equations():
         for L in range(n, 5):
             rng = np.random.default_rng(SEED + 50 + 10 * n + L)
             ctx = random_context(L, rng, elliptic=False)
-            bf = lambda xb, yc: scalar_product_bf(xb, yc, ctx)
+            bf = lambda pairs: scalar_products_bf(pairs, ctx)
             for _ in range(20):
                 pts = sample_spectral(ctx, rng, 2 * n + 1)
                 res_a, res_d = snad_residuals(pts[0], pts[1:n + 1], pts[n + 1:],

@@ -5,7 +5,7 @@ from yblab.errors import RegimeMismatch, SizeMismatch
 from yblab.feq import (fx_coefficients, fx_residual, snad_coefficients,
                        snad_residuals, verify_ab, verify_abn, verify_bb,
                        verify_identity, verify_tay, verify_tdy)
-from yblab.lattice_qty import dwbc_partition, dwbc_partitions, scalar_product_bf
+from yblab.lattice_qty import dwbc_partition, dwbc_partitions, scalar_products_bf
 from yblab.sampling import random_context, sample_spectral, sample_theta
 from yblab import feq, yb_core
 from yblab.special_fn import Regime, f_weights
@@ -19,7 +19,7 @@ def bf_z(ctx):
 
 
 def bf_s(ctx):
-    return lambda xb, yc: scalar_product_bf(xb, yc, ctx)
+    return lambda pairs: scalar_products_bf(pairs, ctx)
 
 
 # --- swap-equation coefficients -------------------------------------------
@@ -161,12 +161,25 @@ def test_snad_residuals_brute_force(n, L, rng):
         assert res_d <= 1e-9
 
 
+def test_snad_residuals_make_one_call_in_order(rng):
+    # s0, then lam_0 swapped for each point of XB, then of YC
+    ctx = random_context(3, rng, elliptic=False)
+    l0, *pts = sample_spectral(ctx, rng, 5)
+    xb, yc = tuple(pts[:2]), tuple(pts[2:])
+    calls = []
+    res = snad_residuals(l0, xb, yc, ctx,
+                         lambda pairs: calls.append(pairs) or scalar_products_bf(pairs, ctx))
+    assert calls == [[(xb, yc), ((l0, xb[1]), yc), ((l0, xb[0]), yc),
+                      (xb, (l0, yc[1])), (xb, (l0, yc[0]))]]
+    assert max(res) <= 1e-9
+
+
 def test_snad_residuals_linear_in_evaluator(rng):
     ctx = random_context(2, rng, elliptic=False)
     pts = sample_spectral(ctx, rng, 3)
     base = snad_residuals(pts[0], (pts[1],), (pts[2],), ctx, bf_s(ctx))
     doubled = snad_residuals(pts[0], (pts[1],), (pts[2],), ctx,
-                             lambda xb, yc: 2 * scalar_product_bf(xb, yc, ctx))
+                             lambda pairs: [2 * s for s in scalar_products_bf(pairs, ctx)])
     assert abs(base[0] - doubled[0]) <= 1e-12
     assert abs(base[1] - doubled[1]) <= 1e-12
 

@@ -224,6 +224,20 @@ def test_fx_residual_sample_is_one_batch(monkeypatch, rng):
 
 
 @pytest.mark.parametrize("L", [2, 3, 4])
+def test_fx_residual_sample_applies_one_word(monkeypatch, rng, L):
+    # the L + 2 partition functions are the columns of one word: L letters, not L(L + 2)
+    ctx = random_context(L, rng)
+    pts = sample_spectral(ctx, rng, L + 1)
+    theta = sample_theta(ctx, rng, range(-8, 9))
+    applied, inner = [], yb_core.apply_factors
+    monkeypatch.setattr(yb_core, "apply_factors",
+                        lambda x, factors: applied.append(x.shape) or inner(x, factors))
+    assert fx_residual(pts[0], pts[1:], theta, ctx,
+                       lambda sets: dwbc_partitions(sets, ctx)) <= 1e-9
+    assert applied == [(2 * ctx.dim, L + 2)] * L
+
+
+@pytest.mark.parametrize("L", [2, 3, 4])
 def test_rll_sample_is_one_batch(monkeypatch, rng, L):
     # the four chains and the R pair from one batch
     ctx = random_context(L, rng)
@@ -407,6 +421,30 @@ def test_block_word_matches_literal_string(elliptic, L, seed):
     cols = rng.standard_normal((ctx.dim, 3)) + 1j * rng.standard_normal((ctx.dim, 3))
     assert residual(word(letters, cols), literal @ cols) <= 1e-12
     assert residual(word(letters, cols[:, 0]), literal @ cols[:, 0]) <= 1e-12
+
+
+@pytest.mark.parametrize("K", [1, 5])
+@pytest.mark.parametrize("L", [1, 2, 3, 4, 6])
+@pytest.mark.parametrize("elliptic", [True, False], ids=["elliptic", "trig"])
+def test_column_word_matches_columns_alone(elliptic, L, K):
+    # a word of 1-4 letters, each reading one key per column or one shared
+    # key, against the same letters applied to each column alone, bit for bit
+    rng = np.random.default_rng([L, K, elliptic])
+    ctx = random_context(L, rng, elliptic=elliptic)
+    n = int(rng.integers(1, 5))
+    spread = [True] + list(rng.integers(0, 2, n - 1).astype(bool))
+    keys = [[(lam, sample_theta(ctx, rng, range(-L - 2, L + 3)))
+             for lam in sample_spectral(ctx, rng, K if per else 1)] for per in spread]
+    blocks = ["ABCD"[k] for k in rng.integers(0, 4, n)]
+    word = block_words([k for per in keys for k in per], ctx)
+    letters = [(block, *zip(*per)) if spread[i] else (block, *per[0])
+               for i, (block, per) in enumerate(zip(blocks, keys))]
+    cols = rng.standard_normal((ctx.dim, K)) + 1j * rng.standard_normal((ctx.dim, K))
+    together = word(letters, cols)
+    for k in range(K):
+        alone = word([(block, *per[k if spread[i] else 0])
+                      for i, (block, per) in enumerate(zip(blocks, keys))], cols[:, k])
+        assert _bits(together[:, k]) == _bits(alone)
 
 
 def test_block_words_raise_before_any_letter(monkeypatch, rng):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from yblab.errors import RegimeMismatch, SizeMismatch
-from yblab.lattice_qty import dwbc_partition, hw_action_residuals, scalar_product_bf
+from yblab.lattice_qty import (dwbc_partition, dwbc_partitions, hw_action_residuals,
+                               scalar_product_bf, scalar_products_bf)
 from yblab.sampling import random_context, sample_spectral, sample_theta
 from yblab.special_fn import Regime
 from yblab.yb_core import ModelContext
@@ -119,6 +120,23 @@ def test_scalar_product_size_mismatch(rng):
     ctx = random_context(2, rng, elliptic=False)
     with pytest.raises(SizeMismatch):
         scalar_product_bf((0.1,), (0.2, 0.3), ctx)
+
+
+def test_scalar_products_size_mismatch(rng):
+    # within a pair, as the one-pair route, and between pairs: the pairs
+    # are the columns of one word, so they share one size
+    ctx = random_context(2, rng, elliptic=False)
+    with pytest.raises(SizeMismatch, match=r"\|XB\| = 1 differs from \|YC\| = 2"):
+        scalar_products_bf([((0.1,), (0.2,)), ((0.1,), (0.2, 0.3))], ctx)
+    with pytest.raises(SizeMismatch, match="pairs of sizes 1 and 2"):
+        scalar_products_bf([((0.1,), (0.2,)), ((0.1, 0.4), (0.2, 0.3))], ctx)
+
+
+def test_bulk_routes_of_no_sets_are_empty(rng):
+    trig = random_context(2, rng, elliptic=False)
+    assert dwbc_partitions([], random_context(2, rng)) == []
+    assert dwbc_partitions([], trig) == []
+    assert scalar_products_bf([], trig) == []
 
 
 @pytest.mark.parametrize("L", [1, 2, 3])
