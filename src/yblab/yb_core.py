@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -89,7 +88,12 @@ class ModelContext:
             raise ValueError(f"L = {self.L} outside the model range 1..{MAX_L}")
         if len(self.mu) != self.L:
             raise ValueError(f"len(mu) = {len(self.mu)} but L = {self.L}")
-        if self.gamma == 0 or abs(self.f(self.gamma)) < 1e-12:
+        try:
+            f_gamma = self.f(self.gamma)
+        except OverflowError as exc:
+            raise OverflowError(f"gamma = {self.gamma}: "
+                                f"the weight f(gamma) overflows ({exc})") from exc
+        if self.gamma == 0 or abs(f_gamma) < 1e-12:
             raise ValueError("gamma is a zero of the weight function; "
                              "the c-weights vanish identically")
 
@@ -123,16 +127,6 @@ def r_matrix(lam: complex, theta: complex, ctx: ModelContext) -> np.ndarray:
     r = np.diag(table[0])
     r[1, 2], r[2, 1] = table[1, 1:3]
     return r
-
-
-def _weight_points(sites: Sequence[tuple[complex, complex, int]], g: complex) -> list[complex]:
-    """Weight arguments of ``(lam, theta, n_shift)`` sites, as :func:`site_factors` reads them."""
-    points = [g]
-    for lam, theta, n_shift in sites:
-        for s in range(n_shift + 1):
-            t = theta - g * (n_shift - 2 * s)
-            points += (t, t - g, t + g) + ((lam + g, lam) if s == 0 else ()) + (t - lam, t + lam)
-    return points
 
 
 @functools.lru_cache(maxsize=64)
@@ -189,36 +183,34 @@ def site_factors(specs: Sequence[Spec], ctx: ModelContext, n_sites: int) -> list
     six-vertex tables, with ``theta`` and the shifts ignored.
 
     The elliptic weights of all the specs come from one :func:`f_weights`
-    call, so each table has the bits of a table built alone, and are read
-    in the order :func:`_weight_points` lists them: ``f(gamma)``; then per
-    sector ``f(t)`` and ``f(t -+ gamma)``, the pole test, ``f(lam + gamma)``
-    and ``f(lam)`` in a spec's first sector only, and ``f(t -+ lam)``.  A
-    weight error is raised by the batch, before any table is built, and a
-    pole by the first spec in (spec, sector) order that meets one, named
+    call, so each table has the bits of a table built alone: ``f(gamma)``,
+    then seven per sector, ``f`` at ``t``, ``t -+ gamma``, ``lam + gamma``,
+    ``lam`` and ``t -+ lam`` (``f_weights`` sums each distinct point once).
+    A weight error is raised by the batch, before any table is built, and
+    a pole by the first spec in (spec, sector) order that meets one, named
     by its pair of sites and its sector.
     """
     specs = [(complex(lam), complex(theta), tuple(pair), tuple(shift) if ctx.is_elliptic else ())
              for lam, theta, pair, shift in specs]
     g = ctx.gamma
     if ctx.is_elliptic:
-        values = iter(f_weights(_weight_points(
-            [(lam, theta, len(shift)) for lam, theta, _, shift in specs], g), ctx.regime))
-        fg = next(values)
+        sectors = [(lam, theta - g * w) for lam, theta, _, shift in specs
+                   for w in range(len(shift), -len(shift) - 1, -2)]
+        fg, *values = f_weights([g] + [p for lam, t in sectors
+                                       for p in (t, t - g, t + g, lam + g, lam, t - lam, t + lam)],
+                                ctx.regime)
+        weights = zip(*[iter(values)] * 7)
     else:
         a_of, b_of, c = six_vertex(g)
     factors = []
     for lam, theta, pair, shift in specs:
         if ctx.is_elliptic:
             diag, off = [], []
-            for s in range(len(shift) + 1):
-                w = len(shift) - 2 * s
-                ft, ft_minus, ft_plus = islice(values, 3)
+            for w in range(len(shift), -len(shift) - 1, -2):
+                ft, ft_minus, ft_plus, fa, fl, f_minus, f_plus = next(weights)
                 if abs(ft) <= POLE_RTOL * max(abs(ft_minus), abs(ft_plus), abs(fg)):
                     raise DynamicalPole(f"sites {pair}, weight sector {w:+d}: "
                                         f"f(theta) ~ 0 at theta = {theta - g * w}")
-                if s == 0:
-                    fa, fl = islice(values, 2)
-                f_minus, f_plus = islice(values, 2)
                 diag += (fa, fl * ft_minus / ft, fl * ft_plus / ft, fa)
                 off += (0j, fg * f_minus / ft, fg * f_plus / ft, 0j)
             table = np.array((diag, off), dtype=complex)
@@ -318,35 +310,34 @@ def block_words(keys: Iterable[tuple[complex, complex]], ctx: ModelContext) -> W
     A letter reads one key, or one key per column: then ``lam`` and
     ``theta`` are sequences, entry ``k`` the key of column ``k`` of a
     ``(2^L, K)`` array ``cols``.  Every chain puts the same layout at
-    each chain position, so the terms of an equation, one word with one
-    block pattern, run as the columns of one word: per chain position
-    the tables of all its per-column keys are stacked once per word, and
-    each letter applies a ``(2, m, K)`` slice of the stacks.
+    each chain position, so the tables of all the keys are stacked once,
+    into one read-only ``(keys, 2, m)`` array per chain position next to
+    its layout.  A shared letter applies its key's row, and a per-column
+    letter gathers its keys' rows as a ``(2, m, K)`` table, so the terms
+    of an equation, one word with one block pattern, run as the columns
+    of one word.
     """
     def key(lam: complex, theta: complex) -> tuple[complex, complex]:
         return complex(lam), complex(theta) if ctx.is_elliptic else 0j
 
     L, d = ctx.L, ctx.dim
-    keys = list(dict.fromkeys(key(*k) for k in keys))
-    factors = site_factors([spec for k in keys for spec in _monodromy(*k, ctx)], ctx, L + 1)
-    chains = {k: factors[i * L:(i + 1) * L] for i, k in enumerate(keys)}
+    rows = {k: i for i, k in enumerate(dict.fromkeys(key(*k) for k in keys))}
+    factors = site_factors([spec for k in rows for spec in _monodromy(*k, ctx)], ctx, L + 1)
+    positions = [(np.array([table for table, _, _ in factors[p::L]]), partner, column)
+                 for p, (_, partner, column) in enumerate(factors[:L])]
+    for stack, _, _ in positions:
+        stack.setflags(write=False)
 
     def word(letters: Sequence[Letter], cols: np.ndarray) -> np.ndarray:
         x = np.asarray(cols, dtype=complex)
-        spread = [[chains[key(*k)] for k in zip(lam, theta, strict=True)]
-                  for _, lam, theta in letters if np.ndim(lam)]
-        flat = [chain for per in spread for chain in per]
-        stacks = [np.array([chain[p][0] for chain in flat]).transpose(1, 2, 0)
-                  for p in range(L)] if flat else []
-        end = len(flat)
         for block, lam, theta in reversed(letters):
             if np.ndim(lam):
-                per = spread.pop()
-                end -= len(per)
-                chain = [(stack[..., end:end + len(per)], partner, column)
-                         for stack, (_, partner, column) in zip(stacks, per[0])]
+                at = [rows[key(*k)] for k in zip(lam, theta, strict=True)]
+                chain = [(stack.take(at, axis=0).transpose(1, 2, 0), partner, column)
+                         for stack, partner, column in positions]
             else:
-                chain = chains[key(lam, theta)]
+                at = rows[key(lam, theta)]
+                chain = [(stack[at], partner, column) for stack, partner, column in positions]
             row, col = divmod("ABCD".index(block), 2)
             padded = np.zeros((2 * d,) + x.shape[1:], dtype=complex)
             padded[col * d:(col + 1) * d] = x

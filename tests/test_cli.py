@@ -196,7 +196,8 @@ def test_run_overflowing_gamma_is_config_error(capsys, regime):
     code, out, err = run_cli(["run", "--L", "2", "--gamma", "800,0", "--checks", "dybe"]
                              + regime, capsys)
     assert code == 2 and out == ""
-    assert "configuration error: model: " in err
+    assert err.startswith("configuration error: model: gamma = (800+0j): "
+                          "the weight f(gamma) overflows")
 
 
 @pytest.mark.parametrize("gamma, checks", [("120,0", ["rll"]),

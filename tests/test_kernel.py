@@ -1,5 +1,6 @@
 """The matrix-free monodromy kernel against literal and dense routes."""
 
+import inspect
 import itertools
 import time
 
@@ -138,6 +139,12 @@ def test_cached_operators_are_read_only(rng):
         for array in factor:  # vertex table, partner, column
             with pytest.raises(ValueError):
                 array *= 2
+    # a block word's table stacks, one per chain position, and their layouts
+    word = block_words([(0.3 + 0.1j, theta), (-0.2 + 0.1j, theta)], ctx)
+    for position in inspect.getclosurevars(word).nonlocals["positions"]:
+        for array in position:  # (keys, 2, m) table stack, partner, column
+            with pytest.raises(ValueError):
+                array *= 2
 
 
 def test_one_weight_evaluation_per_site_and_sector(monkeypatch, rng):
@@ -149,7 +156,7 @@ def test_one_weight_evaluation_per_site_and_sector(monkeypatch, rng):
     # one batch per chain, of the distinct ones of its weight points:
     # f(gamma) once; per weight sector (site i sees L - i + 1 of them) the
     # theta values t, t -+ gamma, then f(lam - mu_i + gamma) and
-    # f(lam - mu_i) in the site's first sector only, then t -+ (lam - mu_i)
+    # f(lam - mu_i), new in the site's first sector only, then t -+ (lam - mu_i)
     g, points = ctx.gamma, [ctx.gamma]
     for k in range(ctx.L):
         lam_k, n_shift = lam - ctx.mu[k], ctx.L - 1 - k
@@ -272,6 +279,19 @@ def test_block_words_build_each_listed_key_once(monkeypatch, rng):
         assert np.array_equal(word([("B", lam, theta)], eye), alone)
     with pytest.raises(KeyError):
         word([("B", other, 0.5)], eye)
+
+
+@pytest.mark.parametrize("elliptic", [True, False], ids=["elliptic", "trig"])
+def test_block_words_of_no_keys(elliptic, rng):
+    # no key stacks no table: the empty word returns the columns, and a
+    # letter of either kind reads a key that was not listed
+    ctx = random_context(2, rng, elliptic=elliptic)
+    word = block_words([], ctx)
+    cols = rng.standard_normal((ctx.dim, 3)) + 1j * rng.standard_normal((ctx.dim, 3))
+    assert np.array_equal(word([], cols), cols)
+    for letter in (("A", 0.1, 0.2), ("B", (0.1, 0.2, 0.3), (0.2, 0.2, 0.2))):
+        with pytest.raises(KeyError):
+            word([letter], cols)
 
 
 def _refuse_batch(points, regime):
