@@ -194,29 +194,31 @@ def site_factors(specs: Sequence[Spec], ctx: ModelContext, n_sites: int) -> list
              for lam, theta, pair, shift in specs]
     g = ctx.gamma
     if ctx.is_elliptic:
-        sectors = [(lam, theta - g * w) for lam, theta, _, shift in specs
-                   for w in range(len(shift), -len(shift) - 1, -2)]
-        fg, *values = f_weights([g] + [p for lam, t in sectors
+        sectors = [[(w, theta - g * w) for w in range(len(shift), -len(shift) - 1, -2)]
+                   for _, theta, _, shift in specs]
+        fg, *values = f_weights([g] + [p for (lam, *_), spec_sectors in zip(specs, sectors)
+                                       for _, t in spec_sectors
                                        for p in (t, t - g, t + g, lam + g, lam, t - lam, t + lam)],
                                 ctx.regime)
         weights = zip(*[iter(values)] * 7)
-    else:
-        a_of, b_of, c = six_vertex(g)
-    factors = []
-    for lam, theta, pair, shift in specs:
-        if ctx.is_elliptic:
+        rows = []
+        for (_, _, pair, _), spec_sectors in zip(specs, sectors):
             diag, off = [], []
-            for w in range(len(shift), -len(shift) - 1, -2):
-                ft, ft_minus, ft_plus, fa, fl, f_minus, f_plus = next(weights)
+            for (w, t), sector_weights in zip(spec_sectors, weights):
+                ft, ft_minus, ft_plus, fa, fl, f_minus, f_plus = sector_weights
                 if abs(ft) <= POLE_RTOL * max(abs(ft_minus), abs(ft_plus), abs(fg)):
                     raise DynamicalPole(f"sites {pair}, weight sector {w:+d}: "
-                                        f"f(theta) ~ 0 at theta = {theta - g * w}")
+                                        f"f(theta) ~ 0 at theta = {t}")
                 diag += (fa, fl * ft_minus / ft, fl * ft_plus / ft, fa)
                 off += (0j, fg * f_minus / ft, fg * f_plus / ft, 0j)
-            table = np.array((diag, off), dtype=complex)
-        else:
-            a, b = a_of(lam), b_of(lam)
-            table = np.array(((a, b, b, a), (0j, c, c, 0j)), dtype=complex)
+            rows.append((diag, off))
+    else:
+        a_of, b_of, c = six_vertex(g)
+        rows = [((a, b, b, a), (0j, c, c, 0j))
+                for a, b in ((a_of(lam), b_of(lam)) for lam, *_ in specs)]
+    factors = []
+    for (_, _, pair, shift), spec_rows in zip(specs, rows):
+        table = np.array(spec_rows, dtype=complex)
         table.setflags(write=False)
         factors.append((table,) + _layout(n_sites, pair, shift))
     return factors

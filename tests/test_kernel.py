@@ -1,6 +1,5 @@
 """The matrix-free monodromy kernel against literal and dense routes."""
 
-import inspect
 import itertools
 import time
 
@@ -131,7 +130,7 @@ def test_dwbc_swap_symmetry_at_largest_chain(rng):
     assert abs(z - z_swapped) <= 1e-10 * abs(z)
 
 
-def test_cached_operators_are_read_only(rng):
+def test_cached_operators_are_read_only(monkeypatch, rng):
     ctx = random_context(2, rng)
     theta = sample_theta(ctx, rng, range(-3, 4))
     specs = yb_core._monodromy(0.3 + 0.1j, theta, ctx, extra_shift=(1,), first=2)
@@ -139,10 +138,15 @@ def test_cached_operators_are_read_only(rng):
         for array in factor:  # vertex table, partner, column
             with pytest.raises(ValueError):
                 array *= 2
-    # a block word's table stacks, one per chain position, and their layouts
+    # a shared letter applies views of a block word's per-position table
+    # stacks, next to each position's layout, all built once per word
     word = block_words([(0.3 + 0.1j, theta), (-0.2 + 0.1j, theta)], ctx)
-    for position in inspect.getclosurevars(word).nonlocals["positions"]:
-        for array in position:  # (keys, 2, m) table stack, partner, column
+    chains = []
+    monkeypatch.setattr(yb_core, "apply_factors", lambda x, chain: chains.append(chain) or x)
+    word([("B", -0.2 + 0.1j, theta)], np.eye(ctx.dim))
+    assert [len(chain) for chain in chains] == [ctx.L]
+    for factor in chains[0]:
+        for array in factor:  # view of the (keys, 2, m) stack, partner, column
             with pytest.raises(ValueError):
                 array *= 2
 
