@@ -13,16 +13,18 @@ before the stream ended), 2 configuration error.
 
 Randomness: one ``yblab.rng.Stream(seed, key)`` per ``(seed, key)`` pair,
 numpy's PCG64 stream of ``SeedSequence([seed, key])`` computed without
-``numpy.random``, normals included (numpy's ziggurat on numpy's tables).
-The stream for check ``c`` has key ``REGISTRY_INDEX[c]`` and is
-consumed sample by sample, so the same flags produce identical parameter
-draws and hence identical residuals.
+``numpy.random``.  The stream for check ``c`` has key
+``REGISTRY_INDEX[c]`` and is consumed sample by sample, so the same flags
+produce identical parameter draws and hence identical residuals.  The
+random polynomials of ``dia-realization`` and ``pde-leading`` take their
+coefficients uniformly from the box [-1, 1) + i [-1, 1).
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import json
 import math
 import os
@@ -53,6 +55,9 @@ ROUTES: dict[str, dict[str, Callable[..., complex]]] = {
     "sn": {"bruteforce": lambda XB, YC, ctx: scalar_product_bf(XB, YC, ctx),
            "contour": lambda XB, YC, ctx: sn_contour(XB, YC, ctx)},
 }
+#: The ``compute`` flags that set spectral points or parameters; a
+#: ``compute`` error names each one given on the command line.
+SPECTRAL_FLAGS = ("--mu", "--points", "--theta", "--xb", "--yc")
 
 
 # --- configuration -------------------------------------------------------
@@ -263,7 +268,7 @@ def _prep_zbar(ctx, _rng):
 def _prep_zbar_and_control(ctx, rng):
     zbar = pde.interpolate_zbar(ctx)
     shape = (ctx.L,) * ctx.L
-    control = pde.MultiPoly(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    control = pde.MultiPoly(rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape))
     return zbar, control
 
 
@@ -292,7 +297,7 @@ def _draw_dia(ctx, rng):
     nvars = int(rng.integers(1, 5))
     deg = int(rng.integers(0, 9))
     shape = (deg + 1,) * nvars
-    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    coeffs = rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
     point = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(nvars)]
     x0 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
     axis = int(rng.integers(nvars))
@@ -419,8 +424,11 @@ def run_suite(cfg: RunConfig, out=None) -> int:
 def _emit_compute(echo: dict, method: str, quantity: str, args: tuple,
                   ctx: ModelContext) -> int:
     """Evaluate the requested routes into ``echo`` and print it; non-finite is an error."""
-    values = {route: fn(*args, ctx) for route, fn in ROUTES[quantity].items()
-              if method in (route, "both")}
+    values = {}
+    for route, fn in ROUTES[quantity].items():
+        if method in (route, "both"):
+            with _overflow_in(f"the {route} route"):
+                values[route] = fn(*args, ctx)
     for route, value in values.items():
         if not cmath.isfinite(value):
             raise NonFinite(f"{route} value is {value}")
@@ -429,6 +437,15 @@ def _emit_compute(echo: dict, method: str, quantity: str, args: tuple,
         echo["rel_diff"] = rel_diff(*values.values())
     print(json.dumps(echo, allow_nan=False))
     return 0
+
+
+@contextlib.contextmanager
+def _overflow_in(stage: str):
+    """Name ``stage`` in the message of an OverflowError raised inside."""
+    try:
+        yield
+    except OverflowError as exc:
+        raise OverflowError(f"{exc} in {stage}") from None
 
 
 def _require_distinct(points, where: str) -> None:
@@ -442,16 +459,18 @@ def _require_distinct(points, where: str) -> None:
 def _compute_z(cfg: RunConfig, args) -> int:
     ctx = cfg.ctx
     rng = Stream(cfg.seed, 2000)
-    points = _parse_point_list(args.points, "--points") if args.points is not None \
-        else sampling.sample_spectral(ctx, rng, ctx.L, avoid=ctx.mu)
+    with _overflow_in("the random point draw"):
+        points = _parse_point_list(args.points, "--points") if args.points is not None \
+            else sampling.sample_spectral(ctx, rng, ctx.L, avoid=ctx.mu)
     if len(points) != ctx.L:
         raise ConfigError(f"--points: need exactly L = {ctx.L} points, got {len(points)}")
     if args.points is not None:
         _require_distinct(points, "--points")
     if args.theta is not None and not ctx.is_elliptic:
         raise ConfigError("--theta: the trigonometric partition function (--trig) has no theta")
-    theta = _parse_complex(args.theta, "--theta") if args.theta is not None \
-        else sampling.sample_theta(ctx, rng)
+    with _overflow_in("the random point draw"):
+        theta = _parse_complex(args.theta, "--theta") if args.theta is not None \
+            else sampling.sample_theta(ctx, rng)
     echo = {"record": "compute-z", "model": _model_echo(cfg), "method": args.method,
             "points": _jsonable(list(points)), "theta": _jsonable(theta)}
     return _emit_compute(echo, args.method, "z", (points, theta), ctx)
@@ -482,7 +501,8 @@ def _compute_sn(cfg: RunConfig, args) -> int:
     if not 0 <= n <= ctx.L:
         raise ConfigError(f"{where}: need 0..L = 0..{ctx.L} points per side, got {n}")
     if args.xb is None:
-        pts = sampling.sample_spectral(ctx, rng, 2 * n, avoid=ctx.mu)
+        with _overflow_in("the random point draw"):
+            pts = sampling.sample_spectral(ctx, rng, 2 * n, avoid=ctx.mu)
         xb, yc = pts[:n], pts[n:]
     echo = {"record": "compute-sn", "model": _model_echo(cfg), "method": args.method,
             "xb": _jsonable(list(xb)), "yc": _jsonable(list(yc))}
@@ -553,7 +573,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (YbLabError, OverflowError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        given = ""
+        if args.command == "compute":
+            flags = [flag for flag in SPECTRAL_FLAGS if getattr(args, flag[2:], None) is not None]
+            given = f" ({', '.join(flags)} given)" if flags else " (no spectral flag given)"
+        print(f"error: {type(exc).__name__}: {exc}{given}", file=sys.stderr)
         return 1
     except BrokenPipeError:
         # the reader closed stdout early (``| head``); send what is still

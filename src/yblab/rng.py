@@ -11,52 +11,32 @@ draws:
   upper half of a 64-bit output kept for the next 32-bit draw;
 * ``uniform`` scales the top 53 bits of a 64-bit output, and ``integers``
   is numpy's Lemire rejection on 32-bit words (Lemire 2019) for int64
-  results;
-* ``standard_normal`` is numpy's ``random_standard_normal``, the ziggurat
-  of Marsaglia and Tsang (2000) with 256 layers, on 64-bit outputs; it
-  leaves the buffered half word alone.
+  results.
 
-The ziggurat reads numpy's tables ``ki_double``, ``wi_double`` and
-``fi_double`` (256 entries each) from ``ziggurat.bin``: 2048 little-endian
-bytes of each, in that order, taken from the ``.rodata`` of numpy 2.4.6's
-``distributions.c`` (numpy is BSD-3-Clause; copyright NumPy Developers).
-They cannot be recomputed in double precision.  The file is read at the
-first normal draw.
-
-Normals are drawn a block at a time.  The block's LCG states come from
-jump-ahead, ``s_k = a**k s_0 + inc * sum(a**j for j < k)`` for
-``k = 1 .. 4096``, with both coefficient tables built once per process
-and the 128-bit arithmetic done on uint64 limbs.  The fast path (about
-99.3 % of outputs) is evaluated on the whole block; only outputs that
-fall to a wedge or the tail are walked in Python, with ``math.exp`` and
-``math.log1p`` as numpy's C calls them.  A block is never longer than
-the number of normals still to draw, so the stream is not advanced past
-the last output the sequential ziggurat reads.
+An array of uniforms is drawn a block at a time, one 64-bit output per
+entry in C order, leaving the buffered half word alone.  The block's LCG
+states come from jump-ahead, ``s_k = a**k s_0 + inc * sum(a**j for j < k)``
+for ``k = 1 .. 4096``, with both coefficient tables built once per process
+and the 128-bit arithmetic done on uint64 limbs.
 """
 
 from __future__ import annotations
 
 import functools
-import math
-import os
 
 import numpy as np
 
 _M32 = (1 << 32) - 1
 _M64 = (1 << 64) - 1
-_M52 = (1 << 52) - 1
 _M128 = (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-#: numpy's ziggurat_constants.h: the start of the tail and its inverse.
-_NOR_R = 3.6541528853610087963519472518
-_NOR_INV_R = 0.27366123732975827203338247596
 #: Outputs computed together by jump-ahead; the jump tables hold this many.
 _BLOCK = 4096
-_LAYER, _SIGN, _MANTISSA, _LOW32 = (np.uint64(m) for m in (0xFF, 0x100, _M52, _M32))
+_LOW32 = np.uint64(_M32)
 
 
 def _words(n: int) -> list[int]:
@@ -130,10 +110,20 @@ class Stream:
         self.has_uint32, self.uinteger = 1, word >> 32
         return word & _M32
 
-    def uniform(self, low: float, high: float) -> float:
-        """A float in [low, high)."""
+    def uniform(self, low: float, high: float, size=None):
+        """A float in [low, high), or an array of them of shape ``size``.
+
+        An array is filled in C order from jump-ahead blocks.
+        """
         low, span = float(low), float(high) - float(low)
-        return low + span * _unit(self._next64())
+        if size is None:
+            return low + span * ((self._next64() >> 11) * 2.0 ** -53)
+        out = np.empty(size)
+        flat = out.reshape(-1)
+        for start in range(0, flat.size, _BLOCK):
+            words = self._block(min(flat.size - start, _BLOCK))
+            flat[start:start + words.size] = words >> np.uint64(11)
+        return low + span * (out * 2.0 ** -53)
 
     def integers(self, low: int, high: int | None = None) -> int:
         """An int in [low, high), or in [0, low) when ``high`` is not given.
@@ -158,45 +148,6 @@ class Stream:
                 product = self._next32() * span
         return low + (product >> 32)
 
-    def standard_normal(self, shape) -> np.ndarray:
-        """Normals of ``shape`` from numpy's ziggurat, filled in C order.
-
-        Each normal reads one 64-bit output, and more when it falls off
-        the fast path.  The buffered half word is left alone.
-        """
-        ki, wi, _ = _ziggurat()
-        out = np.empty(int(np.prod(shape)))
-        done = 0
-        while done < out.size:
-            # every normal still to come reads at least one output, so the
-            # sequential ziggurat reads all of this block
-            words = self._block(min(out.size - done, _BLOCK))
-            layer = (words & _LAYER).astype(np.intp)
-            rabs = words >> np.uint64(9) & _MANTISSA
-            x = rabs * wi[layer]
-            np.negative(x, out=x, where=words & _SIGN != 0)
-            pos = 0
-
-            def next_word() -> int:
-                nonlocal pos
-                pos += 1
-                return int(words[pos - 1]) if pos <= words.size else self._next64()
-
-            for slow in np.flatnonzero(rabs >= ki[layer]).tolist():
-                if slow < pos:  # already read as a uniform
-                    continue
-                out[done:done + slow - pos] = x[pos:slow]
-                done += slow - pos
-                pos = slow + 1
-                value = _slow_normal(int(words[slow]), float(x[slow]), next_word)
-                if value is not None:
-                    out[done] = value
-                    done += 1
-            if pos < words.size:
-                out[done:done + words.size - pos] = x[pos:]
-                done += words.size - pos
-        return out.reshape(shape)
-
     def _block(self, n: int) -> np.ndarray:
         """The next ``n <= _BLOCK`` 64-bit outputs, computed together by jump-ahead."""
         pow_hi, pow_lo, sum_hi, sum_lo = (table[:n] for table in _jumps())
@@ -205,39 +156,6 @@ class Stream:
         self.state = int(s_hi[-1]) << 64 | int(s_lo[-1])
         word, rot = s_hi ^ s_lo, s_hi >> np.uint64(58)
         return word >> rot | word << ((np.uint64(64) - rot) & np.uint64(63))
-
-
-def _unit(word: int) -> float:
-    """numpy's double in [0, 1) from a 64-bit output."""
-    return (word >> 11) * 2.0 ** -53
-
-
-def _slow_normal(word: int, x: float, next_word) -> float | None:
-    """The ziggurat's wedge or tail for an output ``word`` off the fast path.
-
-    ``x`` is the output's signed abscissa and ``next_word()`` reads the
-    stream's next 64-bit output.  None when the wedge rejects ``x``.
-    """
-    layer, rabs = word & 0xFF, word >> 9 & _M52
-    if layer:
-        fi = _ziggurat()[2]
-        wedge = (fi[layer - 1] - fi[layer]) * _unit(next_word()) + fi[layer]
-        return x if wedge < math.exp(-0.5 * x * x) else None
-    while True:
-        xx = -_NOR_INV_R * math.log1p(-_unit(next_word()))
-        yy = -math.log1p(-_unit(next_word()))
-        if yy + yy > xx * xx:
-            return -(_NOR_R + xx) if rabs >> 8 & 1 else _NOR_R + xx
-
-
-@functools.cache
-def _ziggurat() -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """``ki_double`` and ``wi_double`` as arrays, ``fi_double`` as a list."""
-    with open(os.path.join(os.path.dirname(__file__), "ziggurat.bin"), "rb") as f:
-        data = f.read()
-    ki = np.frombuffer(data, "<u8", 256, 0)
-    wi, fi = (np.frombuffer(data, "<f8", 256, offset) for offset in (2048, 4096))
-    return ki, wi, fi.tolist()
 
 
 def _mul128(hi: np.ndarray, lo: np.ndarray, x: int) -> tuple[np.ndarray, np.ndarray]:

@@ -103,8 +103,9 @@ def test_report_streams_are_numpy_generator_streams(monkeypatch, capsys, flags, 
 
 
 def test_benchmark_commands_do_not_import_numpy_random():
-    # the command lines of all four benchmark workloads, the normals of
-    # dia-realization and pde-leading included, never load numpy.random
+    # the command lines of all four benchmark workloads, the random
+    # polynomials of dia-realization and pde-leading included, never load
+    # numpy.random
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
@@ -469,6 +470,19 @@ def test_compute_non_finite_value_is_an_error(capsys, gamma, error):
                               "--seed", "1"], capsys)
     assert code == 1 and out == ""
     assert f"error: {error}: " in err
+
+
+@pytest.mark.parametrize("args, stage, flags", [
+    (["z", "--L", "2", "--mu", "300,0;0,0"], "the random point draw", "--mu"),
+    (["z", "--trig", "--L", "2", "--mu", "800,0;0,0"], "the random point draw", "--mu"),
+    (["z", "--L", "2", "--points", "300,0;0.1,0"], "the bruteforce route", "--points"),
+    (["sn", "--trig", "--L", "2", "--xb", "800,0", "--yc", "0.1,0"], "the bruteforce route",
+     "--xb, --yc"),
+])
+def test_compute_overflow_names_its_stage_and_spectral_flags(capsys, args, stage, flags):
+    code, out, err = run_cli(["compute", *args], capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: OverflowError: math range error in {stage} ({flags} given)\n"
 
 
 def test_compute_sn_rejects_elliptic(capsys):
