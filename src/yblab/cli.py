@@ -214,20 +214,10 @@ def _draw_fx(ctx, rng):
     return {"l0": pts[0], "lams": pts[1:], "theta": _theta_for(ctx, rng, 2 * ctx.L + 4)}
 
 
-def _eval_fx(ctx, p, _state):
-    bf = lambda sets: dwbc_partitions(sets, ctx)
-    return feq.fx_residual(p["l0"], p["lams"], p["theta"], ctx, bf)
-
-
 def _draw_snad(ctx, rng):
     n = min(ctx.L, 2)
     pts = sampling.sample_spectral(ctx, rng, 2 * n + 1)
     return {"l0": pts[0], "xb": pts[1:n + 1], "yc": pts[n + 1:]}
-
-
-def _eval_snad(ctx, p, _state):
-    bf = lambda pairs: scalar_products_bf(pairs, ctx)
-    return max(feq.snad_residuals(p["l0"], p["xb"], p["yc"], ctx, bf))
 
 
 def _draw_zcmp(ctx, rng):
@@ -254,11 +244,6 @@ def _compare(quantity: str, *keys: str):
 def _draw_fzt(ctx, rng):
     pts = sampling.sample_spectral(ctx, rng, ctx.L + 1)
     return {"l0": pts[0], "lams": pts[1:]}
-
-
-def _eval_fzt(ctx, p, _state):
-    bf = lambda sets: dwbc_partitions(sets, ctx)
-    return pde.fzt_residual(p["l0"], p["lams"], ctx, bf)
 
 
 def _prep_zbar(ctx, _rng):
@@ -323,11 +308,14 @@ REGISTRY: dict[str, CheckDef] = {
         hw_action_residuals(p["lam"], p["theta"], ctx).values())),
     "identities": CheckDef(1e-9, False, None, _draw_identity,
                            lambda ctx, p, s: feq.verify_identity(ctx=ctx, **p)),
-    "fx": CheckDef(1e-9, False, None, _draw_fx, _eval_fx),
-    "snad": CheckDef(1e-9, True, None, _draw_snad, _eval_snad),
+    "fx": CheckDef(1e-9, False, None, _draw_fx, lambda ctx, p, s: feq.fx_residual(
+        p["l0"], p["lams"], p["theta"], ctx, dwbc_partitions)),
+    "snad": CheckDef(1e-9, True, None, _draw_snad, lambda ctx, p, s: max(feq.snad_residuals(
+        p["l0"], p["xb"], p["yc"], ctx, scalar_products_bf))),
     "z-contour-vs-bf": CheckDef(1e-8, False, None, _draw_zcmp, _compare("z", "lams", "theta")),
     "sn-contour-vs-bf": CheckDef(1e-6, True, None, _draw_sncmp, _compare("sn", "xb", "yc")),
-    "fzt": CheckDef(1e-9, True, None, _draw_fzt, _eval_fzt),
+    "fzt": CheckDef(1e-9, True, None, _draw_fzt, lambda ctx, p, s: pde.fzt_residual(
+        p["l0"], p["lams"], ctx, dwbc_partitions)),
     # the grid interpolation refuses L > 4; at L = 1 the leading operator
     # is identically 0, so comparing it with the pencil measures only noise
     "pde-omega": CheckDef(1e-7, True, _prep_zbar, _draw_pde_point, _eval_pde_omega,
@@ -423,16 +411,15 @@ def run_suite(cfg: RunConfig, out=None) -> int:
 
 def _emit_compute(echo: dict, method: str, quantity: str, args: tuple,
                   ctx: ModelContext) -> int:
-    """Evaluate the requested routes into ``echo`` and print it; non-finite is an error."""
+    """Evaluate the requested routes into ``echo`` and print it; non-finite is an error at once."""
     values = {}
     for route, fn in ROUTES[quantity].items():
         if method in (route, "both"):
             with _overflow_in(f"the {route} route"):
-                values[route] = fn(*args, ctx)
-    for route, value in values.items():
-        if not cmath.isfinite(value):
-            raise NonFinite(f"{route} value is {value}")
-        echo[route] = _jsonable(value)
+                value = values[route] = fn(*args, ctx)
+            if not cmath.isfinite(value):
+                raise NonFinite(f"{route} value is {value}")
+            echo[route] = _jsonable(value)
     if method == "both":
         echo["rel_diff"] = rel_diff(*values.values())
     print(json.dumps(echo, allow_nan=False))

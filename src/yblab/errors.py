@@ -51,7 +51,7 @@ class SingularR(YbLabError):
 
 
 class DegreeMismatch(YbLabError):
-    """Polynomial degree bound passed to a realization is below the actual degree."""
+    """A polynomial given to the operator pencil lacks its shape: L variables, degree L - 1."""
 
 
 class InterpolationIllConditioned(YbLabError):

@@ -117,19 +117,17 @@ def fx_residual(l0: complex, X, theta: complex, ctx: ModelContext,
                 evaluate_z: Evaluator) -> float:
     """Normalized residual of the domain-wall swap equation.
 
-    ``evaluate_z(sets)`` gives the partition function at each ``(points,
-    theta)`` of ``sets`` in order; it is injected so both the brute-force
-    contraction (:func:`~yblab.lattice_qty.dwbc_partitions`) and the
-    residue evaluator can be run through the same equation.  It gets
-    all L + 2 sets in one call.
+    ``evaluate_z(sets, ctx)`` gives the partition function at each
+    ``(points, theta)`` of ``sets`` in order, in this equation's model; a
+    bulk route such as :func:`~yblab.lattice_qty.dwbc_partitions` is
+    passed as it is.  It gets all L + 2 sets in one call.
     """
     lams = as_values(X)
     coeffs = fx_coefficients(l0, lams, theta, ctx)
     extended = (complex(l0),) + lams
     sets = [(lams, theta - ctx.gamma)] + [(extended[:i] + extended[i + 1:], theta)
                                           for i in range(len(extended))]
-    return term_residual([c * z for c, z in zip((coeffs.m0,) + coeffs.n, evaluate_z(sets),
-                                                strict=True)])
+    return term_residual((coeffs.m0,) + coeffs.n, evaluate_z(sets, ctx))
 
 
 @dataclass(frozen=True)
@@ -192,23 +190,20 @@ def snad_residuals(l0: complex, XB, YC, ctx: ModelContext,
                    evaluate_s: PairEvaluator) -> tuple[float, float]:
     """Normalized residuals of the two scalar-product swap equations.
 
-    ``evaluate_s(pairs)`` gives the scalar product at each ``(XB, YC)``
-    of ``pairs`` in order, as :func:`~yblab.lattice_qty.scalar_products_bf`
-    does.  It gets all 2n + 1 pairs in one call: the pair itself, then
-    ``lam_0`` swapped for each point of XB, then for each point of YC.
+    ``evaluate_s(pairs, ctx)`` gives the scalar product at each ``(XB,
+    YC)`` of ``pairs`` in order, in this equation's model, as
+    :func:`~yblab.lattice_qty.scalar_products_bf` does.  It gets all 2n + 1
+    pairs in one call: the pair itself, then ``lam_0`` swapped for each
+    point of XB, then for each point of YC.
     """
     xb = as_values(XB)
     yc = as_values(YC)
     n = len(xb)
     coeffs = snad_coefficients(l0, xb, yc, ctx)
     values = evaluate_s([(xb, yc)] + [((l0,) + xb[:i] + xb[i + 1:], yc) for i in range(n)]
-                        + [(xb, (l0,) + yc[:i] + yc[i + 1:]) for i in range(n)])
-
-    def residual(head, kb, kc):
-        return term_residual([k * s for k, s in zip((head,) + kb + kc, values, strict=True)])
-
-    return (residual(coeffs.j0, coeffs.kb, coeffs.kc),
-            residual(coeffs.jt0, coeffs.ktb, coeffs.ktc))
+                        + [(xb, (l0,) + yc[:i] + yc[i + 1:]) for i in range(n)], ctx)
+    return (term_residual((coeffs.j0,) + coeffs.kb + coeffs.kc, values),
+            term_residual((coeffs.jt0,) + coeffs.ktb + coeffs.ktc, values))
 
 
 # --- operator identities -------------------------------------------------

@@ -24,13 +24,14 @@ from .special_fn import f_weights
 from .yb_core import (ABS_FLOOR, ModelContext, _monodromy, apply_factors, block_words, residual,
                       site_factors)
 
-#: A bulk partition-function evaluator: the value at each ``(points,
-#: theta)`` of a list, in order, as :func:`dwbc_partitions` gives them.
-Evaluator = Callable[[Sequence[tuple[Sequence[complex], complex]]], Sequence[complex]]
+#: A bulk partition-function route ``evaluate(sets, ctx)``: the value at each
+#: ``(points, theta)`` of ``sets`` in model ``ctx``, in order, as :func:`dwbc_partitions`.
+Evaluator = Callable[[Sequence[tuple[Sequence[complex], complex]], ModelContext],
+                     Sequence[complex]]
 
-#: A bulk scalar-product evaluator: the value at each ``(XB, YC)`` of a
-#: list, in order, as :func:`scalar_products_bf` gives them.
-PairEvaluator = Callable[[Sequence[tuple[Sequence[complex], Sequence[complex]]]],
+#: A bulk scalar-product route ``evaluate(pairs, ctx)``: the value at each
+#: ``(XB, YC)`` of ``pairs`` in model ``ctx``, in order, as :func:`scalar_products_bf`.
+PairEvaluator = Callable[[Sequence[tuple[Sequence[complex], Sequence[complex]]], ModelContext],
                          Sequence[complex]]
 
 

@@ -249,15 +249,14 @@ def fzt_coefficients(l0: complex, X, ctx: ModelContext
 def fzt_residual(l0: complex, X, ctx: ModelContext, evaluate_z: Evaluator) -> float:
     """Normalized residual of the merged six-vertex swap equation.
 
-    ``evaluate_z`` is a bulk evaluator as for :func:`~yblab.feq.fx_residual`;
+    ``evaluate_z(sets, ctx)`` is a bulk route as for :func:`~yblab.feq.fx_residual`;
     it gets all L + 1 sets, at ``theta = 0``, in one call.
     """
     lams = as_values(X)
     head, swaps = fzt_coefficients(l0, lams, ctx)
     sets = [(lams, 0.0)] + [((complex(l0),) + lams[:i] + lams[i + 1:], 0.0)
                             for i in range(len(swaps))]
-    return term_residual([c * z for c, z in zip((head,) + swaps, evaluate_z(sets),
-                                                strict=True)])
+    return term_residual((head,) + swaps, evaluate_z(sets, ctx))
 
 
 def interpolate_zbar(ctx: ModelContext) -> MultiPoly:

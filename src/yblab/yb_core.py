@@ -67,8 +67,12 @@ def rel_diff(a, b) -> float:
     return float(abs(a - b) / max(abs(a), abs(b), ABS_FLOOR))
 
 
-def term_residual(terms: Sequence) -> float:
-    """``|sum t| / (sum |t| + ABS_FLOOR)`` of an equation's terms: cancellation reads O(1)."""
+def term_residual(coeffs: Sequence, values: Sequence) -> float:
+    """``|sum t| / (sum |t| + ABS_FLOOR)`` over the terms ``t = c * v``: cancellation reads O(1).
+
+    ``coeffs`` and ``values`` pair up in order; different lengths raise ``ValueError``.
+    """
+    terms = [c * v for c, v in zip(coeffs, values, strict=True)]
     return float(abs(sum(terms)) / (sum(abs(t) for t in terms) + ABS_FLOOR))
 
 
@@ -243,7 +247,9 @@ def apply_factors(x: np.ndarray, factors: Sequence[Factor]) -> np.ndarray:
             d, o = table.take(column, axis=1)
             if d.ndim < x.ndim:
                 d, o = d[:, None], o[:, None]
-            x = d * x + o * x.take(partner, axis=0)
+            partner_x = x.take(partner, axis=0)
+            # o stays the first operand: numpy's complex multiply is not bitwise commutative
+            x = d * x + np.multiply(o, partner_x, out=partner_x)
     return x
 
 

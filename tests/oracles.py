@@ -183,6 +183,39 @@ def dwbc_enumeration(lams, mu, gamma):
     return total
 
 
+def asm_polynomial(L):
+    """``[N_0, N_1, ..]``: ``N_k`` counts the L x L alternating-sign matrices with k entries -1.
+
+    Counted row by row over the column partial sums, each 0 or 1: a row's
+    nonzero entries alternate +1, -1, .., +1, with a +1 only where its
+    column sum is 0 and a -1 only where it is 1; the last sums are all 1.
+    At ``a = b`` the six-vertex domain-wall partition function is
+    ``a^(L^2 - L) c^L sum_k N_k (c/a)^(2k)`` (Kuperberg 1996).
+    """
+    def rows(sums, j, sign):
+        """(column sums after the row, its -1 count) over rows from column j on."""
+        if j == L:
+            if sign == -1:  # the last nonzero entry was +1
+                yield sums, 0
+            return
+        yield from rows(sums, j + 1, sign)
+        if sums[j] == (sign == -1):
+            for after, k in rows(sums[:j] + (sums[j] + sign,) + sums[j + 1:], j + 1, -sign):
+                yield after, k + (sign == -1)
+
+    counts = {(0,) * L: [1]}
+    for _ in range(L):
+        nxt = {}
+        for sums, poly in counts.items():
+            for after, k in rows(sums, 0, 1):
+                acc = nxt.setdefault(after, [])
+                acc.extend([0] * (len(poly) + k - len(acc)))
+                for m, n in enumerate(poly):
+                    acc[m + k] += n
+        counts = nxt
+    return counts[(1,) * L]
+
+
 def theta1_literal(z, params):
     """The theta series summed term by term, each power of the nome taken in place.
 

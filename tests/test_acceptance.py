@@ -122,14 +122,13 @@ def test_c05_swap_equation_brute_force():
         for L in (1, 2, 3, 4):
             rng = np.random.default_rng(SEED + 30 + L)
             ctx = random_context(L, rng, elliptic=elliptic)
-            bf = lambda sets: dwbc_partitions(sets, ctx)
             for _ in range(20):
                 pts = sample_spectral(ctx, rng, L + 1)
                 theta = sample_theta(ctx, rng, range(-(2 * L + 2), 2 * L + 3))
-                worst = max(worst, fx_residual(pts[0], pts[1:], theta, ctx, bf))
+                worst = max(worst, fx_residual(pts[0], pts[1:], theta, ctx, dwbc_partitions))
                 if not elliptic:
                     worst_merged = max(worst_merged,
-                                       fzt_residual(pts[0], pts[1:], ctx, bf))
+                                       fzt_residual(pts[0], pts[1:], ctx, dwbc_partitions))
     report("criterion 05a swap equation, brute-force input, L in 1..4",
            worst, 1e-9)
     report("criterion 05b merged six-vertex transcription agrees",
@@ -143,7 +142,7 @@ def test_c06_partition_contour_vs_brute_force():
         for L in (1, 2, 3):
             rng = np.random.default_rng(SEED + 40 + L)
             ctx = random_context(L, rng, elliptic=elliptic)
-            contour = lambda sets: [z_contour(pts, th, ctx) for pts, th in sets]
+            contour = lambda sets, ctx: [z_contour(pts, th, ctx) for pts, th in sets]
             for _ in range(20):
                 lams = sample_spectral(ctx, rng, L, avoid=ctx.mu)
                 theta = sample_theta(ctx, rng, range(-1, 2 * L + 3))
@@ -165,11 +164,10 @@ def test_c07_scalar_product_swap_equations():
         for L in range(n, 5):
             rng = np.random.default_rng(SEED + 50 + 10 * n + L)
             ctx = random_context(L, rng, elliptic=False)
-            bf = lambda pairs: scalar_products_bf(pairs, ctx)
             for _ in range(20):
                 pts = sample_spectral(ctx, rng, 2 * n + 1)
                 res_a, res_d = snad_residuals(pts[0], pts[1:n + 1], pts[n + 1:],
-                                              ctx, bf)
+                                              ctx, scalar_products_bf)
                 worst = max(worst, res_a, res_d)
     report("criterion 07 scalar-product swap equations, n <= 3, L <= 4",
            worst, 1e-9)

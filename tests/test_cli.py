@@ -463,11 +463,14 @@ def test_compute_sn_empty_is_one(capsys):
     assert record["contour"] == [1.0, 0.0]
 
 
-@pytest.mark.parametrize("gamma, error", [("200,0", "NonFinite"),
-                                           ("400,0", "OverflowError")])
-def test_compute_non_finite_value_is_an_error(capsys, gamma, error):
+@pytest.mark.parametrize("gamma, method, error", [
+    ("200,0", "both", "NonFinite"), ("400,0", "both", "NonFinite"),
+    ("400,0", "contour", "OverflowError")],
+    ids=["200,0-NonFinite", "400,0-NonFinite", "400,0-contour-OverflowError"])
+def test_compute_non_finite_value_is_an_error(capsys, gamma, method, error):
+    # at 400,0 the bruteforce route returns nan before the contour route overflows
     code, out, err = run_cli(["compute", "z", "--trig", "--L", "3", "--gamma", gamma,
-                              "--seed", "1"], capsys)
+                              "--method", method, "--seed", "1"], capsys)
     assert code == 1 and out == ""
     assert f"error: {error}: " in err
 

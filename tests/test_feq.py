@@ -14,14 +14,6 @@ from yblab.yb_core import ModelContext
 from oracles import blocks_literal, creation_string, f_literal
 
 
-def bf_z(ctx):
-    return lambda sets: dwbc_partitions(sets, ctx)
-
-
-def bf_s(ctx):
-    return lambda pairs: scalar_products_bf(pairs, ctx)
-
-
 # --- swap-equation coefficients -------------------------------------------
 
 def test_fx_coefficients_single_site_closed_form(rng):
@@ -93,16 +85,16 @@ def test_fx_residual_brute_force(L, elliptic, rng):
     for _ in range(3):
         pts = sample_spectral(ctx, rng, L + 1)
         theta = sample_theta(ctx, rng, range(-(2 * L + 2), 2 * L + 3))
-        assert fx_residual(pts[0], pts[1:], theta, ctx, bf_z(ctx)) <= 1e-9
+        assert fx_residual(pts[0], pts[1:], theta, ctx, dwbc_partitions) <= 1e-9
 
 
 def test_fx_residual_scale_invariant(rng):
     ctx = random_context(2, rng)
     pts = sample_spectral(ctx, rng, 3)
     theta = sample_theta(ctx, rng, range(-6, 7))
-    base = fx_residual(pts[0], pts[1:], theta, ctx, bf_z(ctx))
+    base = fx_residual(pts[0], pts[1:], theta, ctx, dwbc_partitions)
     scaled = fx_residual(pts[0], pts[1:], theta, ctx,
-                         lambda sets: [7.3 * z for z in dwbc_partitions(sets, ctx)])
+                         lambda sets, ctx: [7.3 * z for z in dwbc_partitions(sets, ctx)])
     assert abs(base - scaled) <= 1e-12
 
 
@@ -156,30 +148,30 @@ def test_snad_residuals_brute_force(n, L, rng):
     ctx = random_context(L, rng, elliptic=False)
     for _ in range(3):
         pts = sample_spectral(ctx, rng, 2 * n + 1)
-        res_a, res_d = snad_residuals(pts[0], pts[1:n + 1], pts[n + 1:], ctx, bf_s(ctx))
+        res_a, res_d = snad_residuals(pts[0], pts[1:n + 1], pts[n + 1:], ctx, scalar_products_bf)
         assert res_a <= 1e-9
         assert res_d <= 1e-9
 
 
 def test_snad_residuals_make_one_call_in_order(rng):
-    # s0, then lam_0 swapped for each point of XB, then of YC
+    # s0, then lam_0 swapped for each point of XB, then of YC, in the equation's model
     ctx = random_context(3, rng, elliptic=False)
     l0, *pts = sample_spectral(ctx, rng, 5)
     xb, yc = tuple(pts[:2]), tuple(pts[2:])
     calls = []
-    res = snad_residuals(l0, xb, yc, ctx,
-                         lambda pairs: calls.append(pairs) or scalar_products_bf(pairs, ctx))
-    assert calls == [[(xb, yc), ((l0, xb[1]), yc), ((l0, xb[0]), yc),
-                      (xb, (l0, yc[1])), (xb, (l0, yc[0]))]]
+    res = snad_residuals(l0, xb, yc, ctx, lambda pairs, model: calls.append((pairs, model))
+                         or scalar_products_bf(pairs, model))
+    assert calls == [([(xb, yc), ((l0, xb[1]), yc), ((l0, xb[0]), yc),
+                       (xb, (l0, yc[1])), (xb, (l0, yc[0]))], ctx)]
     assert max(res) <= 1e-9
 
 
 def test_snad_residuals_linear_in_evaluator(rng):
     ctx = random_context(2, rng, elliptic=False)
     pts = sample_spectral(ctx, rng, 3)
-    base = snad_residuals(pts[0], (pts[1],), (pts[2],), ctx, bf_s(ctx))
+    base = snad_residuals(pts[0], (pts[1],), (pts[2],), ctx, scalar_products_bf)
     doubled = snad_residuals(pts[0], (pts[1],), (pts[2],), ctx,
-                             lambda pairs: [2 * s for s in scalar_products_bf(pairs, ctx)])
+                             lambda pairs, ctx: [2 * s for s in scalar_products_bf(pairs, ctx)])
     assert abs(base[0] - doubled[0]) <= 1e-12
     assert abs(base[1] - doubled[1]) <= 1e-12
 
@@ -304,4 +296,4 @@ def test_projected_degree_iterate_reduces_to_swap_equation(ell_ctx2, rng):
         <= 1e-12 * max(abs(rhs), 1e-30)
 
     # and the assembled scalar equation closes
-    assert fx_residual(l0, lams, theta, ctx, bf_z(ctx)) <= 1e-10
+    assert fx_residual(l0, lams, theta, ctx, dwbc_partitions) <= 1e-10

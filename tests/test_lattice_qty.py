@@ -1,3 +1,4 @@
+import cmath
 import itertools
 
 import numpy as np
@@ -7,10 +8,10 @@ from yblab.errors import RegimeMismatch, SizeMismatch
 from yblab.lattice_qty import (dwbc_partition, dwbc_partitions, hw_action_residuals,
                                scalar_product_bf, scalar_products_bf)
 from yblab.sampling import random_context, sample_spectral, sample_theta
-from yblab.special_fn import Regime
+from yblab.special_fn import Regime, six_vertex
 from yblab.yb_core import ModelContext
 
-from oracles import blocks_literal, creation_string, dwbc_enumeration, f_literal
+from oracles import asm_polynomial, blocks_literal, creation_string, dwbc_enumeration, f_literal
 
 GAMMA = 0.41 + 0.07j
 
@@ -68,6 +69,30 @@ def test_dwbc_matches_enumeration_random(rng):
         bf = dwbc_partition(lams, 0.0, ctx)
         enum = dwbc_enumeration(lams, ctx.mu, ctx.gamma)
         assert abs(bf - enum) < 1e-12 * abs(enum)
+
+
+def test_asm_polynomial_closed_forms():
+    # A_L(x) = sum_k N_k x^k at x = 1 (the ASM count), 2 and 3, L = 1..7
+    counts = (1, 2, 7, 42, 429, 7436, 218348)
+    three = (1, 2, 9, 90, 2025, 102060, 11573604)
+    for L in range(1, 8):
+        poly = asm_polynomial(L)
+        at = lambda x: sum(n * x ** k for k, n in enumerate(poly))
+        assert (at(1), at(2), at(3)) == (counts[L - 1], 2 ** (L * (L - 1) // 2), three[L - 1])
+
+
+@pytest.mark.parametrize("gamma", [0.4 + 0.3j, -0.7 + 1.1j, 1.3 - 0.2j])
+def test_dwbc_at_a_equals_b_is_the_asm_polynomial(gamma):
+    # an exact external anchor: at lam - mu = (i pi - gamma)/2 the weights a and b
+    # agree, and Z = a^(L^2 - L) c^L A_L((c/a)^2) over the alternating-sign matrices
+    lam = (1j * cmath.pi - gamma) / 2
+    a_of, _, c = six_vertex(gamma)
+    a = a_of(lam)
+    for L in range(1, 8):
+        ctx = ModelContext(L, gamma, (0,) * L, Regime.trigonometric())
+        poly = sum(n * (c / a) ** (2 * k) for k, n in enumerate(asm_polynomial(L)))
+        expected = a ** (L * L - L) * c ** L * poly
+        assert abs(dwbc_partition((lam,) * L, 0.0, ctx) - expected) <= 1e-12 * abs(expected)
 
 
 @pytest.mark.parametrize("extra", [-1, 1])

@@ -21,10 +21,6 @@ from oracles import (derivative_literal, dia_realized_literal, evaluate_literal,
                      omega_leading_apply_literal)
 
 
-def bf_z(ctx):
-    return lambda sets: dwbc_partitions(sets, ctx)
-
-
 def random_poly(rng, nvars, deg):
     shape = (deg + 1,) * nvars
     return MultiPoly(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
@@ -159,20 +155,20 @@ def test_zbar_degree_bound(rng):
 def test_fzt_residual_brute_force(trig_ctx2, rng):
     for _ in range(3):
         pts = sample_spectral(trig_ctx2, rng, 3)
-        assert fzt_residual(pts[0], pts[1:], trig_ctx2, bf_z(trig_ctx2)) <= 1e-9
+        assert fzt_residual(pts[0], pts[1:], trig_ctx2, dwbc_partitions) <= 1e-9
 
 
 def test_fzt_and_fx_agree_on_zeros(trig_ctx3, rng):
     pts = sample_spectral(trig_ctx3, rng, 4)
-    assert fzt_residual(pts[0], pts[1:], trig_ctx3, bf_z(trig_ctx3)) <= 1e-9
-    assert fx_residual(pts[0], pts[1:], 0.0, trig_ctx3, bf_z(trig_ctx3)) <= 1e-9
+    assert fzt_residual(pts[0], pts[1:], trig_ctx3, dwbc_partitions) <= 1e-9
+    assert fx_residual(pts[0], pts[1:], 0.0, trig_ctx3, dwbc_partitions) <= 1e-9
 
 
 def test_fzt_scale_invariant(trig_ctx2, rng):
     pts = sample_spectral(trig_ctx2, rng, 3)
-    base = fzt_residual(pts[0], pts[1:], trig_ctx2, bf_z(trig_ctx2))
+    base = fzt_residual(pts[0], pts[1:], trig_ctx2, dwbc_partitions)
     scaled = fzt_residual(pts[0], pts[1:], trig_ctx2,
-                          lambda sets: [-4.2j * z for z in dwbc_partitions(sets, trig_ctx2)])
+                          lambda sets, ctx: [-4.2j * z for z in dwbc_partitions(sets, ctx)])
     assert abs(base - scaled) <= 1e-12
 
 
@@ -484,7 +480,7 @@ def test_fzt_coincident_points_raise_singular_coefficient(l0, pts, text, trig_ct
     with pytest.raises(SingularCoefficient, match=re.escape(text)):
         fzt_coefficients(l0, pts, trig_ctx3)
     with pytest.raises(SingularCoefficient, match=re.escape(text)):
-        fzt_residual(l0, pts, trig_ctx3, bf_z(trig_ctx3))
+        fzt_residual(l0, pts, trig_ctx3, dwbc_partitions)
 
 
 def test_omega_actions_coincident_points_raise_singular_coefficient(trig_ctx3):

@@ -148,7 +148,7 @@ def test_sn_contour_frontier_equals_brute_force(L, n, rng):
 def test_fx_residual_with_contour_evaluator(elliptic, rng):
     # the residue formula satisfies the swap equation on its own
     ctx = random_context(2, rng, elliptic=elliptic)
-    contour = lambda sets: [z_contour(pts, th, ctx) for pts, th in sets]
+    contour = lambda sets, ctx: [z_contour(pts, th, ctx) for pts, th in sets]
     for _ in range(3):
         pts = sample_spectral(ctx, rng, 3, avoid=ctx.mu)
         theta = sample_theta(ctx, rng, range(-6, 8))

@@ -27,12 +27,15 @@ def assert_same_state(ours, theirs):
 #: on ``dia-realization``'s [-1, 1), the integers of ``dia-realization``,
 #: and the arrays of uniforms on [-1, 1) of ``dia-realization`` and
 #: ``pde-leading``, up to the largest ``dia-realization`` shape and a shape
-#: one output longer than a jump-ahead block.
+#: one output longer than a jump-ahead block.  Two integer spans near 2**32
+#: are added: yblab's own spans reject about once in 2**30 draws, these
+#: about one draw in four, so the rejection loop runs.
 CALLS = [
     *(lambda r, box=box: r.uniform(*box) for box in
       (sampling.RECT_RE, sampling.RECT_IM, sampling.MU_RE, sampling.MU_IM)),
     lambda r: r.uniform(-1, 1),
-    *(lambda r, a=a: r.integers(*a) for a in ((2,), (3,), (1, 5), (0, 9), (1,))),
+    *(lambda r, a=a: r.integers(*a) for a in ((2,), (3,), (1, 5), (0, 9), (1,),
+                                              (0, 3 * 2**30), (5, 5 + 2**32 - 2))),
     *(lambda r, s=s: r.uniform(-1, 1, s) for s in ((1,), (9,), (3, 3), (2, 2, 2), (4,) * 4,
                                                       (9,) * 4, (4097,))),
 ]

@@ -44,13 +44,21 @@ def test_rel_diff_is_the_literal_scalar_formula(rng):
 
 
 def test_term_residual_is_the_literal_term_formula(rng):
+    # each term is the coefficient times the value, in that order
     values = _scalars(rng, 400)
-    lists = [values[k:k + m] for m in range(1, 7) for k in range(0, len(values) - m, 11)]
-    lists += [[t, -t] for t in values] + [[0j, 0j], [], [values[3], 0j, -values[3]]]
-    for terms in lists:
+    coeffs = [complex(*z) for z in rng.standard_normal((len(values), 2))]
+    coeffs = coeffs[::2] + [np.complex128(c) for c in coeffs[1::2]]
+    cases = [(coeffs[k:k + m], values[k:k + m])
+             for m in range(1, 7) for k in range(0, len(values) - m, 11)]
+    cases += [((c, c), (t, -t)) for c, t in zip(coeffs, values)]
+    cases += [((1, 1), (0j, 0j)), ((), ()), ((2j, 1, 2j), (values[3], 0j, -values[3]))]
+    for cs, vs in cases:
+        terms = [c * v for c, v in zip(cs, vs)]
         literal = float(abs(sum(terms)) / (sum(abs(t) for t in terms) + ABS_FLOOR))
-        assert repr(term_residual(terms)) == repr(literal)
-    assert term_residual([0.5 + 0j, -0.5 + 0j]) == 0.0
+        assert repr(term_residual(cs, vs)) == repr(literal)
+    assert term_residual((0.5, -0.5), (1 + 0j, 1 + 0j)) == 0.0
+    with pytest.raises(ValueError):
+        term_residual((1.0, 2.0), (1j,))
 
 
 def test_context_validation():
