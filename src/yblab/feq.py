@@ -17,7 +17,8 @@ every term is tiny, which exposes catastrophic cancellation.
 The exchange identities the equations descend from (commutation of a
 diagonal block through a creation string, and its degree-n iterates) are
 also verified directly as operator identities: each side is a sum of
-block words applied to the identity columns.
+block words, and :func:`~yblab.yb_core.relation_residual` applies them
+to the identity columns.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from .errors import RegimeMismatch, SingularCoefficient, SizeMismatch
 from .lattice_qty import Evaluator, PairEvaluator, _creation_slots, as_values
 from .special_fn import f_weights, six_vertex
-from .yb_core import ModelContext, block_words, residual, term_residual
+from .yb_core import ModelContext, block_words, relation_residual, term_residual
 
 #: Relative floor for coefficient denominators.
 DENOM_RTOL = 1e-12
@@ -215,12 +216,10 @@ def verify_ab(l1: complex, l2: complex, ctx: ModelContext) -> float:
     a, b, c = six_vertex(ctx.gamma)
     d = l2 - l1
     _guard(b(d), abs(c), "b(lam_2 - lam_1)")
-    word = block_words([(l1, 0.0), (l2, 0.0)], ctx)
-    eye = np.eye(ctx.dim, dtype=complex)
-    lhs = word([("A", l1, 0.0), ("B", l2, 0.0)], eye)
-    rhs = (a(d) / b(d)) * word([("B", l2, 0.0), ("A", l1, 0.0)], eye) \
-        - (c / b(d)) * word([("B", l1, 0.0), ("A", l2, 0.0)], eye)
-    return residual(lhs, rhs)
+    return relation_residual(block_words([(l1, 0.0), (l2, 0.0)], ctx),
+                             ((), [(None, [("A", l1, 0.0), ("B", l2, 0.0)])]),
+                             ((), [(a(d) / b(d), [("B", l2, 0.0), ("A", l1, 0.0)]),
+                                   (-(c / b(d)), [("B", l1, 0.0), ("A", l2, 0.0)])]), ctx.dim)
 
 
 def verify_bb(l1: complex, l2: complex, theta: complex, ctx: ModelContext) -> float:
@@ -235,18 +234,17 @@ def verify_bb(l1: complex, l2: complex, theta: complex, ctx: ModelContext) -> fl
     g = ctx.gamma
     t1, t2 = theta + g, theta + 2 * g
     word = block_words([(l1, theta), (l2, theta), (l1, t1), (l2, t1), (l1, t2), (l2, t2)], ctx)
-    eye = np.eye(ctx.dim, dtype=complex)
-    res_bb = residual(word([("B", l1, theta), ("B", l2, t1)], eye),
-                      word([("B", l2, theta), ("B", l1, t1)], eye))
+    res_bb = relation_residual(word, ((), [(None, [("B", l1, theta), ("B", l2, t1)])]),
+                               ((), [(None, [("B", l2, theta), ("B", l1, t1)])]), ctx.dim)
 
     f_g, f_d, f_t2, f_plus, f_t1, f_cross = f_weights(
         [g, l2 - l1, t2, l2 - l1 + g, t1, t1 - l2 + l1], ctx.regime)
     f_d = _guard(f_d, abs(f_g), "f(lam_2 - lam_1)")
     f_t2 = _guard(f_t2, 1.0, "f(theta + 2*gamma)")
-    lhs = word([("A", l1, t1), ("B", l2, theta)], eye)
-    rhs = (f_plus / f_d) * (f_t1 / f_t2) * word([("B", l2, t1), ("A", l1, t2)], eye) \
-        - (f_cross / f_d) * (f_g / f_t2) * word([("B", l1, t1), ("A", l2, t2)], eye)
-    return max(res_bb, residual(lhs, rhs))
+    return max(res_bb, relation_residual(
+        word, ((), [(None, [("A", l1, t1), ("B", l2, theta)])]),
+        ((), [((f_plus / f_d) * (f_t1 / f_t2), [("B", l2, t1), ("A", l1, t2)]),
+              (-((f_cross / f_d) * (f_g / f_t2)), [("B", l1, t1), ("A", l2, t2)])]), ctx.dim))
 
 
 def verify_abn(l0: complex, lams, theta: complex, ctx: ModelContext) -> float:
@@ -269,12 +267,8 @@ def verify_abn(l0: complex, lams, theta: complex, ctx: ModelContext) -> float:
     word = block_words([(l0, t1)] + slots(lams, theta - g) + slots(lams, theta) + [(l0, top)]
                        + [key for swapped, li in swaps
                           for key in slots(swapped, theta) + [(li, top)]], ctx)
-    eye = np.eye(ctx.dim, dtype=complex)
     # the creation string at theta, then A(lam, top) acting first
-    string_a = lambda pts, lam: word([("B", *key) for key in slots(pts, theta)]
-                                     + [("A", lam, top)], eye)
-
-    lhs = word([("A", l0, t1)] + [("B", *key) for key in slots(lams, theta - g)], eye)
+    string_a = lambda pts, lam: [("B", *key) for key in slots(pts, theta)] + [("A", lam, top)]
     # every weight from one batch, listed in the order the formula reads it
     w = iter(f_weights([g, t1, top] + [p for lam in lams for p in (lam - l0 + g, lam - l0)]
                        + [p for i, li in enumerate(lams) for p in (t1 - li + l0, li - l0)
@@ -284,13 +278,14 @@ def verify_abn(l0: complex, lams, theta: complex, ctx: ModelContext) -> float:
     head = f_t1 / (f_top := _guard(f_top, 1.0, "f(theta + (n+1)*gamma)"))
     for _ in lams:
         head *= next(w) / _guard(next(w), abs(f_g), "f(lam_j - lam_0)")
-    rhs = head * string_a(lams, l0)
+    terms = [(head, string_a(lams, l0))]
     for swapped, li in swaps:
         coeff = (next(w) / f_top) * (f_g / _guard(next(w), abs(f_g), "f(lam_i - lam_0)"))
         for _ in range(n - 1):
             coeff *= next(w) / _guard(next(w), abs(f_g), "f(lam_j - lam_i)")
-        rhs = rhs - coeff * string_a(swapped, li)
-    return residual(lhs, rhs)
+        terms.append((-coeff, string_a(swapped, li)))
+    lhs = [("A", l0, t1)] + [("B", *key) for key in slots(lams, theta - g)]
+    return relation_residual(word, ((), [(None, lhs)]), ((), terms), ctx.dim)
 
 
 def _tay_tdy(l0: complex, xb, yc, ctx: ModelContext, use_d: bool) -> float:
@@ -309,32 +304,23 @@ def _tay_tdy(l0: complex, xb, yc, ctx: ModelContext, use_d: bool) -> float:
     cstr = lambda pts: [("C", p, 0.0) for p in reversed(pts)]
     bstr = lambda pts: [("B", p, 0.0) for p in pts]
     sgn = (lambda z: -z) if use_d else (lambda z: z)
+    ratio = lambda z, what: a(z) / _guard(b(z), abs(c), what)
 
-    def ratio(z, what):
-        return a(z) / _guard(b(z), abs(c), what)
-
-    def swaps(pts, side):
-        """Per point of ``pts``: its coefficient, ``pts`` with lam_0 swapped in, the point."""
+    def terms(pts, side, letters):
+        """The terms of one side: the points ``pts`` at ``lam_0``, then each point
+        swapped for ``lam_0``; ``letters(points, lam)`` spells a term's word."""
+        yield np.prod([ratio(sgn(p - l0), f"b({side}_i - lam_0)") for p in pts]), letters(pts, l0)
         for i, pi in enumerate(pts):
             coeff = c / _guard(b(sgn(pi - l0)), abs(c), f"b({side}_i - lam_0)")
             for j, pj in enumerate(pts):
                 if j != i:
                     coeff *= ratio(sgn(pj - pi), f"b({side}_j - {side}_i)")
-            yield coeff, (l0,) + pts[:i] + pts[i + 1:], pi
+            yield -coeff, letters((l0,) + pts[:i] + pts[i + 1:], pi)
 
-    # the B string is applied once for the left side, and by linearity the
-    # C string once to the right side's summed inner terms
-    eye = np.eye(ctx.dim, dtype=complex)
-    bb = word(bstr(xb), eye)
-    lhs = np.prod([ratio(sgn(y - l0), "b(yc_i - lam_0)") for y in yc]) \
-        * word(diag(l0) + cstr(yc), bb)
-    for coeff, swapped, yi in swaps(yc, "yc"):
-        lhs = lhs - coeff * word(diag(yi) + cstr(swapped), bb)
-    inner = np.prod([ratio(sgn(x - l0), "b(xb_i - lam_0)") for x in xb]) \
-        * word(bstr(xb) + diag(l0), eye)
-    for coeff, swapped, xi in swaps(xb, "xb"):
-        inner = inner - coeff * word(bstr(swapped) + diag(xi), eye)
-    return residual(lhs, word(cstr(yc), inner))
+    # each left term ends in the B string; by linearity the C string acts once, on the right sum
+    lhs = list(terms(yc, "yc", lambda pts, lam: diag(lam) + cstr(pts) + bstr(xb)))
+    rhs = list(terms(xb, "xb", lambda pts, lam: bstr(pts) + diag(lam)))
+    return relation_residual(word, ((), lhs), (cstr(yc), rhs), ctx.dim)
 
 
 def verify_tay(l0: complex, xb, yc, ctx: ModelContext) -> float:

@@ -18,7 +18,8 @@ Every vertex factor comes from :func:`site_factors`, and no vertex table
 outlives the evaluation that built it: an operator or equation lists the
 factors it applies, monodromy chains as :func:`_monodromy` specs, and one
 :func:`site_factors` call forms them all up front, from one batch of
-distinct weights.
+distinct weights.  The operator relations, here and in :mod:`yblab.feq`,
+meet their identity columns in :func:`relation_residual` alone.
 """
 
 from __future__ import annotations
@@ -253,6 +254,21 @@ def apply_factors(x: np.ndarray, factors: Sequence[Factor]) -> np.ndarray:
     return x
 
 
+def relation_residual(apply: Callable[[Sequence, np.ndarray], np.ndarray],
+                      lhs: tuple, rhs: tuple, dim: int) -> float:
+    """:func:`residual` of an operator relation on the ``dim`` identity columns, built only here.
+
+    A side ``(outer, terms)`` is ``apply(outer, .)`` of the in-order sum of its
+    terms ``(coeff, ops)``, each ``coeff * apply(ops, cols)``, or bare where ``coeff``
+    is None; a subtracted term has the coefficient ``-(coeff)``.  ``apply`` is a
+    :func:`block_words` word, or :func:`apply_factors` with its arguments swapped.
+    """
+    cols = np.eye(dim, dtype=complex)
+    return residual(*(apply(outer, functools.reduce(np.add, (
+        apply(ops, cols) if coeff is None else coeff * apply(ops, cols) for coeff, ops in terms)))
+        for outer, terms in (lhs, rhs)))
+
+
 def verify_dybe(l1: complex, l2: complex, l3: complex, theta: complex,
                 ctx: ModelContext) -> float:
     """Residual of the dynamical Yang-Baxter equation on three sites.
@@ -266,8 +282,8 @@ def verify_dybe(l1: complex, l2: complex, l3: complex, theta: complex,
                             (l2 - l3, theta, (1, 2), (0,)), (l2 - l3, theta, (1, 2), ()),
                             (l1 - l3, theta, (0, 2), (1,)), (l1 - l2, theta, (0, 1), ())],
                            ctx, 3)
-    eye = np.eye(8, dtype=complex)
-    return residual(apply_factors(eye, factors[:3]), apply_factors(eye, factors[3:]))
+    return relation_residual(lambda ops, x: apply_factors(x, ops),
+                             ((), [(None, factors[:3])]), ((), [(None, factors[3:])]), 8)
 
 
 def _monodromy(lam: complex, theta: complex, ctx: ModelContext, aux: int = 0,
@@ -371,8 +387,6 @@ def verify_rll(l1: complex, l2: complex, theta: complex,
     *factors, r_shifted, r_plain = site_factors(
         mono(0, l1, ()) + mono(1, l2, (0,)) + mono(1, l2, ()) + mono(0, l1, (1,))
         + [(l1 - l2, theta, (0, 1), chain), (l1 - l2, theta, (0, 1), ())], ctx, ctx.L + 2)
-    n = 2 * ctx.L
-    eye = np.eye(1 << (ctx.L + 2), dtype=complex)
-    lhs = apply_factors(eye, [r_shifted] + factors[:n])
-    rhs = apply_factors(eye, factors[n:] + [r_plain])
-    return residual(lhs, rhs)
+    return relation_residual(lambda ops, x: apply_factors(x, ops),
+                             ((), [(None, [r_shifted] + factors[:2 * ctx.L])]),
+                             ((), [(None, factors[2 * ctx.L:] + [r_plain])]), 1 << (ctx.L + 2))

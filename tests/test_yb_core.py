@@ -5,8 +5,9 @@ from yblab.errors import DynamicalPole, NonFinite
 from yblab.sampling import random_context, sample_spectral, sample_theta
 from yblab.special_fn import Regime
 from yblab.lattice_qty import dwbc_partition, hw_action_residuals
-from yblab.yb_core import (ABS_FLOOR, ModelContext, block_words, r_matrix, rel_diff, residual,
-                           term_residual, verify_dybe, verify_rll)
+from yblab import feq, yb_core
+from yblab.yb_core import (ABS_FLOOR, ModelContext, block_words, r_matrix, rel_diff,
+                           relation_residual, residual, term_residual, verify_dybe, verify_rll)
 
 from oracles import f_literal, r_matrix_literal
 
@@ -59,6 +60,65 @@ def test_term_residual_is_the_literal_term_formula(rng):
     assert term_residual((0.5, -0.5), (1 + 0j, 1 + 0j)) == 0.0
     with pytest.raises(ValueError):
         term_residual((1.0, 2.0), (1j,))
+
+
+def _matrices(ops, x):
+    """A word of dense matrices: the last one in ``ops`` acts first."""
+    for m in reversed(ops):
+        x = m @ x
+    return x
+
+
+def test_relation_residual_is_the_literal_relation(rng):
+    m, n, p = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(3))
+    c = complex(*rng.standard_normal(2))
+    eye = np.eye(4, dtype=complex)
+    # a bare term is not multiplied, and the outer ops act once on the summed terms
+    assert repr(relation_residual(_matrices, ((), [(None, [p, m]), (c, [p, n])]),
+                                  ([p], [(None, [m]), (c, [n])]), 4)) \
+        == repr(residual(p @ (m @ eye) + c * (p @ (n @ eye)), p @ (m @ eye + c * (n @ eye))))
+    # sides that differ by the factor 3/2: the residual is (3/2 - 1) / (3/2)
+    assert relation_residual(_matrices, ((), [(None, [m, n])]),
+                             ((), [(2.0, [m, n]), (-0.5, [m, n])]), 4) \
+        == pytest.approx(1 / 3, rel=1e-15)
+    assert relation_residual(_matrices, ((), [(None, [m])]), ((), [(c, [m]), (-c, [m])]), 4) \
+        == 1.0
+
+
+@pytest.mark.parametrize("elliptic", [True, False])
+def test_a_word_of_joined_letters_is_the_nested_word(elliptic, rng):
+    # the tay and tdy relations append the creation string to each left term
+    ctx = random_context(3, rng, elliptic=elliptic)
+    lams = sample_spectral(ctx, rng, 4)
+    theta = sample_theta(ctx, rng, range(-3, 4))
+    word = block_words([(lam, theta + k * ctx.gamma) for lam in lams for k in range(3)], ctx)
+    outer = [("D", lams[0], theta), ("C", lams[1], theta + ctx.gamma), ("C", lams[2], theta)]
+    inner = [("B", lams[3], theta + 2 * ctx.gamma), ("A", lams[1], theta), ("B", lams[2], theta)]
+    for cols in (np.eye(ctx.dim), rng.standard_normal((ctx.dim, 5))):
+        assert np.array_equal(word(outer, word(inner, cols)), word(outer + inner, cols),
+                              equal_nan=True)
+
+
+def test_every_operator_relation_ends_in_relation_residual(monkeypatch, rng):
+    # the one place where the relations meet their columns, so a probe or a
+    # mutation set there reaches every operator check
+    calls = []
+    def counted(apply, lhs, rhs, dim):
+        calls.append(dim)
+        return relation_residual(apply, lhs, rhs, dim)
+    monkeypatch.setattr(yb_core, "relation_residual", counted)
+    monkeypatch.setattr(feq, "relation_residual", counted)
+    ell, trig = random_context(2, rng), random_context(2, rng, elliptic=False)
+    l0, l1, l2, l3, l4 = sample_spectral(ell, rng, 5)
+    theta = sample_theta(ell, rng, range(-2, 3))
+    verify_dybe(l1, l2, l3, theta, ell)
+    verify_rll(l1, l2, theta, ell)
+    feq.verify_bb(l1, l2, theta, ell)
+    feq.verify_abn(l0, (l1, l2), theta, ell)
+    feq.verify_ab(l1, l2, trig)
+    feq.verify_tay(l0, (l1, l2), (l3, l4), trig)
+    feq.verify_tdy(l0, (l1, l2), (l3, l4), trig)
+    assert calls == [8, 16, 4, 4, 4, 4, 4, 4]
 
 
 def test_context_validation():
