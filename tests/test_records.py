@@ -121,7 +121,9 @@ def test_stream_matches_corpus(name):
 
 
 def regenerate() -> None:
-    """Rewrite every corpus file; print, per check, the records moved and the largest move."""
+    """Rewrite every corpus file; print, per check, the records moved, the largest
+    move (inf where a record was added or dropped, or lost or gained its residual)
+    and the verdicts changed."""
     for name, argv in COMMANDS.items():
         path = RECORDS / f"{name}.jsonl"
         old = read(name)[1] if path.exists() else None
@@ -131,14 +133,16 @@ def regenerate() -> None:
         print(f"{name}: exit code {code}, {len(new)} records{'' if old else ', new file'}")
         if old is None:
             continue
-        moved: dict[str, list[float]] = {}
+        moved: dict[str, list[tuple[dict, dict]]] = {}
         for a, b in itertools.zip_longest(old, new, fillvalue={}):
             if a != b:
-                moved.setdefault(b.get("check") or b.get("record") or a.get("check"), []).append(
-                    move(a, b) if a and b and a.get("pass") == b.get("pass") else math.inf)
-        for check, moves in moved.items():
-            print(f"  {check}: {len(moves)} records moved, largest move {max(moves):.3g} "
-                  f"(inf: a verdict changed or a record was added or dropped)")
+                name_of = b or a
+                moved.setdefault(name_of.get("check") or name_of.get("record"), []).append((a, b))
+        for check, pairs in moved.items():
+            largest = max(move(a, b) if a and b else math.inf for a, b in pairs)
+            flips = sum(a.get("pass") != b.get("pass") for a, b in pairs)
+            print(f"  {check}: {len(pairs)} records moved, largest move {largest:.3g}, "
+                  f"{flips} verdicts changed")
 
 
 if __name__ == "__main__":
