@@ -36,7 +36,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from . import feq, pde, sampling
-from .errors import CoincidentPoints, ConfigError, NomeTooLarge, NonFinite, YbLabError
+from .errors import CoincidentPoints, ConfigError, NomeTooLarge, NonFinite, YbLabError, ZeroNome
 from .special_fn import Regime
 from .yb_core import ABS_FLOOR, MAX_L, ModelContext, rel_diff, verify_dybe, verify_rll
 from .lattice_qty import (dwbc_partition, dwbc_partitions, hw_action_residuals, scalar_product_bf,
@@ -105,7 +105,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             else sampling.DEFAULT_NOME
         try:
             regime = Regime.elliptic(nome)
-        except NomeTooLarge as exc:
+        except (NomeTooLarge, ZeroNome) as exc:
             raise ConfigError(f"--nome: {exc}")
 
     seed = args.seed
@@ -316,12 +316,12 @@ REGISTRY: dict[str, CheckDef] = {
     "sn-contour-vs-bf": CheckDef(1e-6, True, None, _draw_sncmp, _compare("sn", "xb", "yc")),
     "fzt": CheckDef(1e-9, True, None, _draw_fzt, lambda ctx, p, s: pde.fzt_residual(
         p["l0"], p["lams"], ctx, dwbc_partitions)),
-    # the grid interpolation refuses L > 4; at L = 1 the leading operator
-    # is identically 0, so comparing it with the pencil measures only noise
+    # the grid interpolation refuses L > pde.PENCIL_MAX_L; at L = 1 the leading
+    # operator is identically 0, so comparing it with the pencil measures only noise
     "pde-omega": CheckDef(1e-7, True, _prep_zbar, _draw_pde_point, _eval_pde_omega,
-                          range(1, 5)),
+                          range(1, pde.PENCIL_MAX_L + 1)),
     "pde-leading": CheckDef(1e-7, True, _prep_zbar_and_control, _draw_pde_point,
-                            _eval_pde_leading, range(2, 5)),
+                            _eval_pde_leading, range(2, pde.PENCIL_MAX_L + 1)),
     "dia-realization": CheckDef(1e-11, False, None, _draw_dia, _eval_dia),
 }
 REGISTRY_INDEX = {name: k for k, name in enumerate(REGISTRY)}

@@ -14,6 +14,10 @@ class NomeTooLarge(YbLabError):
     """Elliptic nome too close to the unit circle for safe series evaluation."""
 
 
+class ZeroNome(YbLabError):
+    """Elliptic nome of zero: the theta series, and so every weight, vanishes identically."""
+
+
 class NonConvergent(YbLabError):
     """Theta series hit its term cap before meeting the truncation tolerance."""
 

@@ -35,6 +35,11 @@ from .lattice_qty import Evaluator, as_values
 from .special_fn import six_vertex
 from .yb_core import ABS_FLOOR, ModelContext, block_words, term_residual
 
+#: Largest chain length at which the pencil checks are validated: the grid
+#: interpolation of :func:`interpolate_zbar` refuses longer chains, and
+#: ``cli.REGISTRY`` reads it for the domains of ``pde-omega`` and ``pde-leading``.
+PENCIL_MAX_L = 4
+
 #: Deterministic spectral-parameter candidates for pencil-extraction nodes.
 _NODE_CANDIDATES = tuple(
     complex(re, im) for re, im in [
@@ -280,9 +285,9 @@ def interpolate_zbar(ctx: ModelContext) -> MultiPoly:
     if ctx.is_elliptic:
         raise RegimeMismatch("the partition polynomial is defined in the trigonometric regime")
     L = ctx.L
-    if L > 4:
-        raise ValueError(f"the pencil checks are validated at L <= 4 (at L = 6 the interpolated "
-                         f"polynomial misses Z by about 1e-1); L = {L} refused")
+    if L > PENCIL_MAX_L:
+        raise ValueError(f"the pencil checks are validated at L <= {PENCIL_MAX_L} (at L = 6 "
+                         f"the interpolated polynomial misses Z by about 1e-1); L = {L} refused")
     nodes = 1j * np.pi * np.arange(L) / L
 
     word = block_words([(lam, 0.0) for lam in nodes], ctx)

@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NomeTooLarge, NonConvergent
+from .errors import NomeTooLarge, NonConvergent, ZeroNome
 
 #: Largest admissible |nome|.  Beyond this the q-series converges too
 #: slowly for the fixed term cap and term tolerance.
@@ -66,6 +66,9 @@ class EllipticParams:
     nome: complex
 
     def __post_init__(self) -> None:
+        if self.nome == 0:
+            raise ZeroNome("the nome must be nonzero: at nome 0 the factor p^(1/4) is 0, "
+                           "so f vanishes everywhere")
         if abs(self.nome) >= MAX_NOME:
             raise NomeTooLarge(
                 f"|nome| = {abs(self.nome):.6g} >= {MAX_NOME}; refusing to evaluate"

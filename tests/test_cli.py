@@ -4,7 +4,6 @@ import io
 import json
 import os
 import pathlib
-import re
 import subprocess
 import sys
 import tracemalloc
@@ -18,6 +17,7 @@ from yblab.errors import DynamicalPole, InterpolationIllConditioned
 
 from oracles import (f_literal, fzt_coefficients_literal, omega_actions_literal,
                      omega_leading_apply_literal, theta1_literal)
+from test_records import parse_line, run_digests
 
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -29,15 +29,10 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
-def _reject_constant(name):
-    raise ValueError(f"{name} is not valid JSON")
-
-
 def parse_records(out):
-    lines = [ln for ln in out.splitlines() if ln.strip()]
     # every line must parse on its own, strictly (no NaN or Infinity): the
     # stream is valid JSON even truncated
-    return [json.loads(ln, parse_constant=_reject_constant) for ln in lines]
+    return [parse_line(ln) for ln in out.splitlines() if ln.strip()]
 
 
 def test_run_happy_path(capsys):
@@ -81,10 +76,6 @@ def numpy_generator(seed, key):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, key])))
 
 
-def without_wall_time(out):
-    return re.sub(r', "wall_time_ms": [^,}]*', "", out)
-
-
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("L", [2, 3, 4])
 @pytest.mark.parametrize("flags", [
@@ -92,14 +83,13 @@ def without_wall_time(out):
     ["run", "--trig", "--checks", ",".join(cli.REGISTRY)],
     ["compute", "z", "--method", "both"],
     ["compute", "sn", "--trig", "--method", "both"]])
-def test_report_streams_are_numpy_generator_streams(monkeypatch, capsys, flags, L, seed):
+def test_report_streams_are_numpy_generator_streams(monkeypatch, flags, L, seed):
     # the reports do not change when numpy's Generator replaces the stream
     args = flags + ["--L", str(L), "--seed", str(seed)]
-    code, out, err = run_cli(args, capsys)
+    shipped = run_digests(args)
     monkeypatch.setattr(cli, "Stream", numpy_generator)
-    code_np, out_np, err_np = run_cli(args, capsys)
-    assert (code, without_wall_time(out), err) == (code_np, without_wall_time(out_np), err_np)
-    assert out.count("\n") >= 1
+    assert run_digests(args) == shipped
+    assert shipped[2]
 
 
 def test_benchmark_commands_do_not_import_numpy_random():
@@ -501,6 +491,16 @@ def test_run_nome_at_cap_is_config_error(capsys):
     assert "configuration error: --nome: |nome| = 0.95 >= 0.9" in err
 
 
+@pytest.mark.parametrize("args", [
+    ["run", "--nome", "0", "--checks", "dybe", "--samples", "1"],
+    ["compute", "z", "--L", "2", "--nome", "0,0"]], ids=["run", "compute"])
+def test_zero_nome_is_config_error(capsys, args):
+    # at nome 0 the factor p^(1/4) is 0, so f vanishes everywhere, not only at gamma
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert "configuration error: --nome: the nome must be nonzero" in err
+
+
 @pytest.mark.parametrize("args, flag", [
     (["run", "--trig", "--nome", "0.2,0", "--checks", "dybe", "--samples", "1"], "--nome"),
     (["run", "--trig", "--nome", "0.95,0", "--checks", "dybe", "--samples", "1"], "--nome"),
@@ -654,23 +654,19 @@ ELLIPTIC_CHECKS = "dybe,rll,hw-actions,identities,fx,z-contour-vs-bf,dia-realiza
     (["run", "--L", "2", "--nome", "0.85,0.1", "--seed", "2"], 1, 141),
     (["run", "--L", "2", "--nome", "0.85,0.1", "--seed", "3"], 1, 141)],
     ids=[f"args{i}" for i in range(5)])
-def test_batched_theta_series_keeps_report_streams(monkeypatch, capsys, args, code, records):
+def test_batched_theta_series_keeps_report_streams(monkeypatch, args, code, records):
     # every weight comes from the batched theta series; summed point by
     # point by the literal series instead, every record must keep its bits
     # (wall time aside).  At nome 0.85 most points need more than the
     # batch's first chunk of terms and are summed again within it
-    def stream():
-        code, out, err = run_cli(args, capsys)
-        return code, re.sub(r', "wall_time_ms": [^,}]*', "", out), err
-
-    shipped = stream()
+    shipped = run_digests(args)
     monkeypatch.setattr(special_fn, "theta1_batch", lambda z, params: np.array(
         [theta1_literal(complex(v), params) for v in z], dtype=complex))
-    assert stream() == shipped
-    assert shipped[0] == code and len(parse_records(shipped[1])) == records
+    assert run_digests(args) == shipped
+    assert shipped[0] == code and len(shipped[2]) == records
 
 
-def test_repeated_run_keeps_stream_and_weight_traffic(monkeypatch, capsys):
+def test_repeated_run_keeps_stream_and_weight_traffic(monkeypatch):
     # no state outlives a run: the same run twice in one process, with
     # nothing reset between them, writes the same stream (wall time
     # aside) from the same weight batches
@@ -679,35 +675,25 @@ def test_repeated_run_keeps_stream_and_weight_traffic(monkeypatch, capsys):
     monkeypatch.setattr(yb_core, "f_weights",
                         lambda points, regime: batches.append(len(points))
                         or f_weights(points, regime))
-
-    def stream():
-        batches.clear()
-        code, out, err = run_cli(args, capsys)
-        return code, re.sub(r', "wall_time_ms": [^,}]*', "", out), err, list(batches)
-
-    first = stream()
-    assert stream() == first
-    assert first[0] == 0 and first[3] and len(parse_records(first[1])) == 22
+    first = run_digests(args), list(batches)
+    batches.clear()
+    assert (run_digests(args), batches) == first
+    assert first[0][0] == 0 and first[1] and len(first[0][2]) == 22
 
 
 @pytest.mark.parametrize("L", ["2", "3", "4"])
-def test_pencil_keeps_report_streams(monkeypatch, capsys, L):
+def test_pencil_keeps_report_streams(monkeypatch, L):
     # the pencil takes one derivative table per call and hoists the
     # node-free swap factors; with the per-evaluation bodies of the
     # oracles instead, every record must keep its bits (wall time aside)
     args = ["run", "--trig", "--L", L, "--checks", "pde-omega,pde-leading,fzt",
             "--samples", "5", "--seed", "1"]
-
-    def stream():
-        code, out, err = run_cli(args, capsys)
-        return code, re.sub(r', "wall_time_ms": [^,}]*', "", out), err
-
-    shipped = stream()
+    shipped = run_digests(args)
     monkeypatch.setattr(pde, "omega_actions", omega_actions_literal)
     monkeypatch.setattr(pde, "omega_leading_apply", omega_leading_apply_literal)
     monkeypatch.setattr(pde, "fzt_coefficients", fzt_coefficients_literal)
-    assert stream() == shipped
-    assert shipped[0] == 0 and len(parse_records(shipped[1])) == 1 + 3 * 5
+    assert run_digests(args) == shipped
+    assert shipped[0] == 0 and len(shipped[2]) == 1 + 3 * 5
 
 
 @pytest.mark.parametrize("args, records", [
@@ -720,15 +706,11 @@ def test_pencil_keeps_report_streams(monkeypatch, capsys, L):
                  id="compute-z-8"),
     pytest.param(["run", "--trig", "--L", "3", "--samples", "4", "--seed", "1"], 49,
                  id="trig-3-all")])
-def test_operator_checks_keep_report_streams(monkeypatch, capsys, args, records):
+def test_operator_checks_keep_report_streams(monkeypatch, args, records):
     # every operator and equation builds its vertex factors in one
     # site_factors call, from one deduplicated weight batch; with one call
     # per spec instead, every record must keep its bits (wall time aside)
-    def stream():
-        code, out, err = run_cli(args, capsys)
-        return code, re.sub(r', "wall_time_ms": [^,}]*', "", out), err
-
-    shipped = stream()
+    shipped = run_digests(args)
     calls, site_factors = [], yb_core.site_factors
 
     def one_per_spec(specs, ctx, n_sites):
@@ -737,5 +719,5 @@ def test_operator_checks_keep_report_streams(monkeypatch, capsys, args, records)
 
     for module in (yb_core, lattice_qty):
         monkeypatch.setattr(module, "site_factors", one_per_spec)
-    assert stream() == shipped
-    assert calls and shipped[0] == 0 and len(parse_records(shipped[1])) == records
+    assert run_digests(args) == shipped
+    assert calls and shipped[0] == 0 and len(shipped[2]) == records

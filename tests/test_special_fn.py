@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from yblab import feq, lattice_qty, residue_int, sampling, special_fn, yb_core
-from yblab.errors import NomeTooLarge, NonConvergent
+from yblab.errors import NomeTooLarge, NonConvergent, ZeroNome
 from yblab.sampling import random_context, sample_spectral, sample_theta
 from yblab.special_fn import (EllipticParams, Regime, _theta1_coefficient_arrays, f_weights,
                               six_vertex, theta1_batch)
@@ -62,6 +62,11 @@ def test_theta1_rejects_large_nome():
         EllipticParams(0.95)
 
 
+def test_theta1_rejects_zero_nome():
+    with pytest.raises(ZeroNome, match="nome must be nonzero"):
+        EllipticParams(0j)
+
+
 def test_theta1_nonconvergent_when_capped(monkeypatch):
     # a two-term cap cannot reach 1e-18 at this nome
     monkeypatch.setattr(special_fn, "SERIES_CAP", 2)
@@ -69,7 +74,8 @@ def test_theta1_nonconvergent_when_capped(monkeypatch):
         _one_point(0.7 + 0.2j, EllipticParams(0.5))
 
 
-@pytest.mark.parametrize("nome", [0, 0.2, -0.5, 0.3j, 0.6 + 0.6j, 0.89])
+# at nome 1e-300 every term past the first underflows to 0 (a zero nome is refused)
+@pytest.mark.parametrize("nome", [1e-300, 0.2, -0.5, 0.3j, 0.6 + 0.6j, 0.89])
 def test_theta1_bit_identical_to_literal_series(nome, rng):
     # a batch of one point, the ModelContext.f route, has the literal bits
     params = EllipticParams(nome)
@@ -79,7 +85,7 @@ def test_theta1_bit_identical_to_literal_series(nome, rng):
         assert fast == literal and repr(fast) == repr(literal)
 
 
-@pytest.mark.parametrize("nome", [0, 0.2, -0.5, 0.3j, 0.6 + 0.6j, 0.89])
+@pytest.mark.parametrize("nome", [1e-300, 0.2, -0.5, 0.3j, 0.6 + 0.6j, 0.89])
 def test_theta1_batch_bit_identical_to_literal_series(nome, rng, monkeypatch):
     params = EllipticParams(nome)
     zs = [complex(rng.uniform(-3, 3), rng.uniform(-2, 2)) for _ in range(200)]
