@@ -1,16 +1,15 @@
 """Brute-force lattice quantities.
 
 Everything here is computed by literal contraction of monodromy blocks
-on the chain space: the partition function and scalar products apply
-block words of :func:`~yblab.yb_core.block_words` to the all-up state,
-and the extremal-state checks apply the whole monodromy to the identity
-and read its four blocks.  The bulk routes :func:`dwbc_partitions` and
-:func:`scalar_products_bf` take the terms of a functional equation, one
-quantity at many point sets, as the columns of one word on the all-up
-state, each column with its own keys; :func:`dwbc_partition` and
-:func:`scalar_product_bf` are their one-set views.  These are the
-reference oracles against which the closed-form residue evaluators are
-checked.
+on the chain space, in block words of :func:`~yblab.yb_core.block_words`:
+the partition function and scalar products apply them to the all-up
+state, the extremal-state checks the whole monodromy ``T`` to the
+identity, whose four quarters are the blocks.  The bulk routes
+:func:`dwbc_partitions` and :func:`scalar_products_bf` take the terms of a
+functional equation, one quantity at many point sets, as the columns of
+one word on the all-up state, each column with its own keys;
+:func:`dwbc_partition` and :func:`scalar_product_bf` are their one-set views.
+These are the reference oracles for the closed-form residue evaluators.
 """
 
 from __future__ import annotations
@@ -21,8 +20,7 @@ import numpy as np
 
 from .errors import NonFinite, RegimeMismatch, SizeMismatch
 from .special_fn import f_weights
-from .yb_core import (ABS_FLOOR, ModelContext, _monodromy, apply_factors, block_words, residual,
-                      site_factors)
+from .yb_core import ABS_FLOOR, ModelContext, block_words, residual
 
 #: A bulk partition-function route ``evaluate(sets, ctx)``: the value at each
 #: ``(points, theta)`` of ``sets`` in model ``ctx``, in order, as :func:`dwbc_partitions`.
@@ -138,9 +136,8 @@ def hw_action_residuals(lam: complex, theta: complex,
     g = ctx.gamma
     L = ctx.L
     d = ctx.dim
-    # the whole monodromy, applied once; the blocks are its quarters
-    full = apply_factors(np.eye(2 * d, dtype=complex),
-                         site_factors(_monodromy(lam, theta, ctx), ctx, L + 1))
+    # the whole monodromy, one T word on the 2^(L+1) identity; the blocks are its quarters
+    full = block_words([(lam, theta)], ctx)([("T", lam, theta)], np.eye(2 * d, dtype=complex))
     if not np.isfinite(full).all():
         # an annihilation ratio against a non-finite block could read 0
         raise NonFinite("chain operator has non-finite entries")

@@ -14,12 +14,12 @@ Conventions, fixed once and used everywhere:
   the spin operators involved are diagonal, so the vertex matrix is
   evaluated per input basis state on each weight sector.
 
-Every vertex factor comes from :func:`site_factors`, and no vertex table
-outlives the evaluation that built it: an operator or equation lists the
-factors it applies, monodromy chains as :func:`_monodromy` specs, and one
-:func:`site_factors` call forms them all up front, from one batch of
-distinct weights.  The operator relations, here and in :mod:`yblab.feq`,
-meet their identity columns in :func:`relation_residual` alone.
+Only this module builds and applies vertex factors, and no vertex table outlives
+the evaluation that built it: an operator or equation lists the factors it
+applies, monodromy chains as :func:`_monodromy` specs, and one :func:`site_factors`
+call forms them all up front, from one batch of distinct weights.  Every application
+is ``apply(ops, cols)``, by :func:`apply_factors` or a :func:`block_words` word, and
+the operator relations meet their identity columns in :func:`relation_residual` alone.
 """
 
 from __future__ import annotations
@@ -229,8 +229,8 @@ def site_factors(specs: Sequence[Spec], ctx: ModelContext, n_sites: int) -> list
     return factors
 
 
-def apply_factors(x: np.ndarray, factors: Sequence[Factor]) -> np.ndarray:
-    """Apply the ordered product of ``factors`` to the columns of ``x``.
+def apply_factors(factors: Sequence[Factor], x: np.ndarray) -> np.ndarray:
+    """Apply the ordered product of ``factors`` to the columns of ``x``; a word's argument order.
 
     ``factors`` is listed left to right as in the operator product, so
     the last one acts first.  Each factor has at most two nonzeros per
@@ -261,7 +261,7 @@ def relation_residual(apply: Callable[[Sequence, np.ndarray], np.ndarray],
     A side ``(outer, terms)`` is ``apply(outer, .)`` of the in-order sum of its
     terms ``(coeff, ops)``, each ``coeff * apply(ops, cols)``, or bare where ``coeff``
     is None; a subtracted term has the coefficient ``-(coeff)``.  ``apply`` is a
-    :func:`block_words` word, or :func:`apply_factors` with its arguments swapped.
+    :func:`block_words` word or :func:`apply_factors`: one contract, ``apply(ops, cols)``.
     """
     cols = np.eye(dim, dtype=complex)
     return residual(*(apply(outer, functools.reduce(np.add, (
@@ -282,8 +282,8 @@ def verify_dybe(l1: complex, l2: complex, l3: complex, theta: complex,
                             (l2 - l3, theta, (1, 2), (0,)), (l2 - l3, theta, (1, 2), ()),
                             (l1 - l3, theta, (0, 2), (1,)), (l1 - l2, theta, (0, 1), ())],
                            ctx, 3)
-    return relation_residual(lambda ops, x: apply_factors(x, ops),
-                             ((), [(None, factors[:3])]), ((), [(None, factors[3:])]), 8)
+    return relation_residual(apply_factors, ((), [(None, factors[:3])]),
+                             ((), [(None, factors[3:])]), 8)
 
 
 def _monodromy(lam: complex, theta: complex, ctx: ModelContext, aux: int = 0,
@@ -322,24 +322,24 @@ def block_words(keys: Iterable[tuple[complex, complex]], ctx: ModelContext) -> W
     applied.  In the trigonometric regime shifts are inert, so a key is
     ``(lam, 0)`` at any ``theta``; a letter whose key was not listed is
     a ``KeyError``.  ``word(letters, cols)`` applies the letters
-    ``(block, lam, theta)`` to the chain vectors ``cols`` (one vector,
-    or vectors as columns), listed left to right as in the operator
-    product, so the last letter acts first.  A letter places its input
-    in the auxiliary half of its block's column, applies the site
-    factors and keeps the half of its row: O(L 2^L) per column, and
-    columns never mix, so a one-letter word on the identity is the
-    dense block.  As in :func:`apply_factors`, overflow is left to the
-    caller, which reports a non-finite result as an error.
+    ``(block, lam, theta)`` to ``cols`` (one vector, or vectors as
+    columns), listed left to right as in the operator product, so the
+    last letter acts first.  A letter places its chain input in the
+    auxiliary half of its block's column, applies the site factors and
+    keeps the half of its row; ``T`` applies them whole, to ``2^(L+1)``
+    rows, so A to D are its padded quarters.  That is O(L 2^L) per column,
+    and columns never mix: a one-letter word on the identity is the dense
+    block.  As in :func:`apply_factors`, overflow is left to the caller.
 
     A letter reads one key, or one key per column: then ``lam`` and
     ``theta`` are sequences, entry ``k`` the key of column ``k`` of a
-    ``(2^L, K)`` array ``cols``.  Every chain puts the same layout at
-    each chain position, so the tables of all the keys are stacked once,
-    into one read-only ``(keys, 2, m)`` array per chain position next to
-    its layout.  A shared letter applies its key's row, and a per-column
-    letter gathers its keys' rows as a ``(2, m, K)`` table, so the terms
-    of an equation, one word with one block pattern, run as the columns
-    of one word.
+    ``(2^L, K)`` array ``cols`` (``2^(L+1)`` rows for ``T``).  Every
+    chain puts the same layout at each chain position, so the tables of
+    all the keys are stacked once, into one read-only ``(keys, 2, m)``
+    array per chain position next to its layout.  A shared letter
+    applies its key's row, and a per-column letter gathers its keys'
+    rows as a ``(2, m, K)`` table, so the terms of an equation, one word
+    with one block pattern, run as the columns of one word.
     """
     def key(lam: complex, theta: complex) -> tuple[complex, complex]:
         return complex(lam), complex(theta) if ctx.is_elliptic else 0j
@@ -362,10 +362,13 @@ def block_words(keys: Iterable[tuple[complex, complex]], ctx: ModelContext) -> W
             else:
                 at = rows[key(lam, theta)]
                 chain = [(stack[at], partner, column) for stack, partner, column in positions]
+            if block == "T":
+                x = apply_factors(chain, x)
+                continue
             row, col = divmod("ABCD".index(block), 2)
             padded = np.zeros((2 * d,) + x.shape[1:], dtype=complex)
             padded[col * d:(col + 1) * d] = x
-            x = apply_factors(padded, chain)[row * d:(row + 1) * d]
+            x = apply_factors(chain, padded)[row * d:(row + 1) * d]
         return x
 
     return word
@@ -387,6 +390,5 @@ def verify_rll(l1: complex, l2: complex, theta: complex,
     *factors, r_shifted, r_plain = site_factors(
         mono(0, l1, ()) + mono(1, l2, (0,)) + mono(1, l2, ()) + mono(0, l1, (1,))
         + [(l1 - l2, theta, (0, 1), chain), (l1 - l2, theta, (0, 1), ())], ctx, ctx.L + 2)
-    return relation_residual(lambda ops, x: apply_factors(x, ops),
-                             ((), [(None, [r_shifted] + factors[:2 * ctx.L])]),
+    return relation_residual(apply_factors, ((), [(None, [r_shifted] + factors[:2 * ctx.L])]),
                              ((), [(None, factors[2 * ctx.L:] + [r_plain])]), 1 << (ctx.L + 2))

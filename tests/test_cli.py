@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import yblab.cli as cli
-from yblab import lattice_qty, pde, special_fn, yb_core
+from yblab import pde, special_fn, yb_core
 from yblab.errors import DynamicalPole, InterpolationIllConditioned
 
 from oracles import (f_literal, fzt_coefficients_literal, omega_actions_literal,
@@ -717,7 +717,6 @@ def test_operator_checks_keep_report_streams(monkeypatch, args, records):
         calls.append(len(specs))
         return [factor for spec in specs for factor in site_factors([spec], ctx, n_sites)]
 
-    for module in (yb_core, lattice_qty):
-        monkeypatch.setattr(module, "site_factors", one_per_spec)
+    monkeypatch.setattr(yb_core, "site_factors", one_per_spec)
     assert run_digests(args) == shipped
     assert calls and shipped[0] == 0 and len(shipped[2]) == records

@@ -1,11 +1,14 @@
 """The matrix-free monodromy kernel against literal and dense routes."""
 
+import importlib
 import itertools
+import pkgutil
 import time
 
 import numpy as np
 import pytest
 
+import yblab
 from yblab import special_fn, yb_core
 from yblab.errors import DynamicalPole
 from yblab.feq import fx_residual
@@ -52,7 +55,7 @@ def test_site_factor_matches_literal_embedding(elliptic, rng):
         for n_shift in range(len(rest) + 1):
             shift = tuple(rest[:n_shift])
             lam = complex(*rng.uniform(-0.5, 0.5, 2))
-            kernel = apply_factors(eye, site_factors([(lam, theta, pair, shift)], ctx, n_sites))
+            kernel = apply_factors(site_factors([(lam, theta, pair, shift)], ctx, n_sites), eye)
             literal = literal_embedding(lam, theta, ctx, pair, shift, n_sites)
             assert np.array_equal(kernel, literal)
     # each spec carries its own theta: two thetas in one call
@@ -60,7 +63,7 @@ def test_site_factor_matches_literal_embedding(elliptic, rng):
              (complex(*rng.uniform(-0.5, 0.5, 2)), theta + 0.3 - 0.1j, (3, 1), (2,))]
     for factor, (lam, theta_k, pair, shift) in zip(site_factors(specs, ctx, n_sites), specs):
         literal = literal_embedding(lam, theta_k, ctx, pair, shift, n_sites)
-        assert np.array_equal(apply_factors(eye, [factor]), literal)
+        assert np.array_equal(apply_factors([factor], eye), literal)
 
 
 @pytest.mark.parametrize("L", [1, 2, 3, 4])
@@ -77,10 +80,28 @@ def test_monodromy_matches_literal_product(L, elliptic, rng):
     assert residual(monodromy_literal(lam, theta, ctx), total) <= 1e-14
     d = ctx.dim
     word = block_words([(lam, theta)], ctx)
+    # the letter T is the chain's factors applied whole, bit for bit, and
+    # each block letter its padded quarter
+    eye = np.eye(2 * d, dtype=complex)
+    full = word([("T", lam, theta)], eye)
+    chain = site_factors(yb_core._monodromy(lam, theta, ctx), ctx, L + 1)
+    assert full.tobytes() == apply_factors(chain, eye).tobytes()
+    assert residual(full, total) <= 1e-14
     for name, (r, c) in zip("ABCD", ((0, 0), (0, d), (d, 0), (d, d))):
         block = word([(name, lam, theta)], np.eye(d))
         assert block.shape == (d, d) and block.flags.c_contiguous
+        assert block.tobytes() == full[r:r + d, c:c + d].tobytes()
         assert residual(block, total[r:r + d, c:c + d]) <= 1e-14
+
+
+def test_only_yb_core_binds_the_factor_route():
+    # vertex factors are built and applied in yb_core alone; every other
+    # module reaches them through block_words, relation_residual or the checks
+    names = ("site_factors", "apply_factors", "_monodromy")
+    for info in pkgutil.iter_modules(yblab.__path__):
+        module = importlib.import_module(f"yblab.{info.name}")
+        bound = [name for name in names if hasattr(module, name)]
+        assert bound == (list(names) if info.name == "yb_core" else []), info.name
 
 
 @pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
@@ -142,7 +163,7 @@ def test_cached_operators_are_read_only(monkeypatch, rng):
     # stacks, next to each position's layout, all built once per word
     word = block_words([(0.3 + 0.1j, theta), (-0.2 + 0.1j, theta)], ctx)
     chains = []
-    monkeypatch.setattr(yb_core, "apply_factors", lambda x, chain: chains.append(chain) or x)
+    monkeypatch.setattr(yb_core, "apply_factors", lambda chain, x: chains.append(chain) or x)
     word([("B", -0.2 + 0.1j, theta)], np.eye(ctx.dim))
     assert [len(chain) for chain in chains] == [ctx.L]
     for factor in chains[0]:
@@ -242,7 +263,7 @@ def test_fx_residual_sample_applies_one_word(monkeypatch, rng, L):
     theta = sample_theta(ctx, rng, range(-8, 9))
     applied, inner = [], yb_core.apply_factors
     monkeypatch.setattr(yb_core, "apply_factors",
-                        lambda x, factors: applied.append(x.shape) or inner(x, factors))
+                        lambda factors, x: applied.append(x.shape) or inner(factors, x))
     assert fx_residual(pts[0], pts[1:], theta, ctx, dwbc_partitions) <= 1e-9
     assert applied == [(2 * ctx.dim, L + 2)] * L
 
