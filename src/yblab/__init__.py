@@ -11,7 +11,7 @@ connecting them, all to explicit numerical tolerances.
 from .errors import (ConfigError, CoincidentPoints, DegreeMismatch, DynamicalPole,
                      InterpolationIllConditioned, NomeTooLarge, NonConvergent,
                      NonFinite, RegimeMismatch, SamplingExhausted, SingularCoefficient,
-                     SingularR, SizeMismatch, YbLabError)
+                     SingularR, SizeMismatch, YbLabError, ZeroNome)
 
 __version__ = "0.1.0"
 

@@ -28,6 +28,7 @@ import contextlib
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -58,6 +59,9 @@ ROUTES: dict[str, dict[str, Callable[..., complex]]] = {
 #: The ``compute`` flags that set spectral points or parameters; a
 #: ``compute`` error names each one given on the command line.
 SPECTRAL_FLAGS = ("--mu", "--points", "--theta", "--xb", "--yc")
+#: The flags with complex values.  argparse reads a value such as ``-0.3,0.1``
+#: as an option, so :func:`main` joins it to its flag as ``--flag=-0.3,0.1``.
+COMPLEX_FLAGS = ("--gamma", "--nome", *SPECTRAL_FLAGS)
 
 
 # --- configuration -------------------------------------------------------
@@ -541,7 +545,13 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = make_parser()
-    args = parser.parse_args(argv)
+    joined: list[str] = []
+    for arg in sys.argv[1:] if argv is None else argv:
+        if joined and joined[-1] in COMPLEX_FLAGS and re.match(r"-[\d.]", arg):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    args = parser.parse_args(joined)
     try:
         cfg = build_config(args)
         if args.command == "run":

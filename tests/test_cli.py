@@ -11,8 +11,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import yblab
 import yblab.cli as cli
-from yblab import pde, special_fn, yb_core
+from yblab import errors, pde, special_fn, yb_core
 from yblab.errors import DynamicalPole, InterpolationIllConditioned
 
 from oracles import (f_literal, fzt_coefficients_literal, omega_actions_literal,
@@ -501,6 +502,15 @@ def test_zero_nome_is_config_error(capsys, args):
     assert "configuration error: --nome: the nome must be nonzero" in err
 
 
+def test_package_exports_every_error():
+    # a caller catches any library error by its name on the package
+    classes = [obj for obj in vars(errors).values()
+               if isinstance(obj, type) and issubclass(obj, errors.YbLabError)]
+    assert errors.ZeroNome in classes
+    for cls in classes:
+        assert getattr(yblab, cls.__name__) is cls and cls.__name__ in yblab.__all__
+
+
 @pytest.mark.parametrize("args, flag", [
     (["run", "--trig", "--nome", "0.2,0", "--checks", "dybe", "--samples", "1"], "--nome"),
     (["run", "--trig", "--nome", "0.95,0", "--checks", "dybe", "--samples", "1"], "--nome"),
@@ -640,6 +650,22 @@ def test_compute_sn_empty_point_lists_are_zero_points(capsys):
     empty = run_cli(args + ["--xb", "", "--yc", ""], capsys)
     assert empty == run_cli(args + ["--n", "0"], capsys)
     assert empty[0] == 0 and json.loads(empty[1])["xb"] == []
+
+
+@pytest.mark.parametrize("args, flag, value", [
+    (["compute", "z", "--L", "2"], "--points", "-0.3,0.1;0.2,0"),
+    (["run"], "--nome", "-0.5,0")], ids=["points", "nome"])
+def test_value_with_leading_minus_reads_as_its_equals_form(args, flag, value):
+    # argparse takes "-0.3,0.1" for an option; main joins it to its flag
+    joined = run_digests(args + [f"{flag}={value}"])
+    assert run_digests(args + [flag, value]) == joined and joined[0] == 0
+
+
+def test_flag_followed_by_a_flag_still_lacks_its_value(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["run", "--gamma", "--trig"])
+    assert info.value.code == 2
+    assert "argument --gamma: expected one argument" in capsys.readouterr().err
 
 
 ELLIPTIC_CHECKS = "dybe,rll,hw-actions,identities,fx,z-contour-vs-bf,dia-realization"

@@ -31,6 +31,7 @@ import itertools
 import json
 import math
 import pathlib
+import re
 import sys
 
 import numpy as np
@@ -154,6 +155,15 @@ def test_corpus_holds_every_benchmark_command_line():
     spec.loader.exec_module(bench)
     lines = [bench.yblab_argv(cmd, 1) for cmds in bench.WORKLOADS.values() for cmd in cmds]
     assert [argv for argv in lines if argv not in COMMANDS.values()] == []
+
+
+def test_ci_pins_the_corpus_numpy():
+    # one CI leg runs the numpy that wrote the corpus, the only one on which
+    # every digest is compared: a corpus written on another numpy moves the pin
+    workflow = RECORDS.parent.parent / ".github" / "workflows" / "tier1.yml"
+    pins = re.findall(r'numpy: "numpy==(\d+(?:\.\d+)*)"', workflow.read_text(encoding="utf-8"))
+    assert len(pins) == 1
+    assert {read(name)[0]["numpy"] for name in COMMANDS} == set(pins)
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
