@@ -39,7 +39,7 @@ import numpy as np
 from . import feq, pde, sampling
 from .errors import CoincidentPoints, ConfigError, NomeTooLarge, NonFinite, YbLabError, ZeroNome
 from .special_fn import Regime
-from .yb_core import ABS_FLOOR, MAX_L, ModelContext, rel_diff, verify_dybe, verify_rll
+from .yb_core import ABS_FLOOR, MAX_L, ModelContext, rel_diff, verify_dybe, verify_rll, worst
 from .lattice_qty import (dwbc_partition, dwbc_partitions, hw_action_residuals, scalar_product_bf,
                           scalar_products_bf)
 from .residue_int import require_distinct, sn_contour, z_contour
@@ -198,7 +198,6 @@ def _draw_hw(ctx, rng):
 def _draw_identity(ctx, rng):
     kinds = ("bb", "abn") if ctx.is_elliptic else ("ab", "tay", "tdy")
     kind = kinds[int(rng.integers(len(kinds)))]
-    n = min(ctx.L, 2)
     theta = _theta_for(ctx, rng, 2 * ctx.L + 4)
     if kind == "ab":
         l1, l2 = sampling.sample_spectral(ctx, rng, 2)
@@ -207,15 +206,18 @@ def _draw_identity(ctx, rng):
         l1, l2 = sampling.sample_spectral(ctx, rng, 2)
         return {"kind": kind, "l1": l1, "l2": l2, "theta": theta}
     if kind == "abn":
-        pts = sampling.sample_spectral(ctx, rng, n + 1)
+        pts = sampling.sample_spectral(ctx, rng, min(ctx.L, 2) + 1)
         return {"kind": kind, "l0": pts[0], "lams": pts[1:], "theta": theta}
-    pts = sampling.sample_spectral(ctx, rng, 2 * n + 1)
-    return {"kind": kind, "l0": pts[0], "xb": pts[1:n + 1], "yc": pts[n + 1:]}
+    return {"kind": kind, **_draw_snad(ctx, rng)}
+
+
+def _draw_fzt(ctx, rng):
+    pts = sampling.sample_spectral(ctx, rng, ctx.L + 1)
+    return {"l0": pts[0], "lams": pts[1:]}
 
 
 def _draw_fx(ctx, rng):
-    pts = sampling.sample_spectral(ctx, rng, ctx.L + 1)
-    return {"l0": pts[0], "lams": pts[1:], "theta": _theta_for(ctx, rng, 2 * ctx.L + 4)}
+    return {**_draw_fzt(ctx, rng), "theta": _theta_for(ctx, rng, 2 * ctx.L + 4)}
 
 
 def _draw_snad(ctx, rng):
@@ -238,16 +240,10 @@ def _draw_sncmp(ctx, rng):
 def _compare(quantity: str, *keys: str):
     """Evaluator: every route to ``quantity`` at the drawn ``keys``, values kept in the record."""
     def evaluate(ctx, p, _state):
-        values = {route: fn(*(p[k] for k in keys), ctx)
-                  for route, fn in ROUTES[quantity].items()}
+        values = _route_values(quantity, "both", tuple(p[k] for k in keys), ctx)
         p.update({f"value_{route}": value for route, value in values.items()})
         return rel_diff(*values.values())
     return evaluate
-
-
-def _draw_fzt(ctx, rng):
-    pts = sampling.sample_spectral(ctx, rng, ctx.L + 1)
-    return {"l0": pts[0], "lams": pts[1:]}
 
 
 def _prep_zbar(ctx, _rng):
@@ -267,7 +263,7 @@ def _draw_pde_point(ctx, rng):
 
 def _eval_pde_omega(ctx, p, zbar):
     acts = pde.omega_actions(zbar, p["lams"], ctx)
-    return max(abs(c) for c in acts.coefficients) / max(acts.scale, ABS_FLOOR)
+    return worst(abs(c) for c in acts.coefficients) / max(acts.scale, ABS_FLOOR)
 
 
 def _eval_pde_leading(ctx, p, state):
@@ -279,7 +275,7 @@ def _eval_pde_leading(ctx, p, state):
     acts_z = pde.omega_actions(zbar, lams, ctx)
     null = abs(pde.omega_leading_apply(zbar, lams, ctx)) \
         / max(acts_z.scale, ABS_FLOOR)
-    return max(agree, null)
+    return worst((agree, null))
 
 
 def _draw_dia(ctx, rng):
@@ -308,13 +304,13 @@ REGISTRY: dict[str, CheckDef] = {
                                                    p["theta"], ctx)),
     "rll": CheckDef(1e-9, False, None, _draw_rll,
                     lambda ctx, p, s: verify_rll(p["l1"], p["l2"], p["theta"], ctx)),
-    "hw-actions": CheckDef(1e-9, False, None, _draw_hw, lambda ctx, p, s: max(
+    "hw-actions": CheckDef(1e-9, False, None, _draw_hw, lambda ctx, p, s: worst(
         hw_action_residuals(p["lam"], p["theta"], ctx).values())),
     "identities": CheckDef(1e-9, False, None, _draw_identity,
                            lambda ctx, p, s: feq.verify_identity(ctx=ctx, **p)),
     "fx": CheckDef(1e-9, False, None, _draw_fx, lambda ctx, p, s: feq.fx_residual(
         p["l0"], p["lams"], p["theta"], ctx, dwbc_partitions)),
-    "snad": CheckDef(1e-9, True, None, _draw_snad, lambda ctx, p, s: max(feq.snad_residuals(
+    "snad": CheckDef(1e-9, True, None, _draw_snad, lambda ctx, p, s: worst(feq.snad_residuals(
         p["l0"], p["xb"], p["yc"], ctx, scalar_products_bf))),
     "z-contour-vs-bf": CheckDef(1e-8, False, None, _draw_zcmp, _compare("z", "lams", "theta")),
     "sn-contour-vs-bf": CheckDef(1e-6, True, None, _draw_sncmp, _compare("sn", "xb", "yc")),
@@ -413,9 +409,11 @@ def run_suite(cfg: RunConfig, out=None) -> int:
 
 # --- compute subcommand --------------------------------------------------
 
-def _emit_compute(echo: dict, method: str, quantity: str, args: tuple,
-                  ctx: ModelContext) -> int:
-    """Evaluate the requested routes into ``echo`` and print it; non-finite is an error at once."""
+def _route_values(quantity: str, method: str, args: tuple,
+                  ctx: ModelContext) -> dict[str, complex]:
+    """The value of each route to ``quantity`` that ``method`` names (all for
+    ``"both"``), in ``ROUTES`` order; a route that overflows or returns a
+    non-finite value is an error at once, naming the route."""
     values = {}
     for route, fn in ROUTES[quantity].items():
         if method in (route, "both"):
@@ -423,7 +421,14 @@ def _emit_compute(echo: dict, method: str, quantity: str, args: tuple,
                 value = values[route] = fn(*args, ctx)
             if not cmath.isfinite(value):
                 raise NonFinite(f"{route} value is {value}")
-            echo[route] = _jsonable(value)
+    return values
+
+
+def _emit_compute(echo: dict, method: str, quantity: str, args: tuple,
+                  ctx: ModelContext) -> int:
+    """Evaluate the requested routes into ``echo`` and print it."""
+    values = _route_values(quantity, method, args, ctx)
+    echo.update({route: _jsonable(value) for route, value in values.items()})
     if method == "both":
         echo["rel_diff"] = rel_diff(*values.values())
     print(json.dumps(echo, allow_nan=False))

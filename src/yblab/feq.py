@@ -32,7 +32,7 @@ import numpy as np
 from .errors import RegimeMismatch, SingularCoefficient, SizeMismatch
 from .lattice_qty import Evaluator, PairEvaluator, _creation_slots, as_values
 from .special_fn import f_weights, six_vertex
-from .yb_core import ModelContext, block_words, relation_residual, term_residual
+from .yb_core import ModelContext, block_words, relation_residual, term_residual, worst
 
 #: Relative floor for coefficient denominators.
 DENOM_RTOL = 1e-12
@@ -241,10 +241,10 @@ def verify_bb(l1: complex, l2: complex, theta: complex, ctx: ModelContext) -> fl
         [g, l2 - l1, t2, l2 - l1 + g, t1, t1 - l2 + l1], ctx.regime)
     f_d = _guard(f_d, abs(f_g), "f(lam_2 - lam_1)")
     f_t2 = _guard(f_t2, 1.0, "f(theta + 2*gamma)")
-    return max(res_bb, relation_residual(
+    return worst((res_bb, relation_residual(
         word, ((), [(None, [("A", l1, t1), ("B", l2, theta)])]),
         ((), [((f_plus / f_d) * (f_t1 / f_t2), [("B", l2, t1), ("A", l1, t2)]),
-              (-((f_cross / f_d) * (f_g / f_t2)), [("B", l1, t1), ("A", l2, t2)])]), ctx.dim))
+              (-((f_cross / f_d) * (f_g / f_t2)), [("B", l1, t1), ("A", l2, t2)])]), ctx.dim)))
 
 
 def verify_abn(l0: complex, lams, theta: complex, ctx: ModelContext) -> float:

@@ -129,55 +129,41 @@ def hw_action_residuals(lam: complex, theta: complex,
     The diagonal blocks act on the extremal states by explicit
     eigenvalues; the off-diagonal blocks annihilate one of them.  Right
     actions (on kets) and left actions (on plain-transpose bras) are both
-    checked.  Annihilation residuals are normalized by the block's own
-    max norm.  In the trigonometric regime the eigenvalues are the
-    products of six-vertex weights a resp. b over the inhomogeneities.
+    checked.  Each statement is read off a quarter of the whole monodromy
+    by index: a ket statement reads column ``k`` of its block, a bra
+    statement row ``k`` (``k = 0`` all up, ``k = d - 1`` all down).
+    Annihilation residuals are normalized by the block's own max norm.
+    In the trigonometric regime the eigenvalues are the products of
+    six-vertex weights a resp. b over the inhomogeneities.
     """
-    g = ctx.gamma
-    L = ctx.L
-    d = ctx.dim
-    # the whole monodromy, one T word on the 2^(L+1) identity; the blocks are its quarters
+    g, L, d = ctx.gamma, ctx.L, ctx.dim
+    # the whole monodromy, one T word on the 2^(L+1) identity; its quarters are A, B, C, D
     full = block_words([(lam, theta)], ctx)([("T", lam, theta)], np.eye(2 * d, dtype=complex))
     if not np.isfinite(full).all():
         # an annihilation ratio against a non-finite block could read 0
         raise NonFinite("chain operator has non-finite entries")
-    a_mat, b_mat, c_mat, d_mat = full[:d, :d], full[:d, d:], full[d:, :d], full[d:, d:]
-    up = _all_up(ctx)
-    down = np.zeros(d, dtype=complex)
-    down[-1] = 1.0
 
     weights = f_weights([lam - m + g for m in ctx.mu] + [lam - m for m in ctx.mu] + (
         [theta - g, theta + (L - 1) * g, theta + g, theta - (L - 1) * g] if ctx.is_elliptic
         else []), ctx.regime)
-    prod_shift = np.prod(weights[:L])
-    prod_plain = np.prod(weights[L:2 * L])
-    if ctx.is_elliptic:
-        f_a, f_a_top, f_d, f_d_top = weights[2 * L:]
-        eig_a_up = prod_shift
-        eig_a_down = f_a / f_a_top * prod_plain
-        eig_d_up = f_d / f_d_top * prod_plain
-        eig_d_down = prod_shift
-    else:
-        eig_a_up = prod_shift          # prod a(lam - mu_j)
-        eig_a_down = prod_plain        # prod b(lam - mu_j)
-        eig_d_up = prod_plain
-        eig_d_down = prod_shift
-
-    def annihilated(m, v):
-        return float(np.max(np.abs(v)) / max(np.max(np.abs(m)), ABS_FLOOR))
-
-    res = {
-        "A_ket_up": residual(a_mat @ up, eig_a_up * up),
-        "A_ket_down": residual(a_mat @ down, eig_a_down * down),
-        "D_ket_up": residual(d_mat @ up, eig_d_up * up),
-        "D_ket_down": residual(d_mat @ down, eig_d_down * down),
-        "A_bra_down": residual(down @ a_mat, eig_a_down * down),
-        "A_bra_up": residual(up @ a_mat, eig_a_up * up),
-        "D_bra_up": residual(up @ d_mat, eig_d_up * up),
-        "D_bra_down": residual(down @ d_mat, eig_d_down * down),
-        "C_ket_up": annihilated(c_mat, c_mat @ up),
-        "B_ket_down": annihilated(b_mat, b_mat @ down),
-        "C_bra_down": annihilated(c_mat, down @ c_mat),
-        "B_bra_up": annihilated(b_mat, up @ b_mat),
-    }
+    shift, plain = np.prod(weights[:L]), np.prod(weights[L:2 * L])  # prod a resp. b (trig)
+    f_a, f_a_top, f_d, f_d_top = weights[2 * L:] if ctx.is_elliptic else (1, 1, 1, 1)
+    # (block, extremal state) -> eigenvalue; B and C annihilate the state instead
+    eigenvalues = {("A", "up"): shift, ("A", "down"): f_a / f_a_top * plain,
+                   ("D", "up"): f_d / f_d_top * plain, ("D", "down"): shift}
+    res = {}
+    for key in ("A_ket_up", "A_ket_down", "D_ket_up", "D_ket_down",
+                "A_bra_down", "A_bra_up", "D_bra_up", "D_bra_down",
+                "C_ket_up", "B_ket_down", "C_bra_down", "B_bra_up"):
+        block, side, state = key.split("_")
+        row, col = divmod("ABCD".index(block), 2)
+        quarter = full[row * d:(row + 1) * d, col * d:(col + 1) * d]
+        k = 0 if state == "up" else d - 1
+        image = quarter[:, k] if side == "ket" else quarter[k]
+        if (block, state) in eigenvalues:
+            expected = np.zeros(d, dtype=complex)
+            expected[k] = eigenvalues[block, state]
+            res[key] = residual(image, expected)
+        else:
+            res[key] = float(np.max(np.abs(image)) / max(np.max(np.abs(quarter)), ABS_FLOOR))
     return res

@@ -59,6 +59,11 @@ def residual(a, b) -> float:
         return float(num / den)
 
 
+def worst(residuals: Iterable[float]) -> float:
+    """The largest of ``residuals``; NaN if any is NaN, which Python's ``max`` can pass over."""
+    return float(np.max(np.fromiter(residuals, dtype=float)))
+
+
 def rel_diff(a, b) -> float:
     """``|a - b| / max(|a|, |b|, ABS_FLOOR)`` of two scalars; symmetric to the bit.
 

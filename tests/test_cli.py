@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 
 import yblab
 import yblab.cli as cli
-from yblab import errors, pde, special_fn, yb_core
+from yblab import errors, feq, pde, special_fn, yb_core
 from yblab.errors import DynamicalPole, InterpolationIllConditioned
 
 from oracles import (f_literal, fzt_coefficients_literal, omega_actions_literal,
@@ -206,6 +207,41 @@ def test_run_non_finite_values_become_error_records(capsys, gamma, checks):
     for rec in records:
         assert rec["residual"] is None and rec["pass"] is False
         assert rec["error"].startswith("NonFinite")
+
+
+def test_run_oracle_comparison_error_names_its_route(capsys):
+    # the bruteforce route is evaluated first and returns nan; the contour
+    # route, which would overflow, is not reached, as in ``compute``
+    checks = ["z-contour-vs-bf", "sn-contour-vs-bf"]
+    code, out, err = run_cli(["run", "--trig", "--L", "3", "--gamma", "400,0", "--checks",
+                              ",".join(checks), "--samples", "2", "--seed", "1"], capsys)
+    assert code == 1
+    records = [r for r in parse_records(out) if "check" in r]
+    assert [r["check"] for r in records] == [c for c in checks for _ in range(2)]
+    for rec in records:
+        assert rec["residual"] is None and rec["pass"] is False
+        assert rec["error"] == "NonFinite: bruteforce value is (nan+nanj)"
+
+
+@pytest.mark.parametrize("check, module, name, inject", [
+    ("hw-actions", cli, "hw_action_residuals", lambda res: {**res, "A_ket_down": math.nan}),
+    ("snad", feq, "snad_residuals", lambda res: (res[0], math.nan)),
+    ("pde-omega", pde, "omega_actions", lambda acts: dataclasses.replace(
+        acts, coefficients=(*acts.coefficients[:-1], complex(math.nan, 0.0)))),
+], ids=["hw-actions", "snad", "pde-omega"])
+def test_run_nan_component_fails_its_sample(monkeypatch, capsys, check, module, name, inject):
+    # a check's residual is the worst of several; Python's max keeps a
+    # finite value over a NaN after it, so the NaN comes last here
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: inject(original(*args)))
+    code, out, _ = run_cli(["run", "--trig", "--L", "2", "--checks", check,
+                            "--samples", "2", "--seed", "1"], capsys)
+    assert code == 1
+    records = [r for r in parse_records(out) if "check" in r]
+    assert len(records) == 2
+    for rec in records:
+        assert rec["residual"] is None and rec["pass"] is False
+        assert rec["error"] == "NonFinite: residual is nan"
 
 
 def test_run_mu_length_mismatch(capsys):

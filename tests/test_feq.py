@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,18 @@ def test_identity_bb(ell_ctx2, rng):
     l1, l2 = sample_spectral(ell_ctx2, rng, 2)
     theta = sample_theta(ell_ctx2, rng, range(-4, 6))
     assert verify_bb(l1, l2, theta, ell_ctx2) <= 1e-10
+
+
+def test_identity_bb_nan_in_the_second_relation_is_nan(ell_ctx2, rng, monkeypatch):
+    # Python's max keeps the first relation's finite residual over a NaN after it
+    calls = []
+    relation_residual = feq.relation_residual
+    monkeypatch.setattr(feq, "relation_residual", lambda *args: calls.append(0)
+                        or (relation_residual(*args) if len(calls) == 1 else math.nan))
+    l1, l2 = sample_spectral(ell_ctx2, rng, 2)
+    theta = sample_theta(ell_ctx2, rng, range(-4, 6))
+    assert math.isnan(verify_bb(l1, l2, theta, ell_ctx2))
+    assert len(calls) == 2
 
 
 def test_identity_abn(ell_ctx2, rng):

@@ -74,6 +74,10 @@ COMMANDS: dict[str, list[str]] = {
     # at nome 0.85+0.1i most weights take more than the theta series'
     # first chunk of terms, and residuals miss their gates
     "run-L2-nome-0.85+0.1i": ["run", "--L", "2", "--nome", "0.85,0.1", "--seed", "2"],
+    # every check ends each sample with an error record: sinh(gamma) overflows
+    "run-trig-gamma-400-errors": ["run", "--trig", "--L", "3", "--gamma", "400,0", "--checks",
+                                  "hw-actions,z-contour-vs-bf,sn-contour-vs-bf",
+                                  "--samples", "2", "--seed", "1"],
     **{f"compute-{q}-{route}": ["compute", q, *(["--trig"] if q == "sn" else []),
                                 "--L", "4", "--method", route, "--seed", "1"]
        for q, routes in cli.ROUTES.items() for route in routes},
