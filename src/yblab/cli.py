@@ -25,25 +25,46 @@ from __future__ import annotations
 import argparse
 import cmath
 import contextlib
+import importlib.util
 import json
 import math
 import os
 import re
 import sys
 import time
+import types
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from . import feq, pde, sampling
+from . import sampling
 from .errors import CoincidentPoints, ConfigError, NomeTooLarge, NonFinite, YbLabError, ZeroNome
 from .special_fn import Regime
-from .yb_core import ABS_FLOOR, MAX_L, ModelContext, rel_diff, verify_dybe, verify_rll, worst
+from .yb_core import (ABS_FLOOR, MAX_L, PENCIL_MAX_L, ModelContext, rel_diff, verify_dybe,
+                      verify_rll, worst)
 from .lattice_qty import (dwbc_partition, dwbc_partitions, hw_action_residuals, scalar_product_bf,
                           scalar_products_bf)
 from .residue_int import require_distinct, sn_contour, z_contour
 from .rng import Stream
+
+
+def _lazy_module(name: str) -> types.ModuleType:
+    """``yblab.<name>``, executed at its first attribute read unless it is
+    imported already; like ``import``, it is bound on the package."""
+    full = f"{__package__}.{name}"
+    if full not in sys.modules:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[full] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return sys.modules[full]
+
+
+# only run's checks read these two layers, so compute never compiles them
+feq = _lazy_module("feq")
+pde = _lazy_module("pde")
 
 MODEL_SEED_KEY = 1000
 
@@ -316,12 +337,12 @@ REGISTRY: dict[str, CheckDef] = {
     "sn-contour-vs-bf": CheckDef(1e-6, True, None, _draw_sncmp, _compare("sn", "xb", "yc")),
     "fzt": CheckDef(1e-9, True, None, _draw_fzt, lambda ctx, p, s: pde.fzt_residual(
         p["l0"], p["lams"], ctx, dwbc_partitions)),
-    # the grid interpolation refuses L > pde.PENCIL_MAX_L; at L = 1 the leading
+    # the grid interpolation refuses L > PENCIL_MAX_L; at L = 1 the leading
     # operator is identically 0, so comparing it with the pencil measures only noise
     "pde-omega": CheckDef(1e-7, True, _prep_zbar, _draw_pde_point, _eval_pde_omega,
-                          range(1, pde.PENCIL_MAX_L + 1)),
+                          range(1, PENCIL_MAX_L + 1)),
     "pde-leading": CheckDef(1e-7, True, _prep_zbar_and_control, _draw_pde_point,
-                            _eval_pde_leading, range(2, pde.PENCIL_MAX_L + 1)),
+                            _eval_pde_leading, range(2, PENCIL_MAX_L + 1)),
     "dia-realization": CheckDef(1e-11, False, None, _draw_dia, _eval_dia),
 }
 REGISTRY_INDEX = {name: k for k, name in enumerate(REGISTRY)}

@@ -33,12 +33,7 @@ from .errors import (CoincidentPoints, DegreeMismatch, InterpolationIllCondition
                      RegimeMismatch, SingularCoefficient)
 from .lattice_qty import Evaluator, as_values
 from .special_fn import six_vertex
-from .yb_core import ABS_FLOOR, ModelContext, block_words, term_residual
-
-#: Largest chain length at which the pencil checks are validated: the grid
-#: interpolation of :func:`interpolate_zbar` refuses longer chains, and
-#: ``cli.REGISTRY`` reads it for the domains of ``pde-omega`` and ``pde-leading``.
-PENCIL_MAX_L = 4
+from .yb_core import ABS_FLOOR, PENCIL_MAX_L, ModelContext, block_words, term_residual
 
 #: Deterministic spectral-parameter candidates for pencil-extraction nodes.
 _NODE_CANDIDATES = tuple(

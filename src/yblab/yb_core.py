@@ -44,6 +44,11 @@ ABS_FLOOR = 1e-300
 #: whose arrays grow as 4**L; brute-force contraction alone would go further.
 MAX_L = 10
 
+#: Largest chain length at which the pencil checks are validated: the grid
+#: interpolation of ``pde.interpolate_zbar`` refuses longer chains, and
+#: ``cli.REGISTRY`` reads it for the domains of ``pde-omega`` and ``pde-leading``.
+PENCIL_MAX_L = 4
+
 
 def residual(a, b) -> float:
     """Relative residual ``max|A - B| / max(max|A|, max|B|, ABS_FLOOR)``.

@@ -94,13 +94,19 @@ def test_report_streams_are_numpy_generator_streams(monkeypatch, flags, L, seed)
     assert shipped[2]
 
 
+def _run_fresh(code: str, timeout: float = 120) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports yblab from this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=timeout)
+
+
 def test_benchmark_commands_do_not_import_numpy_random():
     # the command lines of all four benchmark workloads, the random
     # polynomials of dia-realization and pde-leading included, never load
     # numpy.random
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     code = ("import sys, numpy\n"
             "if 'numpy.random' in sys.modules:\n"
             "    sys.exit(3)  # numpy itself loads it\n"
@@ -116,10 +122,34 @@ def test_benchmark_commands_do_not_import_numpy_random():
             "        'compute sn --trig --L 6 --n 5 --method contour']:\n"
             "    assert cli.main(argv.split() + ['--seed', '1']) == 0, argv\n"
             "assert 'numpy.random' not in sys.modules\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=300)
+    proc = _run_fresh(code, timeout=300)
     if proc.returncode == 3:
         pytest.skip("import numpy alone loads numpy.random on this numpy")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_compute_never_executes_the_check_only_layers():
+    # feq and pde load at their first attribute read, which only run's checks make
+    code = ("import sys\n"
+            "from yblab import cli\n"
+            "assert cli.main(['compute', 'z', '--L', '4', '--method', 'contour',\n"
+            "                 '--seed', '1']) == 0\n"
+            "for n in ('yblab.feq', 'yblab.pde'):\n"
+            "    own = object.__getattribute__(sys.modules[n], '__dict__')\n"
+            "    assert not {'IDENTITIES', 'MultiPoly'} & own.keys(), n\n")
+    proc = _run_fresh(code)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("first", ["feq", "cli"])
+def test_each_layer_module_exists_once(first):
+    # imported before cli or after it, feq is one module object, reachable as yblab.feq
+    imports = ["import yblab.feq", "from yblab import cli"]
+    code = ("\n".join(imports if first == "feq" else imports[::-1]) + "\n"
+            "import sys, yblab\n"
+            "assert yblab.feq is sys.modules['yblab.feq'] is cli.feq\n"
+            "assert callable(yblab.feq.verify_identity)\n")
+    proc = _run_fresh(code)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -158,17 +188,13 @@ def test_run_config_flag_is_gone(capsys):
 
 def test_run_without_config_does_not_import_yaml():
     # with every import of yaml made to fail, run and compute still work
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     code = ("import sys\n"
             "sys.modules['yaml'] = None\n"
             "from yblab import cli\n"
             "assert cli.main(['run', '--L', '2', '--checks', 'dybe', '--samples', '1',\n"
             "                 '--seed', '1']) == 0\n"
             "assert cli.main(['compute', 'z', '--L', '2', '--seed', '1']) == 0\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120)
+    proc = _run_fresh(code)
     assert proc.returncode == 0, proc.stderr
 
 
