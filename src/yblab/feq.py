@@ -210,16 +210,11 @@ def snad_residuals(l0: complex, XB, YC, ctx: ModelContext,
 # --- operator identities -------------------------------------------------
 
 def verify_ab(l1: complex, l2: complex, ctx: ModelContext) -> float:
-    """Six-vertex exchange of a diagonal block through one creation block."""
-    if ctx.is_elliptic:
-        raise RegimeMismatch("the theta-free exchange rule is trigonometric")
-    a, b, c = six_vertex(ctx.gamma)
-    d = l2 - l1
-    _guard(b(d), abs(c), "b(lam_2 - lam_1)")
-    return relation_residual(block_words([(l1, 0.0), (l2, 0.0)], ctx),
-                             ((), [(None, [("A", l1, 0.0), ("B", l2, 0.0)])]),
-                             ((), [(a(d) / b(d), [("B", l2, 0.0), ("A", l1, 0.0)]),
-                                   (-(c / b(d)), [("B", l1, 0.0), ("A", l2, 0.0)])]), ctx.dim)
+    """Six-vertex exchange of the A-block at ``l1`` through one B block at ``l2``.
+
+    It is the ``tay`` rule with no C string and the one-point B string ``(l2,)``.
+    """
+    return _tay_tdy(l1, (l2,), (), ctx, use_d=False)
 
 
 def verify_bb(l1: complex, l2: complex, theta: complex, ctx: ModelContext) -> float:
@@ -290,14 +285,11 @@ def verify_abn(l0: complex, lams, theta: complex, ctx: ModelContext) -> float:
 
 def _tay_tdy(l0: complex, xb, yc, ctx: ModelContext, use_d: bool) -> float:
     if ctx.is_elliptic:
-        raise RegimeMismatch("the order-(2n+1) exchange identities are trigonometric")
+        raise RegimeMismatch("the theta-free exchange identities are trigonometric")
     xb = as_values(xb)
     yc = as_values(yc)
-    n = len(xb)
-    if len(yc) != n:
-        raise SizeMismatch(f"|XB| = {n} differs from |YC| = {len(yc)}")
-    if n == 0:
-        raise SizeMismatch("the creation and annihilation strings need at least one point each")
+    if not xb + yc:
+        raise SizeMismatch("the creation and annihilation strings need at least one point")
     a, b, c = six_vertex(ctx.gamma)
     word = block_words([(lam, 0.0) for lam in (l0,) + xb + yc], ctx)
     diag = lambda lam: [("D" if use_d else "A", lam, 0.0)]
@@ -324,12 +316,15 @@ def _tay_tdy(l0: complex, xb, yc, ctx: ModelContext, use_d: bool) -> float:
 
 
 def verify_tay(l0: complex, xb, yc, ctx: ModelContext) -> float:
-    """Order-(2n+1) identity from commuting the A-block through both strings."""
+    """Order-(m+n+1) identity from commuting the A-block through both strings.
+
+    The C string has the m points ``yc``, the B string the n points ``xb``; m + n >= 1.
+    """
     return _tay_tdy(l0, xb, yc, ctx, use_d=False)
 
 
 def verify_tdy(l0: complex, xb, yc, ctx: ModelContext) -> float:
-    """Order-(2n+1) identity from commuting the D-block through both strings."""
+    """Order-(m+n+1) identity: the D-block commuted through the strings of :func:`verify_tay`."""
     return _tay_tdy(l0, xb, yc, ctx, use_d=True)
 
 

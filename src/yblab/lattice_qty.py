@@ -44,9 +44,9 @@ def _creation_slots(lams: Sequence[complex], theta: complex,
     return [(lam, theta + j * ctx.gamma) for j, lam in enumerate(lams, 1)]
 
 
-def _all_up(ctx: ModelContext, columns: int | None = None) -> np.ndarray:
-    """The all-up chain state, basis vector 0: one vector, or ``columns`` copies as columns."""
-    vec = np.zeros((ctx.dim,) if columns is None else (ctx.dim, columns), dtype=complex)
+def _all_up(ctx: ModelContext, columns: int) -> np.ndarray:
+    """``columns`` copies of the all-up chain state, basis vector 0, as columns."""
+    vec = np.zeros((ctx.dim, columns), dtype=complex)
     vec[0] = 1.0
     return vec
 

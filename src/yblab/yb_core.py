@@ -25,7 +25,7 @@ the operator relations meet their identity columns in :func:`relation_residual` 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -283,17 +283,12 @@ def verify_dybe(l1: complex, l2: complex, l3: complex, theta: complex,
                 ctx: ModelContext) -> float:
     """Residual of the dynamical Yang-Baxter equation on three sites.
 
-    Both sides are built as 8x8 matrices; the shift on the spectator
-    space is realized sector-by-sector.  In the trigonometric regime the
-    shifts are inert and this reduces to the ordinary Yang-Baxter
-    equation.
+    It is :func:`verify_rll` on a one-site chain with inhomogeneity
+    ``l3``: both sides are 8x8, and the shift on the spectator space is
+    realized sector-by-sector.  In the trigonometric regime the shifts
+    are inert and this reduces to the ordinary Yang-Baxter equation.
     """
-    factors = site_factors([(l1 - l2, theta, (0, 1), (2,)), (l1 - l3, theta, (0, 2), ()),
-                            (l2 - l3, theta, (1, 2), (0,)), (l2 - l3, theta, (1, 2), ()),
-                            (l1 - l3, theta, (0, 2), (1,)), (l1 - l2, theta, (0, 1), ())],
-                           ctx, 3)
-    return relation_residual(apply_factors, ((), [(None, factors[:3])]),
-                             ((), [(None, factors[3:])]), 8)
+    return verify_rll(l1, l2, theta, replace(ctx, L=1, mu=(l3,)))
 
 
 def _monodromy(lam: complex, theta: complex, ctx: ModelContext, aux: int = 0,
@@ -394,6 +389,8 @@ def verify_rll(l1: complex, l2: complex, theta: complex,
     sector-by-sector by the same site factors as the monodromy itself.
     The four monodromies, then the R pair (shifted by the chain, and
     plain), come from one :func:`site_factors` call: one weight batch.
+    :func:`verify_dybe` is its L = 1 case, the chain site's inhomogeneity
+    the third spectral point.
     """
     chain = tuple(range(2, ctx.L + 2))  # 0, 1 auxiliary; 2..L+1 chain
     mono = lambda aux, lam, extra: _monodromy(lam, theta, ctx, aux, extra, first=2)

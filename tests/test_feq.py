@@ -209,10 +209,15 @@ def test_identity_abn(ell_ctx2, rng):
     assert verify_abn(pts[0], pts[1:], theta, ell_ctx2) <= 1e-9
 
 
-@pytest.mark.parametrize("kind", ["tay", "tdy"])
-def test_identity_tay_tdy(kind, trig_ctx3, rng):
-    pts = sample_spectral(trig_ctx3, rng, 5)
-    res = verify_identity(kind, trig_ctx3, l0=pts[0], xb=pts[1:3], yc=pts[3:])
+@pytest.mark.parametrize("kind, m, n, L", [
+    *(pytest.param(kind, 2, 2, None, id=kind) for kind in ("tay", "tdy")),
+    *(pytest.param(kind, m, n, L, id=f"{kind}-C{m}-B{n}-L{L}") for kind in ("tay", "tdy")
+      for m, n in ((0, 1), (1, 0), (0, 3), (2, 1), (1, 2)) for L in range(1, 5))])
+def test_identity_tay_tdy(kind, m, n, L, trig_ctx3, rng):
+    # a C string of m points and a B string of n, of any lengths
+    ctx = trig_ctx3 if L is None else random_context(L, rng, elliptic=False)
+    pts = sample_spectral(ctx, rng, 1 + m + n)
+    res = verify_identity(kind, ctx, l0=pts[0], xb=pts[1:1 + n], yc=pts[1 + n:])
     assert res <= 1e-9
 
 

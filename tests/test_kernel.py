@@ -387,8 +387,8 @@ def test_first_pole_is_named_by_site_and_sector(monkeypatch, rng):
     # a pole of a later chain is named by its sites within that chain
     with pytest.raises(DynamicalPole, match=r"^sites \(0, 2\), weight sector \+1: f\(theta\) ~ 0"):
         block_words([(lam, 0.5), (lam, g)], ctx)
-    # dybe at theta = 0: its first two factors have no weight sector 0, the
-    # unshifted R_13 after them has
+    # dybe at theta = 0 is RLL on a one-site chain: RLL's first factor, the
+    # unshifted chain factor of l1 on sites (0, 2), has weight sector 0
     with pytest.raises(DynamicalPole,
                        match=r"^sites \(0, 2\), weight sector \+0: f\(theta\) ~ 0 at theta = 0j$"):
         verify_dybe(*sample_spectral(ctx, rng, 3), 0.0, ctx)
