@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+from operator import neg, pos
 from typing import Callable
 
 import numpy as np
@@ -42,6 +43,29 @@ def _guard(value: complex, scale: float, what: str) -> complex:
     if abs(value) <= DENOM_RTOL * max(scale, 1.0):
         raise SingularCoefficient(f"denominator {what} is singular: |{value}| ~ 0")
     return value
+
+
+def _b_text(sgn: Callable[[complex], complex], x: str, y: str) -> str:
+    """The guard text of ``b(sgn(x - y))``, naming the difference it evaluates."""
+    return f"b({y} - {x})" if sgn is neg else f"b({x} - {y})"
+
+
+def _swap_family(l0: complex, points: tuple[complex, ...], eig: Callable[[complex], complex],
+                 sgn: Callable[[complex], complex], ctx: ModelContext) -> tuple[complex, ...]:
+    """``c / b(sgn(lam_i - lam_0)) * prod_m eig(lam_i - mu_m) * prod_{j != i} a/b(sgn(lam_j -
+    lam_i))`` at each point ``lam_i`` of ``points``: the trigonometric swap coefficients of the
+    A family at ``(eig, sgn) = (a, pos)``, and of the D family, its reflection, at ``(b, neg)``.
+    """
+    a, b, c = six_vertex(ctx.gamma)
+    head, cross = _b_text(sgn, "lam_i", "lam_0"), _b_text(sgn, "lam_j", "lam_i")
+    out = []
+    for i, li in enumerate(points):
+        coeff = c / _guard(b(sgn(li - l0)), abs(c), head) * np.prod([eig(li - m) for m in ctx.mu])
+        for lj in points[:i] + points[i + 1:]:
+            z = sgn(lj - li)
+            coeff *= a(z) / _guard(b(z), abs(c), cross)
+        out.append(complex(coeff))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -64,9 +88,10 @@ def fx_coefficients(l0: complex, X, theta: complex,
     Elliptic regime: the dynamical coefficients; the formula for N_i is
     uniform in i = 0..L (at i = 0 the singular-looking factors cancel
     pairwise).  Trigonometric regime: the theta-free coefficients
-    obtained from the six-vertex extremal-state eigenvalues; the i = 0
-    term is kept separate rather than folded into M_0, so this stays an
-    independent transcription from the merged trigonometric form.
+    obtained from the six-vertex extremal-state eigenvalues, N_1..N_L as
+    :func:`_swap_family`'s A family; the i = 0 term is kept separate rather
+    than folded into M_0, so this stays an independent transcription from
+    the merged trigonometric form.
     """
     lams = as_values(X)
     L = ctx.L
@@ -103,15 +128,7 @@ def fx_coefficients(l0: complex, X, theta: complex,
     n0 = -np.prod([a(l0 - m) for m in ctx.mu])
     for lam in lams:
         n0 *= a(lam - l0) / _guard(b(lam - l0), abs(c), "b(lam - lam_0)")
-    n = [complex(n0)]
-    for i, li in enumerate(lams):
-        coeff = (c / _guard(b(li - l0), abs(c), "b(lam_i - lam_0)")) \
-            * np.prod([a(li - m) for m in ctx.mu])
-        for j, lj in enumerate(lams):
-            if j != i:
-                coeff *= a(lj - li) / _guard(b(lj - li), abs(c), "b(lam_j - lam_i)")
-        n.append(complex(coeff))
-    return FxCoefficients(complex(m0), tuple(n))
+    return FxCoefficients(complex(m0), (complex(n0),) + _swap_family(l0, lams, a, pos, ctx))
 
 
 def fx_residual(l0: complex, X, theta: complex, ctx: ModelContext,
@@ -133,58 +150,38 @@ def fx_residual(l0: complex, X, theta: complex, ctx: ModelContext,
 
 @dataclass(frozen=True)
 class SnadCoefficients:
-    """Coefficients of the two scalar-product swap equations."""
+    """Coefficients of the two scalar-product swap equations, the A type's then the D type's."""
 
     j0: complex
-    jt0: complex
     kb: tuple[complex, ...]
     kc: tuple[complex, ...]
+    jt0: complex
     ktb: tuple[complex, ...]
     ktc: tuple[complex, ...]
 
 
 def snad_coefficients(l0: complex, XB, YC, ctx: ModelContext) -> SnadCoefficients:
-    """Coefficients of the A-type and D-type scalar-product equations."""
+    """Coefficients of the A-type and D-type scalar-product equations.
+
+    ``equation(eig, sgn)`` builds each, at :func:`_swap_family`'s ``(a, pos)`` and
+    ``(b, neg)``: its swap terms are that family at XB, and at YC negated.
+    """
     if ctx.is_elliptic:
         raise RegimeMismatch("scalar-product equations live in the trigonometric regime")
-    xb = as_values(XB)
-    yc = as_values(YC)
-    n = len(xb)
-    if len(yc) != n:
-        raise SizeMismatch(f"|XB| = {n} differs from |YC| = {len(yc)}")
+    xb, yc = as_values(XB), as_values(YC)
+    if len(yc) != len(xb):
+        raise SizeMismatch(f"|XB| = {len(xb)} differs from |YC| = {len(yc)}")
     a, b, c = six_vertex(ctx.gamma)
+    ratio = lambda z, what: a(z) / _guard(b(z), abs(c), what)
 
-    def ratio(z, what):
-        return a(z) / _guard(b(z), abs(c), what)
+    def equation(eig, sgn):
+        head = np.prod([eig(l0 - m) for m in ctx.mu]) * (
+            np.prod([ratio(sgn(y - l0), _b_text(sgn, "yc_i", "lam_0")) for y in yc])
+            - np.prod([ratio(sgn(x - l0), _b_text(sgn, "xb_i", "lam_0")) for x in xb]))
+        return (complex(head), _swap_family(l0, xb, eig, sgn, ctx),
+                tuple(-k for k in _swap_family(l0, yc, eig, sgn, ctx)))
 
-    j0 = np.prod([a(l0 - m) for m in ctx.mu]) * (
-        np.prod([ratio(y - l0, "b(yc_i - lam_0)") for y in yc])
-        - np.prod([ratio(x - l0, "b(xb_i - lam_0)") for x in xb]))
-    jt0 = np.prod([b(l0 - m) for m in ctx.mu]) * (
-        np.prod([ratio(l0 - y, "b(lam_0 - yc_i)") for y in yc])
-        - np.prod([ratio(l0 - x, "b(lam_0 - xb_i)") for x in xb]))
-
-    def family(points, alpha, tilde):
-        out = []
-        for i, li in enumerate(points):
-            rest = [points[j] for j in range(n) if j != i]
-            if tilde:
-                coeff = alpha * c / _guard(b(l0 - li), abs(c), "b(lam_0 - lam_i)") \
-                    * np.prod([b(li - m) for m in ctx.mu])
-                for lj in rest:
-                    coeff *= ratio(li - lj, "b(lam_i - lam_j)")
-            else:
-                coeff = alpha * c / _guard(b(li - l0), abs(c), "b(lam_i - lam_0)") \
-                    * np.prod([a(li - m) for m in ctx.mu])
-                for lj in rest:
-                    coeff *= ratio(lj - li, "b(lam_j - lam_i)")
-            out.append(complex(coeff))
-        return tuple(out)
-
-    return SnadCoefficients(
-        j0=complex(j0), jt0=complex(jt0),
-        kb=family(xb, 1, False), kc=family(yc, -1, False),
-        ktb=family(xb, 1, True), ktc=family(yc, -1, True))
+    return SnadCoefficients(*equation(a, pos), *equation(b, neg))
 
 
 def snad_residuals(l0: complex, XB, YC, ctx: ModelContext,
@@ -295,18 +292,19 @@ def _tay_tdy(l0: complex, xb, yc, ctx: ModelContext, use_d: bool) -> float:
     diag = lambda lam: [("D" if use_d else "A", lam, 0.0)]
     cstr = lambda pts: [("C", p, 0.0) for p in reversed(pts)]
     bstr = lambda pts: [("B", p, 0.0) for p in pts]
-    sgn = (lambda z: -z) if use_d else (lambda z: z)
+    sgn = neg if use_d else pos
     ratio = lambda z, what: a(z) / _guard(b(z), abs(c), what)
 
     def terms(pts, side, letters):
         """The terms of one side: the points ``pts`` at ``lam_0``, then each point
         swapped for ``lam_0``; ``letters(points, lam)`` spells a term's word."""
-        yield np.prod([ratio(sgn(p - l0), f"b({side}_i - lam_0)") for p in pts]), letters(pts, l0)
+        head, cross = _b_text(sgn, f"{side}_i", "lam_0"), _b_text(sgn, f"{side}_j", f"{side}_i")
+        yield np.prod([ratio(sgn(p - l0), head) for p in pts]), letters(pts, l0)
         for i, pi in enumerate(pts):
-            coeff = c / _guard(b(sgn(pi - l0)), abs(c), f"b({side}_i - lam_0)")
+            coeff = c / _guard(b(sgn(pi - l0)), abs(c), head)
             for j, pj in enumerate(pts):
                 if j != i:
-                    coeff *= ratio(sgn(pj - pi), f"b({side}_j - {side}_i)")
+                    coeff *= ratio(sgn(pj - pi), cross)
             yield -coeff, letters((l0,) + pts[:i] + pts[i + 1:], pi)
 
     # each left term ends in the B string; by linearity the C string acts once, on the right sum

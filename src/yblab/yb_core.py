@@ -270,7 +270,8 @@ def relation_residual(apply: Callable[[Sequence, np.ndarray], np.ndarray],
 
     A side ``(outer, terms)`` is ``apply(outer, .)`` of the in-order sum of its
     terms ``(coeff, ops)``, each ``coeff * apply(ops, cols)``, or bare where ``coeff``
-    is None; a subtracted term has the coefficient ``-(coeff)``.  ``apply`` is a
+    is None; a subtracted term has the coefficient ``-(coeff)``, and a ``coeff`` of ``dim``
+    values scales each column, so ``(values, [])`` is ``diag(values)``.  ``apply`` is a
     :func:`block_words` word or :func:`apply_factors`: one contract, ``apply(ops, cols)``.
     """
     cols = np.eye(dim, dtype=complex)

@@ -1,16 +1,18 @@
 import math
+import re
+from operator import neg, pos
 
 import numpy as np
 import pytest
 
-from yblab.errors import RegimeMismatch, SizeMismatch
+from yblab.errors import RegimeMismatch, SingularCoefficient, SizeMismatch
 from yblab.feq import (fx_coefficients, fx_residual, snad_coefficients,
                        snad_residuals, verify_ab, verify_abn, verify_bb,
                        verify_identity, verify_tay, verify_tdy)
 from yblab.lattice_qty import dwbc_partition, dwbc_partitions, scalar_products_bf
 from yblab.sampling import random_context, sample_spectral, sample_theta
 from yblab import feq, yb_core
-from yblab.special_fn import Regime, f_weights
+from yblab.special_fn import Regime, f_weights, six_vertex
 from yblab.yb_core import ModelContext
 
 from oracles import blocks_literal, creation_string, f_literal
@@ -80,6 +82,22 @@ def test_fx_coefficients_weight_count(monkeypatch, rng):
         == [78]
 
 
+@pytest.mark.parametrize("L", [1, 2, 3])
+def test_fx_coefficients_trig_transcription_oracle(L, rng):
+    # independent symbol-by-symbol re-transcription of the theta-free coefficients
+    ctx = random_context(L, rng, elliptic=False)
+    a, b, c, mu = (lambda z: np.sinh(z + ctx.gamma)), np.sinh, np.sinh(ctx.gamma), ctx.mu
+    l0, *lams = sample_spectral(ctx, rng, L + 1)
+    coeffs = fx_coefficients(l0, lams, 0.0, ctx)
+    expected = [np.prod([b(l0 - m) for m in mu]),
+                -np.prod([a(l0 - m) for m in mu]) * np.prod([a(l - l0) / b(l - l0) for l in lams])]
+    expected += [(c / b(li - l0)) * np.prod([a(li - m) for m in mu])
+                 * np.prod([a(lj - li) / b(lj - li) for j, lj in enumerate(lams) if j != i])
+                 for i, li in enumerate(lams)]
+    for got, want in zip((coeffs.m0,) + coeffs.n, expected, strict=True):
+        assert abs(got - want) < 1e-12 * abs(want)
+
+
 @pytest.mark.parametrize("L,elliptic", [(1, True), (2, True), (3, True),
                                         (2, False), (3, False)])
 def test_fx_residual_brute_force(L, elliptic, rng):
@@ -120,23 +138,30 @@ def test_snad_heads_vanish_for_identical_sets(rng):
 
 
 def test_snad_coefficients_transcription_oracle(rng):
-    # n = 2, L = 3: re-transcribe the D-type family independently
+    # n = 1..3, L = 3: both heads and all four families, re-transcribed symbol by symbol
     ctx = random_context(3, rng, elliptic=False)
-    a = lambda z: np.sinh(z + ctx.gamma)
-    b = np.sinh
-    c = np.sinh(ctx.gamma)
-    pts = sample_spectral(ctx, rng, 5)
-    l0, xb, yc = pts[0], pts[1:3], pts[3:]
-    coeffs = snad_coefficients(l0, xb, yc, ctx)
-    for i in range(2):
-        expected = (c / b(l0 - xb[i])) * np.prod([b(xb[i] - m) for m in ctx.mu]) \
-            * np.prod([a(xb[i] - xb[j]) / b(xb[i] - xb[j])
-                       for j in range(2) if j != i])
-        assert abs(coeffs.ktb[i] - expected) < 1e-12 * abs(expected)
-        expected_c = -(c / b(l0 - yc[i])) * np.prod([b(yc[i] - m) for m in ctx.mu]) \
-            * np.prod([a(yc[i] - yc[j]) / b(yc[i] - yc[j])
-                       for j in range(2) if j != i])
-        assert abs(coeffs.ktc[i] - expected_c) < 1e-12 * abs(expected_c)
+    a, b, c, mu = (lambda z: np.sinh(z + ctx.gamma)), np.sinh, np.sinh(ctx.gamma), ctx.mu
+    others = lambda points, i: [q for j, q in enumerate(points) if j != i]
+    ratios = lambda zs: np.prod([a(z) / b(z) for z in zs])
+    for n in (1, 2, 3):
+        l0, *pts = sample_spectral(ctx, rng, 2 * n + 1)
+        xb, yc = pts[:n], pts[n:]
+        coeffs = snad_coefficients(l0, xb, yc, ctx)
+        k = lambda points, i: (c / b(points[i] - l0)) * np.prod([a(points[i] - m) for m in mu]) \
+            * np.prod([a(q - points[i]) / b(q - points[i]) for q in others(points, i)])
+        kt = lambda points, i: (c / b(l0 - points[i])) * np.prod([b(points[i] - m) for m in mu]) \
+            * np.prod([a(points[i] - q) / b(points[i] - q) for q in others(points, i)])
+        expected = {
+            "j0": [np.prod([a(l0 - m) for m in mu])
+                   * (ratios([y - l0 for y in yc]) - ratios([x - l0 for x in xb]))],
+            "jt0": [np.prod([b(l0 - m) for m in mu])
+                    * (ratios([l0 - y for y in yc]) - ratios([l0 - x for x in xb]))],
+            "kb": [k(xb, i) for i in range(n)], "kc": [-k(yc, i) for i in range(n)],
+            "ktb": [kt(xb, i) for i in range(n)], "ktc": [-kt(yc, i) for i in range(n)]}
+        for field, want in expected.items():
+            got = getattr(coeffs, field)
+            for g, w in zip(got if isinstance(got, tuple) else (got,), want, strict=True):
+                assert abs(g - w) < 1e-12 * abs(w), field
 
 
 def test_snad_rejects_elliptic(rng):
@@ -239,6 +264,25 @@ def test_fx_coefficients_singular_on_coincident_points(ell_ctx2, rng):
     theta = sample_theta(ell_ctx2, rng, range(-4, 6))
     with pytest.raises(SingularCoefficient):
         fx_coefficients(lams[0], lams, theta, ell_ctx2)
+
+
+def test_coincident_points_name_the_difference_they_evaluate(trig_ctx2, rng):
+    # the D-type coefficients, tdy's and snad's D family, evaluate b at reflected differences
+    ctx = trig_ctx2
+    l0, p = sample_spectral(ctx, rng, 2)
+    a, b, _ = six_vertex(ctx.gamma)
+    cases = [(lambda: verify_tay(l0, (l0,), (), ctx), "b(xb_i - lam_0)"),
+             (lambda: verify_tdy(l0, (l0,), (), ctx), "b(lam_0 - xb_i)"),
+             (lambda: verify_tdy(l0, (), (l0,), ctx), "b(lam_0 - yc_i)"),
+             (lambda: verify_tay(l0, (p, p), (), ctx), "b(xb_j - xb_i)"),
+             (lambda: verify_tdy(l0, (p, p), (), ctx), "b(xb_i - xb_j)"),
+             (lambda: feq._swap_family(l0, (l0,), a, pos, ctx), "b(lam_i - lam_0)"),
+             (lambda: feq._swap_family(l0, (l0,), b, neg, ctx), "b(lam_0 - lam_i)"),
+             (lambda: feq._swap_family(l0, (p, p), a, pos, ctx), "b(lam_j - lam_i)"),
+             (lambda: feq._swap_family(l0, (p, p), b, neg, ctx), "b(lam_i - lam_j)")]
+    for call, text in cases:
+        with pytest.raises(SingularCoefficient, match=re.escape(f"denominator {text} is")):
+            call()
 
 
 def test_identity_regime_guard(ell_ctx2, trig_ctx3, rng):

@@ -86,6 +86,20 @@ def test_relation_residual_is_the_literal_relation(rng):
 
 
 @pytest.mark.parametrize("elliptic", [True, False])
+def test_a_side_of_per_column_values_on_the_empty_word_is_the_diagonal(elliptic, rng):
+    # ((), [(values, [])]) scales identity column k by values[k]: the diagonal
+    # operator a central element (the quantum determinant) is compared against
+    ctx = random_context(3, rng, elliptic=elliptic)
+    lam = sample_spectral(ctx, rng, 1)[0]
+    theta = sample_theta(ctx, rng, range(-3, 4))
+    word = block_words([(lam, theta)], ctx)
+    values = rng.standard_normal(ctx.dim) + 1j * rng.standard_normal(ctx.dim)
+    letters = [("A", lam, theta)]
+    assert repr(relation_residual(word, ((), [(None, letters)]), ((), [(values, [])]), ctx.dim)) \
+        == repr(residual(word(letters, np.eye(ctx.dim, dtype=complex)), np.diag(values)))
+
+
+@pytest.mark.parametrize("elliptic", [True, False])
 def test_a_word_of_joined_letters_is_the_nested_word(elliptic, rng):
     # the tay and tdy relations append the creation string to each left term
     ctx = random_context(3, rng, elliptic=elliptic)
