@@ -4,9 +4,21 @@ The verified identities have explicit poles at coincident spectral
 points and at zeros of the weight function's shifted arguments; samplers
 reject candidates until every relevant weight magnitude clears a floor,
 so random suites never test on top of a singularity.
+
+A sampler called on its own tests each candidate as it is drawn, with one
+weight batch.  :func:`draw_checked`, which draws the samples of ``run``,
+instead lets a whole draw accept every candidate while it records the
+points, then tests them all with one batch; if that batch rejects a point
+or raises, the draw runs again from a copy of the stream, testing each
+candidate as it is drawn.  Either way a draw returns the parameters and
+leaves the stream where testing each candidate would.
 """
 
 from __future__ import annotations
+
+import contextvars
+import copy
+from typing import Any, Callable
 
 from .errors import NonConvergent, SamplingExhausted
 from .rng import Stream
@@ -27,18 +39,57 @@ MAX_TRIES = 10_000
 DEFAULT_GAMMA = 0.41 + 0.07j
 DEFAULT_NOME = 0.2 + 0.0j
 
+#: Inside :func:`draw_checked`'s first run of a draw, the list the
+#: admissibility tests record their points in instead of testing them.
+_DEFERRED: contextvars.ContextVar[list[complex] | None] = \
+    contextvars.ContextVar("_DEFERRED", default=None)
+
 
 def draw_point(rng: Stream) -> complex:
     return complex(rng.uniform(*RECT_RE), rng.uniform(*RECT_IM))
 
 
+def _clear(ctx: ModelContext, points: list[complex]) -> bool:
+    """|f| > MIN_WEIGHT at every one of ``points``, from one weight batch."""
+    return all(abs(w) > MIN_WEIGHT for w in f_weights(points, ctx.regime))
+
+
 def _admissible(ctx: ModelContext, points: list[complex]) -> bool:
     """|f| > MIN_WEIGHT at every one of ``points``, from one weight batch; if it raises,
-    point by point in order, so that a rejection hides the error of a later point."""
+    point by point in order, so that a rejection hides the error of a later point.
+    Inside a deferred draw the points are recorded and the answer is yes."""
+    deferred = _DEFERRED.get()
+    if deferred is not None:
+        deferred.extend(points)
+        return True
     try:
-        return all(abs(w) > MIN_WEIGHT for w in f_weights(points, ctx.regime))
+        return _clear(ctx, points)
     except (OverflowError, NonConvergent):
         return all(abs(ctx.f(p)) > MIN_WEIGHT for p in points)
+
+
+def draw_checked(draw: Callable[[ModelContext, Any], dict], ctx: ModelContext,
+                 rng: Any) -> tuple[dict, Any]:
+    """``draw(ctx, rng)`` with its admissibility tests taken in one weight batch at the end.
+
+    Returns the params, and the stream to draw on next, of the draw that tests
+    each candidate as it is drawn, or raises that draw's error: that draw runs,
+    on a copy of ``rng`` taken at the start, when the batch rejects a point or
+    raises.  A draw that tests no point makes no weight call.
+    """
+    start = copy.deepcopy(rng)  # a Generator's shallow copy shares its bit generator
+    recorded: list[complex] = []
+    token = _DEFERRED.set(recorded)
+    try:
+        params = draw(ctx, rng)
+    finally:
+        _DEFERRED.reset(token)
+    try:
+        if not recorded or _clear(ctx, recorded):
+            return params, rng
+    except (OverflowError, NonConvergent):
+        pass
+    return draw(ctx, start), start
 
 
 def sample_spectral(ctx: ModelContext, rng: Stream, count: int,

@@ -21,12 +21,17 @@ Python ones of a loop over the terms: ``np.sin`` is ``cmath.sin`` up to
 ``|Im| = 708`` (``cmath.sin`` takes the sines beyond), ``np.hypot`` of
 the parts is ``abs()``, complex products are spelled out in real parts
 (numpy's complex ``*`` may round differently), and ``np.cumsum`` adds in
-sequence.  Python's ``max`` skips a NaN that numpy's maxima keep; that
-never decides a stop, since a NaN term takes two products past
-``DBL_MAX / 2``, and the sine of the next term then overflows and raises.
-A first pass sums one chunk of terms per point, enough up to ``|Im z| = 2``;
-the points that have not stopped are summed again over twice the terms,
-up to ``SERIES_CAP``.
+sequence, its first term plus ``0j`` as the loop's sum starts.  Python's
+``max`` skips a NaN that numpy's maxima keep; that never decides a stop,
+since a NaN term takes two products past ``DBL_MAX / 2``, and the sine
+of the next term then overflows and raises.  A pass is one complex
+``(points, terms)`` array, which holds the sine arguments and then, in
+place, the terms and their partial sums, with float arrays of that shape
+for the magnitudes of both and for the stop bounds.  A first pass sums
+one chunk of terms per point, enough up to ``|Im z| = 2``; the points
+that have not stopped are summed again over twice the terms, up to
+``SERIES_CAP``.  :func:`f_weights` does its own arithmetic (``1j * lam``,
+``theta / 2``) in Python's complex operations, never numpy's.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -55,7 +61,7 @@ SERIES_CAP = 200
 _SIN_EXACT_IM = 708.0
 
 #: Point-term entries :func:`theta1_batch` sums at a time: the transient
-#: arrays take about 100 bytes per entry, so a pass peaks near 1 MB.
+#: arrays take about 80 bytes per entry, so a pass peaks near 0.7 MB.
 _BATCH_ENTRIES = 8192
 
 
@@ -130,40 +136,48 @@ def _sum_terms(z: np.ndarray, terms: int, tables: tuple
     raised = {}
     with np.errstate(all="ignore"):
         arg = np.empty((z.size, terms), dtype=complex)
-        arg.real = k * zr - 0.0 * zi  # (2n+1) * z as the complex (2n+1, 0) times z
-        arg.imag = k * zi + 0.0 * zr
+        re, im = arg.real, arg.imag
+        np.multiply(k, zr, out=re)  # (2n+1) * z as the complex (2n+1, 0) times z
+        re -= 0.0 * zi
+        np.multiply(k, zi, out=im)
+        im += 0.0 * zr
         sine = np.sin(arg)
         if z.size and np.abs(z.imag).max() * k[-1] > _SIN_EXACT_IM:
-            for r, c in zip(*np.nonzero(np.abs(arg.imag) > _SIN_EXACT_IM)):
+            for r, c in zip(*np.nonzero(np.abs(im) > _SIN_EXACT_IM)):
                 try:
                     sine[r, c] = cmath.sin(arg[r, c])
                 except OverflowError as exc:
                     raised[r, c] = exc
-        # column j + 1 of each table belongs to term j and column 0 to the
-        # empty sum; the cumsum turns the terms into partial sums in place
-        term = np.zeros((z.size, terms + 1), dtype=complex)
-        np.subtract(cr * sine.real, ci * sine.imag, out=term.real[:, 1:])
-        np.add(cr * sine.imag, ci * sine.real, out=term.imag[:, 1:])
-        mags = np.full(term.shape, np.inf)
-        np.hypot(term.real[:, 1:], term.imag[:, 1:], out=mags[:, 1:])
-        run = np.cumsum(term, axis=1, out=term)
-        sizes = np.full(run.shape, 1e-300)
-        np.hypot(run.real[:, 1:], run.imag[:, 1:], out=sizes[:, 1:])
-        scales = np.maximum.accumulate(sizes, axis=1)
-        events = np.maximum(mags[:, :-1], mags[:, 1:]) <= TERM_TOL * scales[:, 1:]
+        # the arguments are spent: their buffer takes the terms, then the partial sums
+        run, sr, si = arg, sine.real, sine.imag
+        np.multiply(cr, sr, out=re)
+        re -= ci * si
+        np.multiply(cr, si, out=im)
+        im += ci * sr
+        mags = np.hypot(re, im)
+        run[:, 0] += 0j  # the loop's sum starts at 0j, which makes a -0.0 part 0.0
+        np.cumsum(run, axis=1, out=run)
+        sizes = np.hypot(re, im)
+        sizes[:, 0] = np.maximum(sizes[:, 0], 1e-300)  # the stop bound's floor
+        bound = np.maximum.accumulate(sizes, axis=1)
+        bound *= TERM_TOL
+        # a term stops the sum with the one before it; term 0 with the loop's inf
+        events = np.empty((z.size, terms), dtype=bool)
+        events[:, 0] = np.maximum(np.inf, mags[:, 0]) <= bound[:, 0]
+        np.less_equal(np.maximum(mags[:, :-1], mags[:, 1:]), bound[:, 1:], out=events[:, 1:])
     fail = None
-    if raised or not np.isfinite(scales[:, -1].max(initial=0.0)):
+    if raised or not np.isfinite(bound[:, -1].max(initial=0.0)):
         # abs() raises at an infinite size of finite parts (a term overflows
         # alone only at n <= 1, where its partial sum overflows first)
         fail = np.isinf(sizes) & np.isfinite(run)
         for r, c in raised:
-            fail[r, c + 1] = True
-        events |= fail[:, 1:]
+            fail[r, c] = True
+        events |= fail
     rows, first = np.arange(z.size), events.argmax(axis=1)
     errors = {} if fail is None else {
         r: raised.get((r, first[r])) or OverflowError("absolute value too large")
-        for r in np.flatnonzero(fail[rows, first + 1]).tolist()}
-    return run[rows, first + 1], events[rows, first], errors
+        for r in np.flatnonzero(fail[rows, first]).tolist()}
+    return run[rows, first], events[rows, first], errors
 
 
 def theta1_batch(z: Sequence[complex], params: EllipticParams) -> np.ndarray:
@@ -208,12 +222,12 @@ def f_weights(points: Sequence[complex], regime: Regime) -> list[complex]:
     bit pattern (``0.0`` and ``-0.0`` stay apart); it raises what the batch raises.
     """
     if not regime.is_elliptic:
-        return [cmath.sinh(lam) for lam in points]
+        return list(map(cmath.sinh, points))
     bits = np.array(points, dtype=complex).view("V16").tolist()
     distinct = dict(zip(bits, points))
-    thetas = theta1_batch([1j * lam for lam in distinct.values()], regime.params).tolist()
-    weights = dict(zip(distinct, (t / 2.0 for t in thetas)))
-    return [weights[b] for b in bits]
+    thetas = theta1_batch(list(map((1j).__mul__, distinct.values())), regime.params).tolist()
+    weights = dict(zip(distinct, map(complex.__truediv__, thetas, repeat(2.0))))
+    return list(map(weights.__getitem__, bits))
 
 
 def six_vertex(gamma: complex) -> tuple[Callable[[complex], complex],

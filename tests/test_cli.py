@@ -1,10 +1,12 @@
 import argparse
+import collections
 import dataclasses
 import io
 import json
 import math
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -14,8 +16,11 @@ import pytest
 
 import yblab
 import yblab.cli as cli
-from yblab import errors, feq, pde, special_fn, yb_core
+from yblab import errors, feq, pde, sampling, special_fn, yb_core
 from yblab.errors import DynamicalPole, InterpolationIllConditioned
+from yblab.rng import Stream
+from yblab.special_fn import Regime
+from yblab.yb_core import ModelContext
 
 from oracles import (f_literal, fzt_coefficients_literal, omega_actions_literal,
                      omega_leading_apply_literal, theta1_literal)
@@ -92,6 +97,51 @@ def test_report_streams_are_numpy_generator_streams(monkeypatch, flags, L, seed)
     monkeypatch.setattr(cli, "Stream", numpy_generator)
     assert run_digests(args) == shipped
     assert shipped[2]
+
+
+def _draw_outcome(draw, ctx, rng):
+    """The params a draw gives and the next value of its stream, or its error."""
+    try:
+        params, rng = draw(ctx, rng)
+    except (errors.YbLabError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return pickle.dumps(params), rng.uniform(0, 1)
+
+
+@pytest.mark.parametrize("stream", [Stream, numpy_generator], ids=["stream", "generator"])
+@pytest.mark.parametrize("floor", [sampling.MIN_WEIGHT, 0.1], ids=["floor-default", "floor-0.1"])
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+def test_deferred_draw_is_the_per_candidate_draw(monkeypatch, floor, L, stream):
+    # run tests a draw's candidates in one batch at its end, and draws again
+    # testing each candidate if the batch rejects one or raises; every
+    # registered draw gives the params, stream and error of testing each
+    # candidate as it is drawn, on yblab's stream and on numpy's Generator.
+    # The raised floor rejects some draws, and the weights against mu near
+    # 300 overflow.
+    monkeypatch.setattr(sampling, "MIN_WEIGHT", floor)
+    mu = sampling.sample_mu(Stream(L, cli.MODEL_SEED_KEY), L)
+    models = {"elliptic": ModelContext(L, sampling.DEFAULT_GAMMA, mu, Regime.elliptic(0.2)),
+              "trig": ModelContext(L, sampling.DEFAULT_GAMMA, mu, Regime.trigonometric()),
+              "overflow": ModelContext(L, sampling.DEFAULT_GAMMA, tuple(300 + m for m in mu),
+                                       Regime.elliptic(0.2))}
+    replays, raised = collections.Counter(), collections.Counter()
+    for model, ctx in models.items():
+        for cd in cli.REGISTRY.values():
+            for seed in range(1, 6):
+                runs = []
+                counted = lambda ctx, rng: runs.append(1) or cd.draw(ctx, rng)
+                expected = _draw_outcome(lambda ctx, rng: (cd.draw(ctx, rng), rng),
+                                         ctx, stream(seed, 7))
+                deferred = _draw_outcome(lambda ctx, rng: sampling.draw_checked(counted, ctx, rng),
+                                         ctx, stream(seed, 7))
+                assert deferred == expected
+                replays[model] += len(runs) - 1
+                raised[model] += isinstance(expected[0], type)
+    assert raised["elliptic"] == raised["trig"] == 0 < raised["overflow"] <= replays["overflow"]
+    if floor == 0.1:
+        assert replays["elliptic"] > 0 and replays["trig"] > 0
+    else:
+        assert replays["elliptic"] == replays["trig"] == 0
 
 
 def _run_fresh(code: str, timeout: float = 120) -> subprocess.CompletedProcess:

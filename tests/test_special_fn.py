@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from yblab import feq, lattice_qty, residue_int, sampling, special_fn, yb_core
+from yblab import cli, feq, lattice_qty, residue_int, sampling, special_fn, yb_core
 from yblab.errors import NomeTooLarge, NonConvergent, ZeroNome
 from yblab.sampling import random_context, sample_spectral, sample_theta
 from yblab.special_fn import (EllipticParams, Regime, _theta1_coefficient_arrays, f_weights,
@@ -342,6 +342,22 @@ def test_samplers_make_one_weight_call_per_candidate(elliptic, monkeypatch, rng)
         sampling.sample_theta(ctx, rng)
     # trigonometric contexts draw no theta
     assert calls == ["sampling"] * len(draws) and len(draws) >= 50 + 10 * elliptic
+
+
+def test_run_makes_one_weight_batch_per_draw(monkeypatch, capsys):
+    # the seed-1 run-elliptic pass: run tests each draw's candidates in one
+    # batch (dia-realization's draws test none), and every evaluation, factor
+    # build and model check makes one call
+    calls = _weight_calls(monkeypatch)
+    checks, f = [], ModelContext.f
+    monkeypatch.setattr(ModelContext, "f", lambda self, z: checks.append(z) or f(self, z))
+    assert cli.main(["run", "--L", "4", "--checks", "dybe,rll,hw-actions,identities,fx,"
+                     "z-contour-vs-bf,dia-realization", "--samples", "20", "--seed", "1"]) == 0
+    capsys.readouterr()
+    evaluations = sum(calls.count(module) for module in ("feq", "lattice_qty", "residue_int"))
+    builds = calls.count("yb_core") - len(checks)
+    assert (calls.count("sampling"), builds, evaluations, len(checks)) == (120, 120, 80, 21)
+    assert len(calls) == 341
 
 
 def test_admissible_rejection_hides_a_later_weight_error():
