@@ -23,12 +23,11 @@ to the identity columns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import islice
 from operator import neg, pos
 from typing import Callable
-
-import numpy as np
 
 from .errors import RegimeMismatch, SingularCoefficient, SizeMismatch
 from .lattice_qty import Evaluator, PairEvaluator, _creation_slots, as_values
@@ -60,7 +59,7 @@ def _swap_family(l0: complex, points: tuple[complex, ...], eig: Callable[[comple
     head, cross = _b_text(sgn, "lam_i", "lam_0"), _b_text(sgn, "lam_j", "lam_i")
     out = []
     for i, li in enumerate(points):
-        coeff = c / _guard(b(sgn(li - l0)), abs(c), head) * np.prod([eig(li - m) for m in ctx.mu])
+        coeff = c / _guard(b(sgn(li - l0)), abs(c), head) * math.prod([eig(li - m) for m in ctx.mu])
         for lj in points[:i] + points[i + 1:]:
             z = sgn(lj - li)
             coeff *= a(z) / _guard(b(z), abs(c), cross)
@@ -111,21 +110,21 @@ def fx_coefficients(l0: complex, X, theta: complex,
                                  for q in (other - li + g, other - li)]],
                            ctx.regime))
         f_t, f_tl, *f_mu = islice(w, 2 + L)
-        m0 = f_t / _guard(f_tl, 1.0, "f(theta + L*gamma)") * np.prod(f_mu)
+        m0 = f_t / _guard(f_tl, 1.0, "f(theta + L*gamma)") * math.prod(f_mu)
         f_g, f_top = next(w), _guard(next(w), 1.0, "f(theta + (L+1)*gamma)")
         n = []
         for _ in extended:
             f_head, f_cross, *f_mu = islice(w, 2 + L)
             coeff = -(f_head / f_top) \
-                * (f_g / _guard(f_cross, abs(f_g), "f(lam_0 - lam_i + gamma)")) * np.prod(f_mu)
+                * (f_g / _guard(f_cross, abs(f_g), "f(lam_0 - lam_i + gamma)")) * math.prod(f_mu)
             for _ in lams:  # the L other points
                 coeff *= next(w) / _guard(next(w), abs(f_g), "f(lam - lam_i)")
             n.append(complex(coeff))
         return FxCoefficients(complex(m0), tuple(n))
 
     a, b, c = six_vertex(g)
-    m0 = np.prod([b(l0 - m) for m in ctx.mu])
-    n0 = -np.prod([a(l0 - m) for m in ctx.mu])
+    m0 = math.prod([b(l0 - m) for m in ctx.mu])
+    n0 = -math.prod([a(l0 - m) for m in ctx.mu])
     for lam in lams:
         n0 *= a(lam - l0) / _guard(b(lam - l0), abs(c), "b(lam - lam_0)")
     return FxCoefficients(complex(m0), (complex(n0),) + _swap_family(l0, lams, a, pos, ctx))
@@ -175,9 +174,9 @@ def snad_coefficients(l0: complex, XB, YC, ctx: ModelContext) -> SnadCoefficient
     ratio = lambda z, what: a(z) / _guard(b(z), abs(c), what)
 
     def equation(eig, sgn):
-        head = np.prod([eig(l0 - m) for m in ctx.mu]) * (
-            np.prod([ratio(sgn(y - l0), _b_text(sgn, "yc_i", "lam_0")) for y in yc])
-            - np.prod([ratio(sgn(x - l0), _b_text(sgn, "xb_i", "lam_0")) for x in xb]))
+        head = math.prod([eig(l0 - m) for m in ctx.mu]) * (
+            math.prod([ratio(sgn(y - l0), _b_text(sgn, "yc_i", "lam_0")) for y in yc])
+            - math.prod([ratio(sgn(x - l0), _b_text(sgn, "xb_i", "lam_0")) for x in xb]))
         return (complex(head), _swap_family(l0, xb, eig, sgn, ctx),
                 tuple(-k for k in _swap_family(l0, yc, eig, sgn, ctx)))
 
@@ -299,7 +298,7 @@ def _tay_tdy(l0: complex, xb, yc, ctx: ModelContext, use_d: bool) -> float:
         """The terms of one side: the points ``pts`` at ``lam_0``, then each point
         swapped for ``lam_0``; ``letters(points, lam)`` spells a term's word."""
         head, cross = _b_text(sgn, f"{side}_i", "lam_0"), _b_text(sgn, f"{side}_j", f"{side}_i")
-        yield np.prod([ratio(sgn(p - l0), head) for p in pts]), letters(pts, l0)
+        yield math.prod([ratio(sgn(p - l0), head) for p in pts]), letters(pts, l0)
         for i, pi in enumerate(pts):
             coeff = c / _guard(b(sgn(pi - l0)), abs(c), head)
             for j, pj in enumerate(pts):

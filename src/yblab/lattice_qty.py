@@ -14,6 +14,7 @@ These are the reference oracles for the closed-form residue evaluators.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -146,7 +147,7 @@ def hw_action_residuals(lam: complex, theta: complex,
     weights = f_weights([lam - m + g for m in ctx.mu] + [lam - m for m in ctx.mu] + (
         [theta - g, theta + (L - 1) * g, theta + g, theta - (L - 1) * g] if ctx.is_elliptic
         else []), ctx.regime)
-    shift, plain = np.prod(weights[:L]), np.prod(weights[L:2 * L])  # prod a resp. b (trig)
+    shift, plain = math.prod(weights[:L]), math.prod(weights[L:2 * L])  # prod a resp. b (trig)
     f_a, f_a_top, f_d, f_d_top = weights[2 * L:] if ctx.is_elliptic else (1, 1, 1, 1)
     # (block, extremal state) -> eigenvalue; B and C annihilate the state instead
     eigenvalues = {("A", "up"): shift, ("A", "down"): f_a / f_a_top * plain,

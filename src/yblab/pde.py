@@ -128,9 +128,9 @@ def _horner(coeffs: np.ndarray, point: Sequence[complex]) -> list[complex]:
     is one array Horner step over the whole stack: numpy's elementwise
     loops round each element alike whatever the array's size or layout,
     so a value does not depend on the stack it is part of.  The last
-    variable's step runs per polynomial on numpy scalars, whose complex
-    arithmetic rounds differently from the array loops; it is the step a
-    single evaluation has always taken.
+    variable's step runs per polynomial on Python ``complex``, whose
+    arithmetic may round differently from the array loops; it is the step
+    a single evaluation takes.
     """
     v = coeffs
     for x in point[:-1]:
@@ -141,8 +141,9 @@ def _horner(coeffs: np.ndarray, point: Sequence[complex]) -> list[complex]:
     x = point[-1]
     values = []
     for column in (v.T if v.ndim > 1 else (v,)):
+        column = column.tolist()
         acc = column[-1]
-        for d in range(column.shape[0] - 2, -1, -1):
+        for d in range(len(column) - 2, -1, -1):
             acc = acc * x + column[d]
         values.append(complex(acc))
     return values
@@ -203,7 +204,7 @@ def _fzt_point(lams: tuple[complex, ...], ctx: ModelContext
     if ctx.is_elliptic:
         raise RegimeMismatch("the merged swap equation is trigonometric")
     a, b, c = six_vertex(ctx.gamma)
-    return (tuple(np.prod([a(li - m) for m in ctx.mu]) for li in lams),
+    return (tuple(math.prod([a(li - m) for m in ctx.mu]) for li in lams),
             tuple(tuple(a(lj - li) / _b_apart(b(lj - li), c, j + 1, i + 1)
                         for j, lj in enumerate(lams) if j != i)
                   for i, li in enumerate(lams)))
@@ -220,9 +221,9 @@ def _fzt_node(l0: complex, lams: tuple[complex, ...], a_mu, ratios, ctx: ModelCo
               ) -> tuple[complex, tuple[complex, ...]]:
     a, b, c = six_vertex(ctx.gamma)
     dens = [_b_apart(b(l - l0), c, i + 1, 0) for i, l in enumerate(lams)]
-    head = np.prod([b(l0 - m) for m in ctx.mu]) \
-        - np.prod([a(l0 - m) for m in ctx.mu]) \
-        * np.prod([a(l - l0) / den for l, den in zip(lams, dens)])
+    head = math.prod([b(l0 - m) for m in ctx.mu]) \
+        - math.prod([a(l0 - m) for m in ctx.mu]) \
+        * math.prod([a(l - l0) / den for l, den in zip(lams, dens)])
     swaps = []
     for i, den in enumerate(dens):
         coeff = (c / den) * a_mu[i]
@@ -362,8 +363,8 @@ def omega_actions(zbar: MultiPoly, lams: Sequence[complex], ctx: ModelContext) -
     derivs = zbar.derivative_table(xs)
     a_mu, ratios = _fzt_point(lams, ctx)
     half = lambda l: cmath.exp((1 - L) * l)
-    head_half = np.prod([half(l) for l in lams])
-    swap_half = [np.prod([half(lams[j]) for j in range(L) if j != i]) for i in range(L)]
+    head_half = math.prod([half(l) for l in lams])
+    swap_half = [math.prod([half(lams[j]) for j in range(L) if j != i]) for i in range(L)]
     kappa = 2.0 ** (-L) * cmath.exp(-sum(ctx.mu)) * cmath.exp((1 - L) * sum(lams))
     norm_den = kappa * (1 - cmath.exp(ctx.gamma) ** (-2))
     values, scales = [], []
@@ -416,7 +417,7 @@ def omega_leading_apply(zbar: MultiPoly, lams: Sequence[complex], ctx: ModelCont
     bbar = lambda u, v: u - v
     total = sum(abar(xs[i], ys[i]) for i in range(L)) * derivs[0][0]
     for i in range(L):
-        weight = np.prod([abar(xs[i], ys[j]) for j in range(L)])
+        weight = math.prod([abar(xs[i], ys[j]) for j in range(L)])
         for j in range(L):
             if j != i:
                 den = bbar(xs[j], xs[i])

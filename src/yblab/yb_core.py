@@ -190,7 +190,8 @@ def site_factors(specs: Sequence[Spec], ctx: ModelContext, n_sites: int) -> list
     Sector ``s`` (``s`` of the ``n_shift = len(shift_sites)`` shift
     sites down) has spin weight ``w = n_shift - 2*s`` and dynamical
     argument ``t = theta - gamma*w``.  Row 0 of a read-only
-    ``(2, 4*(n_shift + 1))`` table holds the diagonal amplitudes, row 1
+    ``(2, 4*(n_shift + 1))`` table, a view of the one array the call
+    builds for all its specs, holds the diagonal amplitudes, row 1
     the amplitude from the partner state with the two site spins
     exchanged (zero on uu and dd); entry ``4*s + k`` belongs to sector
     ``s`` and pair state ``k``.  By the ice rule these are all the
@@ -205,10 +206,12 @@ def site_factors(specs: Sequence[Spec], ctx: ModelContext, n_sites: int) -> list
     a pole by the first spec in (spec, sector) order that meets one, named
     by its pair of sites and its sector.
     """
-    specs = [(complex(lam), complex(theta), tuple(pair), tuple(shift) if ctx.is_elliptic else ())
+    elliptic = ctx.is_elliptic
+    specs = [(complex(lam), complex(theta), tuple(pair), tuple(shift) if elliptic else ())
              for lam, theta, pair, shift in specs]
     g = ctx.gamma
-    if ctx.is_elliptic:
+    diag, off = [], []
+    if elliptic:
         sectors = [[(w, theta - g * w) for w in range(len(shift), -len(shift) - 1, -2)]
                    for _, theta, _, shift in specs]
         fg, *values = f_weights([g] + [p for (lam, *_), spec_sectors in zip(specs, sectors)
@@ -216,9 +219,7 @@ def site_factors(specs: Sequence[Spec], ctx: ModelContext, n_sites: int) -> list
                                        for p in (t, t - g, t + g, lam + g, lam, t - lam, t + lam)],
                                 ctx.regime)
         weights = zip(*[iter(values)] * 7)
-        rows = []
         for (_, _, pair, _), spec_sectors in zip(specs, sectors):
-            diag, off = [], []
             for (w, t), sector_weights in zip(spec_sectors, weights):
                 ft, ft_minus, ft_plus, fa, fl, f_minus, f_plus = sector_weights
                 if abs(ft) <= POLE_RTOL * max(abs(ft_minus), abs(ft_plus), abs(fg)):
@@ -226,16 +227,18 @@ def site_factors(specs: Sequence[Spec], ctx: ModelContext, n_sites: int) -> list
                                         f"f(theta) ~ 0 at theta = {t}")
                 diag += (fa, fl * ft_minus / ft, fl * ft_plus / ft, fa)
                 off += (0j, fg * f_minus / ft, fg * f_plus / ft, 0j)
-            rows.append((diag, off))
     else:
         a_of, b_of, c = six_vertex(g)
-        rows = [((a, b, b, a), (0j, c, c, 0j))
-                for a, b in ((a_of(lam), b_of(lam)) for lam, *_ in specs)]
-    factors = []
-    for (_, _, pair, shift), spec_rows in zip(specs, rows):
-        table = np.array(spec_rows, dtype=complex)
-        table.setflags(write=False)
-        factors.append((table,) + _layout(n_sites, pair, shift))
+        for lam, *_ in specs:
+            a, b = a_of(lam), b_of(lam)
+            diag += (a, b, b, a)
+            off += (0j, c, c, 0j)
+    tables = np.array([diag, off], dtype=complex)
+    tables.setflags(write=False)
+    factors, end = [], 0
+    for _, _, pair, shift in specs:
+        start, end = end, end + 4 * (len(shift) + 1)
+        factors.append((tables[:, start:end],) + _layout(n_sites, pair, shift))
     return factors
 
 
@@ -340,34 +343,31 @@ def block_words(keys: Iterable[tuple[complex, complex]], ctx: ModelContext) -> W
     A letter reads one key, or one key per column: then ``lam`` and
     ``theta`` are sequences, entry ``k`` the key of column ``k`` of a
     ``(2^L, K)`` array ``cols`` (``2^(L+1)`` rows for ``T``).  Every
-    chain puts the same layout at each chain position, so the tables of
-    all the keys are stacked once, into one read-only ``(keys, 2, m)``
-    array per chain position next to its layout.  A shared letter
-    applies its key's row, and a per-column letter gathers its keys'
-    rows as a ``(2, m, K)`` table, so the terms of an equation, one word
-    with one block pattern, run as the columns of one word.
+    chain puts the same layout at each chain position, so a shared
+    letter applies its key's own L factors, and a per-column letter
+    gathers its keys' tables at each position into one ``(2, m, K)``
+    table, so the terms of an equation, one word with one block pattern,
+    run as the columns of one word.
     """
+    elliptic = ctx.is_elliptic
+
     def key(lam: complex, theta: complex) -> tuple[complex, complex]:
-        return complex(lam), complex(theta) if ctx.is_elliptic else 0j
+        return complex(lam), complex(theta) if elliptic else 0j
 
     L, d = ctx.L, ctx.dim
-    rows = {k: i for i, k in enumerate(dict.fromkeys(key(*k) for k in keys))}
-    factors = site_factors([spec for k in rows for spec in _monodromy(*k, ctx)], ctx, L + 1)
-    positions = [(np.array([table for table, _, _ in factors[p::L]]), partner, column)
-                 for p, (_, partner, column) in enumerate(factors[:L])]
-    for stack, _, _ in positions:
-        stack.setflags(write=False)
+    starts = {k: i * L for i, k in enumerate(dict.fromkeys(key(*k) for k in keys))}
+    factors = site_factors([spec for k in starts for spec in _monodromy(*k, ctx)], ctx, L + 1)
 
     def word(letters: Sequence[Letter], cols: np.ndarray) -> np.ndarray:
         x = np.asarray(cols, dtype=complex)
         for block, lam, theta in reversed(letters):
             if np.ndim(lam):
-                at = [rows[key(*k)] for k in zip(lam, theta, strict=True)]
-                chain = [(stack.take(at, axis=0).transpose(1, 2, 0), partner, column)
-                         for stack, partner, column in positions]
+                at = [starts[key(*k)] for k in zip(lam, theta, strict=True)]
+                chain = [(np.array([factors[a + p][0] for a in at]).transpose(1, 2, 0),
+                          partner, column) for p, (_, partner, column) in enumerate(factors[:L])]
             else:
-                at = rows[key(lam, theta)]
-                chain = [(stack[at], partner, column) for stack, partner, column in positions]
+                at = starts[key(lam, theta)]
+                chain = factors[at:at + L]
             if block == "T":
                 x = apply_factors(chain, x)
                 continue

@@ -1,6 +1,7 @@
 import argparse
 import collections
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -24,7 +25,7 @@ from yblab.yb_core import ModelContext
 
 from oracles import (f_literal, fzt_coefficients_literal, omega_actions_literal,
                      omega_leading_apply_literal, theta1_literal)
-from test_records import parse_line, run_digests
+from test_records import parse_line, read, run_digests
 
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -589,6 +590,28 @@ def test_compute_overflow_names_its_stage_and_spectral_flags(capsys, args, stage
     code, out, err = run_cli(["compute", *args], capsys)
     assert code == 1 and out == ""
     assert err == f"error: OverflowError: math range error in {stage} ({flags} given)\n"
+
+
+def test_overflowing_weight_products_write_no_warning():
+    # at gamma = 200 an a weight is about e^200 / 2, so the weight products of
+    # the fx, snad and pencil coefficients overflow before a guard refuses the
+    # sample; they are Python products, which overflow without a RuntimeWarning
+    checks = ["fx", "snad", "fzt", "pde-omega", "pde-leading", "hw-actions"]
+    argv = ["run", "--trig", "--L", "4", "--gamma", "200,0", "--checks", ",".join(checks),
+            "--samples", "3", "--seed", "1"]
+    proc = _run_fresh(f"import sys\nfrom yblab import cli\nsys.exit(cli.main({argv!r}))")
+    assert proc.returncode == 1
+    assert proc.stderr == "".join(f"[{check}] 0/3 passed (tolerance {tol})\n" for check, tol
+                                  in zip(checks, ["1e-09"] * 3 + ["1e-07"] * 2 + ["1e-09"]))
+    records = [parse_line(line) for line in proc.stdout.splitlines()]
+    for rec in records:
+        rec.pop("wall_time_ms", None)
+    assert [rec["error"].split(":")[0] for rec in records[1:]] \
+        == ["SingularCoefficient"] * 15 + ["NonFinite"] * 3
+    if np.__version__ == read("run-trig-seed1")[0]["numpy"]:  # the corpus numpy pins every bit
+        stream = "".join(json.dumps(rec, allow_nan=False) + "\n" for rec in records)
+        assert hashlib.sha256(stream.encode()).hexdigest() \
+            == "eff0a90616b36d63ba568fa34ac7515ebad6d984491e4392953b608015136ae8"
 
 
 def test_compute_sn_rejects_elliptic(capsys):

@@ -1,7 +1,9 @@
 """The matrix-free monodromy kernel against literal and dense routes."""
 
+import ast
 import importlib
 import itertools
+import pathlib
 import pkgutil
 import time
 
@@ -102,6 +104,17 @@ def test_only_yb_core_binds_the_factor_route():
         module = importlib.import_module(f"yblab.{info.name}")
         bound = [name for name in names if hasattr(module, name)]
         assert bound == (list(names) if info.name == "yb_core" else []), info.name
+
+
+def test_no_module_calls_numpy_prod():
+    # products of a few weights are math.prod's: numpy.prod costs about 15
+    # times as much per call, and writes a RuntimeWarning where one overflows
+    calls = [f"{path.name}:{node.lineno}"
+             for path in sorted(pathlib.Path(yblab.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr == "prod"
+             and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")]
+    assert calls == []
 
 
 @pytest.mark.parametrize("L", [1, 2, 3, 4, 5])

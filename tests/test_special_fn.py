@@ -92,6 +92,9 @@ def test_theta1_batch_bit_identical_to_literal_series(nome, rng, monkeypatch):
     zs += [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 1e-300j]
     if nome == 0.89:  # finite series whose late sines pass |Im| = 708
         zs += [0.3 + 5.33j, -0.3 - 5.34j]
+        # partial sums below the stop bound's 1e-300 floor, which then decides the
+        # stop: summed on past it, 1e-301 reads 1.7850307944956116e-308, not ...615e-308
+        zs += [1e-301, 1e-301j, 1e-302]
     if abs(nome) > 0.8:  # points that need more terms than the first chunk
         zs += [complex(rng.uniform(-3, 3), sign * rng.uniform(3, 4)) for sign in (1, -1)]
     for z, batched in zip(zs, theta1_batch(zs, params).tolist()):
