@@ -601,8 +601,8 @@ def test_overflowing_weight_products_write_no_warning():
             "--samples", "3", "--seed", "1"]
     proc = _run_fresh(f"import sys\nfrom yblab import cli\nsys.exit(cli.main({argv!r}))")
     assert proc.returncode == 1
-    assert proc.stderr == "".join(f"[{check}] 0/3 passed (tolerance {tol})\n" for check, tol
-                                  in zip(checks, ["1e-09"] * 3 + ["1e-07"] * 2 + ["1e-09"]))
+    assert proc.stderr == "".join(
+        f"[{name}] 0/3 passed (tolerance {cli.REGISTRY[name].tolerance:g})\n" for name in checks)
     records = [parse_line(line) for line in proc.stdout.splitlines()]
     for rec in records:
         rec.pop("wall_time_ms", None)
