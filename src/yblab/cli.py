@@ -409,7 +409,7 @@ def run_suite(cfg: RunConfig, out=None) -> int:
             state = cd.prepare(ctx, rng) if cd.prepare else None
             for k in range(cfg.samples):
                 t0 = time.perf_counter()
-                params, rng = sampling.draw_checked(cd.draw, ctx, rng)
+                params = cd.draw(ctx, rng)
                 t0 = time.perf_counter()
                 try:
                     residual, error = float(cd.evaluate(ctx, params, state)), None

@@ -97,14 +97,6 @@ class Stream:
         self.has_uint32 = 0
         self.uinteger = 0
 
-    def __deepcopy__(self, memo) -> "Stream":
-        """A stream that goes on from this state on its own.  The state is four
-        ints, so a copy of the attributes shares nothing mutable, in a quarter
-        of the time of the generic deep copy."""
-        twin = object.__new__(Stream)
-        vars(twin).update(vars(self))
-        return twin
-
     def _next64(self) -> int:
         self.state = state = (self.state * _PCG_MULT + self.inc) & _M128
         word, rot = (state >> 64 ^ state) & _M64, state >> 122

@@ -1,28 +1,25 @@
 """Admissible-point samplers for the random verification suites.
 
-The verified identities have explicit poles at coincident spectral
-points and at zeros of the weight function's shifted arguments; samplers
-reject candidates until every relevant weight magnitude clears a floor,
-so random suites never test on top of a singularity.
-
-A sampler called on its own tests each candidate as it is drawn, with one
-weight batch.  :func:`draw_checked`, which draws the samples of ``run``,
-instead lets a whole draw accept every candidate while it records the
-points, then tests them all with one batch; if that batch rejects a point
-or raises, the draw runs again from a copy of the stream, testing each
-candidate as it is drawn.  Either way a draw returns the parameters and
-leaves the stream where testing each candidate would.
+The verified identities have their poles only at the zeros of the weight
+``f``, a lattice known from the nome alone: ``n log p + i pi m`` for
+``f(x) = theta1(i x) / 2`` (DLMF 20.2) and ``i pi m`` for ``sinh``.
+Samplers reject candidates until every relevant point (a difference of
+spectral points, a shifted dynamical argument) lies farther than
+``ZERO_RADIUS`` from that lattice, so random suites never test on top of
+a singularity; no weight is read to decide it.  In units of the cell, the
+radius is 1/3142 of the imaginary period ``pi``, and of the real period
+``log(1/|p|)`` 1/1609 at the default nome 0.2, 1/117 at nome 0.89 and
+under 1/105 below the nome cap 0.9.
 """
 
 from __future__ import annotations
 
-import contextvars
-import copy
-from typing import Any, Callable
+import cmath
+import math
 
-from .errors import NonConvergent, SamplingExhausted
+from .errors import SamplingExhausted
 from .rng import Stream
-from .special_fn import Regime, f_weights
+from .special_fn import Regime
 from .yb_core import ModelContext
 
 #: Sampling rectangle for spectral parameters.
@@ -31,74 +28,46 @@ RECT_IM = (-0.4, 0.4)
 #: Inhomogeneities come from a smaller box so differences stay in range.
 MU_RE = (-0.5, 0.5)
 MU_IM = (-0.2, 0.2)
-#: Weight-magnitude floor for admissibility.
-MIN_WEIGHT = 1e-3
+#: Distance to the zero lattice of ``f`` below which a point is refused.
+ZERO_RADIUS = 1e-3
 #: Candidates a sampler draws before it raises :class:`SamplingExhausted`.
 MAX_TRIES = 10_000
 
 DEFAULT_GAMMA = 0.41 + 0.07j
 DEFAULT_NOME = 0.2 + 0.0j
 
-#: Inside :func:`draw_checked`'s first run of a draw, the list the
-#: admissibility tests record their points in instead of testing them.
-_DEFERRED: contextvars.ContextVar[list[complex] | None] = \
-    contextvars.ContextVar("_DEFERRED", default=None)
-
 
 def draw_point(rng: Stream) -> complex:
     return complex(rng.uniform(*RECT_RE), rng.uniform(*RECT_IM))
 
 
-def _clear(ctx: ModelContext, points: list[complex]) -> bool:
-    """|f| > MIN_WEIGHT at every one of ``points``, from one weight batch."""
-    return all(abs(w) > MIN_WEIGHT for w in f_weights(points, ctx.regime))
-
-
 def _admissible(ctx: ModelContext, points: list[complex]) -> bool:
-    """|f| > MIN_WEIGHT at every one of ``points``, from one weight batch; if it raises,
-    point by point in order, so that a rejection hides the error of a later point.
-    Inside a deferred draw the points are recorded and the answer is yes."""
-    deferred = _DEFERRED.get()
-    if deferred is not None:
-        deferred.extend(points)
-        return True
-    try:
-        return _clear(ctx, points)
-    except (OverflowError, NonConvergent):
-        return all(abs(ctx.f(p)) > MIN_WEIGHT for p in points)
+    """Every one of ``points`` lies farther than ``ZERO_RADIUS`` from the zeros of ``f``.
 
-
-def draw_checked(draw: Callable[[ModelContext, Any], dict], ctx: ModelContext,
-                 rng: Any) -> tuple[dict, Any]:
-    """``draw(ctx, rng)`` with its admissibility tests taken in one weight batch at the end.
-
-    Returns the params, and the stream to draw on next, of the draw that tests
-    each candidate as it is drawn, or raises that draw's error: that draw runs,
-    on a copy of ``rng`` taken at the start, when the batch rejects a point or
-    raises.  A draw that tests no point makes no weight call.
+    A point is reduced by the nearest lattice step along each period: a
+    multiple of ``w = log(nome)`` by its real part (elliptic only), then a
+    multiple of ``i pi`` by its imaginary part.  One column of the lattice is
+    enough, since ``|Re w| > log(1/0.9) = 0.105`` below the nome cap, far
+    more than twice the radius.
     """
-    start = copy.deepcopy(rng)  # a Generator's shallow copy shares its bit generator
-    recorded: list[complex] = []
-    token = _DEFERRED.set(recorded)
-    try:
-        params = draw(ctx, rng)
-    finally:
-        _DEFERRED.reset(token)
-    try:
-        if not recorded or _clear(ctx, recorded):
-            return params, rng
-    except (OverflowError, NonConvergent):
-        pass
-    return draw(ctx, start), start
+    w = cmath.log(ctx.regime.params.nome) if ctx.is_elliptic else None
+    for z in points:
+        if w is not None:
+            z -= round(z.real / w.real) * w
+        z -= 1j * math.pi * round(z.imag / math.pi)
+        if abs(z) <= ZERO_RADIUS:
+            return False
+    return True
 
 
 def sample_spectral(ctx: ModelContext, rng: Stream, count: int,
                     avoid: tuple[complex, ...] = ()) -> tuple[complex, ...]:
     """Draw spectral points with pairwise-admissible differences.
 
-    Candidates are rejected until |f(p - q)| > MIN_WEIGHT against every
-    previously accepted point and every point in ``avoid``; raises
-    :class:`SamplingExhausted` after ``MAX_TRIES`` candidates.
+    Candidates are rejected until ``p - q`` lies farther than ``ZERO_RADIUS``
+    (1/117 of the real period at nome 0.89) from the zero lattice of ``f``
+    against every previously accepted point and every point in ``avoid``;
+    raises :class:`SamplingExhausted` after ``MAX_TRIES`` candidates.
     """
     points: list[complex] = []
     tries = 0
@@ -117,10 +86,11 @@ def sample_theta(ctx: ModelContext, rng: Stream,
     """Draw a dynamical parameter clear of weight-function zeros.
 
     ``shifts`` is the range of integer multiples k for which
-    ``theta + k*gamma`` will actually be used; each must satisfy
-    |f(theta + k*gamma)| > MIN_WEIGHT.  Trigonometric contexts do not
-    use the dynamical parameter; zero is returned at once.  Raises
-    :class:`SamplingExhausted` after ``MAX_TRIES`` candidates.
+    ``theta + k*gamma`` will actually be used; each must lie farther than
+    ``ZERO_RADIUS`` (1/117 of the real period at nome 0.89) from the zero
+    lattice of ``f``.  Trigonometric contexts do not use the dynamical
+    parameter; zero is returned at once.  Raises :class:`SamplingExhausted`
+    after ``MAX_TRIES`` candidates.
     """
     if not ctx.is_elliptic:
         return 0j

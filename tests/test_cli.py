@@ -1,5 +1,4 @@
 import argparse
-import collections
 import dataclasses
 import hashlib
 import io
@@ -7,7 +6,6 @@ import json
 import math
 import os
 import pathlib
-import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -19,9 +17,6 @@ import yblab
 import yblab.cli as cli
 from yblab import errors, feq, pde, sampling, special_fn, yb_core
 from yblab.errors import DynamicalPole, InterpolationIllConditioned
-from yblab.rng import Stream
-from yblab.special_fn import Regime
-from yblab.yb_core import ModelContext
 
 from oracles import (f_literal, fzt_coefficients_literal, omega_actions_literal,
                      omega_leading_apply_literal, theta1_literal)
@@ -98,51 +93,6 @@ def test_report_streams_are_numpy_generator_streams(monkeypatch, flags, L, seed)
     monkeypatch.setattr(cli, "Stream", numpy_generator)
     assert run_digests(args) == shipped
     assert shipped[2]
-
-
-def _draw_outcome(draw, ctx, rng):
-    """The params a draw gives and the next value of its stream, or its error."""
-    try:
-        params, rng = draw(ctx, rng)
-    except (errors.YbLabError, OverflowError) as exc:
-        return type(exc), str(exc)
-    return pickle.dumps(params), rng.uniform(0, 1)
-
-
-@pytest.mark.parametrize("stream", [Stream, numpy_generator], ids=["stream", "generator"])
-@pytest.mark.parametrize("floor", [sampling.MIN_WEIGHT, 0.1], ids=["floor-default", "floor-0.1"])
-@pytest.mark.parametrize("L", [1, 2, 3, 4])
-def test_deferred_draw_is_the_per_candidate_draw(monkeypatch, floor, L, stream):
-    # run tests a draw's candidates in one batch at its end, and draws again
-    # testing each candidate if the batch rejects one or raises; every
-    # registered draw gives the params, stream and error of testing each
-    # candidate as it is drawn, on yblab's stream and on numpy's Generator.
-    # The raised floor rejects some draws, and the weights against mu near
-    # 300 overflow.
-    monkeypatch.setattr(sampling, "MIN_WEIGHT", floor)
-    mu = sampling.sample_mu(Stream(L, cli.MODEL_SEED_KEY), L)
-    models = {"elliptic": ModelContext(L, sampling.DEFAULT_GAMMA, mu, Regime.elliptic(0.2)),
-              "trig": ModelContext(L, sampling.DEFAULT_GAMMA, mu, Regime.trigonometric()),
-              "overflow": ModelContext(L, sampling.DEFAULT_GAMMA, tuple(300 + m for m in mu),
-                                       Regime.elliptic(0.2))}
-    replays, raised = collections.Counter(), collections.Counter()
-    for model, ctx in models.items():
-        for cd in cli.REGISTRY.values():
-            for seed in range(1, 6):
-                runs = []
-                counted = lambda ctx, rng: runs.append(1) or cd.draw(ctx, rng)
-                expected = _draw_outcome(lambda ctx, rng: (cd.draw(ctx, rng), rng),
-                                         ctx, stream(seed, 7))
-                deferred = _draw_outcome(lambda ctx, rng: sampling.draw_checked(counted, ctx, rng),
-                                         ctx, stream(seed, 7))
-                assert deferred == expected
-                replays[model] += len(runs) - 1
-                raised[model] += isinstance(expected[0], type)
-    assert raised["elliptic"] == raised["trig"] == 0 < raised["overflow"] <= replays["overflow"]
-    if floor == 0.1:
-        assert replays["elliptic"] > 0 and replays["trig"] > 0
-    else:
-        assert replays["elliptic"] == replays["trig"] == 0
 
 
 def _run_fresh(code: str, timeout: float = 120) -> subprocess.CompletedProcess:
@@ -402,9 +352,11 @@ def test_run_memory_does_not_grow_with_samples():
     assert peak_bytes(500) - peak_bytes(50) < 0.5e6
 
 
-def test_run_sampler_exhaustion_becomes_error_record(capsys):
-    # near the nome cap no admissible theta exists; the draw gives up
-    code, out, err = run_cli(["run", "--L", "3", "--nome", "0.89,0", "--samples", "2",
+def test_run_sampler_exhaustion_becomes_error_record(monkeypatch, capsys):
+    # a refusal radius wider than the lattice cell refuses every candidate;
+    # the draw gives up and the run goes on to the next check
+    monkeypatch.setattr(sampling, "ZERO_RADIUS", 10.0)
+    code, out, err = run_cli(["run", "--L", "3", "--samples", "2",
                               "--checks", "dybe,dia-realization", "--seed", "1"], capsys)
     assert code == 1
     assert "Traceback" not in out + err
@@ -416,6 +368,17 @@ def test_run_sampler_exhaustion_becomes_error_record(capsys):
     assert dybe[0]["error"].startswith("SamplingExhausted")
     later = [r for r in records if r.get("check") == "dia-realization"]
     assert len(later) == 2 and all(r["pass"] for r in later)
+
+
+def test_run_draws_near_the_nome_cap(capsys):
+    # at nome 0.89 |f| is below 1e-7 near every zero, but the lattice rule
+    # refuses only points near a zero, so every sample is drawn and evaluated
+    code, out, _ = run_cli(["run", "--L", "3", "--nome", "0.89,0", "--checks", "dybe",
+                            "--samples", "2", "--seed", "1"], capsys)
+    dybe = [r for r in parse_records(out) if r.get("check") == "dybe"]
+    assert [r["sample_index"] for r in dybe] == [0, 1]
+    assert all("error" not in r and math.isfinite(r["residual"]) for r in dybe)
+    assert code == int(not all(r["pass"] for r in dybe))
 
 
 def test_run_prepare_failure_becomes_error_record(monkeypatch, capsys):
@@ -580,16 +543,22 @@ def test_compute_non_finite_value_is_an_error(capsys, gamma, method, error):
 
 
 @pytest.mark.parametrize("args, stage, flags", [
-    (["z", "--L", "2", "--mu", "300,0;0,0"], "the random point draw", "--mu"),
-    (["z", "--trig", "--L", "2", "--mu", "800,0;0,0"], "the random point draw", "--mu"),
+    (["z", "--L", "2", "--nome", "0.89,0", "--mu", "1.7e308,0;0,0"], "the random point draw",
+     "--mu"),
+    (["z", "--L", "2", "--mu", "300,0;0,0"], "the bruteforce route", "--mu"),
+    (["z", "--trig", "--L", "2", "--mu", "800,0;0,0"], "the bruteforce route", "--mu"),
     (["z", "--L", "2", "--points", "300,0;0.1,0"], "the bruteforce route", "--points"),
     (["sn", "--trig", "--L", "2", "--xb", "800,0", "--yc", "0.1,0"], "the bruteforce route",
      "--xb, --yc"),
 ])
 def test_compute_overflow_names_its_stage_and_spectral_flags(capsys, args, stage, flags):
+    # the draw's lattice reduction overflows rounding an infinite ratio to an
+    # int; a route overflows in a weight
+    reason = ("cannot convert float infinity to integer" if stage == "the random point draw"
+              else "math range error")
     code, out, err = run_cli(["compute", *args], capsys)
     assert code == 1 and out == ""
-    assert err == f"error: OverflowError: math range error in {stage} ({flags} given)\n"
+    assert err == f"error: OverflowError: {reason} in {stage} ({flags} given)\n"
 
 
 def test_overflowing_weight_products_write_no_warning():

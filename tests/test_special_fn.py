@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import tracemalloc
 import warnings
 
@@ -306,7 +307,7 @@ def test_trig_weights_direct_value():
 def _weight_calls(monkeypatch):
     """Record the module of every ``f_weights`` call made through a module that reads weights."""
     calls = []
-    for module in (feq, lattice_qty, residue_int, sampling, yb_core):
+    for module in (feq, lattice_qty, residue_int, yb_core):
         monkeypatch.setattr(module, "f_weights", lambda points, regime, name=module.__name__:
                             calls.append(name.rsplit(".", 1)[1]) or f_weights(points, regime))
     return calls
@@ -335,22 +336,52 @@ def test_one_weight_call_per_evaluation(caller, module, monkeypatch, rng):
 
 
 @pytest.mark.parametrize("elliptic", [True, False], ids=["elliptic", "trig"])
-def test_samplers_make_one_weight_call_per_candidate(elliptic, monkeypatch, rng):
+def test_samplers_read_no_weight(elliptic, monkeypatch, rng):
+    # admissibility is a distance to the zero lattice of f, known from the
+    # nome alone, so the samplers draw while every weight read raises
     ctx = random_context(4, rng, elliptic=elliptic)
-    draws, draw_point = [], sampling.draw_point
-    monkeypatch.setattr(sampling, "draw_point", lambda r: draws.append(1) or draw_point(r))
-    calls = _weight_calls(monkeypatch)
+
+    def refuse(*args):
+        raise AssertionError("a sampler read a weight")
+
+    monkeypatch.setattr(special_fn, "f_weights", refuse)
+    monkeypatch.setattr(ModelContext, "f", refuse)
     for _ in range(10):
-        sampling.sample_spectral(ctx, rng, 5)
-        sampling.sample_theta(ctx, rng)
-    # trigonometric contexts draw no theta
-    assert calls == ["sampling"] * len(draws) and len(draws) >= 50 + 10 * elliptic
+        assert len(set(sampling.sample_spectral(ctx, rng, 5))) == 5
+        assert (sampling.sample_theta(ctx, rng) != 0) == elliptic
+
+
+@pytest.mark.parametrize("nome", [None, 0.2, 0.85 + 0.1j, 0.89, 1e-11],
+                         ids=["trig", "0.2", "0.85+0.1i", "0.89", "1e-11"])
+def test_lattice_rule_tracks_the_weight_near_its_zeros(nome):
+    # f has a simple zero at each n log p + i pi m (i pi m in trig), where its
+    # slope is |f'(0)| |p|^(-n^2) by quasi-periodicity: 1 in trig, 0.59 at
+    # nome 0.2 and 8.9e-8 at 0.89.  On rings around the zeros of the columns
+    # n = -1, 0, 1, the rule refuses every point within R / 2, where |f| <
+    # 0.51 R slope, and accepts every point from 2 R to 8 R, where |f| > 1.98 R
+    # slope (the grid reads 0.5005 and 1.9916 at worst: f bends that little)
+    radius = sampling.ZERO_RADIUS
+    regime = Regime.trigonometric() if nome is None else Regime.elliptic(nome)
+    ctx = ModelContext(1, sampling.DEFAULT_GAMMA, (0.1,), regime)
+    slope = abs(ctx.f(1e-8)) / 1e-8
+    columns = (0,) if nome is None else (-1, 0, 1)
+    for n, m in itertools.product(columns, (-1, 0, 1)):
+        zero = (n * cmath.log(nome) if n else 0) + 1j * cmath.pi * m
+        scale = radius * slope * abs(nome or 1) ** -(n * n)
+        for ring in (1 / 8, 1 / 4, 1 / 2, 2, 4, 8):
+            points = [zero + ring * radius * cmath.exp(1j * (0.3 + k * cmath.pi / 4))
+                      for k in range(8)]
+            sizes = [abs(w) / scale for w in f_weights(points, regime)]
+            verdicts = [sampling._admissible(ctx, [z]) for z in points]
+            if ring < 1:
+                assert not any(verdicts) and max(sizes) < 0.51
+            else:
+                assert all(verdicts) and min(sizes) > 1.98
 
 
 def test_run_makes_one_weight_batch_per_draw(monkeypatch, capsys):
-    # the seed-1 run-elliptic pass: run tests each draw's candidates in one
-    # batch (dia-realization's draws test none), and every evaluation, factor
-    # build and model check makes one call
+    # the seed-1 run-elliptic pass: the draws read no weight, and every
+    # evaluation, factor build and model check makes one call
     calls = _weight_calls(monkeypatch)
     checks, f = [], ModelContext.f
     monkeypatch.setattr(ModelContext, "f", lambda self, z: checks.append(z) or f(self, z))
@@ -359,16 +390,5 @@ def test_run_makes_one_weight_batch_per_draw(monkeypatch, capsys):
     capsys.readouterr()
     evaluations = sum(calls.count(module) for module in ("feq", "lattice_qty", "residue_int"))
     builds = calls.count("yb_core") - len(checks)
-    assert (calls.count("sampling"), builds, evaluations, len(checks)) == (120, 120, 80, 21)
-    assert len(calls) == 341
-
-
-def test_admissible_rejection_hides_a_later_weight_error():
-    # f(400) overflows; a candidate rejected at an earlier point is refused
-    # as a check that stops at the first rejection refuses it
-    ctx = ModelContext(1, 0.41 + 0.07j, (0.1,), Regime.elliptic(0.2))
-    with pytest.raises(OverflowError):
-        f_weights([0j, 400 + 0j], ctx.regime)
-    assert sampling._admissible(ctx, [0j, 400 + 0j]) is False
-    with pytest.raises(OverflowError):
-        sampling._admissible(ctx, [0.5 + 0j, 400 + 0j])
+    assert (builds, evaluations, len(checks)) == (120, 80, 21)
+    assert len(calls) == 221
